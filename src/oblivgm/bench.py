@@ -10,7 +10,7 @@ import numpy as np
 from .datagen import random_graph, random_query_text
 from .engine import EngineConfig, open_results, sec_match
 from .graphs import AttributedGraph, GraphFormatError, encrypt_graph
-from .net import local_runtimes, make_session_configs, run_trio
+from .net import PhaseStats, local_runtimes, make_session_configs, run_trio
 from .query import gen_token, load_query
 
 
@@ -54,9 +54,16 @@ def _row(*cols):
     print("\t".join(str(c) for c in cols))
 
 
+def _phase_stats(runtimes, phase: str) -> list[PhaseStats]:
+    return [rt.meter.phases.get(phase, PhaseStats()) for rt in runtimes]
+
+
 def _phase_bytes(runtimes, phase: str) -> int:
-    return max(rt.meter.phases.get(phase, type("z", (), {"bytes_sent": 0})).bytes_sent
-               for rt in runtimes)
+    return max(st.bytes_sent for st in _phase_stats(runtimes, phase))
+
+
+def _phase_seconds(runtimes, phase: str) -> float:
+    return max(st.seconds for st in _phase_stats(runtimes, phase))
 
 
 def _bench_subprotocols(seed: str, size: int) -> None:
@@ -83,7 +90,9 @@ def _bench_subprotocols(seed: str, size: int) -> None:
         for phase in ("secEval", "secFetch", "secAccess"):
             nbytes = _phase_bytes(runtimes, phase)
             if nbytes:
-                _row(name, size, phase, nbytes, f"{elapsed:.3f}")
+                _row(name, size, phase, nbytes, f"{_phase_seconds(runtimes, phase):.4f}")
+        _row(name, size, "total", max(rt.meter.total.bytes_sent for rt in runtimes),
+             f"{elapsed:.4f}")
         if name.startswith("eval-"):
             eval_bytes[name] = _phase_bytes(runtimes, "secEval")
     if eval_bytes.get("eval-eq"):

@@ -49,6 +49,11 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
     return bits[..., :nbits]
 
 
+def stack_rows(mats: list[np.ndarray]) -> np.ndarray:
+    """Stack word matrices row-wise; a single matrix is returned as is, not copied."""
+    return mats[0] if len(mats) == 1 else np.concatenate(mats)
+
+
 class BitVector:
     """A length-annotated packed bit string.
 

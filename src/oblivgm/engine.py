@@ -5,20 +5,26 @@ Four cooperating pieces, each executed in lockstep by the three parties:
 * predicate evaluation: every party evaluates its two FSS keys over the
   public positions of a candidate's attribute shares, producing two of the
   six additive terms per candidate; one bit per candidate is re-shared.
-* matched-vertex fetch: a unique-valued attribute lets the parties fold the
-  candidates into a single record with pure local algebra plus one vector
-  re-share; otherwise the flag/id/value table is obliviously shuffled and
-  only the shuffled flag column is opened.
-* neighbor access: a matched vertex's posting list is pulled out of the
-  whole type population by one-hot selection, validity flags are computed,
-  shuffled and opened to discard padding, and the surviving neighbors'
-  attribute values are fetched by one-hot selection again.
+* matched-vertex fetch: a unique-valued attribute lets the parties fold each
+  candidate group into a single record with pure local algebra plus one
+  re-share per field; otherwise the flag/id/value table is obliviously
+  shuffled and only the shuffled flag column is opened.
+* neighbor access: matched vertices' posting lists are pulled out of the
+  whole parent-type population by one-hot selection, validity flags are
+  computed, shuffled and opened to discard padding, and the surviving
+  neighbors' attribute values are fetched by one-hot selection again.
 * the matcher walks the query tree breadth-first, carrying public
   provenance (which parent record a candidate group descends from), and
   finally assembles complete subgraphs and prunes partial branches.
 
-Candidates are processed as stacked word matrices; one protocol message per
-operation carries the whole batch.
+Each query slot runs as one batch. Its candidate groups, one per matched
+parent record, are stacked into word matrices with public per-group row
+counts (segments), and every protocol step carries the whole slot in one
+message: one re-share per evaluation pass, one shuffle in which each group
+is permuted under its own table id, one open of all shuffled flags. The
+opened flags and the group boundaries are exactly what per-group steps
+would reveal, so batching leaks nothing more, and the number of rounds a
+query takes grows with its number of slots, not with its matches.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from itertools import product
 import numpy as np
 
 from . import fss, rss
-from .bits import BitVector, pack_bits, unpack_bits, words_for
+from .bits import BitVector, mask_tail, stack_rows, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare
-from .net import OP_RESHARE
+from .net import OP_RESHARE, ProtocolError
 from .query import PartyToken
 from .shuffle import MatchTable, sec_shuffle
 
@@ -80,6 +86,12 @@ def _parity_rows(mat: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(acc) & 1).astype(np.uint8)
 
 
+def _row_share(rt, pair: tuple[np.ndarray, np.ndarray], row: int,
+               width: int) -> rss.SharedBitVector:
+    return rss.SharedBitVector(rt.index, BitVector(pair[0][row], width),
+                               BitVector(pair[1][row], width))
+
+
 def _reshare_matrix(rt, additive: np.ndarray, width: int):
     """Re-share a batch of additive rows in one message; returns (a, b) matrices."""
     rows, w = additive.shape
@@ -88,7 +100,10 @@ def _reshare_matrix(rt, additive: np.ndarray, width: int):
     if width % 32 and w:
         blinded[:, -1] &= np.uint32((1 << (width % 32)) - 1)
     rt.send_next(OP_RESHARE, blinded.tobytes(), logical_bits=rows * width)
-    received = np.frombuffer(rt.recv_prev(OP_RESHARE), dtype=np.uint32).reshape(rows, w)
+    raw = rt.recv_prev(OP_RESHARE)
+    if len(raw) != rows * w * 4:
+        raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {rows * w * 4}")
+    received = np.frombuffer(raw, dtype=np.uint32).reshape(rows, w)
     return received, blinded
 
 
@@ -108,8 +123,10 @@ def _select_many_additive(sel_a, sel_b, mat_a, mat_b) -> np.ndarray:
     w = mat_a.shape[1]
     out = np.zeros((k, w), dtype=np.uint32)
     axb = mat_a ^ mat_b
-    # chunk over selector rows to bound the (k, x, w) intermediate
-    step = max(1, (1 << 22) // max(1, x * w))
+    # chunk over selector rows to bound the (k, x, w) intermediate at 64 Ki
+    # words: a whole slot's posting lists are selected at once, and chunks of
+    # this size run as fast as larger ones while keeping peak memory flat
+    step = max(1, (1 << 16) // max(1, x * w))
     for lo in range(0, k, step):
         hi = min(k, lo + step)
         pa = sel_a[lo:hi].astype(bool)[:, :, None]
@@ -131,34 +148,69 @@ class _OpenLabels:
         return self._n
 
 
+def _open_flags(rt, shuffled: MatchTable, labels: _OpenLabels) -> np.ndarray:
+    """Open the flag column (bit 0 of every row) of a shuffled table."""
+    flag_col = rss.SharedBitVector(
+        rt.index,
+        BitVector.from_bits(shuffled.share_a[:, 0] & 1),
+        BitVector.from_bits(shuffled.share_b[:, 0] & 1),
+    )
+    return rss.open_shared(rt, flag_col, label=labels.next()).to_bits()
+
+
+def _pack_fields(fields: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Rows of packed ``(matrix, width)`` fields laid end to end; inverse of :func:`_bit_field`."""
+    out = np.zeros((fields[0][0].shape[0], words_for(sum(w for _, w in fields))), np.uint32)
+    pos = 0
+    for mat, width in fields:
+        mat = mask_tail(mat.copy(), width)  # share words may carry bits past the width
+        start, shift = divmod(pos, 32)
+        out[:, start:start + mat.shape[1]] |= mat << np.uint32(shift)
+        if shift:
+            spill = mat[:, :out.shape[1] - start - 1] >> np.uint32(32 - shift)
+            out[:, start + 1:start + 1 + spill.shape[1]] |= spill
+        pos += width
+    return out
+
+
+def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
+    """Bits ``[pos, pos + width)`` of every row of a packed matrix, moved to bit 0."""
+    start, shift = divmod(pos, 32)
+    out = mat[:, start:start + words_for(width)] >> np.uint32(shift)
+    if shift:
+        hi = mat[:, start + 1:start + words_for(width) + 1]
+        out[:, :hi.shape[1]] |= hi << np.uint32(32 - shift)
+    return mask_tail(out, width)
+
+
+def _split(keep: np.ndarray, segments) -> list[slice]:
+    """Per segment, the slice of the sorted row indices ``keep`` that falls in it."""
+    ends = np.searchsorted(keep, np.cumsum(segments))
+    starts = np.concatenate(([0], ends[:-1]))
+    return [slice(int(lo), int(hi)) for lo, hi in zip(starts, ends)]
+
+
 # ---------------------------------------------------------------------------
 # predicate evaluation
 # ---------------------------------------------------------------------------
 
 
-def sec_eval(rt, group: CandidateGroup, key_pair, attr: str, domain_size: int,
-             fde_cache: dict | None = None) -> rss.SharedBitVector:
-    """Evaluate one predicate over a candidate group; one shared bit each.
+def sec_eval(rt, groups: list[CandidateGroup], key_pair, attr: str,
+             domain_size: int) -> rss.SharedBitVector:
+    """Evaluate one predicate over a slot's stacked groups; one shared bit each.
 
-    Each evaluation pass re-shares one bit per candidate. Interval keys run
-    two passes (their two comparison halves), doubling the communication.
+    Each evaluation pass re-shares one bit per candidate of every group in a
+    single message. Interval keys run two passes (their two comparison
+    halves), doubling the communication.
     """
     first, second = key_pair
     passes = list(zip(fss.key_parts_for_engine(first), fss.key_parts_for_engine(second)))
-    da, db = group.attrs[attr]
+    da = stack_rows([g.attrs[attr][0] for g in groups])
+    db = stack_rows([g.attrs[attr][1] for g in groups])
     result: rss.SharedBitVector | None = None
-    for pass_idx, (part_a, part_b) in enumerate(passes):
-        if fde_cache is not None:
-            cache_key = (id(first), pass_idx)
-            if cache_key not in fde_cache:
-                fde_cache[cache_key] = (
-                    fss.full_domain_eval(part_a, domain_size).words,
-                    fss.full_domain_eval(part_b, domain_size).words,
-                )
-            ind_a, ind_b = fde_cache[cache_key]
-        else:
-            ind_a = fss.full_domain_eval(part_a, domain_size).words
-            ind_b = fss.full_domain_eval(part_b, domain_size).words
+    for part_a, part_b in passes:
+        ind_a = fss.full_domain_eval(part_a, domain_size).words
+        ind_b = fss.full_domain_eval(part_b, domain_size).words
         additive_bits = _parity_rows(da & ind_a[None, :]) ^ _parity_rows(db & ind_b[None, :])
         shared = rss.reshare(rt, BitVector.from_bits(additive_bits))
         result = shared if result is None else result.xor(shared)
@@ -194,79 +246,77 @@ def combine_predicates(rt, bits: list[rss.SharedBitVector], combiner: str,
 # ---------------------------------------------------------------------------
 
 
-def sec_fetch_unique(rt, group: CandidateGroup,
-                     flags: rss.SharedBitVector) -> MatchedRecord:
-    """Case with at most one satisfying candidate: fold by flag bits locally.
+def sec_fetch_unique(rt, groups: list[CandidateGroup],
+                     flags: rss.SharedBitVector) -> list[MatchedRecord]:
+    """Case with at most one satisfying candidate per group: fold by flag bits locally.
 
-    Local AND terms accumulate additively over the candidates, then a single
-    re-share per field runs; communication does not grow with the candidate
-    count. A zero-match group folds to the all-zero (dummy) record.
+    Local AND terms accumulate additively over each group's candidates, then
+    a single re-share per field carries every group's folded record;
+    communication does not grow with the candidate count. A zero-match group
+    folds to the all-zero (dummy) record. Returns one record per group.
     """
     fa = flags.share_a.to_bits()
     fb = flags.share_b.to_bits()
+    bounds = np.cumsum([0] + [g.count for g in groups])
+    spans = list(zip(bounds[:-1], bounds[1:]))
 
-    def fold(mat_a, mat_b, width):
-        additive = _select_one_additive(fa, fb, mat_a, mat_b)
-        return rss.reshare(rt, BitVector(additive, width))
+    def fold(mats, width):
+        additive = np.stack([_select_one_additive(fa[lo:hi], fb[lo:hi], *m)
+                             for m, (lo, hi) in zip(mats, spans)])
+        return _reshare_matrix(rt, additive, width)
 
-    vertex_id = fold(group.ids_a, group.ids_b, group.id_width)
-    attrs = {
-        name: fold(pair[0], pair[1], group.attr_widths[name])
-        for name, pair in sorted(group.attrs.items())
-    }
-    return MatchedRecord(group.parent_slot, group.parent_record, vertex_id, attrs)
+    first = groups[0]
+    vertex_ids = fold([(g.ids_a, g.ids_b) for g in groups], first.id_width)
+    attrs = {name: fold([g.attrs[name] for g in groups], first.attr_widths[name])
+             for name in sorted(first.attrs)}
+    return [
+        MatchedRecord(
+            g.parent_slot, g.parent_record,
+            _row_share(rt, vertex_ids, i, first.id_width),
+            {name: _row_share(rt, pair, i, first.attr_widths[name])
+             for name, pair in attrs.items()},
+        )
+        for i, g in enumerate(groups)
+    ]
 
 
-def sec_fetch_multi(rt, group: CandidateGroup, flags: rss.SharedBitVector,
+def sec_fetch_multi(rt, groups: list[CandidateGroup], flags: rss.SharedBitVector,
                     labels: _OpenLabels, audit: list) -> list[MatchedRecord]:
-    """General fetch: shuffle flag/id/value rows, open the flags, keep the ones."""
-    attr_names = sorted(group.attrs)
-    id_width = group.id_width
-    attr_widths = {a: group.attr_widths[a] for a in attr_names}
+    """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
-    def build_rows(fbits, ids, attr_mats):
-        cols = [fbits[:, None], unpack_bits(ids, id_width)]
-        for a in attr_names:
-            cols.append(unpack_bits(attr_mats[a], attr_widths[a]))
-        return pack_bits(np.concatenate(cols, axis=1))
+    The slot's groups are the segments of one shuffled table, so each group
+    is permuted on its own while all of them share the shuffle's three
+    messages and one open of the flags.
+    """
+    first = groups[0]
+    attr_names = sorted(first.attrs)
+    widths = [first.id_width] + [first.attr_widths[a] for a in attr_names]
+    row_width = 1 + sum(widths)
 
-    row_width = 1 + id_width + sum(attr_widths.values())
-    rows_a = build_rows(flags.share_a.to_bits(), group.ids_a,
-                        {a: group.attrs[a][0] for a in attr_names})
-    rows_b = build_rows(flags.share_b.to_bits(), group.ids_b,
-                        {a: group.attrs[a][1] for a in attr_names})
-    table = MatchTable(rt.index, row_width, rows_a, rows_b)
-    shuffled = sec_shuffle(rt, table)
+    def build_rows(flag, side):
+        mats = [stack_rows([g.ids_a if side == 0 else g.ids_b for g in groups])]
+        mats += [stack_rows([g.attrs[a][side] for g in groups]) for a in attr_names]
+        return _pack_fields([(flag.to_bits().astype(np.uint32)[:, None], 1)]
+                            + list(zip(mats, widths)))
 
-    flag_col = rss.SharedBitVector(
-        rt.index,
-        BitVector.from_bits(shuffled.share_a[:, 0] & 1),
-        BitVector.from_bits(shuffled.share_b[:, 0] & 1),
-    )
-    mask = rss.open_shared(rt, flag_col, label=labels.next()).to_bits()
+    rows_a = build_rows(flags.share_a, 0)
+    rows_b = build_rows(flags.share_b, 1)
+    segments = tuple(g.count for g in groups)
+    shuffled = sec_shuffle(rt, MatchTable(rt.index, row_width, rows_a, rows_b, segments))
+    mask = _open_flags(rt, shuffled, labels)
     audit.append(("fetch", mask.copy()))
 
+    # kept rows, cut back into their fields by whole-matrix slicing
+    keep = np.nonzero(mask)[0]
+    kept_a, kept_b = shuffled.share_a[keep], shuffled.share_b[keep]
+    cuts = [(_bit_field(kept_a, pos, w), _bit_field(kept_b, pos, w))
+            for pos, w in zip(np.cumsum([1] + widths[:-1]), widths)]
     records = []
-    bits_a = unpack_bits(shuffled.share_a, row_width)
-    bits_b = unpack_bits(shuffled.share_b, row_width)
-    for row in np.nonzero(mask)[0]:
-        pos = 1
-        vid = rss.SharedBitVector(
-            rt.index,
-            BitVector.from_bits(bits_a[row, pos:pos + id_width]),
-            BitVector.from_bits(bits_b[row, pos:pos + id_width]),
-        )
-        pos += id_width
-        attrs = {}
-        for a in attr_names:
-            aw = attr_widths[a]
-            attrs[a] = rss.SharedBitVector(
-                rt.index,
-                BitVector.from_bits(bits_a[row, pos:pos + aw]),
-                BitVector.from_bits(bits_b[row, pos:pos + aw]),
-            )
-            pos += aw
-        records.append(MatchedRecord(group.parent_slot, group.parent_record, vid, attrs))
+    for g, rows in zip(groups, _split(keep, segments)):
+        for i in range(rows.start, rows.stop):
+            vid, *vals = (_row_share(rt, cut, i, w) for cut, w in zip(cuts, widths))
+            records.append(MatchedRecord(g.parent_slot, g.parent_record, vid,
+                                         dict(zip(attr_names, vals))))
     return records
 
 
@@ -275,73 +325,72 @@ def sec_fetch_multi(rt, group: CandidateGroup, flags: rss.SharedBitVector,
 # ---------------------------------------------------------------------------
 
 
-def sec_access(rt, record: MatchedRecord, parent_type: str, child_type: str,
-               needed_attrs: list[str], gshare: GraphShare,
-               provenance: tuple[int, int], labels: _OpenLabels, audit: list) -> CandidateGroup:
-    """Pull one matched vertex's neighbors of ``child_type`` out of the graph.
+def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: str,
+               needed_attrs: list[str], gshare: GraphShare, parent_slot: int,
+               labels: _OpenLabels, audit: list) -> list[CandidateGroup]:
+    """Pull every matched vertex's neighbors of ``child_type`` out of the graph.
 
     Selection runs over the whole parent-type population, so nothing about
     which vertex matched leaks; padding and zero-extension are discarded only
-    after the validity flags have been shuffled.
+    after the validity flags have been shuffled. All records travel together:
+    one selection re-share, one shuffle with one segment per record (its
+    padded posting list), one open, and one re-share per attribute. Returns
+    one candidate group per record, in record order.
     """
     schema = gshare.schema
-    parent_slot, parent_rec = provenance
     x_ne = schema.types[child_type].population
     w_ne = words_for(x_ne)
     attr_widths = {a: schema.types[child_type].attrs[a].domain_size for a in needed_attrs}
     lists_a, lists_b = gshare.types[parent_type].posting[child_type]
-    l_max = lists_a.shape[1]
+    x_pa, l_max = lists_a.shape[:2]
 
-    def empty_group():
-        return CandidateGroup(
-            parent_slot, parent_rec, 0, x_ne,
-            np.zeros((0, w_ne), np.uint32), np.zeros((0, w_ne), np.uint32),
-            {a: (np.zeros((0, words_for(attr_widths[a])), np.uint32),
-                 np.zeros((0, words_for(attr_widths[a])), np.uint32))
-             for a in needed_attrs},
-            attr_widths,
-        )
+    def groups_from(ids_a, ids_b, attrs, spans):
+        return [CandidateGroup(parent_slot, ri, sp.stop - sp.start, x_ne,
+                               ids_a[sp], ids_b[sp],
+                               {a: (m[0][sp], m[1][sp]) for a, m in attrs.items()},
+                               attr_widths)
+                for ri, sp in enumerate(spans)]
 
-    if l_max == 0:
-        return empty_group()
+    def no_rows(width):
+        return np.zeros((0, words_for(width)), np.uint32)
 
-    # one-hot selection of the matched vertex's padded posting list
-    sel_a = record.vertex_id.share_a.to_bits()
-    sel_b = record.vertex_id.share_b.to_bits()
-    additive = _select_one_additive(sel_a, sel_b, lists_a, lists_b)  # (l_max, w_ne)
-    fetched_a, fetched_b = _reshare_matrix(rt, additive, x_ne)
+    empty_attrs = {a: (no_rows(w), no_rows(w)) for a, w in attr_widths.items()}
+    if l_max == 0 or not records:
+        return groups_from(no_rows(x_ne), no_rows(x_ne), empty_attrs,
+                           [slice(0, 0)] * len(records))
+
+    # one-hot selection of every matched vertex's padded posting list
+    sel_a = np.stack([r.vertex_id.share_a.to_bits() for r in records])
+    sel_b = np.stack([r.vertex_id.share_b.to_bits() for r in records])
+    additive = _select_many_additive(sel_a, sel_b, lists_a.reshape(x_pa, -1),
+                                     lists_b.reshape(x_pa, -1))
+    fetched_a, fetched_b = _reshare_matrix(rt, additive.reshape(-1, w_ne), x_ne)
 
     # validity flag per fetched row, then shuffle flag||id and open the flags
-    ya = _parity_rows(fetched_a)
-    yb = _parity_rows(fetched_b)
-    rows_a = pack_bits(np.concatenate([ya[:, None], unpack_bits(fetched_a, x_ne)], axis=1))
-    rows_b = pack_bits(np.concatenate([yb[:, None], unpack_bits(fetched_b, x_ne)], axis=1))
-    shuffled = sec_shuffle(rt, MatchTable(rt.index, 1 + x_ne, rows_a, rows_b))
-    flag_col = rss.SharedBitVector(
-        rt.index,
-        BitVector.from_bits(shuffled.share_a[:, 0] & 1),
-        BitVector.from_bits(shuffled.share_b[:, 0] & 1),
-    )
-    valid = rss.open_shared(rt, flag_col, label=labels.next()).to_bits()
+    rows_a, rows_b = (_pack_fields([(_parity_rows(m).astype(np.uint32)[:, None], 1), (m, x_ne)])
+                      for m in (fetched_a, fetched_b))
+    segments = (l_max,) * len(records)
+    shuffled = sec_shuffle(rt, MatchTable(rt.index, 1 + x_ne, rows_a, rows_b, segments))
+    valid = _open_flags(rt, shuffled, labels)
     audit.append(("access", valid.copy()))
     keep = np.nonzero(valid)[0]
+    spans = _split(keep, segments)
     if keep.size == 0:
-        return empty_group()
+        return groups_from(no_rows(x_ne), no_rows(x_ne), empty_attrs, spans)
 
-    kept_bits_a = unpack_bits(shuffled.share_a, 1 + x_ne)[keep, 1:]
-    kept_bits_b = unpack_bits(shuffled.share_b, 1 + x_ne)[keep, 1:]
-    ids_a = pack_bits(kept_bits_a)
-    ids_b = pack_bits(kept_bits_b)
+    ids_a = _bit_field(shuffled.share_a[keep], 1, x_ne)
+    ids_b = _bit_field(shuffled.share_b[keep], 1, x_ne)
+    kept_bits_a = unpack_bits(ids_a, x_ne)
+    kept_bits_b = unpack_bits(ids_b, x_ne)
 
-    # one-hot fetch of each surviving neighbor's queried attribute values
+    # one-hot fetch of every surviving neighbor's queried attribute values
     attrs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     child_share = gshare.types[child_type]
     for a in needed_attrs:
         va, vb = child_share.attrs[a]
         additive = _select_many_additive(kept_bits_a, kept_bits_b, va, vb)
         attrs[a] = _reshare_matrix(rt, additive, attr_widths[a])
-    return CandidateGroup(parent_slot, parent_rec, int(keep.size), x_ne,
-                          ids_a, ids_b, attrs, attr_widths)
+    return groups_from(ids_a, ids_b, attrs, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +410,6 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
     audit: list[tuple[str, np.ndarray]] = []
     groups: list[list[CandidateGroup]] = [[] for _ in slots]
     records: list[list[MatchedRecord]] = [[] for _ in slots]
-    fde_cache: dict = {}
 
     def say(msg: str):
         if config.progress:
@@ -386,31 +434,27 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         )
         say(f"slot {s} ({slot['name']}): {sum(g.count for g in groups[s])} candidates "
             f"in {len(groups[s])} groups")
-        for group in groups[s]:
-            if group.count == 0:
-                continue
+        live = [g for g in groups[s] if g.count]
+        if live:
             with rt.meter.phase("secEval"):
                 bits = [
-                    sec_eval(rt, group, token.slot_keys[s][pi], pred["attr"],
-                             ts.attrs[pred["attr"]].domain_size, fde_cache)
+                    sec_eval(rt, live, token.slot_keys[s][pi], pred["attr"],
+                             ts.attrs[pred["attr"]].domain_size)
                     for pi, pred in enumerate(slot["preds"])
                 ]
                 flags = combine_predicates(rt, bits, slot["combiner"], config.any_mode)
             with rt.meter.phase("secFetch"):
                 if unique_route:
-                    records[s].append(sec_fetch_unique(rt, group, flags))
+                    records[s] = sec_fetch_unique(rt, live, flags)
                 else:
-                    records[s].extend(sec_fetch_multi(rt, group, flags, labels, audit))
+                    records[s] = sec_fetch_multi(rt, live, flags, labels, audit)
         say(f"slot {s} ({slot['name']}): {len(records[s])} matched records")
         for child in slot["children"]:
             child_type = slots[child]["type"]
             child_attrs = sorted({p["attr"] for p in slots[child]["preds"]})
             with rt.meter.phase("secAccess"):
-                groups[child] = [
-                    sec_access(rt, rec, vtype, child_type, child_attrs, gshare,
-                               (s, ri), labels, audit)
-                    for ri, rec in enumerate(records[s])
-                ]
+                groups[child] = sec_access(rt, records[s], vtype, child_type, child_attrs,
+                                           gshare, s, labels, audit)
 
     subgraphs = _assemble(slots, records)
     say(f"assembled {len(subgraphs)} complete subgraphs")

@@ -147,6 +147,10 @@ class PeerLink:
         self._send_ch.send_bytes(data)
         return len(data)
 
+    def close(self) -> None:
+        """Poison the link: the peer's pending and future receives fail at once."""
+        self._send_ch.close()
+
     def recv(self, op: int, timeout: float) -> bytes:
         frame = Frame.decode(self._recv_ch.recv_bytes(timeout))
         if frame.session != self.session:
@@ -170,6 +174,7 @@ class PhaseStats:
     bytes_sent: int = 0
     frames_sent: int = 0
     logical_bits: int = 0
+    seconds: float = 0.0  # wall time spent inside the phase (not kept for the total)
 
     def add(self, nbytes: int, bits: int) -> None:
         self.bytes_sent += nbytes
@@ -188,10 +193,12 @@ class Meter:
     @contextmanager
     def phase(self, name: str):
         self._stack.append(name)
+        started = time.perf_counter()
         try:
             yield
         finally:
             self._stack.pop()
+            self.phases.setdefault(name, PhaseStats()).seconds += time.perf_counter() - started
 
     def record_send(self, nbytes: int, logical_bits: int) -> None:
         self.total.add(nbytes, logical_bits)
@@ -282,6 +289,10 @@ class PartyRuntime:
         self._table_counter += 1
         return tid
 
+    def close_links(self) -> None:
+        for link in self.links.values():
+            link.close()
+
     def note_opened(self, label: int, plaintext) -> None:
         self.opened.append((label, plaintext))
 
@@ -320,19 +331,23 @@ def local_runtimes(configs: list[PartyConfig], recv_timeout: float = 120.0) -> l
 def run_trio(worker, runtimes: list[PartyRuntime], close_channels=None):
     """Run ``worker(rt)`` for the three parties on separate threads.
 
-    On failure in any party the remaining channels are poisoned so blocked
-    peers fail fast; the first root-cause exception is re-raised.
+    On failure in any party every runtime's links are closed, or
+    ``close_channels()`` is called instead when given, so blocked peers fail
+    fast; the first root-cause exception is re-raised.
     """
     results: list = [None, None, None]
     errors: list = [None, None, None]
+    if close_channels is None:
+        def close_channels():
+            for rt in runtimes:
+                rt.close_links()
 
     def run(idx: int, rt: PartyRuntime):
         try:
             results[idx] = worker(rt)
         except BaseException as exc:  # noqa: BLE001 - propagated below
             errors[idx] = exc
-            if close_channels is not None:
-                close_channels()
+            close_channels()
 
     threads = [
         threading.Thread(target=run, args=(i, rt), name=f"party-{rt.index}", daemon=True)
@@ -360,17 +375,7 @@ def run_local_trio(worker, configs: list[PartyConfig] | None = None,
     """Convenience wrapper: set up an in-process session and run a worker triple."""
     if configs is None:
         configs = make_session_configs(master)
-    runtimes = local_runtimes(configs, recv_timeout)
-    all_queues: list[QueueChannel] = []
-    for rt in runtimes:
-        for link in rt.links.values():
-            all_queues.append(link._send_ch)  # noqa: SLF001 - trio owns its wiring
-
-    def close_all():
-        for ch in all_queues:
-            ch.close()
-
-    return run_trio(worker, runtimes, close_channels=close_all)
+    return run_trio(worker, local_runtimes(configs, recv_timeout))
 
 
 # ---------------------------------------------------------------------------

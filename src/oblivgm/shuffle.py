@@ -6,6 +6,10 @@ All blinding tables and permutations are expanded deterministically from the
 pairwise seeds with domain separation by table id, which keeps the protocol
 reproducible under fixed seeds and lets tests simulate the exact outcome in
 plaintext.
+
+A table may be split into segments with public row counts. Each segment is
+shuffled as a table of its own, under its own table id, but all segments
+travel in the same three messages.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitVector, mask_tail, words_for
+from .bits import BitVector, mask_tail, stack_rows, words_for
 from .net import OP_SHUFFLE, ProtocolError
 from .prf import prf_stream, seeded_permutation
 from .rss import SharedBitVector
@@ -26,17 +30,25 @@ _LABEL_RAND = b"SHRD"
 
 @dataclass
 class MatchTable:
-    """One party's share of an ordered table of uniform-width records."""
+    """One party's share of an ordered table of uniform-width records.
+
+    ``segments`` are the public row counts of consecutive blocks that are
+    shuffled independently; by default the whole table is one segment.
+    """
 
     party_index: int
     width: int
     share_a: np.ndarray  # (rows, words) uint32
     share_b: np.ndarray
+    segments: tuple[int, ...] | None = None
 
     def __post_init__(self):
         expected = (self.rows, words_for(self.width))
         if self.share_a.shape != expected or self.share_b.shape != expected:
             raise ValueError(f"table shares must have shape {expected}")
+        self.segments = (self.rows,) if self.segments is None else tuple(self.segments)
+        if not self.segments or min(self.segments) < 0 or sum(self.segments) != self.rows:
+            raise ValueError(f"segments {self.segments} do not split {self.rows} rows")
 
     @property
     def rows(self) -> int:
@@ -78,17 +90,22 @@ def _apply(perm: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def sec_shuffle(rt, table: MatchTable) -> MatchTable:
-    """Obliviously permute the table's rows; returns fresh replicated shares.
+    """Obliviously permute the rows of each segment; returns fresh replicated shares.
 
-    Three messages total cross the wire (party 1 to 2, 2 to 3, 3 to 2), each
-    the size of the whole table.
+    Each segment takes the next table id, and its permutations and blinding
+    tables come from that id alone. Three messages total cross the wire
+    (party 1 to 2, 2 to 3, 3 to 2), each the size of the whole table,
+    however many segments it has. A one-segment table is the plain shuffle
+    of the whole table.
     """
     if table.party_index != rt.index:
         raise ValueError("table does not belong to this party")
-    rows, width = table.rows, table.width
-    tid = rt.alloc_table_id()
+    rows, width, segments = table.rows, table.width, table.segments
+    tids = [rt.alloc_table_id() for _ in segments]
+    tid = tids[0]  # the rest follow consecutively, so the first one identifies the batch
     bits = rows * width
     head = int(tid).to_bytes(4, "little")
+    payload_bytes = rows * words_for(width) * 4
 
     def send_next(mat):
         rt.send_next(OP_SHUFFLE, head + mat.tobytes(), logical_bits=bits)
@@ -100,27 +117,39 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
         got_tid = int.from_bytes(raw[:4], "little")
         if got_tid != tid:
             raise ProtocolError(f"shuffle table id mismatch: {got_tid} != {tid}")
-        mat = np.frombuffer(raw[4:], dtype=np.uint32).reshape(rows, words_for(width))
-        return mat
+        if len(raw) - 4 != payload_bytes:
+            raise ProtocolError(f"shuffle message has {len(raw) - 4} bytes, "
+                                f"expected {payload_bytes}")
+        return np.frombuffer(raw[4:], dtype=np.uint32).reshape(rows, words_for(width))
+
+    starts = np.cumsum((0,) + segments[:-1])
+
+    def perm(seed):  # block diagonal: segment i is permuted under tids[i]
+        return stack_rows([seeded_permutation(seed, _LABEL_PERM, t, n) + int(start)
+                           for t, n, start in zip(tids, segments, starts)])
+
+    def blind(seed, label):
+        return stack_rows([_blind_table(seed, label, t, n, width)
+                           for t, n in zip(tids, segments)])
 
     if rt.index == 1:
         s12, s31 = rt.seed_with_next, rt.seed_with_prev
-        pi12 = seeded_permutation(s12, _LABEL_PERM, tid, rows)
-        t12 = _blind_table(s12, _LABEL_BLIND, tid, rows, width)
-        r2 = _blind_table(s12, _LABEL_RAND, tid, rows, width)
-        pi31 = seeded_permutation(s31, _LABEL_PERM, tid, rows)
-        t31 = _blind_table(s31, _LABEL_BLIND, tid, rows, width)
-        r1 = _blind_table(s31, _LABEL_RAND, tid, rows, width)
+        pi12 = perm(s12)
+        t12 = blind(s12, _LABEL_BLIND)
+        r2 = blind(s12, _LABEL_RAND)
+        pi31 = perm(s31)
+        t31 = blind(s31, _LABEL_BLIND)
+        r1 = blind(s31, _LABEL_RAND)
         x1 = _apply(pi31, _apply(pi12, table.share_a ^ table.share_b ^ t12) ^ t31)
         send_next(x1)
         out_a, out_b = r1, r2
     elif rt.index == 2:
         s23, s12 = rt.seed_with_next, rt.seed_with_prev
-        pi12 = seeded_permutation(s12, _LABEL_PERM, tid, rows)
-        t12 = _blind_table(s12, _LABEL_BLIND, tid, rows, width)
-        r2 = _blind_table(s12, _LABEL_RAND, tid, rows, width)
-        pi23 = seeded_permutation(s23, _LABEL_PERM, tid, rows)
-        t23 = _blind_table(s23, _LABEL_BLIND, tid, rows, width)
+        pi12 = perm(s12)
+        t12 = blind(s12, _LABEL_BLIND)
+        r2 = blind(s12, _LABEL_RAND)
+        pi23 = perm(s23)
+        t23 = blind(s23, _LABEL_BLIND)
         y1 = _apply(pi12, table.share_b ^ t12)
         x1 = parse(rt.recv_prev(OP_SHUFFLE))
         c1 = _apply(pi23, x1 ^ t23) ^ r2
@@ -130,18 +159,19 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
         out_a, out_b = r2, r3
     else:
         s31, s23 = rt.seed_with_next, rt.seed_with_prev
-        pi23 = seeded_permutation(s23, _LABEL_PERM, tid, rows)
-        t23 = _blind_table(s23, _LABEL_BLIND, tid, rows, width)
-        pi31 = seeded_permutation(s31, _LABEL_PERM, tid, rows)
-        t31 = _blind_table(s31, _LABEL_BLIND, tid, rows, width)
-        r1 = _blind_table(s31, _LABEL_RAND, tid, rows, width)
+        pi23 = perm(s23)
+        t23 = blind(s23, _LABEL_BLIND)
+        pi31 = perm(s31)
+        t31 = blind(s31, _LABEL_BLIND)
+        r1 = blind(s31, _LABEL_RAND)
         y1 = parse(rt.recv_prev(OP_SHUFFLE))
         c1 = parse(rt.recv_prev(OP_SHUFFLE))
         c2 = _apply(pi23, _apply(pi31, y1 ^ t31) ^ t23) ^ r1
         r3 = c1 ^ c2
         send_prev(r3)
         out_a, out_b = r3, r1
-    return MatchTable(rt.index, width, np.ascontiguousarray(out_a), np.ascontiguousarray(out_b))
+    return MatchTable(rt.index, width, np.ascontiguousarray(out_a),
+                      np.ascontiguousarray(out_b), segments)
 
 
 def composed_permutation(s12: bytes, s23: bytes, s31: bytes, table_id: int, rows: int) -> np.ndarray:

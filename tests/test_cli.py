@@ -186,6 +186,18 @@ def test_bench_subprotocols_reports_double_interval_bytes(capsys):
     assert "secAccess" in out
 
 
+def test_bench_subprotocols_times_each_phase(capsys):
+    assert main(["bench", "--suite", "subprotocols", "--size", "200",
+                 "--seed", "1234567890abcdef1234567890abcdef"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+            if line.startswith("access-hop\t")]
+    seconds = {phase: float(sec) for _, _, phase, _, sec in rows}
+    total = seconds.pop("total")
+    assert set(seconds) == {"secEval", "secFetch", "secAccess"}
+    assert len(set(seconds.values())) > 1
+    assert all(0 < sec <= total for sec in seconds.values())
+
+
 def test_ciphertext_size_monotone_in_k(workspace):
     rng = np.random.default_rng(0)
     from oblivgm.datagen import graph_to_text, random_graph

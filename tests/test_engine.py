@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from oblivgm import fss, rss
-from oblivgm.bits import BitVector, pack_bits
+from oblivgm import engine, fss, rss
+from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
 from oblivgm.engine import (CandidateGroup, EngineConfig, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
-                            sec_fetch_unique, sec_match, _OpenLabels)
+                            sec_fetch_unique, sec_match, _OpenLabels,
+                            _bit_field, _pack_fields, _reshare_matrix)
 from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
-from oblivgm.net import local_runtimes, make_session_configs, run_trio
-from oblivgm.oracle import oracle_match
+from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
+from oblivgm.oracle import _Matcher, oracle_match
 from oblivgm.query import gen_token, load_query
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
 
@@ -63,7 +64,7 @@ def run_eval(values, domain, kind, operands, master=b"\x31" * 16):
     runtimes = local_runtimes(make_session_configs(master))
 
     def worker(rt):
-        return sec_eval(rt, groups[rt.index - 1], keys[rt.index - 1], "a", domain)
+        return sec_eval(rt, [groups[rt.index - 1]], keys[rt.index - 1], "a", domain)
 
     shares = run_trio(worker, runtimes)
     return rss.reconstruct(shares).to_bits(), runtimes
@@ -148,9 +149,9 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16):
         group = groups[rt.index - 1]
         flags = flag_shares[rt.index - 1]
         if unique:
-            return [sec_fetch_unique(rt, group, flags)], []
+            return sec_fetch_unique(rt, [group], flags), []
         audit = []
-        return sec_fetch_multi(rt, group, flags, _OpenLabels(), audit), audit
+        return sec_fetch_multi(rt, [group], flags, _OpenLabels(), audit), audit
 
     out = run_trio(worker, runtimes)
     return out, runtimes
@@ -200,6 +201,35 @@ def test_fetch_multi_audit_mask_matches_plaintext_filter():
     records, audit = out[0]
     assert len(audit) == 1
     assert sorted(audit[0][1].tolist()) == sorted(flags)
+
+
+def test_word_level_fields_match_bit_level_packing():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        widths = [int(w) for w in rng.integers(1, 140, size=rng.integers(1, 5))]
+        # share words carry arbitrary bits past each field's width
+        mats = [rng.integers(0, 1 << 32, (4, words_for(w)), dtype=np.uint32) for w in widths]
+        rows = _pack_fields(list(zip(mats, widths)))
+        want = pack_bits(np.concatenate([unpack_bits(m, w) for m, w in zip(mats, widths)], axis=1))
+        assert np.array_equal(rows, want)
+        pos = 0
+        for m, w in zip(mats, widths):
+            assert np.array_equal(_bit_field(rows, pos, w), pack_bits(unpack_bits(m, w)))
+            pos += w
+
+
+def test_reshare_matrix_rejects_a_short_payload():
+    runtimes = local_runtimes(make_session_configs(b"\x34" * 16), recv_timeout=5)
+    additive = np.zeros((3, 2), np.uint32)
+
+    def worker(rt):
+        if rt.index == 1:  # party 2 receives a re-share one word short
+            send = rt.send_next
+            rt.send_next = lambda op, payload, logical_bits=0: send(op, payload[:-4], logical_bits)
+        return _reshare_matrix(rt, additive, 40)
+
+    with pytest.raises(ProtocolError, match="re-share message has 20 bytes, expected 24"):
+        run_trio(worker, runtimes)
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +446,81 @@ def test_schema_digest_mismatch_rejected():
 
     with pytest.raises(ValueError, match="different schemas"):
         run_trio(worker, runtimes)
+
+
+def test_frames_follow_query_shape_not_match_count():
+    # roots p1..p3 (three matches) against p4 alone: every slot still runs
+    # one batch, so each party sends the same number of frames
+    shape = "Q p P age in {lo} {hi}\nQ c C field = Internet\nQ u U place = Harbin\n" \
+            "QE p c\nQE p u\n"
+    many = run_secure_query(CAMPUS_GRAPH, shape.format(lo=30, hi=40))
+    one = run_secure_query(CAMPUS_GRAPH, shape.format(lo=50, hi=60))
+    assert len(many["results"][0].records[0]) == 3
+    assert len(one["results"][0].records[0]) == 1
+    frames = [[rt.meter.total.frames_sent for rt in res["runtimes"]] for res in (many, one)]
+    assert frames[0] == frames[1]
+
+
+def _expected_open_counts(res):
+    """Plaintext count per candidate group of every open, in walk order.
+
+    Access opens count each parent record's true neighbours of the child
+    type; fetch opens count each group's candidates that satisfy the slot.
+    """
+    graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
+    matcher = _Matcher(graph, query, schema, "or")
+    slots = results[0].structure["slots"]
+
+    def neighbours(s, ri, vtype):
+        hot = rss.reconstruct([r.records[s][ri].vertex_id for r in results]).hot_index()
+        if hot is None:
+            return []
+        ext = schema.types[slots[s]["type"]].ext_ids[hot]
+        return graph.posting_list(graph.index_of[ext], vtype)
+
+    out = []
+    for s, slot in enumerate(slots):
+        preds = slot["preds"]
+        unique = (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
+                  and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
+        parent = query.parent[s]
+        if parent is None:
+            groups = [graph.type_members[slot["type"]]]
+        else:
+            groups = [neighbours(parent, ri, slot["type"])
+                      for ri in range(len(results[0].records[parent]))]
+        groups = [g for g in groups if g]
+        if groups and not unique:
+            out.append(("fetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
+        for child in slot["children"]:
+            n_records = len(results[0].records[s])
+            if n_records:
+                out.append(("access", [len(neighbours(s, ri, slots[child]["type"]))
+                                       for ri in range(n_records)]))
+    return out
+
+
+@pytest.mark.parametrize("query_text", [
+    TWO_PERSON_QUERY,
+    # p1 and p2 are each other's only P neighbour: two one-candidate fetch groups
+    "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
+])
+def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
+    segments = []
+    shuffle = engine.sec_shuffle
+
+    def recording(rt, table):
+        if rt.index == 1:
+            segments.append(table.segments)
+        return shuffle(rt, table)
+
+    monkeypatch.setattr(engine, "sec_shuffle", recording)
+    res = run_secure_query(CAMPUS_GRAPH, query_text)
+    want = _expected_open_counts(res)
+    for result in res["results"]:
+        assert len(result.opened_flags) == len(segments) == len(want)
+        for (phase, bits), segs, (want_phase, counts) in zip(result.opened_flags, segments, want):
+            bounds = np.cumsum((0,) + segs)
+            got = [int(bits[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            assert (phase, got) == (want_phase, counts)
+    assert any(len(segs) > 1 for segs in segments)

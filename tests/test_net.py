@@ -1,6 +1,7 @@
 """Transport layer: framing, round discipline, setup, and both transports."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_unexpected_op_detected():
 
     with pytest.raises(ProtocolError, match="expected op"):
         run_trio(worker, runtimes)
+
+
+def test_failing_party_fails_the_trio_at_once():
+    runtimes = local_runtimes(make_session_configs(b"\x08" * 16), recv_timeout=3)
+
+    def worker(rt):
+        if rt.index == 2:
+            raise RuntimeError("party 2 failed")
+        return rt.recv_prev(OP_RESHARE)  # blocks until a peer sends or fails
+
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match="party 2 failed") as info:
+        run_trio(worker, runtimes)
+    assert time.perf_counter() - started < 1.0
+    assert info.type is RuntimeError  # the party's own error, not a peer's timeout
 
 
 def test_large_payload_echo_and_order():

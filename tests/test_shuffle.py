@@ -10,19 +10,26 @@ from oblivgm.shuffle import (MatchTable, composed_permutation, sec_shuffle,
                              simulate_shuffle)
 
 
-def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1):
+def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1, segments=None):
     rng = np.random.default_rng(1234)
     shares = [rss.share(r, rng) for r in plain_rows]
     configs = make_session_configs(master)
+    runtimes = local_runtimes(configs)
 
     def worker(rt):
         out = None
         for _ in range(table_rounds):
             table = MatchTable.from_rows([shares[i][rt.index - 1] for i in range(len(plain_rows))])
+            if segments:
+                table = MatchTable(table.party_index, table.width, table.share_a,
+                                   table.share_b, segments)
             out = sec_shuffle(rt, table)
         return out
 
-    outs = run_trio(worker, local_runtimes(configs))
+    outs = run_trio(worker, runtimes)
+    if segments:
+        # one shuffle's three messages, however many segments ride in them
+        assert [rt.meter.total.frames_sent for rt in runtimes] == [1, 2, 1]
     rebuilt = [
         rss.reconstruct([outs[0].row(i), outs[1].row(i), outs[2].row(i)])
         for i in range(len(plain_rows))
@@ -46,6 +53,19 @@ def test_multiset_preserved_and_simulator_agrees_small_sizes():
         assert rebuilt == want
         assert sorted(r.words.tobytes() for r in rebuilt) == sorted(
             r.words.tobytes() for r in rows)
+
+
+def test_segments_shuffle_as_consecutive_tables_in_one_batch():
+    rng = np.random.default_rng(8)
+    segments = (3, 1, 6, 2)
+    rows = [BitVector.random(37, rng) for _ in range(sum(segments))]
+    rebuilt, outs, cfg = run_shuffle(rows, segments=segments)
+    seeds = (cfg[0].seed_with_next, cfg[1].seed_with_next, cfg[2].seed_with_next)
+    start = 0
+    for tid, n in enumerate(segments):
+        assert rebuilt[start:start + n] == simulate_shuffle(*seeds, tid, rows[start:start + n])
+        start += n
+    assert all(out.segments == segments for out in outs)
 
 
 def test_output_is_valid_replicated_sharing():
@@ -123,3 +143,6 @@ def test_dimension_mismatch_rejected():
             rss.share(BitVector.random(24, rng), rng)[0]]
     with pytest.raises(ValueError, match="width"):
         MatchTable.from_rows(rows)
+    table = MatchTable.from_rows(rows[:1])
+    with pytest.raises(ValueError, match="segments"):
+        MatchTable(table.party_index, table.width, table.share_a, table.share_b, (1, 1))
