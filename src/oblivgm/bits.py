@@ -9,7 +9,7 @@ and serialization are canonical.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,12 +184,3 @@ class BitVector:
         else:
             body = f"<{self.logical_len} bits, weight {self.popcount()}>"
         return f"BitVector({body})"
-
-
-def concat(vectors: Iterable[BitVector]) -> BitVector:
-    """Concatenate bit vectors (first vector occupies the lowest bit positions)."""
-    vecs = list(vectors)
-    if not vecs:
-        return BitVector.zeros(0)
-    bits = np.concatenate([v.to_bits() for v in vecs])
-    return BitVector.from_bits(bits)

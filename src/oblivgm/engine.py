@@ -17,29 +17,34 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   provenance (which parent record a candidate group descends from), and
   finally assembles complete subgraphs and prunes partial branches.
 
+Every batch of shares is an :class:`oblivgm.rss.MatchTable`: a candidate
+group holds one table per field (the one-hot ids and each queried
+attribute), and every re-share goes through :func:`oblivgm.rss.reshare_rows`.
+
 Each query slot runs as one batch. Its candidate groups, one per matched
-parent record, are stacked into word matrices with public per-group row
-counts (segments), and every protocol step carries the whole slot in one
+parent record, are stacked into tables whose segments are the public
+per-group row counts, and every protocol step carries the whole slot in one
 message: one re-share per evaluation pass, one shuffle in which each group
 is permuted under its own table id, one open of all shuffled flags. The
 opened flags and the group boundaries are exactly what per-group steps
 would reveal, so batching leaks nothing more, and the number of rounds a
-query takes grows with its number of slots, not with its matches.
+query takes grows with its number of slots, not with its matches. Every
+opened value is entered in the runtime's ledger (``rt.opened``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import fss, rss
-from .bits import BitVector, mask_tail, stack_rows, unpack_bits, words_for
+from .bits import BitVector, mask_tail, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare
-from .net import OP_RESHARE, ProtocolError
 from .query import PartyToken
-from .shuffle import MatchTable, sec_shuffle
+from .rss import MatchTable
+from .shuffle import sec_shuffle
 
 
 @dataclass
@@ -50,16 +55,12 @@ class EngineConfig:
 
 @dataclass
 class CandidateGroup:
-    """Stacked candidate shares with public provenance."""
+    """Candidate shares, one table per field, with public provenance."""
 
     parent_slot: int | None
     parent_record: int | None
-    count: int
-    id_width: int  # parent-type population the one-hot ids range over
-    ids_a: np.ndarray  # (count, words(id_width))
-    ids_b: np.ndarray
-    attrs: dict[str, tuple[np.ndarray, np.ndarray]]
-    attr_widths: dict[str, int]
+    ids: MatchTable  # one-hot ids over the candidate type's population
+    attrs: dict[str, MatchTable]
 
 
 @dataclass
@@ -76,7 +77,6 @@ class MatchResultSet:
     structure: dict
     records: list[list[MatchedRecord]]
     subgraphs: list[tuple[int, ...]]
-    opened_flags: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
 
 def _parity_rows(mat: np.ndarray) -> np.ndarray:
@@ -84,27 +84,6 @@ def _parity_rows(mat: np.ndarray) -> np.ndarray:
         return np.zeros(mat.shape[0], dtype=np.uint8)
     acc = np.bitwise_xor.reduce(mat, axis=-1)
     return (np.bitwise_count(acc) & 1).astype(np.uint8)
-
-
-def _row_share(rt, pair: tuple[np.ndarray, np.ndarray], row: int,
-               width: int) -> rss.SharedBitVector:
-    return rss.SharedBitVector(rt.index, BitVector(pair[0][row], width),
-                               BitVector(pair[1][row], width))
-
-
-def _reshare_matrix(rt, additive: np.ndarray, width: int):
-    """Re-share a batch of additive rows in one message; returns (a, b) matrices."""
-    rows, w = additive.shape
-    zs = rt.zero_share(rows * w * 32).words.reshape(rows, w)
-    blinded = additive ^ zs
-    if width % 32 and w:
-        blinded[:, -1] &= np.uint32((1 << (width % 32)) - 1)
-    rt.send_next(OP_RESHARE, blinded.tobytes(), logical_bits=rows * width)
-    raw = rt.recv_prev(OP_RESHARE)
-    if len(raw) != rows * w * 4:
-        raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {rows * w * 4}")
-    received = np.frombuffer(raw, dtype=np.uint32).reshape(rows, w)
-    return received, blinded
 
 
 def _select_one_additive(bits_a, bits_b, mat_a, mat_b) -> np.ndarray:
@@ -137,25 +116,14 @@ def _select_many_additive(sel_a, sel_b, mat_a, mat_b) -> np.ndarray:
     return out
 
 
-class _OpenLabels:
-    """Monotone open labels; identical across parties because allocation is lockstep."""
-
-    def __init__(self):
-        self._n = 0
-
-    def next(self) -> int:
-        self._n += 1
-        return self._n
-
-
-def _open_flags(rt, shuffled: MatchTable, labels: _OpenLabels) -> np.ndarray:
+def _open_flags(rt, shuffled: MatchTable) -> np.ndarray:
     """Open the flag column (bit 0 of every row) of a shuffled table."""
     flag_col = rss.SharedBitVector(
         rt.index,
         BitVector.from_bits(shuffled.share_a[:, 0] & 1),
         BitVector.from_bits(shuffled.share_b[:, 0] & 1),
     )
-    return rss.open_shared(rt, flag_col, label=labels.next()).to_bits()
+    return rss.open_shared(rt, flag_col).to_bits()
 
 
 def _pack_fields(fields: list[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -190,6 +158,28 @@ def _split(keep: np.ndarray, segments) -> list[slice]:
     return [slice(int(lo), int(hi)) for lo, hi in zip(starts, ends)]
 
 
+def _shuffle_open_keep(rt, flag_bits, fields: list[MatchTable], segments):
+    """Shuffle rows of flag || fields segment by segment, open the flags, keep the ones.
+
+    ``flag_bits`` holds the party's two shares of the flag column as 0/1
+    arrays. Returns the kept row positions in the shuffled table (sorted, so
+    :func:`_split` cuts them per segment) and one table of kept rows per field.
+    """
+    widths = [f.width for f in fields]
+
+    def packed(bits, mats):
+        return _pack_fields([(bits.astype(np.uint32)[:, None], 1)] + list(zip(mats, widths)))
+
+    rows_a = packed(flag_bits[0], [f.share_a for f in fields])
+    rows_b = packed(flag_bits[1], [f.share_b for f in fields])
+    shuffled = sec_shuffle(rt, MatchTable(rt.index, 1 + sum(widths), rows_a, rows_b, segments))
+    keep = np.nonzero(_open_flags(rt, shuffled))[0]
+    kept = shuffled.take(keep)
+    return keep, [MatchTable(rt.index, w, _bit_field(kept.share_a, pos, w),
+                             _bit_field(kept.share_b, pos, w))
+                  for pos, w in zip(np.cumsum([1] + widths[:-1]), widths)]
+
+
 # ---------------------------------------------------------------------------
 # predicate evaluation
 # ---------------------------------------------------------------------------
@@ -205,13 +195,13 @@ def sec_eval(rt, groups: list[CandidateGroup], key_pair, attr: str,
     """
     first, second = key_pair
     passes = list(zip(fss.key_parts_for_engine(first), fss.key_parts_for_engine(second)))
-    da = stack_rows([g.attrs[attr][0] for g in groups])
-    db = stack_rows([g.attrs[attr][1] for g in groups])
+    values = MatchTable.stack([g.attrs[attr] for g in groups])
     result: rss.SharedBitVector | None = None
     for part_a, part_b in passes:
         ind_a = fss.full_domain_eval(part_a, domain_size).words
         ind_b = fss.full_domain_eval(part_b, domain_size).words
-        additive_bits = _parity_rows(da & ind_a[None, :]) ^ _parity_rows(db & ind_b[None, :])
+        additive_bits = (_parity_rows(values.share_a & ind_a[None, :])
+                         ^ _parity_rows(values.share_b & ind_b[None, :]))
         shared = rss.reshare(rt, BitVector.from_bits(additive_bits))
         result = shared if result is None else result.xor(shared)
     return result
@@ -257,64 +247,41 @@ def sec_fetch_unique(rt, groups: list[CandidateGroup],
     """
     fa = flags.share_a.to_bits()
     fb = flags.share_b.to_bits()
-    bounds = np.cumsum([0] + [g.count for g in groups])
+    bounds = np.cumsum([0] + [g.ids.rows for g in groups])
     spans = list(zip(bounds[:-1], bounds[1:]))
 
-    def fold(mats, width):
-        additive = np.stack([_select_one_additive(fa[lo:hi], fb[lo:hi], *m)
-                             for m, (lo, hi) in zip(mats, spans)])
-        return _reshare_matrix(rt, additive, width)
+    def fold(tables: list[MatchTable]) -> MatchTable:
+        additive = np.stack([_select_one_additive(fa[lo:hi], fb[lo:hi], t.share_a, t.share_b)
+                             for t, (lo, hi) in zip(tables, spans)])
+        return rss.reshare_rows(rt, additive, tables[0].width)
 
-    first = groups[0]
-    vertex_ids = fold([(g.ids_a, g.ids_b) for g in groups], first.id_width)
-    attrs = {name: fold([g.attrs[name] for g in groups], first.attr_widths[name])
-             for name in sorted(first.attrs)}
+    vertex_ids = fold([g.ids for g in groups])
+    attrs = {name: fold([g.attrs[name] for g in groups]) for name in sorted(groups[0].attrs)}
     return [
-        MatchedRecord(
-            g.parent_slot, g.parent_record,
-            _row_share(rt, vertex_ids, i, first.id_width),
-            {name: _row_share(rt, pair, i, first.attr_widths[name])
-             for name, pair in attrs.items()},
-        )
+        MatchedRecord(g.parent_slot, g.parent_record, vertex_ids.row(i),
+                      {name: t.row(i) for name, t in attrs.items()})
         for i, g in enumerate(groups)
     ]
 
 
-def sec_fetch_multi(rt, groups: list[CandidateGroup], flags: rss.SharedBitVector,
-                    labels: _OpenLabels, audit: list) -> list[MatchedRecord]:
+def sec_fetch_multi(rt, groups: list[CandidateGroup],
+                    flags: rss.SharedBitVector) -> list[MatchedRecord]:
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
     The slot's groups are the segments of one shuffled table, so each group
     is permuted on its own while all of them share the shuffle's three
     messages and one open of the flags.
     """
-    first = groups[0]
-    attr_names = sorted(first.attrs)
-    widths = [first.id_width] + [first.attr_widths[a] for a in attr_names]
-    row_width = 1 + sum(widths)
-
-    def build_rows(flag, side):
-        mats = [stack_rows([g.ids_a if side == 0 else g.ids_b for g in groups])]
-        mats += [stack_rows([g.attrs[a][side] for g in groups]) for a in attr_names]
-        return _pack_fields([(flag.to_bits().astype(np.uint32)[:, None], 1)]
-                            + list(zip(mats, widths)))
-
-    rows_a = build_rows(flags.share_a, 0)
-    rows_b = build_rows(flags.share_b, 1)
-    segments = tuple(g.count for g in groups)
-    shuffled = sec_shuffle(rt, MatchTable(rt.index, row_width, rows_a, rows_b, segments))
-    mask = _open_flags(rt, shuffled, labels)
-    audit.append(("fetch", mask.copy()))
-
-    # kept rows, cut back into their fields by whole-matrix slicing
-    keep = np.nonzero(mask)[0]
-    kept_a, kept_b = shuffled.share_a[keep], shuffled.share_b[keep]
-    cuts = [(_bit_field(kept_a, pos, w), _bit_field(kept_b, pos, w))
-            for pos, w in zip(np.cumsum([1] + widths[:-1]), widths)]
+    attr_names = sorted(groups[0].attrs)
+    fields = [MatchTable.stack([g.ids for g in groups])]
+    fields += [MatchTable.stack([g.attrs[a] for g in groups]) for a in attr_names]
+    segments = fields[0].segments
+    keep, cuts = _shuffle_open_keep(rt, (flags.share_a.to_bits(), flags.share_b.to_bits()),
+                                    fields, segments)
     records = []
     for g, rows in zip(groups, _split(keep, segments)):
         for i in range(rows.start, rows.stop):
-            vid, *vals = (_row_share(rt, cut, i, w) for cut, w in zip(cuts, widths))
+            vid, *vals = (cut.row(i) for cut in cuts)
             records.append(MatchedRecord(g.parent_slot, g.parent_record, vid,
                                          dict(zip(attr_names, vals))))
     return records
@@ -326,8 +293,8 @@ def sec_fetch_multi(rt, groups: list[CandidateGroup], flags: rss.SharedBitVector
 
 
 def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: str,
-               needed_attrs: list[str], gshare: GraphShare, parent_slot: int,
-               labels: _OpenLabels, audit: list) -> list[CandidateGroup]:
+               needed_attrs: list[str], gshare: GraphShare,
+               parent_slot: int) -> list[CandidateGroup]:
     """Pull every matched vertex's neighbors of ``child_type`` out of the graph.
 
     Selection runs over the whole parent-type population, so nothing about
@@ -337,60 +304,42 @@ def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: s
     padded posting list), one open, and one re-share per attribute. Returns
     one candidate group per record, in record order.
     """
-    schema = gshare.schema
-    x_ne = schema.types[child_type].population
-    w_ne = words_for(x_ne)
-    attr_widths = {a: schema.types[child_type].attrs[a].domain_size for a in needed_attrs}
+    child = gshare.schema.types[child_type]
+    attr_widths = {a: child.attrs[a].domain_size for a in needed_attrs}
     lists_a, lists_b = gshare.types[parent_type].posting[child_type]
     x_pa, l_max = lists_a.shape[:2]
 
-    def groups_from(ids_a, ids_b, attrs, spans):
-        return [CandidateGroup(parent_slot, ri, sp.stop - sp.start, x_ne,
-                               ids_a[sp], ids_b[sp],
-                               {a: (m[0][sp], m[1][sp]) for a, m in attrs.items()},
-                               attr_widths)
-                for ri, sp in enumerate(spans)]
-
     def no_rows(width):
-        return np.zeros((0, words_for(width)), np.uint32)
+        empty = np.zeros((0, words_for(width)), np.uint32)
+        return MatchTable(rt.index, width, empty, empty)
 
-    empty_attrs = {a: (no_rows(w), no_rows(w)) for a, w in attr_widths.items()}
-    if l_max == 0 or not records:
-        return groups_from(no_rows(x_ne), no_rows(x_ne), empty_attrs,
-                           [slice(0, 0)] * len(records))
+    ids = no_rows(child.population)
+    attrs = {a: no_rows(w) for a, w in attr_widths.items()}
+    spans = [slice(0, 0)] * len(records)
+    if l_max and records:
+        # one-hot selection of every matched vertex's padded posting list
+        sel_a = np.stack([r.vertex_id.share_a.to_bits() for r in records])
+        sel_b = np.stack([r.vertex_id.share_b.to_bits() for r in records])
+        additive = _select_many_additive(sel_a, sel_b, lists_a.reshape(x_pa, -1),
+                                         lists_b.reshape(x_pa, -1))
+        fetched = rss.reshare_rows(rt, additive.reshape(-1, words_for(child.population)),
+                                   child.population)
 
-    # one-hot selection of every matched vertex's padded posting list
-    sel_a = np.stack([r.vertex_id.share_a.to_bits() for r in records])
-    sel_b = np.stack([r.vertex_id.share_b.to_bits() for r in records])
-    additive = _select_many_additive(sel_a, sel_b, lists_a.reshape(x_pa, -1),
-                                     lists_b.reshape(x_pa, -1))
-    fetched_a, fetched_b = _reshare_matrix(rt, additive.reshape(-1, w_ne), x_ne)
+        # a fetched row is valid when it holds a one-hot id; shuffle, open, keep
+        segments = (l_max,) * len(records)
+        valid = (_parity_rows(fetched.share_a), _parity_rows(fetched.share_b))
+        keep, (ids,) = _shuffle_open_keep(rt, valid, [fetched], segments)
+        spans = _split(keep, segments)
 
-    # validity flag per fetched row, then shuffle flag||id and open the flags
-    rows_a, rows_b = (_pack_fields([(_parity_rows(m).astype(np.uint32)[:, None], 1), (m, x_ne)])
-                      for m in (fetched_a, fetched_b))
-    segments = (l_max,) * len(records)
-    shuffled = sec_shuffle(rt, MatchTable(rt.index, 1 + x_ne, rows_a, rows_b, segments))
-    valid = _open_flags(rt, shuffled, labels)
-    audit.append(("access", valid.copy()))
-    keep = np.nonzero(valid)[0]
-    spans = _split(keep, segments)
-    if keep.size == 0:
-        return groups_from(no_rows(x_ne), no_rows(x_ne), empty_attrs, spans)
-
-    ids_a = _bit_field(shuffled.share_a[keep], 1, x_ne)
-    ids_b = _bit_field(shuffled.share_b[keep], 1, x_ne)
-    kept_bits_a = unpack_bits(ids_a, x_ne)
-    kept_bits_b = unpack_bits(ids_b, x_ne)
-
-    # one-hot fetch of every surviving neighbor's queried attribute values
-    attrs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    child_share = gshare.types[child_type]
-    for a in needed_attrs:
-        va, vb = child_share.attrs[a]
-        additive = _select_many_additive(kept_bits_a, kept_bits_b, va, vb)
-        attrs[a] = _reshare_matrix(rt, additive, attr_widths[a])
-    return groups_from(ids_a, ids_b, attrs, spans)
+        if keep.size:
+            # one-hot fetch of every surviving neighbor's queried attribute values
+            kept_a = unpack_bits(ids.share_a, child.population)
+            kept_b = unpack_bits(ids.share_b, child.population)
+            attrs = {a: rss.reshare_rows(rt, _select_many_additive(
+                         kept_a, kept_b, *gshare.types[child_type].attrs[a]), w)
+                     for a, w in attr_widths.items()}
+    return [CandidateGroup(parent_slot, ri, ids.take(sp), {a: t.take(sp) for a, t in attrs.items()})
+            for ri, sp in enumerate(spans)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +355,6 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
     if token.schema_digest != schema.digest():
         raise ValueError("token and graph share were built for different schemas")
     slots = token.structure["slots"]
-    labels = _OpenLabels()
-    audit: list[tuple[str, np.ndarray]] = []
     groups: list[list[CandidateGroup]] = [[] for _ in slots]
     records: list[list[MatchedRecord]] = [[] for _ in slots]
 
@@ -420,21 +367,19 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         ts = schema.types[vtype]
         needed = sorted({p["attr"] for p in slot["preds"]})
         if s == 0:
-            tps = gshare.types[vtype]
+            tps = gshare.types[vtype]  # wrapped, not copied
             groups[0] = [CandidateGroup(
-                None, None, ts.population, ts.population,
-                tps.id_a, tps.id_b,
-                {a: tps.attrs[a] for a in needed},
-                {a: ts.attrs[a].domain_size for a in needed},
+                None, None, MatchTable(rt.index, ts.population, tps.id_a, tps.id_b),
+                {a: MatchTable(rt.index, ts.attrs[a].domain_size, *tps.attrs[a]) for a in needed},
             )]
         unique_route = (
             len(slot["preds"]) == 1
             and slot["preds"][0]["kind"] == fss.KIND_EQ
             and ts.attrs[slot["preds"][0]["attr"]].unique
         )
-        say(f"slot {s} ({slot['name']}): {sum(g.count for g in groups[s])} candidates "
+        say(f"slot {s} ({slot['name']}): {sum(g.ids.rows for g in groups[s])} candidates "
             f"in {len(groups[s])} groups")
-        live = [g for g in groups[s] if g.count]
+        live = [g for g in groups[s] if g.ids.rows]
         if live:
             with rt.meter.phase("secEval"):
                 bits = [
@@ -447,18 +392,18 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
                 if unique_route:
                     records[s] = sec_fetch_unique(rt, live, flags)
                 else:
-                    records[s] = sec_fetch_multi(rt, live, flags, labels, audit)
+                    records[s] = sec_fetch_multi(rt, live, flags)
         say(f"slot {s} ({slot['name']}): {len(records[s])} matched records")
         for child in slot["children"]:
             child_type = slots[child]["type"]
             child_attrs = sorted({p["attr"] for p in slots[child]["preds"]})
             with rt.meter.phase("secAccess"):
                 groups[child] = sec_access(rt, records[s], vtype, child_type, child_attrs,
-                                           gshare, s, labels, audit)
+                                           gshare, s)
 
     subgraphs = _assemble(slots, records)
     say(f"assembled {len(subgraphs)} complete subgraphs")
-    return MatchResultSet(rt.index, token.structure, records, subgraphs, audit)
+    return MatchResultSet(rt.index, token.structure, records, subgraphs)
 
 
 def _assemble(slots, records: list[list[MatchedRecord]]) -> list[tuple[int, ...]]:

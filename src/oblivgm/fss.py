@@ -285,20 +285,6 @@ def dpf_eval(key: DpfKey, x: int) -> int:
     return _walk_eval(key, x)
 
 
-def dcf_eval(key: DcfKey, x: int) -> int:
-    return _walk_eval(key, x)
-
-
-def ic_eval(key: IntervalKey, x: int) -> int:
-    return _walk_eval(key.lower, x) ^ _walk_eval(key.upper, x)
-
-
-def eval_key(key: FssKey, x: int) -> int:
-    if isinstance(key, IntervalKey):
-        return ic_eval(key, x)
-    return _walk_eval(key, x)
-
-
 def _full_domain_tree(key: DpfKey, n: int) -> BitVector:
     bits = key.domain_bits
     if n > (1 << bits):

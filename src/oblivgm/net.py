@@ -21,11 +21,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from .bits import BitVector
 from .prf import derive_key
 
 FRAME_MAGIC = b"OGMF"
 _HEADER = struct.Struct("<4sIIHI")
+_RECV_CHUNK = 1 << 20  # largest single socket read, so memory follows the bytes that arrive
 
 OP_SETUP = 1
 OP_RESHARE = 2
@@ -37,6 +40,10 @@ OP_NAMES = {OP_SETUP: "setup", OP_RESHARE: "reshare", OP_OPEN: "open", OP_SHUFFL
 
 class ProtocolError(RuntimeError):
     """Round skew, desynchronization, or a broken/closed channel."""
+
+
+class ChannelClosed(ProtocolError):
+    """The channel was closed because another party failed."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class QueueChannel:
         except queue.Empty:
             raise ProtocolError("receive timed out") from None
         if item is self._CLOSE:
-            raise ProtocolError("channel closed by peer failure")
+            raise ChannelClosed("channel closed by peer failure")
         return item
 
     def close(self) -> None:
@@ -103,7 +110,7 @@ class TcpChannel:
         got = 0
         while got < n:
             try:
-                chunk = self._sock.recv(n - got)
+                chunk = self._sock.recv(min(n - got, _RECV_CHUNK))
             except socket.timeout:
                 raise ProtocolError("receive timed out") from None
             except OSError as exc:
@@ -116,7 +123,9 @@ class TcpChannel:
 
     def recv_bytes(self, timeout: float) -> bytes:
         header = self._read_exact(_HEADER.size, timeout)
-        _, _, _, _, length = _HEADER.unpack(header)
+        magic, _, _, _, length = _HEADER.unpack(header)
+        if magic != FRAME_MAGIC:
+            raise ProtocolError("bad frame magic")
         payload = self._read_exact(length, timeout) if length else b""
         return header + payload
 
@@ -190,6 +199,10 @@ class Meter:
         self.total = PhaseStats()
         self._stack: list[str] = []
 
+    @property
+    def current(self) -> str:
+        return self._stack[-1] if self._stack else "(none)"
+
     @contextmanager
     def phase(self, name: str):
         self._stack.append(name)
@@ -202,8 +215,15 @@ class Meter:
 
     def record_send(self, nbytes: int, logical_bits: int) -> None:
         self.total.add(nbytes, logical_bits)
-        name = self._stack[-1] if self._stack else "(none)"
-        self.phases.setdefault(name, PhaseStats()).add(nbytes, logical_bits)
+        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits)
+
+
+class Opened(NamedTuple):
+    """One entry of the leakage ledger: a value revealed to every party."""
+
+    label: int
+    phase: str
+    bits: BitVector
 
 
 @dataclass
@@ -254,11 +274,12 @@ class PartyRuntime:
         self.seed_with_next = config.seed_with_next
         self.seed_with_prev = config.seed_with_prev
         self.meter = Meter()
-        self.opened: list[tuple[int, object]] = []
+        self.opened: list[Opened] = []  # the leakage ledger, one entry per open
         self.recv_timeout = recv_timeout
         self._next = next_party(self.index)
         self._prev = prev_party(self.index)
         self._table_counter = 0
+        self._open_label = 0
         self._transcript = transcript
 
     # -- messaging ---------------------------------------------------------
@@ -289,12 +310,17 @@ class PartyRuntime:
         self._table_counter += 1
         return tid
 
+    def alloc_open_label(self) -> int:
+        """Next open label, counting from 1; lockstep across the parties."""
+        self._open_label += 1
+        return self._open_label
+
     def close_links(self) -> None:
         for link in self.links.values():
             link.close()
 
-    def note_opened(self, label: int, plaintext) -> None:
-        self.opened.append((label, plaintext))
+    def note_opened(self, label: int, plaintext: BitVector) -> None:
+        self.opened.append(Opened(label, self.meter.current, plaintext))
 
     def transcript_digest(self) -> str:
         return self._transcript.hexdigest()
@@ -333,10 +359,11 @@ def run_trio(worker, runtimes: list[PartyRuntime], close_channels=None):
 
     On failure in any party every runtime's links are closed, or
     ``close_channels()`` is called instead when given, so blocked peers fail
-    fast; the first root-cause exception is re-raised.
+    fast. The first exception raised is re-raised: the peers' failures on the
+    closed channels come after it, whatever error type a channel uses for them.
     """
     results: list = [None, None, None]
-    errors: list = [None, None, None]
+    errors: list = []
     if close_channels is None:
         def close_channels():
             for rt in runtimes:
@@ -346,7 +373,7 @@ def run_trio(worker, runtimes: list[PartyRuntime], close_channels=None):
         try:
             results[idx] = worker(rt)
         except BaseException as exc:  # noqa: BLE001 - propagated below
-            errors[idx] = exc
+            errors.append(exc)
             close_channels()
 
     threads = [
@@ -357,17 +384,9 @@ def run_trio(worker, runtimes: list[PartyRuntime], close_channels=None):
         t.start()
     for t in threads:
         t.join()
-    real = [e for e in errors if e is not None and not _is_channel_closed(e)]
-    if real:
-        raise real[0]
-    closed = [e for e in errors if e is not None]
-    if closed:
-        raise closed[0]
+    if errors:
+        raise errors[0]
     return results
-
-
-def _is_channel_closed(exc: BaseException) -> bool:
-    return isinstance(exc, ProtocolError) and "closed" in str(exc)
 
 
 def run_local_trio(worker, configs: list[PartyConfig] | None = None,

@@ -94,15 +94,15 @@ def prf_words(key: bytes, label: bytes, index: int, nbits: int) -> np.ndarray:
 
 def seeded_permutation(key: bytes, label: bytes, index: int, n: int) -> np.ndarray:
     """Deterministic Fisher-Yates permutation of range(n) from a PRF stream."""
-    perm = np.arange(n, dtype=np.int64)
     if n < 2:
-        return perm
+        return np.arange(n, dtype=np.int64)
     raw = prf_stream(key, label, index, 8 * (n - 1))
-    draws = np.frombuffer(raw, dtype=np.uint64)
+    draws = np.frombuffer(raw, dtype=np.uint64).tolist()  # Python ints: no numpy scalars in the loop
+    perm = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = int(draws[n - 1 - i] % np.uint64(i + 1))
+        j = draws[n - 1 - i] % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def derive_key(master: bytes, label: str) -> bytes:

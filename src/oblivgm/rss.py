@@ -6,10 +6,17 @@ additive sharing locally and becomes replicated again through a one-round
 re-share: each party blinds its additive share with a fresh zero-sharing and
 forwards it to the next party.
 
+Two containers hold one party's shares. :class:`SharedBitVector` is a single
+vector (result records, files, the public API); :class:`MatchTable` is a
+batch of uniform-width rows as two word matrices, with public segment row
+counts, and is what every protocol step of the engine moves.
+
 Local share algebra lives here as pure functions. The operations that
-communicate (:func:`reshare`, :func:`and_gate`, :func:`open_shared`) take a
-party runtime (see :mod:`oblivgm.net`) providing ordered channels, the
-zero-share context, and traffic metering.
+communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
+:func:`and_gate`, :func:`open_shared`) take a party runtime (see
+:mod:`oblivgm.net`) providing ordered channels, the zero-share context, open
+labels, the leakage ledger and traffic metering. :func:`reshare_rows` is the
+only code that sends and receives re-share frames.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitVector, mask_tail, words_for
+from .bits import BitVector, mask_tail, stack_rows, words_for
+from .net import OP_OPEN, OP_RESHARE, ProtocolError
 from .prf import prf_words
 
 PARTIES = (1, 2, 3)
@@ -70,8 +78,69 @@ class SharedBitVector:
         return SharedBitVector(self.party_index, a, b)
 
 
-def xor_local(a: SharedBitVector, b: SharedBitVector) -> SharedBitVector:
-    return a.xor(b)
+@dataclass
+class MatchTable:
+    """One party's share of an ordered batch of uniform-width rows.
+
+    ``share_a``/``share_b`` are ``(rows, words)`` uint32 matrices, the
+    party's two components of every row. ``segments`` are the public row
+    counts of consecutive blocks, such as the candidate groups of one query
+    slot; by default the whole table is one segment.
+    """
+
+    party_index: int
+    width: int
+    share_a: np.ndarray
+    share_b: np.ndarray
+    segments: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        expected = (self.rows, words_for(self.width))
+        if self.share_a.shape != expected or self.share_b.shape != expected:
+            raise ValueError(f"table shares must have shape {expected}")
+        self.segments = (self.rows,) if self.segments is None else tuple(self.segments)
+        if not self.segments or min(self.segments) < 0 or sum(self.segments) != self.rows:
+            raise ValueError(f"segments {self.segments} do not split {self.rows} rows")
+
+    @property
+    def rows(self) -> int:
+        return self.share_a.shape[0]
+
+    @classmethod
+    def from_rows(cls, rows: list[SharedBitVector]) -> "MatchTable":
+        if not rows:
+            raise ValueError("empty table")
+        width = rows[0].logical_len
+        party = rows[0].party_index
+        for r in rows:
+            if r.logical_len != width or r.party_index != party:
+                raise ValueError("rows must share width and party")
+        a = np.stack([r.share_a.words for r in rows])
+        b = np.stack([r.share_b.words for r in rows])
+        return cls(party, width, a, b)
+
+    @classmethod
+    def stack(cls, tables: list["MatchTable"]) -> "MatchTable":
+        """Tables end to end, each one a segment; a single table's matrices are not copied."""
+        first = tables[0]
+        for t in tables:
+            if t.width != first.width or t.party_index != first.party_index:
+                raise ValueError("stacked tables must share width and party")
+        return cls(first.party_index, first.width,
+                   stack_rows([t.share_a for t in tables]),
+                   stack_rows([t.share_b for t in tables]),
+                   tuple(t.rows for t in tables))
+
+    def take(self, rows) -> "MatchTable":
+        """The rows picked by a slice or an index array, as a one-segment table."""
+        return MatchTable(self.party_index, self.width, self.share_a[rows], self.share_b[rows])
+
+    def row(self, i: int) -> SharedBitVector:
+        return SharedBitVector(
+            self.party_index,
+            BitVector(self.share_a[i], self.width),
+            BitVector(self.share_b[i], self.width),
+        )
 
 
 def share(plaintext: BitVector, rng: np.random.Generator):
@@ -147,33 +216,36 @@ class ZeroShareContext:
         words ^= prf_words(self.prf_key_prev, self.LABEL, j, nbits)
         return BitVector(mask_tail(words, nbits), nbits)
 
-    def peek(self, nbits: int, j: int) -> BitVector:
-        """Share for an explicit counter value, without advancing state."""
-        words = prf_words(self.prf_key_own, self.LABEL, j, nbits)
-        words ^= prf_words(self.prf_key_prev, self.LABEL, j, nbits)
-        return BitVector(mask_tail(words, nbits), nbits)
-
 
 # ---------------------------------------------------------------------------
 # Communicating operations. ``rt`` is a PartyRuntime (oblivgm.net).
 # ---------------------------------------------------------------------------
 
-from .net import OP_OPEN, OP_RESHARE  # noqa: E402  (no cycle: net does not import rss)
+
+def reshare_rows(rt, additive: np.ndarray, width: int) -> MatchTable:
+    """Turn additive shares of ``(rows, words)`` rows of ``width`` bits into a replicated table.
+
+    One message of ``rows * width`` logical bits to the next party, blinded
+    by one zero-sharing drawn for the whole matrix. The blinded additive
+    share sent by party i becomes replicated share index i+1.
+    """
+    rows, w = additive.shape
+    blinded = mask_tail(additive ^ rt.zero_share(rows * w * 32).words.reshape(rows, w), width)
+    rt.send_next(OP_RESHARE, blinded.tobytes(), logical_bits=rows * width)
+    raw = rt.recv_prev(OP_RESHARE)
+    if len(raw) != blinded.nbytes:
+        raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {blinded.nbytes}")
+    received = np.frombuffer(raw, dtype=np.uint32).reshape(rows, w)
+    return MatchTable(rt.index, width, received, blinded)
 
 
 def reshare(rt, additive: BitVector) -> SharedBitVector:
-    """Turn a 3-out-of-3 additive sharing into a replicated sharing.
+    """Re-share one additive vector: the one-row case of :func:`reshare_rows`.
 
-    One message of ``len(additive)`` bits to the next party. The blinded
-    additive share sent by party i becomes replicated share index i+1.
+    A zero-sharing is an AES-CTR stream, so drawing it for whole words gives
+    the same bits as drawing it for ``len(additive)`` bits.
     """
-    n = additive.logical_len
-    blinded = additive ^ rt.zero_share(n)
-    rt.send_next(OP_RESHARE, blinded.words.tobytes(), logical_bits=n)
-    received = np.frombuffer(rt.recv_prev(OP_RESHARE), dtype=np.uint32)
-    if received.size != words_for(n):
-        raise ValueError("re-share message has wrong length")
-    return SharedBitVector(rt.index, BitVector(received, n), blinded)
+    return reshare_rows(rt, additive.words[None, :], additive.logical_len).row(0)
 
 
 def and_gate(rt, a: SharedBitVector, b: SharedBitVector) -> SharedBitVector:
@@ -181,26 +253,24 @@ def and_gate(rt, a: SharedBitVector, b: SharedBitVector) -> SharedBitVector:
     return reshare(rt, and_terms(a, b))
 
 
-def open_shared(rt, x: SharedBitVector, label: int = 0) -> BitVector:
-    """Reveal a shared vector to every party.
+def open_shared(rt, x: SharedBitVector) -> BitVector:
+    """Reveal a shared vector to every party and enter it in the runtime's ledger.
 
-    Each party forwards its first share component to the next party; the label
-    guards against parties opening different values in the same round.
+    Each party forwards its first share component to the next party under the
+    runtime's next open label; labels advance in lockstep, so a mismatch means
+    the parties are opening different values.
     """
+    label = rt.alloc_open_label()
     n = x.logical_len
     payload = int(label).to_bytes(4, "little") + x.share_a.words.tobytes()
     rt.send_next(OP_OPEN, payload, logical_bits=n)
     raw = rt.recv_prev(OP_OPEN)
     peer_label = int.from_bytes(raw[:4], "little")
     if peer_label != label:
-        from .net import ProtocolError
-
-        raise ProtocolError(
-            f"open label mismatch: local {label}, peer {peer_label}"
-        )
-    missing = np.frombuffer(raw[4:], dtype=np.uint32)
-    if missing.size != words_for(n):
-        raise ValueError("open message has wrong length")
-    plain = x.share_a ^ x.share_b ^ BitVector(missing, n)
+        raise ProtocolError(f"open label mismatch: local {label}, peer {peer_label}")
+    expected = x.share_a.words.nbytes
+    if len(raw) - 4 != expected:
+        raise ProtocolError(f"open message has {len(raw) - 4} bytes, expected {expected}")
+    plain = x.share_a ^ x.share_b ^ BitVector(np.frombuffer(raw[4:], dtype=np.uint32), n)
     rt.note_opened(label, plain)
     return plain

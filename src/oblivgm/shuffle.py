@@ -7,75 +7,23 @@ pairwise seeds with domain separation by table id, which keeps the protocol
 reproducible under fixed seeds and lets tests simulate the exact outcome in
 plaintext.
 
-A table may be split into segments with public row counts. Each segment is
-shuffled as a table of its own, under its own table id, but all segments
-travel in the same three messages.
+The table is an :class:`oblivgm.rss.MatchTable`. Its segments, public row
+counts, are each shuffled as a table of their own, under their own table id,
+but all segments travel in the same three messages.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import BitVector, mask_tail, stack_rows, words_for
 from .net import OP_SHUFFLE, ProtocolError
 from .prf import prf_stream, seeded_permutation
-from .rss import SharedBitVector
+from .rss import MatchTable
 
 _LABEL_PERM = b"SHPI"
 _LABEL_BLIND = b"SHTB"
 _LABEL_RAND = b"SHRD"
-
-
-@dataclass
-class MatchTable:
-    """One party's share of an ordered table of uniform-width records.
-
-    ``segments`` are the public row counts of consecutive blocks that are
-    shuffled independently; by default the whole table is one segment.
-    """
-
-    party_index: int
-    width: int
-    share_a: np.ndarray  # (rows, words) uint32
-    share_b: np.ndarray
-    segments: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        expected = (self.rows, words_for(self.width))
-        if self.share_a.shape != expected or self.share_b.shape != expected:
-            raise ValueError(f"table shares must have shape {expected}")
-        self.segments = (self.rows,) if self.segments is None else tuple(self.segments)
-        if not self.segments or min(self.segments) < 0 or sum(self.segments) != self.rows:
-            raise ValueError(f"segments {self.segments} do not split {self.rows} rows")
-
-    @property
-    def rows(self) -> int:
-        return self.share_a.shape[0]
-
-    @classmethod
-    def from_rows(cls, rows: list[SharedBitVector]) -> "MatchTable":
-        if not rows:
-            raise ValueError("empty table")
-        width = rows[0].logical_len
-        party = rows[0].party_index
-        for r in rows:
-            if r.logical_len != width or r.party_index != party:
-                raise ValueError("rows must share width and party")
-        a = np.stack([r.share_a.words for r in rows])
-        b = np.stack([r.share_b.words for r in rows])
-        return cls(party, width, a, b)
-
-    def row(self, i: int) -> SharedBitVector:
-        return SharedBitVector(
-            self.party_index,
-            BitVector(self.share_a[i], self.width),
-            BitVector(self.share_b[i], self.width),
-        )
-
-    def to_rows(self) -> list[SharedBitVector]:
-        return [self.row(i) for i in range(self.rows)]
 
 
 def _blind_table(seed: bytes, label: bytes, table_id: int, rows: int, width: int) -> np.ndarray:

@@ -63,15 +63,6 @@ def decode_share_vector(buf, offset: int = 0) -> tuple[int, BitVector, int]:
     return party, BitVector(words, nbits), end
 
 
-def save_share_vector(path, party: int, vec: BitVector) -> None:
-    Path(path).write_bytes(encode_share_vector(party, vec))
-
-
-def load_share_vector(path) -> tuple[int, BitVector]:
-    party, vec, end = decode_share_vector(Path(path).read_bytes())
-    return party, vec
-
-
 def save_schema(path, schema: GraphSchema) -> None:
     Path(path).write_text(schema.to_json() + "\n")
 

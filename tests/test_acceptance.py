@@ -322,7 +322,7 @@ def test_criterion_09_pattern_shape():
         results = run_trio(worker, runtimes)
         opened = runtimes[0].opened
         assert len(opened) == 1  # single fetch for the single slot
-        opened_runs.append(opened[0][1].to_bits())
+        opened_runs.append(opened[0].bits.to_bits())
         matches, _ = open_results(results[:2], schema)
         match_runs.append(set(matches))
 

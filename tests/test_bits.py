@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblivgm.bits import BitVector, concat, pack_bits, unpack_bits, words_for
+from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
 
 
 def test_words_for():
@@ -55,12 +55,6 @@ def test_pack_unpack_matrix(nbits, seed):
     packed = pack_bits(mat)
     assert packed.shape == (5, words_for(nbits))
     assert np.array_equal(unpack_bits(packed, nbits), mat)
-
-
-def test_concat_order():
-    a = BitVector.from_bits([1, 0, 1])
-    b = BitVector.from_bits([0, 1])
-    assert concat([a, b]).to_bits().tolist() == [1, 0, 1, 0, 1]
 
 
 def test_from_int_round_trip():

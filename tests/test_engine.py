@@ -7,12 +7,12 @@ from oblivgm import engine, fss, rss
 from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
 from oblivgm.engine import (CandidateGroup, EngineConfig, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
-                            sec_fetch_unique, sec_match, _OpenLabels,
-                            _bit_field, _pack_fields, _reshare_matrix)
+                            sec_fetch_unique, sec_match, _bit_field, _pack_fields)
 from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import _Matcher, oracle_match
 from oblivgm.query import gen_token, load_query
+from oblivgm.rss import MatchTable
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
 
 
@@ -39,10 +39,8 @@ def make_group(values, domain, rng, ids_domain=None):
     for p in range(3):
         nxt = (p + 1) % 3
         groups.append(CandidateGroup(
-            None, None, count, ids_domain,
-            id_shares[p], id_shares[nxt],
-            {"a": (attr_shares[p], attr_shares[nxt])},
-            {"a": domain},
+            None, None, MatchTable(p + 1, ids_domain, id_shares[p], id_shares[nxt]),
+            {"a": MatchTable(p + 1, domain, attr_shares[p], attr_shares[nxt])},
         ))
     return groups
 
@@ -150,8 +148,7 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16):
         flags = flag_shares[rt.index - 1]
         if unique:
             return sec_fetch_unique(rt, [group], flags), []
-        audit = []
-        return sec_fetch_multi(rt, [group], flags, _OpenLabels(), audit), audit
+        return sec_fetch_multi(rt, [group], flags), rt.opened
 
     out = run_trio(worker, runtimes)
     return out, runtimes
@@ -185,7 +182,7 @@ def test_fetch_multi_keeps_exactly_the_matches():
     # every party opened the same shuffled mask with three ones
     for rt in runtimes:
         assert len(rt.opened) == 1
-        assert int(rt.opened[0][1].popcount()) == 3
+        assert int(rt.opened[0].bits.popcount()) == 3
 
 
 def test_fetch_multi_zero_and_all_matches():
@@ -198,9 +195,9 @@ def test_fetch_multi_zero_and_all_matches():
 def test_fetch_multi_audit_mask_matches_plaintext_filter():
     flags = [1, 0, 0, 1, 0, 1, 1]
     out, _ = run_fetch(list(range(7)), 8, flags, unique=False)
-    records, audit = out[0]
-    assert len(audit) == 1
-    assert sorted(audit[0][1].tolist()) == sorted(flags)
+    records, ledger = out[0]
+    assert len(ledger) == 1
+    assert sorted(ledger[0].bits.to_bits().tolist()) == sorted(flags)
 
 
 def test_word_level_fields_match_bit_level_packing():
@@ -219,17 +216,26 @@ def test_word_level_fields_match_bit_level_packing():
 
 
 def test_reshare_matrix_rejects_a_short_payload():
-    runtimes = local_runtimes(make_session_configs(b"\x34" * 16), recv_timeout=5)
-    additive = np.zeros((3, 2), np.uint32)
+    rng = np.random.default_rng(2)
+    shared = rss.share(BitVector.random(40, rng), rng)
+    cases = [
+        (lambda rt: rss.reshare_rows(rt, np.zeros((3, 2), np.uint32), 40),
+         "re-share message has 20 bytes, expected 24"),
+        (lambda rt: rss.reshare(rt, BitVector.zeros(40)), "re-share message has 4 bytes, expected 8"),
+        (lambda rt: rss.open_shared(rt, shared[rt.index - 1]), "open message has 4 bytes, expected 8"),
+    ]
+    for call, message in cases:
+        runtimes = local_runtimes(make_session_configs(b"\x34" * 16), recv_timeout=5)
 
-    def worker(rt):
-        if rt.index == 1:  # party 2 receives a re-share one word short
-            send = rt.send_next
-            rt.send_next = lambda op, payload, logical_bits=0: send(op, payload[:-4], logical_bits)
-        return _reshare_matrix(rt, additive, 40)
+        def worker(rt):
+            if rt.index == 1:  # party 2 receives a frame one word short
+                send = rt.send_next
+                rt.send_next = lambda op, payload, logical_bits=0: send(op, payload[:-4], logical_bits)
+            return call(rt)
 
-    with pytest.raises(ProtocolError, match="re-share message has 20 bytes, expected 24"):
-        run_trio(worker, runtimes)
+        # a protocol fault, not a validation error (the CLI exits 3, not 2)
+        with pytest.raises(ProtocolError, match=message):
+            run_trio(worker, runtimes)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +260,14 @@ E p2 c2
     res = run_secure_query(text, "Q root P a = 1\nQ leaf C z >= 10\nQE root leaf\n")
     assert res["matches"] == {("p1", "c1"), ("p1", "c2"), ("p1", "c3")}
     for rt in res["runtimes"]:
-        access_opens = [v for (_, v) in rt.opened]
+        access_opens = [entry.bits for entry in rt.opened]
         # one access per matched root record; p1 has 3 true neighbors of 3 slots
         assert sorted(int(v.popcount()) for v in access_opens)[-1] == 3
     res2 = run_secure_query(text, "Q root P a = 2\nQ leaf C z >= 10\nQE root leaf\n")
     assert res2["matches"] == {("p2", "c2")}
     # p2's padded list holds 1 true neighbor and 2 dummies: one 1-bit opened
-    opens2 = [int(v.popcount()) for rt in res2["runtimes"] for (_, v) in rt.opened
-              if v.logical_len == 3]
+    opens2 = [int(e.bits.popcount()) for rt in res2["runtimes"] for e in rt.opened
+              if e.bits.logical_len == 3]
     assert opens2.count(1) >= 3
 
 
@@ -330,13 +336,12 @@ def test_opened_bits_accounting():
     # only fetch flags and access validity flags ever open, and their total
     # length is the sum of Case-II candidate counts and fetched list lengths
     res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
-    for rt, result in zip(res["runtimes"], res["results"]):
-        assert len(rt.opened) == len(result.opened_flags)
-        for (label, plain), (phase, bits) in zip(rt.opened, result.opened_flags):
-            assert phase in ("fetch", "access")
-            assert plain.to_bits().tolist() == bits.tolist()
+    for rt in res["runtimes"]:
+        assert rt.opened
+        assert [e.label for e in rt.opened] == list(range(1, len(rt.opened) + 1))
+        assert all(e.phase in ("secFetch", "secAccess") for e in rt.opened)
     # all parties opened identical values in identical order
-    seq = [[v.to_bits().tolist() for _, v in rt.opened] for rt in res["runtimes"]]
+    seq = [[e.bits.to_bits().tolist() for e in rt.opened] for rt in res["runtimes"]]
     assert seq[0] == seq[1] == seq[2]
 
 
@@ -397,9 +402,9 @@ def test_unique_chain_opens_only_access_flags():
         "QE u p\nQE p c\n")
     want = oracle_match(res["graph"], res["query"], res["schema"])
     assert res["matches"] == want == {("u1", "p3", "c2")}
-    for result in res["results"]:
-        assert result.opened_flags
-        assert all(phase == "access" for phase, _ in result.opened_flags)
+    for rt in res["runtimes"]:
+        assert rt.opened
+        assert all(e.phase == "secAccess" for e in rt.opened)
 
 
 def test_random_corpus_with_any_combiners_and_k3():
@@ -491,12 +496,12 @@ def _expected_open_counts(res):
                       for ri in range(len(results[0].records[parent]))]
         groups = [g for g in groups if g]
         if groups and not unique:
-            out.append(("fetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
+            out.append(("secFetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
         for child in slot["children"]:
             n_records = len(results[0].records[s])
             if n_records:
-                out.append(("access", [len(neighbours(s, ri, slots[child]["type"]))
-                                       for ri in range(n_records)]))
+                out.append(("secAccess", [len(neighbours(s, ri, slots[child]["type"]))
+                                          for ri in range(n_records)]))
     return out
 
 
@@ -517,9 +522,10 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
     monkeypatch.setattr(engine, "sec_shuffle", recording)
     res = run_secure_query(CAMPUS_GRAPH, query_text)
     want = _expected_open_counts(res)
-    for result in res["results"]:
-        assert len(result.opened_flags) == len(segments) == len(want)
-        for (phase, bits), segs, (want_phase, counts) in zip(result.opened_flags, segments, want):
+    for rt in res["runtimes"]:
+        assert len(rt.opened) == len(segments) == len(want)
+        for (_, phase, opened), segs, (want_phase, counts) in zip(rt.opened, segments, want):
+            bits = opened.to_bits()
             bounds = np.cumsum((0,) + segs)
             got = [int(bits[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
             assert (phase, got) == (want_phase, counts)

@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from oblivgm import rss
+from oblivgm import net, rss
 from oblivgm.bits import BitVector
-from oblivgm.net import (OP_OPEN, OP_RESHARE, Frame, PartyConfig, ProtocolError,
-                         local_runtimes, make_session_configs, parse_peers,
-                         run_trio, tcp_runtime)
+from oblivgm.net import (OP_OPEN, OP_RESHARE, ChannelClosed, Frame, PartyConfig, ProtocolError,
+                         QueueChannel, TcpChannel, local_runtimes, make_session_configs,
+                         parse_peers, run_trio, tcp_runtime)
 
 
 def test_frame_round_trip():
@@ -89,6 +89,51 @@ def test_failing_party_fails_the_trio_at_once():
     assert info.type is RuntimeError  # the party's own error, not a peer's timeout
 
 
+def test_closed_queue_channel_raises_channel_closed():
+    ch = QueueChannel()
+    ch.close()
+    with pytest.raises(ChannelClosed, match="closed"):
+        ch.recv_bytes(1.0)
+
+
+def test_tcp_bad_magic_fails_before_reading_the_payload():
+    import socket
+
+    a, b = socket.socketpair()
+    try:
+        # the header announces a payload that never comes: only the magic check
+        # can fail this read before the timeout
+        a.sendall(b"XXXX" + Frame(1, 0, OP_OPEN, b"").encode()[4:-4] + (1 << 20).to_bytes(4, "little"))
+        with pytest.raises(ProtocolError, match="magic"):
+            TcpChannel(b).recv_bytes(5.0)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_tcp_payload_is_read_in_bounded_chunks():
+    frame = Frame(1, 0, OP_RESHARE, bytes(range(256)) * (3 * net._RECV_CHUNK // 256 + 5)).encode()
+
+    class RecordingSocket:
+        def __init__(self):
+            self.sizes = []
+            self.pos = 0
+
+        def settimeout(self, timeout):
+            pass
+
+        def recv(self, n):
+            self.sizes.append(n)
+            chunk = frame[self.pos:self.pos + n]
+            self.pos += len(chunk)
+            return chunk
+
+    sock = RecordingSocket()
+    assert TcpChannel(sock).recv_bytes(1.0) == frame
+    assert max(sock.sizes) == net._RECV_CHUNK
+    assert len(sock.sizes) > 3
+
+
 def test_large_payload_echo_and_order():
     runtimes = local_runtimes(make_session_configs(b"\x04" * 16))
     blob = bytes(range(256)) * 4096  # 1 MiB
@@ -162,7 +207,7 @@ def test_tcp_trio_matches_in_process_transcript():
 
     def worker(rt):
         z = rss.and_gate(rt, sx[rt.index - 1], sy[rt.index - 1])
-        opened = rss.open_shared(rt, z, label=1)
+        opened = rss.open_shared(rt, z)  # the runtime's first open label is 1
         return opened, rt.transcript_digest()
 
     local = run_trio(worker, local_runtimes(make_session_configs(master)))

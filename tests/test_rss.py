@@ -127,13 +127,15 @@ def test_open_everywhere_and_label_guard():
     sx = rss.share(x, rng)
 
     def worker(rt):
-        return rss.open_shared(rt, sx[rt.index - 1], label=5)
+        return rss.open_shared(rt, sx[rt.index - 1])
 
     assert all(o == x for o in run_local_trio(worker))
 
     def skewed(rt):
-        # parties disagree on what they are opening
-        return rss.open_shared(rt, sx[rt.index - 1], label=rt.index)
+        # parties disagree on what they are opening: their labels are out of step
+        for _ in range(rt.index):
+            rt.alloc_open_label()
+        return rss.open_shared(rt, sx[rt.index - 1])
 
     with pytest.raises(ProtocolError, match="label"):
         run_local_trio(skewed)
@@ -145,6 +147,24 @@ def test_xor_public_constant():
     c = BitVector.random(40, rng)
     sx = rss.share(x, rng)
     assert rss.reconstruct([s.xor_public(c) for s in sx]) == (x ^ c)
+
+
+def test_match_table_stack_sets_segments_and_keeps_one_table_uncopied():
+    rng = np.random.default_rng(11)
+
+    def table(rows, width):
+        return rss.MatchTable.from_rows(
+            [rss.share(BitVector.random(width, rng), rng)[0] for _ in range(rows)])
+
+    first, second = table(3, 40), table(2, 40)
+    both = rss.MatchTable.stack([first, second])
+    assert both.segments == (3, 2)
+    assert both.row(4) == second.row(1)
+    assert both.take(slice(3, 5)).row(0) == second.row(0)
+    one = rss.MatchTable.stack([first])
+    assert one.share_a is first.share_a and one.share_b is first.share_b
+    with pytest.raises(ValueError, match="width"):
+        rss.MatchTable.stack([first, table(1, 41)])
 
 
 def make_zero_contexts():
@@ -166,9 +186,12 @@ def test_zero_share_cancels_and_counts():
 
 def test_zero_share_deterministic_and_counter_sensitive():
     ctxs = make_zero_contexts()
-    a = ctxs[0].peek(256, 7)
-    assert ctxs[0].peek(256, 7) == a
-    b = ctxs[0].peek(256, 8)
+    ctxs[0].counter = 7
+    a = ctxs[0].next_share(256)
+    again = make_zero_contexts()[0]
+    again.counter = 7
+    assert again.next_share(256) == a
+    b = ctxs[0].next_share(256)  # counter 8
     assert a != b  # 256 bits differ with overwhelming probability
 
 
