@@ -1,4 +1,4 @@
-"""Desk benchmarks: per-phase latency and bytes-on-wire, tab-separated output."""
+"""Desk benchmarks: per-phase latency, bytes-on-wire and kernel timings, tab-separated output."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ import time
 import numpy as np
 
 from .datagen import random_graph, random_query_text
-from .engine import EngineConfig, open_results, sec_match
+from .engine import (EngineConfig, _select_many_additive, _select_one_additive, open_results,
+                     sec_match)
 from .graphs import AttributedGraph, GraphFormatError, encrypt_graph
 from .net import PhaseStats, local_runtimes, make_session_configs, run_trio
+from .prf import prf_stream, prg_expand, seeded_permutation
 from .query import gen_token, load_query
 
 
@@ -118,6 +120,55 @@ def _bench_query(seed: str, size: int) -> None:
              max(rt.meter.total.bytes_sent for rt in runtimes), len(matches))
 
 
+KERNEL_REPEATS = 20  # runs per kernel in the kernels suite; the best is printed
+
+
+def _best_ms(fn) -> float:
+    best = float("inf")
+    for _ in range(KERNEL_REPEATS):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best * 1e3
+
+
+def _bench_kernels(seed: str) -> None:
+    """Best-of-``KERNEL_REPEATS`` times of one party's hot kernels at the benchmark's shapes.
+
+    The shapes are those of ``perfbench``: ``scan`` blinds a 2 MiB root table
+    and selects from a (4000, 126)-word attribute matrix; ``hop-wan`` draws
+    about 74 segment streams per shuffle and selects 10 posting lists from
+    (500, 48) words and 30 attribute rows from (500, 2).
+    """
+    rng = np.random.default_rng(int(seed, 16))
+    key = rng.bytes(16)
+
+    def bits(*shape):
+        return rng.integers(0, 2, shape, dtype=np.uint8)
+
+    def words(*shape):
+        return rng.integers(0, 1 << 32, shape, dtype=np.uint32)
+
+    many_posting = (bits(10, 500), bits(10, 500), words(500, 48), words(500, 48))
+    many_attrs = (bits(30, 500), bits(30, 500), words(500, 2), words(500, 2))
+    one_attrs = (bits(4000), bits(4000), words(4000, 126), words(4000, 126))
+    seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
+    kernels = [
+        ("prf_stream", "1 x 2 MiB", lambda: prf_stream(key, b"BNCH", 0, 2 << 20)),
+        ("prf_stream", "74 x 576 B", lambda: prf_stream(key, b"BNCH", 0, [576] * 74)),
+        ("seeded_permutation", "1 x 4000", lambda: seeded_permutation(key, b"BNCH", 0, 4000)),
+        ("seeded_permutation", "74 x 3", lambda: seeded_permutation(key, b"BNCH", 0, [3] * 74)),
+        ("prg_expand", "16 seeds", lambda: prg_expand(seeds[16])),
+        ("prg_expand", "2048 seeds", lambda: prg_expand(seeds[2048])),
+        ("select_many", "(10, 500) x (500, 48)", lambda: _select_many_additive(*many_posting)),
+        ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
+        ("select_one", "(4000,) x (4000, 126)", lambda: _select_one_additive(*one_attrs)),
+    ]
+    _row("# kernel", "shape", "best_ms")
+    for name, shape, fn in kernels:
+        _row(name, shape, f"{_best_ms(fn):.4f}")
+
+
 def run_suite(suite: str, seed: str | None = None, size: int = 1000) -> None:
     seed = seed or secrets.token_hex(16)
     print(f"# suite={suite} size={size} seed={seed}")
@@ -125,5 +176,7 @@ def run_suite(suite: str, seed: str | None = None, size: int = 1000) -> None:
         _bench_subprotocols(seed, size)
     elif suite == "query":
         _bench_query(seed, size)
+    elif suite == "kernels":
+        _bench_kernels(seed)
     else:
         raise ValueError(f"unknown bench suite {suite!r}")

@@ -8,7 +8,7 @@ Subcommands::
     query     one-shot driver: run the trio and write result share files
     open      merge >=2 result share files into plaintext matches
     oracle    plaintext reference matcher on the same inputs
-    bench     sub-protocol timings and bytes-on-wire
+    bench     sub-protocol timings and bytes-on-wire, kernel timings
 
 Exit codes: 0 success, 2 validation error, 3 protocol error. All commands
 are deterministic under ``--seed``.
@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("bench", help="sub-protocol latency and bytes-on-wire")
-    p.add_argument("--suite", choices=("subprotocols", "query"), default="subprotocols")
+    p = sub.add_parser("bench", help="sub-protocol latency, bytes-on-wire and kernel timings")
+    p.add_argument("--suite", choices=("subprotocols", "query", "kernels"), default="subprotocols")
     p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--size", type=int, default=1000)
     p.set_defaults(fn=cmd_bench)

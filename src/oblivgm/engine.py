@@ -87,32 +87,44 @@ def _parity_rows(mat: np.ndarray) -> np.ndarray:
 
 
 def _select_one_additive(bits_a, bits_b, mat_a, mat_b) -> np.ndarray:
-    """Additive share of XOR_c bit[c] AND row[c], folded over the first axis."""
-    pa = bits_a.astype(bool)
-    qa = bits_b.astype(bool)
-    shape = (len(pa),) + (1,) * (mat_a.ndim - 1)
-    terms = np.where(pa.reshape(shape), mat_a ^ mat_b, np.uint32(0))
-    terms ^= np.where(qa.reshape(shape), mat_a, np.uint32(0))
-    return np.bitwise_xor.reduce(terms, axis=0)
+    """Additive share of XOR_c bit[c] AND row[c], folded over the first axis.
+
+    With ``p``, ``q`` the party's two shares of the bits and ``A``, ``B`` of
+    the rows, the share is ``(p XOR q)·A XOR p·B`` over GF(2). Both bit
+    vectors become 0/0xFFFFFFFF word masks ANDed with every row, so the
+    kernel does the same work whatever the bits are. Reading only the rows
+    ``p XOR q`` and ``p`` pick would not: ``p XOR q`` is the shared bits
+    XOR the third share, so its run time would show the peer holding that
+    share the popcount of the bits XOR a vector it knows.
+    """
+    mask_a = np.negative((bits_a ^ bits_b).astype(np.uint32))[:, None]  # 1 -> 0xFFFFFFFF
+    mask_b = np.negative(bits_a.astype(np.uint32))[:, None]
+    return (np.bitwise_xor.reduce(mat_a & mask_a, axis=0)
+            ^ np.bitwise_xor.reduce(mat_b & mask_b, axis=0))
 
 
 def _select_many_additive(sel_a, sel_b, mat_a, mat_b) -> np.ndarray:
-    """Row-batched one-hot selection: (K, X) selector bits against (X, W) rows."""
-    k, x = sel_a.shape
-    w = mat_a.shape[1]
-    out = np.zeros((k, w), dtype=np.uint32)
-    axb = mat_a ^ mat_b
-    # chunk over selector rows to bound the (k, x, w) intermediate at 64 Ki
-    # words: a whole slot's posting lists are selected at once, and chunks of
-    # this size run as fast as larger ones while keeping peak memory flat
-    step = max(1, (1 << 16) // max(1, x * w))
+    """Row-batched one-hot selection: (K, X) selector bits against (X, W) rows.
+
+    Row ``k`` is :func:`_select_one_additive` of selector row ``k``. Its bits
+    ``[p XOR q | p]`` become 0/0xFFFFFFFF word masks, ANDed with the
+    transposed ``(W, 2X)`` matrix ``[A; B]^T`` and XOR-reduced along its
+    contiguous last axis; as in the one-row case, the work does not depend
+    on the bits.
+    """
+    k = sel_a.shape[0]
+    rows_t = np.ascontiguousarray(np.concatenate([mat_a, mat_b]).T)
+    out = np.empty((k, rows_t.shape[0]), dtype=np.uint32)
+    # chunk over selector rows to bound the (step, W, 2X) intermediate and
+    # its masks at 64 Ki words: a whole slot's posting lists are selected at
+    # once, and chunks of this size run as fast as larger ones while keeping
+    # peak memory at one transposed copy of the rows
+    step = max(1, (1 << 16) // max(1, rows_t.size))
     for lo in range(0, k, step):
-        hi = min(k, lo + step)
-        pa = sel_a[lo:hi].astype(bool)[:, :, None]
-        qa = sel_b[lo:hi].astype(bool)[:, :, None]
-        terms = np.where(pa, axb[None, :, :], np.uint32(0))
-        terms ^= np.where(qa, mat_a[None, :, :], np.uint32(0))
-        out[lo:hi] = np.bitwise_xor.reduce(terms, axis=1)
+        hi = lo + step
+        masks = np.negative(np.concatenate([sel_a[lo:hi] ^ sel_b[lo:hi], sel_a[lo:hi]], 1)
+                            .astype(np.uint32))
+        out[lo:hi] = np.bitwise_xor.reduce(masks[:, None, :] & rows_t, axis=-1)
     return out
 
 

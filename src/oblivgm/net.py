@@ -94,10 +94,15 @@ class QueueChannel:
 
 
 class TcpChannel:
-    """Framed messages over one TCP socket (both directions)."""
+    """Framed messages over one TCP socket (both directions).
 
-    def __init__(self, sock: socket.socket):
+    A received header of any session but ``session`` fails at once,
+    before its payload is read.
+    """
+
+    def __init__(self, sock: socket.socket, session: int):
         self._sock = sock
+        self._session = session
         self._send_lock = threading.Lock()
 
     def send_bytes(self, data: bytes) -> None:
@@ -123,9 +128,11 @@ class TcpChannel:
 
     def recv_bytes(self, timeout: float) -> bytes:
         header = self._read_exact(_HEADER.size, timeout)
-        magic, _, _, _, length = _HEADER.unpack(header)
+        magic, session, _, _, length = _HEADER.unpack(header)
         if magic != FRAME_MAGIC:
             raise ProtocolError("bad frame magic")
+        if session != self._session:
+            raise ProtocolError(f"session mismatch: got {session}, expected {self._session}")
         payload = self._read_exact(length, timeout) if length else b""
         return header + payload
 
@@ -425,7 +432,9 @@ def tcp_runtime(config: PartyConfig, recv_timeout: float = 120.0,
 
     Each party listens on its bind address, dials peers with a smaller index,
     and accepts connections from peers with a larger one. A setup frame
-    carrying the dialer's party index identifies each inbound connection.
+    carrying the dialer's party index identifies each inbound connection,
+    and the reply carries the acceptor's. Every channel checks the session of
+    each header it reads, the setup frames' included, on both sides.
     """
     if not config.bind:
         raise ValueError("TCP transport requires a bind address")
@@ -433,6 +442,7 @@ def tcp_runtime(config: PartyConfig, recv_timeout: float = 120.0,
     listener = socket.create_server(_parse_addr(config.bind), backlog=2)
     listener.settimeout(connect_timeout)
     channels: dict[int, TcpChannel] = {}
+    opened: list[TcpChannel] = []  # every channel made, so a failed setup closes them all
     try:
         for j in sorted(p for p in (1, 2, 3) if p < i):
             addr = _parse_addr(config.peers[j])
@@ -446,7 +456,8 @@ def tcp_runtime(config: PartyConfig, recv_timeout: float = 120.0,
                         raise ProtocolError(f"peer {j} at {config.peers[j]} unreachable") from None
                     time.sleep(0.05)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            ch = TcpChannel(sock)
+            ch = TcpChannel(sock, config.session)
+            opened.append(ch)
             ch.send_bytes(Frame(config.session, 0, OP_SETUP, bytes([i])).encode())
             hello = Frame.decode(ch.recv_bytes(connect_timeout))
             if hello.op != OP_SETUP or hello.payload != bytes([j]):
@@ -459,18 +470,21 @@ def tcp_runtime(config: PartyConfig, recv_timeout: float = 120.0,
             except socket.timeout:
                 raise ProtocolError(f"peers {expect} never connected") from None
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            ch = TcpChannel(sock)
+            ch = TcpChannel(sock, config.session)
+            opened.append(ch)
             hello = Frame.decode(ch.recv_bytes(connect_timeout))
             if hello.op != OP_SETUP or len(hello.payload) != 1:
                 raise ProtocolError("bad setup handshake")
             j = hello.payload[0]
             if j not in expect:
                 raise ProtocolError(f"unexpected peer {j} connected")
-            if hello.session != config.session:
-                raise ProtocolError("peer session mismatch")
             ch.send_bytes(Frame(config.session, 0, OP_SETUP, bytes([i])).encode())
             channels[j] = ch
             expect.remove(j)
+    except BaseException:
+        for ch in opened:
+            ch.close()
+        raise
     finally:
         listener.close()
     transcript = _new_transcript(config)

@@ -9,11 +9,26 @@ Three primitives, all keyed with 128-bit material:
   a 4-byte label and a 64-bit index. Used for zero-sharings and for the
   shuffle blinding tables.
 * ``seeded_permutation`` — Fisher-Yates driven by a PRF stream.
+
+Batched streams. ``prf_stream`` and ``seeded_permutation`` also take a run
+of consecutive indices ``index, index + 1, ...`` with one size per index,
+and return those streams (or block permutations) laid end to end. Block
+``j`` of the stream for index ``i`` is AES of the counter block
+``label(4) || i(8, BE) || j(4, BE)``. That is exactly the CTR stream for
+``i``: CTR starts at ``label || i || 0`` and increments the whole 128-bit
+block big-endian, and a stream stays below 2^32 blocks (64 GiB), so the
+increment never carries out of the low 4 bytes. A run therefore builds all
+its counter blocks at once and encrypts them in one ECB call, paying the AES
+key set-up once instead of once per index, with the same bytes as one CTR
+call per index. A single stream keeps the plain CTR call, which needs no
+counter blocks in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections.abc import Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -27,15 +42,21 @@ _KEY_LEFT = bytes.fromhex("243f6a8885a308d313198a2e03707344")
 _KEY_RIGHT = bytes.fromhex("a4093822299f31d0082efa98ec4e6c89")
 _KEY_CTRL = bytes.fromhex("452821e638d01377be5466cf34e90c6c")
 
-_ciphers = {
-    k: Cipher(algorithms.AES(k), modes.ECB())
-    for k in (_KEY_LEFT, _KEY_RIGHT, _KEY_CTRL)
-}
+# A stream stays below 2^32 blocks, so its CTR counter never carries out of the low 4 bytes.
+_MAX_STREAM_BYTES = 16 << 32
+
+# One ECB encryptor per PRG key and thread. ECB carries no state between
+# whole blocks, so an encryptor that is never finalized serves every call;
+# contexts are not safe to share between threads, hence one set per thread.
+_prg_local = threading.local()
 
 
-def _ecb_encrypt(key: bytes, data: bytes) -> bytes:
-    enc = _ciphers[key].encryptor()
-    return enc.update(data) + enc.finalize()
+def _prg_encryptors():
+    encs = getattr(_prg_local, "encs", None)
+    if encs is None:
+        encs = _prg_local.encs = tuple(Cipher(algorithms.AES(k), modes.ECB()).encryptor()
+                                       for k in (_KEY_LEFT, _KEY_RIGHT, _KEY_CTRL))
+    return encs
 
 
 def prg_expand(seeds: np.ndarray):
@@ -48,9 +69,10 @@ def prg_expand(seeds: np.ndarray):
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
     buf = seeds.tobytes()
     n = seeds.shape[0]
-    left = np.frombuffer(_ecb_encrypt(_KEY_LEFT, buf), dtype=np.uint64).reshape(n, 2) ^ seeds
-    right = np.frombuffer(_ecb_encrypt(_KEY_RIGHT, buf), dtype=np.uint64).reshape(n, 2) ^ seeds
-    ctrl = np.frombuffer(_ecb_encrypt(_KEY_CTRL, buf), dtype=np.uint64).reshape(n, 2)[:, 0] ^ seeds[:, 0]
+    enc_left, enc_right, enc_ctrl = _prg_encryptors()
+    left = np.frombuffer(enc_left.update(buf), dtype=np.uint64).reshape(n, 2) ^ seeds
+    right = np.frombuffer(enc_right.update(buf), dtype=np.uint64).reshape(n, 2) ^ seeds
+    ctrl = np.frombuffer(enc_ctrl.update(buf), dtype=np.uint64).reshape(n, 2)[:, 0] ^ seeds[:, 0]
     t_left = (ctrl & 1).astype(np.uint8)
     t_right = ((ctrl >> np.uint64(1)) & 1).astype(np.uint8)
     value = ((ctrl >> np.uint64(2)) & 1).astype(np.uint8)
@@ -67,21 +89,46 @@ def array_to_seed(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype=np.uint64).tobytes()
 
 
-def prf_stream(key: bytes, label: bytes, index: int, nbytes: int) -> bytes:
-    """Keyed pseudorandom bytes for (label, index).
+def _sizes(n: int | Sequence[int]) -> list[int]:
+    return [int(n)] if isinstance(n, (int, np.integer)) else [int(m) for m in n]
+
+
+def prf_stream(key: bytes, label: bytes, index: int, nbytes: int | Sequence[int]) -> bytes:
+    """Keyed pseudorandom bytes for (label, index), or for a run of indices.
 
     The CTR start block is ``label(4) || index(8, BE) || 0(4)``; streams for
     distinct (label, index) pairs are disjoint for any length below 64 GiB.
+    With a sequence of sizes, returns the streams of ``index, index + 1, ...``
+    of those sizes, concatenated (see the module docstring).
     """
     if len(key) != SEED_BYTES:
         raise ValueError("PRF key must be 16 bytes")
     if len(label) != 4:
         raise ValueError("label must be 4 bytes")
-    if nbytes == 0:
+    index, sizes = int(index), _sizes(nbytes)
+    if any(not 0 <= n < _MAX_STREAM_BYTES for n in sizes):
+        raise ValueError("PRF stream sizes must lie in [0, 64 GiB)")
+    if not 0 <= index <= (1 << 64) - max(1, len(sizes)):
+        raise ValueError("PRF index run must fit in 64 bits")
+    if len(sizes) == 1:
+        if sizes[0] == 0:
+            return b""
+        nonce = label + index.to_bytes(8, "big") + b"\x00\x00\x00\x00"
+        enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
+        return enc.update(bytes(sizes[0])) + enc.finalize()
+    blocks = -(-np.array(sizes, dtype=np.int64) // 16)
+    starts = np.cumsum(blocks) - blocks
+    total = int(blocks.sum())
+    if total == 0:
         return b""
-    nonce = label + int(index).to_bytes(8, "big") + b"\x00\x00\x00\x00"
-    enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
-    return enc.update(bytes(nbytes)) + enc.finalize()
+    counters = np.empty((total, 4), dtype=">u4")  # label | index hi | index lo | block
+    counters[:, 0] = int.from_bytes(label, "big")
+    indices = np.repeat(np.arange(len(sizes), dtype=np.uint64) + np.uint64(index), blocks)
+    counters[:, 1] = indices >> np.uint64(32)
+    counters[:, 2] = indices & np.uint64(0xFFFFFFFF)
+    counters[:, 3] = np.arange(total) - np.repeat(starts, blocks)
+    view = memoryview(Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(counters.tobytes()))
+    return b"".join(view[16 * int(s):16 * int(s) + n] for s, n in zip(starts, sizes))
 
 
 def prf_words(key: bytes, label: bytes, index: int, nbits: int) -> np.ndarray:
@@ -92,16 +139,25 @@ def prf_words(key: bytes, label: bytes, index: int, nbits: int) -> np.ndarray:
     return mask_tail(words, nbits)
 
 
-def seeded_permutation(key: bytes, label: bytes, index: int, n: int) -> np.ndarray:
-    """Deterministic Fisher-Yates permutation of range(n) from a PRF stream."""
-    if n < 2:
-        return np.arange(n, dtype=np.int64)
-    raw = prf_stream(key, label, index, 8 * (n - 1))
+def seeded_permutation(key: bytes, label: bytes, index: int,
+                       n: int | Sequence[int]) -> np.ndarray:
+    """Deterministic Fisher-Yates permutation of range(n) from a PRF stream.
+
+    With a sequence of sizes, returns the block-diagonal permutation of
+    ``range(sum(n))`` whose block ``i`` is the permutation for ``index + i``,
+    shifted to the block's first row. All blocks draw from one batched stream.
+    """
+    sizes = _sizes(n)
+    raw = prf_stream(key, label, index, [8 * max(m - 1, 0) for m in sizes])
     draws = np.frombuffer(raw, dtype=np.uint64).tolist()  # Python ints: no numpy scalars in the loop
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = draws[n - 1 - i] % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
+    perm = list(range(sum(sizes)))
+    d = start = 0
+    for m in sizes:
+        for i in range(start + m - 1, start, -1):
+            j = start + draws[d] % (i - start + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+            d += 1
+        start += m
     return np.array(perm, dtype=np.int64)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import BitVector, mask_tail, stack_rows, words_for
+from .bits import BitVector, mask_tail, words_for
 from .net import OP_SHUFFLE, ProtocolError
 from .prf import prf_stream, seeded_permutation
 from .rss import MatchTable
@@ -26,10 +26,11 @@ _LABEL_BLIND = b"SHTB"
 _LABEL_RAND = b"SHRD"
 
 
-def _blind_table(seed: bytes, label: bytes, table_id: int, rows: int, width: int) -> np.ndarray:
-    nwords = rows * words_for(width)
-    raw = prf_stream(seed, label, table_id, nwords * 4)
-    mat = np.frombuffer(raw, dtype=np.uint32).reshape(rows, words_for(width)).copy()
+def _blind_table(seed: bytes, label: bytes, first_id: int, segments, width: int) -> np.ndarray:
+    """Blinding rows of every segment, segment ``i`` drawn under table id ``first_id + i``."""
+    nwords = words_for(width)
+    raw = prf_stream(seed, label, first_id, [rows * nwords * 4 for rows in segments])
+    mat = np.frombuffer(raw, dtype=np.uint32).reshape(-1, nwords).copy()
     return mask_tail(mat, width)
 
 
@@ -49,8 +50,8 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
     if table.party_index != rt.index:
         raise ValueError("table does not belong to this party")
     rows, width, segments = table.rows, table.width, table.segments
-    tids = [rt.alloc_table_id() for _ in segments]
-    tid = tids[0]  # the rest follow consecutively, so the first one identifies the batch
+    # segment i takes table id tid + i: the ids are consecutive, so the first identifies the batch
+    tid = [rt.alloc_table_id() for _ in segments][0]
     bits = rows * width
     head = int(tid).to_bytes(4, "little")
     payload_bytes = rows * words_for(width) * 4
@@ -70,15 +71,11 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
                                 f"expected {payload_bytes}")
         return np.frombuffer(raw[4:], dtype=np.uint32).reshape(rows, words_for(width))
 
-    starts = np.cumsum((0,) + segments[:-1])
-
-    def perm(seed):  # block diagonal: segment i is permuted under tids[i]
-        return stack_rows([seeded_permutation(seed, _LABEL_PERM, t, n) + int(start)
-                           for t, n, start in zip(tids, segments, starts)])
+    def perm(seed):  # block diagonal: segment i is permuted under tid + i
+        return seeded_permutation(seed, _LABEL_PERM, tid, segments)
 
     def blind(seed, label):
-        return stack_rows([_blind_table(seed, label, t, n, width)
-                           for t, n in zip(tids, segments)])
+        return _blind_table(seed, label, tid, segments, width)
 
     if rt.index == 1:
         s12, s31 = rt.seed_with_next, rt.seed_with_prev

@@ -198,6 +198,17 @@ def test_bench_subprotocols_times_each_phase(capsys):
     assert all(0 < sec <= total for sec in seconds.values())
 
 
+def test_bench_kernels_prints_best_times(capsys):
+    assert main(["bench", "--suite", "kernels",
+                 "--seed", "1234567890abcdef1234567890abcdef"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "# kernel\tshape\tbest_ms"
+    rows = [line.split("\t") for line in lines[2:]]
+    assert {name for name, _, _ in rows} == {"prf_stream", "seeded_permutation", "prg_expand",
+                                             "select_many", "select_one"}
+    assert all(float(ms) > 0 for _, _, ms in rows)
+
+
 def test_ciphertext_size_monotone_in_k(workspace):
     rng = np.random.default_rng(0)
     from oblivgm.datagen import graph_to_text, random_graph

@@ -105,10 +105,57 @@ def test_tcp_bad_magic_fails_before_reading_the_payload():
         # can fail this read before the timeout
         a.sendall(b"XXXX" + Frame(1, 0, OP_OPEN, b"").encode()[4:-4] + (1 << 20).to_bytes(4, "little"))
         with pytest.raises(ProtocolError, match="magic"):
-            TcpChannel(b).recv_bytes(5.0)
+            TcpChannel(b, session=1).recv_bytes(5.0)
     finally:
         a.close()
         b.close()
+
+
+def test_tcp_wrong_session_fails_before_reading_the_payload():
+    import socket
+
+    a, b = socket.socketpair()
+    try:
+        # a well-formed header of session 2 announcing a payload that never
+        # comes: only the session check can fail this read before the timeout
+        a.sendall(Frame(2, 0, OP_OPEN, b"").encode()[:-4] + (1 << 20).to_bytes(4, "little"))
+        started = time.monotonic()
+        with pytest.raises(ProtocolError, match="session mismatch"):
+            TcpChannel(b, session=1).recv_bytes(5.0)
+        assert time.monotonic() - started < 1.0
+    finally:
+        a.close()
+        b.close()
+
+
+def test_tcp_dialer_checks_the_session_of_the_setup_reply():
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def wrong_session_peer():  # accepts the dial like party 1 would, but in session 99
+        sock, _ = listener.accept()
+        with sock:
+            TcpChannel(sock, session=1).recv_bytes(10)
+            sock.sendall(Frame(99, 0, net.OP_SETUP, bytes([1])).encode())
+            try:
+                sock.recv(1)  # hold the socket open until the dialer closes it
+            except ConnectionError:
+                pass
+
+    peer = threading.Thread(target=wrong_session_peer, daemon=True)
+    peer.start()
+    try:
+        cfg = make_session_configs(b"\x08" * 16)[1]  # party 2 dials party 1
+        cfg.bind = "127.0.0.1:0"
+        cfg.peers = {1: "127.0.0.1:%d" % listener.getsockname()[1]}
+        with pytest.raises(ProtocolError, match="session mismatch"):
+            tcp_runtime(cfg, connect_timeout=5)
+    finally:
+        peer.join(10)
+        listener.close()
+    assert not peer.is_alive()  # the dialer closed its socket when setup failed
 
 
 def test_tcp_payload_is_read_in_bounded_chunks():
@@ -129,7 +176,7 @@ def test_tcp_payload_is_read_in_bounded_chunks():
             return chunk
 
     sock = RecordingSocket()
-    assert TcpChannel(sock).recv_bytes(1.0) == frame
+    assert TcpChannel(sock, session=1).recv_bytes(1.0) == frame
     assert max(sock.sizes) == net._RECV_CHUNK
     assert len(sock.sizes) > 3
 
