@@ -18,8 +18,20 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   finally assembles complete subgraphs and prunes partial branches.
 
 Every batch of shares is an :class:`oblivgm.rss.MatchTable`: a candidate
-group holds one table per field (the one-hot ids and each queried
+group holds one table per field (the vertex ids and each queried
 attribute), and every re-share goes through :func:`oblivgm.rss.reshare_rows`.
+
+A vertex id takes one of two encodings. It is one-hot over the type's
+population only while a one-hot selection may still read it: in a slot
+that has children, until that slot's neighbor accesses are done. Everywhere
+else it is the ``TypeSchema.id_width``-bit code ``c + 1`` of vertex ``c``,
+with 0 marking a dummy record. One-hot ``e_c`` maps to ``c + 1`` by a public
+GF(2)-linear map, which each party applies to its own two shares
+(:func:`_id_codes`), so switching costs no message; a leaf slot's fetch
+thus shuffles or folds ``id_width`` bits per candidate, not ``population``.
+Root ids are public, row ``c`` being vertex ``c``, so the graph shares hold
+none: the root slot's ids are a public constant, codes at a leaf root and
+the one-hot identity at a root with children.
 
 Each query slot runs as one batch. Its candidate groups, one per matched
 parent record, are stacked into tables whose segments are the public
@@ -34,14 +46,15 @@ opened value is entered in the runtime's ledger (``rt.opened``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from . import fss, rss
-from .bits import BitVector, mask_tail, unpack_bits, words_for
-from .graphs import GraphSchema, GraphShare
+from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
+from .graphs import GraphSchema, GraphShare, TypeSchema
 from .query import PartyToken
 from .rss import MatchTable
 from .shuffle import sec_shuffle
@@ -59,7 +72,7 @@ class CandidateGroup:
 
     parent_slot: int | None
     parent_record: int | None
-    ids: MatchTable  # one-hot ids over the candidate type's population
+    ids: MatchTable  # one-hot ids, or id codes (see the module docstring)
     attrs: dict[str, MatchTable]
 
 
@@ -67,7 +80,7 @@ class CandidateGroup:
 class MatchedRecord:
     parent_slot: int | None
     parent_record: int | None
-    vertex_id: rss.SharedBitVector
+    vertex_id: rss.SharedBitVector  # id code once the slot's accesses are done
     attrs: dict[str, rss.SharedBitVector]
 
 
@@ -84,6 +97,72 @@ def _parity_rows(mat: np.ndarray) -> np.ndarray:
         return np.zeros(mat.shape[0], dtype=np.uint8)
     acc = np.bitwise_xor.reduce(mat, axis=-1)
     return (np.bitwise_count(acc) & 1).astype(np.uint8)
+
+
+@lru_cache(maxsize=32)
+def _code_tables(population: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ``c``'s id code ``c + 1``, packed two ways; both arrays are read-only.
+
+    Returns ``(codes, masks)``. ``codes`` has one word per row, row ``c``
+    holding ``c + 1`` (``width`` is at most 32). Row ``j`` of the
+    ``(width, words)`` matrix ``masks`` has bit ``c`` set when bit ``j`` of
+    code ``c + 1`` is.
+    """
+    codes = np.arange(1, population + 1, dtype=np.uint32)
+    masks = pack_bits((codes >> np.arange(width, dtype=np.uint32)[:, None]) & 1)
+    codes = codes[:, None]
+    codes.flags.writeable = masks.flags.writeable = False
+    return codes, masks
+
+
+def _id_codes(ids: MatchTable, ts: TypeSchema) -> MatchTable:
+    """Shared one-hot ids as shared id codes, computed locally; segments are kept.
+
+    Code bit ``j`` of a row is the parity of the row AND ``M_j``, the public
+    mask of the positions whose code has bit ``j`` set. The map is linear
+    over GF(2), so each share component is mapped on its own and no message
+    is sent. Every row is ANDed with every mask, so the work does not depend
+    on the shared bits.
+    """
+    _, masks = _code_tables(ts.population, ts.id_width)
+    weights = np.uint32(1) << np.arange(ts.id_width, dtype=np.uint32)
+    step = max(1, (1 << 16) // masks.size)  # bound the (step, width, words) intermediate
+
+    def encode(share):
+        out = np.empty((share.shape[0], 1), np.uint32)
+        for lo in range(0, share.shape[0], step):
+            acc = np.bitwise_xor.reduce(share[lo:lo + step, None, :] & masks, axis=-1)
+            out[lo:lo + step, 0] = ((np.bitwise_count(acc) & 1) * weights).sum(axis=1)
+        return out
+
+    return MatchTable(ids.party_index, ts.id_width, encode(ids.share_a), encode(ids.share_b),
+                      ids.segments)
+
+
+def _root_ids(party: int, ts: TypeSchema, one_hot: bool) -> MatchTable:
+    """The root slot's public ids, shared by the ``xor_public`` rule.
+
+    Row ``c`` is vertex ``c``: the one-hot ``e_c`` for a root with children,
+    whose accesses select by it, else the code ``c + 1``. Party 1 holds
+    ``(x, 0)``, party 2 ``(0, 0)`` and party 3 ``(0, x)``.
+    """
+    x, zero = _public_rows(ts.population, ts.id_width, one_hot)
+    return MatchTable(party, ts.population if one_hot else ts.id_width,
+                      x if party == 1 else zero, x if party == 3 else zero)
+
+
+@lru_cache(maxsize=8)
+def _public_rows(population: int, width: int, one_hot: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only packed identity or code table, and zeros of its shape."""
+    if one_hot:
+        x = np.zeros((population, words_for(population)), np.uint32)
+        c = np.arange(population)
+        x[c, c // 32] = np.uint32(1) << (c % 32).astype(np.uint32)
+    else:
+        x = _code_tables(population, width)[0]
+    zero = np.zeros_like(x)
+    x.flags.writeable = zero.flags.writeable = False
+    return x, zero
 
 
 def _select_one_additive(bits_a, bits_b, mat_a, mat_b) -> np.ndarray:
@@ -281,8 +360,10 @@ def sec_fetch_multi(rt, groups: list[CandidateGroup],
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
     The slot's groups are the segments of one shuffled table, so each group
-    is permuted on its own while all of them share the shuffle's three
-    messages and one open of the flags.
+    is permuted on its own while all of them share the shuffle's four frames
+    and one open of the flags. The id field is as wide as the groups' ids:
+    ``id_width`` bits of code in a leaf slot, the population in a slot whose
+    records are still to be accessed.
     """
     attr_names = sorted(groups[0].attrs)
     fields = [MatchTable.stack([g.ids for g in groups])]
@@ -381,7 +462,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         if s == 0:
             tps = gshare.types[vtype]  # wrapped, not copied
             groups[0] = [CandidateGroup(
-                None, None, MatchTable(rt.index, ts.population, tps.id_a, tps.id_b),
+                None, None, _root_ids(rt.index, ts, one_hot=bool(slot["children"])),
                 {a: MatchTable(rt.index, ts.attrs[a].domain_size, *tps.attrs[a]) for a in needed},
             )]
         unique_route = (
@@ -392,6 +473,11 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         say(f"slot {s} ({slot['name']}): {sum(g.ids.rows for g in groups[s])} candidates "
             f"in {len(groups[s])} groups")
         live = [g for g in groups[s] if g.ids.rows]
+        if live and s and not slot["children"]:  # no selection reads a leaf's ids
+            codes = _id_codes(MatchTable.stack([g.ids for g in live]), ts)
+            bounds = np.cumsum((0,) + codes.segments)
+            live = [replace(g, ids=codes.take(slice(lo, hi)))
+                    for g, lo, hi in zip(live, bounds, bounds[1:])]
         if live:
             with rt.meter.phase("secEval"):
                 bits = [
@@ -412,6 +498,9 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
             with rt.meter.phase("secAccess"):
                 groups[child] = sec_access(rt, records[s], vtype, child_type, child_attrs,
                                            gshare, s)
+        if slot["children"] and records[s]:  # accessed: from here on, codes
+            codes = _id_codes(MatchTable.from_rows([r.vertex_id for r in records[s]]), ts)
+            records[s] = [replace(r, vertex_id=codes.row(i)) for i, r in enumerate(records[s])]
 
     subgraphs = _assemble(slots, records)
     say(f"assembled {len(subgraphs)} complete subgraphs")
@@ -460,9 +549,10 @@ def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
     """Merge two or three party result sets into plaintext subgraphs.
 
     Returns ``(matches, details)``: slot-ordered ext-id tuples, and per-match
-    decoded attribute values. Subgraphs containing a dummy (all-zero) vertex
-    record collapse silently; they stem from unique-fetch groups without a
-    satisfying candidate.
+    decoded attribute values. Subgraphs containing a dummy vertex record (id
+    code 0) collapse silently; they stem from unique-fetch groups without a
+    satisfying candidate. A code past the type's population raises
+    ``ValueError``.
     """
     if len(result_sets) < 2:
         raise ValueError("need result shares from at least two parties")
@@ -480,9 +570,11 @@ def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
         ts = schema.types[slot["type"]]
         out = []
         for ri in range(len(base.records[s])):
-            vid = rss.reconstruct([r.records[s][ri].vertex_id for r in result_sets])
-            hot = vid.hot_index()
-            ext = None if hot is None else ts.ext_ids[hot]
+            code = rss.reconstruct([r.records[s][ri].vertex_id for r in result_sets]).to_int()
+            if code > ts.population:
+                raise ValueError(f"slot {s} record {ri}: id code {code} exceeds the "
+                                 f"{ts.population} vertices of type {slot['type']!r}")
+            ext = ts.ext_ids[code - 1] if code else None
             attrs = {}
             for a in sorted({p["attr"] for p in slot["preds"]}):
                 vec = rss.reconstruct([r.records[s][ri].attrs[a] for r in result_sets])

@@ -10,7 +10,9 @@ undirected and typed implicitly by their endpoint types; adjacency is kept
 as posting lists (per neighbor type, in ext-id appearance order).
 
 Encryption turns every private value into a one-hot vector over a public
-dictionary and splits it with replicated secret sharing. Before sharing,
+dictionary and splits it with replicated secret sharing. Vertex ids are not
+private: row ``c`` of a type is the vertex ``ext_ids[c]``, so no id is
+stored, and the engine builds the ids it needs as public constants. Before sharing,
 posting lists are padded inside groups of ``k`` same-type vertices so that
 group members have identical per-type degrees; the dummy entries are shares
 of the zero vector and are indistinguishable from true entries.
@@ -166,6 +168,11 @@ class TypeSchema:
     def population(self) -> int:
         return len(self.ext_ids)
 
+    @property
+    def id_width(self) -> int:
+        """Bits of a vertex id code: vertex ``c`` is the code ``c + 1``, and 0 marks a dummy."""
+        return self.population.bit_length()
+
     def max_padded(self, neighbor_type: str) -> int:
         lens = self.padded_len.get(neighbor_type)
         return max(lens) if lens else 0
@@ -311,8 +318,6 @@ class TypePartyShare:
     past a vertex's padded length are public structural zeros.
     """
 
-    id_a: np.ndarray
-    id_b: np.ndarray
     attrs: dict[str, tuple[np.ndarray, np.ndarray]]
     posting: dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -341,9 +346,6 @@ def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
     for vtype, ts in schema.types.items():
         members = graph.type_members[vtype]
         x = ts.population
-
-        id_bits = np.eye(x, dtype=np.uint8)
-        id_shares = _share_matrix(pack_bits(id_bits), rng)
 
         attr_shares = {}
         for name, aschema in ts.attrs.items():
@@ -374,7 +376,6 @@ def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
                     stack[p][row, :padded_len] = parts[p]
             posting_shares[t_ne] = tuple(stack)
         per_type_parts[vtype] = {
-            "id": id_shares,
             "attrs": attr_shares,
             "posting": posting_shares,
         }
@@ -385,8 +386,6 @@ def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
         types = {}
         for vtype, parts in per_type_parts.items():
             types[vtype] = TypePartyShare(
-                id_a=parts["id"][a].copy(),
-                id_b=parts["id"][b].copy(),
                 attrs={
                     name: (mats[a].copy(), mats[b].copy())
                     for name, mats in parts["attrs"].items()
@@ -403,17 +402,12 @@ def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
 def reconstruct_type_matrix(shares, vtype: str, kind: str, name: str | None = None):
     """XOR the three share components back together (test/front-end helper).
 
-    ``kind`` is "id", "attr" or "posting"; returns the packed plaintext array.
+    ``kind`` is "attr" or "posting"; returns the packed plaintext array.
     """
     mats = {}
     for gs in shares:
         tps = gs.types[vtype]
-        if kind == "id":
-            pair = (tps.id_a, tps.id_b)
-        elif kind == "attr":
-            pair = tps.attrs[name]
-        else:
-            pair = tps.posting[name]
+        pair = tps.attrs[name] if kind == "attr" else tps.posting[name]
         mats[gs.party_index] = pair[0]
         mats[next_party(gs.party_index)] = pair[1]
     if set(mats) != {1, 2, 3}:

@@ -9,7 +9,7 @@ plaintext.
 
 The table is an :class:`oblivgm.rss.MatchTable`. Its segments, public row
 counts, are each shuffled as a table of their own, under their own table id,
-but all segments travel in the same three messages.
+but all segments travel in the same four frames.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
     """Obliviously permute the rows of each segment; returns fresh replicated shares.
 
     Each segment takes the next table id, and its permutations and blinding
-    tables come from that id alone. Three messages total cross the wire
-    (party 1 to 2, 2 to 3, 3 to 2), each the size of the whole table,
-    however many segments it has. A one-segment table is the plain shuffle
-    of the whole table.
+    tables come from that id alone. Four frames cross the wire, each the
+    size of the whole table however many segments it has: party 1 sends one
+    to party 2, party 2 sends two to party 3, and party 3 sends one back to
+    party 2. They take three rounds, since party 2's two frames go out
+    together. A one-segment table is the plain shuffle of the whole table.
     """
     if table.party_index != rt.index:
         raise ValueError("table does not belong to this party")

@@ -6,16 +6,24 @@ Single share vector record (the unit every container is built from)::
 
 Graph share containers ("OGMG") hold one record pair (the party's two share
 components) per private vector, in canonical schema order, bound to the
-public schema by its digest. Record payload sizes depend only on the public
-schema and padded lengths, never on the shared content, so two graphs with
-the same shape produce byte-identical file sizes.
+public schema by its digest. The private vectors are every vertex's
+attribute values and posting entries; vertex ids are public row positions
+and are not stored. Record payload sizes depend only on the public schema
+and padded lengths, never on the shared content, so two graphs with the
+same shape produce byte-identical file sizes.
 
 Result containers ("OGMR") carry the public query structure, provenance and
-assembly as JSON, followed by record pairs per matched slot entry.
+assembly as JSON, followed by record pairs per matched slot entry (the
+vertex's ``id_width``-bit id code, then its attribute values), and end with
+the SHA-256 of everything before it: a flipped bit in a code share would
+otherwise open to another valid vertex.
+
+Version 2 dropped the one-hot vertex ids of version 1 from both containers.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -30,10 +38,11 @@ from .rss import SharedBitVector
 SHARE_MAGIC = b"OGMS"
 GRAPH_MAGIC = b"OGMG"
 RESULT_MAGIC = b"OGMR"
-VERSION = 1
+VERSION = 2
 
 _SHARE_HEADER = struct.Struct("<4sHBQ")
 _CONTAINER_HEADER = struct.Struct("<4sHB32s")
+_CHECKSUM_BYTES = 32
 
 
 class StorageError(ValueError):
@@ -53,7 +62,7 @@ def decode_share_vector(buf, offset: int = 0) -> tuple[int, BitVector, int]:
     if magic != SHARE_MAGIC:
         raise StorageError("bad share record magic")
     if version != VERSION:
-        raise StorageError(f"unsupported share record version {version}")
+        raise StorageError(f"unsupported share record version {version} (expected {VERSION})")
     pos = offset + _SHARE_HEADER.size
     nwords = words_for(nbits)
     end = pos + 4 * nwords
@@ -77,14 +86,13 @@ def load_schema(path) -> GraphSchema:
 
 
 def _iter_vectors(gshare: GraphShare):
-    """Canonical vector order: per type, per vertex: id, attrs, posting entries."""
+    """Canonical vector order: per type, per vertex: attrs, then posting entries."""
     schema = gshare.schema
     for vtype in sorted(schema.types):
         ts = schema.types[vtype]
         tps = gshare.types[vtype]
         x = ts.population
         for v in range(x):
-            yield (tps.id_a[v], tps.id_b[v], x)
             for a in sorted(ts.attrs):
                 mats = tps.attrs[a]
                 yield (mats[0][v], mats[1][v], ts.attrs[a].domain_size)
@@ -112,7 +120,7 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
     if magic != GRAPH_MAGIC:
         raise StorageError("not a graph share file")
     if version != VERSION:
-        raise StorageError(f"unsupported graph share version {version}")
+        raise StorageError(f"unsupported graph share version {version} (expected {VERSION})")
     if digest != schema.digest():
         raise StorageError("graph share does not match the schema sidecar")
     pos = _CONTAINER_HEADER.size
@@ -131,8 +139,6 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
     for vtype in sorted(schema.types):
         ts = schema.types[vtype]
         x = ts.population
-        id_a = np.zeros((x, words_for(x)), np.uint32)
-        id_b = np.zeros_like(id_a)
         attrs = {
             a: (np.zeros((x, words_for(ts.attrs[a].domain_size)), np.uint32),
                 np.zeros((x, words_for(ts.attrs[a].domain_size)), np.uint32))
@@ -145,7 +151,6 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
             posting[t_ne] = (np.zeros((x, l_max, w_ne), np.uint32),
                              np.zeros((x, l_max, w_ne), np.uint32))
         for v in range(x):
-            id_a[v], id_b[v] = next_pair(x)
             for a in sorted(ts.attrs):
                 attrs[a][0][v], attrs[a][1][v] = next_pair(ts.attrs[a].domain_size)
             for t_ne in ts.posting_types:
@@ -154,7 +159,7 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
                     pa, pb = next_pair(width)
                     posting[t_ne][0][v, slot] = pa
                     posting[t_ne][1][v, slot] = pb
-        types[vtype] = TypePartyShare(id_a, id_b, attrs, posting)
+        types[vtype] = TypePartyShare(attrs, posting)
     if pos != len(buf):
         raise StorageError("trailing bytes in graph share file")
     return GraphShare(party, schema, types)
@@ -188,7 +193,8 @@ def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
             for a in sorted(rec.attrs):
                 parts.append(encode_share_vector(results.party_index, rec.attrs[a].share_a))
                 parts.append(encode_share_vector(results.party_index, rec.attrs[a].share_b))
-    Path(path).write_bytes(b"".join(parts))
+    body = b"".join(parts)
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def load_results(path, schema: GraphSchema) -> MatchResultSet:
@@ -199,7 +205,10 @@ def load_results(path, schema: GraphSchema) -> MatchResultSet:
     if magic != RESULT_MAGIC:
         raise StorageError("not a result share file")
     if version != VERSION:
-        raise StorageError(f"unsupported result file version {version}")
+        raise StorageError(f"unsupported result file version {version} (expected {VERSION})")
+    buf, check = buf[:-_CHECKSUM_BYTES], buf[-_CHECKSUM_BYTES:]
+    if len(buf) < _CONTAINER_HEADER.size + 4 or hashlib.sha256(buf).digest() != check:
+        raise StorageError("result file records fail their SHA-256 check (corrupted or truncated)")
     if digest != schema.digest():
         raise StorageError("result file does not match the schema sidecar")
     pos = _CONTAINER_HEADER.size
@@ -228,7 +237,7 @@ def load_results(path, schema: GraphSchema) -> MatchResultSet:
         needed = sorted({p["attr"] for p in slot["preds"]})
         out = []
         for meta in manifest["records"][s]:
-            vid = next_shared(ts.population)
+            vid = next_shared(ts.id_width)
             attrs = {a: next_shared(ts.attrs[a].domain_size) for a in needed}
             out.append(MatchedRecord(meta["parent_slot"], meta["parent_record"], vid, attrs))
         records.append(out)

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oblivgm import fss, rss
 from oblivgm.engine import EngineConfig, open_results, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
+from oblivgm.oracle import _Matcher
 from oblivgm.query import gen_token, load_query
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -31,12 +33,15 @@ def campus():
 
 def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
                      seed: int = 1, master: bytes = b"\x11" * 16,
-                     any_mode: str = "or", graph=None):
-    """Encrypt, tokenize and run one query in-process; returns all artifacts."""
+                     any_mode: str = "or", graph=None, schema=None):
+    """Encrypt, tokenize and run one query in-process; returns all artifacts.
+
+    ``schema``, when given, is used as built instead of deriving one at ``k``.
+    """
     if graph is None:
         graph = parse_graph_text(graph_text)
     rng = np.random.default_rng(seed)
-    schema, shares = encrypt_graph(graph, k, rng)
+    schema, shares = encrypt_graph(graph, k, rng, schema)
     query = load_query(query_text, schema)
     tokens = gen_token(query, schema, rng)
     runtimes = local_runtimes(make_session_configs(master))
@@ -58,3 +63,42 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
         "matches": set(matches),
         "details": details,
     }
+
+
+def expected_open_counts(res, any_mode: str = "or"):
+    """Plaintext count per candidate group of every open, in walk order.
+
+    Access opens count each parent record's true neighbours of the child
+    type; fetch opens count each group's candidates that satisfy the slot.
+    """
+    graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
+    matcher = _Matcher(graph, query, schema, any_mode)
+    slots = results[0].structure["slots"]
+
+    def neighbours(s, ri, vtype):
+        code = rss.reconstruct([r.records[s][ri].vertex_id for r in results]).to_int()
+        if not code:  # a dummy record
+            return []
+        ext = schema.types[slots[s]["type"]].ext_ids[code - 1]
+        return graph.posting_list(graph.index_of[ext], vtype)
+
+    out = []
+    for s, slot in enumerate(slots):
+        preds = slot["preds"]
+        unique = (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
+                  and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
+        parent = query.parent[s]
+        if parent is None:
+            groups = [graph.type_members[slot["type"]]]
+        else:
+            groups = [neighbours(parent, ri, slot["type"])
+                      for ri in range(len(results[0].records[parent]))]
+        groups = [g for g in groups if g]
+        if groups and not unique:
+            out.append(("secFetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
+        for child in slot["children"]:
+            n_records = len(results[0].records[s])
+            if n_records:
+                out.append(("secAccess", [len(neighbours(s, ri, slots[child]["type"]))
+                                          for ri in range(n_records)]))
+    return out

@@ -222,3 +222,35 @@ def test_ciphertext_size_monotone_in_k(workspace):
                      "--out-dir", str(outd), "--seed", ENC_SEED]) == 0
         sizes.append(sum((outd / f"graph-share-{i}.ogmg").stat().st_size for i in (1, 2, 3)))
     assert sizes[0] <= sizes[1] <= sizes[2]
+
+
+def test_old_files_and_bad_codes_exit_2(workspace, capsys):
+    from oblivgm import rss
+    from oblivgm.storage import load_results, load_schema, save_results
+
+    run_pipeline(workspace)
+    enc, res = workspace / "enc", workspace / "res"
+    schema_path = str(enc / "schema.json")
+    schema = load_schema(schema_path)
+    # a code past the population, in a file whose checksum holds
+    r1, r2 = (load_results(res / f"results-{i}.ogmr", schema) for i in (1, 2))
+    vid = r1.records[1][0].vertex_id  # slot pa: type P, 4 vertices, 3-bit codes
+    code = rss.reconstruct([vid, r2.records[1][0].vertex_id]).to_int()
+    vid.share_a.words[0] ^= np.uint32(7 ^ code)
+    save_results(workspace / "bad.ogmr", r1, schema)
+    capsys.readouterr()
+    assert main(["open", "--results", str(workspace / "bad.ogmr"), str(res / "results-2.ogmr"),
+                 "--schema", schema_path]) == 2
+    assert "id code 7 exceeds" in capsys.readouterr().err
+    # version-1 result and graph share files
+    for path in (res / "results-1.ogmr", enc / "graph-share-1.ogmg"):
+        data = bytearray(path.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+    assert main(["open", "--results", str(res / "results-1.ogmr"), str(res / "results-2.ogmr"),
+                 "--schema", schema_path]) == 2
+    assert "result file version 1" in capsys.readouterr().err
+    assert main(["query", "--graph-dir", str(enc), "--token-dir", str(workspace / "tok"),
+                 "--out-dir", str(workspace / "res-old"), "--session-seed", SES_SEED,
+                 "--quiet"]) == 2
+    assert "graph share version 1" in capsys.readouterr().err

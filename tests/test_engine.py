@@ -8,12 +8,13 @@ from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
 from oblivgm.engine import (CandidateGroup, EngineConfig, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
-from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
+from oblivgm.graphs import TypeSchema, build_schema, encrypt_graph, parse_graph_text
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
-from oblivgm.oracle import _Matcher, oracle_match
+from oblivgm.oracle import oracle_match
 from oblivgm.query import gen_token, load_query
 from oblivgm.rss import MatchTable
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
+from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, expected_open_counts,
+                            run_secure_query)
 
 
 def make_group(values, domain, rng, ids_domain=None):
@@ -213,6 +214,32 @@ def test_word_level_fields_match_bit_level_packing():
         for m, w in zip(mats, widths):
             assert np.array_equal(_bit_field(rows, pos, w), pack_bits(unpack_bits(m, w)))
             pos += w
+
+
+def test_id_codes_map_one_hot_ids_locally():
+    # the map is GF(2)-linear: a row opens to the XOR of c + 1 over its set
+    # bits, so e_c -> c + 1, the zero row -> 0, and each party maps alone
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 31, 32, 33, 64, 70, 500):
+        ts = TypeSchema([f"v{c}" for c in range(n)], {}, [], [], {})
+        assert ts.id_width == n.bit_length()
+        plain = np.concatenate([np.eye(n, dtype=np.uint8), np.zeros((1, n), np.uint8),
+                                rng.integers(0, 2, (5, n), dtype=np.uint8)])
+        want = [int(np.bitwise_xor.reduce(np.nonzero(row)[0] + 1, initial=0)) for row in plain]
+        comps = [rng.integers(0, 1 << 32, (len(plain), words_for(n)), dtype=np.uint32)
+                 for _ in range(2)]
+        comps.append(pack_bits(plain) ^ comps[0] ^ comps[1])
+        segments = (3, len(plain) - 3)
+        codes = [engine._id_codes(MatchTable(p + 1, n, comps[p], comps[(p + 1) % 3], segments), ts)
+                 for p in range(3)]
+        assert all(t.width == ts.id_width and t.segments == segments for t in codes)
+        assert [rss.reconstruct([t.row(i) for t in codes]).to_int()
+                for i in range(len(plain))] == want
+        # the root slot's public ids: the identity, or the codes 1..n
+        hot, coded = ([rss.reconstruct([engine._root_ids(p, ts, one_hot).row(c) for p in (1, 2, 3)])
+                       for c in range(n)] for one_hot in (True, False))
+        assert [v.to_bits().tolist() for v in hot] == np.eye(n, dtype=np.uint8).tolist()
+        assert [v.to_int() for v in coded] == list(range(1, n + 1))
 
 
 def test_reshare_matrix_rejects_a_short_payload():
@@ -466,45 +493,6 @@ def test_frames_follow_query_shape_not_match_count():
     assert frames[0] == frames[1]
 
 
-def _expected_open_counts(res):
-    """Plaintext count per candidate group of every open, in walk order.
-
-    Access opens count each parent record's true neighbours of the child
-    type; fetch opens count each group's candidates that satisfy the slot.
-    """
-    graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
-    matcher = _Matcher(graph, query, schema, "or")
-    slots = results[0].structure["slots"]
-
-    def neighbours(s, ri, vtype):
-        hot = rss.reconstruct([r.records[s][ri].vertex_id for r in results]).hot_index()
-        if hot is None:
-            return []
-        ext = schema.types[slots[s]["type"]].ext_ids[hot]
-        return graph.posting_list(graph.index_of[ext], vtype)
-
-    out = []
-    for s, slot in enumerate(slots):
-        preds = slot["preds"]
-        unique = (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
-                  and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
-        parent = query.parent[s]
-        if parent is None:
-            groups = [graph.type_members[slot["type"]]]
-        else:
-            groups = [neighbours(parent, ri, slot["type"])
-                      for ri in range(len(results[0].records[parent]))]
-        groups = [g for g in groups if g]
-        if groups and not unique:
-            out.append(("secFetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
-        for child in slot["children"]:
-            n_records = len(results[0].records[s])
-            if n_records:
-                out.append(("secAccess", [len(neighbours(s, ri, slots[child]["type"]))
-                                          for ri in range(n_records)]))
-    return out
-
-
 @pytest.mark.parametrize("query_text", [
     TWO_PERSON_QUERY,
     # p1 and p2 are each other's only P neighbour: two one-candidate fetch groups
@@ -521,7 +509,7 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
 
     monkeypatch.setattr(engine, "sec_shuffle", recording)
     res = run_secure_query(CAMPUS_GRAPH, query_text)
-    want = _expected_open_counts(res)
+    want = expected_open_counts(res)
     for rt in res["runtimes"]:
         assert len(rt.opened) == len(segments) == len(want)
         for (_, phase, opened), segs, (want_phase, counts) in zip(rt.opened, segments, want):

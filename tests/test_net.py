@@ -229,11 +229,15 @@ def _tcp_trio(master: bytes, worker):
         cfg = base[i]
         cfg.bind = peers[i + 1]
         cfg.peers = peers
+        rt = None
         try:
             rt = tcp_runtime(cfg, recv_timeout=30, connect_timeout=15)
             results[i] = worker(rt)
         except BaseException as exc:  # noqa: BLE001
             errors[i] = exc
+        finally:
+            if rt is not None:
+                rt.close_links()
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
     for t in threads:

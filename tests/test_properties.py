@@ -1,0 +1,157 @@
+"""Secure matching equals the plaintext oracle on generated graphs and queries.
+
+Graphs have 1-4 vertex types and 1-30 vertices, k is 1, 2 or 3, and queries
+are trees of up to 4 slots. Every type carries a repeating ordinal attribute
+``a`` and a unique one ``u``, so equality on ``u`` takes the unique fetch
+route and its misses fold to dummy records (id code 0). On every input the
+opened result must equal ``oracle_match``, and the leakage ledger must hold
+only fetch and access flags, each open with the per-group counts the oracle
+implies.
+
+``build_schema`` refuses k = 1, because one-vertex groups give no degree
+twins; the engine does not depend on padding, so k = 1 builds the schema
+with one group per vertex. It is the only way a single-vertex type (1-bit id
+codes) gets encrypted.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oblivgm import graphs, rss
+from oblivgm.graphs import GraphFormatError, build_schema, parse_graph_text
+from oblivgm.oracle import oracle_match
+from tests.conftest import CAMPUS_GRAPH, expected_open_counts, run_secure_query
+
+OPS = ("=", "=", "<", "<=", ">", ">=", "in")
+
+
+def _one_group_per_vertex(graph, k):
+    groups, padded = {}, {}
+    for vtype, members in graph.type_members.items():
+        groups[vtype] = [[li] for li in range(len(members))]
+        ptypes = sorted({t for gi in members for t in graph.neighbors[gi]})
+        padded[vtype] = {t: [len(graph.posting_list(gi, t)) for gi in members] for t in ptypes}
+    return groups, padded
+
+
+def schema_for(graph, k):
+    if k > 1:
+        return build_schema(graph, k)
+    with mock.patch.object(graphs, "pad_k_groups", _one_group_per_vertex):
+        return build_schema(graph, 1)
+
+
+@st.composite
+def graph_texts(draw):
+    n_types = draw(st.integers(1, 4))
+    pops = draw(st.lists(st.integers(1, 30 // n_types), min_size=n_types, max_size=n_types))
+    lines = []
+    for t, pop in enumerate(pops):
+        for i in range(pop):
+            lines.append(f"V T{t} v{len(lines)} a={draw(st.integers(0, 3))} u={i}")
+    n = len(lines)
+    density = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines += [f"E v{x} v{y}" for x in range(n) for y in range(x + 1, n) if rng.random() < density]
+    return "\n".join(lines) + "\n"
+
+
+def draw_query(data, schema) -> str:
+    """A tree query of up to 4 slots, each hop along an edge type of the schema."""
+    slot_types = [data.draw(st.sampled_from(sorted(schema.types)))]
+    edges = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        parents = [i for i, t in enumerate(slot_types) if schema.types[t].posting_types]
+        if not parents:
+            break
+        p = data.draw(st.sampled_from(parents))
+        edges.append((p, len(slot_types)))
+        slot_types.append(data.draw(st.sampled_from(schema.types[slot_types[p]].posting_types)))
+    lines = []
+    for i, t in enumerate(slot_types):
+        attrs = schema.types[t].attrs
+        n_preds = data.draw(st.integers(1, 2))
+        for _ in range(n_preds):
+            attr = data.draw(st.sampled_from(sorted(attrs)))
+            op = data.draw(st.sampled_from(OPS))
+            if op == "=":
+                operand = data.draw(st.sampled_from(attrs[attr].values))
+            elif op == "in":
+                lo = data.draw(st.integers(-1, 30))
+                operand = f"{lo} {data.draw(st.integers(lo, 31))}"
+            else:
+                operand = str(data.draw(st.integers(-1, 31)))
+            lines.append(f"Q s{i} {t} {attr} {op} {operand}")
+        if n_preds == 2:
+            lines.append(f"QC s{i} {data.draw(st.sampled_from(('ALL', 'ANY')))}")
+    lines += [f"QE s{p} s{c}" for p, c in edges]
+    return "\n".join(lines) + "\n"
+
+
+def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
+    res = run_secure_query(None, query_text, graph=graph, schema=schema, k=k, any_mode=any_mode)
+    assert res["matches"] == oracle_match(graph, res["query"], schema, any_mode=any_mode)
+    want = [(phase, sum(counts)) for phase, counts in expected_open_counts(res, any_mode)]
+    ledgers = [[(e.label, e.phase, e.bits) for e in rt.opened] for rt in res["runtimes"]]
+    assert ledgers[0] == ledgers[1] == ledgers[2]
+    assert [label for label, _, _ in ledgers[0]] == list(range(1, len(want) + 1))
+    assert [(phase, bits.popcount()) for _, phase, bits in ledgers[0]] == want
+    return res
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph_text=graph_texts(), k=st.sampled_from((1, 2, 3)),
+       any_mode=st.sampled_from(("or", "xor")), data=st.data())
+def test_secure_equals_oracle_on_generated_inputs(graph_text, k, any_mode, data):
+    graph = parse_graph_text(graph_text)
+    if k > min(len(m) for m in graph.type_members.values()):
+        with pytest.raises(GraphFormatError, match="fewer than k"):
+            build_schema(graph, k)
+        return
+    schema = schema_for(graph, k)
+    check_secure_equals_oracle(graph, schema, draw_query(data, schema), k, any_mode)
+
+
+SINGLE = """
+V A x a=1 u=0
+V B y1 a=1 u=0
+V B y2 a=2 u=1
+V B y3 a=2 u=2
+E x y1
+E x y3
+E y1 y2
+"""
+
+
+@pytest.mark.parametrize("graph_text,k,query_text,needs", [
+    # a single-vertex type (1-bit codes) as a leaf root, a root with children and a leaf
+    pytest.param(SINGLE, 1, "Q r A a = 1\n", "one-vertex root", id="one-vertex-leaf-root"),
+    pytest.param(SINGLE, 1, "Q r A a >= 0\nQ c B a <= 2\nQE r c\n", "one-vertex root",
+                 id="one-vertex-parent"),
+    pytest.param(SINGLE, 1, "Q r B a >= 1\nQ c A u = 0\nQE r c\n", "", id="one-vertex-leaf"),
+    # k equals a population: the whole type is one padding group
+    pytest.param(CAMPUS_GRAPH, 2, "Q u U place = Harbin\nQ p P age in 30 60\nQ c C field = "
+                 "software\nQE u p\nQE p c\n", "", id="k-equals-population"),
+    # unique route in a child slot: a group without the value folds to a dummy
+    pytest.param(CAMPUS_GRAPH, 2, "Q p P age >= 30\nQ c C field = Internet\nQE p c\n", "dummy",
+                 id="unique-route-misses"),
+    pytest.param(CAMPUS_GRAPH, 2, "Q p P age >= 40\nQ p P age < 32\nQC p ANY\nQ c C field = "
+                 "software\nQ c C field = Internet\nQC c ANY\nQE p c\n", "", id="any-combiners"),
+    pytest.param(CAMPUS_GRAPH, 2, "Q p P age >= 31\nQ p P age <= 40\nQ q P age > 0\n"
+                 "Q q P age < 45\nQ u U place = Harbin\nQE p q\nQE q u\n", "", id="all-combiners"),
+])
+def test_secure_equals_oracle_on_corner_cases(graph_text, k, query_text, needs):
+    graph = parse_graph_text(graph_text)
+    schema = schema_for(graph, k)
+    res = check_secure_equals_oracle(graph, schema, query_text, k)
+    assert res["matches"]
+    if needs == "dummy":  # some record of the leaf slot opens to id code 0
+        results = res["results"]
+        assert 0 in [rss.reconstruct([r.records[1][ri].vertex_id for r in results]).to_int()
+                     for ri in range(len(results[0].records[1]))]
+    if needs == "one-vertex root":
+        assert schema.types["A"].id_width == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oblivgm import rss
 from oblivgm.bits import BitVector
 from oblivgm.engine import open_results
 from oblivgm.graphs import encrypt_graph, parse_graph_text, reconstruct_type_matrix
@@ -38,9 +39,6 @@ def test_graph_share_file_round_trip(tmp_path):
         save_graph_share(p, gs)
         loaded.append(load_graph_share(p, schema_back))
     for vtype, ts in schema.types.items():
-        assert np.array_equal(
-            reconstruct_type_matrix(loaded, vtype, "id"),
-            reconstruct_type_matrix(shares, vtype, "id"))
         for a in ts.attrs:
             assert np.array_equal(
                 reconstruct_type_matrix(loaded, vtype, "attr", a),
@@ -107,4 +105,46 @@ def test_open_results_detects_corrupted_share(tmp_path):
     words[0] ^= 1
     rec.vertex_id.share_a.words[:] = words
     with pytest.raises(ValueError, match="inconsistent|weight"):
+        open_results([r1, r2], res["schema"])
+
+
+def test_version_1_files_are_refused(tmp_path):
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    graph_path, result_path = tmp_path / "g.ogmg", tmp_path / "r.ogmr"
+    save_graph_share(graph_path, res["shares"][0])
+    save_results(result_path, res["results"][0], res["schema"])
+    for path, load in ((graph_path, load_graph_share), (result_path, load_results)):
+        data = bytearray(path.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")  # the container header's version field
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=r"version 1 \(expected 2\)"):
+            load(path, res["schema"])
+
+
+def test_every_flipped_byte_of_a_result_file_is_refused(tmp_path):
+    # a flipped bit of a code share would open to another valid vertex, so
+    # no single flip anywhere in the file may load
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    path = tmp_path / "r.ogmr"
+    save_results(path, res["results"][0], res["schema"])
+    data = path.read_bytes()
+    assert load_results(path, res["schema"]).records
+    for pos in range(len(data)):
+        flipped = bytearray(data)
+        flipped[pos] ^= 1 << (pos % 8)
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(StorageError):
+            load_results(path, res["schema"])
+
+
+def test_open_results_rejects_a_code_past_the_population():
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    r1, r2 = res["results"][0], res["results"][1]
+    slot = 1  # pa: type P, 4 vertices, 3-bit codes
+    assert res["schema"].types["P"].id_width == 3
+    vid = r1.records[slot][0].vertex_id
+    code = rss.reconstruct([vid, r2.records[slot][0].vertex_id]).to_int()
+    # of parties 1 and 2, only party 1 holds share 1: the pair opens to code 7
+    vid.share_a.words[0] ^= np.uint32(7 ^ code)
+    with pytest.raises(ValueError, match="id code 7 exceeds the 4 vertices of type 'P'"):
         open_results([r1, r2], res["schema"])
