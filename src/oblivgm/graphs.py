@@ -12,10 +12,10 @@ as posting lists (per neighbor type, in ext-id appearance order).
 Encryption turns every private value into a one-hot vector over a public
 dictionary and splits it with replicated secret sharing. Vertex ids are not
 private: row ``c`` of a type is the vertex ``ext_ids[c]``, so no id is
-stored, and the engine builds the ids it needs as public constants. Before sharing,
-posting lists are padded inside groups of ``k`` same-type vertices so that
-group members have identical per-type degrees; the dummy entries are shares
-of the zero vector and are indistinguishable from true entries.
+stored, and the engine builds the ids it needs as public constants. Before
+sharing, posting lists are padded inside groups of ``k`` same-type vertices
+so that group members have identical per-type degrees; the dummy entries
+are shares of the zero vector and are indistinguishable from true entries.
 """
 
 from __future__ import annotations

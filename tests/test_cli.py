@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oblivgm import rss
 from oblivgm.cli import main
+from oblivgm.storage import load_results, load_schema, save_results
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY
 
 ENC_SEED = "00112233445566778899aabbccddeeff"
@@ -225,9 +227,6 @@ def test_ciphertext_size_monotone_in_k(workspace):
 
 
 def test_old_files_and_bad_codes_exit_2(workspace, capsys):
-    from oblivgm import rss
-    from oblivgm.storage import load_results, load_schema, save_results
-
     run_pipeline(workspace)
     enc, res = workspace / "enc", workspace / "res"
     schema_path = str(enc / "schema.json")

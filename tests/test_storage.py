@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from oblivgm import rss
 from oblivgm.bits import BitVector
 from oblivgm.engine import open_results
 from oblivgm.graphs import encrypt_graph, parse_graph_text, reconstruct_type_matrix
@@ -136,15 +135,3 @@ def test_every_flipped_byte_of_a_result_file_is_refused(tmp_path):
         with pytest.raises(StorageError):
             load_results(path, res["schema"])
 
-
-def test_open_results_rejects_a_code_past_the_population():
-    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
-    r1, r2 = res["results"][0], res["results"][1]
-    slot = 1  # pa: type P, 4 vertices, 3-bit codes
-    assert res["schema"].types["P"].id_width == 3
-    vid = r1.records[slot][0].vertex_id
-    code = rss.reconstruct([vid, r2.records[slot][0].vertex_id]).to_int()
-    # of parties 1 and 2, only party 1 holds share 1: the pair opens to code 7
-    vid.share_a.words[0] ^= np.uint32(7 ^ code)
-    with pytest.raises(ValueError, match="id code 7 exceeds the 4 vertices of type 'P'"):
-        open_results([r1, r2], res["schema"])
