@@ -49,11 +49,6 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
     return bits[..., :nbits]
 
 
-def stack_rows(mats: list[np.ndarray]) -> np.ndarray:
-    """Stack word matrices row-wise; a single matrix is returned as is, not copied."""
-    return mats[0] if len(mats) == 1 else np.concatenate(mats)
-
-
 class BitVector:
     """A length-annotated packed bit string.
 
@@ -111,11 +106,6 @@ class BitVector:
         return cls(np.array(words, dtype=np.uint32), nbits)
 
     # -- queries -----------------------------------------------------------
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.logical_len:
-            raise IndexError(f"bit index {i} out of range")
-        return int((self.words[i // WORD_BITS] >> (i % WORD_BITS)) & 1)
 
     def to_bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.logical_len)

@@ -14,12 +14,14 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   computed, shuffled and opened to discard padding, and the surviving
   neighbors' attribute values are fetched by one-hot selection again.
 * the matcher walks the query tree breadth-first, carrying public
-  provenance (which parent record a candidate group descends from), and
-  finally assembles complete subgraphs and prunes partial branches.
+  provenance (which parent record each row descends from), and finally
+  assembles complete subgraphs and prunes partial branches.
 
-Every batch of shares is an :class:`oblivgm.rss.MatchTable`: a candidate
-group holds one table per field (the vertex ids and each queried
-attribute), and every re-share goes through :func:`oblivgm.rss.reshare_rows`.
+A query slot's candidates, and then its matched records, are one
+:class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
+vertex ids and each queried attribute) and a public ``parent_record`` array.
+A candidate group is a run of rows with one parent record. Every re-share
+goes through :func:`oblivgm.rss.reshare_rows`.
 
 A vertex id takes one of two encodings. It is one-hot over the type's
 population only while a one-hot selection may still read it: in a slot
@@ -33,9 +35,8 @@ Root ids are public, row ``c`` being vertex ``c``, so the graph shares hold
 none: the root slot's ids are a public constant, codes at a leaf root and
 the one-hot identity at a root with children.
 
-Each query slot runs as one batch. Its candidate groups, one per matched
-parent record, are stacked into tables whose segments are the public
-per-group row counts, and every protocol step carries the whole slot in one
+Each query slot runs as one batch. Its candidate groups are the segments
+of its tables, and every protocol step carries the whole slot in one
 message: one re-share per evaluation pass, one shuffle in which each group
 is permuted under its own table id, one open of all shuffled flags. The
 opened flags and the group boundaries are exactly what per-group steps
@@ -46,6 +47,7 @@ opened value is entered in the runtime's ledger (``rt.opened``).
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -67,28 +69,33 @@ class EngineConfig:
 
 
 @dataclass
-class CandidateGroup:
-    """Candidate shares, one table per field, with public provenance."""
+class RecordTable:
+    """A query slot's rows: one table per field, with public provenance.
 
-    parent_slot: int | None
-    parent_record: int | None
-    ids: MatchTable  # one-hot ids, or id codes (see the module docstring)
+    Row ``r`` descends from record ``parent_record[r]`` of the parent slot
+    (-1 at the root). Rows are sorted by parent record; a run of one parent
+    record is one candidate group. ``ids`` are one-hot or id codes.
+    """
+
+    ids: MatchTable
     attrs: dict[str, MatchTable]
+    parent_record: np.ndarray
 
+    @property
+    def rows(self) -> int:
+        return self.ids.rows
 
-@dataclass
-class MatchedRecord:
-    parent_slot: int | None
-    parent_record: int | None
-    vertex_id: rss.SharedBitVector  # id code once the slot's accesses are done
-    attrs: dict[str, rss.SharedBitVector]
+    def groups(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The parent record of each candidate group, and each group's row count."""
+        parents, counts = np.unique(self.parent_record, return_counts=True)
+        return parents, tuple(counts.tolist())
 
 
 @dataclass
 class MatchResultSet:
     party_index: int
     structure: dict
-    records: list[list[MatchedRecord]]
+    records: list[RecordTable]  # one table per query slot
     subgraphs: list[tuple[int, ...]]
 
 
@@ -242,19 +249,13 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
-def _split(keep: np.ndarray, segments) -> list[slice]:
-    """Per segment, the slice of the sorted row indices ``keep`` that falls in it."""
-    ends = np.searchsorted(keep, np.cumsum(segments))
-    starts = np.concatenate(([0], ends[:-1]))
-    return [slice(int(lo), int(hi)) for lo, hi in zip(starts, ends)]
-
-
 def _shuffle_open_keep(rt, flag_bits, fields: list[MatchTable], segments):
     """Shuffle rows of flag || fields segment by segment, open the flags, keep the ones.
 
     ``flag_bits`` holds the party's two shares of the flag column as 0/1
-    arrays. Returns the kept row positions in the shuffled table (sorted, so
-    :func:`_split` cuts them per segment) and one table of kept rows per field.
+    arrays. Returns the kept row positions in the shuffled table, sorted, and
+    one table of kept rows per field. A segment is permuted within its own
+    rows, so a kept position tells which segment the row came from.
     """
     widths = [f.width for f in fields]
 
@@ -276,9 +277,9 @@ def _shuffle_open_keep(rt, flag_bits, fields: list[MatchTable], segments):
 # ---------------------------------------------------------------------------
 
 
-def sec_eval(rt, groups: list[CandidateGroup], key_pair, attr: str,
+def sec_eval(rt, cands: RecordTable, key_pair, attr: str,
              domain_size: int) -> rss.SharedBitVector:
-    """Evaluate one predicate over a slot's stacked groups; one shared bit each.
+    """Evaluate one predicate over a slot's candidates; one shared bit each.
 
     Each evaluation pass re-shares one bit per candidate of every group in a
     single message. Interval keys run two passes (their two comparison
@@ -286,7 +287,7 @@ def sec_eval(rt, groups: list[CandidateGroup], key_pair, attr: str,
     """
     first, second = key_pair
     passes = list(zip(fss.key_parts_for_engine(first), fss.key_parts_for_engine(second)))
-    values = MatchTable.stack([g.attrs[attr] for g in groups])
+    values = cands.attrs[attr]
     result: rss.SharedBitVector | None = None
     for part_a, part_b in passes:
         ind_a = fss.full_domain_eval(part_a, domain_size).words
@@ -327,8 +328,7 @@ def combine_predicates(rt, bits: list[rss.SharedBitVector], combiner: str,
 # ---------------------------------------------------------------------------
 
 
-def sec_fetch_unique(rt, groups: list[CandidateGroup],
-                     flags: rss.SharedBitVector) -> list[MatchedRecord]:
+def sec_fetch_unique(rt, cands: RecordTable, flags: rss.SharedBitVector) -> RecordTable:
     """Case with at most one satisfying candidate per group: fold by flag bits locally.
 
     Local AND terms accumulate additively over each group's candidates, then
@@ -336,48 +336,34 @@ def sec_fetch_unique(rt, groups: list[CandidateGroup],
     communication does not grow with the candidate count. A zero-match group
     folds to the all-zero (dummy) record. Returns one record per group.
     """
-    fa = flags.share_a.to_bits()
-    fb = flags.share_b.to_bits()
-    bounds = np.cumsum([0] + [g.ids.rows for g in groups])
-    spans = list(zip(bounds[:-1], bounds[1:]))
+    parents, counts = cands.groups()
+    fa, fb = flags.share_a.to_bits(), flags.share_b.to_bits()
+    bounds = np.cumsum((0,) + counts)
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def fold(tables: list[MatchTable]) -> MatchTable:
-        additive = np.stack([_select_one_additive(fa[lo:hi], fb[lo:hi], t.share_a, t.share_b)
-                             for t, (lo, hi) in zip(tables, spans)])
-        return rss.reshare_rows(rt, additive, tables[0].width)
+    def fold(t: MatchTable) -> MatchTable:  # ids first, then the attributes in name order
+        return rss.reshare_rows(rt, np.stack([_select_one_additive(
+            fa[sp], fb[sp], t.share_a[sp], t.share_b[sp]) for sp in spans]), t.width)
 
-    vertex_ids = fold([g.ids for g in groups])
-    attrs = {name: fold([g.attrs[name] for g in groups]) for name in sorted(groups[0].attrs)}
-    return [
-        MatchedRecord(g.parent_slot, g.parent_record, vertex_ids.row(i),
-                      {name: t.row(i) for name, t in attrs.items()})
-        for i, g in enumerate(groups)
-    ]
+    return RecordTable(fold(cands.ids), {a: fold(t) for a, t in sorted(cands.attrs.items())},
+                       parents)
 
 
-def sec_fetch_multi(rt, groups: list[CandidateGroup],
-                    flags: rss.SharedBitVector) -> list[MatchedRecord]:
+def sec_fetch_multi(rt, cands: RecordTable, flags: rss.SharedBitVector) -> RecordTable:
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
     The slot's groups are the segments of one shuffled table, so each group
     is permuted on its own while all of them share the shuffle's four frames
-    and one open of the flags. The id field is as wide as the groups' ids:
-    ``id_width`` bits of code in a leaf slot, the population in a slot whose
-    records are still to be accessed.
+    and one open of the flags; a kept row keeps its group's parent record.
+    The id field is as wide as the candidates' ids: ``id_width`` bits of code
+    in a leaf slot, the population in a slot whose records are still to be
+    accessed.
     """
-    attr_names = sorted(groups[0].attrs)
-    fields = [MatchTable.stack([g.ids for g in groups])]
-    fields += [MatchTable.stack([g.attrs[a] for g in groups]) for a in attr_names]
-    segments = fields[0].segments
-    keep, cuts = _shuffle_open_keep(rt, (flags.share_a.to_bits(), flags.share_b.to_bits()),
-                                    fields, segments)
-    records = []
-    for g, rows in zip(groups, _split(keep, segments)):
-        for i in range(rows.start, rows.stop):
-            vid, *vals = (cut.row(i) for cut in cuts)
-            records.append(MatchedRecord(g.parent_slot, g.parent_record, vid,
-                                         dict(zip(attr_names, vals))))
-    return records
+    names = sorted(cands.attrs)
+    keep, (ids, *values) = _shuffle_open_keep(
+        rt, (flags.share_a.to_bits(), flags.share_b.to_bits()),
+        [cands.ids] + [cands.attrs[a] for a in names], cands.groups()[1])
+    return RecordTable(ids, dict(zip(names, values)), cands.parent_record[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +371,8 @@ def sec_fetch_multi(rt, groups: list[CandidateGroup],
 # ---------------------------------------------------------------------------
 
 
-def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: str,
-               needed_attrs: list[str], gshare: GraphShare,
-               parent_slot: int) -> list[CandidateGroup]:
+def sec_access(rt, records: RecordTable, parent_type: str, child_type: str,
+               needed_attrs: list[str], gshare: GraphShare) -> RecordTable:
     """Pull every matched vertex's neighbors of ``child_type`` out of the graph.
 
     Selection runs over the whole parent-type population, so nothing about
@@ -395,7 +380,7 @@ def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: s
     after the validity flags have been shuffled. All records travel together:
     one selection re-share, one shuffle with one segment per record (its
     padded posting list), one open, and one re-share per attribute. Returns
-    one candidate group per record, in record order.
+    the child slot's candidates, sorted by the record they descend from.
     """
     child = gshare.schema.types[child_type]
     attr_widths = {a: child.attrs[a].domain_size for a in needed_attrs}
@@ -408,21 +393,18 @@ def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: s
 
     ids = no_rows(child.population)
     attrs = {a: no_rows(w) for a, w in attr_widths.items()}
-    spans = [slice(0, 0)] * len(records)
-    if l_max and records:
+    keep = np.zeros(0, np.int64)
+    if l_max and records.rows:
         # one-hot selection of every matched vertex's padded posting list
-        sel_a = np.stack([r.vertex_id.share_a.to_bits() for r in records])
-        sel_b = np.stack([r.vertex_id.share_b.to_bits() for r in records])
-        additive = _select_many_additive(sel_a, sel_b, lists_a.reshape(x_pa, -1),
-                                         lists_b.reshape(x_pa, -1))
+        additive = _select_many_additive(
+            unpack_bits(records.ids.share_a, x_pa), unpack_bits(records.ids.share_b, x_pa),
+            lists_a.reshape(x_pa, -1), lists_b.reshape(x_pa, -1))
         fetched = rss.reshare_rows(rt, additive.reshape(-1, words_for(child.population)),
                                    child.population)
 
         # a fetched row is valid when it holds a one-hot id; shuffle, open, keep
-        segments = (l_max,) * len(records)
         valid = (_parity_rows(fetched.share_a), _parity_rows(fetched.share_b))
-        keep, (ids,) = _shuffle_open_keep(rt, valid, [fetched], segments)
-        spans = _split(keep, segments)
+        keep, (ids,) = _shuffle_open_keep(rt, valid, [fetched], (l_max,) * records.rows)
 
         if keep.size:
             # one-hot fetch of every surviving neighbor's queried attribute values
@@ -431,8 +413,8 @@ def sec_access(rt, records: list[MatchedRecord], parent_type: str, child_type: s
             attrs = {a: rss.reshare_rows(rt, _select_many_additive(
                          kept_a, kept_b, *gshare.types[child_type].attrs[a]), w)
                      for a, w in attr_widths.items()}
-    return [CandidateGroup(parent_slot, ri, ids.take(sp), {a: t.take(sp) for a, t in attrs.items()})
-            for ri, sp in enumerate(spans)]
+    # record r's posting list is segment r, rows [r * l_max, (r + 1) * l_max)
+    return RecordTable(ids, attrs, keep // max(l_max, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +427,11 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
     """Run the whole query against the encrypted graph at one party."""
     config = config or EngineConfig()
     schema = gshare.schema
-    if token.schema_digest != schema.digest():
+    if token.schema_digest != gshare.schema_digest:
         raise ValueError("token and graph share were built for different schemas")
     slots = token.structure["slots"]
-    groups: list[list[CandidateGroup]] = [[] for _ in slots]
-    records: list[list[MatchedRecord]] = [[] for _ in slots]
+    cands: list[RecordTable | None] = [None] * len(slots)
+    records: list[RecordTable] = []
 
     def say(msg: str):
         if config.progress:
@@ -458,86 +440,64 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
     for s, slot in enumerate(slots):
         vtype = slot["type"]
         ts = schema.types[vtype]
-        needed = sorted({p["attr"] for p in slot["preds"]})
         if s == 0:
             tps = gshare.types[vtype]  # wrapped, not copied
-            groups[0] = [CandidateGroup(
-                None, None, _root_ids(rt.index, ts, one_hot=bool(slot["children"])),
+            needed = sorted({p["attr"] for p in slot["preds"]})
+            cands[0] = RecordTable(
+                _root_ids(rt.index, ts, one_hot=bool(slot["children"])),
                 {a: MatchTable(rt.index, ts.attrs[a].domain_size, *tps.attrs[a]) for a in needed},
-            )]
+                np.full(ts.population, -1))
+        elif not slot["children"]:  # no selection reads a leaf's ids
+            cands[s] = replace(cands[s], ids=_id_codes(cands[s].ids, ts))
         unique_route = (
             len(slot["preds"]) == 1
             and slot["preds"][0]["kind"] == fss.KIND_EQ
             and ts.attrs[slot["preds"][0]["attr"]].unique
         )
-        say(f"slot {s} ({slot['name']}): {sum(g.ids.rows for g in groups[s])} candidates "
-            f"in {len(groups[s])} groups")
-        live = [g for g in groups[s] if g.ids.rows]
-        if live and s and not slot["children"]:  # no selection reads a leaf's ids
-            codes = _id_codes(MatchTable.stack([g.ids for g in live]), ts)
-            bounds = np.cumsum((0,) + codes.segments)
-            live = [replace(g, ids=codes.take(slice(lo, hi)))
-                    for g, lo, hi in zip(live, bounds, bounds[1:])]
-        if live:
+        say(f"slot {s} ({slot['name']}): {cands[s].rows} candidates "
+            f"in {len(cands[s].groups()[1])} groups")
+        matched = cands[s]  # no candidates, no records
+        if cands[s].rows:
             with rt.meter.phase("secEval"):
                 bits = [
-                    sec_eval(rt, live, token.slot_keys[s][pi], pred["attr"],
+                    sec_eval(rt, cands[s], token.slot_keys[s][pi], pred["attr"],
                              ts.attrs[pred["attr"]].domain_size)
                     for pi, pred in enumerate(slot["preds"])
                 ]
                 flags = combine_predicates(rt, bits, slot["combiner"], config.any_mode)
             with rt.meter.phase("secFetch"):
-                if unique_route:
-                    records[s] = sec_fetch_unique(rt, live, flags)
-                else:
-                    records[s] = sec_fetch_multi(rt, live, flags)
-        say(f"slot {s} ({slot['name']}): {len(records[s])} matched records")
+                fetch = sec_fetch_unique if unique_route else sec_fetch_multi
+                matched = fetch(rt, cands[s], flags)
+        say(f"slot {s} ({slot['name']}): {matched.rows} matched records")
         for child in slot["children"]:
             child_type = slots[child]["type"]
             child_attrs = sorted({p["attr"] for p in slots[child]["preds"]})
             with rt.meter.phase("secAccess"):
-                groups[child] = sec_access(rt, records[s], vtype, child_type, child_attrs,
-                                           gshare, s)
-        if slot["children"] and records[s]:  # accessed: from here on, codes
-            codes = _id_codes(MatchTable.from_rows([r.vertex_id for r in records[s]]), ts)
-            records[s] = [replace(r, vertex_id=codes.row(i)) for i, r in enumerate(records[s])]
+                cands[child] = sec_access(rt, matched, vtype, child_type, child_attrs, gshare)
+        if slot["children"]:  # accessed: from here on, codes
+            matched = replace(matched, ids=_id_codes(matched.ids, ts))
+        records.append(matched)
 
     subgraphs = _assemble(slots, records)
     say(f"assembled {len(subgraphs)} complete subgraphs")
     return MatchResultSet(rt.index, token.structure, records, subgraphs)
 
 
-def _assemble(slots, records: list[list[MatchedRecord]]) -> list[tuple[int, ...]]:
-    """Walk public provenance links and keep only complete subtree products."""
-    nslots = len(slots)
-    children_of = [slot["children"] for slot in slots]
-    by_parent: list[dict[int | None, list[int]]] = [{} for _ in range(nslots)]
-    for s in range(nslots):
-        for ri, rec in enumerate(records[s]):
-            by_parent[s].setdefault(rec.parent_record, []).append(ri)
+def _assemble(slots, records: list[RecordTable]) -> list[tuple[int, ...]]:
+    """Walk the public ``parent_record`` links and keep only complete subtree products."""
+    # a slot's records are sorted by parent record: the children of record p
+    # of slot s are the rows [first[child][p], first[child][p + 1])
+    first = {child: np.searchsorted(records[child].parent_record,
+                                    np.arange(records[s].rows + 1)).tolist()
+             for s, slot in enumerate(slots) for child in slot["children"]}
 
-    def expand(slot: int, rec_idx: int) -> list[dict[int, int]]:
-        parts: list[list[dict[int, int]]] = []
-        for child in children_of[slot]:
-            sub: list[dict[int, int]] = []
-            for cri in by_parent[child].get(rec_idx, []):
-                sub.extend(expand(child, cri))
-            if not sub:
-                return []
-            parts.append(sub)
-        out = []
-        for pick in product(*parts):
-            assignment = {slot: rec_idx}
-            for d in pick:
-                assignment.update(d)
-            out.append(assignment)
-        return out
+    def expand(slot: int, ri: int) -> list[ChainMap]:
+        parts = [[a for cri in range(first[c][ri], first[c][ri + 1]) for a in expand(c, cri)]
+                 for c in slots[slot]["children"]]
+        return [ChainMap({slot: ri}, *pick) for pick in product(*parts)]
 
-    results = []
-    for ri in range(len(records[0])):
-        for assignment in expand(0, ri):
-            results.append(tuple(assignment[s] for s in range(nslots)))
-    return results
+    return [tuple(a[s] for s in range(len(slots)))
+            for ri in range(records[0].rows) for a in expand(0, ri)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +505,14 @@ def _assemble(slots, records: list[list[MatchedRecord]]) -> list[tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
-    """Merge two or three party result sets into plaintext subgraphs.
+def decode_records(result_sets: list[MatchResultSet], schema: GraphSchema):
+    """Open every slot's records from two or three party result sets, field by field.
 
-    Returns ``(matches, details)``: slot-ordered ext-id tuples, and per-match
-    decoded attribute values. Subgraphs containing a dummy vertex record (id
-    code 0) collapse silently; they stem from unique-fetch groups without a
-    satisfying candidate. A code past the type's population raises
-    ``ValueError``.
+    Returns per slot ``(ext_ids, attrs)``: each record's ext id (``None``
+    for a dummy, id code 0) and per queried attribute each record's value
+    (``None`` for an all-zero row). Raises ``ValueError`` where the parties'
+    structure, subgraphs, record counts, provenance or copies of a share
+    component differ, a code passes the population or a value row is two-hot.
     """
     if len(result_sets) < 2:
         raise ValueError("need result shares from at least two parties")
@@ -562,32 +522,53 @@ def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
             raise ValueError("result metadata differs between parties")
         if other.subgraphs != base.subgraphs:
             raise ValueError("result assembly differs between parties")
-        if [len(r) for r in other.records] != [len(r) for r in base.records]:
+        if [t.rows for t in other.records] != [t.rows for t in base.records]:
             raise ValueError("record counts differ between parties")
-    slots = base.structure["slots"]
-    decoded: list[list[tuple[str | None, dict]]] = []
-    for s, slot in enumerate(slots):
+        if not all(np.array_equal(t.parent_record, u.parent_record)
+                   for t, u in zip(other.records, base.records)):
+            raise ValueError("record provenance differs between parties")
+    decoded = []
+    for s, slot in enumerate(base.structure["slots"]):
         ts = schema.types[slot["type"]]
-        out = []
-        for ri in range(len(base.records[s])):
-            code = rss.reconstruct([r.records[s][ri].vertex_id for r in result_sets]).to_int()
-            if code > ts.population:
-                raise ValueError(f"slot {s} record {ri}: id code {code} exceeds the "
-                                 f"{ts.population} vertices of type {slot['type']!r}")
-            ext = ts.ext_ids[code - 1] if code else None
-            attrs = {}
-            for a in sorted({p["attr"] for p in slot["preds"]}):
-                vec = rss.reconstruct([r.records[s][ri].attrs[a] for r in result_sets])
-                idx = vec.hot_index()
-                attrs[a] = None if idx is None else ts.attrs[a].values[idx]
-            out.append((ext, attrs))
-        decoded.append(out)
+        tables = [r.records[s] for r in result_sets]
+        codes = rss.reconstruct_rows([t.ids for t in tables])[:, 0]  # id_width <= 32
+        if (codes > ts.population).any():
+            ri = int(np.argmax(codes > ts.population))
+            raise ValueError(f"slot {s} record {ri}: id code {codes[ri]} exceeds the "
+                             f"{ts.population} vertices of type {slot['type']!r}")
+        ext_of = [None] + ts.ext_ids  # indexed by code
+        attrs = {}
+        for a in sorted({p["attr"] for p in slot["preds"]}):
+            plain = rss.reconstruct_rows([t.attrs[a] for t in tables])
+            weight = np.bitwise_count(plain).sum(axis=1)
+            if (weight > 1).any():
+                ri = int(np.argmax(weight > 1))
+                raise ValueError(f"slot {s} record {ri}: attribute {a!r} expected Hamming "
+                                 f"weight <= 1, got {weight[ri]}")
+            hot = unpack_bits(plain, ts.attrs[a].domain_size).argmax(axis=1) + 1
+            value_of = [None] + ts.attrs[a].values  # indexed by hot bit + 1
+            attrs[a] = [value_of[i] for i in np.where(weight == 1, hot, 0).tolist()]
+        decoded.append(([ext_of[c] for c in codes.tolist()], attrs))
+    return decoded
+
+
+def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
+    """Merge two or three party result sets into plaintext subgraphs.
+
+    Returns ``(matches, details)``: slot-ordered ext-id tuples, and per-match
+    decoded ``(ext_id, attribute values)`` per slot. Subgraphs containing a
+    dummy vertex record (id code 0) collapse silently; they stem from
+    unique-fetch groups without a satisfying candidate. Every check of
+    :func:`decode_records` applies.
+    """
+    decoded = decode_records(result_sets, schema)
     matches = []
     details = []
-    for combo in base.subgraphs:
-        ids = tuple(decoded[s][ri][0] for s, ri in enumerate(combo))
+    for combo in result_sets[0].subgraphs:
+        ids = tuple(decoded[s][0][ri] for s, ri in enumerate(combo))
         if any(v is None for v in ids):
             continue
         matches.append(ids)
-        details.append([decoded[s][ri] for s, ri in enumerate(combo)])
+        details.append([(ext, {a: vals[ri] for a, vals in decoded[s][1].items()})
+                        for s, (ri, ext) in enumerate(zip(combo, ids))])
     return matches, details

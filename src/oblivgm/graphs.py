@@ -327,6 +327,10 @@ class GraphShare:
     party_index: int
     schema: GraphSchema
     types: dict[str, TypePartyShare]
+    schema_digest: bytes = b""  # taken once, when the share is built or loaded
+
+    def __post_init__(self):
+        self.schema_digest = self.schema_digest or self.schema.digest()
 
 
 def _share_matrix(plain_words: np.ndarray, rng: np.random.Generator):

@@ -7,9 +7,10 @@ re-share: each party blinds its additive share with a fresh zero-sharing and
 forwards it to the next party.
 
 Two containers hold one party's shares. :class:`SharedBitVector` is a single
-vector (result records, files, the public API); :class:`MatchTable` is a
+vector (predicate bits and the flags to open); :class:`MatchTable` is a
 batch of uniform-width rows as two word matrices, with public segment row
-counts, and is what every protocol step of the engine moves.
+counts. Tables are what every protocol step of the engine moves, what a
+query's matched records are, and what result files store.
 
 Local share algebra lives here as pure functions. The operations that
 communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitVector, mask_tail, stack_rows, words_for
+from .bits import BitVector, mask_tail, words_for
 from .net import OP_OPEN, OP_RESHARE, ProtocolError
 from .prf import prf_words
 
@@ -119,18 +120,6 @@ class MatchTable:
         b = np.stack([r.share_b.words for r in rows])
         return cls(party, width, a, b)
 
-    @classmethod
-    def stack(cls, tables: list["MatchTable"]) -> "MatchTable":
-        """Tables end to end, each one a segment; a single table's matrices are not copied."""
-        first = tables[0]
-        for t in tables:
-            if t.width != first.width or t.party_index != first.party_index:
-                raise ValueError("stacked tables must share width and party")
-        return cls(first.party_index, first.width,
-                   stack_rows([t.share_a for t in tables]),
-                   stack_rows([t.share_b for t in tables]),
-                   tuple(t.rows for t in tables))
-
     def take(self, rows) -> "MatchTable":
         """The rows picked by a slice or an index array, as a one-segment table."""
         return MatchTable(self.party_index, self.width, self.share_a[rows], self.share_b[rows])
@@ -158,24 +147,33 @@ def share(plaintext: BitVector, rng: np.random.Generator):
 
 
 def reconstruct(shares) -> BitVector:
-    """Recover the plaintext from the share pairs of any two or three parties.
+    """Recover one vector from the share pairs of any two or three parties (one-row tables)."""
+    tables = [MatchTable(sv.party_index, sv.logical_len, sv.share_a.words[None],
+                         sv.share_b.words[None]) for sv in shares]
+    return BitVector(reconstruct_rows(tables)[0], tables[0].width)
 
-    Duplicated components must agree; all three share indices must be covered.
+
+def reconstruct_rows(tables) -> np.ndarray:
+    """Recover a table's plaintext rows from the shares of any two or three parties.
+
+    Duplicated components must agree; all three share indices must be
+    covered. Returns the packed rows, with the bits past the width zero.
     """
-    shares = list(shares)
-    if not shares:
+    tables = list(tables)
+    if not tables:
         raise ValueError("no shares given")
-    n = shares[0].logical_len
-    components: dict[int, BitVector] = {}
-    for sv in shares:
-        if sv.logical_len != n:
+    shape = tables[0].width, tables[0].rows
+    components: dict[int, np.ndarray] = {}
+    for t in tables:
+        if (t.width, t.rows) != shape:
             raise ValueError("length mismatch between share pairs")
-        for idx, vec in ((sv.party_index, sv.share_a), (next_party(sv.party_index), sv.share_b)):
+        for idx, mat in ((t.party_index, t.share_a), (next_party(t.party_index), t.share_b)):
+            mat = mask_tail(mat.copy(), t.width)
             if idx in components:
-                if components[idx] != vec:
+                if not np.array_equal(components[idx], mat):
                     raise ValueError(f"inconsistent copies of share {idx}")
             else:
-                components[idx] = vec
+                components[idx] = mat
     if set(components) != set(PARTIES):
         raise ValueError(f"share indices {sorted(components)} do not cover all of {PARTIES}")
     return components[1] ^ components[2] ^ components[3]

@@ -76,7 +76,7 @@ def expected_open_counts(res, any_mode: str = "or"):
     slots = results[0].structure["slots"]
 
     def neighbours(s, ri, vtype):
-        code = rss.reconstruct([r.records[s][ri].vertex_id for r in results]).to_int()
+        code = rss.reconstruct([r.records[s].ids.row(ri) for r in results]).to_int()
         if not code:  # a dummy record
             return []
         ext = schema.types[slots[s]["type"]].ext_ids[code - 1]
@@ -92,13 +92,50 @@ def expected_open_counts(res, any_mode: str = "or"):
             groups = [graph.type_members[slot["type"]]]
         else:
             groups = [neighbours(parent, ri, slot["type"])
-                      for ri in range(len(results[0].records[parent]))]
+                      for ri in range(results[0].records[parent].rows)]
         groups = [g for g in groups if g]
         if groups and not unique:
             out.append(("secFetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
         for child in slot["children"]:
-            n_records = len(results[0].records[s])
+            n_records = results[0].records[s].rows
             if n_records:
                 out.append(("secAccess", [len(neighbours(s, ri, slots[child]["type"]))
                                           for ri in range(n_records)]))
     return out
+
+
+def reference_decode(result_sets, schema):
+    """Record-by-record decoding, the reference for ``engine.decode_records``.
+
+    Opens every field of every record on its own, as one vector, and returns
+    the same per-slot ``(ext_ids, attrs)`` columns.
+    """
+    decoded = []
+    for s, slot in enumerate(result_sets[0].structure["slots"]):
+        ts = schema.types[slot["type"]]
+        tables = [r.records[s] for r in result_sets]
+        exts = []
+        attrs = {a: [] for a in sorted({p["attr"] for p in slot["preds"]})}
+        for ri in range(tables[0].rows):
+            code = rss.reconstruct([t.ids.row(ri) for t in tables]).to_int()
+            if code > ts.population:
+                raise ValueError(f"slot {s} record {ri}: id code {code} exceeds the population")
+            exts.append(ts.ext_ids[code - 1] if code else None)
+            for a, values in attrs.items():
+                idx = rss.reconstruct([t.attrs[a].row(ri) for t in tables]).hot_index()
+                values.append(None if idx is None else ts.attrs[a].values[idx])
+        decoded.append((exts, attrs))
+    return decoded
+
+
+def reference_open(result_sets, schema):
+    """``(matches, details)`` of :func:`reference_decode`, dummy subgraphs dropped."""
+    decoded = reference_decode(result_sets, schema)
+    matches, details = [], []
+    for combo in result_sets[0].subgraphs:
+        rows = [(decoded[s][0][ri], {a: v[ri] for a, v in decoded[s][1].items()})
+                for s, ri in enumerate(combo)]
+        if all(ext is not None for ext, _ in rows):
+            matches.append(tuple(ext for ext, _ in rows))
+            details.append(rows)
+    return matches, details

@@ -233,9 +233,9 @@ def test_old_files_and_bad_codes_exit_2(workspace, capsys):
     schema = load_schema(schema_path)
     # a code past the population, in a file whose checksum holds
     r1, r2 = (load_results(res / f"results-{i}.ogmr", schema) for i in (1, 2))
-    vid = r1.records[1][0].vertex_id  # slot pa: type P, 4 vertices, 3-bit codes
-    code = rss.reconstruct([vid, r2.records[1][0].vertex_id]).to_int()
-    vid.share_a.words[0] ^= np.uint32(7 ^ code)
+    ids = r1.records[1].ids  # slot pa: type P, 4 vertices, 3-bit codes
+    code = rss.reconstruct([ids.row(0), r2.records[1].ids.row(0)]).to_int()
+    ids.share_a[0, 0] ^= np.uint32(7 ^ code)
     save_results(workspace / "bad.ogmr", r1, schema)
     capsys.readouterr()
     assert main(["open", "--results", str(workspace / "bad.ogmr"), str(res / "results-2.ogmr"),

@@ -1,14 +1,17 @@
 """Engine components against plaintext oracles, plus end-to-end equivalence."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from oblivgm import engine, fss, rss
 from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
-from oblivgm.engine import (CandidateGroup, EngineConfig, combine_predicates,
+from oblivgm.engine import (EngineConfig, RecordTable, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
-from oblivgm.graphs import TypeSchema, build_schema, encrypt_graph, parse_graph_text
+from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph,
+                            parse_graph_text)
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import oracle_match
 from oblivgm.query import gen_token, load_query
@@ -18,7 +21,7 @@ from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, expected_open_counts
 
 
 def make_group(values, domain, rng, ids_domain=None):
-    """Candidate group from plaintext attr indices; id i is one-hot at i."""
+    """One root candidate group per party from plaintext attr indices; id i is one-hot at i."""
     count = len(values)
     ids_domain = ids_domain or count
     id_bits = np.zeros((count, ids_domain), np.uint8)
@@ -39,9 +42,10 @@ def make_group(values, domain, rng, ids_domain=None):
     groups = []
     for p in range(3):
         nxt = (p + 1) % 3
-        groups.append(CandidateGroup(
-            None, None, MatchTable(p + 1, ids_domain, id_shares[p], id_shares[nxt]),
+        groups.append(RecordTable(
+            MatchTable(p + 1, ids_domain, id_shares[p], id_shares[nxt]),
             {"a": MatchTable(p + 1, domain, attr_shares[p], attr_shares[nxt])},
+            np.full(count, -1),
         ))
     return groups
 
@@ -63,7 +67,7 @@ def run_eval(values, domain, kind, operands, master=b"\x31" * 16):
     runtimes = local_runtimes(make_session_configs(master))
 
     def worker(rt):
-        return sec_eval(rt, [groups[rt.index - 1]], keys[rt.index - 1], "a", domain)
+        return sec_eval(rt, groups[rt.index - 1], keys[rt.index - 1], "a", domain)
 
     shares = run_trio(worker, runtimes)
     return rss.reconstruct(shares).to_bits(), runtimes
@@ -148,20 +152,20 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16):
         group = groups[rt.index - 1]
         flags = flag_shares[rt.index - 1]
         if unique:
-            return sec_fetch_unique(rt, [group], flags), []
-        return sec_fetch_multi(rt, [group], flags), rt.opened
+            return sec_fetch_unique(rt, group, flags), []
+        return sec_fetch_multi(rt, group, flags), rt.opened
 
     out = run_trio(worker, runtimes)
     return out, runtimes
 
 
 def decode_records(per_party_records, domain):
-    first = per_party_records[0][0]
-    n = len(first)
+    tables = [per_party_records[p][0] for p in range(3)]
+    assert all(t.parent_record.tolist() == [-1] * t.rows for t in tables)
     decoded = []
-    for i in range(n):
-        vid = rss.reconstruct([per_party_records[p][0][i].vertex_id for p in range(3)])
-        val = rss.reconstruct([per_party_records[p][0][i].attrs["a"] for p in range(3)])
+    for i in range(tables[0].rows):
+        vid = rss.reconstruct([t.ids.row(i) for t in tables])
+        val = rss.reconstruct([t.attrs["a"].row(i) for t in tables])
         decoded.append((vid.hot_index(), val.hot_index()))
     return decoded
 
@@ -480,6 +484,53 @@ def test_schema_digest_mismatch_rejected():
         run_trio(worker, runtimes)
 
 
+def test_schema_digest_is_taken_once_per_share(monkeypatch):
+    # sec_match compares the token's digest with the one the share took when
+    # it was built or loaded; it never serializes the schema again
+    res = run_secure_query(CAMPUS_GRAPH, "Q a P age = 35\n")
+    assert all(gs.schema_digest == res["schema"].digest() for gs in res["shares"])
+
+    def no_digest(self):
+        raise AssertionError("schema serialized during a query")
+
+    monkeypatch.setattr(GraphSchema, "digest", no_digest)
+    runtimes = local_runtimes(make_session_configs(b"\x41" * 16))
+    results = run_trio(lambda rt: sec_match(rt, res["tokens"][rt.index - 1],
+                                            res["shares"][rt.index - 1]), runtimes)
+    assert [r.subgraphs for r in results] == [r.subgraphs for r in res["results"]]
+
+
+def test_open_results_refuses_bad_codes_two_hot_rows_and_split_provenance():
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    schema = res["schema"]
+
+    def fresh():
+        return copy.deepcopy(list(res["results"][:2]))
+
+    # slot 1 (pa) is type P: 4 vertices, 3-bit codes; party 1 alone holds share 1
+    r1, r2 = fresh()
+    code = rss.reconstruct([r1.records[1].ids.row(0), r2.records[1].ids.row(0)]).to_int()
+    r1.records[1].ids.share_a[0, 0] ^= np.uint32(7 ^ code)
+    with pytest.raises(ValueError, match="slot 1 record 0: id code 7 exceeds the 4 vertices"):
+        open_results([r1, r2], schema)
+    # a second bit in record 2's age row
+    r1, r2 = fresh()
+    ages = r1.records[1].attrs["age"]
+    hot = rss.reconstruct([ages.row(2), r2.records[1].attrs["age"].row(2)]).hot_index()
+    ages.share_a[2, 0] ^= np.uint32(1 << (hot == 0))
+    with pytest.raises(ValueError, match="slot 1 record 2: attribute 'age' expected Hamming "
+                                         "weight <= 1, got 2"):
+        open_results([r1, r2], schema)
+    # the parties disagree on which root record slot 1's last record descends from
+    r1, r2 = fresh()
+    assert r2.records[1].parent_record.tolist() == [0, 0, 0]
+    r2.records[1].parent_record[2] = 1
+    with pytest.raises(ValueError, match="record provenance differs between parties"):
+        open_results([r1, r2], schema)
+    # untouched copies still open
+    assert set(open_results(fresh(), schema)[0]) == res["matches"]
+
+
 def test_frames_follow_query_shape_not_match_count():
     # roots p1..p3 (three matches) against p4 alone: every slot still runs
     # one batch, so each party sends the same number of frames
@@ -487,8 +538,8 @@ def test_frames_follow_query_shape_not_match_count():
             "QE p c\nQE p u\n"
     many = run_secure_query(CAMPUS_GRAPH, shape.format(lo=30, hi=40))
     one = run_secure_query(CAMPUS_GRAPH, shape.format(lo=50, hi=60))
-    assert len(many["results"][0].records[0]) == 3
-    assert len(one["results"][0].records[0]) == 1
+    assert many["results"][0].records[0].rows == 3
+    assert one["results"][0].records[0].rows == 1
     frames = [[rt.meter.total.frames_sent for rt in res["runtimes"]] for res in (many, one)]
     assert frames[0] == frames[1]
 

@@ -22,9 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oblivgm import graphs, rss
+from oblivgm.engine import decode_records, open_results
 from oblivgm.graphs import GraphFormatError, build_schema, parse_graph_text
 from oblivgm.oracle import oracle_match
-from tests.conftest import CAMPUS_GRAPH, expected_open_counts, run_secure_query
+from tests.conftest import (CAMPUS_GRAPH, expected_open_counts, reference_decode, reference_open,
+                            run_secure_query)
 
 OPS = ("=", "=", "<", "<=", ">", ">=", "in")
 
@@ -100,6 +102,10 @@ def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
     assert ledgers[0] == ledgers[1] == ledgers[2]
     assert [label for label, _, _ in ledgers[0]] == list(range(1, len(want) + 1))
     assert [(phase, bits.popcount()) for _, phase, bits in ledgers[0]] == want
+    # whole-table decoding equals record-by-record decoding, dummy rows included
+    for sets in (res["results"][:2], res["results"][1:], list(res["results"])):
+        assert decode_records(sets, schema) == reference_decode(sets, schema)
+        assert open_results(sets, schema) == reference_open(sets, schema)
     return res
 
 
@@ -151,7 +157,7 @@ def test_secure_equals_oracle_on_corner_cases(graph_text, k, query_text, needs):
     assert res["matches"]
     if needs == "dummy":  # some record of the leaf slot opens to id code 0
         results = res["results"]
-        assert 0 in [rss.reconstruct([r.records[1][ri].vertex_id for r in results]).to_int()
-                     for ri in range(len(results[0].records[1]))]
+        assert 0 in [rss.reconstruct([r.records[1].ids.row(ri) for r in results]).to_int()
+                     for ri in range(results[0].records[1].rows)]
     if needs == "one-vertex root":
         assert schema.types["A"].id_width == 1

@@ -149,24 +149,6 @@ def test_xor_public_constant():
     assert rss.reconstruct([s.xor_public(c) for s in sx]) == (x ^ c)
 
 
-def test_match_table_stack_sets_segments_and_keeps_one_table_uncopied():
-    rng = np.random.default_rng(11)
-
-    def table(rows, width):
-        return rss.MatchTable.from_rows(
-            [rss.share(BitVector.random(width, rng), rng)[0] for _ in range(rows)])
-
-    first, second = table(3, 40), table(2, 40)
-    both = rss.MatchTable.stack([first, second])
-    assert both.segments == (3, 2)
-    assert both.row(4) == second.row(1)
-    assert both.take(slice(3, 5)).row(0) == second.row(0)
-    one = rss.MatchTable.stack([first])
-    assert one.share_a is first.share_a and one.share_b is first.share_b
-    with pytest.raises(ValueError, match="width"):
-        rss.MatchTable.stack([first, table(1, 41)])
-
-
 def make_zero_contexts():
     keys = [bytes([i + 1]) * 16 for i in range(3)]
     return [

@@ -1,28 +1,148 @@
 """File formats: record round trips, container integrity, size obliviousness."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from oblivgm.bits import BitVector
+from oblivgm import storage
+from oblivgm.bits import mask_tail, words_for
+from oblivgm.datagen import graph_to_text, random_graph
 from oblivgm.engine import open_results
 from oblivgm.graphs import encrypt_graph, parse_graph_text, reconstruct_type_matrix
-from oblivgm.storage import (StorageError, decode_share_vector, encode_share_vector,
-                             load_graph_share, load_results, load_schema,
+from oblivgm.storage import (StorageError, load_graph_share, load_results, load_schema,
                              save_graph_share, save_results, save_schema)
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
 
+UNIQUE_MISSES = "Q p P age >= 30\nQ c C field = Internet\nQE p c\n"
 
-def test_share_vector_record_round_trip():
+
+def test_record_pair_codec_round_trip():
     rng = np.random.default_rng(0)
-    for n in (1, 31, 32, 33, 500):
-        v = BitVector.random(n, rng)
-        blob = encode_share_vector(2, v)
-        party, back, end = decode_share_vector(blob)
-        assert (party, back, end) == (2, v, len(blob))
-    with pytest.raises(StorageError, match="magic"):
-        decode_share_vector(b"XXXX" + blob[4:])
-    with pytest.raises(StorageError, match="truncated"):
-        decode_share_vector(blob[:-2])
+    for width in (1, 31, 32, 33, 500):
+        rows, size = 5, storage._pair_bytes(width)
+        # share words carry arbitrary bits past the width; records hold them zero
+        mats = [rng.integers(0, 1 << 32, (rows, words_for(width)), dtype=np.uint32)
+                for _ in range(2)]
+        offsets = 7 + np.arange(rows)[::-1] * size  # any order, any alignment
+        buf = np.zeros(7 + rows * size, np.uint8)
+        storage._pairs(buf, offsets, np.arange(rows), mats, width, 2, load=False)
+        for r in range(rows):
+            for comp in range(2):
+                at = offsets[r] + comp * size // 2
+                assert struct.unpack_from("<4sHBQ", buf, at) == (b"OGMS", 2, 2, width)
+                words = np.frombuffer(buf, np.uint32, words_for(width), at + 15)
+                assert np.array_equal(words, mask_tail(mats[comp][r].copy(), width))
+        back = [np.zeros_like(m) for m in mats]
+        storage._pairs(buf, offsets, np.arange(rows), back, width, 2, load=True)
+        assert all(np.array_equal(b, mask_tail(m.copy(), width)) for b, m in zip(back, mats))
+        for pos, message in ((0, "magic"), (4, "version"), (6, "party"), (7, "width")):
+            bad = buf.copy()
+            bad[offsets[3] + size // 2 + pos] ^= 1  # component b of row 3
+            with pytest.raises(StorageError, match=message):
+                storage._pairs(bad, offsets, np.arange(rows), back, width, 2, load=True)
+
+
+# SHA-256 of fixed-seed files, as written before the containers were encoded
+# table by table: the files must not change
+PINNED_GRAPH_SHARES = {
+    "campus": ("e4422a5ee6a0e23fd3a3353920d04527c8cef22e0008b6c6d3e3221cf27f4689",
+               "3e5472c6fc3cec5c23f74a2f027c8678d77391c92b6eeb02d5878c587df62f68",
+               "f6a64177551fefe5bacde3be49ecae9a7043f96075305fecfed6ceba6a4c2466"),
+    "random-200": ("88cae2e127722b0c348bc88aae1a9ff17b11fcd1e60891a0c68e08787ce36fcc",
+                   "208cf839bf1677604ed4dc19e742c73149192b3ec553b09e7f8f86839f3d9bfb",
+                   "ee64547fda10fe8764abe527f215b1a10e0cfec6a0962ad77578014722bafc25"),
+}
+PINNED_RESULTS = {
+    "two-person": (TWO_PERSON_QUERY,
+                   ("5672b7815f45a8bde451bf95b40fbc7d660fa1e382c4395ea4425060d7cc1c1a",
+                    "d37457d8532c1207ed31872f47327895a3e63103a2cead9f49c696a0aa403bc9",
+                    "7fca88819154f4f00afdaa35055ab8d5625bc5a07e13427cf4c05ea2aec126bb")),
+    "unique-misses": (UNIQUE_MISSES,
+                      ("c0ac784a1f213fd38950fb6f8949f05b84098d2fb4d2eaee2635dd01f53dcd1c",
+                       "c03682bbe99586ee30052e9c2981fbeb32bd676df1e8c4a25668d8766ab23695",
+                       "54eda22aa50b57aee34afd5cb29f95424c012984e749c52b7b88bfbec43cd30b")),
+}
+
+
+def _random_200():
+    graph = parse_graph_text(graph_to_text(random_graph(np.random.default_rng(0), n_vertices=200,
+                                                        n_types=3, avg_degree=3)))
+    return encrypt_graph(graph, 3, np.random.default_rng(7))
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPH_SHARES))
+def test_graph_share_files_are_pinned(tmp_path, name):
+    if name == "campus":
+        res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY, seed=5, master=b"\x5a" * 16)
+        schema, shares = res["schema"], res["shares"]
+    else:
+        schema, shares = _random_200()
+    got = []
+    for gs in shares:
+        path = tmp_path / f"{gs.party_index}.ogmg"
+        save_graph_share(path, gs)
+        got.append(_sha(path))
+        again = tmp_path / "again.ogmg"
+        save_graph_share(again, load_graph_share(path, schema))
+        assert _sha(again) == got[-1]
+    assert tuple(got) == PINNED_GRAPH_SHARES[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
+def test_result_files_are_pinned(tmp_path, name):
+    query_text, digests = PINNED_RESULTS[name]
+    res = run_secure_query(CAMPUS_GRAPH, query_text, seed=5, master=b"\x5a" * 16)
+    got = []
+    for r in res["results"]:
+        path = tmp_path / f"{r.party_index}.ogmr"
+        save_results(path, r, res["schema"])
+        got.append(_sha(path))
+        again = tmp_path / "again.ogmr"
+        save_results(again, load_results(path, res["schema"]), res["schema"])
+        assert _sha(again) == got[-1]
+    assert tuple(got) == digests
+
+
+def _record_starts(data: bytes) -> list[int]:
+    """Offsets of every share record of a graph share file, read off the record headers."""
+    starts, pos = [], 39  # the container header
+    while pos < len(data):
+        starts.append(pos)
+        pos += 15 + 4 * words_for(struct.unpack_from("<Q", data, pos + 7)[0])
+    assert pos == len(data)
+    return starts
+
+
+def test_truncated_or_header_flipped_graph_share_is_refused(tmp_path):
+    graph = parse_graph_text(graph_to_text(random_graph(np.random.default_rng(1), n_vertices=60,
+                                                        n_types=3, avg_degree=3)))
+    schema, shares = encrypt_graph(graph, 2, np.random.default_rng(2))
+    path = tmp_path / "g.ogmg"
+    save_graph_share(path, shares[1])
+    data = path.read_bytes()
+    starts = _record_starts(data)
+    assert len(starts) > 300
+
+    def refused(blob):
+        path.write_bytes(blob)
+        with pytest.raises(StorageError):
+            load_graph_share(path, schema)
+
+    for cut in [0, 20] + starts + [s + 15 for s in starts[::20]] + [len(data) - 1]:
+        refused(data[:cut])
+    refused(data + b"\0")
+    # every byte of the container header, and one byte of every record
+    # header, cycling through its 15 bytes (magic, version, party, width)
+    for pos in list(range(39)) + [start + i % 15 for i, start in enumerate(starts)]:
+        flipped = bytearray(data)
+        flipped[pos] ^= 1 << (pos % 8)
+        refused(bytes(flipped))
 
 
 def test_graph_share_file_round_trip(tmp_path):
@@ -99,10 +219,7 @@ def test_open_results_detects_corrupted_share(tmp_path):
     res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
     r1, r2 = res["results"][0], res["results"][1]
     # flip one bit inside one record's id share
-    rec = r2.records[0][0]
-    words = rec.vertex_id.share_a.words.copy()
-    words[0] ^= 1
-    rec.vertex_id.share_a.words[:] = words
+    r2.records[0].ids.share_a[0, 0] ^= 1
     with pytest.raises(ValueError, match="inconsistent|weight"):
         open_results([r1, r2], res["schema"])
 
