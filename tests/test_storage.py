@@ -44,8 +44,8 @@ def test_record_pair_codec_round_trip():
                 storage._pairs(bad, offsets, np.arange(rows), back, width, 2, load=True)
 
 
-# SHA-256 of fixed-seed files, as written before the containers were encoded
-# table by table: the files must not change
+# SHA-256 of fixed-seed version-2 files: a codec change must leave every byte
+# as it is, or bump the version
 PINNED_GRAPH_SHARES = {
     "campus": ("e4422a5ee6a0e23fd3a3353920d04527c8cef22e0008b6c6d3e3221cf27f4689",
                "3e5472c6fc3cec5c23f74a2f027c8678d77391c92b6eeb02d5878c587df62f68",
