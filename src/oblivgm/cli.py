@@ -126,8 +126,8 @@ def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
     if not quiet:
         for rt in runtimes:
             t = rt.meter.total
-            print(f"[party-{rt.index}] sent {t.bytes_sent} bytes in {t.frames_sent} frames",
-                  file=sys.stderr)
+            print(f"[party-{rt.index}] sent {t.bytes_sent} bytes in {t.frames_sent} frames "
+                  f"over {t.rounds} rounds", file=sys.stderr)
     print(f"wrote 3 result share files to {out_dir}")
     return 0
 

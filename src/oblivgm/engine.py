@@ -7,13 +7,13 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   six additive terms per candidate; one bit per candidate is re-shared.
 * matched-vertex fetch: a unique-valued attribute lets the parties fold each
   candidate group into a single record with pure local algebra plus one
-  re-share per field; otherwise the flag/id/value table is obliviously
+  re-share; otherwise the flag/id/value table is obliviously
   shuffled and only the shuffled flag column is opened.
 * neighbor access: matched vertices' posting lists are pulled out of the
   whole parent-type population by one-hot selection, validity flags are
   computed, shuffled and opened to discard padding, and the surviving
   neighbors' attribute values are fetched by one-hot selection again.
-* the matcher walks the query tree breadth-first, carrying public
+* the matcher walks the query tree level by level, carrying public
   provenance (which parent record each row descends from), and finally
   assembles complete subgraphs and prunes partial branches.
 
@@ -33,16 +33,22 @@ GF(2)-linear map, which each party applies to its own two shares
 thus shuffles or folds ``id_width`` bits per candidate, not ``population``.
 Root ids are public, row ``c`` being vertex ``c``, so the graph shares hold
 none: the root slot's ids are a public constant, codes at a leaf root and
-the one-hot identity at a root with children.
+the one-hot identity at a root with children. A unique-route root needs
+none at all: its folded one-hot id is its flag vector.
 
-Each query slot runs as one batch. Its candidate groups are the segments
-of its tables, and every protocol step carries the whole slot in one
-message: one re-share per evaluation pass, one shuffle in which each group
-is permuted under its own table id, one open of all shuffled flags. The
-opened flags and the group boundaries are exactly what per-group steps
-would reveal, so batching leaks nothing more, and the number of rounds a
-query takes grows with its number of slots, not with its matches. Every
-opened value is entered in the runtime's ledger (``rt.opened``).
+The query tree runs level by level. Slots are numbered breadth-first, and
+each protocol step carries every slot of a level in one message per party:
+one re-share of every predicate's bits, one AND re-share per combining
+step, one fold re-share for the unique-route slots, one shuffle of the
+multi-route slots' tables and one open of their flags, and, for all edges
+out of the level together, one selection re-share, one shuffle, one open of
+the validity flags and one attribute re-share. Within a table, each
+candidate group is a segment permuted under its own table id. The opened
+flags and the group boundaries are exactly what per-group steps would
+reveal, so batching leaks nothing more, and the number of rounds a query
+takes grows with the depth of its tree, not with its slots or its matches.
+Every opened value is entered in the runtime's ledger (``rt.opened``), one
+entry per slot with that slot's group segments.
 """
 
 from __future__ import annotations
@@ -77,13 +83,13 @@ class RecordTable:
     record is one candidate group. ``ids`` are one-hot or id codes.
     """
 
-    ids: MatchTable
+    ids: MatchTable | None  # None only for the root's public ids in the unique route
     attrs: dict[str, MatchTable]
     parent_record: np.ndarray
 
     @property
     def rows(self) -> int:
-        return self.ids.rows
+        return len(self.parent_record)
 
     def groups(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """The parent record of each candidate group, and each group's row count."""
@@ -214,14 +220,22 @@ def _select_many_additive(sel_a, sel_b, mat_a, mat_b) -> np.ndarray:
     return out
 
 
-def _open_flags(rt, shuffled: MatchTable) -> np.ndarray:
-    """Open the flag column (bit 0 of every row) of a shuffled table."""
-    flag_col = rss.SharedBitVector(
-        rt.index,
-        BitVector.from_bits(shuffled.share_a[:, 0] & 1),
-        BitVector.from_bits(shuffled.share_b[:, 0] & 1),
-    )
-    return rss.open_shared(rt, flag_col).to_bits()
+def _no_rows(party: int, width: int) -> MatchTable:
+    empty = np.zeros((0, words_for(width)), np.uint32)
+    return MatchTable(party, width, empty, empty)
+
+
+def _open_flags(rt, shuffled: list[MatchTable], slots=None) -> np.ndarray:
+    """Open the flag columns (bit 0 of every row) of shuffled tables in one message.
+
+    ``slots`` tags each table's flags in the ledger, split by its segments.
+    """
+    def column(side):
+        return BitVector.from_bits(np.concatenate([getattr(t, side)[:, 0] & 1 for t in shuffled]))
+
+    parts = None if slots is None else [(s, t.segments) for s, t in zip(slots, shuffled)]
+    flags = rss.SharedBitVector(rt.index, column("share_a"), column("share_b"))
+    return rss.open_shared(rt, flags, slots=parts).to_bits()
 
 
 def _pack_fields(fields: list[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -249,27 +263,35 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
-def _shuffle_open_keep(rt, flag_bits, fields: list[MatchTable], segments):
+def _shuffle_open_keep(rt, jobs, slots=None):
     """Shuffle rows of flag || fields segment by segment, open the flags, keep the ones.
 
-    ``flag_bits`` holds the party's two shares of the flag column as 0/1
-    arrays. Returns the kept row positions in the shuffled table, sorted, and
-    one table of kept rows per field. A segment is permuted within its own
-    rows, so a kept position tells which segment the row came from.
+    ``jobs`` holds one ``(flag_bits, fields, segments)`` per table:
+    ``flag_bits`` the party's two shares of the flag column as 0/1 arrays,
+    ``fields`` a list of tables. Every job's table rides in one shuffle and
+    its flags in one open, tagged ``slots`` in the ledger. Returns per job
+    the kept row positions in its shuffled table, sorted, and one table of
+    kept rows per field. A segment is permuted within its own rows, so a
+    kept position tells which segment the row came from.
     """
-    widths = [f.width for f in fields]
-
-    def packed(bits, mats):
-        return _pack_fields([(bits.astype(np.uint32)[:, None], 1)] + list(zip(mats, widths)))
-
-    rows_a = packed(flag_bits[0], [f.share_a for f in fields])
-    rows_b = packed(flag_bits[1], [f.share_b for f in fields])
-    shuffled = sec_shuffle(rt, MatchTable(rt.index, 1 + sum(widths), rows_a, rows_b, segments))
-    keep = np.nonzero(_open_flags(rt, shuffled))[0]
-    kept = shuffled.take(keep)
-    return keep, [MatchTable(rt.index, w, _bit_field(kept.share_a, pos, w),
-                             _bit_field(kept.share_b, pos, w))
-                  for pos, w in zip(np.cumsum([1] + widths[:-1]), widths)]
+    tables = []
+    for flag_bits, fields, segments in jobs:
+        rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
+                             + [(getattr(f, side), f.width) for f in fields])
+                for bits, side in zip(flag_bits, ("share_a", "share_b"))]
+        tables.append(MatchTable(rt.index, 1 + sum(f.width for f in fields), *rows, segments))
+    shuffled = sec_shuffle(rt, tables[0], more=tables[1:])
+    flags = _open_flags(rt, shuffled, slots)
+    out, pos = [], 0
+    for table, (_, fields, _) in zip(shuffled, jobs):
+        keep = np.nonzero(flags[pos:pos + table.rows])[0]
+        pos += table.rows
+        kept = table.take(keep)
+        widths = [f.width for f in fields]
+        out.append((keep, [MatchTable(rt.index, w, _bit_field(kept.share_a, at, w),
+                                      _bit_field(kept.share_b, at, w))
+                           for at, w in zip(np.cumsum([1] + widths[:-1]), widths)]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,50 +299,55 @@ def _shuffle_open_keep(rt, flag_bits, fields: list[MatchTable], segments):
 # ---------------------------------------------------------------------------
 
 
-def sec_eval(rt, cands: RecordTable, key_pair, attr: str,
-             domain_size: int) -> rss.SharedBitVector:
-    """Evaluate one predicate over a slot's candidates; one shared bit each.
+def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[rss.SharedBitVector]:
+    """Evaluate predicates over candidate attribute tables; one shared bit per candidate each.
 
-    Each evaluation pass re-shares one bit per candidate of every group in a
-    single message. Interval keys run two passes (their two comparison
-    halves), doubling the communication.
+    ``preds`` holds one ``(values, key_pair)`` per predicate: the candidates'
+    one-hot attribute rows over a domain of ``values.width`` values, and the
+    party's two FSS keys. Every key takes one pass, interval keys included
+    (:func:`oblivgm.fss.full_domain_eval` XORs their two comparison halves);
+    all keys are evaluated in one call, and one message re-shares the bits
+    of every predicate.
     """
-    first, second = key_pair
-    passes = list(zip(fss.key_parts_for_engine(first), fss.key_parts_for_engine(second)))
-    values = cands.attrs[attr]
-    result: rss.SharedBitVector | None = None
-    for part_a, part_b in passes:
-        ind_a = fss.full_domain_eval(part_a, domain_size).words
-        ind_b = fss.full_domain_eval(part_b, domain_size).words
-        additive_bits = (_parity_rows(values.share_a & ind_a[None, :])
-                         ^ _parity_rows(values.share_b & ind_b[None, :]))
-        shared = rss.reshare(rt, BitVector.from_bits(additive_bits))
-        result = shared if result is None else result.xor(shared)
-    return result
+    keys = [(key, values.width) for values, pair in preds for key in pair]
+    ind = fss.full_domain_eval(*keys[0], more=keys[1:])
+    additive = [BitVector.from_bits(_parity_rows(values.share_a & ind_a.words[None, :])
+                                    ^ _parity_rows(values.share_b & ind_b.words[None, :]))
+                for (values, _), ind_a, ind_b in zip(preds, ind[0::2], ind[1::2])]
+    return rss.reshare(rt, additive[0], more=additive[1:])
 
 
-def combine_predicates(rt, bits: list[rss.SharedBitVector], combiner: str,
-                       any_mode: str = "or") -> rss.SharedBitVector:
-    """Fold per-predicate shared bits by the public Boolean combiner."""
-    if not bits:
+def combine_predicates(rt, bits: list[list[rss.SharedBitVector]], combiners: list[str],
+                       any_mode: str = "or") -> list[rss.SharedBitVector]:
+    """Fold each slot's per-predicate shared bits by the slot's public Boolean combiner.
+
+    The slots advance together: step ``j`` folds every slot's predicate
+    ``j`` into its accumulator, and the AND gates of that step share one
+    re-share, so a level of slots takes one round per combining step.
+    """
+    if not bits or not all(bits):
         raise ValueError("no predicate bits to combine")
-    acc = bits[0]
-    if combiner == "ALL":
-        for nxt in bits[1:]:
-            acc = rss.and_gate(rt, acc, nxt)
-        return acc
-    if combiner != "ANY":
-        raise ValueError(f"unknown combiner {combiner!r}")
-    if any_mode == "xor":
-        for nxt in bits[1:]:
-            acc = acc.xor(nxt)
-        return acc
-    if any_mode != "or":
-        raise ValueError(f"unknown ANY mode {any_mode!r}")
-    for nxt in bits[1:]:
-        conj = rss.and_gate(rt, acc, nxt)
-        acc = acc.xor(nxt).xor(conj)
-    return acc
+    for combiner in combiners:
+        if combiner not in ("ALL", "ANY"):
+            raise ValueError(f"unknown combiner {combiner!r}")
+        if combiner == "ANY" and any_mode not in ("or", "xor"):
+            raise ValueError(f"unknown ANY mode {any_mode!r}")
+    accs = [preds[0] for preds in bits]
+    for j in range(1, max(map(len, bits))):
+        step = [i for i, preds in enumerate(bits) if len(preds) > j]
+        gated = [i for i in step if combiners[i] == "ALL" or any_mode == "or"]
+        conj = {}
+        if gated:
+            pairs = [(accs[i], bits[i][j]) for i in gated]
+            conj = dict(zip(gated, rss.and_gate(rt, *pairs[0], more=pairs[1:])))
+        for i in step:
+            if combiners[i] == "ALL":
+                accs[i] = conj[i]
+            elif any_mode == "xor":
+                accs[i] = accs[i].xor(bits[i][j])
+            else:  # a OR b = a XOR b XOR (a AND b)
+                accs[i] = accs[i].xor(bits[i][j]).xor(conj[i])
+    return accs
 
 
 # ---------------------------------------------------------------------------
@@ -328,42 +355,56 @@ def combine_predicates(rt, bits: list[rss.SharedBitVector], combiner: str,
 # ---------------------------------------------------------------------------
 
 
-def sec_fetch_unique(rt, cands: RecordTable, flags: rss.SharedBitVector) -> RecordTable:
+def sec_fetch_unique(rt, cands: list[RecordTable],
+                     flags: list[rss.SharedBitVector]) -> list[RecordTable]:
     """Case with at most one satisfying candidate per group: fold by flag bits locally.
 
     Local AND terms accumulate additively over each group's candidates, then
-    a single re-share per field carries every group's folded record;
+    a single re-share carries every field of every table's folded records;
     communication does not grow with the candidate count. A zero-match group
     folds to the all-zero (dummy) record. Returns one record per group.
+
+    A table without ``ids`` is the root slot's, whose row ``c`` is vertex
+    ``c``: its one record's one-hot id, ``sum_c flag_c * e_c``, is the flag
+    vector itself, so only its attributes are folded and re-shared.
     """
-    parents, counts = cands.groups()
-    fa, fb = flags.share_a.to_bits(), flags.share_b.to_bits()
-    bounds = np.cumsum((0,) + counts)
-    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    folds, groups = [], []
+    for cand, flag in zip(cands, flags):
+        parents, counts = cand.groups()
+        groups.append(parents)
+        fa, fb = flag.share_a.to_bits(), flag.share_b.to_bits()
+        bounds = np.cumsum((0,) + counts)
+        spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        fields = [cand.attrs[a] for a in sorted(cand.attrs)]
+        for t in fields if cand.ids is None else [cand.ids] + fields:
+            folds.append((np.stack([_select_one_additive(fa[sp], fb[sp], t.share_a[sp],
+                                                         t.share_b[sp]) for sp in spans]),
+                          t.width))
+    tables = iter(rss.reshare_rows(rt, *folds[0], more=folds[1:]))
+    out = []
+    for cand, flag, parents in zip(cands, flags, groups):
+        ids = (MatchTable(rt.index, flag.logical_len, flag.share_a.words[None],
+                          flag.share_b.words[None]) if cand.ids is None else next(tables))
+        out.append(RecordTable(ids, {a: next(tables) for a in sorted(cand.attrs)}, parents))
+    return out
 
-    def fold(t: MatchTable) -> MatchTable:  # ids first, then the attributes in name order
-        return rss.reshare_rows(rt, np.stack([_select_one_additive(
-            fa[sp], fb[sp], t.share_a[sp], t.share_b[sp]) for sp in spans]), t.width)
 
-    return RecordTable(fold(cands.ids), {a: fold(t) for a, t in sorted(cands.attrs.items())},
-                       parents)
-
-
-def sec_fetch_multi(rt, cands: RecordTable, flags: rss.SharedBitVector) -> RecordTable:
+def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[rss.SharedBitVector],
+                    slots=None) -> list[RecordTable]:
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
-    The slot's groups are the segments of one shuffled table, so each group
-    is permuted on its own while all of them share the shuffle's four frames
-    and one open of the flags; a kept row keeps its group's parent record.
-    The id field is as wide as the candidates' ids: ``id_width`` bits of code
-    in a leaf slot, the population in a slot whose records are still to be
-    accessed.
+    A table's groups are its segments, so each group is permuted on its own,
+    while every table shares the shuffle's four frames and one open of the
+    flags, tagged ``slots`` in the ledger; a kept row keeps its group's
+    parent record. The id field is as wide as the candidates' ids:
+    ``id_width`` bits of code in a leaf slot, the population in a slot whose
+    records are still to be accessed.
     """
-    names = sorted(cands.attrs)
-    keep, (ids, *values) = _shuffle_open_keep(
-        rt, (flags.share_a.to_bits(), flags.share_b.to_bits()),
-        [cands.ids] + [cands.attrs[a] for a in names], cands.groups()[1])
-    return RecordTable(ids, dict(zip(names, values)), cands.parent_record[keep])
+    jobs = [((flag.share_a.to_bits(), flag.share_b.to_bits()),
+             [cand.ids] + [cand.attrs[a] for a in sorted(cand.attrs)], cand.groups()[1])
+            for cand, flag in zip(cands, flags)]
+    return [RecordTable(ids, dict(zip(sorted(cand.attrs), values)), cand.parent_record[keep])
+            for cand, (keep, (ids, *values)) in zip(cands, _shuffle_open_keep(rt, jobs, slots))]
 
 
 # ---------------------------------------------------------------------------
@@ -371,50 +412,63 @@ def sec_fetch_multi(rt, cands: RecordTable, flags: rss.SharedBitVector) -> Recor
 # ---------------------------------------------------------------------------
 
 
-def sec_access(rt, records: RecordTable, parent_type: str, child_type: str,
-               needed_attrs: list[str], gshare: GraphShare) -> RecordTable:
-    """Pull every matched vertex's neighbors of ``child_type`` out of the graph.
+def sec_access(rt, edges, gshare: GraphShare, slots=None) -> list[RecordTable]:
+    """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
-    Selection runs over the whole parent-type population, so nothing about
-    which vertex matched leaks; padding and zero-extension are discarded only
-    after the validity flags have been shuffled. All records travel together:
-    one selection re-share, one shuffle with one segment per record (its
-    padded posting list), one open, and one re-share per attribute. Returns
-    the child slot's candidates, sorted by the record they descend from.
+    ``edges`` holds one ``(records, parent_type, child_type, needed_attrs)``
+    per edge. Selection runs over the whole parent-type population, so
+    nothing about which vertex matched leaks; padding and zero-extension are
+    discarded only after the validity flags have been shuffled. All edges'
+    records travel together: one selection re-share, one shuffle with one
+    segment per record (its padded posting list), one open, tagged ``slots``
+    in the ledger, and one re-share of every needed attribute. Returns each
+    edge's child candidates, sorted by the record they descend from.
     """
-    child = gshare.schema.types[child_type]
-    attr_widths = {a: child.attrs[a].domain_size for a in needed_attrs}
-    lists_a, lists_b = gshare.types[parent_type].posting[child_type]
-    x_pa, l_max = lists_a.shape[:2]
-
-    def no_rows(width):
-        empty = np.zeros((0, words_for(width)), np.uint32)
-        return MatchTable(rt.index, width, empty, empty)
-
-    ids = no_rows(child.population)
-    attrs = {a: no_rows(w) for a, w in attr_widths.items()}
-    keep = np.zeros(0, np.int64)
-    if l_max and records.rows:
+    children = [gshare.schema.types[child_type] for _, _, child_type, _ in edges]
+    lists = [gshare.types[parent_type].posting[child_type]
+             for _, parent_type, child_type, _ in edges]
+    l_max = [lists_a.shape[1] for lists_a, _ in lists]
+    live = [i for i, (records, *_) in enumerate(edges) if l_max[i] and records.rows]
+    kept = {}  # per live edge: kept positions and the kept rows' one-hot ids
+    if live:
         # one-hot selection of every matched vertex's padded posting list
-        additive = _select_many_additive(
-            unpack_bits(records.ids.share_a, x_pa), unpack_bits(records.ids.share_b, x_pa),
-            lists_a.reshape(x_pa, -1), lists_b.reshape(x_pa, -1))
-        fetched = rss.reshare_rows(rt, additive.reshape(-1, words_for(child.population)),
-                                   child.population)
+        sel = []
+        for i in live:
+            ids, (lists_a, lists_b) = edges[i][0].ids, lists[i]
+            x_pa = lists_a.shape[0]
+            sel.append((_select_many_additive(
+                unpack_bits(ids.share_a, x_pa), unpack_bits(ids.share_b, x_pa),
+                lists_a.reshape(x_pa, -1), lists_b.reshape(x_pa, -1),
+            ).reshape(-1, words_for(children[i].population)), children[i].population))
+        fetched = rss.reshare_rows(rt, *sel[0], more=sel[1:])
 
         # a fetched row is valid when it holds a one-hot id; shuffle, open, keep
-        valid = (_parity_rows(fetched.share_a), _parity_rows(fetched.share_b))
-        keep, (ids,) = _shuffle_open_keep(rt, valid, [fetched], (l_max,) * records.rows)
+        jobs = [((_parity_rows(f.share_a), _parity_rows(f.share_b)), [f],
+                 (l_max[i],) * edges[i][0].rows) for i, f in zip(live, fetched)]
+        tags = None if slots is None else [slots[i] for i in live]
+        kept = {i: (keep, ids)
+                for i, (keep, (ids,)) in zip(live, _shuffle_open_keep(rt, jobs, tags))}
 
+    # one-hot fetch of every surviving neighbor's queried attribute values
+    wanted = []
+    for i, (keep, ids) in kept.items():
         if keep.size:
-            # one-hot fetch of every surviving neighbor's queried attribute values
+            child = children[i]
             kept_a = unpack_bits(ids.share_a, child.population)
             kept_b = unpack_bits(ids.share_b, child.population)
-            attrs = {a: rss.reshare_rows(rt, _select_many_additive(
-                         kept_a, kept_b, *gshare.types[child_type].attrs[a]), w)
-                     for a, w in attr_widths.items()}
-    # record r's posting list is segment r, rows [r * l_max, (r + 1) * l_max)
-    return RecordTable(ids, attrs, keep // max(l_max, 1))
+            wanted += [(_select_many_additive(kept_a, kept_b, *gshare.types[edges[i][2]].attrs[a]),
+                        child.attrs[a].domain_size) for a in edges[i][3]]
+    values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
+
+    out = []
+    for i, (_, _, _, needed) in enumerate(edges):
+        child = children[i]
+        keep, ids = kept.get(i, (np.zeros(0, np.int64), _no_rows(rt.index, child.population)))
+        attrs = {a: next(values) if keep.size else _no_rows(rt.index, child.attrs[a].domain_size)
+                 for a in needed}
+        # record r's posting list is segment r, rows [r * l_max, (r + 1) * l_max)
+        out.append(RecordTable(ids, attrs, keep // max(l_max[i], 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,61 +476,87 @@ def sec_access(rt, records: RecordTable, parent_type: str, child_type: str,
 # ---------------------------------------------------------------------------
 
 
+def _levels(slots) -> list[list[int]]:
+    """The query tree's slots by depth, in slot order within each level."""
+    levels = [[0]]
+    while nxt := [c for s in levels[-1] for c in slots[s]["children"]]:
+        levels.append(nxt)
+    return levels
+
+
 def sec_match(rt, token: PartyToken, gshare: GraphShare,
               config: EngineConfig | None = None) -> MatchResultSet:
-    """Run the whole query against the encrypted graph at one party."""
+    """Run the whole query against the encrypted graph at one party, level by level."""
     config = config or EngineConfig()
     schema = gshare.schema
     if token.schema_digest != gshare.schema_digest:
         raise ValueError("token and graph share were built for different schemas")
     slots = token.structure["slots"]
+    types = [schema.types[slot["type"]] for slot in slots]
     cands: list[RecordTable | None] = [None] * len(slots)
-    records: list[RecordTable] = []
+    records: list[RecordTable | None] = [None] * len(slots)
 
     def say(msg: str):
         if config.progress:
             config.progress(f"[party-{rt.index}] {msg}")
 
-    for s, slot in enumerate(slots):
-        vtype = slot["type"]
-        ts = schema.types[vtype]
-        if s == 0:
-            tps = gshare.types[vtype]  # wrapped, not copied
-            needed = sorted({p["attr"] for p in slot["preds"]})
-            cands[0] = RecordTable(
-                _root_ids(rt.index, ts, one_hot=bool(slot["children"])),
-                {a: MatchTable(rt.index, ts.attrs[a].domain_size, *tps.attrs[a]) for a in needed},
-                np.full(ts.population, -1))
-        elif not slot["children"]:  # no selection reads a leaf's ids
-            cands[s] = replace(cands[s], ids=_id_codes(cands[s].ids, ts))
-        unique_route = (
-            len(slot["preds"]) == 1
-            and slot["preds"][0]["kind"] == fss.KIND_EQ
-            and ts.attrs[slot["preds"][0]["attr"]].unique
-        )
-        say(f"slot {s} ({slot['name']}): {cands[s].rows} candidates "
-            f"in {len(cands[s].groups()[1])} groups")
-        matched = cands[s]  # no candidates, no records
-        if cands[s].rows:
+    def needed(s: int) -> list[str]:
+        return sorted({p["attr"] for p in slots[s]["preds"]})
+
+    def unique_route(s: int) -> bool:
+        preds = slots[s]["preds"]
+        return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
+                and types[s].attrs[preds[0]["attr"]].unique)
+
+    # the root's ids are public: none in the unique route, whose fold needs none
+    root_ts, root_share = types[0], gshare.types[slots[0]["type"]]  # wrapped, not copied
+    cands[0] = RecordTable(
+        None if unique_route(0) else _root_ids(rt.index, root_ts, bool(slots[0]["children"])),
+        {a: MatchTable(rt.index, root_ts.attrs[a].domain_size, *root_share.attrs[a])
+         for a in needed(0)},
+        np.full(root_ts.population, -1))
+
+    for level in _levels(slots):
+        for s in level:
+            if s and not slots[s]["children"]:  # no selection reads a leaf's ids
+                cands[s] = replace(cands[s], ids=_id_codes(cands[s].ids, types[s]))
+            say(f"slot {s} ({slots[s]['name']}): {cands[s].rows} candidates "
+                f"in {len(cands[s].groups()[1])} groups")
+            records[s] = cands[s]  # no candidates, no records
+        live = [s for s in level if cands[s].rows]
+        if live:
             with rt.meter.phase("secEval"):
-                bits = [
-                    sec_eval(rt, cands[s], token.slot_keys[s][pi], pred["attr"],
-                             ts.attrs[pred["attr"]].domain_size)
-                    for pi, pred in enumerate(slot["preds"])
-                ]
-                flags = combine_predicates(rt, bits, slot["combiner"], config.any_mode)
+                bits = iter(sec_eval(rt, [(cands[s].attrs[p["attr"]], token.slot_keys[s][pi])
+                                          for s in live for pi, p in enumerate(slots[s]["preds"])]))
+                flags = dict(zip(live, combine_predicates(
+                    rt, [[next(bits) for _ in slots[s]["preds"]] for s in live],
+                    [slots[s]["combiner"] for s in live], config.any_mode)))
             with rt.meter.phase("secFetch"):
-                fetch = sec_fetch_unique if unique_route else sec_fetch_multi
-                matched = fetch(rt, cands[s], flags)
-        say(f"slot {s} ({slot['name']}): {matched.rows} matched records")
-        for child in slot["children"]:
-            child_type = slots[child]["type"]
-            child_attrs = sorted({p["attr"] for p in slots[child]["preds"]})
+                unique = [s for s in live if unique_route(s)]
+                multi = [s for s in live if not unique_route(s)]
+                if unique:
+                    fetched = sec_fetch_unique(rt, [cands[s] for s in unique],
+                                               [flags[s] for s in unique])
+                    for s, matched in zip(unique, fetched):
+                        records[s] = matched
+                if multi:
+                    fetched = sec_fetch_multi(rt, [cands[s] for s in multi],
+                                              [flags[s] for s in multi], slots=multi)
+                    for s, matched in zip(multi, fetched):
+                        records[s] = matched
+        for s in level:
+            say(f"slot {s} ({slots[s]['name']}): {records[s].rows} matched records")
+        edges = [(s, c) for s in level for c in slots[s]["children"]]
+        if edges:
             with rt.meter.phase("secAccess"):
-                cands[child] = sec_access(rt, matched, vtype, child_type, child_attrs, gshare)
-        if slot["children"]:  # accessed: from here on, codes
-            matched = replace(matched, ids=_id_codes(matched.ids, ts))
-        records.append(matched)
+                accessed = sec_access(rt, [(records[s], slots[s]["type"], slots[c]["type"],
+                                            needed(c)) for s, c in edges],
+                                      gshare, slots=[c for _, c in edges])
+            for (_, c), child_cands in zip(edges, accessed):
+                cands[c] = child_cands
+        for s in level:  # one-hot ids, accessed or the root's flag vector, become codes
+            if slots[s]["children"] or cands[s].ids is None:
+                records[s] = replace(records[s], ids=_id_codes(records[s].ids, types[s]))
 
     subgraphs = _assemble(slots, records)
     say(f"assembled {len(subgraphs)} complete subgraphs")

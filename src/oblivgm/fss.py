@@ -285,49 +285,57 @@ def dpf_eval(key: DpfKey, x: int) -> int:
     return _walk_eval(key, x)
 
 
-def _full_domain_tree(key: DpfKey, n: int) -> BitVector:
-    bits = key.domain_bits
+def _full_domain_trees(keys: list[DpfKey], n: int) -> np.ndarray:
+    """Evaluate tree keys of one depth at every point of ``[0, n)``, all in step.
+
+    The trees descend together, one :func:`prg_expand` per level for all of
+    their nodes; a tree's nodes stay consecutive. Row ``i`` of the returned
+    ``(len(keys), n)`` uint8 array is key ``i``'s evaluation.
+    """
+    bits = keys[0].domain_bits
     if n > (1 << bits):
         raise DomainError(f"requested {n} points from a 2^{bits} domain")
-    comparison = isinstance(key, DcfKey)
-    seeds = seed_to_array(key.root_seed)[None, :]
-    t = np.array([key.root_t], dtype=np.uint8)
-    acc = np.zeros(1, dtype=np.uint8)
+    seeds = np.stack([seed_to_array(k.root_seed) for k in keys])
+    t = np.array([k.root_t for k in keys], dtype=np.uint8)
+    seed_cw = np.stack([k.seed_cw for k in keys])  # (trees, levels, 2)
+    ctrl_cw = np.stack([k.ctrl_cw for k in keys])  # (trees, levels)
+    acc = np.zeros(len(keys), dtype=np.uint8)  # comparison keys' running value bit
     for lvl in range(bits):
         left, right, t_left, t_right, value = prg_expand(seeds)
-        count = seeds.shape[0]
-        if comparison:
-            v_cw = (key.ctrl_cw[lvl] >> 2) & 1
-            acc_left = acc ^ value ^ (t & v_cw)
-            acc_children = np.empty(2 * count, dtype=np.uint8)
-            acc_children[0::2] = acc_left
-            acc_children[1::2] = acc
-            acc = acc_children
-        mask64 = t.astype(np.uint64)[:, None]
-        left = left ^ (key.seed_cw[lvl][None, :] * mask64)
-        right = right ^ (key.seed_cw[lvl][None, :] * mask64)
-        t_left = t_left ^ (t & (key.ctrl_cw[lvl] & 1))
-        t_right = t_right ^ (t & ((key.ctrl_cw[lvl] >> 1) & 1))
-        seeds = np.empty((2 * count, 2), dtype=np.uint64)
-        seeds[0::2] = left
-        seeds[1::2] = right
-        tt = np.empty(2 * count, dtype=np.uint8)
-        tt[0::2] = t_left
-        tt[1::2] = t_right
-        t = tt
-    if comparison:
-        out = acc
-    else:
-        out = (seeds[:, 0] & np.uint64(1)).astype(np.uint8) ^ (t & key.final_cw)
-    out = out ^ key.add_const
-    return BitVector.from_bits(out[:n])
+        nodes = 1 << lvl  # per tree
+        # nodes with control bit 1 fold in their tree's correction word
+        cw = np.repeat(seed_cw[:, lvl], nodes, axis=0) * t.astype(np.uint64)[:, None]
+        ctrl = np.repeat(ctrl_cw[:, lvl], nodes) * t
+        seeds = np.stack([left ^ cw, right ^ cw], axis=1).reshape(-1, 2)
+        t = np.stack([t_left ^ (ctrl & 1), t_right ^ ((ctrl >> 1) & 1)], axis=1).ravel()
+        acc = np.stack([acc ^ value ^ ((ctrl >> 2) & 1), acc], axis=1).ravel()
+    leaves = 1 << bits
+    comparison = np.repeat([isinstance(k, DcfKey) for k in keys], leaves)
+    final_cw = np.repeat(np.array([k.final_cw for k in keys], dtype=np.uint8), leaves)
+    point = (seeds[:, 0] & np.uint64(1)).astype(np.uint8) ^ (t & final_cw)
+    out = np.where(comparison, acc, point).reshape(len(keys), leaves)[:, :n]
+    return out ^ np.array([k.add_const for k in keys], dtype=np.uint8)[:, None]
 
 
-def full_domain_eval(key: FssKey, n: int) -> BitVector:
-    """Evaluate at every point of ``[0, n)`` in one tree traversal."""
-    if isinstance(key, IntervalKey):
-        return _full_domain_tree(key.lower, n) ^ _full_domain_tree(key.upper, n)
-    return _full_domain_tree(key, n)
+def full_domain_eval(key: FssKey, n: int, *, more=None):
+    """Evaluate at every point of ``[0, n)`` in one tree traversal.
+
+    ``more`` lists further ``(key, n)`` pairs to evaluate in the same
+    traversal, and the list of every evaluation comes back; without it the
+    one evaluation comes back. Trees of one depth, the two comparison halves
+    of an interval key among them, descend together, one PRG call per level.
+    """
+    jobs = [(key, n)] + list(more or ())
+    trees = [(j, tree, m) for j, (k, m) in enumerate(jobs)
+             for tree in ((k.lower, k.upper) if isinstance(k, IntervalKey) else (k,))]
+    out = [np.zeros(m, dtype=np.uint8) for _, m in jobs]
+    for depth in sorted({tree.domain_bits for _, tree, _ in trees}):
+        group = [(j, tree, m) for j, tree, m in trees if tree.domain_bits == depth]
+        evals = _full_domain_trees([tree for _, tree, _ in group], max(m for *_, m in group))
+        for (j, _, m), row in zip(group, evals):
+            out[j] ^= row[:m]  # an interval key: the XOR of its two halves
+    vectors = [BitVector.from_bits(bits) for bits in out]
+    return vectors if more is not None else vectors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +462,3 @@ def parse_bundle(buf: bytes) -> FssKeyBundle:
     pairs = tuple((keys[2 * i], keys[2 * i + 1]) for i in range(3))
     return FssKeyBundle(kind, pairs)
 
-
-def key_parts_for_engine(key: FssKey) -> list[DpfKey]:
-    """Evaluation passes for the engine: one per re-share round.
-
-    Point and single-sided keys evaluate in one pass; interval keys take two
-    (their lower and upper comparison halves), doubling the bits re-shared.
-    """
-    if isinstance(key, IntervalKey):
-        return [key.lower, key.upper]
-    return [key]

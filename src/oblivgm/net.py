@@ -190,21 +190,29 @@ class PhaseStats:
     bytes_sent: int = 0
     frames_sent: int = 0
     logical_bits: int = 0
+    rounds: int = 0  # sends that follow a receive since the party's previous send
     seconds: float = 0.0  # wall time spent inside the phase (not kept for the total)
 
-    def add(self, nbytes: int, bits: int) -> None:
+    def add(self, nbytes: int, bits: int, new_round: bool) -> None:
         self.bytes_sent += nbytes
         self.frames_sent += 1
         self.logical_bits += bits
+        self.rounds += new_round
 
 
 class Meter:
-    """Per-party traffic accounting, grouped by a caller-managed phase stack."""
+    """Per-party traffic accounting, grouped by a caller-managed phase stack.
+
+    A send opens a new round when the party has received a frame since its
+    previous send, or has not sent before: frames a party sends back to back,
+    such as the two a shuffle sends from party 2, share one round.
+    """
 
     def __init__(self):
         self.phases: dict[str, PhaseStats] = {}
         self.total = PhaseStats()
         self._stack: list[str] = []
+        self._received = True
 
     @property
     def current(self) -> str:
@@ -221,16 +229,27 @@ class Meter:
             self.phases.setdefault(name, PhaseStats()).seconds += time.perf_counter() - started
 
     def record_send(self, nbytes: int, logical_bits: int) -> None:
-        self.total.add(nbytes, logical_bits)
-        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits)
+        new_round, self._received = self._received, False
+        self.total.add(nbytes, logical_bits, new_round)
+        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits, new_round)
+
+    def record_recv(self) -> None:
+        self._received = True
 
 
 class Opened(NamedTuple):
-    """One entry of the leakage ledger: a value revealed to every party."""
+    """One entry of the leakage ledger: a value revealed to every party.
+
+    ``slot`` is the query slot the bits belong to (None when the caller gave
+    none) and ``segments`` the public row counts of its groups, which split
+    ``bits``. An open that spans several slots makes one entry per slot.
+    """
 
     label: int
     phase: str
     bits: BitVector
+    slot: int | None
+    segments: tuple[int, ...]
 
 
 @dataclass
@@ -281,7 +300,7 @@ class PartyRuntime:
         self.seed_with_next = config.seed_with_next
         self.seed_with_prev = config.seed_with_prev
         self.meter = Meter()
-        self.opened: list[Opened] = []  # the leakage ledger, one entry per open
+        self.opened: list[Opened] = []  # the leakage ledger, one entry per open and slot
         self.recv_timeout = recv_timeout
         self._next = next_party(self.index)
         self._prev = prev_party(self.index)
@@ -302,10 +321,14 @@ class PartyRuntime:
         self._send(self._prev, op, payload, logical_bits)
 
     def recv_next(self, op: int) -> bytes:
-        return self.links[self._next].recv(op, self.recv_timeout)
+        payload = self.links[self._next].recv(op, self.recv_timeout)
+        self.meter.record_recv()
+        return payload
 
     def recv_prev(self, op: int) -> bytes:
-        return self.links[self._prev].recv(op, self.recv_timeout)
+        payload = self.links[self._prev].recv(op, self.recv_timeout)
+        self.meter.record_recv()
+        return payload
 
     # -- session state -----------------------------------------------------
 
@@ -326,8 +349,24 @@ class PartyRuntime:
         for link in self.links.values():
             link.close()
 
-    def note_opened(self, label: int, plaintext: BitVector) -> None:
-        self.opened.append(Opened(label, self.meter.current, plaintext))
+    def note_opened(self, label: int, plaintext: BitVector, slots=None) -> None:
+        """Enter an opened value in the ledger, one entry per ``(slot, segments)`` run.
+
+        The runs split ``plaintext`` in order; without ``slots`` the whole
+        value is one untagged entry.
+        """
+        phase, n = self.meter.current, plaintext.logical_len
+        if slots is None:
+            self.opened.append(Opened(label, phase, plaintext, None, (n,)))
+            return
+        bits, pos = plaintext.to_bits(), 0
+        for slot, segments in slots:
+            end = pos + sum(segments)
+            self.opened.append(Opened(label, phase, BitVector.from_bits(bits[pos:end]), slot,
+                                      tuple(segments)))
+            pos = end
+        if pos != n:
+            raise ValueError(f"ledger runs cover {pos} of {n} opened bits")
 
     def transcript_digest(self) -> str:
         return self._transcript.hexdigest()

@@ -10,7 +10,8 @@ Two containers hold one party's shares. :class:`SharedBitVector` is a single
 vector (predicate bits and the flags to open); :class:`MatchTable` is a
 batch of uniform-width rows as two word matrices, with public segment row
 counts. Tables are what every protocol step of the engine moves, what a
-query's matched records are, and what result files store.
+query's matched records are, and what result files store. One re-share
+message can carry several tables of different widths, laid end to end.
 
 Local share algebra lives here as pure functions. The operations that
 communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
@@ -220,43 +221,70 @@ class ZeroShareContext:
 # ---------------------------------------------------------------------------
 
 
-def reshare_rows(rt, additive: np.ndarray, width: int) -> MatchTable:
+def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None):
     """Turn additive shares of ``(rows, words)`` rows of ``width`` bits into a replicated table.
 
     One message of ``rows * width`` logical bits to the next party, blinded
     by one zero-sharing drawn for the whole matrix. The blinded additive
     share sent by party i becomes replicated share index i+1.
+
+    ``more`` is a list of further ``(additive, width)`` tables of any row
+    counts and widths. They ride in the same message, each table's words
+    laid after the previous table's with no padding to a common width, under
+    one zero-sharing drawn for all of them; the list of every replicated
+    table comes back, in order. Without ``more`` the one table comes back.
     """
-    rows, w = additive.shape
-    blinded = mask_tail(additive ^ rt.zero_share(rows * w * 32).words.reshape(rows, w), width)
-    rt.send_next(OP_RESHARE, blinded.tobytes(), logical_bits=rows * width)
+    parts = [(additive, width)] + list(more or ())
+    pad = rt.zero_share(sum(a.size for a, _ in parts) * 32).words
+    blinded, pos = [], 0
+    for a, w in parts:
+        blinded.append(mask_tail(a ^ pad[pos:pos + a.size].reshape(a.shape), w))
+        pos += a.size
+    payload = b"".join(b.tobytes() for b in blinded)
+    rt.send_next(OP_RESHARE, payload, logical_bits=sum(a.shape[0] * w for a, w in parts))
     raw = rt.recv_prev(OP_RESHARE)
-    if len(raw) != blinded.nbytes:
-        raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {blinded.nbytes}")
-    received = np.frombuffer(raw, dtype=np.uint32).reshape(rows, w)
-    return MatchTable(rt.index, width, received, blinded)
+    if len(raw) != len(payload):
+        raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {len(payload)}")
+    received = np.frombuffer(raw, dtype=np.uint32)
+    tables, pos = [], 0
+    for b, (_, w) in zip(blinded, parts):
+        tables.append(MatchTable(rt.index, w, received[pos:pos + b.size].reshape(b.shape), b))
+        pos += b.size
+    return tables if more is not None else tables[0]
 
 
-def reshare(rt, additive: BitVector) -> SharedBitVector:
+def reshare(rt, additive: BitVector, *, more=None):
     """Re-share one additive vector: the one-row case of :func:`reshare_rows`.
 
-    A zero-sharing is an AES-CTR stream, so drawing it for whole words gives
-    the same bits as drawing it for ``len(additive)`` bits.
+    ``more`` is a list of further vectors re-shared in the same message; the
+    list of every shared vector comes back, in order. A zero-sharing is an
+    AES-CTR stream, so drawing it for whole words gives the same bits as
+    drawing it for ``len(additive)`` bits.
     """
-    return reshare_rows(rt, additive.words[None, :], additive.logical_len).row(0)
+    tables = reshare_rows(rt, additive.words[None, :], additive.logical_len,
+                          more=[(v.words[None, :], v.logical_len) for v in more or ()])
+    shared = [t.row(0) for t in tables]
+    return shared if more is not None else shared[0]
 
 
-def and_gate(rt, a: SharedBitVector, b: SharedBitVector) -> SharedBitVector:
-    """Bitwise AND of two replicated sharings; one round, n bits per party."""
-    return reshare(rt, and_terms(a, b))
+def and_gate(rt, a: SharedBitVector, b: SharedBitVector, *, more=None):
+    """Bitwise AND of two replicated sharings; one round, n bits per party.
+
+    ``more`` is a list of further ``(a, b)`` pairs ANDed in the same
+    message; the list of every product comes back, in order.
+    """
+    terms = None if more is None else [and_terms(x, y) for x, y in more]
+    return reshare(rt, and_terms(a, b), more=terms)
 
 
-def open_shared(rt, x: SharedBitVector) -> BitVector:
+def open_shared(rt, x: SharedBitVector, *, slots=None) -> BitVector:
     """Reveal a shared vector to every party and enter it in the runtime's ledger.
 
     Each party forwards its first share component to the next party under the
     runtime's next open label; labels advance in lockstep, so a mismatch means
-    the parties are opening different values.
+    the parties are opening different values. ``slots`` lists the
+    ``(slot, segments)`` of consecutive runs of ``x``, each entered in the
+    ledger on its own under this label (see :meth:`oblivgm.net.PartyRuntime.note_opened`).
     """
     label = rt.alloc_open_label()
     n = x.logical_len
@@ -270,5 +298,5 @@ def open_shared(rt, x: SharedBitVector) -> BitVector:
     if len(raw) - 4 != expected:
         raise ProtocolError(f"open message has {len(raw) - 4} bytes, expected {expected}")
     plain = x.share_a ^ x.share_b ^ BitVector(np.frombuffer(raw[4:], dtype=np.uint32), n)
-    rt.note_opened(label, plain)
+    rt.note_opened(label, plain, slots)
     return plain

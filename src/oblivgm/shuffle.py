@@ -9,7 +9,9 @@ plaintext.
 
 The table is an :class:`oblivgm.rss.MatchTable`. Its segments, public row
 counts, are each shuffled as a table of their own, under their own table id,
-but all segments travel in the same four frames.
+but all segments travel in the same four frames. So do further tables of
+other widths passed in the same call: their words are laid end to end, so
+no table is padded to another's width.
 """
 
 from __future__ import annotations
@@ -26,19 +28,7 @@ _LABEL_BLIND = b"SHTB"
 _LABEL_RAND = b"SHRD"
 
 
-def _blind_table(seed: bytes, label: bytes, first_id: int, segments, width: int) -> np.ndarray:
-    """Blinding rows of every segment, segment ``i`` drawn under table id ``first_id + i``."""
-    nwords = words_for(width)
-    raw = prf_stream(seed, label, first_id, [rows * nwords * 4 for rows in segments])
-    mat = np.frombuffer(raw, dtype=np.uint32).reshape(-1, nwords).copy()
-    return mask_tail(mat, width)
-
-
-def _apply(perm: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return mat[perm]
-
-
-def sec_shuffle(rt, table: MatchTable) -> MatchTable:
+def sec_shuffle(rt, table: MatchTable, *, more=None):
     """Obliviously permute the rows of each segment; returns fresh replicated shares.
 
     Each segment takes the next table id, and its permutations and blinding
@@ -47,37 +37,57 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
     to party 2, party 2 sends two to party 3, and party 3 sends one back to
     party 2. They take three rounds, since party 2's two frames go out
     together. A one-segment table is the plain shuffle of the whole table.
+
+    ``more`` is a list of further tables, of any widths. They ride in the
+    same four frames: the segments of every table, in order, take
+    consecutive table ids, each frame holds every table's words laid end to
+    end with no padding to a common width, and the list of all shuffled
+    tables comes back. Without ``more`` the one table comes back.
     """
-    if table.party_index != rt.index:
+    tables = [table] + list(more or ())
+    if any(t.party_index != rt.index for t in tables):
         raise ValueError("table does not belong to this party")
-    rows, width, segments = table.rows, table.width, table.segments
+    segments = [n for t in tables for n in t.segments]
     # segment i takes table id tid + i: the ids are consecutive, so the first identifies the batch
     tid = [rt.alloc_table_id() for _ in segments][0]
-    bits = rows * width
+    # every operation below acts on the tables' words laid end to end in one flat array
+    nwords = [words_for(t.width) for t in tables]
+    word_starts = np.cumsum([0] + [t.rows * w for t, w in zip(tables, nwords)])
+    row_starts = np.cumsum([0] + [t.rows for t in tables])
+    tails = np.concatenate([np.tile(mask_tail(np.full(w, 0xFFFFFFFF, np.uint32), t.width), t.rows)
+                            for t, w in zip(tables, nwords)])
+    bits = sum(t.rows * t.width for t in tables)
     head = int(tid).to_bytes(4, "little")
-    payload_bytes = rows * words_for(width) * 4
 
-    def send_next(mat):
-        rt.send_next(OP_SHUFFLE, head + mat.tobytes(), logical_bits=bits)
+    def send_next(flat):
+        rt.send_next(OP_SHUFFLE, head + flat.tobytes(), logical_bits=bits)
 
-    def send_prev(mat):
-        rt.send_prev(OP_SHUFFLE, head + mat.tobytes(), logical_bits=bits)
+    def send_prev(flat):
+        rt.send_prev(OP_SHUFFLE, head + flat.tobytes(), logical_bits=bits)
 
     def parse(raw) -> np.ndarray:
         got_tid = int.from_bytes(raw[:4], "little")
         if got_tid != tid:
             raise ProtocolError(f"shuffle table id mismatch: {got_tid} != {tid}")
-        if len(raw) - 4 != payload_bytes:
+        if len(raw) - 4 != tails.nbytes:
             raise ProtocolError(f"shuffle message has {len(raw) - 4} bytes, "
-                                f"expected {payload_bytes}")
-        return np.frombuffer(raw[4:], dtype=np.uint32).reshape(rows, words_for(width))
+                                f"expected {tails.nbytes}")
+        return np.frombuffer(raw[4:], dtype=np.uint32)
 
-    def perm(seed):  # block diagonal: segment i is permuted under tid + i
-        return seeded_permutation(seed, _LABEL_PERM, tid, segments)
+    def perm(seed):
+        """Word gather for the block-diagonal row permutation: segment i under tid + i."""
+        rows = seeded_permutation(seed, _LABEL_PERM, tid, segments)
+        return np.concatenate([
+            start + ((rows[lo:hi] - lo)[:, None] * w + np.arange(w)).ravel()
+            for start, lo, hi, w in zip(word_starts, row_starts[:-1], row_starts[1:], nwords)])
 
     def blind(seed, label):
-        return _blind_table(seed, label, tid, segments, width)
+        raw = prf_stream(seed, label, tid, [n * w * 4 for t, w in zip(tables, nwords)
+                                            for n in t.segments])
+        return np.frombuffer(raw, dtype=np.uint32) & tails
 
+    share_a = np.concatenate([t.share_a.ravel() for t in tables])
+    share_b = np.concatenate([t.share_b.ravel() for t in tables])
     if rt.index == 1:
         s12, s31 = rt.seed_with_next, rt.seed_with_prev
         pi12 = perm(s12)
@@ -86,7 +96,7 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
         pi31 = perm(s31)
         t31 = blind(s31, _LABEL_BLIND)
         r1 = blind(s31, _LABEL_RAND)
-        x1 = _apply(pi31, _apply(pi12, table.share_a ^ table.share_b ^ t12) ^ t31)
+        x1 = ((share_a ^ share_b ^ t12)[pi12] ^ t31)[pi31]
         send_next(x1)
         out_a, out_b = r1, r2
     elif rt.index == 2:
@@ -96,9 +106,9 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
         r2 = blind(s12, _LABEL_RAND)
         pi23 = perm(s23)
         t23 = blind(s23, _LABEL_BLIND)
-        y1 = _apply(pi12, table.share_b ^ t12)
+        y1 = (share_b ^ t12)[pi12]
         x1 = parse(rt.recv_prev(OP_SHUFFLE))
-        c1 = _apply(pi23, x1 ^ t23) ^ r2
+        c1 = (x1 ^ t23)[pi23] ^ r2
         send_next(y1)
         send_next(c1)
         r3 = parse(rt.recv_next(OP_SHUFFLE))
@@ -112,12 +122,14 @@ def sec_shuffle(rt, table: MatchTable) -> MatchTable:
         r1 = blind(s31, _LABEL_RAND)
         y1 = parse(rt.recv_prev(OP_SHUFFLE))
         c1 = parse(rt.recv_prev(OP_SHUFFLE))
-        c2 = _apply(pi23, _apply(pi31, y1 ^ t31) ^ t23) ^ r1
+        c2 = ((y1 ^ t31)[pi31] ^ t23)[pi23] ^ r1
         r3 = c1 ^ c2
         send_prev(r3)
         out_a, out_b = r3, r1
-    return MatchTable(rt.index, width, np.ascontiguousarray(out_a),
-                      np.ascontiguousarray(out_b), segments)
+    shuffled = [MatchTable(rt.index, t.width, out_a[lo:hi].reshape(t.rows, w),
+                           out_b[lo:hi].reshape(t.rows, w), t.segments)
+                for t, w, lo, hi in zip(tables, nwords, word_starts[:-1], word_starts[1:])]
+    return shuffled if more is not None else shuffled[0]
 
 
 def composed_permutation(s12: bytes, s23: bytes, s31: bytes, table_id: int, rows: int) -> np.ndarray:

@@ -66,10 +66,11 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
 
 
 def expected_open_counts(res, any_mode: str = "or"):
-    """Plaintext count per candidate group of every open, in walk order.
+    """Plaintext count per candidate group of every ledger entry, keyed by (phase, slot).
 
-    Access opens count each parent record's true neighbours of the child
-    type; fetch opens count each group's candidates that satisfy the slot.
+    An access entry of slot ``s`` counts, for each matched record of ``s``'s
+    parent, its true neighbours of ``s``'s type; a fetch entry counts each
+    candidate group's members that satisfy ``s``.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
     matcher = _Matcher(graph, query, schema, any_mode)
@@ -82,7 +83,7 @@ def expected_open_counts(res, any_mode: str = "or"):
         ext = schema.types[slots[s]["type"]].ext_ids[code - 1]
         return graph.posting_list(graph.index_of[ext], vtype)
 
-    out = []
+    out = {}
     for s, slot in enumerate(slots):
         preds = slot["preds"]
         unique = (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
@@ -95,13 +96,20 @@ def expected_open_counts(res, any_mode: str = "or"):
                       for ri in range(results[0].records[parent].rows)]
         groups = [g for g in groups if g]
         if groups and not unique:
-            out.append(("secFetch", [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]))
+            out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
         for child in slot["children"]:
             n_records = results[0].records[s].rows
             if n_records:
-                out.append(("secAccess", [len(neighbours(s, ri, slots[child]["type"]))
-                                          for ri in range(n_records)]))
+                out[("secAccess", child)] = [len(neighbours(s, ri, slots[child]["type"]))
+                                             for ri in range(n_records)]
     return out
+
+
+def opened_counts(entry) -> list[int]:
+    """Popcount of each segment (candidate group) of one ledger entry."""
+    bits = entry.bits.to_bits()
+    bounds = np.cumsum((0,) + entry.segments)
+    return [int(bits[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def reference_decode(result_sets, schema):

@@ -179,11 +179,12 @@ def test_serve_reads_addresses_from_environment(workspace, capsys, monkeypatch):
     assert "no bind address" in capsys.readouterr().err
 
 
-def test_bench_subprotocols_reports_double_interval_bytes(capsys):
+def test_bench_subprotocols_reports_interval_byte_ratio(capsys):
+    # an interval key is evaluated in one pass, so it re-shares what an equality does
     assert main(["bench", "--suite", "subprotocols", "--size", "200",
                  "--seed", "1234567890abcdef1234567890abcdef"]) == 0
     out = capsys.readouterr().out
-    assert "# interval/equality secEval byte ratio\t2.00" in out
+    assert "# interval/equality secEval byte ratio\t1.00" in out
     assert "# less-than/equality secEval byte ratio\t1.00" in out
     assert "secAccess" in out
 

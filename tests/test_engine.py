@@ -17,7 +17,7 @@ from oblivgm.oracle import oracle_match
 from oblivgm.query import gen_token, load_query
 from oblivgm.rss import MatchTable
 from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, expected_open_counts,
-                            run_secure_query)
+                            opened_counts, run_secure_query)
 
 
 def make_group(values, domain, rng, ids_domain=None):
@@ -67,7 +67,7 @@ def run_eval(values, domain, kind, operands, master=b"\x31" * 16):
     runtimes = local_runtimes(make_session_configs(master))
 
     def worker(rt):
-        return sec_eval(rt, groups[rt.index - 1], keys[rt.index - 1], "a", domain)
+        return sec_eval(rt, [(groups[rt.index - 1].attrs["a"], keys[rt.index - 1])])[0]
 
     shares = run_trio(worker, runtimes)
     return rss.reconstruct(shares).to_bits(), runtimes
@@ -83,8 +83,8 @@ def test_sec_eval_interval_filter_of_100_candidates():
     ages = rng.integers(0, 128, size=100).tolist()
     bits, runtimes = run_eval(ages, 128, "iv", (30, 40))
     assert bits.tolist() == [1 if 30 <= a <= 40 else 0 for a in ages]
-    # interval evaluation re-shares two bits per candidate (two comparison passes)
-    assert all(rt.meter.total.logical_bits == 200 for rt in runtimes)
+    # an interval key is evaluated in one pass: one bit re-shared per candidate
+    assert all(rt.meter.total.logical_bits == 100 for rt in runtimes)
 
 
 def test_sec_eval_equality_communication_is_one_bit_per_candidate():
@@ -102,7 +102,7 @@ def combine_worker(values_by_party, combiner, any_mode):
 
     def worker(rt):
         bits = values_by_party[rt.index - 1]
-        return combine_predicates(rt, bits, combiner, any_mode)
+        return combine_predicates(rt, [bits], [combiner], any_mode)[0]
 
     return rss.reconstruct(run_trio(worker, runtimes))
 
@@ -152,8 +152,8 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16):
         group = groups[rt.index - 1]
         flags = flag_shares[rt.index - 1]
         if unique:
-            return sec_fetch_unique(rt, group, flags), []
-        return sec_fetch_multi(rt, group, flags), rt.opened
+            return sec_fetch_unique(rt, [group], [flags])[0], []
+        return sec_fetch_multi(rt, [group], [flags])[0], rt.opened
 
     out = run_trio(worker, runtimes)
     return out, runtimes
@@ -369,8 +369,13 @@ def test_opened_bits_accounting():
     res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
     for rt in res["runtimes"]:
         assert rt.opened
-        assert [e.label for e in rt.opened] == list(range(1, len(rt.opened) + 1))
+        # one entry per slot an open spans, in slot order; labels count up from 1
+        labels = [e.label for e in rt.opened]
+        assert sorted(set(labels)) == list(range(1, labels[-1] + 1)) and labels == sorted(labels)
         assert all(e.phase in ("secFetch", "secAccess") for e in rt.opened)
+        for label in set(labels):
+            slots = [e.slot for e in rt.opened if e.label == label]
+            assert slots == sorted(set(slots))
     # all parties opened identical values in identical order
     seq = [[e.bits.to_bits().tolist() for e in rt.opened] for rt in res["runtimes"]]
     assert seq[0] == seq[1] == seq[2]
@@ -550,22 +555,41 @@ def test_frames_follow_query_shape_not_match_count():
     "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
 ])
 def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
-    segments = []
+    calls = []
     shuffle = engine.sec_shuffle
 
-    def recording(rt, table):
+    def recording(rt, table, **kwargs):
         if rt.index == 1:
-            segments.append(table.segments)
-        return shuffle(rt, table)
+            calls.append([t.segments for t in [table, *(kwargs.get("more") or ())]])
+        return shuffle(rt, table, **kwargs)
 
     monkeypatch.setattr(engine, "sec_shuffle", recording)
     res = run_secure_query(CAMPUS_GRAPH, query_text)
     want = expected_open_counts(res)
     for rt in res["runtimes"]:
-        assert len(rt.opened) == len(segments) == len(want)
-        for (_, phase, opened), segs, (want_phase, counts) in zip(rt.opened, segments, want):
-            bits = opened.to_bits()
-            bounds = np.cumsum((0,) + segs)
-            got = [int(bits[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            assert (phase, got) == (want_phase, counts)
-    assert any(len(segs) > 1 for segs in segments)
+        # each open's entries carry the segments of one shuffle call's tables, in order
+        labels = sorted({e.label for e in rt.opened})
+        assert [[e.segments for e in rt.opened if e.label == label] for label in labels] == calls
+        assert {(e.phase, e.slot): opened_counts(e) for e in rt.opened} == want
+        assert len(rt.opened) == len(want)
+    assert any(len(segs) > 1 for call in calls for segs in call)
+
+
+def test_rounds_follow_tree_depth_not_slot_count():
+    # the two-person tree (depth 2, two branches) and one of its branches as a
+    # chain run the same steps per level, so every party counts the same
+    # rounds; one more level costs more
+    tree = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    chain = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ pa P age in 30 40\n"
+                                           "Q ca C field = software\nQE u pa\nQE pa ca\n")
+    deeper = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age in 30 40\n"
+                                            "Q q P age in 30 60\nQ c C field = software\n"
+                                            "QE u p\nQE p q\nQE q c\n")
+    rounds = [[rt.meter.total.rounds for rt in res["runtimes"]] for res in (tree, chain, deeper)]
+    assert rounds[0] == rounds[1] and min(rounds[0]) > 0
+    assert all(d > t for d, t in zip(rounds[2], rounds[0]))
+    # the tree sends more bytes for its extra slots, in as many frames
+    frames = [[rt.meter.total.frames_sent for rt in res["runtimes"]] for res in (tree, chain)]
+    assert frames[0] == frames[1]
+    assert all(t.meter.total.bytes_sent > c.meter.total.bytes_sent
+               for t, c in zip(tree["runtimes"], chain["runtimes"]))

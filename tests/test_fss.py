@@ -210,3 +210,32 @@ def test_bundle_validation():
     mixed = (fss.dpf_gen(0, 4, rng), fss.dpf_gen(0, 4, rng), fss.dpf_gen(0, 300, rng))
     with pytest.raises(ValueError):
         fss.FssKeyBundle("eq", mixed)
+
+
+def test_interval_key_in_one_pass_equals_its_two_halves_exhaustively():
+    # the engine evaluates an interval key in one pass; every party's one-pass
+    # indicator must equal the XOR of the two comparison passes it replaces,
+    # at every point, and the pair must still give the interval
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4, 5, 7, 8, 9):  # both sides of the powers of two
+        xs = np.arange(n)
+        for lo in range(n):
+            for hi in range(lo, n):
+                for cl, ch in ((True, True), (True, False), (False, True), (False, False)):
+                    pair = fss.ic_gen(lo, hi, n, rng, closed_low=cl, closed_high=ch)
+                    for key in pair:
+                        halves = (fss.full_domain_eval(key.lower, n)
+                                  ^ fss.full_domain_eval(key.upper, n))
+                        assert fss.full_domain_eval(key, n) == halves
+                    want = (xs >= lo if cl else xs > lo) & (xs <= hi if ch else xs < hi)
+                    assert indicator(pair, n).tolist() == want.astype(int).tolist()
+
+
+def test_full_domain_eval_of_many_keys_in_one_traversal():
+    rng = np.random.default_rng(10)
+    keys = [(fss.dpf_gen(37, 128, rng)[0], 128), (fss.ic_gen(3, 9, 12, rng)[1], 12),
+            (fss.cmp_gen("ge", 20, 50, rng)[0], 50), (fss.dcf_gen(5, 6, rng)[1], 6),
+            (fss.ic_gen(0, 99, 100, rng)[0], 100), (fss.dpf_gen(2, 50, rng)[1], 37)]
+    batched = fss.full_domain_eval(*keys[0], more=keys[1:])
+    assert batched == [fss.full_domain_eval(key, n) for key, n in keys]
+    assert fss.full_domain_eval(*keys[0], more=[]) == batched[:1]

@@ -11,6 +11,7 @@ from oblivgm.bits import BitVector
 from oblivgm.net import (OP_OPEN, OP_RESHARE, ChannelClosed, Frame, PartyConfig, ProtocolError,
                          QueueChannel, TcpChannel, local_runtimes, make_session_configs,
                          parse_peers, run_trio, tcp_runtime)
+from oblivgm.shuffle import MatchTable, sec_shuffle
 
 
 def test_frame_round_trip():
@@ -296,3 +297,28 @@ def test_tcp_unreachable_peer():
     cfg.peers = {1: "127.0.0.1:9", 2: "127.0.0.1:9"}  # discard port, nothing listens
     with pytest.raises(ProtocolError, match="unreachable"):
         tcp_runtime(cfg, connect_timeout=0.3)
+
+
+def test_meter_counts_a_round_per_send_after_a_receive():
+    rng = np.random.default_rng(21)
+    x = rss.share(BitVector.random(9, rng), rng)
+    rows = [rss.share(BitVector.random(7, rng), rng) for _ in range(4)]
+
+    def worker(rt):
+        with rt.meter.phase("a"):
+            rss.reshare(rt, BitVector.zeros(9))  # everyone sends, then receives
+            rss.reshare(rt, BitVector.zeros(9))
+        with rt.meter.phase("b"):
+            sec_shuffle(rt, MatchTable.from_rows([r[rt.index - 1] for r in rows]))
+            rss.open_shared(rt, x[rt.index - 1])
+
+    runtimes = local_runtimes(make_session_configs(b"\x23" * 16))
+    run_trio(worker, runtimes)
+    # the shuffle: party 1 sends before it receives anything, party 2 receives
+    # once and sends two frames back to back, party 3 receives twice and sends
+    # once; then the open's send is a new round only for party 2, the one party
+    # that received during the shuffle after its last send
+    assert [rt.meter.phases["a"].rounds for rt in runtimes] == [2, 2, 2]
+    assert [rt.meter.phases["b"].rounds for rt in runtimes] == [1, 2, 1]
+    assert [rt.meter.total.rounds for rt in runtimes] == [3, 4, 3]
+    assert [rt.meter.total.frames_sent for rt in runtimes] == [4, 5, 4]

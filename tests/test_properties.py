@@ -5,8 +5,8 @@ are trees of up to 4 slots. Every type carries a repeating ordinal attribute
 ``a`` and a unique one ``u``, so equality on ``u`` takes the unique fetch
 route and its misses fold to dummy records (id code 0). On every input the
 opened result must equal ``oracle_match``, and the leakage ledger must hold
-only fetch and access flags, each open with the per-group counts the oracle
-implies.
+only fetch and access flags: one entry per slot an open spans, each with the
+per-group counts the oracle implies for that slot.
 
 ``build_schema`` refuses k = 1, because one-vertex groups give no degree
 twins; the engine does not depend on padding, so k = 1 builds the schema
@@ -25,8 +25,8 @@ from oblivgm import graphs, rss
 from oblivgm.engine import decode_records, open_results
 from oblivgm.graphs import GraphFormatError, build_schema, parse_graph_text
 from oblivgm.oracle import oracle_match
-from tests.conftest import (CAMPUS_GRAPH, expected_open_counts, reference_decode, reference_open,
-                            run_secure_query)
+from tests.conftest import (CAMPUS_GRAPH, expected_open_counts, opened_counts, reference_decode,
+                            reference_open, run_secure_query)
 
 OPS = ("=", "=", "<", "<=", ">", ">=", "in")
 
@@ -97,11 +97,16 @@ def draw_query(data, schema) -> str:
 def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
     res = run_secure_query(None, query_text, graph=graph, schema=schema, k=k, any_mode=any_mode)
     assert res["matches"] == oracle_match(graph, res["query"], schema, any_mode=any_mode)
-    want = [(phase, sum(counts)) for phase, counts in expected_open_counts(res, any_mode)]
-    ledgers = [[(e.label, e.phase, e.bits) for e in rt.opened] for rt in res["runtimes"]]
+    ledgers = [list(rt.opened) for rt in res["runtimes"]]
     assert ledgers[0] == ledgers[1] == ledgers[2]
-    assert [label for label, _, _ in ledgers[0]] == list(range(1, len(want) + 1))
-    assert [(phase, bits.popcount()) for _, phase, bits in ledgers[0]] == want
+    # labels count up from 1; an open spanning several slots has one entry per slot, in order
+    labels = [e.label for e in ledgers[0]]
+    assert labels == sorted(labels) and sorted(set(labels)) == list(range(1, len(set(labels)) + 1))
+    assert all(a.slot < b.slot for a, b in zip(ledgers[0], ledgers[0][1:]) if a.label == b.label)
+    # every entry's per-group popcounts are the oracle's, for each (phase, slot)
+    got = {(e.phase, e.slot): opened_counts(e) for e in ledgers[0]}
+    assert len(got) == len(ledgers[0])
+    assert got == expected_open_counts(res, any_mode)
     # whole-table decoding equals record-by-record decoding, dummy rows included
     for sets in (res["results"][:2], res["results"][1:], list(res["results"])):
         assert decode_records(sets, schema) == reference_decode(sets, schema)

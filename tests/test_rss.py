@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivgm import rss
-from oblivgm.bits import BitVector
+from oblivgm.bits import BitVector, pack_bits, words_for
 from oblivgm.net import ProtocolError, run_local_trio
 from oblivgm.rss import ZeroShareContext
 
@@ -192,3 +192,31 @@ def test_single_party_pair_distribution_is_independent_of_secret():
         assert pairs_for(0, party) == pairs_for(1, party)
         # and the marginal is uniform over the four possible pairs
         assert pairs_for(0, party) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_reshare_rows_carries_tables_of_mixed_widths_in_one_message():
+    rng = np.random.default_rng(13)
+    specs = [(3, 5), (1, 70), (0, 9), (4, 33), (2, 32)]  # (rows, width) per table
+    plain = [pack_bits(rng.integers(0, 2, (rows, w), dtype=np.uint8)) for rows, w in specs]
+    additive = []  # three-out-of-three shares, with junk past each width
+    for mat in plain:
+        a1, a2 = (rng.integers(0, 1 << 32, mat.shape, dtype=np.uint32) for _ in range(2))
+        additive.append((a1, a2, mat ^ a1 ^ a2))
+
+    def worker(rt):
+        parts = [(adds[rt.index - 1], w) for adds, (_, w) in zip(additive, specs)]
+        return rss.reshare_rows(rt, *parts[0], more=parts[1:]), rt.meter.total
+
+    out = run_local_trio(worker)
+    for k, mat in enumerate(plain):
+        assert [t[k].width for t, _ in out] == [specs[k][1]] * 3
+        assert np.array_equal(rss.reconstruct_rows([t[k] for t, _ in out]), mat)
+    # one frame per party: the tables' words end to end, none padded to another's width
+    words = sum(rows * words_for(w) for rows, w in specs)
+    for _, total in out:
+        assert (total.frames_sent, total.rounds) == (1, 1)
+        assert total.logical_bits == sum(rows * w for rows, w in specs)
+        assert total.bytes_sent == 18 + 4 * words
+    # a lone table comes back bare, as before
+    lone = run_local_trio(lambda rt: rss.reshare_rows(rt, additive[0][rt.index - 1], 5))
+    assert np.array_equal(rss.reconstruct_rows(lone), plain[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oblivgm import rss
-from oblivgm.bits import BitVector
+from oblivgm.bits import BitVector, words_for
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.shuffle import (MatchTable, composed_permutation, sec_shuffle,
                              simulate_shuffle)
@@ -146,3 +146,34 @@ def test_dimension_mismatch_rejected():
     table = MatchTable.from_rows(rows[:1])
     with pytest.raises(ValueError, match="segments"):
         MatchTable(table.party_index, table.width, table.share_a, table.share_b, (1, 1))
+
+
+def test_tables_of_different_widths_shuffle_in_one_call():
+    rng = np.random.default_rng(11)
+    specs = [(37, (3, 1)), (5, (4,)), (70, (2, 2, 1)), (1, (1,))]  # (width, segments)
+    plain = [[BitVector.random(w, rng) for _ in range(sum(segs))] for w, segs in specs]
+    shares = [[rss.share(r, rng) for r in rows] for rows in plain]
+    configs = make_session_configs(b"\x09" * 16)
+    runtimes = local_runtimes(configs)
+
+    def worker(rt):
+        tables = []
+        for (w, segs), rows in zip(specs, shares):
+            t = MatchTable.from_rows([r[rt.index - 1] for r in rows])
+            tables.append(MatchTable(rt.index, w, t.share_a, t.share_b, segs))
+        return sec_shuffle(rt, tables[0], more=tables[1:])
+
+    outs = run_trio(worker, runtimes)
+    # still the one shuffle's frames, each all tables' words end to end, unpadded
+    assert [rt.meter.total.frames_sent for rt in runtimes] == [1, 2, 1]
+    words = sum(len(rows) * words_for(w) for (w, _), rows in zip(specs, plain))
+    assert runtimes[0].meter.total.bytes_sent == 18 + 4 + 4 * words
+    seeds = tuple(c.seed_with_next for c in configs)
+    tid = 0
+    for k, ((w, segs), rows) in enumerate(zip(specs, plain)):
+        assert all((out[k].width, out[k].segments) == (w, segs) for out in outs)
+        rebuilt = [rss.reconstruct([out[k].row(i) for out in outs]) for i in range(len(rows))]
+        start = 0
+        for n in segs:  # every segment of every table under the next table id
+            assert rebuilt[start:start + n] == simulate_shuffle(*seeds, tid, rows[start:start + n])
+            start, tid = start + n, tid + 1

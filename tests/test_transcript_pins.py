@@ -6,8 +6,10 @@ moves share plumbing, re-sharing, labels or permutations around must leave
 these four queries' digests exactly as they are.
 
 The ledger pin is the stronger promise: every value a query opens, with its
-label and phase. A change of share encoding or field widths moves the
-digests, but must leave every party's ledger exactly as pinned here.
+label, phase, slot and group segments. A change of share encoding or field
+widths moves the digests, but must leave every party's ledger exactly as
+pinned here; grouping the opens of one tree level into one message may only
+merge labels.
 """
 
 import pytest
@@ -30,16 +32,16 @@ E s2 t2
 PINNED = [
     pytest.param(
         CAMPUS_GRAPH, TWO_PERSON_QUERY,
-        ("4414dadadf719119be109241681c653b376799f8225993cfc94d0e3e2a09e03b",
-         "72574b0318f1fccdc2bb8002bd72cd8189e57c1baacb9f1c19ba3d4b107a34dd",
-         "975b59f96e21d5f17e9766d382d97cd97a1d40d6347d3d1a9ef255a7fc21707e"),
+        ("b6a286aa36afc7d9ab074243927073f964bf890b7fac3664de8f9ca942841780",
+         "88b125b09a23bc565e30a7ebb4acc186b2c539d688d6e94eb7f8b12516c3d449",
+         "c6d0c6e733ad9eb2e5d24289c0374ff51ed44c5d858adce2fd422dbd86e72400"),
         id="campus-two-person"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\nQE u p\nQE p c\n",
-        ("03a833354822ae3b10e1282ff1b89e658c8f7909291fb4a7e6f1a40a99102e32",
-         "fb07f8041cc549ccbdd471a9dbcccdbe6deb0e51d99ca36f0e9364ccab551817",
-         "89a24a44a099d9eaa5c7a3a4092d590604823eb6430f66123e96a098761a814e"),
+        ("6d46e607b88276c94833059221a24e5ed92eb442b8dc432c262ae1b28f5e25fd",
+         "5dfced86dbc8960a869635b12f20168ec431ee604b93b6a2a02eb1264c45f00d",
+         "73d61e54612296611693b171b77c2950c53d9af675a26c265374831ee3549887"),
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
@@ -50,9 +52,9 @@ PINNED = [
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("b18827bac301821b1d88d46a2d9194047c3b272bb9dcbf87047989d8f81d7206",
-         "7c1b11826dfcfe37e928874e8d36470944be38826fdbd4d2376720f8604e8f1c",
-         "a5bf17d70142183d827e12d36fd1a8b5d3082eb8e21fec442f2b848828b79f01"),
+        ("4b242878580d985aeb065e0ebb711b1a66d0b5bb6ef3f05069b32c352e76a5f3",
+         "a01c3e2e1476f25f50eae0e4f3b471a0f3949a07b2bd2606d04b2a021a39b786",
+         "2ae05f0e0479fc855126d693aa3632ba90eb0f6056bef95a96650e45bab4e568"),
         id="two-group"),
 ]
 
@@ -63,16 +65,24 @@ def test_fixed_seed_transcripts_are_pinned(graph_text, query_text, digests):
     assert tuple(rt.transcript_digest() for rt in res["runtimes"]) == digests
 
 
-# per query: (label, phase, length in bits, packed words as hex) of every open
+# per query: (label, phase, slot, segments, length in bits, packed words as hex) of every
+# ledger entry; an open that spans several slots of one tree level has one entry per slot
 LEDGERS = {
-    "campus-two-person": [(1, "secAccess", 3, "07000000"), (2, "secAccess", 3, "07000000"),
-                          (3, "secFetch", 3, "07000000"), (4, "secAccess", 3, "07000000"),
-                          (5, "secFetch", 3, "07000000"), (6, "secAccess", 3, "07000000")],
-    "unique-chain": [(1, "secAccess", 3, "07000000"), (2, "secAccess", 1, "01000000")],
-    "repeated-categorical": [(1, "secFetch", 4, "07000000"), (2, "secAccess", 3, "07000000"),
-                             (3, "secFetch", 3, "07000000")],
-    "two-group": [(1, "secAccess", 3, "07000000"), (2, "secFetch", 3, "07000000"),
-                  (3, "secAccess", 3, "03000000"), (4, "secFetch", 2, "03000000")],
+    "campus-two-person": [(1, "secAccess", 1, (3,), 3, "07000000"),
+                          (1, "secAccess", 2, (3,), 3, "07000000"),
+                          (2, "secFetch", 1, (3,), 3, "07000000"),
+                          (2, "secFetch", 2, (3,), 3, "07000000"),
+                          (3, "secAccess", 3, (1, 1, 1), 3, "07000000"),
+                          (3, "secAccess", 4, (1, 1, 1), 3, "07000000")],
+    "unique-chain": [(1, "secAccess", 1, (3,), 3, "07000000"),
+                     (2, "secAccess", 2, (1,), 1, "01000000")],
+    "repeated-categorical": [(1, "secFetch", 0, (4,), 4, "07000000"),
+                             (2, "secAccess", 1, (1, 1, 1), 3, "07000000"),
+                             (3, "secFetch", 1, (1, 1, 1), 3, "07000000")],
+    "two-group": [(1, "secAccess", 1, (3,), 3, "07000000"),
+                  (2, "secFetch", 1, (3,), 3, "07000000"),
+                  (3, "secAccess", 2, (1, 1, 1), 3, "03000000"),
+                  (4, "secFetch", 2, (1, 1), 2, "03000000")],
 }
 
 
@@ -81,6 +91,6 @@ LEDGERS = {
 def test_fixed_seed_ledgers_are_pinned(graph_text, query_text, ledger):
     res = run_secure_query(graph_text, query_text, seed=5, master=b"\x5a" * 16)
     for rt in res["runtimes"]:
-        got = [(e.label, e.phase, e.bits.logical_len, e.bits.words.tobytes().hex())
-               for e in rt.opened]
+        got = [(e.label, e.phase, e.slot, e.segments, e.bits.logical_len,
+                e.bits.words.tobytes().hex()) for e in rt.opened]
         assert got == ledger
