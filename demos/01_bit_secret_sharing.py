@@ -22,7 +22,8 @@ print(f"y            = {y}")
 
 sx = rss.share(x, rng)
 sy = rss.share(y, rng)
-print(f"party 1 pair = ({sx[0].share_a}, {sx[0].share_b})   <- looks uniform")
+pair = (BitVector(m, x.logical_len) for m in (sx[0].share_a, sx[0].share_b))
+print(f"party 1 pair = ({', '.join(map(str, pair))})   <- looks uniform")
 print(f"reconstruct  = {rss.reconstruct(sx)}")
 print(f"x XOR y      = {rss.reconstruct([a.xor(b) for a, b in zip(sx, sy)])}  (local only)")
 

@@ -1,11 +1,11 @@
 """Oblivious attributed subgraph matching over three-party replicated secret sharing."""
 
 from .bits import BitVector
-from .rss import SharedBitVector, ZeroShareContext, reconstruct, share
+from .rss import MatchTable, ZeroShareContext, reconstruct, share
 
 __all__ = [
     "BitVector",
-    "SharedBitVector",
+    "MatchTable",
     "ZeroShareContext",
     "reconstruct",
     "share",

@@ -7,9 +7,7 @@ import time
 
 import numpy as np
 
-from .datagen import random_graph, random_query_text
-from .engine import (EngineConfig, _select_many_additive, _select_one_additive, open_results,
-                     sec_match)
+from .engine import EngineConfig, _select_many_additive, _select_one_additive, sec_match
 from .graphs import AttributedGraph, GraphFormatError, encrypt_graph
 from .net import PhaseStats, local_runtimes, make_session_configs, run_trio
 from .prf import prf_stream, prg_expand, seeded_permutation
@@ -47,9 +45,8 @@ def _run(tokens, shares, master: bytes, any_mode: str = "or"):
                          EngineConfig(any_mode=any_mode))
 
     started = time.perf_counter()
-    results = run_trio(worker, runtimes)
-    elapsed = time.perf_counter() - started
-    return results, runtimes, elapsed
+    run_trio(worker, runtimes)
+    return runtimes, time.perf_counter() - started
 
 
 def _row(*cols):
@@ -88,7 +85,7 @@ def _bench_subprotocols(seed: str, size: int) -> None:
     for name, qtext in queries.items():
         query = load_query(qtext, schema)
         tokens = gen_token(query, schema, rng)
-        _, runtimes, elapsed = _run(tokens, shares, master)
+        runtimes, elapsed = _run(tokens, shares, master)
         for phase in ("secEval", "secFetch", "secAccess"):
             nbytes = _phase_bytes(runtimes, phase)
             if nbytes:
@@ -102,22 +99,6 @@ def _bench_subprotocols(seed: str, size: int) -> None:
              f"{eval_bytes['eval-iv'] / eval_bytes['eval-eq']:.2f}")
         _row("# less-than/equality secEval byte ratio",
              f"{eval_bytes['eval-lt'] / eval_bytes['eval-eq']:.2f}")
-
-
-def _bench_query(seed: str, size: int) -> None:
-    rng = np.random.default_rng(int(seed, 16))
-    master = bytes.fromhex(seed)
-    g = random_graph(rng, n_vertices=size, n_types=3, avg_degree=3.0)
-    schema, shares = encrypt_graph(g, 2, rng)
-    _row("# query", "targets", "seconds", "bytes_per_party", "matches")
-    for trial in range(3):
-        qtext = random_query_text(rng, schema, n_targets=4)
-        query = load_query(qtext, schema)
-        tokens = gen_token(query, schema, rng)
-        results, runtimes, elapsed = _run(tokens, shares, master)
-        matches, _ = open_results(results[:2], schema)
-        _row(f"q{trial}", query.size, f"{elapsed:.3f}",
-             max(rt.meter.total.bytes_sent for rt in runtimes), len(matches))
 
 
 KERNEL_REPEATS = 20  # runs per kernel in the kernels suite; the best is printed
@@ -174,8 +155,6 @@ def run_suite(suite: str, seed: str | None = None, size: int = 1000) -> None:
     print(f"# suite={suite} size={size} seed={seed}")
     if suite == "subprotocols":
         _bench_subprotocols(seed, size)
-    elif suite == "query":
-        _bench_query(seed, size)
     elif suite == "kernels":
         _bench_kernels(seed)
     else:

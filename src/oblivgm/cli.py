@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EngineConfig, open_results, sec_match
+from .engine import EngineConfig, check_token, open_results, sec_match
 from .graphs import GraphFormatError, build_schema, encrypt_graph, parse_graph_text
 from .net import (PartyConfig, ProtocolError, local_runtimes, make_session_configs,
                   parse_peers, run_trio, tcp_runtime)
@@ -147,6 +147,7 @@ def cmd_serve(args) -> int:
     schema = load_schema(args.schema)
     gshare = load_graph_share(args.graph_share, schema)
     token = parse_token(Path(args.token).read_bytes(), expected_party=args.party)
+    check_token(token, gshare)  # before connecting, so a damaged token fails fast
     base = make_session_configs(bytes.fromhex(args.session_seed))[args.party - 1]
     config = PartyConfig(
         party_index=base.party_index, session=base.session,
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("bench", help="sub-protocol latency, bytes-on-wire and kernel timings")
-    p.add_argument("--suite", choices=("subprotocols", "query", "kernels"), default="subprotocols")
+    p.add_argument("--suite", choices=("subprotocols", "kernels"), default="subprotocols")
     p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--size", type=int, default=1000)
     p.set_defaults(fn=cmd_bench)

@@ -63,7 +63,7 @@ import numpy as np
 from . import fss, rss
 from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
-from .query import PartyToken
+from .query import PartyToken, QueryFormatError
 from .rss import MatchTable
 from .shuffle import sec_shuffle
 
@@ -225,16 +225,22 @@ def _no_rows(party: int, width: int) -> MatchTable:
     return MatchTable(party, width, empty, empty)
 
 
+def _flag_bits(flag: MatchTable) -> tuple[np.ndarray, np.ndarray]:
+    """The party's two shares of a one-row flag table as 0/1 arrays."""
+    return unpack_bits(flag.share_a, flag.width)[0], unpack_bits(flag.share_b, flag.width)[0]
+
+
 def _open_flags(rt, shuffled: list[MatchTable], slots=None) -> np.ndarray:
     """Open the flag columns (bit 0 of every row) of shuffled tables in one message.
 
     ``slots`` tags each table's flags in the ledger, split by its segments.
     """
     def column(side):
-        return BitVector.from_bits(np.concatenate([getattr(t, side)[:, 0] & 1 for t in shuffled]))
+        return pack_bits(np.concatenate([getattr(t, side)[:, 0] & 1 for t in shuffled]))[None]
 
     parts = None if slots is None else [(s, t.segments) for s, t in zip(slots, shuffled)]
-    flags = rss.SharedBitVector(rt.index, column("share_a"), column("share_b"))
+    flags = MatchTable(rt.index, sum(t.rows for t in shuffled), column("share_a"),
+                       column("share_b"))
     return rss.open_shared(rt, flags, slots=parts).to_bits()
 
 
@@ -299,7 +305,7 @@ def _shuffle_open_keep(rt, jobs, slots=None):
 # ---------------------------------------------------------------------------
 
 
-def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[rss.SharedBitVector]:
+def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[MatchTable]:
     """Evaluate predicates over candidate attribute tables; one shared bit per candidate each.
 
     ``preds`` holds one ``(values, key_pair)`` per predicate: the candidates'
@@ -317,8 +323,8 @@ def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[rss.SharedBitVec
     return rss.reshare(rt, additive[0], more=additive[1:])
 
 
-def combine_predicates(rt, bits: list[list[rss.SharedBitVector]], combiners: list[str],
-                       any_mode: str = "or") -> list[rss.SharedBitVector]:
+def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str],
+                       any_mode: str = "or") -> list[MatchTable]:
     """Fold each slot's per-predicate shared bits by the slot's public Boolean combiner.
 
     The slots advance together: step ``j`` folds every slot's predicate
@@ -356,7 +362,7 @@ def combine_predicates(rt, bits: list[list[rss.SharedBitVector]], combiners: lis
 
 
 def sec_fetch_unique(rt, cands: list[RecordTable],
-                     flags: list[rss.SharedBitVector]) -> list[RecordTable]:
+                     flags: list[MatchTable]) -> list[RecordTable]:
     """Case with at most one satisfying candidate per group: fold by flag bits locally.
 
     Local AND terms accumulate additively over each group's candidates, then
@@ -372,7 +378,7 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
     for cand, flag in zip(cands, flags):
         parents, counts = cand.groups()
         groups.append(parents)
-        fa, fb = flag.share_a.to_bits(), flag.share_b.to_bits()
+        fa, fb = _flag_bits(flag)
         bounds = np.cumsum((0,) + counts)
         spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         fields = [cand.attrs[a] for a in sorted(cand.attrs)]
@@ -383,13 +389,12 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
     tables = iter(rss.reshare_rows(rt, *folds[0], more=folds[1:]))
     out = []
     for cand, flag, parents in zip(cands, flags, groups):
-        ids = (MatchTable(rt.index, flag.logical_len, flag.share_a.words[None],
-                          flag.share_b.words[None]) if cand.ids is None else next(tables))
+        ids = flag if cand.ids is None else next(tables)
         out.append(RecordTable(ids, {a: next(tables) for a in sorted(cand.attrs)}, parents))
     return out
 
 
-def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[rss.SharedBitVector],
+def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
                     slots=None) -> list[RecordTable]:
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
@@ -400,9 +405,8 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[rss.SharedBitVecto
     ``id_width`` bits of code in a leaf slot, the population in a slot whose
     records are still to be accessed.
     """
-    jobs = [((flag.share_a.to_bits(), flag.share_b.to_bits()),
-             [cand.ids] + [cand.attrs[a] for a in sorted(cand.attrs)], cand.groups()[1])
-            for cand, flag in zip(cands, flags)]
+    jobs = [(_flag_bits(flag), [cand.ids] + [cand.attrs[a] for a in sorted(cand.attrs)],
+             cand.groups()[1]) for cand, flag in zip(cands, flags)]
     return [RecordTable(ids, dict(zip(sorted(cand.attrs), values)), cand.parent_record[keep])
             for cand, (keep, (ids, *values)) in zip(cands, _shuffle_open_keep(rt, jobs, slots))]
 
@@ -484,13 +488,35 @@ def _levels(slots) -> list[list[int]]:
     return levels
 
 
+def check_token(token: PartyToken, gshare: GraphShare) -> None:
+    """Refuse a token that does not fit the graph share's schema, before any message is sent.
+
+    Past the schema digest, a token that parsed may still be damaged: every
+    slot's type, edges and predicate attributes must exist, and every key's
+    depth must be its attribute's, since a deeper key would expand a tree of
+    ``2**domain_bits`` leaves.
+    """
+    if token.schema_digest != gshare.schema_digest:
+        raise QueryFormatError("token and graph share were built for different schemas")
+    slots = token.structure["slots"]
+    for slot, pairs in zip(slots, token.slot_keys):
+        ts = gshare.schema.types.get(slot["type"])
+        if ts is None or any(slots[c]["type"] not in ts.posting_types for c in slot["children"]):
+            raise QueryFormatError(f"token slot {slot['name']!r} does not fit the schema")
+        for pred, pair in zip(slot["preds"], pairs):
+            attr = ts.attrs.get(pred["attr"])
+            if attr is None or any(k.domain_bits != fss.domain_bits_for(attr.domain_size)
+                                   for k in pair):
+                raise QueryFormatError(f"token slot {slot['name']!r} predicate on "
+                                       f"{pred['attr']!r} does not fit the schema")
+
+
 def sec_match(rt, token: PartyToken, gshare: GraphShare,
               config: EngineConfig | None = None) -> MatchResultSet:
     """Run the whole query against the encrypted graph at one party, level by level."""
     config = config or EngineConfig()
     schema = gshare.schema
-    if token.schema_digest != gshare.schema_digest:
-        raise ValueError("token and graph share were built for different schemas")
+    check_token(token, gshare)
     slots = token.structure["slots"]
     types = [schema.types[slot["type"]] for slot in slots]
     cands: list[RecordTable | None] = [None] * len(slots)

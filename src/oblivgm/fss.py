@@ -87,27 +87,6 @@ class IntervalKey:
 FssKey = DpfKey | DcfKey | IntervalKey
 
 
-@dataclass(frozen=True)
-class FssKeyBundle:
-    """Three independent key pairs for one private predicate."""
-
-    predicate_kind: str
-    pairs: tuple  # ((k1,k2), (k1,k2), (k1,k2))
-
-    def __post_init__(self):
-        if self.predicate_kind not in PREDICATE_KINDS:
-            raise ValueError(f"unknown predicate kind {self.predicate_kind!r}")
-        if len(self.pairs) != 3:
-            raise ValueError("a bundle holds exactly three key pairs")
-        bits = {k.domain_bits for pair in self.pairs for k in pair}
-        if len(bits) != 1:
-            raise ValueError("all six keys must share domain_bits")
-
-    @property
-    def domain_bits(self) -> int:
-        return self.pairs[0][0].domain_bits
-
-
 # ---------------------------------------------------------------------------
 # key generation
 # ---------------------------------------------------------------------------
@@ -234,19 +213,16 @@ def ic_gen(low: int, high: int, domain_size: int, rng: np.random.Generator,
     return mk(low1, up1), mk(low2, up2)
 
 
-def bundle_gen(kind: str, operands: tuple[int, ...], domain_size: int,
-               rng: np.random.Generator) -> FssKeyBundle:
-    """Three independent key pairs for one predicate."""
-    def pair():
-        if kind == KIND_EQ:
-            return dpf_gen(operands[0], domain_size, rng)
-        if kind in COMPARISON_KINDS:
-            return cmp_gen(kind, operands[0], domain_size, rng)
-        if kind == KIND_INTERVAL:
-            return ic_gen(operands[0], operands[1], domain_size, rng)
-        raise ValueError(f"unknown predicate kind {kind!r}")
-
-    return FssKeyBundle(kind, (pair(), pair(), pair()))
+def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
+                 rng: np.random.Generator, closed: tuple[bool, bool] = (True, True)):
+    """One key pair for a predicate; ``closed`` picks an interval's open or closed bounds."""
+    if kind == KIND_EQ:
+        return dpf_gen(operands[0], domain_size, rng)
+    if kind in COMPARISON_KINDS:
+        return cmp_gen(kind, operands[0], domain_size, rng)
+    if kind == KIND_INTERVAL:
+        return ic_gen(operands[0], operands[1], domain_size, rng, *closed)
+    raise ValueError(f"unknown predicate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,38 +403,3 @@ def parse_key(buf: bytes) -> FssKey:
     if end != len(buf):
         raise ValueError("trailing bytes after key")
     return key
-
-
-def serialize_bundle(bundle: FssKeyBundle) -> bytes:
-    """Bundle wire form: kind byte, then three length-prefixed key pairs."""
-    kind_code = PREDICATE_KINDS.index(bundle.predicate_kind)
-    out = bytearray([kind_code])
-    for pair in bundle.pairs:
-        for key in pair:
-            blob = serialize_key(key)
-            out += struct.pack("<I", len(blob))
-            out += blob
-    return bytes(out)
-
-
-def parse_bundle(buf: bytes) -> FssKeyBundle:
-    if not buf or buf[0] >= len(PREDICATE_KINDS):
-        raise ValueError("bad bundle header")
-    kind = PREDICATE_KINDS[buf[0]]
-    pos = 1
-    keys = []
-    for _ in range(6):
-        if pos + 4 > len(buf):
-            raise ValueError("truncated bundle")
-        (blob_len,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        blob = buf[pos:pos + blob_len]
-        if len(blob) != blob_len:
-            raise ValueError("truncated bundle")
-        keys.append(parse_key(bytes(blob)))
-        pos += blob_len
-    if pos != len(buf):
-        raise ValueError("trailing bytes after bundle")
-    pairs = tuple((keys[2 * i], keys[2 * i + 1]) for i in range(3))
-    return FssKeyBundle(kind, pairs)
-

@@ -310,16 +310,8 @@ def gen_token(query: QueryGraph, schema: GraphSchema, rng: np.random.Generator):
                     raise QueryFormatError(
                         f"operand {opnd} outside the {pred.attr!r} dictionary domain"
                     )
-            if pred.kind == fss.KIND_INTERVAL:
-                k = [
-                    fss.ic_gen(pred.operands[0], pred.operands[1], n, rng,
-                               closed_low=pred.closed[0], closed_high=pred.closed[1])
-                    for _ in range(3)
-                ]
-                bundle = fss.FssKeyBundle(pred.kind, tuple(k))
-            else:
-                bundle = fss.bundle_gen(pred.kind, pred.operands, n, rng)
-            (k11, k21), (k12, k22), (k13, k23) = bundle.pairs
+            (k11, k21), (k12, k22), (k13, k23) = (
+                fss.key_pair_gen(pred.kind, pred.operands, n, rng, pred.closed) for _ in range(3))
             slot_lists[0].append((k11, k12))
             slot_lists[1].append((k22, k13))
             slot_lists[2].append((k23, k21))
@@ -347,23 +339,51 @@ def serialize_token(token: PartyToken) -> bytes:
     return bytes(out)
 
 
+_SLOT_FIELDS = {"name", "type", "combiner", "preds", "children"}
+
+
+def _check_structure(structure) -> None:
+    """Refuse a token structure that :func:`query_structure` cannot have written."""
+    if not (isinstance(structure, dict) and set(structure) == {"slots"}
+            and isinstance(structure["slots"], list) and structure["slots"]):
+        raise QueryFormatError("token structure has no slot list")
+    slots = structure["slots"]
+    for s, slot in enumerate(slots):
+        if not (isinstance(slot, dict) and set(slot) == _SLOT_FIELDS
+                and isinstance(slot["name"], str) and isinstance(slot["type"], str)
+                and slot["combiner"] in COMBINERS
+                and isinstance(slot["children"], list)
+                and all(type(c) is int for c in slot["children"])
+                and isinstance(slot["preds"], list) and slot["preds"]
+                and all(isinstance(p, dict) and set(p) == {"attr", "kind"}
+                        and isinstance(p["attr"], str) and p["kind"] in fss.PREDICATE_KINDS
+                        for p in slot["preds"])):
+            raise QueryFormatError(f"malformed token slot {s}")
+    # slots are numbered breadth-first, so the child lists in slot order count 1, 2, ...
+    if [c for slot in slots for c in slot["children"]] != list(range(1, len(slots))):
+        raise QueryFormatError("token slots do not form a breadth-first tree")
+
+
 def parse_token(buf: bytes, expected_party: int | None = None) -> PartyToken:
+    """Read a token file; any damage that leaves it unreadable raises :class:`QueryFormatError`."""
     if buf[:4] != TOKEN_MAGIC:
         raise QueryFormatError("not a token file")
+    pos = 4 + 3 + 32  # magic, version and party, schema digest
+    if len(buf) < pos + 4:
+        raise QueryFormatError("truncated token")
     version, party = struct.unpack_from("<HB", buf, 4)
     if version != TOKEN_VERSION:
         raise QueryFormatError(f"unsupported token version {version}")
-    if expected_party is not None and party != expected_party:
-        raise QueryFormatError(f"token belongs to party {party}, not {expected_party}")
-    pos = 7
-    digest = bytes(buf[pos:pos + 32])
-    pos += 32
+    if party not in (1, 2, 3) or expected_party not in (None, party):
+        raise QueryFormatError(f"token belongs to party {party}, not {expected_party or '1-3'}")
+    digest = bytes(buf[7:pos])
     (json_len,) = struct.unpack_from("<I", buf, pos)
     pos += 4
     try:
         structure = json.loads(buf[pos:pos + json_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise QueryFormatError(f"corrupt token structure: {exc}") from None
+    _check_structure(structure)
     pos += json_len
     slot_keys = []
     for slot in structure["slots"]:
@@ -378,7 +398,10 @@ def parse_token(buf: bytes, expected_party: int | None = None) -> PartyToken:
                 blob = buf[pos:pos + blob_len]
                 if len(blob) != blob_len:
                     raise QueryFormatError("truncated token")
-                pair.append(fss.parse_key(bytes(blob)))
+                try:
+                    pair.append(fss.parse_key(bytes(blob)))
+                except (ValueError, struct.error) as exc:
+                    raise QueryFormatError(f"corrupt token key: {exc}") from None
                 pos += blob_len
             keys.append((pair[0], pair[1]))
         slot_keys.append(keys)

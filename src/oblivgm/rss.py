@@ -6,12 +6,13 @@ additive sharing locally and becomes replicated again through a one-round
 re-share: each party blinds its additive share with a fresh zero-sharing and
 forwards it to the next party.
 
-Two containers hold one party's shares. :class:`SharedBitVector` is a single
-vector (predicate bits and the flags to open); :class:`MatchTable` is a
-batch of uniform-width rows as two word matrices, with public segment row
-counts. Tables are what every protocol step of the engine moves, what a
-query's matched records are, and what result files store. One re-share
-message can carry several tables of different widths, laid end to end.
+One container holds one party's shares: :class:`MatchTable`, a batch of
+uniform-width rows as two word matrices, with public segment row counts. A
+shared vector, such as a column of predicate bits or the flags to open, is
+a table of one row. Tables are what every protocol step of the engine
+moves, what a query's matched records are, and what result files store.
+One re-share message can carry several tables of different widths, laid
+end to end.
 
 Local share algebra lives here as pure functions. The operations that
 communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
@@ -42,52 +43,15 @@ def prev_party(i: int) -> int:
     return (i + 1) % 3 + 1
 
 
-@dataclass(frozen=True)
-class SharedBitVector:
-    """One party's view of a replicated sharing: the pair (x_i, x_{i+1})."""
-
-    party_index: int
-    share_a: BitVector
-    share_b: BitVector
-
-    def __post_init__(self):
-        if self.party_index not in PARTIES:
-            raise ValueError(f"party_index must be in {PARTIES}")
-        if self.share_a.logical_len != self.share_b.logical_len:
-            raise ValueError("share pair length mismatch")
-
-    @property
-    def logical_len(self) -> int:
-        return self.share_a.logical_len
-
-    def xor(self, other: "SharedBitVector") -> "SharedBitVector":
-        """Local XOR of two sharings held by the same party."""
-        if self.party_index != other.party_index:
-            raise ValueError("cannot combine shares of different parties")
-        return SharedBitVector(
-            self.party_index, self.share_a ^ other.share_a, self.share_b ^ other.share_b
-        )
-
-    def xor_public(self, const: BitVector) -> "SharedBitVector":
-        """Add a public constant: the constant is folded into share x1 only."""
-        if const.logical_len != self.logical_len:
-            raise ValueError("length mismatch")
-        a, b = self.share_a, self.share_b
-        if self.party_index == 1:
-            a = a ^ const
-        elif self.party_index == 3:
-            b = b ^ const
-        return SharedBitVector(self.party_index, a, b)
-
-
 @dataclass
 class MatchTable:
-    """One party's share of an ordered batch of uniform-width rows.
+    """One party's share of an ordered batch of uniform-width rows: the pairs (x_i, x_{i+1}).
 
     ``share_a``/``share_b`` are ``(rows, words)`` uint32 matrices, the
     party's two components of every row. ``segments`` are the public row
     counts of consecutive blocks, such as the candidate groups of one query
-    slot; by default the whole table is one segment.
+    slot; by default the whole table is one segment. A shared vector of
+    ``n`` bits is a table of one row of width ``n``.
     """
 
     party_index: int
@@ -97,6 +61,8 @@ class MatchTable:
     segments: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.party_index not in PARTIES:
+            raise ValueError(f"party_index must be in {PARTIES}")
         expected = (self.rows, words_for(self.width))
         if self.share_a.shape != expected or self.share_b.shape != expected:
             raise ValueError(f"table shares must have shape {expected}")
@@ -108,33 +74,55 @@ class MatchTable:
     def rows(self) -> int:
         return self.share_a.shape[0]
 
+    @property
+    def logical_len(self) -> int:
+        return self.rows * self.width
+
     @classmethod
-    def from_rows(cls, rows: list[SharedBitVector]) -> "MatchTable":
+    def from_rows(cls, rows: list["MatchTable"]) -> "MatchTable":
+        """Stack one party's one-row tables into one table."""
         if not rows:
             raise ValueError("empty table")
-        width = rows[0].logical_len
-        party = rows[0].party_index
+        width, party = rows[0].width, rows[0].party_index
         for r in rows:
-            if r.logical_len != width or r.party_index != party:
+            if r.width != width or r.party_index != party:
                 raise ValueError("rows must share width and party")
-        a = np.stack([r.share_a.words for r in rows])
-        b = np.stack([r.share_b.words for r in rows])
-        return cls(party, width, a, b)
+        return cls(party, width, np.concatenate([r.share_a for r in rows]),
+                   np.concatenate([r.share_b for r in rows]))
 
     def take(self, rows) -> "MatchTable":
         """The rows picked by a slice or an index array, as a one-segment table."""
         return MatchTable(self.party_index, self.width, self.share_a[rows], self.share_b[rows])
 
-    def row(self, i: int) -> SharedBitVector:
-        return SharedBitVector(
-            self.party_index,
-            BitVector(self.share_a[i], self.width),
-            BitVector(self.share_b[i], self.width),
-        )
+    def row(self, i: int) -> "MatchTable":
+        return self.take(slice(i, i + 1))
+
+    def _check_operand(self, other: "MatchTable"):
+        if self.party_index != other.party_index:
+            raise ValueError("cannot combine shares of different parties")
+        if (self.rows, self.width) != (other.rows, other.width):
+            raise ValueError("length mismatch")
+
+    def xor(self, other: "MatchTable") -> "MatchTable":
+        """Local XOR of two tables of one shape held by the same party; segments are kept."""
+        self._check_operand(other)
+        return MatchTable(self.party_index, self.width, self.share_a ^ other.share_a,
+                          self.share_b ^ other.share_b, self.segments)
+
+    def xor_public(self, const: BitVector) -> "MatchTable":
+        """Add a public constant to every row: it is folded into share x1 only."""
+        if const.logical_len != self.width:
+            raise ValueError("length mismatch")
+        a, b = self.share_a, self.share_b
+        if self.party_index == 1:
+            a = a ^ const.words
+        elif self.party_index == 3:
+            b = b ^ const.words
+        return MatchTable(self.party_index, self.width, a, b, self.segments)
 
 
 def share(plaintext: BitVector, rng: np.random.Generator):
-    """Split a plaintext vector into the three party share pairs."""
+    """Split a plaintext vector into the three parties' one-row tables."""
     n = plaintext.logical_len
     if n == 0:
         raise ValueError("cannot share a zero-length vector")
@@ -143,15 +131,15 @@ def share(plaintext: BitVector, rng: np.random.Generator):
     s3 = plaintext ^ s1 ^ s2
     parts = {1: s1, 2: s2, 3: s3}
     return tuple(
-        SharedBitVector(i, parts[i], parts[next_party(i)]) for i in PARTIES
+        MatchTable(i, n, parts[i].words[None], parts[next_party(i)].words[None]) for i in PARTIES
     )
 
 
 def reconstruct(shares) -> BitVector:
-    """Recover one vector from the share pairs of any two or three parties (one-row tables)."""
-    tables = [MatchTable(sv.party_index, sv.logical_len, sv.share_a.words[None],
-                         sv.share_b.words[None]) for sv in shares]
-    return BitVector(reconstruct_rows(tables)[0], tables[0].width)
+    """Recover one vector from the one-row tables of any two or three parties."""
+    shares = list(shares)
+    (row,) = reconstruct_rows(shares)
+    return BitVector(row, shares[0].width)
 
 
 def reconstruct_rows(tables) -> np.ndarray:
@@ -180,17 +168,10 @@ def reconstruct_rows(tables) -> np.ndarray:
     return components[1] ^ components[2] ^ components[3]
 
 
-def and_terms(a: SharedBitVector, b: SharedBitVector) -> BitVector:
-    """Local additive share of a AND b: a_i&b_i ^ a_i&b_{i+1} ^ a_{i+1}&b_i."""
-    if a.party_index != b.party_index:
-        raise ValueError("cannot combine shares of different parties")
-    if a.logical_len != b.logical_len:
-        raise ValueError("length mismatch")
-    words = (
-        (a.share_a.words & b.share_a.words)
-        ^ (a.share_a.words & b.share_b.words)
-        ^ (a.share_b.words & b.share_a.words)
-    )
+def and_terms(a: MatchTable, b: MatchTable) -> BitVector:
+    """Local additive share of a AND b for one-row tables: a_i&b_i ^ a_i&b_{i+1} ^ a_{i+1}&b_i."""
+    a._check_operand(b)
+    words = (a.share_a & b.share_a) ^ (a.share_a & b.share_b) ^ (a.share_b & b.share_a)
     return BitVector(words, a.logical_len)
 
 
@@ -254,21 +235,20 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None):
 
 
 def reshare(rt, additive: BitVector, *, more=None):
-    """Re-share one additive vector: the one-row case of :func:`reshare_rows`.
+    """Re-share one additive vector into a one-row table: the one-row case of :func:`reshare_rows`.
 
     ``more`` is a list of further vectors re-shared in the same message; the
-    list of every shared vector comes back, in order. A zero-sharing is an
+    list of every shared table comes back, in order. A zero-sharing is an
     AES-CTR stream, so drawing it for whole words gives the same bits as
     drawing it for ``len(additive)`` bits.
     """
-    tables = reshare_rows(rt, additive.words[None, :], additive.logical_len,
-                          more=[(v.words[None, :], v.logical_len) for v in more or ()])
-    shared = [t.row(0) for t in tables]
-    return shared if more is not None else shared[0]
+    return reshare_rows(rt, additive.words[None, :], additive.logical_len,
+                        more=None if more is None else [(v.words[None, :], v.logical_len)
+                                                        for v in more])
 
 
-def and_gate(rt, a: SharedBitVector, b: SharedBitVector, *, more=None):
-    """Bitwise AND of two replicated sharings; one round, n bits per party.
+def and_gate(rt, a: MatchTable, b: MatchTable, *, more=None):
+    """Bitwise AND of two one-row tables; one round, n bits per party.
 
     ``more`` is a list of further ``(a, b)`` pairs ANDed in the same
     message; the list of every product comes back, in order.
@@ -277,8 +257,8 @@ def and_gate(rt, a: SharedBitVector, b: SharedBitVector, *, more=None):
     return reshare(rt, and_terms(a, b), more=terms)
 
 
-def open_shared(rt, x: SharedBitVector, *, slots=None) -> BitVector:
-    """Reveal a shared vector to every party and enter it in the runtime's ledger.
+def open_shared(rt, x: MatchTable, *, slots=None) -> BitVector:
+    """Reveal a one-row table to every party and enter it in the runtime's ledger.
 
     Each party forwards its first share component to the next party under the
     runtime's next open label; labels advance in lockstep, so a mismatch means
@@ -288,15 +268,15 @@ def open_shared(rt, x: SharedBitVector, *, slots=None) -> BitVector:
     """
     label = rt.alloc_open_label()
     n = x.logical_len
-    payload = int(label).to_bytes(4, "little") + x.share_a.words.tobytes()
+    payload = int(label).to_bytes(4, "little") + x.share_a.tobytes()
     rt.send_next(OP_OPEN, payload, logical_bits=n)
     raw = rt.recv_prev(OP_OPEN)
     peer_label = int.from_bytes(raw[:4], "little")
     if peer_label != label:
         raise ProtocolError(f"open label mismatch: local {label}, peer {peer_label}")
-    expected = x.share_a.words.nbytes
+    expected = x.share_a.nbytes
     if len(raw) - 4 != expected:
         raise ProtocolError(f"open message has {len(raw) - 4} bytes, expected {expected}")
-    plain = x.share_a ^ x.share_b ^ BitVector(np.frombuffer(raw[4:], dtype=np.uint32), n)
+    plain = BitVector(x.share_a ^ x.share_b ^ np.frombuffer(raw[4:], dtype=np.uint32), n)
     rt.note_opened(label, plain, slots)
     return plain

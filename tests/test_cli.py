@@ -156,6 +156,24 @@ def test_protocol_error_exit_code(workspace, capsys):
     assert "protocol error" in capsys.readouterr().err
 
 
+def test_damaged_token_exits_2(workspace, capsys):
+    run_pipeline(workspace)
+    token = workspace / "tok" / "token-2.ogmt"
+    blob = token.read_bytes()
+    for damaged in (blob[:20], blob[:12] + bytes([blob[12] ^ 1]) + blob[13:]):
+        token.write_bytes(damaged)
+        assert main(["query", "--graph-dir", str(workspace / "enc"),
+                     "--token-dir", str(workspace / "tok"), "--out-dir", str(workspace / "x"),
+                     "--session-seed", SES_SEED, "--quiet"]) == 2
+        assert main(["serve", "--party", "2",
+                     "--schema", str(workspace / "enc" / "schema.json"),
+                     "--graph-share", str(workspace / "enc" / "graph-share-2.ogmg"),
+                     "--token", str(token), "--out", str(workspace / "never.ogmr"),
+                     "--bind", "127.0.0.1:19872", "--peers", "1=127.0.0.1:9,3=127.0.0.1:9",
+                     "--session-seed", SES_SEED]) == 2
+        assert capsys.readouterr().err.count("error: ") == 2
+
+
 def test_serve_reads_addresses_from_environment(workspace, capsys, monkeypatch):
     run_pipeline(workspace)
     monkeypatch.setenv("OBLIVGM_BIND", "127.0.0.1:19871")

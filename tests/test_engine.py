@@ -1,6 +1,7 @@
 """Engine components against plaintext oracles, plus end-to-end equivalence."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph
                             parse_graph_text)
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import oracle_match
-from oblivgm.query import gen_token, load_query
+from oblivgm.query import QueryFormatError, gen_token, load_query
 from oblivgm.rss import MatchTable
 from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, expected_open_counts,
                             opened_counts, run_secure_query)
@@ -51,12 +52,8 @@ def make_group(values, domain, rng, ids_domain=None):
 
 
 def trio_keys(kind, operands, domain, rng):
-    bundle = (fss.ic_gen(*operands, domain, rng) for _ in range(3)) if kind == "iv" else None
-    if kind == "iv":
-        pairs = tuple(fss.ic_gen(operands[0], operands[1], domain, rng) for _ in range(3))
-    else:
-        pairs = tuple(fss.bundle_gen(kind, operands, domain, rng).pairs)
-    (k11, k21), (k12, k22), (k13, k23) = pairs
+    (k11, k21), (k12, k22), (k13, k23) = (fss.key_pair_gen(kind, operands, domain, rng)
+                                          for _ in range(3))
     return [(k11, k12), (k22, k13), (k23, k21)]
 
 
@@ -487,6 +484,28 @@ def test_schema_digest_mismatch_rejected():
 
     with pytest.raises(ValueError, match="different schemas"):
         run_trio(worker, runtimes)
+
+
+def test_token_that_does_not_fit_the_schema_is_refused():
+    res = run_secure_query(CAMPUS_GRAPH, "Q a P age = 35\nQ b C field = software\nQE a b\n")
+    token, gshare = res["tokens"][0], res["shares"][0]
+    engine.check_token(token, gshare)
+
+    def damaged(path, value):
+        structure = copy.deepcopy(token.structure)
+        *head, last = path
+        target = structure["slots"]
+        for step in head:
+            target = target[step]
+        target[last] = value
+        return replace(token, structure=structure)
+
+    deep = fss.dpf_gen(3, 1 << 20, np.random.default_rng(0))  # 20 levels, far deeper than age
+    for bad in (damaged([0, "type"], "X"), damaged([1, "type"], "P"),
+                damaged([0, "preds", 0, "attr"], "place"),
+                replace(token, slot_keys=[[deep], token.slot_keys[1]])):
+        with pytest.raises(QueryFormatError, match="does not fit the schema"):
+            engine.check_token(bad, gshare)
 
 
 def test_schema_digest_is_taken_once_per_share(monkeypatch):

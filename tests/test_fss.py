@@ -179,37 +179,18 @@ def test_key_size_affine_in_domain_bits():
 
 def test_bundle_independence_and_agreement():
     rng = np.random.default_rng(12)
-    bundle = fss.bundle_gen("iv", (30, 40), 128, rng)
-    indicators = [indicator(pair, 128).tolist() for pair in bundle.pairs]
+    pairs = [fss.key_pair_gen("iv", (30, 40), 128, rng) for _ in range(3)]
+    indicators = [indicator(pair, 128).tolist() for pair in pairs]
     assert indicators[0] == indicators[1] == indicators[2]
-    blobs = {tuple(fss.serialize_key(k) for k in pair) for pair in bundle.pairs}
+    assert indicators[0] == brute_force("iv", (30, 40), 128).tolist()
+    blobs = {tuple(fss.serialize_key(k) for k in pair) for pair in pairs}
     assert len(blobs) == 3  # independent randomness
-    assert bundle.domain_bits == 7
-
-
-def test_bundle_serialization_round_trip():
-    rng = np.random.default_rng(14)
-    for kind, operands in (("eq", (5,)), ("ge", (9,)), ("iv", (3, 11))):
-        bundle = fss.bundle_gen(kind, operands, 64, rng)
-        blob = fss.serialize_bundle(bundle)
-        back = fss.parse_bundle(blob)
-        assert back.predicate_kind == kind
-        assert fss.serialize_bundle(back) == blob
-        for orig, parsed in zip(bundle.pairs, back.pairs):
-            assert indicator(parsed, 64).tolist() == indicator(orig, 64).tolist()
-    with pytest.raises(ValueError):
-        fss.parse_bundle(blob[:-1])
-
-
-def test_bundle_validation():
-    rng = np.random.default_rng(13)
-    with pytest.raises(ValueError):
-        fss.FssKeyBundle("eq", (fss.dpf_gen(0, 4, rng),))
-    with pytest.raises(ValueError):
-        fss.FssKeyBundle("nope", tuple(fss.dpf_gen(0, 4, rng) for _ in range(3)))
-    mixed = (fss.dpf_gen(0, 4, rng), fss.dpf_gen(0, 4, rng), fss.dpf_gen(0, 300, rng))
-    with pytest.raises(ValueError):
-        fss.FssKeyBundle("eq", mixed)
+    assert {k.domain_bits for pair in pairs for k in pair} == {7}
+    # the closed flags pick the interval variant: (30, 40) open at both ends
+    open_pair = fss.key_pair_gen("iv", (30, 40), 128, rng, (False, False))
+    assert indicator(open_pair, 128).tolist() == brute_force("iv", (31, 39), 128).tolist()
+    with pytest.raises(ValueError, match="unknown predicate kind"):
+        fss.key_pair_gen("nope", (0,), 4, rng)
 
 
 def test_interval_key_in_one_pass_equals_its_two_halves_exhaustively():

@@ -130,6 +130,27 @@ def test_token_serialization_round_trip_and_party_check(schema):
         parse_token(b"\x00" * 64)
 
 
+def test_damaged_token_parses_or_raises_query_format_error(schema):
+    q = load_query("Q a P age in 31 35\nQ b C field = software\nQE a b\n", schema)
+    blob = serialize_token(gen_token(q, schema, np.random.default_rng(3))[0])
+    for n in range(len(blob)):
+        with pytest.raises(QueryFormatError):
+            parse_token(blob[:n])
+    parsed = 0
+    for bit in range(64 * 8):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        try:
+            parse_token(bytes(flipped))
+            parsed += 1
+        except QueryFormatError:
+            pass
+    assert 0 < parsed < 64 * 8  # flips in a slot name still parse; the header's do not
+    for party in (0, 4, 255):  # refused even when no party is expected
+        with pytest.raises(QueryFormatError, match="belongs to party"):
+            parse_token(blob[:6] + bytes([party]) + blob[7:])
+
+
 def wide_dictionary_schema(values=4096, population_split=2):
     """Schema with a large ordinal dictionary so key bytes dominate token size."""
     from oblivgm.graphs import AttributedGraph, build_schema

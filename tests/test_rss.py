@@ -1,5 +1,7 @@
 """Replicated sharing: reconstruction, local algebra, the AND round, zero-shares."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from oblivgm import rss
 from oblivgm.bits import BitVector, pack_bits, words_for
 from oblivgm.net import ProtocolError, run_local_trio
-from oblivgm.rss import ZeroShareContext
+from oblivgm.rss import MatchTable, ZeroShareContext
 
 
 def bv(bits):
@@ -70,7 +72,7 @@ def test_reconstruct_rejects_length_mismatch():
 def test_reconstruct_rejects_inconsistent_copies():
     rng = np.random.default_rng(1)
     s1, s2, s3 = rss.share(bv([1, 0, 1, 1]), rng)
-    corrupt = rss.SharedBitVector(2, s2.share_a ^ bv([1, 0, 0, 0]), s2.share_b)
+    corrupt = rss.MatchTable(2, 4, s2.share_a ^ bv([1, 0, 0, 0]).words, s2.share_b)
     with pytest.raises(ValueError, match="inconsistent"):
         rss.reconstruct([s1, corrupt, s3])
 
@@ -147,6 +149,52 @@ def test_xor_public_constant():
     c = BitVector.random(40, rng)
     sx = rss.share(x, rng)
     assert rss.reconstruct([s.xor_public(c) for s in sx]) == (x ^ c)
+
+
+def shared_table(rows, rng, segments=None):
+    """The three parties' tables of plaintext rows, each row shared on its own."""
+    per_row = [rss.share(r, rng) for r in rows]
+    return [replace(MatchTable.from_rows([shares[p] for shares in per_row]), segments=segments)
+            for p in range(3)]
+
+
+def test_table_xor_and_xor_public_act_on_every_row_and_keep_segments():
+    rng = np.random.default_rng(14)
+    xs = [BitVector.random(37, rng) for _ in range(5)]
+    ys = [BitVector.random(37, rng) for _ in range(5)]
+    tx, ty = shared_table(xs, rng, (2, 3)), shared_table(ys, rng, (2, 3))
+    assert tx[0].logical_len == 5 * 37
+    summed = [a.xor(b) for a, b in zip(tx, ty)]
+    assert [BitVector(r, 37) for r in rss.reconstruct_rows(summed)] == [
+        x ^ y for x, y in zip(xs, ys)]
+    c = BitVector.random(37, rng)
+    shifted = [t.xor_public(c) for t in tx]
+    assert [BitVector(r, 37) for r in rss.reconstruct_rows(shifted)] == [x ^ c for x in xs]
+    assert all(t.segments == (2, 3) for t in summed + shifted)
+
+
+def test_table_xor_refuses_other_party_or_shape():
+    rng = np.random.default_rng(15)
+    tx = shared_table([BitVector.random(37, rng) for _ in range(5)], rng)
+    with pytest.raises(ValueError, match="different parties"):
+        tx[0].xor(tx[1])
+    with pytest.raises(ValueError, match="length"):
+        tx[0].xor(tx[0].take(slice(0, 4)))
+    with pytest.raises(ValueError, match="length"):
+        tx[0].xor(shared_table([BitVector.random(36, rng) for _ in range(5)], rng)[0])
+    with pytest.raises(ValueError, match="length"):
+        tx[0].xor_public(BitVector.random(36, rng))
+    with pytest.raises(ValueError, match="party_index"):
+        MatchTable(4, 37, tx[0].share_a, tx[0].share_b)
+
+
+def test_from_rows_of_shared_rows_reconstructs_each_row():
+    rng = np.random.default_rng(16)
+    rows = [BitVector.random(70, rng) for _ in range(6)]
+    tables = shared_table(rows, rng)
+    assert [rss.reconstruct([t.row(i) for t in tables]) for i in range(6)] == rows
+    with pytest.raises(ValueError, match="width and party"):
+        MatchTable.from_rows([tables[0].row(0), tables[1].row(0)])
 
 
 def make_zero_contexts():
