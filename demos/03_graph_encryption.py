@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from oblivgm import rss
 from oblivgm.bits import unpack_bits
-from oblivgm.graphs import (build_schema, encrypt_graph, parse_graph_text,
-                            reconstruct_type_matrix)
+from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
 
 text = Path(__file__).with_name("data").joinpath("campus.graph").read_text()
 graph = parse_graph_text(text)
@@ -27,13 +27,12 @@ for vtype in sorted(schema.types):
 rng = np.random.default_rng(5)
 schema, shares = encrypt_graph(graph, 2, rng)
 
-# one party's share of the person ages: uniform noise
-tps = shares[0].types["P"]
-age_words = tps.attrs["age"][0]
-print("party 1's view of P.age:", [hex(int(w)) for w in age_words[:, 0]])
+# one party's share of the person ages, one table row per person: uniform noise
+age_table = shares[0].types["P"].attrs["age"]
+print("party 1's view of P.age:", [hex(int(w)) for w in age_table.share_a[:, 0]])
 
 # two parties together reconstruct the one-hot rows exactly
-plain = reconstruct_type_matrix(shares[:2], "P", "attr", "age")
+plain = rss.reconstruct_rows([gs.types["P"].attrs["age"] for gs in shares[:2]])
 ages = schema.types["P"].attrs["age"]
 bits = unpack_bits(plain, ages.domain_size)
 for row, ext in zip(bits, schema.types["P"].ext_ids):

@@ -49,6 +49,13 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
     return bits[..., :nbits]
 
 
+def one_hot_rows(rows: int, width: int, row: np.ndarray, hot: np.ndarray) -> np.ndarray:
+    """Packed ``(rows, words)`` matrix with bit ``hot[j]`` of row ``row[j]`` set, zero elsewhere."""
+    words = np.zeros((rows, words_for(width)), np.uint32)
+    words[row, hot // WORD_BITS] = np.uint32(1) << (hot % WORD_BITS).astype(np.uint32)
+    return words
+
+
 class BitVector:
     """A length-annotated packed bit string.
 

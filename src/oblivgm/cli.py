@@ -4,7 +4,7 @@ Subcommands::
 
     encrypt   split a plaintext graph into three share files + public schema
     tokenize  turn a query into three per-party token files
-    serve     run one party over TCP, or all three in process (--local-trio)
+    serve     run one party over TCP
     query     one-shot driver: run the trio and write result share files
     open      merge >=2 result share files into plaintext matches
     oracle    plaintext reference matcher on the same inputs
@@ -133,12 +133,6 @@ def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
 
 
 def cmd_serve(args) -> int:
-    if args.local_trio:
-        return _run_local_query(Path(args.graph_dir), Path(args.token_dir),
-                                Path(args.out_dir), args.session_seed,
-                                args.any_mode, args.quiet)
-    if args.party is None or args.graph_share is None or args.token is None:
-        raise QueryFormatError("TCP serve needs --party, --graph-share, --token")
     bind = args.bind or os.environ.get("OBLIVGM_BIND")
     peers_spec = args.peers or os.environ.get("OBLIVGM_PEERS", "")
     if not bind:
@@ -147,7 +141,7 @@ def cmd_serve(args) -> int:
     schema = load_schema(args.schema)
     gshare = load_graph_share(args.graph_share, schema)
     token = parse_token(Path(args.token).read_bytes(), expected_party=args.party)
-    check_token(token, gshare)  # before connecting, so a damaged token fails fast
+    check_token(token, gshare)  # before connecting: a damaged token or a wrong share fails fast
     base = make_session_configs(bytes.fromhex(args.session_seed))[args.party - 1]
     config = PartyConfig(
         party_index=base.party_index, session=base.session,
@@ -254,18 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_arg, default=None)
     p.set_defaults(fn=cmd_tokenize)
 
-    p = sub.add_parser("serve", help="run one party (TCP) or the whole trio (--local-trio)")
-    p.add_argument("--local-trio", action="store_true")
-    p.add_argument("--party", type=int, choices=(1, 2, 3))
-    p.add_argument("--schema")
-    p.add_argument("--graph-share")
-    p.add_argument("--token")
+    p = sub.add_parser("serve", help="run one party over TCP")
+    p.add_argument("--party", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--schema", required=True)
+    p.add_argument("--graph-share", required=True)
+    p.add_argument("--token", required=True)
     p.add_argument("--out", default="results.ogmr")
     p.add_argument("--bind")
     p.add_argument("--peers")
-    p.add_argument("--graph-dir")
-    p.add_argument("--token-dir")
-    p.add_argument("--out-dir", default="results")
     p.add_argument("--session-seed", type=_seed_arg, default=None)
     p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.add_argument("--quiet", action="store_true")

@@ -61,7 +61,7 @@ from itertools import product
 import numpy as np
 
 from . import fss, rss
-from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
+from .bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
 from .query import PartyToken, QueryFormatError
 from .rss import MatchTable
@@ -153,24 +153,20 @@ def _id_codes(ids: MatchTable, ts: TypeSchema) -> MatchTable:
 
 
 def _root_ids(party: int, ts: TypeSchema, one_hot: bool) -> MatchTable:
-    """The root slot's public ids, shared by the ``xor_public`` rule.
+    """The root slot's public ids, shared by the rule of :meth:`MatchTable.public`.
 
     Row ``c`` is vertex ``c``: the one-hot ``e_c`` for a root with children,
-    whose accesses select by it, else the code ``c + 1``. Party 1 holds
-    ``(x, 0)``, party 2 ``(0, 0)`` and party 3 ``(0, x)``.
+    whose accesses select by it, else the code ``c + 1``.
     """
-    x, zero = _public_rows(ts.population, ts.id_width, one_hot)
-    return MatchTable(party, ts.population if one_hot else ts.id_width,
-                      x if party == 1 else zero, x if party == 3 else zero)
+    return MatchTable.public(party, ts.population if one_hot else ts.id_width,
+                             *_public_rows(ts.population, ts.id_width, one_hot))
 
 
 @lru_cache(maxsize=8)
 def _public_rows(population: int, width: int, one_hot: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read-only packed identity or code table, and zeros of its shape."""
     if one_hot:
-        x = np.zeros((population, words_for(population)), np.uint32)
-        c = np.arange(population)
-        x[c, c // 32] = np.uint32(1) << (c % 32).astype(np.uint32)
+        x = one_hot_rows(population, population, np.arange(population), np.arange(population))
     else:
         x = _code_tables(population, width)[0]
     zero = np.zeros_like(x)
@@ -428,21 +424,22 @@ def sec_access(rt, edges, gshare: GraphShare, slots=None) -> list[RecordTable]:
     in the ledger, and one re-share of every needed attribute. Returns each
     edge's child candidates, sorted by the record they descend from.
     """
-    children = [gshare.schema.types[child_type] for _, _, child_type, _ in edges]
+    schema = gshare.schema
+    children = [schema.types[child_type] for _, _, child_type, _ in edges]
     lists = [gshare.types[parent_type].posting[child_type]
              for _, parent_type, child_type, _ in edges]
-    l_max = [lists_a.shape[1] for lists_a, _ in lists]
+    l_max = [schema.types[parent_type].max_padded(child_type)
+             for _, parent_type, child_type, _ in edges]
     live = [i for i, (records, *_) in enumerate(edges) if l_max[i] and records.rows]
     kept = {}  # per live edge: kept positions and the kept rows' one-hot ids
     if live:
         # one-hot selection of every matched vertex's padded posting list
         sel = []
         for i in live:
-            ids, (lists_a, lists_b) = edges[i][0].ids, lists[i]
-            x_pa = lists_a.shape[0]
+            ids, x_pa = edges[i][0].ids, schema.types[edges[i][1]].population
             sel.append((_select_many_additive(
                 unpack_bits(ids.share_a, x_pa), unpack_bits(ids.share_b, x_pa),
-                lists_a.reshape(x_pa, -1), lists_b.reshape(x_pa, -1),
+                lists[i].share_a.reshape(x_pa, -1), lists[i].share_b.reshape(x_pa, -1),
             ).reshape(-1, words_for(children[i].population)), children[i].population))
         fetched = rss.reshare_rows(rt, *sel[0], more=sel[1:])
 
@@ -460,7 +457,8 @@ def sec_access(rt, edges, gshare: GraphShare, slots=None) -> list[RecordTable]:
             child = children[i]
             kept_a = unpack_bits(ids.share_a, child.population)
             kept_b = unpack_bits(ids.share_b, child.population)
-            wanted += [(_select_many_additive(kept_a, kept_b, *gshare.types[edges[i][2]].attrs[a]),
+            fields = gshare.types[edges[i][2]].attrs
+            wanted += [(_select_many_additive(kept_a, kept_b, fields[a].share_a, fields[a].share_b),
                         child.attrs[a].domain_size) for a in edges[i][3]]
     values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
 
@@ -489,15 +487,18 @@ def _levels(slots) -> list[list[int]]:
 
 
 def check_token(token: PartyToken, gshare: GraphShare) -> None:
-    """Refuse a token that does not fit the graph share's schema, before any message is sent.
+    """Refuse a token that does not fit the graph share, before any message is sent.
 
-    Past the schema digest, a token that parsed may still be damaged: every
-    slot's type, edges and predicate attributes must exist, and every key's
-    depth must be its attribute's, since a deeper key would expand a tree of
-    ``2**domain_bits`` leaves.
+    Token and share must be one party's. Past the schema digest, a token
+    that parsed may still be damaged: every slot's type, edges and predicate
+    attributes must exist, and every key's depth must be its attribute's,
+    since a deeper key would expand a tree of ``2**domain_bits`` leaves.
     """
     if token.schema_digest != gshare.schema_digest:
         raise QueryFormatError("token and graph share were built for different schemas")
+    if token.party_index != gshare.party_index:
+        raise QueryFormatError(f"token of party {token.party_index} given the graph share "
+                               f"of party {gshare.party_index}")
     slots = token.structure["slots"]
     for slot, pairs in zip(slots, token.slot_keys):
         ts = gshare.schema.types.get(slot["type"])
@@ -516,6 +517,8 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
     """Run the whole query against the encrypted graph at one party, level by level."""
     config = config or EngineConfig()
     schema = gshare.schema
+    if token.party_index != rt.index:
+        raise QueryFormatError(f"token of party {token.party_index} run at party {rt.index}")
     check_token(token, gshare)
     slots = token.structure["slots"]
     types = [schema.types[slot["type"]] for slot in slots]
@@ -535,12 +538,10 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
                 and types[s].attrs[preds[0]["attr"]].unique)
 
     # the root's ids are public: none in the unique route, whose fold needs none
-    root_ts, root_share = types[0], gshare.types[slots[0]["type"]]  # wrapped, not copied
+    root_ts, root_share = types[0], gshare.types[slots[0]["type"]]
     cands[0] = RecordTable(
         None if unique_route(0) else _root_ids(rt.index, root_ts, bool(slots[0]["children"])),
-        {a: MatchTable(rt.index, root_ts.attrs[a].domain_size, *root_share.attrs[a])
-         for a in needed(0)},
-        np.full(root_ts.population, -1))
+        {a: root_share.attrs[a] for a in needed(0)}, np.full(root_ts.population, -1))
 
     for level in _levels(slots):
         for s in level:

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import BitVector, pack_bits, words_for
-from .rss import next_party
+from . import rss
+from .bits import BitVector, one_hot_rows
+from .rss import MatchTable
 
 
 class GraphFormatError(ValueError):
@@ -312,14 +313,16 @@ def build_schema(graph: AttributedGraph, k: int) -> GraphSchema:
 
 @dataclass
 class TypePartyShare:
-    """One party's share matrices for every vertex of one type.
+    """One party's tables for every vertex of one type.
 
-    Posting tensors are stacked to the type's maximum padded length; slots
-    past a vertex's padded length are public structural zeros.
+    ``attrs[a]`` has one row per vertex, its one-hot value. ``posting[t]``
+    has ``max_padded(t)`` rows per vertex, its padded posting list of
+    one-hot neighbor ids; rows past a vertex's padded length are public
+    structural zeros.
     """
 
-    attrs: dict[str, tuple[np.ndarray, np.ndarray]]
-    posting: dict[str, tuple[np.ndarray, np.ndarray]]
+    attrs: dict[str, MatchTable]
+    posting: dict[str, MatchTable]
 
 
 @dataclass
@@ -333,87 +336,40 @@ class GraphShare:
         self.schema_digest = self.schema_digest or self.schema.digest()
 
 
-def _share_matrix(plain_words: np.ndarray, rng: np.random.Generator):
-    """Split a packed word array into three XOR share arrays."""
-    s1 = rng.integers(0, 1 << 32, size=plain_words.shape, dtype=np.uint32)
-    s2 = rng.integers(0, 1 << 32, size=plain_words.shape, dtype=np.uint32)
-    s3 = plain_words ^ s1 ^ s2
-    return s1, s2, s3
-
-
 def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
                   schema: GraphSchema | None = None):
-    """Produce the public schema and the three per-party share sets."""
+    """Produce the public schema and the three per-party share sets.
+
+    Every attribute field is split in one draw, then every vertex's padded
+    posting list in one draw per vertex, type by type in schema order.
+    """
     if schema is None:
         schema = build_schema(graph, k)
-    per_type_parts: dict[str, dict] = {}
+    per_party: list[dict[str, TypePartyShare]] = [{}, {}, {}]
     for vtype, ts in schema.types.items():
         members = graph.type_members[vtype]
         x = ts.population
+        parts = [types.setdefault(vtype, TypePartyShare({}, {})) for types in per_party]
 
-        attr_shares = {}
         for name, aschema in ts.attrs.items():
-            n = aschema.domain_size
-            bits = np.zeros((x, n), dtype=np.uint8)
-            for row, gi in enumerate(members):
-                bits[row, aschema.index_of[graph.vertices[gi].attrs[name]]] = 1
-            attr_shares[name] = _share_matrix(pack_bits(bits), rng)
+            hot = np.array([aschema.index_of[graph.vertices[gi].attrs[name]] for gi in members])
+            plain = one_hot_rows(x, aschema.domain_size, np.arange(x), hot)
+            for part, table in zip(parts, rss.share_rows(plain, aschema.domain_size, rng)):
+                part.attrs[name] = table
 
-        posting_shares = {}
         for t_ne in ts.posting_types:
-            ne_members = graph.type_members[t_ne]
-            ne_local = {gi: li for li, gi in enumerate(ne_members)}
-            x_ne = len(ne_members)
+            ne_local = {gi: li for li, gi in enumerate(graph.type_members[t_ne])}
             l_max = ts.max_padded(t_ne)
-            w_ne = words_for(x_ne)
-            stack = [np.zeros((x, l_max, w_ne), dtype=np.uint32) for _ in range(3)]
-            for row, gi in enumerate(members):
+            row, hot = [], []
+            for v, gi in enumerate(members):
                 plist = graph.posting_list(gi, t_ne)
-                padded_len = ts.padded_len[t_ne][row]
-                if padded_len == 0:
-                    continue
-                bits = np.zeros((padded_len, x_ne), dtype=np.uint8)
-                for slot, ngi in enumerate(plist):
-                    bits[slot, ne_local[ngi]] = 1
-                parts = _share_matrix(pack_bits(bits), rng)
-                for p in range(3):
-                    stack[p][row, :padded_len] = parts[p]
-            posting_shares[t_ne] = tuple(stack)
-        per_type_parts[vtype] = {
-            "attrs": attr_shares,
-            "posting": posting_shares,
-        }
+                row += range(v * l_max, v * l_max + len(plist))
+                hot += [ne_local[ngi] for ngi in plist]
+            width = len(ne_local)
+            plain = one_hot_rows(x * l_max, width, np.array(row, np.int64),
+                                 np.array(hot, np.int64))
+            runs = [(v * l_max, n) for v, n in enumerate(ts.padded_len[t_ne])]
+            for part, table in zip(parts, rss.share_rows(plain, width, rng, runs)):
+                part.posting[t_ne] = table
 
-    shares = []
-    for party in (1, 2, 3):
-        a, b = party - 1, next_party(party) - 1
-        types = {}
-        for vtype, parts in per_type_parts.items():
-            types[vtype] = TypePartyShare(
-                attrs={
-                    name: (mats[a].copy(), mats[b].copy())
-                    for name, mats in parts["attrs"].items()
-                },
-                posting={
-                    t: (mats[a].copy(), mats[b].copy())
-                    for t, mats in parts["posting"].items()
-                },
-            )
-        shares.append(GraphShare(party, schema, types))
-    return schema, tuple(shares)
-
-
-def reconstruct_type_matrix(shares, vtype: str, kind: str, name: str | None = None):
-    """XOR the three share components back together (test/front-end helper).
-
-    ``kind`` is "attr" or "posting"; returns the packed plaintext array.
-    """
-    mats = {}
-    for gs in shares:
-        tps = gs.types[vtype]
-        pair = tps.attrs[name] if kind == "attr" else tps.posting[name]
-        mats[gs.party_index] = pair[0]
-        mats[next_party(gs.party_index)] = pair[1]
-    if set(mats) != {1, 2, 3}:
-        raise ValueError("need share components from all three indices")
-    return mats[1] ^ mats[2] ^ mats[3]
+    return schema, tuple(GraphShare(i, schema, per_party[i - 1]) for i in rss.PARTIES)

@@ -6,7 +6,7 @@ Every message crosses a directed peer link as a frame::
 
 Rounds count per (link, op) and must match on both ends; a mismatch is a
 protocol error, not silent corruption. Two transports sit behind the same
-channel interface: in-process byte queues (tests, ``--local-trio``) and TCP
+channel interface: in-process byte queues (tests, ``query --mode local``) and TCP
 sockets. Frames are serialized identically on both, so transcripts are
 comparable across transports.
 """

@@ -18,11 +18,13 @@ A token splits each predicate's three FSS key pairs across the parties so
 that every share of an attribute vector gets evaluated under both keys of
 one pair. The public token structure (types, attribute names, predicate
 kinds, tree shape) is identical across the three parties; only key bytes
-differ.
+differ. A token file ends with the SHA-256 of everything before it, since a
+flipped key bit would otherwise parse and silently change the matches.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from bisect import bisect_left, bisect_right
@@ -34,7 +36,8 @@ from . import fss
 from .graphs import AttrSchema, GraphSchema
 
 TOKEN_MAGIC = b"OGMT"
-TOKEN_VERSION = 1
+TOKEN_VERSION = 2  # version 1 had no checksum
+_CHECKSUM_BYTES = 32
 
 _OPS = {"=": fss.KIND_EQ, "<": fss.KIND_LT, "<=": fss.KIND_LE,
         ">": fss.KIND_GT, ">=": fss.KIND_GE, "in": fss.KIND_INTERVAL}
@@ -336,7 +339,7 @@ def serialize_token(token: PartyToken) -> bytes:
                 blob = fss.serialize_key(key)
                 out += struct.pack("<I", len(blob))
                 out += blob
-    return bytes(out)
+    return bytes(out + hashlib.sha256(out).digest())
 
 
 _SLOT_FIELDS = {"name", "type", "combiner", "preds", "children"}
@@ -369,13 +372,16 @@ def parse_token(buf: bytes, expected_party: int | None = None) -> PartyToken:
     if buf[:4] != TOKEN_MAGIC:
         raise QueryFormatError("not a token file")
     pos = 4 + 3 + 32  # magic, version and party, schema digest
-    if len(buf) < pos + 4:
+    if len(buf) < pos + 4 + _CHECKSUM_BYTES:
         raise QueryFormatError("truncated token")
     version, party = struct.unpack_from("<HB", buf, 4)
     if version != TOKEN_VERSION:
-        raise QueryFormatError(f"unsupported token version {version}")
+        raise QueryFormatError(f"unsupported token version {version} (expected {TOKEN_VERSION})")
     if party not in (1, 2, 3) or expected_party not in (None, party):
         raise QueryFormatError(f"token belongs to party {party}, not {expected_party or '1-3'}")
+    buf, check = buf[:-_CHECKSUM_BYTES], buf[-_CHECKSUM_BYTES:]
+    if hashlib.sha256(buf).digest() != check:
+        raise QueryFormatError("token fails its SHA-256 check (corrupted or truncated)")
     digest = bytes(buf[7:pos])
     (json_len,) = struct.unpack_from("<I", buf, pos)
     pos += 4

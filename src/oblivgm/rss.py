@@ -9,8 +9,10 @@ forwards it to the next party.
 One container holds one party's shares: :class:`MatchTable`, a batch of
 uniform-width rows as two word matrices, with public segment row counts. A
 shared vector, such as a column of predicate bits or the flags to open, is
-a table of one row. Tables are what every protocol step of the engine
-moves, what a query's matched records are, and what result files store.
+a table of one row. Tables are what an encrypted graph is made of, what
+every protocol step of the engine moves, what a query's matched records
+are, and what graph share and result files store. :func:`share_rows` is the
+one place plaintext rows are split into the three parties' tables.
 One re-share message can carry several tables of different widths, laid
 end to end.
 
@@ -110,29 +112,51 @@ class MatchTable:
                           self.share_b ^ other.share_b, self.segments)
 
     def xor_public(self, const: BitVector) -> "MatchTable":
-        """Add a public constant to every row: it is folded into share x1 only."""
+        """Add a public constant to every row, by the rule of :meth:`public`; segments are kept."""
         if const.logical_len != self.width:
             raise ValueError("length mismatch")
-        a, b = self.share_a, self.share_b
-        if self.party_index == 1:
-            a = a ^ const.words
-        elif self.party_index == 3:
-            b = b ^ const.words
-        return MatchTable(self.party_index, self.width, a, b, self.segments)
+        rows = np.broadcast_to(const.words, self.share_a.shape)
+        return self.xor(MatchTable.public(self.party_index, self.width, rows, np.zeros_like(rows)))
+
+    @classmethod
+    def public(cls, party: int, width: int, rows: np.ndarray, zero: np.ndarray) -> "MatchTable":
+        """Party's share of public rows: their components are ``(rows, zero, zero)``.
+
+        The public value is folded into x1 only, so party 1 holds
+        ``(rows, 0)``, party 2 ``(0, 0)`` and party 3 ``(0, rows)``; the
+        arrays are held as given, not copied.
+        """
+        return cls(party, width, *_held(party, (rows, zero, zero)))
+
+
+def _held(party: int, components):
+    """The two of the three components ``(x1, x2, x3)`` that party i holds: ``(x_i, x_{i+1})``."""
+    return components[party - 1], components[next_party(party) - 1]
+
+
+def share_rows(plain: np.ndarray, width: int, rng: np.random.Generator, runs=None):
+    """Split packed plaintext rows of ``width`` bits into the three parties' tables.
+
+    x1 and x2 are uniform, x3 is ``plain ^ x1 ^ x2``, and party i's table
+    holds :func:`_held` ``(x_i, x_{i+1})``; the three tables share the
+    component arrays. ``runs`` lists the ``(start, rows)`` blocks drawn one
+    after another, x1's rows then x2's, by default the whole matrix in one
+    block; rows outside every run are public zeros in all three components,
+    and must be zero in ``plain``.
+    """
+    x1, x2 = np.zeros_like(plain), np.zeros_like(plain)
+    for lo, n in [(0, plain.shape[0])] if runs is None else runs:
+        for comp in (x1, x2):
+            comp[lo:lo + n] = rng.integers(0, 1 << 32, size=(n, plain.shape[1]), dtype=np.uint32)
+    components = (mask_tail(x1, width), mask_tail(x2, width), plain ^ x1 ^ x2)
+    return tuple(MatchTable(i, width, *_held(i, components)) for i in PARTIES)
 
 
 def share(plaintext: BitVector, rng: np.random.Generator):
     """Split a plaintext vector into the three parties' one-row tables."""
-    n = plaintext.logical_len
-    if n == 0:
+    if plaintext.logical_len == 0:
         raise ValueError("cannot share a zero-length vector")
-    s1 = BitVector.random(n, rng)
-    s2 = BitVector.random(n, rng)
-    s3 = plaintext ^ s1 ^ s2
-    parts = {1: s1, 2: s2, 3: s3}
-    return tuple(
-        MatchTable(i, n, parts[i].words[None], parts[next_party(i)].words[None]) for i in PARTIES
-    )
+    return share_rows(plaintext.words[None], plaintext.logical_len, rng)
 
 
 def reconstruct(shares) -> BitVector:

@@ -80,13 +80,11 @@ def _pairs(buf: np.ndarray, offsets: np.ndarray, rows: np.ndarray, mats, width: 
            party: int, load: bool) -> None:
     """Move row ``rows[i]`` of the two share matrices ``mats`` to or from the pair at ``offsets[i]``.
 
-    A matrix's rows run over all but its last axis. Loading checks every
-    record header for the magic, the version, ``party`` and ``width``; the
-    caller has checked that every record lies in ``buf``.
+    Loading checks every record header for the magic, the version, ``party``
+    and ``width``; the caller has checked that every record lies in ``buf``.
     """
     if not len(offsets):
         return
-    mats = [m.reshape(-1, m.shape[-1]) for m in mats]  # views of contiguous matrices
     head = np.frombuffer(_SHARE_HEADER.pack(SHARE_MAGIC, VERSION, party, width), np.uint8)
     hsize, size = len(head), _record_bytes(width)
     heads, words = (sliding_window_view(buf, n, writeable=not load) for n in (hsize, size - hsize))
@@ -118,34 +116,35 @@ def _check_size(buf, end: int, what: str) -> None:
 
 
 def _graph_blocks(schema: GraphSchema):
-    """Per (type, field) ``(vtype, kind, name, width, shape, offsets, rows)``, and the file size.
+    """Per (type, field) ``(vtype, kind, name, width, nrows, offsets, rows)``, and the file size.
 
-    ``kind`` is "attr" or "posting", ``shape`` that of the field's matrix,
-    ``offsets`` the byte offset of each record pair and ``rows`` its row in
-    the matrix, flattened over vertex and posting slot.
+    ``kind`` is "attr" or "posting", ``nrows`` the row count of the field's
+    table, ``offsets`` the byte offset of each record pair and ``rows`` its
+    row in the table.
     """
     pos = _CONTAINER_HEADER.size
     blocks = []
     for vtype in sorted(schema.types):
         ts = schema.types[vtype]
         x = ts.population
-        fields = [("attr", a, ts.attrs[a].domain_size, np.ones(x, np.int64), ())
+        # per field: its rows per vertex in the table, and the records of each vertex
+        fields = [("attr", a, ts.attrs[a].domain_size, 1, np.ones(x, np.int64))
                   for a in sorted(ts.attrs)]
-        fields += [("posting", t, schema.types[t].population,
-                    np.asarray(ts.padded_len[t], np.int64), (ts.max_padded(t),))
+        fields += [("posting", t, schema.types[t].population, ts.max_padded(t),
+                    np.asarray(ts.padded_len[t], np.int64))
                    for t in ts.posting_types]
         if not fields:
             continue
         # bytes of every vertex's run of each field, vertex by vertex
-        runs = np.stack([counts * _pair_bytes(w) for _, _, w, counts, _ in fields], axis=1)
+        runs = np.stack([counts * _pair_bytes(w) for _, _, w, _, counts in fields], axis=1)
         starts = pos + (np.cumsum(runs) - runs.reshape(-1)).reshape(runs.shape)
         pos += int(runs.sum())
-        for f, (kind, name, width, counts, slots) in enumerate(fields):
+        for f, (kind, name, width, per_vertex, counts) in enumerate(fields):
             vertex = np.repeat(np.arange(x), counts)
             slot = np.arange(len(vertex)) - np.repeat(np.cumsum(counts) - counts, counts)
-            blocks.append((vtype, kind, name, width, (x, *slots, words_for(width)),
+            blocks.append((vtype, kind, name, width, x * per_vertex,
                            starts[vertex, f] + slot * _pair_bytes(width),
-                           vertex * (slots[0] if slots else 1) + slot))
+                           vertex * per_vertex + slot))
     return blocks, pos
 
 
@@ -156,8 +155,9 @@ def save_graph_share(path, gshare: GraphShare) -> None:
         GRAPH_MAGIC, VERSION, gshare.party_index, gshare.schema_digest), np.uint8)
     for vtype, kind, name, width, _, offsets, rows in blocks:
         tps = gshare.types[vtype]
-        pair = tps.attrs[name] if kind == "attr" else tps.posting[name]
-        _pairs(buf, offsets, rows, pair, width, gshare.party_index, load=False)
+        table = tps.attrs[name] if kind == "attr" else tps.posting[name]
+        _pairs(buf, offsets, rows, (table.share_a, table.share_b), width, gshare.party_index,
+               load=False)
     Path(path).write_bytes(buf)
 
 
@@ -177,10 +177,11 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
     _check_size(buf, size, "graph share")
     data = np.frombuffer(buf, np.uint8)
     types = {vtype: TypePartyShare({}, {}) for vtype in sorted(schema.types)}
-    for vtype, kind, name, width, shape, offsets, rows in blocks:
-        pair = (np.zeros(shape, np.uint32), np.zeros(shape, np.uint32))
+    for vtype, kind, name, width, nrows, offsets, rows in blocks:
+        pair = [np.zeros((nrows, words_for(width)), np.uint32) for _ in range(2)]
         _pairs(data, offsets, rows, pair, width, party, load=True)
-        (types[vtype].attrs if kind == "attr" else types[vtype].posting)[name] = pair
+        fields = types[vtype].attrs if kind == "attr" else types[vtype].posting
+        fields[name] = MatchTable(party, width, *pair)
     return GraphShare(party, schema, types, expected)
 
 

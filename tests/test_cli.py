@@ -109,17 +109,6 @@ def test_query_streams_per_hop_progress(workspace, capsys):
     assert "matched records" in err
 
 
-def test_serve_local_trio_alias(workspace):
-    run_pipeline(workspace)
-    assert main(["serve", "--local-trio", "--graph-dir", str(workspace / "enc"),
-                 "--token-dir", str(workspace / "tok"),
-                 "--out-dir", str(workspace / "res-serve"),
-                 "--session-seed", SES_SEED, "--quiet"]) == 0
-    a = (workspace / "res" / "results-2.ogmr").read_bytes()
-    b = (workspace / "res-serve" / "results-2.ogmr").read_bytes()
-    assert a == b
-
-
 def test_open_verbose_includes_attributes(workspace, capsys):
     run_pipeline(workspace)
     assert main(["open", "--verbose", "--results",
@@ -172,6 +161,19 @@ def test_damaged_token_exits_2(workspace, capsys):
                      "--bind", "127.0.0.1:19872", "--peers", "1=127.0.0.1:9,3=127.0.0.1:9",
                      "--session-seed", SES_SEED]) == 2
         assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_serve_refuses_another_partys_graph_share(workspace, capsys):
+    run_pipeline(workspace)
+    capsys.readouterr()
+    assert main(["serve", "--party", "2",
+                 "--schema", str(workspace / "enc" / "schema.json"),
+                 "--graph-share", str(workspace / "enc" / "graph-share-1.ogmg"),
+                 "--token", str(workspace / "tok" / "token-2.ogmt"),
+                 "--out", str(workspace / "never.ogmr"),
+                 "--bind", "127.0.0.1:19873", "--peers", "1=127.0.0.1:9,3=127.0.0.1:9",
+                 "--session-seed", SES_SEED]) == 2
+    assert "graph share of party 1" in capsys.readouterr().err
 
 
 def test_serve_reads_addresses_from_environment(workspace, capsys, monkeypatch):

@@ -486,6 +486,22 @@ def test_schema_digest_mismatch_rejected():
         run_trio(worker, runtimes)
 
 
+def test_another_partys_share_or_token_is_refused_before_any_frame():
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    tokens, shares = res["tokens"], res["shares"]
+    own, other = (lambda i: i - 1), (lambda i: i % 3)  # every party gets the next party's
+    for token_of, share_of, message in ((own, other, "given the graph share of party"),
+                                        (other, own, "run at party")):
+        runtimes = local_runtimes(make_session_configs(b"\x42" * 16))
+
+        def worker(rt):
+            return sec_match(rt, tokens[token_of(rt.index)], shares[share_of(rt.index)])
+
+        with pytest.raises(QueryFormatError, match=message):
+            run_trio(worker, runtimes)
+        assert [rt.meter.total.frames_sent for rt in runtimes] == [0, 0, 0]
+
+
 def test_token_that_does_not_fit_the_schema_is_refused():
     res = run_secure_query(CAMPUS_GRAPH, "Q a P age = 35\nQ b C field = software\nQE a b\n")
     token, gshare = res["tokens"][0], res["shares"][0]

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oblivgm import rss
 from oblivgm.bits import BitVector, unpack_bits
 from oblivgm.graphs import (AttributedGraph, GraphFormatError, GraphSchema,
                             build_schema, decode_one_hot, encode_one_hot,
-                            encrypt_graph, pad_k_groups, parse_graph_text,
-                            reconstruct_type_matrix)
+                            encrypt_graph, pad_k_groups, parse_graph_text)
 from tests.conftest import CAMPUS_GRAPH
 
 
@@ -129,7 +129,7 @@ def test_encrypt_reconstructs_padded_plaintext():
     schema, shares = encrypt_graph(g, 2, rng)
     for vtype, ts in schema.types.items():
         for a, aschema in ts.attrs.items():
-            vals = unpack_bits(reconstruct_type_matrix(shares, vtype, "attr", a),
+            vals = unpack_bits(rss.reconstruct_rows([gs.types[vtype].attrs[a] for gs in shares]),
                                aschema.domain_size)
             for row, gi in enumerate(g.type_members[vtype]):
                 want = np.zeros(aschema.domain_size, np.uint8)
@@ -137,7 +137,8 @@ def test_encrypt_reconstructs_padded_plaintext():
                 assert np.array_equal(vals[row], want)
         for t_ne in ts.posting_types:
             ne_members = g.type_members[t_ne]
-            plain = reconstruct_type_matrix(shares, vtype, "posting", t_ne)
+            plain = rss.reconstruct_rows([gs.types[vtype].posting[t_ne] for gs in shares])
+            plain = plain.reshape(ts.population, ts.max_padded(t_ne), -1)
             for row, gi in enumerate(g.type_members[vtype]):
                 neighbors = g.posting_list(gi, t_ne)
                 rows = unpack_bits(plain[row], len(ne_members))
@@ -153,8 +154,8 @@ def test_true_ids_weight_one_dummies_zero():
     g = chain_graph([2, 4])
     rng = np.random.default_rng(4)
     schema, shares = encrypt_graph(g, 2, rng)
-    plain = reconstruct_type_matrix(shares, "P", "posting", "C")
-    weights = unpack_bits(plain, schema.types["C"].population).sum(axis=2)
+    plain = rss.reconstruct_rows([gs.types["P"].posting["C"] for gs in shares])
+    weights = unpack_bits(plain, schema.types["C"].population).sum(axis=1).reshape(2, 4)
     assert weights[0].tolist() == [1, 1, 0, 0]  # two true then two dummies
     assert weights[1].tolist() == [1, 1, 1, 1]
 

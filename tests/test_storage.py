@@ -6,11 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from oblivgm import storage
+from oblivgm import rss, storage
 from oblivgm.bits import mask_tail, words_for
 from oblivgm.datagen import graph_to_text, random_graph
 from oblivgm.engine import open_results
-from oblivgm.graphs import encrypt_graph, parse_graph_text, reconstruct_type_matrix
+from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.storage import (StorageError, load_graph_share, load_results, load_schema,
                              save_graph_share, save_results, save_schema)
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
@@ -160,14 +160,11 @@ def test_graph_share_file_round_trip(tmp_path):
         save_graph_share(p, gs)
         loaded.append(load_graph_share(p, schema_back))
     for vtype, ts in schema.types.items():
-        for a in ts.attrs:
-            assert np.array_equal(
-                reconstruct_type_matrix(loaded, vtype, "attr", a),
-                reconstruct_type_matrix(shares, vtype, "attr", a))
-        for t in ts.posting_types:
-            assert np.array_equal(
-                reconstruct_type_matrix(loaded, vtype, "posting", t),
-                reconstruct_type_matrix(shares, vtype, "posting", t))
+        for kind, names in (("attrs", ts.attrs), ("posting", ts.posting_types)):
+            for name in names:
+                plain = [rss.reconstruct_rows([getattr(gs.types[vtype], kind)[name] for gs in g])
+                         for g in (loaded, shares)]
+                assert np.array_equal(*plain)
 
 
 def test_graph_share_digest_guard(tmp_path):
