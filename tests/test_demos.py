@@ -17,8 +17,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
