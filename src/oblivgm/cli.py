@@ -22,14 +22,15 @@ import secrets
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .engine import EngineConfig, check_token, open_results, sec_match
 from .graphs import GraphFormatError, build_schema, encrypt_graph, parse_graph_text
-from .net import (PartyConfig, ProtocolError, local_runtimes, make_session_configs,
-                  parse_peers, run_trio, tcp_runtime)
+from .net import (ProtocolError, local_runtimes, make_session_configs, parse_peers, run_trio,
+                  tcp_runtime)
 from .oracle import oracle_match
 from .query import QueryFormatError, gen_token, load_query, parse_token, serialize_token
 from .storage import (StorageError, load_graph_share, load_results, load_schema,
@@ -143,13 +144,7 @@ def cmd_serve(args) -> int:
     token = parse_token(Path(args.token).read_bytes(), expected_party=args.party)
     check_token(token, gshare)  # before connecting: a damaged token or a wrong share fails fast
     base = make_session_configs(bytes.fromhex(args.session_seed))[args.party - 1]
-    config = PartyConfig(
-        party_index=base.party_index, session=base.session,
-        zero_key_own=base.zero_key_own, zero_key_prev=base.zero_key_prev,
-        seed_with_next=base.seed_with_next, seed_with_prev=base.seed_with_prev,
-        bind=bind, peers=peers,
-    )
-    rt = tcp_runtime(config, connect_timeout=args.connect_timeout)
+    rt = tcp_runtime(replace(base, bind=bind, peers=peers), connect_timeout=args.connect_timeout)
     res = sec_match(rt, token, gshare,
                     EngineConfig(any_mode=args.any_mode, progress=_progress_printer(args.quiet)))
     save_results(args.out, res, schema)
@@ -256,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="results.ogmr")
     p.add_argument("--bind")
     p.add_argument("--peers")
-    p.add_argument("--session-seed", type=_seed_arg, default=None)
+    # the three parties' zero-share keys and shuffle seeds all derive from it
+    p.add_argument("--session-seed", type=_seed_arg, required=True)
     p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--connect-timeout", type=float, default=30.0)

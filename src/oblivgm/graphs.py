@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rss
-from .bits import BitVector, one_hot_rows
+from .bits import one_hot_rows
 from .rss import MatchTable
 
 
@@ -224,20 +224,6 @@ class GraphSchema:
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.to_json().encode()).digest()
-
-
-def encode_one_hot(value: str, attr: AttrSchema) -> BitVector:
-    try:
-        idx = attr.index_of[value]
-    except KeyError:
-        raise GraphFormatError(f"value {value!r} not in dictionary") from None
-    return BitVector.one_hot(attr.domain_size, idx)
-
-
-def decode_one_hot(vec: BitVector, attr: AttrSchema) -> str | None:
-    """Dictionary value for a one-hot vector; ``None`` marks a dummy (all-zero)."""
-    idx = vec.hot_index()
-    return None if idx is None else attr.values[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,6 @@ class MatchTable:
         return MatchTable(self.party_index, self.width, self.share_a ^ other.share_a,
                           self.share_b ^ other.share_b, self.segments)
 
-    def xor_public(self, const: BitVector) -> "MatchTable":
-        """Add a public constant to every row, by the rule of :meth:`public`; segments are kept."""
-        if const.logical_len != self.width:
-            raise ValueError("length mismatch")
-        rows = np.broadcast_to(const.words, self.share_a.shape)
-        return self.xor(MatchTable.public(self.party_index, self.width, rows, np.zeros_like(rows)))
-
     @classmethod
     def public(cls, party: int, width: int, rows: np.ndarray, zero: np.ndarray) -> "MatchTable":
         """Party's share of public rows: their components are ``(rows, zero, zero)``.

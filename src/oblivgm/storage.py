@@ -1,54 +1,59 @@
 """File formats: encrypted graph shares and result shares.
 
-Both containers are made of one share record per share vector::
+Both containers are one header, one record per share table, and the
+SHA-256 of everything before it::
 
-    "OGMS" | version u16 | party u8 | logical_len u64 | packed LE 32-bit words
+    magic (4 bytes) | version u16 | party u8 | schema digest (32 bytes)
+    [result files only: manifest length u32 | manifest JSON]
+    table records, end to end
+    SHA-256 (32 bytes)
 
-A field's rows are stored as one record pair (the party's two share
-components) per row. Every pair's byte offset follows from public sizes, so
-a whole field moves as numpy gathers or scatters in bounded chunks, and
-every record header is checked against the 15 bytes it must hold.
+A table's record is the party's ``share_a`` rows, then its ``share_b``
+rows, as packed little-endian 32-bit words with the bits past the table's
+width zero. Records carry no header: the place and size of every table
+follow from the public schema (and, in a result file, the manifest), so a
+file's size depends only on public sizes, never on the shared content. The
+checksum refuses any damaged byte, which would otherwise load as another
+valid share and silently change the matches. Files are hashed as they are
+written and read, in one pass.
 
-Graph share containers ("OGMG") hold one record pair per private vector, in
-canonical schema order (per type, per vertex: its attribute values, then its
-posting entries), bound to the public schema by its digest. Vertex ids are
-public row positions and are not stored. File sizes depend only on the
-public schema and padded lengths, never on the shared content.
+Graph share containers ("OGMG") hold, type by type in schema order, each
+attribute table (one row per vertex, attributes in sorted order), then each
+posting table (in ``posting_types`` order) with only the rows inside each
+vertex's padded length: the rows past it are public zeros and are not
+stored. Vertex ids are public row positions and are not stored.
 
 Result containers ("OGMR") carry the public query structure, provenance and
-assembly as JSON, then slot by slot one record pair per field of every
-matched record (its ``id_width``-bit id code, then its attribute values),
-and end with the SHA-256 of everything before it: a flipped bit in a code
-share would otherwise open to another valid vertex.
+assembly as JSON, then slot by slot the table of the matched records'
+``id_width``-bit id codes and their attribute tables.
 
-Version 2 dropped the one-hot vertex ids of version 1 from both containers.
+Version 3 replaced version 2's one headered record per row with one record
+per table, and added the graph share checksum; version 2 had dropped the
+one-hot vertex ids of version 1. Older versions are refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import mask_tail, words_for
 from .engine import MatchResultSet, RecordTable
 from .graphs import GraphSchema, GraphShare, TypePartyShare
-from .rss import MatchTable
+from .rss import PARTIES, MatchTable
 
-SHARE_MAGIC = b"OGMS"
 GRAPH_MAGIC = b"OGMG"
 RESULT_MAGIC = b"OGMR"
-VERSION = 2
+VERSION = 3
 
-_SHARE_HEADER = struct.Struct("<4sHBQ")
 _CONTAINER_HEADER = struct.Struct("<4sHB32s")
+_MANIFEST_LEN = struct.Struct("<I")
 _CHECKSUM_BYTES = 32
-_CHUNK_BYTES = 1 << 20  # bound on the records one gather or scatter moves
-_HEADER_FIELDS = (("magic", 0, 4), ("version", 4, 6), ("party", 6, 7), ("width", 7, 15))
 
 
 class StorageError(ValueError):
@@ -64,50 +69,83 @@ def load_schema(path) -> GraphSchema:
 
 
 # ---------------------------------------------------------------------------
-# record pairs of a whole field
+# checksummed containers of table records
 # ---------------------------------------------------------------------------
 
 
-def _record_bytes(width: int) -> int:
-    return _SHARE_HEADER.size + 4 * words_for(width)
+class _Container:
+    """A container file written or read front to back, hashing every byte on the way."""
+
+    def __init__(self, file, what: str):
+        self.file, self.what, self.sha = file, what, hashlib.sha256()
+        # bytes left to read before the checksum
+        self.left = os.fstat(file.fileno()).st_size - _CHECKSUM_BYTES
+
+    def write(self, data) -> None:
+        self.sha.update(data)
+        self.file.write(data)
+
+    def seal(self) -> None:
+        self.file.write(self.sha.digest())
+
+    def read_into(self, buf):
+        n = memoryview(buf).nbytes
+        if n > self.left or self.file.readinto(buf) != n:
+            raise StorageError(f"truncated {self.what}")
+        self.left -= n
+        self.sha.update(buf)
+        return buf
+
+    def read(self, n: int) -> bytearray:
+        return self.read_into(bytearray(n))
+
+    def expect(self, tables: list[tuple]) -> None:
+        """Refuse a file whose bytes before the checksum do not hold ``tables`` exactly.
+
+        Each table is a tuple ending in its ``width`` and the ``keep`` mask
+        of its stored rows, as the field-order generators yield them.
+        """
+        n = sum(2 * 4 * words_for(width) * int(keep.sum()) for *_, width, keep in tables)
+        if self.left != n:
+            cause = "truncated" if self.left < n else "trailing bytes in"
+            raise StorageError(f"{cause} {self.what}")
+
+    def verify(self) -> None:
+        if self.file.read(_CHECKSUM_BYTES) != self.sha.digest():
+            raise StorageError(f"{self.what} fails its SHA-256 check (corrupted)")
+
+    def header(self, magic: bytes, schema_digest: bytes) -> int:
+        """Read and check the container header; returns the party index."""
+        got, version, party, digest = _CONTAINER_HEADER.unpack(
+            self.read(_CONTAINER_HEADER.size))
+        if got != magic:
+            raise StorageError(f"not a {self.what}")
+        if version != VERSION:
+            raise StorageError(f"unsupported {self.what} version {version} "
+                               f"(expected {VERSION})")
+        if party not in PARTIES:
+            raise StorageError(f"{self.what} of party {party}, not one of {PARTIES}")
+        if digest != schema_digest:
+            raise StorageError(f"{self.what} does not match the schema sidecar")
+        return party
 
 
-def _pair_bytes(width: int) -> int:
-    return 2 * _record_bytes(width)
+def _write_table(out: _Container, table: MatchTable, keep: np.ndarray) -> None:
+    """Write the ``keep`` rows of ``table``: ``share_a``'s, then ``share_b``'s."""
+    for comp in (table.share_a, table.share_b):
+        out.write(mask_tail(comp[keep], table.width))  # the boolean index copies
 
 
-def _pairs(buf: np.ndarray, offsets: np.ndarray, rows: np.ndarray, mats, width: int,
-           party: int, load: bool) -> None:
-    """Move row ``rows[i]`` of the two share matrices ``mats`` to or from the pair at ``offsets[i]``.
-
-    Loading checks every record header for the magic, the version, ``party``
-    and ``width``; the caller has checked that every record lies in ``buf``.
-    """
-    if not len(offsets):
-        return
-    head = np.frombuffer(_SHARE_HEADER.pack(SHARE_MAGIC, VERSION, party, width), np.uint8)
-    hsize, size = len(head), _record_bytes(width)
-    heads, words = (sliding_window_view(buf, n, writeable=not load) for n in (hsize, size - hsize))
-    step = max(1, _CHUNK_BYTES // size)
-    for lo in range(0, len(offsets), step):
-        sel = rows[lo:lo + step]
-        for comp, mat in enumerate(mats):
-            at = offsets[lo:lo + step] + comp * size
-            if not load:
-                heads[at] = head
-                words[at + hsize] = mask_tail(mat[sel], width).view(np.uint8)
-                continue
-            wrong = (heads[at] != head).any(axis=0)
-            if wrong.any():
-                names = [n for n, i, j in _HEADER_FIELDS if wrong[i:j].any()]
-                raise StorageError(f"share record {'/'.join(names)} wrong: expected version "
-                                   f"{VERSION}, party {party}, width {width}")
-            mat[sel] = words[at + hsize].view(np.uint32)
-
-
-def _check_size(buf, end: int, what: str) -> None:
-    if len(buf) != end:
-        raise StorageError(f"{'truncated' if len(buf) < end else 'trailing bytes in'} {what} file")
+def _read_table(src: _Container, party: int, width: int, keep: np.ndarray) -> MatchTable:
+    """Read a table written by :func:`_write_table`; rows not kept are zero."""
+    pair = []
+    for _ in range(2):
+        rows = src.read_into(np.empty((int(keep.sum()), words_for(width)), np.uint32))
+        if len(rows) < len(keep):
+            rows, kept = np.zeros((len(keep), rows.shape[1]), np.uint32), rows
+            rows[keep] = kept
+        pair.append(rows)
+    return MatchTable(party, width, *pair)
 
 
 # ---------------------------------------------------------------------------
@@ -115,74 +153,44 @@ def _check_size(buf, end: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _graph_blocks(schema: GraphSchema):
-    """Per (type, field) ``(vtype, kind, name, width, nrows, offsets, rows)``, and the file size.
+def _graph_tables(schema: GraphSchema):
+    """Every table of a graph share in file order: ``(vtype, kind, name, width, keep)``.
 
-    ``kind`` is "attr" or "posting", ``nrows`` the row count of the field's
-    table, ``offsets`` the byte offset of each record pair and ``rows`` its
-    row in the table.
+    ``kind`` is "attrs" or "posting", the :class:`TypePartyShare` field;
+    ``keep`` marks the table rows the file stores.
     """
-    pos = _CONTAINER_HEADER.size
-    blocks = []
     for vtype in sorted(schema.types):
         ts = schema.types[vtype]
-        x = ts.population
-        # per field: its rows per vertex in the table, and the records of each vertex
-        fields = [("attr", a, ts.attrs[a].domain_size, 1, np.ones(x, np.int64))
-                  for a in sorted(ts.attrs)]
-        fields += [("posting", t, schema.types[t].population, ts.max_padded(t),
-                    np.asarray(ts.padded_len[t], np.int64))
-                   for t in ts.posting_types]
-        if not fields:
-            continue
-        # bytes of every vertex's run of each field, vertex by vertex
-        runs = np.stack([counts * _pair_bytes(w) for _, _, w, _, counts in fields], axis=1)
-        starts = pos + (np.cumsum(runs) - runs.reshape(-1)).reshape(runs.shape)
-        pos += int(runs.sum())
-        for f, (kind, name, width, per_vertex, counts) in enumerate(fields):
-            vertex = np.repeat(np.arange(x), counts)
-            slot = np.arange(len(vertex)) - np.repeat(np.cumsum(counts) - counts, counts)
-            blocks.append((vtype, kind, name, width, x * per_vertex,
-                           starts[vertex, f] + slot * _pair_bytes(width),
-                           vertex * per_vertex + slot))
-    return blocks, pos
+        for a in sorted(ts.attrs):
+            yield vtype, "attrs", a, ts.attrs[a].domain_size, np.ones(ts.population, bool)
+        for t in ts.posting_types:
+            padded = np.asarray(ts.padded_len[t], np.int64)
+            keep = (np.arange(ts.max_padded(t)) < padded[:, None]).reshape(-1)
+            yield vtype, "posting", t, schema.types[t].population, keep
 
 
 def save_graph_share(path, gshare: GraphShare) -> None:
-    blocks, size = _graph_blocks(gshare.schema)
-    buf = np.zeros(size, np.uint8)
-    buf[:_CONTAINER_HEADER.size] = np.frombuffer(_CONTAINER_HEADER.pack(
-        GRAPH_MAGIC, VERSION, gshare.party_index, gshare.schema_digest), np.uint8)
-    for vtype, kind, name, width, _, offsets, rows in blocks:
-        tps = gshare.types[vtype]
-        table = tps.attrs[name] if kind == "attr" else tps.posting[name]
-        _pairs(buf, offsets, rows, (table.share_a, table.share_b), width, gshare.party_index,
-               load=False)
-    Path(path).write_bytes(buf)
+    with open(path, "wb") as f:
+        out = _Container(f, "graph share")
+        out.write(_CONTAINER_HEADER.pack(GRAPH_MAGIC, VERSION, gshare.party_index,
+                                         gshare.schema_digest))
+        for vtype, kind, name, _, keep in _graph_tables(gshare.schema):
+            _write_table(out, getattr(gshare.types[vtype], kind)[name], keep)
+        out.seal()
 
 
 def load_graph_share(path, schema: GraphSchema) -> GraphShare:
-    buf = Path(path).read_bytes()
-    if len(buf) < _CONTAINER_HEADER.size:
-        raise StorageError("truncated graph share file")
-    magic, version, party, digest = _CONTAINER_HEADER.unpack_from(buf, 0)
-    if magic != GRAPH_MAGIC:
-        raise StorageError("not a graph share file")
-    if version != VERSION:
-        raise StorageError(f"unsupported graph share version {version} (expected {VERSION})")
-    expected = schema.digest()
-    if digest != expected:
-        raise StorageError("graph share does not match the schema sidecar")
-    blocks, size = _graph_blocks(schema)
-    _check_size(buf, size, "graph share")
-    data = np.frombuffer(buf, np.uint8)
-    types = {vtype: TypePartyShare({}, {}) for vtype in sorted(schema.types)}
-    for vtype, kind, name, width, nrows, offsets, rows in blocks:
-        pair = [np.zeros((nrows, words_for(width)), np.uint32) for _ in range(2)]
-        _pairs(data, offsets, rows, pair, width, party, load=True)
-        fields = types[vtype].attrs if kind == "attr" else types[vtype].posting
-        fields[name] = MatchTable(party, width, *pair)
-    return GraphShare(party, schema, types, expected)
+    with open(path, "rb") as f:
+        src = _Container(f, "graph share")
+        digest = schema.digest()
+        party = src.header(GRAPH_MAGIC, digest)
+        tables = list(_graph_tables(schema))
+        src.expect(tables)
+        types = {vtype: TypePartyShare({}, {}) for vtype in sorted(schema.types)}
+        for vtype, kind, name, width, keep in tables:
+            getattr(types[vtype], kind)[name] = _read_table(src, party, width, keep)
+        src.verify()
+    return GraphShare(party, schema, types, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +198,17 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
 # ---------------------------------------------------------------------------
 
 
-def _result_blocks(structure: dict, schema: GraphSchema, counts: list[int], pos: int):
-    """Per slot and field ``(slot, attr, width, offsets)``, ids as attr ``None``, and the end.
+def _result_tables(structure: dict, schema: GraphSchema, counts: list[int]):
+    """Every table of a result file in file order: ``(slot, attr, width, keep)``.
 
-    A record's fields lie end to end, the records of a slot one after another.
+    A slot's id codes come first, as attr ``None``, then its attributes.
     """
-    blocks = []
     for s, slot in enumerate(structure["slots"]):
         ts = schema.types[slot["type"]]
-        fields = [(None, ts.id_width)] + [(a, ts.attrs[a].domain_size)
-                                         for a in sorted({p["attr"] for p in slot["preds"]})]
-        at = pos + np.arange(counts[s], dtype=np.int64) * sum(_pair_bytes(w) for _, w in fields)
-        for attr, width in fields:
-            blocks.append((s, attr, width, at))
-            at = at + _pair_bytes(width)
-            pos += counts[s] * _pair_bytes(width)
-    return blocks, pos
+        keep = np.ones(counts[s], bool)
+        yield s, None, ts.id_width, keep
+        for a in sorted({p["attr"] for p in slot["preds"]}):
+            yield s, a, ts.attrs[a].domain_size, keep
 
 
 def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
@@ -221,56 +224,40 @@ def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
         "subgraphs": [list(sg) for sg in results.subgraphs],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    head = (_CONTAINER_HEADER.pack(RESULT_MAGIC, VERSION, results.party_index, schema.digest())
-            + struct.pack("<I", len(blob)) + blob)
-    blocks, size = _result_blocks(results.structure, schema,
-                                  [t.rows for t in results.records], len(head))
-    buf = np.zeros(size, np.uint8)
-    buf[:len(head)] = np.frombuffer(head, np.uint8)
-    for s, attr, width, offsets in blocks:
-        table = results.records[s]
-        field = table.ids if attr is None else table.attrs[attr]
-        _pairs(buf, offsets, np.arange(len(offsets)), (field.share_a, field.share_b), width,
-               results.party_index, load=False)
-    Path(path).write_bytes(buf.tobytes() + hashlib.sha256(buf).digest())
+    with open(path, "wb") as f:
+        out = _Container(f, "result file")
+        out.write(_CONTAINER_HEADER.pack(RESULT_MAGIC, VERSION, results.party_index,
+                                         schema.digest()))
+        out.write(_MANIFEST_LEN.pack(len(blob)) + blob)
+        for s, attr, _, keep in _result_tables(results.structure, schema,
+                                               [t.rows for t in results.records]):
+            table = results.records[s]
+            _write_table(out, table.ids if attr is None else table.attrs[attr], keep)
+        out.seal()
 
 
 def load_results(path, schema: GraphSchema) -> MatchResultSet:
-    buf = Path(path).read_bytes()
-    if len(buf) < _CONTAINER_HEADER.size:
-        raise StorageError("truncated result file")
-    magic, version, party, digest = _CONTAINER_HEADER.unpack_from(buf, 0)
-    if magic != RESULT_MAGIC:
-        raise StorageError("not a result share file")
-    if version != VERSION:
-        raise StorageError(f"unsupported result file version {version} (expected {VERSION})")
-    buf, check = buf[:-_CHECKSUM_BYTES], buf[-_CHECKSUM_BYTES:]
-    if len(buf) < _CONTAINER_HEADER.size + 4 or hashlib.sha256(buf).digest() != check:
-        raise StorageError("result file records fail their SHA-256 check (corrupted or truncated)")
-    if digest != schema.digest():
-        raise StorageError("result file does not match the schema sidecar")
-    pos = _CONTAINER_HEADER.size
-    (json_len,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    try:
-        manifest = json.loads(buf[pos:pos + json_len].decode())
-        structure = manifest["structure"]
-        parents = [np.array([-1 if m["parent_record"] is None else m["parent_record"]
-                             for m in metas], np.int64) for metas in manifest["records"]]
-        subgraphs = [tuple(sg) for sg in manifest["subgraphs"]]
-        if len(parents) != len(structure["slots"]):
-            raise ValueError(f"{len(parents)} record lists for {len(structure['slots'])} slots")
-        blocks, end = _result_blocks(structure, schema, [len(p) for p in parents],
-                                     pos + json_len)
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError, IndexError) as exc:
-        raise StorageError(f"corrupt result manifest: {exc!r}") from None
-    _check_size(buf, end, "result")
-    data = np.frombuffer(buf, np.uint8)
-    fields: list[dict] = [{} for _ in parents]
-    for s, attr, width, offsets in blocks:
-        pair = [np.zeros((len(offsets), words_for(width)), np.uint32) for _ in range(2)]
-        _pairs(data, offsets, np.arange(len(offsets)), pair, width, party, load=True)
-        fields[s][attr] = MatchTable(party, width, *pair)
+    with open(path, "rb") as f:
+        src = _Container(f, "result file")
+        party = src.header(RESULT_MAGIC, schema.digest())
+        (json_len,) = _MANIFEST_LEN.unpack(src.read(_MANIFEST_LEN.size))
+        blob = src.read(json_len)
+        try:
+            manifest = json.loads(blob.decode())
+            structure = manifest["structure"]
+            parents = [np.array([-1 if m["parent_record"] is None else m["parent_record"]
+                                 for m in metas], np.int64) for metas in manifest["records"]]
+            subgraphs = [tuple(sg) for sg in manifest["subgraphs"]]
+            if len(parents) != len(structure["slots"]):
+                raise ValueError(f"{len(parents)} record lists for {len(structure['slots'])} slots")
+            tables = list(_result_tables(structure, schema, [len(p) for p in parents]))
+        except (UnicodeDecodeError, ValueError, KeyError, TypeError, IndexError) as exc:
+            raise StorageError(f"corrupt result manifest: {exc!r}") from None
+        src.expect(tables)
+        fields: list[dict] = [{} for _ in parents]
+        for s, attr, width, keep in tables:
+            fields[s][attr] = _read_table(src, party, width, keep)
+        src.verify()
     return MatchResultSet(
         party_index=party,
         structure=structure,

@@ -262,15 +262,43 @@ def test_old_files_and_bad_codes_exit_2(workspace, capsys):
     assert main(["open", "--results", str(workspace / "bad.ogmr"), str(res / "results-2.ogmr"),
                  "--schema", schema_path]) == 2
     assert "id code 7 exceeds" in capsys.readouterr().err
-    # version-1 result and graph share files
-    for path in (res / "results-1.ogmr", enc / "graph-share-1.ogmg"):
-        data = bytearray(path.read_bytes())
-        data[4:6] = (1).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-    assert main(["open", "--results", str(res / "results-1.ogmr"), str(res / "results-2.ogmr"),
-                 "--schema", schema_path]) == 2
-    assert "result file version 1" in capsys.readouterr().err
-    assert main(["query", "--graph-dir", str(enc), "--token-dir", str(workspace / "tok"),
-                 "--out-dir", str(workspace / "res-old"), "--session-seed", SES_SEED,
-                 "--quiet"]) == 2
-    assert "graph share version 1" in capsys.readouterr().err
+    # version-1 and version-2 result and graph share files
+    for version in (1, 2):
+        for path in (res / "results-1.ogmr", enc / "graph-share-1.ogmg"):
+            data = bytearray(path.read_bytes())
+            data[4:6] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(data))
+        assert main(["open", "--results", str(res / "results-1.ogmr"),
+                     str(res / "results-2.ogmr"), "--schema", schema_path]) == 2
+        assert f"result file version {version} (expected 3)" in capsys.readouterr().err
+        assert main(["query", "--graph-dir", str(enc), "--token-dir", str(workspace / "tok"),
+                     "--out-dir", str(workspace / "res-old"), "--session-seed", SES_SEED,
+                     "--quiet"]) == 2
+        assert f"graph share version {version} (expected 3)" in capsys.readouterr().err
+
+
+def test_flipped_graph_share_payload_byte_exits_2(workspace, capsys):
+    run_pipeline(workspace)
+    path = workspace / "enc" / "graph-share-2.ogmg"
+    data = bytearray(path.read_bytes())
+    data[39] ^= 1  # the first byte after the container header
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["query", "--graph-dir", str(workspace / "enc"),
+                 "--token-dir", str(workspace / "tok"), "--out-dir", str(workspace / "x"),
+                 "--session-seed", SES_SEED, "--quiet"]) == 2
+    assert "SHA-256" in capsys.readouterr().err
+
+
+def test_serve_needs_session_seed(workspace, capsys):
+    # a seed drawn per process would give the three parties mismatched keys
+    run_pipeline(workspace)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--party", "3",
+              "--schema", str(workspace / "enc" / "schema.json"),
+              "--graph-share", str(workspace / "enc" / "graph-share-3.ogmg"),
+              "--token", str(workspace / "tok" / "token-3.ogmt"),
+              "--out", str(workspace / "never.ogmr"),
+              "--bind", "127.0.0.1:19874", "--peers", "1=127.0.0.1:9,2=127.0.0.1:9"])
+    assert exc.value.code == 2
+    assert "--session-seed" in capsys.readouterr().err

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from oblivgm import rss
-from oblivgm.bits import BitVector, unpack_bits
+from oblivgm.bits import unpack_bits
 from oblivgm.graphs import (AttributedGraph, GraphFormatError, GraphSchema,
-                            build_schema, decode_one_hot, encode_one_hot,
-                            encrypt_graph, pad_k_groups, parse_graph_text)
+                            build_schema, encrypt_graph, pad_k_groups, parse_graph_text)
 from tests.conftest import CAMPUS_GRAPH
 
 
@@ -41,19 +40,6 @@ def test_parse_errors():
             parse_graph_text(text)
 
 
-def test_one_hot_round_trip_full_dictionary():
-    schema = build_schema(parse_graph_text(CAMPUS_GRAPH), 2)
-    attr = schema.types["P"].attrs["age"]
-    for value in attr.values:
-        assert decode_one_hot(encode_one_hot(value, attr), attr) == value
-    assert decode_one_hot(BitVector.zeros(attr.domain_size), attr) is None
-    with pytest.raises(GraphFormatError, match="not in dictionary"):
-        encode_one_hot("999", attr)
-    two = encode_one_hot(attr.values[0], attr) ^ encode_one_hot(attr.values[1], attr)
-    with pytest.raises(ValueError, match="weight"):
-        decode_one_hot(two, attr)
-
-
 def test_large_dictionary_round_trip():
     g = AttributedGraph()
     for i in range(300):
@@ -63,8 +49,6 @@ def test_large_dictionary_round_trip():
     schema = build_schema(g, 2)
     attr = schema.types["T"].attrs["v"]
     assert attr.domain_size == 300
-    for value in attr.values:
-        assert decode_one_hot(encode_one_hot(value, attr), attr) == value
 
 
 def test_padding_groups_by_sorted_length():

@@ -143,14 +143,6 @@ def test_open_everywhere_and_label_guard():
         run_local_trio(skewed)
 
 
-def test_xor_public_constant():
-    rng = np.random.default_rng(10)
-    x = BitVector.random(40, rng)
-    c = BitVector.random(40, rng)
-    sx = rss.share(x, rng)
-    assert rss.reconstruct([s.xor_public(c) for s in sx]) == (x ^ c)
-
-
 def shared_table(rows, rng, segments=None):
     """The three parties' tables of plaintext rows, each row shared on its own."""
     per_row = [rss.share(r, rng) for r in rows]
@@ -158,7 +150,7 @@ def shared_table(rows, rng, segments=None):
             for p in range(3)]
 
 
-def test_table_xor_and_xor_public_act_on_every_row_and_keep_segments():
+def test_table_xor_acts_on_every_row_and_keeps_segments():
     rng = np.random.default_rng(14)
     xs = [BitVector.random(37, rng) for _ in range(5)]
     ys = [BitVector.random(37, rng) for _ in range(5)]
@@ -167,10 +159,7 @@ def test_table_xor_and_xor_public_act_on_every_row_and_keep_segments():
     summed = [a.xor(b) for a, b in zip(tx, ty)]
     assert [BitVector(r, 37) for r in rss.reconstruct_rows(summed)] == [
         x ^ y for x, y in zip(xs, ys)]
-    c = BitVector.random(37, rng)
-    shifted = [t.xor_public(c) for t in tx]
-    assert [BitVector(r, 37) for r in rss.reconstruct_rows(shifted)] == [x ^ c for x in xs]
-    assert all(t.segments == (2, 3) for t in summed + shifted)
+    assert all(t.segments == (2, 3) for t in summed)
 
 
 def test_table_xor_refuses_other_party_or_shape():
@@ -182,8 +171,6 @@ def test_table_xor_refuses_other_party_or_shape():
         tx[0].xor(tx[0].take(slice(0, 4)))
     with pytest.raises(ValueError, match="length"):
         tx[0].xor(shared_table([BitVector.random(36, rng) for _ in range(5)], rng)[0])
-    with pytest.raises(ValueError, match="length"):
-        tx[0].xor_public(BitVector.random(36, rng))
     with pytest.raises(ValueError, match="party_index"):
         MatchTable(4, 37, tx[0].share_a, tx[0].share_b)
 

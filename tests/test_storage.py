@@ -1,12 +1,11 @@
-"""File formats: record round trips, container integrity, size obliviousness."""
+"""File formats: table round trips, container integrity, size obliviousness."""
 
 import hashlib
-import struct
 
 import numpy as np
 import pytest
 
-from oblivgm import rss, storage
+from oblivgm import rss
 from oblivgm.bits import mask_tail, words_for
 from oblivgm.datagen import graph_to_text, random_graph
 from oblivgm.engine import open_results
@@ -18,53 +17,27 @@ from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
 UNIQUE_MISSES = "Q p P age >= 30\nQ c C field = Internet\nQE p c\n"
 
 
-def test_record_pair_codec_round_trip():
-    rng = np.random.default_rng(0)
-    for width in (1, 31, 32, 33, 500):
-        rows, size = 5, storage._pair_bytes(width)
-        # share words carry arbitrary bits past the width; records hold them zero
-        mats = [rng.integers(0, 1 << 32, (rows, words_for(width)), dtype=np.uint32)
-                for _ in range(2)]
-        offsets = 7 + np.arange(rows)[::-1] * size  # any order, any alignment
-        buf = np.zeros(7 + rows * size, np.uint8)
-        storage._pairs(buf, offsets, np.arange(rows), mats, width, 2, load=False)
-        for r in range(rows):
-            for comp in range(2):
-                at = offsets[r] + comp * size // 2
-                assert struct.unpack_from("<4sHBQ", buf, at) == (b"OGMS", 2, 2, width)
-                words = np.frombuffer(buf, np.uint32, words_for(width), at + 15)
-                assert np.array_equal(words, mask_tail(mats[comp][r].copy(), width))
-        back = [np.zeros_like(m) for m in mats]
-        storage._pairs(buf, offsets, np.arange(rows), back, width, 2, load=True)
-        assert all(np.array_equal(b, mask_tail(m.copy(), width)) for b, m in zip(back, mats))
-        for pos, message in ((0, "magic"), (4, "version"), (6, "party"), (7, "width")):
-            bad = buf.copy()
-            bad[offsets[3] + size // 2 + pos] ^= 1  # component b of row 3
-            with pytest.raises(StorageError, match=message):
-                storage._pairs(bad, offsets, np.arange(rows), back, width, 2, load=True)
-
-
-# SHA-256 of fixed-seed version-2 files: a codec change must leave every byte
+# SHA-256 of fixed-seed version-3 files: a codec change must leave every byte
 # as it is, or bump the version. Result files also hold the query's fresh
 # shares, so a protocol change that draws its re-share masks differently
 # moves them while the codec stays as it is
 PINNED_GRAPH_SHARES = {
-    "campus": ("e4422a5ee6a0e23fd3a3353920d04527c8cef22e0008b6c6d3e3221cf27f4689",
-               "3e5472c6fc3cec5c23f74a2f027c8678d77391c92b6eeb02d5878c587df62f68",
-               "f6a64177551fefe5bacde3be49ecae9a7043f96075305fecfed6ceba6a4c2466"),
-    "random-200": ("88cae2e127722b0c348bc88aae1a9ff17b11fcd1e60891a0c68e08787ce36fcc",
-                   "208cf839bf1677604ed4dc19e742c73149192b3ec553b09e7f8f86839f3d9bfb",
-                   "ee64547fda10fe8764abe527f215b1a10e0cfec6a0962ad77578014722bafc25"),
+    "campus": ("21b1bf8da31ea1879aba84bc148d22d0d06ae5b0105a0b65a321a1a5e0c0f53a",
+               "fd0698cada45cedfc033b399c3f8885b04a4b3076169a85b1b22ce3b1ad04923",
+               "0753fd68125bce5ccf46d82eb3f601e68eded7f13ae9b6af4d535614b24fa31d"),
+    "random-200": ("c42036f4f782fd5ad808d718899775ff98723fb69c80b27ae8064970f12782f7",
+                   "81f8cc7b3e9e7a63b51b82344611b547dc965bbf9c72630cfb296ebb45167b9d",
+                   "d023b99ec3dac13040d448408d940c1c777bdfe1b43f58e5cd791d93e9219b63"),
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("9955a155a4166961a9a5cc62825c12743653b84660607786b2eb1846dce6490e",
-                    "b4947e50ada13deb71cdaf40a16f01222d8bd33d574c5b2838f396940881561f",
-                    "9ab11f6d358651c09a6357cf6239b081198baf0a929ee57f6ec471f98f2bb443")),
+                   ("1e747a3f9f5cdb3071c4884bdc7e92237b45b7ad4972595ccc72085fde3fb4ac",
+                    "bf2d9c6d534267e60980fcdf7b5d659694622b8c29916c2e81c3e22be632c174",
+                    "224d584414c376064c19a02ac8b5374923a6d6af77f09e3ba4b382211123b1ae")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("ec9d8b68d89d82cbaf03e3d33b64b59f801a21e3ec5aa600c6854e5f0bce81cb",
-                       "407b5506a4e7c0278d5248b7eff567539ebaf6547996d578c57ed1364441dd02",
-                       "eea1d9a7a5edbc9ff489530b4c1a2c42747ba512867dc490aa6b8b6b6cc61d94")),
+                      ("a877f97c0d563d5843460c257523626400898e1ca80c9898283705fa0e8dc4b2",
+                       "75a0fe430ba3ed4980bc86b2135dcb14efcb154a6b0f3d1bdea064e6f17ef60b",
+                       "c642e43a0655e3e03862c92892244f061ac7f79ef372003a17492931f8649f2a")),
 }
 
 
@@ -111,14 +84,47 @@ def test_result_files_are_pinned(tmp_path, name):
     assert tuple(got) == digests
 
 
-def _record_starts(data: bytes) -> list[int]:
-    """Offsets of every share record of a graph share file, read off the record headers."""
-    starts, pos = [], 39  # the container header
-    while pos < len(data):
-        starts.append(pos)
-        pos += 15 + 4 * words_for(struct.unpack_from("<Q", data, pos + 7)[0])
-    assert pos == len(data)
-    return starts
+def _component_spans(schema) -> tuple[list[tuple[int, int]], int]:
+    """``(offset, bytes)`` of each table component of a graph share file, and the end of the last.
+
+    Written from the documented layout, not from the codec: after the
+    39-byte header, type by type, each attribute table and then each posting
+    table (its rows inside the padded lengths), ``share_a`` then ``share_b``.
+    """
+    spans, pos = [], 39
+    for vtype in sorted(schema.types):
+        ts = schema.types[vtype]
+        tables = [(ts.attrs[a].domain_size, ts.population) for a in sorted(ts.attrs)]
+        tables += [(schema.types[t].population, sum(ts.padded_len[t])) for t in ts.posting_types]
+        for width, rows in tables:
+            for _ in range(2):
+                spans.append((pos, 4 * words_for(width) * rows))
+                pos += spans[-1][1]
+    return spans, pos
+
+
+def _refuses(path, schema, blob):
+    path.write_bytes(blob)
+    with pytest.raises(StorageError):
+        load_graph_share(path, schema)
+
+
+def _flipped(data: bytes, pos: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[pos] ^= 1 << (pos % 8)
+    return bytes(flipped)
+
+
+def test_every_truncation_or_flipped_byte_of_a_graph_share_is_refused(tmp_path):
+    schema, shares = encrypt_graph(parse_graph_text(CAMPUS_GRAPH), 2, np.random.default_rng(4))
+    path = tmp_path / "g.ogmg"
+    save_graph_share(path, shares[2])
+    data = path.read_bytes()
+    assert _component_spans(schema)[1] + 32 == len(data)
+    for cut in range(len(data)):
+        _refuses(path, schema, data[:cut])
+    for pos in range(len(data)):
+        _refuses(path, schema, _flipped(data, pos))
 
 
 def test_truncated_or_header_flipped_graph_share_is_refused(tmp_path):
@@ -128,23 +134,16 @@ def test_truncated_or_header_flipped_graph_share_is_refused(tmp_path):
     path = tmp_path / "g.ogmg"
     save_graph_share(path, shares[1])
     data = path.read_bytes()
-    starts = _record_starts(data)
-    assert len(starts) > 300
-
-    def refused(blob):
-        path.write_bytes(blob)
-        with pytest.raises(StorageError):
-            load_graph_share(path, schema)
-
-    for cut in [0, 20] + starts + [s + 15 for s in starts[::20]] + [len(data) - 1]:
-        refused(data[:cut])
-    refused(data + b"\0")
-    # every byte of the container header, and one byte of every record
-    # header, cycling through its 15 bytes (magic, version, party, width)
-    for pos in list(range(39)) + [start + i % 15 for i, start in enumerate(starts)]:
-        flipped = bytearray(data)
-        flipped[pos] ^= 1 << (pos % 8)
-        refused(bytes(flipped))
+    spans, end = _component_spans(schema)
+    assert end + 32 == len(data) and len(spans) > 20
+    for cut in [0, 20, 39] + [start for start, _ in spans] + [end, len(data) - 1]:
+        _refuses(path, schema, data[:cut])
+    _refuses(path, schema, data + b"\0")
+    # every byte of the container header and of the checksum, and one byte
+    # in the first and in the last word of every table component
+    edges = [p for start, size in spans if size for p in (start, start + size - 1)]
+    for pos in list(range(39)) + edges + list(range(end, len(data))):
+        _refuses(path, schema, _flipped(data, pos))
 
 
 def test_graph_share_file_round_trip(tmp_path):
@@ -165,6 +164,22 @@ def test_graph_share_file_round_trip(tmp_path):
                 plain = [rss.reconstruct_rows([getattr(gs.types[vtype], kind)[name] for gs in g])
                          for g in (loaded, shares)]
                 assert np.array_equal(*plain)
+    # share words may carry bits past a table's width; they load back zero
+    dirty = [t for tps in loaded[0].types.values() for t in (*tps.attrs.values(),
+                                                               *tps.posting.values())]
+    assert any(t.width % 32 for t in dirty)
+    for table in dirty:
+        for comp in (table.share_a, table.share_b):
+            comp[:, -1] |= ~mask_tail(np.full(1, 0xFFFFFFFF, np.uint32), table.width)
+    path = tmp_path / "dirty.ogmg"
+    save_graph_share(path, loaded[0])
+    again = load_graph_share(path, schema)
+    for vtype, tps in shares[0].types.items():
+        for kind in ("attrs", "posting"):
+            for name, table in getattr(tps, kind).items():
+                back = getattr(again.types[vtype], kind)[name]
+                assert np.array_equal(back.share_a, table.share_a)
+                assert np.array_equal(back.share_b, table.share_b)
 
 
 def test_graph_share_digest_guard(tmp_path):
@@ -232,7 +247,7 @@ def test_version_1_files_are_refused(tmp_path):
         data = bytearray(path.read_bytes())
         data[4:6] = (1).to_bytes(2, "little")  # the container header's version field
         path.write_bytes(bytes(data))
-        with pytest.raises(StorageError, match=r"version 1 \(expected 2\)"):
+        with pytest.raises(StorageError, match=r"version 1 \(expected 3\)"):
             load(path, res["schema"])
 
 
