@@ -35,7 +35,11 @@ print("x >= 50      ", render(indicator(k1, k2)))
 i1, i2 = fss.ic_gen(30, 40, domain, rng)
 print("30<=x<=40    ", render(indicator(i1, i2)))
 
+# a key is its root seed plus one correction word per level of the domain's
+# tree; the public kind and domain fix its size, so it stores neither
+bits = fss.domain_bits_for(domain)
 blob = fss.serialize_key(i1)
 eq_blob = fss.serialize_key(fss.dpf_gen(37, domain, rng)[0])
-print(f"interval key: {len(blob)} bytes; equality key: {len(eq_blob)} bytes "
+assert (len(blob), len(eq_blob)) == (fss.key_bytes("iv", bits), fss.key_bytes("eq", bits))
+print(f"{bits}-level keys: interval {len(blob)} bytes, equality {len(eq_blob)} bytes "
       f"(ratio {len(blob) / len(eq_blob):.2f}; an interval is two comparisons)")

@@ -32,9 +32,9 @@ from .graphs import GraphFormatError, build_schema, encrypt_graph, parse_graph_t
 from .net import (ProtocolError, local_runtimes, make_session_configs, parse_peers, run_trio,
                   tcp_runtime)
 from .oracle import oracle_match
-from .query import QueryFormatError, gen_token, load_query, parse_token, serialize_token
-from .storage import (StorageError, load_graph_share, load_results, load_schema,
-                      save_graph_share, save_results, save_schema)
+from .query import QueryFormatError, gen_token, load_query
+from .storage import (StorageError, load_graph_share, load_results, load_schema, load_token,
+                      save_graph_share, save_results, save_schema, save_token)
 
 VALIDATION_ERRORS = (GraphFormatError, QueryFormatError, StorageError, ValueError,
                      FileNotFoundError, KeyError)
@@ -44,9 +44,7 @@ def _rng_from_seed(seed_hex: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(bytes.fromhex(seed_hex), "big"))
 
 
-def _seed_arg(value: str | None) -> str:
-    if value is None:
-        return secrets.token_hex(16)
+def _seed_arg(value: str) -> str:
     bytes.fromhex(value)  # validate early
     return value
 
@@ -90,9 +88,9 @@ def cmd_tokenize(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for tok in tokens:
-        blob = serialize_token(tok)
-        (out / f"token-{tok.party_index}.ogmt").write_bytes(blob)
-        print(f"token-{tok.party_index}.ogmt: {len(blob)} bytes")
+        path = out / f"token-{tok.party_index}.ogmt"
+        save_token(path, tok)
+        print(f"{path.name}: {path.stat().st_size} bytes")
     return 0
 
 
@@ -109,10 +107,7 @@ def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
         i: load_graph_share(graph_dir / f"graph-share-{i}.ogmg", schema)
         for i in (1, 2, 3)
     }
-    tokens = {
-        i: parse_token((token_dir / f"token-{i}.ogmt").read_bytes(), expected_party=i)
-        for i in (1, 2, 3)
-    }
+    tokens = {i: load_token(token_dir / f"token-{i}.ogmt", schema, i) for i in (1, 2, 3)}
     config = EngineConfig(any_mode=any_mode, progress=_progress_printer(quiet))
     configs = make_session_configs(bytes.fromhex(session_seed))
     runtimes = local_runtimes(configs)
@@ -141,7 +136,7 @@ def cmd_serve(args) -> int:
     peers = parse_peers(peers_spec)
     schema = load_schema(args.schema)
     gshare = load_graph_share(args.graph_share, schema)
-    token = parse_token(Path(args.token).read_bytes(), expected_party=args.party)
+    token = load_token(args.token, schema, args.party)
     check_token(token, gshare)  # before connecting: a damaged token or a wrong share fails fast
     base = make_session_configs(bytes.fromhex(args.session_seed))[args.party - 1]
     rt = tcp_runtime(replace(base, bind=bind, peers=peers), connect_timeout=args.connect_timeout)

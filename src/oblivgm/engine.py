@@ -63,7 +63,7 @@ import numpy as np
 from . import fss, rss
 from .bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
-from .query import PartyToken, QueryFormatError
+from .query import PartyToken, QueryFormatError, check_structure
 from .rss import MatchTable
 from .shuffle import sec_shuffle
 
@@ -489,27 +489,18 @@ def _levels(slots) -> list[list[int]]:
 def check_token(token: PartyToken, gshare: GraphShare) -> None:
     """Refuse a token that does not fit the graph share, before any message is sent.
 
-    Token and share must be one party's. Past the schema digest, a token
-    that parsed may still be damaged: every slot's type, edges and predicate
-    attributes must exist, and every key's depth must be its attribute's,
-    since a deeper key would expand a tree of ``2**domain_bits`` leaves.
+    Token and share must be one party's and built for one schema, and the
+    token's structure must fit that schema (:func:`query.check_structure`).
+    Key depths need no check: a token file's key sizes follow from the
+    structure and the schema, so it cannot hold a key deeper than its
+    attribute's domain.
     """
     if token.schema_digest != gshare.schema_digest:
         raise QueryFormatError("token and graph share were built for different schemas")
     if token.party_index != gshare.party_index:
         raise QueryFormatError(f"token of party {token.party_index} given the graph share "
                                f"of party {gshare.party_index}")
-    slots = token.structure["slots"]
-    for slot, pairs in zip(slots, token.slot_keys):
-        ts = gshare.schema.types.get(slot["type"])
-        if ts is None or any(slots[c]["type"] not in ts.posting_types for c in slot["children"]):
-            raise QueryFormatError(f"token slot {slot['name']!r} does not fit the schema")
-        for pred, pair in zip(slot["preds"], pairs):
-            attr = ts.attrs.get(pred["attr"])
-            if attr is None or any(k.domain_bits != fss.domain_bits_for(attr.domain_size)
-                                   for k in pair):
-                raise QueryFormatError(f"token slot {slot['name']!r} predicate on "
-                                       f"{pred['attr']!r} does not fit the schema")
+    check_structure(token.structure, gshare.schema)
 
 
 def sec_match(rt, token: PartyToken, gshare: GraphShare,
@@ -585,12 +576,12 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
             if slots[s]["children"] or cands[s].ids is None:
                 records[s] = replace(records[s], ids=_id_codes(records[s].ids, types[s]))
 
-    subgraphs = _assemble(slots, records)
+    subgraphs = assemble(slots, records)
     say(f"assembled {len(subgraphs)} complete subgraphs")
     return MatchResultSet(rt.index, token.structure, records, subgraphs)
 
 
-def _assemble(slots, records: list[RecordTable]) -> list[tuple[int, ...]]:
+def assemble(slots, records: list[RecordTable]) -> list[tuple[int, ...]]:
     """Walk the public ``parent_record`` links and keep only complete subtree products."""
     # a slot's records are sorted by parent record: the children of record p
     # of slot s are the rows [first[child][p], first[child][p + 1])

@@ -14,12 +14,16 @@ fixed-key AES PRG from :mod:`oblivgm.prf`, plus one correction word (seed,
 two control bits, one value bit) per level. The value bit carries the
 comparison function's per-level contribution and stays zero in point keys,
 so point and comparison keys serialize to identical sizes.
+
+A key's record holds its fields only: ``root_t``, ``add_const`` and the
+root seed, then ``(seed_cw, ctrl_cw)`` per level, then ``final_cw``; an
+interval key is its two halves. The public predicate kind and domain fix
+the key's class and depth, so the record stores neither, nor its length.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +39,6 @@ KIND_INTERVAL = "iv"
 
 COMPARISON_KINDS = (KIND_LT, KIND_LE, KIND_GT, KIND_GE)
 PREDICATE_KINDS = (KIND_EQ,) + COMPARISON_KINDS + (KIND_INTERVAL,)
-
-_TAG_DPF = 1
-_TAG_DCF = 2
-_TAG_INTERVAL = 3
 
 
 class DomainError(ValueError):
@@ -76,8 +76,6 @@ class IntervalKey:
 
     lower: DcfKey
     upper: DcfKey
-    closed_low: bool = True
-    closed_high: bool = True
 
     @property
     def domain_bits(self) -> int:
@@ -150,20 +148,6 @@ def dcf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
     return _tree_gen(alpha, domain_bits_for(domain_size), rng, comparison=True)
 
 
-def _with_const(key: DcfKey, const: int) -> DcfKey:
-    if const == 0:
-        return key
-    return DcfKey(
-        domain_bits=key.domain_bits,
-        root_seed=key.root_seed,
-        root_t=key.root_t,
-        seed_cw=key.seed_cw,
-        ctrl_cw=key.ctrl_cw,
-        final_cw=key.final_cw,
-        add_const=key.add_const ^ const,
-    )
-
-
 def cmp_gen(kind: str, alpha: int, domain_size: int, rng: np.random.Generator):
     """Comparison keys for any of <, <=, >, >= against ``alpha``.
 
@@ -186,7 +170,7 @@ def cmp_gen(kind: str, alpha: int, domain_size: int, rng: np.random.Generator):
     else:  # KIND_GT: complement of x <= alpha
         threshold, const = (0, 0) if alpha + 1 == full else (alpha + 1, 1)
     k1, k2 = _tree_gen(threshold, bits, rng, comparison=True)
-    return _with_const(k1, const), k2
+    return replace(k1, add_const=const), k2
 
 
 def ic_gen(low: int, high: int, domain_size: int, rng: np.random.Generator,
@@ -208,9 +192,7 @@ def ic_gen(low: int, high: int, domain_size: int, rng: np.random.Generator,
         const = 1
     low1, low2 = _tree_gen(lo_t, bits, rng, comparison=True)
     up1, up2 = _tree_gen(hi_t, bits, rng, comparison=True)
-    up1 = _with_const(up1, const)
-    mk = lambda lo, up: IntervalKey(lo, up, closed_low, closed_high)  # noqa: E731
-    return mk(low1, up1), mk(low2, up2)
+    return IntervalKey(low1, replace(up1, add_const=const)), IntervalKey(low2, up2)
 
 
 def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
@@ -318,88 +300,40 @@ def full_domain_eval(key: FssKey, n: int, *, more=None):
 # serialization
 # ---------------------------------------------------------------------------
 
-_CMP_HEADER = struct.Struct("<BBBB")  # tag, domain_bits, add_const, root_t
+_LEVEL = np.dtype([("seed_cw", "<u8", 2), ("ctrl_cw", "u1")])  # one level's 17 bytes
 
 
-def _serialize_tree_key(key: DpfKey) -> bytes:
-    tag = _TAG_DCF if isinstance(key, DcfKey) else _TAG_DPF
-    out = bytearray(_CMP_HEADER.pack(tag, key.domain_bits, key.add_const, key.root_t))
-    out += key.root_seed
-    for lvl in range(key.domain_bits):
-        out += key.seed_cw[lvl].tobytes()
-        out.append(int(key.ctrl_cw[lvl]))
-    out.append(key.final_cw)
-    return bytes(out)
+def key_bytes(kind: str, domain_bits: int) -> int:
+    """Size of the record of a ``kind`` key of depth ``domain_bits``."""
+    tree = 3 + SEED_BYTES + domain_bits * _LEVEL.itemsize
+    return 2 * tree if kind == KIND_INTERVAL else tree
 
 
 def serialize_key(key: FssKey) -> bytes:
     if isinstance(key, IntervalKey):
-        flags = (1 if key.closed_low else 0) | (2 if key.closed_high else 0)
-        lo = _serialize_tree_key(key.lower)
-        up = _serialize_tree_key(key.upper)
-        head = struct.pack("<BBBB", _TAG_INTERVAL, key.domain_bits, flags, 0)
-        return head + struct.pack("<I", len(lo)) + lo + struct.pack("<I", len(up)) + up
-    return _serialize_tree_key(key)
+        return serialize_key(key.lower) + serialize_key(key.upper)
+    levels = np.empty(key.domain_bits, _LEVEL)
+    levels["seed_cw"], levels["ctrl_cw"] = key.seed_cw, key.ctrl_cw
+    return (bytes([key.root_t, key.add_const]) + key.root_seed + levels.tobytes()
+            + bytes([key.final_cw]))
 
 
-def _parse_tree_key(buf: bytes, offset: int = 0):
-    tag, bits, add_const, root_t = _CMP_HEADER.unpack_from(buf, offset)
-    if tag not in (_TAG_DPF, _TAG_DCF):
-        raise ValueError(f"bad key tag {tag}")
-    pos = offset + _CMP_HEADER.size
-    root_seed = bytes(buf[pos:pos + SEED_BYTES])
-    if len(root_seed) != SEED_BYTES:
-        raise ValueError("truncated key")
-    pos += SEED_BYTES
-    seed_cw = np.zeros((bits, 2), dtype=np.uint64)
-    ctrl_cw = np.zeros(bits, dtype=np.uint8)
-    for lvl in range(bits):
-        chunk = buf[pos:pos + SEED_BYTES + 1]
-        if len(chunk) != SEED_BYTES + 1:
-            raise ValueError("truncated key")
-        seed_cw[lvl] = np.frombuffer(chunk[:SEED_BYTES], dtype=np.uint64)
-        ctrl_cw[lvl] = chunk[SEED_BYTES]
-        pos += SEED_BYTES + 1
-    if pos + 1 > len(buf):
-        raise ValueError("truncated key")
-    final_cw = buf[pos]
-    pos += 1
-    cls = DcfKey if tag == _TAG_DCF else DpfKey
-    key = cls(
-        domain_bits=bits,
-        root_seed=root_seed,
-        root_t=root_t,
-        seed_cw=seed_cw,
-        ctrl_cw=ctrl_cw,
-        final_cw=final_cw,
-        add_const=add_const,
+def parse_key(kind: str, domain_bits: int, blob: bytes) -> FssKey:
+    """Read the record of a ``kind`` key of depth ``domain_bits``."""
+    if len(blob) != key_bytes(kind, domain_bits):
+        raise ValueError(f"{len(blob)} bytes for a {kind} key of depth {domain_bits}, "
+                         f"not {key_bytes(kind, domain_bits)}")
+    if kind == KIND_INTERVAL:
+        half = len(blob) // 2
+        return IntervalKey(parse_key(KIND_LT, domain_bits, blob[:half]),
+                           parse_key(KIND_LT, domain_bits, blob[half:]))
+    levels = np.frombuffer(blob, _LEVEL, domain_bits, offset=2 + SEED_BYTES)
+    return (DpfKey if kind == KIND_EQ else DcfKey)(
+        domain_bits=domain_bits,
+        root_seed=bytes(blob[2:2 + SEED_BYTES]),
+        root_t=blob[0],
+        seed_cw=levels["seed_cw"].astype(np.uint64),
+        ctrl_cw=levels["ctrl_cw"].copy(),
+        final_cw=blob[-1],
+        add_const=blob[1],
     )
-    return key, pos
-
-
-def parse_key(buf: bytes) -> FssKey:
-    if not buf:
-        raise ValueError("empty key buffer")
-    if buf[0] == _TAG_INTERVAL:
-        _, bits, flags, _ = struct.unpack_from("<BBBB", buf, 0)
-        pos = 4
-        (lo_len,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        lower, end = _parse_tree_key(buf, pos)
-        if end - pos != lo_len:
-            raise ValueError("interval sub-key length mismatch")
-        pos = end
-        (up_len,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        upper, end = _parse_tree_key(buf, pos)
-        if end - pos != up_len or end != len(buf):
-            raise ValueError("interval sub-key length mismatch")
-        if not isinstance(lower, DcfKey) or not isinstance(upper, DcfKey):
-            raise ValueError("interval sub-keys must be comparison keys")
-        if lower.domain_bits != bits or upper.domain_bits != bits:
-            raise ValueError("interval sub-key domain mismatch")
-        return IntervalKey(lower, upper, bool(flags & 1), bool(flags & 2))
-    key, end = _parse_tree_key(buf, 0)
-    if end != len(buf):
-        raise ValueError("trailing bytes after key")
-    return key

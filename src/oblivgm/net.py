@@ -168,7 +168,8 @@ class PeerLink:
         self._send_ch.close()
 
     def recv(self, op: int, timeout: float) -> bytes:
-        frame = Frame.decode(self._recv_ch.recv_bytes(timeout))
+        data = self._recv_ch.recv_bytes(timeout)
+        frame = Frame.decode(data)
         if frame.session != self.session:
             raise ProtocolError(f"session mismatch: got {frame.session}, expected {self.session}")
         if frame.op != op:
@@ -181,7 +182,8 @@ class PeerLink:
                 f"round skew on op {OP_NAMES.get(op, op)}: got {frame.round}, expected {expected}"
             )
         self._rx_rounds[op] = expected + 1
-        self._transcript.update(b"R" + frame.encode())
+        self._transcript.update(b"R")
+        self._transcript.update(data)
         return frame.payload
 
 

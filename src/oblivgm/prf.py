@@ -85,10 +85,6 @@ def seed_to_array(seed: bytes) -> np.ndarray:
     return np.frombuffer(seed, dtype=np.uint64).copy()
 
 
-def array_to_seed(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype=np.uint64).tobytes()
-
-
 def _sizes(n: int | Sequence[int]) -> list[int]:
     return [int(n)] if isinstance(n, (int, np.integer)) else [int(m) for m in n]
 

@@ -18,15 +18,12 @@ A token splits each predicate's three FSS key pairs across the parties so
 that every share of an attribute vector gets evaluated under both keys of
 one pair. The public token structure (types, attribute names, predicate
 kinds, tree shape) is identical across the three parties; only key bytes
-differ. A token file ends with the SHA-256 of everything before it, since a
-flipped key bit would otherwise parse and silently change the matches.
+differ. The structure and the schema fix every key's kind and depth, which
+is how :mod:`oblivgm.storage` sizes a token file's key records.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -34,10 +31,6 @@ import numpy as np
 
 from . import fss
 from .graphs import AttrSchema, GraphSchema
-
-TOKEN_MAGIC = b"OGMT"
-TOKEN_VERSION = 2  # version 1 had no checksum
-_CHECKSUM_BYTES = 32
 
 _OPS = {"=": fss.KIND_EQ, "<": fss.KIND_LT, "<=": fss.KIND_LE,
         ">": fss.KIND_GT, ">=": fss.KIND_GE, "in": fss.KIND_INTERVAL}
@@ -325,28 +318,16 @@ def gen_token(query: QueryGraph, schema: GraphSchema, rng: np.random.Generator):
     )
 
 
-def serialize_token(token: PartyToken) -> bytes:
-    public = json.dumps(token.structure, sort_keys=True, separators=(",", ":")).encode()
-    out = bytearray()
-    out += TOKEN_MAGIC
-    out += struct.pack("<HB", TOKEN_VERSION, token.party_index)
-    out += token.schema_digest
-    out += struct.pack("<I", len(public))
-    out += public
-    for slot in token.slot_keys:
-        for key_first, key_second in slot:
-            for key in (key_first, key_second):
-                blob = fss.serialize_key(key)
-                out += struct.pack("<I", len(blob))
-                out += blob
-    return bytes(out + hashlib.sha256(out).digest())
-
-
 _SLOT_FIELDS = {"name", "type", "combiner", "preds", "children"}
 
 
-def _check_structure(structure) -> None:
-    """Refuse a token structure that :func:`query_structure` cannot have written."""
+def check_structure(structure, schema: GraphSchema) -> None:
+    """Refuse a token structure that :func:`query_structure` cannot have written for ``schema``.
+
+    Every slot's type, edges and predicate attributes must exist in the
+    schema: they fix the sizes of the token's keys and of a result file's
+    tables.
+    """
     if not (isinstance(structure, dict) and set(structure) == {"slots"}
             and isinstance(structure["slots"], list) and structure["slots"]):
         raise QueryFormatError("token structure has no slot list")
@@ -365,52 +346,11 @@ def _check_structure(structure) -> None:
     # slots are numbered breadth-first, so the child lists in slot order count 1, 2, ...
     if [c for slot in slots for c in slot["children"]] != list(range(1, len(slots))):
         raise QueryFormatError("token slots do not form a breadth-first tree")
-
-
-def parse_token(buf: bytes, expected_party: int | None = None) -> PartyToken:
-    """Read a token file; any damage that leaves it unreadable raises :class:`QueryFormatError`."""
-    if buf[:4] != TOKEN_MAGIC:
-        raise QueryFormatError("not a token file")
-    pos = 4 + 3 + 32  # magic, version and party, schema digest
-    if len(buf) < pos + 4 + _CHECKSUM_BYTES:
-        raise QueryFormatError("truncated token")
-    version, party = struct.unpack_from("<HB", buf, 4)
-    if version != TOKEN_VERSION:
-        raise QueryFormatError(f"unsupported token version {version} (expected {TOKEN_VERSION})")
-    if party not in (1, 2, 3) or expected_party not in (None, party):
-        raise QueryFormatError(f"token belongs to party {party}, not {expected_party or '1-3'}")
-    buf, check = buf[:-_CHECKSUM_BYTES], buf[-_CHECKSUM_BYTES:]
-    if hashlib.sha256(buf).digest() != check:
-        raise QueryFormatError("token fails its SHA-256 check (corrupted or truncated)")
-    digest = bytes(buf[7:pos])
-    (json_len,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    try:
-        structure = json.loads(buf[pos:pos + json_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise QueryFormatError(f"corrupt token structure: {exc}") from None
-    _check_structure(structure)
-    pos += json_len
-    slot_keys = []
-    for slot in structure["slots"]:
-        keys = []
-        for _pred in slot["preds"]:
-            pair = []
-            for _ in range(2):
-                if pos + 4 > len(buf):
-                    raise QueryFormatError("truncated token")
-                (blob_len,) = struct.unpack_from("<I", buf, pos)
-                pos += 4
-                blob = buf[pos:pos + blob_len]
-                if len(blob) != blob_len:
-                    raise QueryFormatError("truncated token")
-                try:
-                    pair.append(fss.parse_key(bytes(blob)))
-                except (ValueError, struct.error) as exc:
-                    raise QueryFormatError(f"corrupt token key: {exc}") from None
-                pos += blob_len
-            keys.append((pair[0], pair[1]))
-        slot_keys.append(keys)
-    if pos != len(buf):
-        raise QueryFormatError("trailing bytes after token")
-    return PartyToken(party, digest, structure, slot_keys)
+    for slot in slots:
+        ts = schema.types.get(slot["type"])
+        if ts is None or any(slots[c]["type"] not in ts.posting_types for c in slot["children"]):
+            raise QueryFormatError(f"token slot {slot['name']!r} does not fit the schema")
+        for pred in slot["preds"]:
+            if pred["attr"] not in ts.attrs:
+                raise QueryFormatError(f"token slot {slot['name']!r} predicate on "
+                                       f"{pred['attr']!r} does not fit the schema")

@@ -1,21 +1,21 @@
-"""File formats: encrypted graph shares and result shares.
+"""File formats: encrypted graph shares, query tokens and result shares.
 
-Both containers are one header, one record per share table, and the
-SHA-256 of everything before it::
+All three containers are one header, one record per share table or key,
+and the SHA-256 of everything before it::
 
     magic (4 bytes) | version u16 | party u8 | schema digest (32 bytes)
-    [result files only: manifest length u32 | manifest JSON]
-    table records, end to end
+    [tokens and result files: manifest length u32 | manifest JSON]
+    records, end to end
     SHA-256 (32 bytes)
 
 A table's record is the party's ``share_a`` rows, then its ``share_b``
 rows, as packed little-endian 32-bit words with the bits past the table's
-width zero. Records carry no header: the place and size of every table
-follow from the public schema (and, in a result file, the manifest), so a
-file's size depends only on public sizes, never on the shared content. The
-checksum refuses any damaged byte, which would otherwise load as another
-valid share and silently change the matches. Files are hashed as they are
-written and read, in one pass.
+width zero. A key's record is :func:`oblivgm.fss.serialize_key`'s. Records
+carry no header: the place and size of every record follow from the public
+schema (and the manifest), so a file's size depends only on public sizes,
+never on the shared content. The checksum refuses any damaged byte, which
+would otherwise load as another valid share or key and silently change the
+matches. Files are hashed as they are written and read, in one pass.
 
 Graph share containers ("OGMG") hold, type by type in schema order, each
 attribute table (one row per vertex, attributes in sorted order), then each
@@ -23,13 +23,18 @@ posting table (in ``posting_types`` order) with only the rows inside each
 vertex's padded length: the rows past it are public zeros and are not
 stored. Vertex ids are public row positions and are not stored.
 
+Token containers ("OGMT") carry the public query structure as JSON, then
+slot by slot, predicate by predicate, the party's two keys; the predicate's
+kind and its attribute's domain fix each key's size.
+
 Result containers ("OGMR") carry the public query structure, provenance and
 assembly as JSON, then slot by slot the table of the matched records'
 ``id_width``-bit id codes and their attribute tables.
 
 Version 3 replaced version 2's one headered record per row with one record
-per table, and added the graph share checksum; version 2 had dropped the
-one-hot vertex ids of version 1. Older versions are refused.
+per table, added the graph share checksum, and dropped the tags and length
+prefixes of token keys; version 2 had dropped the one-hot vertex ids of
+version 1. Older versions are refused.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fss
 from .bits import mask_tail, words_for
-from .engine import MatchResultSet, RecordTable
+from .engine import MatchResultSet, RecordTable, assemble
 from .graphs import GraphSchema, GraphShare, TypePartyShare
+from .query import PartyToken, check_structure
 from .rss import PARTIES, MatchTable
 
 GRAPH_MAGIC = b"OGMG"
+TOKEN_MAGIC = b"OGMT"
 RESULT_MAGIC = b"OGMR"
 VERSION = 3
 
@@ -65,7 +73,10 @@ def save_schema(path, schema: GraphSchema) -> None:
 
 
 def load_schema(path) -> GraphSchema:
-    return GraphSchema.from_json(Path(path).read_text())
+    try:
+        return GraphSchema.from_json(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise StorageError(f"{path} is not a graph schema: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +96,13 @@ class _Container:
         self.sha.update(data)
         self.file.write(data)
 
+    def write_header(self, magic: bytes, party: int, schema_digest: bytes) -> None:
+        self.write(_CONTAINER_HEADER.pack(magic, VERSION, party, schema_digest))
+
+    def write_manifest(self, doc) -> None:
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        self.write(_MANIFEST_LEN.pack(len(blob)) + blob)
+
     def seal(self) -> None:
         self.file.write(self.sha.digest())
 
@@ -97,24 +115,11 @@ class _Container:
         return buf
 
     def read(self, n: int) -> bytearray:
+        if n > self.left:  # before allocating: a damaged length may claim gigabytes
+            raise StorageError(f"truncated {self.what}")
         return self.read_into(bytearray(n))
 
-    def expect(self, tables: list[tuple]) -> None:
-        """Refuse a file whose bytes before the checksum do not hold ``tables`` exactly.
-
-        Each table is a tuple ending in its ``width`` and the ``keep`` mask
-        of its stored rows, as the field-order generators yield them.
-        """
-        n = sum(2 * 4 * words_for(width) * int(keep.sum()) for *_, width, keep in tables)
-        if self.left != n:
-            cause = "truncated" if self.left < n else "trailing bytes in"
-            raise StorageError(f"{cause} {self.what}")
-
-    def verify(self) -> None:
-        if self.file.read(_CHECKSUM_BYTES) != self.sha.digest():
-            raise StorageError(f"{self.what} fails its SHA-256 check (corrupted)")
-
-    def header(self, magic: bytes, schema_digest: bytes) -> int:
+    def read_header(self, magic: bytes, schema_digest: bytes) -> int:
         """Read and check the container header; returns the party index."""
         got, version, party, digest = _CONTAINER_HEADER.unpack(
             self.read(_CONTAINER_HEADER.size))
@@ -128,6 +133,28 @@ class _Container:
         if digest != schema_digest:
             raise StorageError(f"{self.what} does not match the schema sidecar")
         return party
+
+    def read_manifest(self):
+        (n,) = _MANIFEST_LEN.unpack(self.read(_MANIFEST_LEN.size))
+        try:
+            return json.loads(self.read(n).decode())
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or nested too deep
+            raise StorageError(f"corrupt {self.what} manifest: {exc}") from None
+
+    def expect(self, n: int) -> None:
+        """Refuse a file whose bytes left before the checksum are not ``n``."""
+        if self.left != n:
+            cause = "truncated" if self.left < n else "trailing bytes in"
+            raise StorageError(f"{cause} {self.what}")
+
+    def verify(self) -> None:
+        if self.file.read(_CHECKSUM_BYTES) != self.sha.digest():
+            raise StorageError(f"{self.what} fails its SHA-256 check (corrupted)")
+
+
+def _tables_bytes(tables) -> int:
+    """Bytes of ``tables``' records; each table is a tuple ending in ``width, keep``."""
+    return sum(2 * 4 * words_for(width) * int(keep.sum()) for *_, width, keep in tables)
 
 
 def _write_table(out: _Container, table: MatchTable, keep: np.ndarray) -> None:
@@ -172,8 +199,7 @@ def _graph_tables(schema: GraphSchema):
 def save_graph_share(path, gshare: GraphShare) -> None:
     with open(path, "wb") as f:
         out = _Container(f, "graph share")
-        out.write(_CONTAINER_HEADER.pack(GRAPH_MAGIC, VERSION, gshare.party_index,
-                                         gshare.schema_digest))
+        out.write_header(GRAPH_MAGIC, gshare.party_index, gshare.schema_digest)
         for vtype, kind, name, _, keep in _graph_tables(gshare.schema):
             _write_table(out, getattr(gshare.types[vtype], kind)[name], keep)
         out.seal()
@@ -183,9 +209,9 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
     with open(path, "rb") as f:
         src = _Container(f, "graph share")
         digest = schema.digest()
-        party = src.header(GRAPH_MAGIC, digest)
+        party = src.read_header(GRAPH_MAGIC, digest)
         tables = list(_graph_tables(schema))
-        src.expect(tables)
+        src.expect(_tables_bytes(tables))
         types = {vtype: TypePartyShare({}, {}) for vtype in sorted(schema.types)}
         for vtype, kind, name, width, keep in tables:
             getattr(types[vtype], kind)[name] = _read_table(src, party, width, keep)
@@ -223,12 +249,10 @@ def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
         ],
         "subgraphs": [list(sg) for sg in results.subgraphs],
     }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
         out = _Container(f, "result file")
-        out.write(_CONTAINER_HEADER.pack(RESULT_MAGIC, VERSION, results.party_index,
-                                         schema.digest()))
-        out.write(_MANIFEST_LEN.pack(len(blob)) + blob)
+        out.write_header(RESULT_MAGIC, results.party_index, schema.digest())
+        out.write_manifest(manifest)
         for s, attr, _, keep in _result_tables(results.structure, schema,
                                                [t.rows for t in results.records]):
             table = results.records[s]
@@ -236,31 +260,99 @@ def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
         out.seal()
 
 
+def _provenance(slots, records) -> list[np.ndarray]:
+    """Each slot's ``parent_record`` array, from a manifest's record lists.
+
+    The root's records have no parent record; every other slot's point into
+    its parent slot's records, in non-decreasing order.
+    """
+    if len(records) != len(slots):
+        raise ValueError(f"{len(records)} record lists for {len(slots)} slots")
+    parent_slot = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+    parents = []
+    for s, metas in enumerate(records):
+        got = [m["parent_record"] for m in metas]
+        if s == 0:
+            fits = all(p is None for p in got)
+        else:
+            n = len(records[parent_slot[s]])
+            fits = all(type(p) is int and 0 <= p < n for p in got) and got == sorted(got)
+        if not fits:
+            raise ValueError(f"slot {s}'s parent records point outside its parent slot's")
+        parents.append(np.array([-1 if p is None else p for p in got], np.int64))
+    return parents
+
+
 def load_results(path, schema: GraphSchema) -> MatchResultSet:
     with open(path, "rb") as f:
         src = _Container(f, "result file")
-        party = src.header(RESULT_MAGIC, schema.digest())
-        (json_len,) = _MANIFEST_LEN.unpack(src.read(_MANIFEST_LEN.size))
-        blob = src.read(json_len)
+        party = src.read_header(RESULT_MAGIC, schema.digest())
+        manifest = src.read_manifest()
         try:
-            manifest = json.loads(blob.decode())
             structure = manifest["structure"]
-            parents = [np.array([-1 if m["parent_record"] is None else m["parent_record"]
-                                 for m in metas], np.int64) for metas in manifest["records"]]
+            check_structure(structure, schema)
+            parents = _provenance(structure["slots"], manifest["records"])
             subgraphs = [tuple(sg) for sg in manifest["subgraphs"]]
-            if len(parents) != len(structure["slots"]):
-                raise ValueError(f"{len(parents)} record lists for {len(structure['slots'])} slots")
             tables = list(_result_tables(structure, schema, [len(p) for p in parents]))
-        except (UnicodeDecodeError, ValueError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise StorageError(f"corrupt result manifest: {exc!r}") from None
-        src.expect(tables)
+        src.expect(_tables_bytes(tables))
         fields: list[dict] = [{} for _ in parents]
         for s, attr, width, keep in tables:
             fields[s][attr] = _read_table(src, party, width, keep)
         src.verify()
-    return MatchResultSet(
-        party_index=party,
-        structure=structure,
-        records=[RecordTable(f.pop(None), f, p) for f, p in zip(fields, parents)],
-        subgraphs=subgraphs,
-    )
+    records = [RecordTable(f.pop(None), f, p) for f, p in zip(fields, parents)]
+    # a subgraph naming records that do not descend from one another, or none
+    # of a slot, would open as a match that is none
+    assembled = assemble(structure["slots"], records)
+    if subgraphs != assembled:
+        raise StorageError("result manifest's subgraphs are not its records' assembly")
+    return MatchResultSet(party, structure, records, assembled)
+
+
+# ---------------------------------------------------------------------------
+# token containers
+# ---------------------------------------------------------------------------
+
+
+def _token_keys(structure: dict, schema: GraphSchema):
+    """Every key of a token in file order: ``(kind, domain_bits)``, two per predicate."""
+    for slot in structure["slots"]:
+        attrs = schema.types[slot["type"]].attrs
+        for pred in slot["preds"]:
+            yield from [(pred["kind"], fss.domain_bits_for(attrs[pred["attr"]].domain_size))] * 2
+
+
+def save_token(path, token: PartyToken) -> None:
+    with open(path, "wb") as f:
+        out = _Container(f, "token")
+        out.write_header(TOKEN_MAGIC, token.party_index, token.schema_digest)
+        out.write_manifest(token.structure)
+        for pairs in token.slot_keys:
+            for pair in pairs:
+                for key in pair:
+                    out.write(fss.serialize_key(key))
+        out.seal()
+
+
+def load_token(path, schema: GraphSchema, expected_party: int) -> PartyToken:
+    """Read party ``expected_party``'s token for ``schema``; no key is parsed before its hash holds."""
+    with open(path, "rb") as f:
+        src = _Container(f, "token")
+        digest = schema.digest()
+        party = src.read_header(TOKEN_MAGIC, digest)
+        if party != expected_party:
+            raise StorageError(f"token of party {party}, not of party {expected_party}")
+        structure = src.read_manifest()
+        try:
+            check_structure(structure, schema)
+            keys = list(_token_keys(structure, schema))
+        except ValueError as exc:  # a QueryFormatError, or the DomainError of an empty dictionary
+            raise StorageError(f"corrupt token manifest: {exc}") from None
+        src.expect(sum(fss.key_bytes(kind, bits) for kind, bits in keys))
+        blobs = [src.read(fss.key_bytes(kind, bits)) for kind, bits in keys]
+        src.verify()
+    parsed = iter([fss.parse_key(kind, bits, blob) for (kind, bits), blob in zip(keys, blobs)])
+    slot_keys = [[(next(parsed), next(parsed)) for _ in slot["preds"]]
+                 for slot in structure["slots"]]
+    return PartyToken(party, digest, structure, slot_keys)

@@ -1,5 +1,8 @@
 """Shared fixtures: the campus scenario and a one-call secure-query driver."""
 
+import hashlib
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -147,3 +150,18 @@ def reference_open(result_sets, schema):
             matches.append(tuple(ext for ext, _ in rows))
             details.append(rows)
     return matches, details
+
+
+def rewrite_manifest(path, edit) -> None:
+    """Apply ``edit`` to the manifest of a token or result file, and recompute its SHA-256.
+
+    Written from the documented layout, not from the codec: the 39-byte
+    header, the manifest's u32 length and JSON, the records, the SHA-256.
+    """
+    data = path.read_bytes()[:-32]
+    (n,) = struct.unpack_from("<I", data, 39)
+    doc = json.loads(data[43:43 + n])
+    edit(doc)
+    blob = json.dumps(doc).encode()
+    data = data[:39] + struct.pack("<I", len(blob)) + blob + data[43 + n:]
+    path.write_bytes(data + hashlib.sha256(data).digest())

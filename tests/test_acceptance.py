@@ -17,8 +17,9 @@ from oblivgm.engine import EngineConfig, open_results, sec_match
 from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import oracle_match, predicate_holds
-from oblivgm.query import gen_token, load_query, serialize_token
+from oblivgm.query import gen_token, load_query
 from oblivgm.shuffle import MatchTable, composed_permutation, sec_shuffle
+from oblivgm.storage import save_token
 from tests._acceptance_log import record as record_acceptance
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
 
@@ -236,7 +237,7 @@ def _wide_schema():
     return build_schema(g, 2)
 
 
-def test_criterion_07_token_size_ratios():
+def test_criterion_07_token_size_ratios(tmp_path):
     """Interval tokens about twice equality tokens; single-sided equals equality."""
     schema = _wide_schema()
     rng = np.random.default_rng(14)
@@ -245,7 +246,9 @@ def test_criterion_07_token_size_ratios():
     q_iv = load_query("Q a N age in 31 35\nQ b M grade in 35 40\nQE a b\n", schema)
     sizes = {}
     for name, q in (("eq", q_eq), ("lt", q_lt), ("iv", q_iv)):
-        sizes[name] = len(serialize_token(gen_token(q, schema, rng)[0]))
+        path = tmp_path / f"{name}.ogmt"
+        save_token(path, gen_token(q, schema, rng)[0])
+        sizes[name] = path.stat().st_size
     ratio = sizes["iv"] / sizes["eq"]
     ok = sizes["eq"] == sizes["lt"] and 1.7 <= ratio <= 2.3
     record_acceptance(7, ok, f"token bytes eq={sizes['eq']} lt={sizes['lt']} "
@@ -291,7 +294,7 @@ def test_criterion_08_interval_eval_communication_equals_equality():
     assert ok
 
 
-def test_criterion_09_pattern_shape():
+def test_criterion_09_pattern_shape(tmp_path):
     """Re-running a query: fresh tokens differ, opened positions move, masks match."""
     rng = np.random.default_rng(16)
     graph = random_graph(rng, n_vertices=150, n_types=2, avg_degree=4.0)
@@ -315,7 +318,9 @@ def test_criterion_09_pattern_shape():
     match_runs = []
     for session in (b"\x71" * 16, b"\x72" * 16):
         tokens = gen_token(query, schema, np.random.default_rng(int(session[0])))
-        token_blobs.append(serialize_token(tokens[0]))
+        path = tmp_path / f"{session[0]}.ogmt"
+        save_token(path, tokens[0])
+        token_blobs.append(path.read_bytes())
         runtimes = local_runtimes(make_session_configs(session))
 
         def worker(rt):

@@ -6,7 +6,7 @@ import pytest
 from oblivgm import rss
 from oblivgm.cli import main
 from oblivgm.storage import load_results, load_schema, save_results
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY
+from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, rewrite_manifest
 
 ENC_SEED = "00112233445566778899aabbccddeeff"
 TOK_SEED = "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
@@ -149,7 +149,10 @@ def test_damaged_token_exits_2(workspace, capsys):
     run_pipeline(workspace)
     token = workspace / "tok" / "token-2.ogmt"
     blob = token.read_bytes()
-    for damaged in (blob[:20], blob[:12] + bytes([blob[12] ^ 1]) + blob[13:]):
+    # a truncation, a flipped schema digest bit, a flipped key bit, a flipped checksum bit
+    for damaged in (blob[:20], blob[:12] + bytes([blob[12] ^ 1]) + blob[13:],
+                    blob[:-100] + bytes([blob[-100] ^ 4]) + blob[-99:],
+                    blob[:-1] + bytes([blob[-1] ^ 128])):
         token.write_bytes(damaged)
         assert main(["query", "--graph-dir", str(workspace / "enc"),
                      "--token-dir", str(workspace / "tok"), "--out-dir", str(workspace / "x"),
@@ -161,6 +164,33 @@ def test_damaged_token_exits_2(workspace, capsys):
                      "--bind", "127.0.0.1:19872", "--peers", "1=127.0.0.1:9,3=127.0.0.1:9",
                      "--session-seed", SES_SEED]) == 2
         assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_result_manifest_not_matching_its_records_exits_2(workspace, capsys):
+    run_pipeline(workspace)
+    path = workspace / "res" / "results-1.ogmr"
+
+    def edit(doc):
+        doc["subgraphs"][0][2] = 99
+
+    rewrite_manifest(path, edit)
+    capsys.readouterr()
+    assert main(["open", "--results", str(path), str(workspace / "res" / "results-2.ogmr"),
+                 "--schema", str(workspace / "enc" / "schema.json")]) == 2
+    assert "subgraphs are not its records' assembly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", ['{"k":2,"types":[]}', "[1,2]", '{"k":2}', "{", "\xff"])
+def test_malformed_schema_exits_2(workspace, capsys, doc):
+    run_pipeline(workspace)
+    schema = workspace / "bad-schema.json"
+    schema.write_bytes(doc.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["tokenize", "--query", str(workspace / "two.query"), "--schema", str(schema),
+                 "--out-dir", str(workspace / "tok2"), "--seed", TOK_SEED]) == 2
+    assert main(["open", "--results", str(workspace / "res" / "results-1.ogmr"),
+                 str(workspace / "res" / "results-2.ogmr"), "--schema", str(schema)]) == 2
+    assert capsys.readouterr().err.count("is not a graph schema") == 2
 
 
 def test_serve_refuses_another_partys_graph_share(workspace, capsys):

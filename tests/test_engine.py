@@ -516,10 +516,8 @@ def test_token_that_does_not_fit_the_schema_is_refused():
         target[last] = value
         return replace(token, structure=structure)
 
-    deep = fss.dpf_gen(3, 1 << 20, np.random.default_rng(0))  # 20 levels, far deeper than age
     for bad in (damaged([0, "type"], "X"), damaged([1, "type"], "P"),
-                damaged([0, "preds", 0, "attr"], "place"),
-                replace(token, slot_keys=[[deep], token.slot_keys[1]])):
+                damaged([0, "preds", 0, "attr"], "place")):
         with pytest.raises(QueryFormatError, match="does not fit the schema"):
             engine.check_token(bad, gshare)
 

@@ -137,20 +137,23 @@ def test_full_domain_limits():
 
 def test_key_serialization_round_trip_and_errors():
     rng = np.random.default_rng(9)
-    for pair_fn in (lambda: fss.dpf_gen(9, 100, rng),
-                    lambda: fss.cmp_gen("ge", 3, 100, rng),
-                    lambda: fss.ic_gen(5, 9, 100, rng, closed_high=False)):
-        k1, k2 = pair_fn()
+    n = 100
+    for kind, pair in (("eq", fss.dpf_gen(9, n, rng)), ("ge", fss.cmp_gen("ge", 3, n, rng)),
+                       ("iv", fss.ic_gen(5, 9, n, rng, closed_high=False))):
+        k1, k2 = pair
         blob = fss.serialize_key(k1)
-        back = fss.parse_key(blob)
+        assert len(blob) == fss.key_bytes(kind, 7)  # no tag, depth or length stored
+        back = fss.parse_key(kind, 7, blob)
+        assert type(back) is type(k1)
         assert fss.serialize_key(back) == blob
-        n = 100
         assert np.array_equal(
             indicator((back, k2), n), indicator((k1, k2), n))
-    with pytest.raises(ValueError):
-        fss.parse_key(fss.serialize_key(fss.dpf_gen(1, 4, rng)[0])[:-3])
-    with pytest.raises(ValueError):
-        fss.parse_key(b"")
+        for wrong in (blob[:-1], blob + b"\0"):
+            with pytest.raises(ValueError, match="bytes for a"):
+                fss.parse_key(kind, 7, wrong)
+        with pytest.raises(ValueError, match="bytes for a"):
+            fss.parse_key(kind, 8, blob)  # a deeper key needs a longer record
+    assert fss.key_bytes("iv", 7) == 2 * fss.key_bytes("lt", 7)
 
 
 def test_point_and_comparison_keys_serialize_to_equal_sizes():

@@ -5,14 +5,20 @@ import pytest
 
 from oblivgm import fss
 from oblivgm.graphs import build_schema, parse_graph_text
-from oblivgm.query import (QueryFormatError, gen_token, load_query, parse_token,
-                           resolve_query, parse_query_text, serialize_token)
+from oblivgm.query import (QueryFormatError, gen_token, load_query, resolve_query,
+                           parse_query_text)
+from oblivgm.storage import StorageError, load_token, save_token
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY
 
 
 @pytest.fixture(scope="module")
 def schema():
     return build_schema(parse_graph_text(CAMPUS_GRAPH), 2)
+
+
+def token_file(path, token) -> bytes:
+    save_token(path, token)
+    return path.read_bytes()
 
 
 def test_parse_and_resolve_fig_query(schema):
@@ -96,7 +102,7 @@ def test_gen_token_split_consistency(schema):
             assert want == [int(predicate_holds(pred, x)) for x in range(n)]
 
 
-def test_token_hiding_shape(schema):
+def test_token_hiding_shape(schema, tmp_path):
     rng = np.random.default_rng(1)
     q_a = load_query("Q a P age in 31 35\nQ b C field = software\nQE a b\n", schema)
     q_b = load_query("Q a P age in 35 52\nQ b C field = Internet\nQE a b\n", schema)
@@ -104,49 +110,56 @@ def test_token_hiding_shape(schema):
     tok_b = gen_token(q_b, schema, rng)
     for ta, tb in zip(tok_a, tok_b):
         assert ta.structure == tb.structure
-        assert len(serialize_token(ta)) == len(serialize_token(tb))
+        assert len(token_file(tmp_path / "a.ogmt", ta)) == len(token_file(tmp_path / "b.ogmt", tb))
 
 
-def test_fresh_randomness_yields_different_key_bytes(schema):
+def test_fresh_randomness_yields_different_key_bytes(schema, tmp_path):
     q = load_query(TWO_PERSON_QUERY, schema)
-    blob1 = serialize_token(gen_token(q, schema, np.random.default_rng(10))[0])
-    blob2 = serialize_token(gen_token(q, schema, np.random.default_rng(11))[0])
+    blob1 = token_file(tmp_path / "1.ogmt", gen_token(q, schema, np.random.default_rng(10))[0])
+    blob2 = token_file(tmp_path / "2.ogmt", gen_token(q, schema, np.random.default_rng(11))[0])
     assert len(blob1) == len(blob2)
     assert blob1 != blob2
 
 
-def test_token_serialization_round_trip_and_party_check(schema):
+def test_token_serialization_round_trip_and_party_check(schema, tmp_path):
     rng = np.random.default_rng(2)
     q = load_query(TWO_PERSON_QUERY, schema)
     tokens = gen_token(q, schema, rng)
-    blob = serialize_token(tokens[1])
-    parsed = parse_token(blob, expected_party=2)
-    assert serialize_token(parsed) == blob
-    with pytest.raises(QueryFormatError, match="belongs to party"):
-        parse_token(blob, expected_party=1)
-    with pytest.raises(QueryFormatError, match="truncated|not a token"):
-        parse_token(blob[:-7], expected_party=2)
-    with pytest.raises(QueryFormatError, match="not a token"):
-        parse_token(b"\x00" * 64)
+    path = tmp_path / "t.ogmt"
+    blob = token_file(path, tokens[1])
+    parsed = load_token(path, schema, 2)
+    assert parsed.structure == tokens[1].structure
+    assert token_file(tmp_path / "again.ogmt", parsed) == blob
+    with pytest.raises(StorageError, match="token of party 2, not of party 1"):
+        load_token(path, schema, 1)
+    path.write_bytes(blob[:4] + (2).to_bytes(2, "little") + blob[6:])
+    with pytest.raises(StorageError, match=r"token version 2 \(expected 3\)"):
+        load_token(path, schema, 2)
+    path.write_bytes(b"\x00" * 128)
+    with pytest.raises(StorageError, match="not a token"):
+        load_token(path, schema, 2)
 
 
-def test_damaged_token_parses_or_raises_query_format_error(schema):
-    q = load_query("Q a P age in 31 35\nQ b C field = software\nQE a b\n", schema)
-    blob = serialize_token(gen_token(q, schema, np.random.default_rng(3))[0])
-    for n in range(len(blob)):
-        with pytest.raises(QueryFormatError):
-            parse_token(blob[:n])
+def test_every_truncation_or_flipped_bit_of_a_token_is_refused(schema, tmp_path, monkeypatch):
+    digest = schema.digest()
+    monkeypatch.setattr(schema, "digest", lambda: digest)  # taken once, not per damaged file
+    path = tmp_path / "t.ogmt"
+    blob = token_file(path, gen_token(load_query(TWO_PERSON_QUERY, schema), schema,
+                                      np.random.default_rng(3))[0])
+    assert load_token(path, schema, 1).size == 5
+
+    def refused(data):
+        path.write_bytes(data)
+        with pytest.raises(StorageError):
+            load_token(path, schema, 1)
+
+    for cut in range(len(blob)):
+        refused(blob[:cut])
+    refused(blob + b"\0")
     for bit in range(len(blob) * 8):  # the checksum refuses what the header checks pass
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 1 << bit % 8
-        with pytest.raises(QueryFormatError):
-            parse_token(bytes(flipped))
-    for party in (0, 4, 255):  # refused even when no party is expected
-        with pytest.raises(QueryFormatError, match="belongs to party"):
-            parse_token(blob[:6] + bytes([party]) + blob[7:])
-    # a version-1 token: the same fields, with no checksum
-    with pytest.raises(QueryFormatError, match="unsupported token version 1"):
-        parse_token(blob[:4] + (1).to_bytes(2, "little") + blob[6:-32])
+        refused(bytes(flipped))
 
 
 def wide_dictionary_schema(values=4096, population_split=2):
@@ -162,13 +175,13 @@ def wide_dictionary_schema(values=4096, population_split=2):
     return build_schema(g, 2)
 
 
-def test_token_size_ratio_interval_vs_equality():
+def test_token_size_ratio_interval_vs_equality(tmp_path):
     big = wide_dictionary_schema()
     rng = np.random.default_rng(3)
     q_eq = load_query("Q a N age = 35\nQ b M grade = 40\nQE a b\n", big)
     q_lt = load_query("Q a N age < 35\nQ b M grade < 40\nQE a b\n", big)
     q_iv = load_query("Q a N age in 31 35\nQ b M grade in 35 40\nQE a b\n", big)
-    size = {name: len(serialize_token(gen_token(q, big, rng)[0]))
+    size = {name: len(token_file(tmp_path / f"{name}.ogmt", gen_token(q, big, rng)[0]))
             for name, q in (("eq", q_eq), ("lt", q_lt), ("iv", q_iv))}
     assert size["eq"] == size["lt"]
     ratio = size["iv"] / size["eq"]

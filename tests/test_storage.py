@@ -1,6 +1,7 @@
 """File formats: table round trips, container integrity, size obliviousness."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from oblivgm import rss
 from oblivgm.bits import mask_tail, words_for
 from oblivgm.datagen import graph_to_text, random_graph
 from oblivgm.engine import open_results
-from oblivgm.graphs import encrypt_graph, parse_graph_text
+from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
+from oblivgm.query import gen_token, load_query
 from oblivgm.storage import (StorageError, load_graph_share, load_results, load_schema,
-                             save_graph_share, save_results, save_schema)
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
+                             load_token, save_graph_share, save_results, save_schema, save_token)
+from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, rewrite_manifest, run_secure_query
 
 UNIQUE_MISSES = "Q p P age >= 30\nQ c C field = Internet\nQE p c\n"
 
@@ -266,3 +268,74 @@ def test_every_flipped_byte_of_a_result_file_is_refused(tmp_path):
         with pytest.raises(StorageError):
             load_results(path, res["schema"])
 
+
+
+def test_token_naming_a_wider_attribute_is_refused_by_its_size(tmp_path):
+    # a token's key depths follow from the attributes its structure names,
+    # so no file can carry a key deeper than its attribute's domain
+    schema = build_schema(parse_graph_text(CAMPUS_GRAPH), 2)
+    path = tmp_path / "t.ogmt"
+    save_token(path, gen_token(load_query("Q a U place = Harbin\n", schema), schema,
+                               np.random.default_rng(0))[0])
+    rewrite_manifest(path, lambda doc: None)
+    assert load_token(path, schema, 1).slot_keys[0][0][0].domain_bits == 1
+
+    def widen(doc):  # age has 4 values, two levels; place has 2, one level
+        doc["slots"][0]["type"] = "P"
+        doc["slots"][0]["preds"][0]["attr"] = "age"
+
+    rewrite_manifest(path, widen)
+    with pytest.raises(StorageError, match="truncated token"):
+        load_token(path, schema, 1)
+
+
+def test_manifest_nested_too_deep_is_refused(tmp_path):
+    # past about a thousand levels json.loads raises RecursionError, not ValueError
+    res = run_secure_query(CAMPUS_GRAPH, "Q a P age = 35\n")
+    schema, token, results = res["schema"], tmp_path / "t.ogmt", tmp_path / "r.ogmr"
+    save_token(token, res["tokens"][0])
+    save_results(results, res["results"][0], schema)
+    blob = b"[" * 100_000 + b"]" * 100_000
+    for path, load in ((token, lambda: load_token(token, schema, 1)),
+                       (results, lambda: load_results(results, schema))):
+        data = path.read_bytes()[:39] + struct.pack("<I", len(blob)) + blob
+        path.write_bytes(data + hashlib.sha256(data).digest())
+        with pytest.raises(StorageError, match="corrupt .* manifest"):
+            load()
+
+
+def test_result_manifest_not_matching_its_records_is_refused(tmp_path):
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    schema, path = res["schema"], tmp_path / "r.ogmr"
+    save_results(path, res["results"][0], schema)
+    good = path.read_bytes()
+    rewrite_manifest(path, lambda doc: None)
+    assert load_results(path, schema).subgraphs == res["results"][0].subgraphs
+
+    def set_parent(slot, record, value):
+        def edit(doc):
+            doc["records"][slot][record]["parent_record"] = value
+        return edit
+
+    def set_subgraph(value):
+        def edit(doc):
+            doc["subgraphs"][0] = value
+        return edit
+
+    def reverse_slot_3(doc):  # parent records [0, 1, 2] of slot 3 become decreasing
+        doc["records"][3].reverse()
+
+    for edit, message in ((set_subgraph([0, 0, 99, 0, 0]), "subgraphs"),
+                          (set_subgraph([0, 0, -1, 0, 0]), "subgraphs"),
+                          (set_subgraph([0, 1]), "subgraphs"),
+                          # slot 3's record 1 descends from slot 1's record 1, not 0
+                          (set_subgraph([0, 0, 1, 1, 0]), "subgraphs"),
+                          (set_parent(0, 0, 0), "slot 0"),
+                          (set_parent(1, 0, None), "slot 1"),
+                          (set_parent(3, 2, 3), "slot 3"),  # slot 1 has 3 records
+                          (set_parent(3, 2, 1.0), "slot 3"),
+                          (reverse_slot_3, "slot 3")):
+        path.write_bytes(good)
+        rewrite_manifest(path, edit)
+        with pytest.raises(StorageError, match=message):
+            load_results(path, schema)
