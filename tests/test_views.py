@@ -1,0 +1,166 @@
+"""Each party's view has a shape fixed by public values alone.
+
+The README lists what a query may reveal: the schema, the padded posting
+lengths, the query structure and predicate kinds, and the per-hop match
+counts. So two runs whose public values agree must give every party a view
+of the same shape: the same frames (direction, peer, op, round and payload
+length, in order), the same leakage ledger (label, phase, slot, segments and
+per-segment popcount) and the same meter counts per phase. A run whose
+root match count differs must show it.
+
+The queries are range-rooted trees, whose root takes the shuffle route and
+has children. The graphs are forests: every ``A`` vertex owns three ``B``
+vertices and every ``B`` vertex two ``C`` vertices, and each owned block
+holds the same number of matches, so every candidate group of a slot has the
+same size and match count. The ledger lists group counts in shuffled order;
+with equal groups that order cannot show in it. A pair is run only when the
+per-group counts the oracle reports agree.
+"""
+
+import numpy as np
+import pytest
+
+from oblivgm import net
+from oblivgm.graphs import build_schema, parse_graph_text
+from oblivgm.oracle import _Matcher, oracle_match
+from oblivgm.query import load_query
+from tests import conftest
+from tests.conftest import run_secure_query
+
+X_VALUES = (1, 1, 2, 2, 3, 3, 4, 4)  # two A vertices per value
+Y_BLOCK = (1, 1, 0)  # per A vertex, two of its B vertices have y = 1
+Z_BLOCK = (1, 0)  # per B vertex, one of its C vertices has z = 1
+
+DEEP = "Q a A x in {lo} {hi}\nQ b B y = 1\nQ c C z >= 1\nQE a b\nQE b c\n"
+SHALLOW = "Q a A x in {lo} {hi}\nQ b B y = 1\nQE a b\n"
+
+
+def forest_text(seed=None) -> str:
+    """The forest graph; a seed permutes every attribute among the vertices of its type.
+
+    ``x`` is permuted over all ``A`` vertices, ``y`` and ``z`` within each
+    owned block, so each block keeps its count of matches.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
+
+    def order(values):
+        return list(values) if rng is None else [values[i] for i in rng.permutation(len(values))]
+
+    lines, edges = [], []
+    for i, x in enumerate(order(X_VALUES)):
+        lines.append(f"V A a{i} x={x}")
+        for j, y in enumerate(order(Y_BLOCK)):
+            lines.append(f"V B b{i}_{j} y={y}")
+            edges.append(f"E a{i} b{i}_{j}")
+            for k, z in enumerate(order(Z_BLOCK)):
+                lines.append(f"V C c{i}_{j}_{k} z={z}")
+                edges.append(f"E b{i}_{j} c{i}_{j}_{k}")
+    return "\n".join(lines + edges) + "\n"
+
+
+def group_counts(graph_text: str, query_text: str):
+    """Per slot, the sorted (rows, matches) of its candidate groups, from the oracle."""
+    graph = parse_graph_text(graph_text)
+    schema = build_schema(graph, 2)
+    query = load_query(query_text, schema)
+    matcher = _Matcher(graph, query, schema, "or")
+    groups = {0: [list(graph.type_members[query.vertices[0].vtype])]}
+    out = []
+    for s in range(query.size):  # slots are numbered breadth-first
+        kept = []
+        for g in groups[s]:
+            kept += [v for v in g if matcher.vertex_ok(s, v)]
+        out.append(sorted((len(g), sum(matcher.vertex_ok(s, v) for v in g)) for g in groups[s]))
+        for c in query.children[s]:
+            groups[c] = [graph.posting_list(v, query.vertices[c].vtype) for v in kept]
+    return out
+
+
+def view_shapes(graph_text: str, query_text: str):
+    """Every party's frames, ledger and meter of one secure run, with payloads left out."""
+    frames = {}
+
+    class Recorder:
+        def __init__(self, channel, log, direction, peer):
+            self.channel, self.log, self.direction, self.peer = channel, log, direction, peer
+
+        def note(self, data):
+            frame = net.Frame.decode(data)
+            self.log.append((self.direction, self.peer, frame.op, frame.round,
+                             len(frame.payload)))
+
+        def send_bytes(self, data):
+            self.note(data)
+            self.channel.send_bytes(data)
+
+        def recv_bytes(self, timeout):
+            data = self.channel.recv_bytes(timeout)
+            self.note(data)
+            return data
+
+        def close(self):
+            self.channel.close()
+
+    def recorded_runtimes(configs, recv_timeout=120.0):
+        runtimes = net.local_runtimes(configs, recv_timeout)
+        for rt in runtimes:
+            log = frames[rt.index] = []
+            for peer, link in rt.links.items():
+                link._send_ch = Recorder(link._send_ch, log, "send", peer)
+                link._recv_ch = Recorder(link._recv_ch, log, "recv", peer)
+        return runtimes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conftest, "local_runtimes", recorded_runtimes)
+        res = run_secure_query(graph_text, query_text, seed=3, master=b"\x3c" * 16)
+    assert res["matches"] == {tuple(m) for m in _oracle(graph_text, query_text)}
+    views = []
+    for rt in res["runtimes"]:
+        ledger = [(e.label, e.phase, e.slot, e.segments, tuple(conftest.opened_counts(e)))
+                  for e in rt.opened]
+        meter = {name: (p.bytes_sent, p.frames_sent, p.logical_bits, p.rounds)
+                 for name, p in sorted(rt.meter.phases.items())}
+        views.append((frames[rt.index], ledger, meter))
+    return views, [rt.transcript_digest() for rt in res["runtimes"]]
+
+
+def _oracle(graph_text: str, query_text: str):
+    graph = parse_graph_text(graph_text)
+    schema = build_schema(graph, 2)
+    return oracle_match(graph, load_query(query_text, schema), schema)
+
+
+PAIRS = [
+    pytest.param(forest_text(), DEEP.format(lo=1, hi=2), forest_text(), DEEP.format(lo=3, hi=4),
+                 id="deep-other-constants"),
+    pytest.param(forest_text(), DEEP.format(lo=2, hi=3), forest_text(11), DEEP.format(lo=2, hi=3),
+                 id="deep-permuted-graph"),
+    pytest.param(forest_text(5), SHALLOW.format(lo=1, hi=3), forest_text(6),
+                 SHALLOW.format(lo=2, hi=4), id="shallow-permuted-other-constants"),
+    pytest.param(forest_text(), SHALLOW.format(lo=4, hi=4), forest_text(7),
+                 SHALLOW.format(lo=1, hi=1), id="shallow-two-roots"),
+]
+
+
+@pytest.mark.parametrize("graph_1,query_1,graph_2,query_2", PAIRS)
+def test_views_with_equal_public_values_have_equal_shapes(graph_1, query_1, graph_2, query_2):
+    assert build_schema(parse_graph_text(graph_1), 2).digest() == \
+        build_schema(parse_graph_text(graph_2), 2).digest()
+    assert group_counts(graph_1, query_1) == group_counts(graph_2, query_2)
+    (views_1, digests_1), (views_2, digests_2) = (view_shapes(graph_1, query_1),
+                                                  view_shapes(graph_2, query_2))
+    for party, (one, two) in enumerate(zip(views_1, views_2), start=1):
+        for name, a, b in zip(("frames", "ledger", "meter"), one, two):
+            assert a == b, f"party {party}: {name} shapes differ"
+    # a weak check that the payloads are not a function of the public values
+    assert all(a != b for a, b in zip(digests_1, digests_2))
+
+
+def test_views_differ_when_the_root_match_count_differs():
+    graph, query_1, query_2 = forest_text(), DEEP.format(lo=1, hi=2), DEEP.format(lo=1, hi=3)
+    counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
+    assert counts_1[0] != counts_2[0]
+    views_1, _ = view_shapes(graph, query_1)
+    views_2, _ = view_shapes(graph, query_2)
+    for one, two in zip(views_1, views_2):
+        assert all(a != b for a, b in zip(one, two))  # frames, ledger and meter all show it
