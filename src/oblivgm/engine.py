@@ -32,9 +32,11 @@ GF(2)-linear map, which each party applies to its own two shares
 (:func:`_id_codes`), so switching costs no message; a leaf slot's fetch
 thus shuffles or folds ``id_width`` bits per candidate, not ``population``.
 Root ids are public, row ``c`` being vertex ``c``, so the graph shares hold
-none: the root slot's ids are a public constant, codes at a leaf root and
-the one-hot identity at a root with children. A unique-route root needs
-none at all: its folded one-hot id is its flag vector.
+none: a leaf root shuffles the public codes. A root with children fetches
+none. In the unique route its folded one-hot id is its flag vector; in the
+multi route :func:`oblivgm.shuffle.sec_unshuffle_keep` gives the K kept
+rows their one-hot ids after the open, in two rounds and three frames of
+``population * ceil(K / 32)`` words.
 
 The query tree runs level by level. Slots are numbered breadth-first, and
 each protocol step carries every slot of a level in one message per party:
@@ -61,11 +63,11 @@ from itertools import product
 import numpy as np
 
 from . import fss, rss
-from .bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
+from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
 from .query import PartyToken, QueryFormatError, check_structure
 from .rss import MatchTable
-from .shuffle import sec_shuffle
+from .shuffle import sec_shuffle, sec_unshuffle_keep
 
 
 @dataclass
@@ -83,7 +85,7 @@ class RecordTable:
     record is one candidate group. ``ids`` are one-hot or id codes.
     """
 
-    ids: MatchTable | None  # None only for the root's public ids in the unique route
+    ids: MatchTable | None  # None only for the root's public ids, before its fetch
     attrs: dict[str, MatchTable]
     parent_record: np.ndarray
 
@@ -152,26 +154,10 @@ def _id_codes(ids: MatchTable, ts: TypeSchema) -> MatchTable:
                       ids.segments)
 
 
-def _root_ids(party: int, ts: TypeSchema, one_hot: bool) -> MatchTable:
-    """The root slot's public ids, shared by the rule of :meth:`MatchTable.public`.
-
-    Row ``c`` is vertex ``c``: the one-hot ``e_c`` for a root with children,
-    whose accesses select by it, else the code ``c + 1``.
-    """
-    return MatchTable.public(party, ts.population if one_hot else ts.id_width,
-                             *_public_rows(ts.population, ts.id_width, one_hot))
-
-
-@lru_cache(maxsize=8)
-def _public_rows(population: int, width: int, one_hot: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only packed identity or code table, and zeros of its shape."""
-    if one_hot:
-        x = one_hot_rows(population, population, np.arange(population), np.arange(population))
-    else:
-        x = _code_tables(population, width)[0]
-    zero = np.zeros_like(x)
-    x.flags.writeable = zero.flags.writeable = False
-    return x, zero
+def _root_ids(party: int, ts: TypeSchema) -> MatchTable:
+    """A leaf root slot's public ids, the codes ``c + 1``, shared by :meth:`MatchTable.public`."""
+    codes = _code_tables(ts.population, ts.id_width)[0]
+    return MatchTable.public(party, ts.id_width, codes, np.zeros_like(codes))
 
 
 def _select_one_additive(bits_a, bits_b, mat_a, mat_b) -> np.ndarray:
@@ -400,11 +386,21 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
     parent record. The id field is as wide as the candidates' ids:
     ``id_width`` bits of code in a leaf slot, the population in a slot whose
     records are still to be accessed.
+
+    A table without ``ids`` is a root's, row ``c`` being vertex ``c``, alone
+    on its level and so the shuffle's first table id: its kept rows get
+    their one-hot ids from :func:`sec_unshuffle_keep` after the open.
     """
-    jobs = [(_flag_bits(flag), [cand.ids] + [cand.attrs[a] for a in sorted(cand.attrs)],
-             cand.groups()[1]) for cand, flag in zip(cands, flags)]
-    return [RecordTable(ids, dict(zip(sorted(cand.attrs), values)), cand.parent_record[keep])
-            for cand, (keep, (ids, *values)) in zip(cands, _shuffle_open_keep(rt, jobs, slots))]
+    jobs = [(_flag_bits(flag), [f for f in [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
+                                if f is not None], cand.groups()[1])
+            for cand, flag in zip(cands, flags)]
+    tid = rt.next_table_id
+    out = []
+    for cand, (keep, fields) in zip(cands, _shuffle_open_keep(rt, jobs, slots)):
+        ids = sec_unshuffle_keep(rt, tid, cand.rows, keep) if cand.ids is None else fields.pop(0)
+        out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)),
+                               cand.parent_record[keep]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +524,11 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
                 and types[s].attrs[preds[0]["attr"]].unique)
 
-    # the root's ids are public: none in the unique route, whose fold needs none
+    # the root's ids are public: shuffled codes at a leaf root in the multi route, else none,
+    # since the unique route's fold and the multi route's unshuffle give the kept one-hot ids
     root_ts, root_share = types[0], gshare.types[slots[0]["type"]]
     cands[0] = RecordTable(
-        None if unique_route(0) else _root_ids(rt.index, root_ts, bool(slots[0]["children"])),
+        None if unique_route(0) or slots[0]["children"] else _root_ids(rt.index, root_ts),
         {a: root_share.attrs[a] for a in needed(0)}, np.full(root_ts.population, -1))
 
     for level in _levels(slots):

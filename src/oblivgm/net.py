@@ -342,6 +342,11 @@ class PartyRuntime:
         self._table_counter += 1
         return tid
 
+    @property
+    def next_table_id(self) -> int:
+        """The id :meth:`alloc_table_id` hands out next."""
+        return self._table_counter
+
     def alloc_open_label(self) -> int:
         """Next open label, counting from 1; lockstep across the parties."""
         self._open_label += 1

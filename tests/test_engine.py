@@ -1,6 +1,7 @@
 """Engine components against plaintext oracles, plus end-to-end equivalence."""
 
 import copy
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from oblivgm.engine import (EngineConfig, RecordTable, combine_predicates,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
 from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph,
                             parse_graph_text)
-from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
+from oblivgm.net import (OP_OPEN, OP_SHUFFLE, ProtocolError, local_runtimes, make_session_configs,
+                        run_trio)
 from oblivgm.oracle import oracle_match
 from oblivgm.query import QueryFormatError, gen_token, load_query
 from oblivgm.rss import MatchTable
@@ -139,9 +141,12 @@ def test_combine_three_all_and_single_identity():
         combine_worker([[], [], []], "ALL", "or")
 
 
-def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16):
+def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids=False):
+    """Fetch one root group; ``public_ids`` leaves its ids to the multi route's unshuffle."""
     rng = np.random.default_rng(8)
     groups = make_group(values, domain, rng)
+    if public_ids:
+        groups = [replace(g, ids=None) for g in groups]
     flag_shares = rss.share(BitVector.from_bits(flag_bits), rng)
     runtimes = local_runtimes(make_session_configs(master))
 
@@ -177,8 +182,10 @@ def test_fetch_unique_selects_the_single_match():
     assert all(not rt.opened for rt in runtimes)
 
 
-def test_fetch_multi_keeps_exactly_the_matches():
-    out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, [0, 1, 0, 1, 1], unique=False)
+@pytest.mark.parametrize("public_ids", [False, True])
+def test_fetch_multi_keeps_exactly_the_matches(public_ids):
+    out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, [0, 1, 0, 1, 1], unique=False,
+                              public_ids=public_ids)
     got = sorted(decode_records(out, 16))
     assert got == [(1, 9), (3, 7), (4, 9)]
     # every party opened the same shuffled mask with three ones
@@ -187,10 +194,13 @@ def test_fetch_multi_keeps_exactly_the_matches():
         assert int(rt.opened[0].bits.popcount()) == 3
 
 
-def test_fetch_multi_zero_and_all_matches():
-    out, _ = run_fetch([4, 9], 16, [0, 0], unique=False)
+@pytest.mark.parametrize("public_ids", [False, True])
+def test_fetch_multi_zero_and_all_matches(public_ids):
+    out, runtimes = run_fetch([4, 9], 16, [0, 0], unique=False, public_ids=public_ids)
     assert decode_records(out, 16) == []
-    out, _ = run_fetch([4, 9, 2], 16, [1, 1, 1], unique=False)
+    # the shuffle's four frames and the open's three; no unshuffle frame for no kept row
+    assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7
+    out, _ = run_fetch([4, 9, 2], 16, [1, 1, 1], unique=False, public_ids=public_ids)
     assert sorted(decode_records(out, 16)) == [(0, 4), (1, 9), (2, 2)]
 
 
@@ -236,10 +246,9 @@ def test_id_codes_map_one_hot_ids_locally():
         assert all(t.width == ts.id_width and t.segments == segments for t in codes)
         assert [rss.reconstruct([t.row(i) for t in codes]).to_int()
                 for i in range(len(plain))] == want
-        # the root slot's public ids: the identity, or the codes 1..n
-        hot, coded = ([rss.reconstruct([engine._root_ids(p, ts, one_hot).row(c) for p in (1, 2, 3)])
-                       for c in range(n)] for one_hot in (True, False))
-        assert [v.to_bits().tolist() for v in hot] == np.eye(n, dtype=np.uint8).tolist()
+        # a leaf root slot's public ids: the codes 1..n
+        coded = [rss.reconstruct([engine._root_ids(p, ts).row(c) for p in (1, 2, 3)])
+                 for c in range(n)]
         assert [v.to_int() for v in coded] == list(range(1, n + 1))
 
 
@@ -626,3 +635,87 @@ def test_rounds_follow_tree_depth_not_slot_count():
     assert frames[0] == frames[1]
     assert all(t.meter.total.bytes_sent > c.meter.total.bytes_sent
                for t, c in zip(tree["runtimes"], chain["runtimes"]))
+
+
+def hop_graph_text(n: int) -> str:
+    """Three types of ``n`` vertices, each with four ``x0`` values held ``n / 4`` times.
+
+    Every ``A`` vertex has two ``B`` and two ``C`` neighbours, and every
+    ``B`` vertex two ``C`` neighbours, as in the benchmark's hop workload.
+    """
+    lines = [f"V {t} {t.lower()}{i} x0={i % 4}" for t in "ABC" for i in range(n)]
+    lines += [f"E {a.lower()}{i} {b.lower()}{(i + off) % n}"
+              for a, b in ("AB", "AC", "BC") for i in range(n) for off in (0, 7)]
+    return "\n".join(lines) + "\n"
+
+
+def test_range_root_fetch_unshuffles_only_the_kept_ids():
+    # the root shuffles flag || x0 (5 bits), not its 64 one-hot id bits, and
+    # the 16 kept rows get their ids from three frames of 64 * 1 words
+    n, kept = 64, 16
+    query_text = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 C x0 >= 1\n"
+                  "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
+    graph = parse_graph_text(hop_graph_text(n))
+    rng = np.random.default_rng(4)
+    schema, shares = encrypt_graph(graph, 2, rng)
+    query = load_query(query_text, schema)
+    tokens = gen_token(query, schema, rng)
+    runtimes = local_runtimes(make_session_configs(b"\x44" * 16))
+    depths = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
+    sent = {1: [], 2: [], 3: []}  # per party, every frame's (phase, op, payload bytes, depth)
+    meter = {}  # per party, its secFetch counts when the root level's fetch ends
+
+    def attach(rt):
+        """Stamp each frame with its chain depth: one more than the deepest frame received."""
+        seen = [0]
+        phase = rt.meter.phase
+
+        def sender(send, peer):
+            def stamped(op, payload, logical_bits=0):
+                depths[(rt.index, peer)].append(seen[0] + 1)
+                sent[rt.index].append((rt.meter.current, op, len(payload), seen[0] + 1))
+                return send(op, payload, logical_bits)
+            return stamped
+
+        def receiver(recv, peer):
+            def stamped(op):
+                payload = recv(op)
+                seen[0] = max(seen[0], depths[(peer, rt.index)].pop(0))
+                return payload
+            return stamped
+
+        @contextmanager
+        def snapshot(name):
+            with phase(name):
+                yield
+            if name == "secFetch" and rt.index not in meter:
+                stats = rt.meter.phases[name]
+                meter[rt.index] = (stats.frames_sent, stats.bytes_sent, stats.rounds)
+
+        nxt, prv = rss.next_party(rt.index), rss.prev_party(rt.index)
+        rt.meter.phase = snapshot
+        rt.send_next, rt.send_prev = sender(rt.send_next, nxt), sender(rt.send_prev, prv)
+        rt.recv_next, rt.recv_prev = receiver(rt.recv_next, nxt), receiver(rt.recv_prev, prv)
+
+    def worker(rt):
+        attach(rt)
+        return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
+
+    results = run_trio(worker, runtimes)
+    assert set(open_results(results[:2], schema)[0]) == oracle_match(graph, query, schema)
+    assert results[0].records[0].rows == kept
+    # the root level's fetch: every secFetch frame before the first secAccess frame
+    fetch = {p: [f for f in frames[:[f[0] for f in frames].index("secAccess")]
+                 if f[0] == "secFetch"] for p, frames in sent.items()}
+    shuffle, unshuffle = (OP_SHUFFLE, 4 + 4 * n * words_for(1 + 4)), (OP_SHUFFLE, 4 + 4 * n)
+    opened = (OP_OPEN, 4 + 4 * words_for(n))
+    assert {p: [f[1:3] for f in frames] for p, frames in fetch.items()} == {
+        1: [shuffle, opened, unshuffle],
+        2: [shuffle, shuffle, opened, unshuffle],
+        3: [shuffle, opened, unshuffle]}
+    # party 2's unshuffle frame waits on party 1's and party 3's, both sent after the open
+    assert (max(frames[-1][3] for frames in fetch.values())
+            == max(frames[-2][3] for frames in fetch.values()) + 2)
+    # the meter agrees, with one round more per party than shuffle and open take
+    assert meter == {p: (len(frames), sum(18 + f[2] for f in frames), rounds)
+                     for (p, frames), rounds in zip(fetch.items(), (2, 3, 2))}

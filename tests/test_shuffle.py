@@ -5,9 +5,9 @@ import pytest
 
 from oblivgm import rss
 from oblivgm.bits import BitVector, mask_tail, words_for
-from oblivgm.net import local_runtimes, make_session_configs, run_trio
-from oblivgm.shuffle import (MatchTable, composed_permutation, sec_shuffle,
-                             simulate_shuffle)
+from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
+from oblivgm.shuffle import (MatchTable, composed_permutation, sec_shuffle, sec_unshuffle_keep,
+                             simulate_shuffle, simulate_unshuffle)
 
 
 def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1, segments=None):
@@ -178,3 +178,65 @@ def test_tables_of_different_widths_shuffle_in_one_call():
         for n in segs:  # every segment of every table under the next table id
             assert rebuilt[start:start + n] == simulate_shuffle(*seeds, tid, rows[start:start + n])
             start, tid = start + n, tid + 1
+
+
+def test_unshuffle_exhaustive_sizes():
+    """Rows 1..32 and every kept count K: the shares open to the reference's unit vectors."""
+    for master in (b"\x61" * 16, b"\x62" * 16):
+        configs = make_session_configs(master)
+        seeds = tuple(c.seed_with_next for c in configs)
+        rng = np.random.default_rng(master[0])
+        for rows in range(1, 33):
+            # for each K one seeded subset of positions, each under its own table id
+            keeps = [np.sort(rng.choice(rows, size=k, replace=False)) for k in range(rows + 1)]
+
+            def worker(rt):
+                return [sec_unshuffle_keep(rt, 7 + k, rows, keep) for k, keep in enumerate(keeps)]
+
+            runtimes = local_runtimes(make_session_configs(master))
+            outs = run_trio(worker, runtimes)
+            for k, keep in enumerate(keeps):
+                tables = [out[k] for out in outs]
+                assert all((t.rows, t.width) == (k, rows) for t in tables)
+                got = [rss.reconstruct([t.row(i) for t in tables]) for i in range(k)]
+                assert got == simulate_unshuffle(*seeds, 7 + k, rows, keep)
+                # a valid replicated sharing: party p's second component is p + 1's first
+                for p in range(3):
+                    assert np.array_equal(tables[p].share_b, tables[(p + 1) % 3].share_a)
+            # three frames of rows * ceil(K / 32) words per K > 0, none for K = 0
+            sent = [rt.meter.total for rt in runtimes]
+            assert [m.frames_sent for m in sent] == [rows] * 3
+            words = sum(rows * words_for(k) for k in range(1, rows + 1))
+            assert sum(m.bytes_sent for m in sent) == 3 * (rows * 22 + 4 * words)
+
+
+def test_unshuffle_inverts_the_shuffle_of_the_same_table_id():
+    # shuffle rows that hold their own index, keep some shuffled positions,
+    # and unshuffle them: each unit vector marks the index its row held
+    rows = 20
+    plain = [BitVector.from_int(i, 8) for i in range(rows)]
+    rebuilt, _, configs = run_shuffle(plain, master=b"\x63" * 16)
+    keep = np.array([1, 4, 5, 11, 19])
+    runtimes = local_runtimes(configs)
+    outs = run_trio(lambda rt: sec_unshuffle_keep(rt, 0, rows, keep), runtimes)
+    got = [rss.reconstruct([out.row(i) for out in outs]).hot_index() for i in range(len(keep))]
+    assert got == [rebuilt[int(i)].to_int() for i in keep]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda payload: payload[:-4], "shuffle message has 76 bytes, expected 80"),
+    (lambda payload: payload + bytes(4), "shuffle message has 84 bytes, expected 80"),
+    (lambda payload: (4).to_bytes(4, "little") + payload[4:], "table id mismatch: 4 != 3"),
+])
+def test_unshuffle_frames_of_the_wrong_length_or_table_id_are_refused(tamper, message):
+    runtimes = local_runtimes(make_session_configs(b"\x64" * 16), recv_timeout=5)
+
+    def worker(rt):
+        if rt.index == 1:  # party 2 receives party 1's frame damaged
+            send = rt.send_next
+            rt.send_next = lambda op, payload, logical_bits=0: send(op, tamper(payload),
+                                                                    logical_bits)
+        return sec_unshuffle_keep(rt, 3, 20, np.array([0, 5, 9]))
+
+    with pytest.raises(ProtocolError, match=message):
+        run_trio(worker, runtimes)

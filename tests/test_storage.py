@@ -37,9 +37,9 @@ PINNED_RESULTS = {
                     "bf2d9c6d534267e60980fcdf7b5d659694622b8c29916c2e81c3e22be632c174",
                     "224d584414c376064c19a02ac8b5374923a6d6af77f09e3ba4b382211123b1ae")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("a877f97c0d563d5843460c257523626400898e1ca80c9898283705fa0e8dc4b2",
-                       "75a0fe430ba3ed4980bc86b2135dcb14efcb154a6b0f3d1bdea064e6f17ef60b",
-                       "c642e43a0655e3e03862c92892244f061ac7f79ef372003a17492931f8649f2a")),
+                      ("a5b506f3edc5649ed33556c2cf5d051198a184ac159c6e30b074455183c12ede",
+                       "25dbe8bde1a94e5a1fc9233e40c82aef1c2169619cef47615bc6c4d39326e254",
+                       "e273ead84583a7c180ba15bcd72a639679d44961a414d9751e0624f067b0b884")),
 }
 
 

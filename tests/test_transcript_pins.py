@@ -45,9 +45,9 @@ PINNED = [
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
-        ("549f618166589649fab385745003dcc6f74efcd81b4a8a92b6a3b951f02c16da",
-         "e4b9073c4c991b1a6b7141369366b065d7310cea0eecc3e14c9c5409806ad5f7",
-         "2045a4ea8318c2cd070a3ab0a30a48e58dc57a182da7f0be6c4e893865c9a9ac"),
+        ("d2b75af023fd47e25b274db54fbccf3ef92fadb80b87d0f4c571382754fb35b5",
+         "8c33d47b8da4e7b318edd22dcb7d936787af0aee87d7046fcf38be4877dd88ab",
+         "dea1250628c1582b5aec8730ae5b833db76e633d8f8bf3c71fa0a2cdf480088d"),
         id="repeated-categorical"),
     pytest.param(
         CAMPUS_GRAPH,
