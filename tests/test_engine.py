@@ -182,10 +182,8 @@ def test_fetch_unique_selects_the_single_match():
     assert all(not rt.opened for rt in runtimes)
 
 
-@pytest.mark.parametrize("public_ids", [False, True])
-def test_fetch_multi_keeps_exactly_the_matches(public_ids):
-    out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, [0, 1, 0, 1, 1], unique=False,
-                              public_ids=public_ids)
+def test_fetch_multi_keeps_exactly_the_matches():
+    out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, [0, 1, 0, 1, 1], unique=False)
     got = sorted(decode_records(out, 16))
     assert got == [(1, 9), (3, 7), (4, 9)]
     # every party opened the same shuffled mask with three ones
@@ -194,14 +192,23 @@ def test_fetch_multi_keeps_exactly_the_matches(public_ids):
         assert int(rt.opened[0].bits.popcount()) == 3
 
 
-@pytest.mark.parametrize("public_ids", [False, True])
-def test_fetch_multi_zero_and_all_matches(public_ids):
-    out, runtimes = run_fetch([4, 9], 16, [0, 0], unique=False, public_ids=public_ids)
+def test_fetch_multi_zero_and_all_matches():
+    out, _ = run_fetch([4, 9], 16, [0, 0], unique=False)
     assert decode_records(out, 16) == []
-    # the shuffle's four frames and the open's three; no unshuffle frame for no kept row
-    assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7
-    out, _ = run_fetch([4, 9, 2], 16, [1, 1, 1], unique=False, public_ids=public_ids)
+    out, _ = run_fetch([4, 9, 2], 16, [1, 1, 1], unique=False)
     assert sorted(decode_records(out, 16)) == [(0, 4), (1, 9), (2, 2)]
+
+
+def test_fetch_multi_unshuffles_public_root_ids():
+    # a root's rows are its vertices: with no ids shuffled, the kept rows
+    # still open to their own one-hot ids; with no kept row no unshuffle frame is sent
+    for flags, want in (([0, 1, 0, 1, 1], [(1, 9), (3, 7), (4, 9)]),
+                        ([1, 1, 1, 1, 1], [(0, 4), (1, 9), (2, 2), (3, 7), (4, 9)]),
+                        ([0, 0, 0, 0, 0], [])):
+        out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, flags, unique=False, public_ids=True)
+        assert sorted(decode_records(out, 16)) == want
+        # the shuffle's four frames, the open's three and, for kept rows, the unshuffle's three
+        assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7 + 3 * bool(want)
 
 
 def test_fetch_multi_audit_mask_matches_plaintext_filter():
