@@ -7,7 +7,9 @@ import time
 
 import numpy as np
 
-from .engine import EngineConfig, _select_many_additive, _select_one_additive, sec_match
+from . import fss
+from .engine import (EngineConfig, RecordTable, _select_many_additive, _select_one_additive,
+                     assemble, sec_match)
 from .graphs import AttributedGraph, GraphFormatError, encrypt_graph
 from .net import PhaseStats, local_runtimes, make_session_configs, run_trio
 from .prf import prf_stream, prg_expand, seeded_permutation
@@ -113,13 +115,30 @@ def _best_ms(fn) -> float:
     return best * 1e3
 
 
+def _hop_records() -> tuple[list[dict], list[RecordTable]]:
+    """Matched records of ``hop-wan``'s tree s0 -> (s1, s2), s1 -> s3 from a range root.
+
+    Ten root records; every record has two or three matched children in
+    each child slot, in turn.
+    """
+    slots = [{"children": [1, 2]}, {"children": [3]}, {"children": []}, {"children": []}]
+    parents = {0: np.full(10, -1)}
+    for s, c in ((0, 1), (0, 2), (1, 3)):
+        rows = len(parents[s])
+        parents[c] = np.repeat(np.arange(rows), 2 + np.arange(rows) % 2)
+    return slots, [RecordTable(None, {}, parents[s]) for s in range(4)]
+
+
 def _bench_kernels(seed: str) -> None:
     """Best-of-``KERNEL_REPEATS`` times of one party's hot kernels at the benchmark's shapes.
 
-    The shapes are those of ``perfbench``: ``scan`` blinds a 2 MiB root table
-    and selects from a (4000, 126)-word attribute matrix; ``hop-wan`` draws
-    about 74 segment streams per shuffle and selects 10 posting lists from
-    (500, 48) words and 30 attribute rows from (500, 2).
+    The shapes are those of ``perfbench``: ``scan`` blinds a 2 MiB root table,
+    selects from a (4000, 126)-word attribute matrix, evaluates keys over a
+    100-value dictionary and a 4000-value key, and assembles about 1175
+    matched records of one slot; ``hop-wan`` draws about 74 segment streams
+    per shuffle, selects 10 posting lists from (500, 48) words and 30
+    attribute rows from (500, 2), and assembles a 4-slot tree; key generation
+    builds 15 trees of depths 9 and 6, about one query's.
     """
     rng = np.random.default_rng(int(seed, 16))
     key = rng.bytes(16)
@@ -134,6 +153,13 @@ def _bench_kernels(seed: str) -> None:
     many_attrs = (bits(30, 500), bits(30, 500), words(500, 2), words(500, 2))
     one_attrs = (bits(4000), bits(4000), words(4000, 126), words(4000, 126))
     seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
+    scan_records = ([{"children": []}], [RecordTable(None, {}, np.full(1175, -1))])
+    hop_records = _hop_records()
+    closed = (True, True)
+    hop_preds = [(fss.KIND_EQ, (250,), 500, closed), (fss.KIND_INTERVAL, (20, 20), 50, closed),
+                 (fss.KIND_GE, (10,), 50, closed), (fss.KIND_GE, (10,), 50, closed)] * 3
+    eq_keys = [(k, 4000) for k in fss.dpf_gen(2000, 4000, rng)]
+    iv_keys = [(k, 100) for k in fss.ic_gen(30, 39, 100, rng)]
     kernels = [
         ("prf_stream", "1 x 2 MiB", lambda: prf_stream(key, b"BNCH", 0, 2 << 20)),
         ("prf_stream", "74 x 576 B", lambda: prf_stream(key, b"BNCH", 0, [576] * 74)),
@@ -144,6 +170,14 @@ def _bench_kernels(seed: str) -> None:
         ("select_many", "(10, 500) x (500, 48)", lambda: _select_many_additive(*many_posting)),
         ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
         ("select_one", "(4000,) x (4000, 126)", lambda: _select_one_additive(*one_attrs)),
+        ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
+        ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",
+         lambda: assemble(*hop_records)),
+        ("key_pairs_gen", "15 trees, depths 9 and 6", lambda: fss.key_pairs_gen(hop_preds, rng)),
+        ("full_domain_eval", "2 eq keys over 4000", lambda: fss.full_domain_eval(
+            *eq_keys[0], more=eq_keys[1:])),
+        ("full_domain_eval", "2 iv keys over 100", lambda: fss.full_domain_eval(
+            *iv_keys[0], more=iv_keys[1:])),
     ]
     _row("# kernel", "shape", "best_ms")
     for name, shape, fn in kernels:

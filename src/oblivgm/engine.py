@@ -55,10 +55,8 @@ entry per slot with that slot's group segments.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -491,7 +489,7 @@ def check_token(token: PartyToken, gshare: GraphShare) -> None:
     structure and the schema, so it cannot hold a key deeper than its
     attribute's domain.
     """
-    if token.schema_digest != gshare.schema_digest:
+    if token.schema_digest != gshare.schema.digest():
         raise QueryFormatError("token and graph share were built for different schemas")
     if token.party_index != gshare.party_index:
         raise QueryFormatError(f"token of party {token.party_index} given the graph share "
@@ -579,20 +577,34 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
 
 
 def assemble(slots, records: list[RecordTable]) -> list[tuple[int, ...]]:
-    """Walk the public ``parent_record`` links and keep only complete subtree products."""
-    # a slot's records are sorted by parent record: the children of record p
-    # of slot s are the rows [first[child][p], first[child][p + 1])
-    first = {child: np.searchsorted(records[child].parent_record,
-                                    np.arange(records[s].rows + 1)).tolist()
-             for s, slot in enumerate(slots) for child in slot["children"]}
+    """Walk the public ``parent_record`` links and keep only complete subtree products.
 
-    def expand(slot: int, ri: int) -> list[ChainMap]:
-        parts = [[a for cri in range(first[c][ri], first[c][ri + 1]) for a in expand(c, cri)]
-                 for c in slots[slot]["children"]]
-        return [ChainMap({slot: ri}, *pick) for pick in product(*parts)]
-
-    return [tuple(a[s] for s in range(len(slots)))
-            for ri in range(records[0].rows) for a in expand(0, ri)]
+    Subgraphs come grouped by root record, and a record's are the product of
+    its children's, the first child varying slowest (``itertools.product``
+    order). Built bottom-up: ``tree[s]`` holds, per slot of ``s``'s subtree,
+    the column of its record in every complete assignment of the subtree,
+    grouped by ``s``'s record in order; ``count[s]`` is each record's share.
+    """
+    tree: dict[int, dict[int, np.ndarray]] = {}
+    count: dict[int, np.ndarray] = {}
+    for s in reversed(range(len(slots))):  # breadth-first numbering: children come later
+        rows = records[s].rows
+        runs = []  # per child slot: each record's run of the child's tree rows
+        for c in slots[s]["children"]:
+            # the children of record p are the rows [first[p], first[p + 1]) of slot c
+            first = np.searchsorted(records[c].parent_record, np.arange(rows + 1))
+            bounds = np.concatenate(([0], np.cumsum(count[c])))[first]
+            runs.append((c, bounds[:-1], np.diff(bounds)))
+        count[s] = np.prod([size for *_, size in runs], axis=0) if runs else np.ones(rows, np.int64)
+        record = np.repeat(np.arange(rows), count[s])
+        pick = np.arange(len(record)) - np.repeat(np.cumsum(count[s]) - count[s], count[s])
+        tree[s] = {s: record}
+        for c, start, size in reversed(runs):  # the last child varies fastest
+            size = size[record]
+            row = start[record] + pick % size
+            pick //= size
+            tree[s].update((slot, column[row]) for slot, column in tree.pop(c).items())
+    return list(zip(*(tree[0][s].tolist() for s in range(len(slots)))))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ the key's class and depth, so the record stores neither, nor its length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,121 +90,155 @@ FssKey = DpfKey | DcfKey | IntervalKey
 # ---------------------------------------------------------------------------
 
 
-def _tree_gen(alpha: int, bits: int, rng: np.random.Generator, comparison: bool):
-    root0 = rng.bytes(SEED_BYTES)
-    root1 = rng.bytes(SEED_BYTES)
-    seeds = np.stack([seed_to_array(root0), seed_to_array(root1)])
-    t = np.array([0, 1], dtype=np.uint8)
-    seed_cw = np.zeros((bits, 2), dtype=np.uint64)
-    ctrl_cw = np.zeros(bits, dtype=np.uint8)
+def _trees_gen(bits: int, trees: list[tuple[int, bool, int]], roots: np.ndarray):
+    """Key pairs of trees of depth ``bits``, all descending together.
+
+    ``trees`` holds per tree its threshold, whether it is a comparison tree,
+    and the public constant of its first key; ``roots`` is the ``(trees,
+    party, 2)`` uint64 array of their root seeds. One :func:`prg_expand` per
+    level serves every tree.
+    """
+    n = len(trees)
+    alpha = np.array([a for a, _, _ in trees], dtype=np.int64)
+    comparison = np.array([c for _, c, _ in trees], dtype=np.uint8)
+    seeds = roots
+    t = np.tile(np.array([0, 1], dtype=np.uint8), (n, 1))
+    seed_cw = np.zeros((n, bits, 2), dtype=np.uint64)
+    ctrl_cw = np.zeros((n, bits), dtype=np.uint8)
 
     for lvl in range(bits):
-        a = (alpha >> (bits - 1 - lvl)) & 1
-        left, right, t_left, t_right, value = prg_expand(seeds)
-        v_cw = int(value[0] ^ value[1]) ^ (a if comparison else 0)
-        keep_seed, keep_t = (left, t_left) if a == 0 else (right, t_right)
-        lose_seed = right if a == 0 else left
-        s_cw = lose_seed[0] ^ lose_seed[1]
-        tau_l = int(t_left[0] ^ t_left[1]) ^ a ^ 1
-        tau_r = int(t_right[0] ^ t_right[1]) ^ a
-        seed_cw[lvl] = s_cw
-        ctrl_cw[lvl] = tau_l | (tau_r << 1) | (v_cw << 2)
-        tau_keep = tau_l if a == 0 else tau_r
+        a = ((alpha >> (bits - 1 - lvl)) & 1).astype(np.uint8)
+        left, right, t_left, t_right, value = prg_expand(seeds.reshape(-1, 2))
+        left, right = left.reshape(n, 2, 2), right.reshape(n, 2, 2)
+        t_left, t_right, value = t_left.reshape(n, 2), t_right.reshape(n, 2), value.reshape(n, 2)
+        right_kept = a.astype(bool)
+        keep_seed = np.where(right_kept[:, None, None], right, left)
+        keep_t = np.where(right_kept[:, None], t_right, t_left)
+        lose_seed = np.where(right_kept[:, None, None], left, right)
+        s_cw = lose_seed[:, 0] ^ lose_seed[:, 1]
+        v_cw = value[:, 0] ^ value[:, 1] ^ (a & comparison)
+        tau_l = t_left[:, 0] ^ t_left[:, 1] ^ a ^ 1
+        tau_r = t_right[:, 0] ^ t_right[:, 1] ^ a
+        seed_cw[:, lvl] = s_cw
+        ctrl_cw[:, lvl] = tau_l | (tau_r << 1) | (v_cw << 2)
+        tau_keep = np.where(right_kept, tau_r, tau_l)
         # parties with control bit 1 fold in the corrections before descending
-        mask = t.astype(np.uint64)[:, None]
-        seeds = keep_seed ^ (s_cw[None, :] * mask)
-        t = keep_t ^ (t & tau_keep)
+        seeds = keep_seed ^ (s_cw[:, None, :] * t.astype(np.uint64)[:, :, None])
+        t = keep_t ^ (t & tau_keep[:, None])
 
-    if comparison:
-        final_cw = 0
-    else:
-        final_cw = int((seeds[0, 0] ^ seeds[1, 0]) & np.uint64(1)) ^ 1  # beta = 1
-
-    def build(cls, root, root_t):
-        return cls(
-            domain_bits=bits,
-            root_seed=root,
-            root_t=root_t,
-            seed_cw=seed_cw,
-            ctrl_cw=ctrl_cw,
-            final_cw=final_cw,
-        )
-
-    cls = DcfKey if comparison else DpfKey
-    return build(cls, root0, 0), build(cls, root1, 1)
+    point_cw = ((seeds[:, 0, 0] ^ seeds[:, 1, 0]) & np.uint64(1)) ^ np.uint64(1)  # beta = 1
+    pairs = []
+    for i, (_, is_comparison, const) in enumerate(trees):
+        cls = DcfKey if is_comparison else DpfKey
+        final_cw = 0 if is_comparison else int(point_cw[i])
+        pairs.append(tuple(
+            cls(domain_bits=bits, root_seed=roots[i, p].tobytes(), root_t=p,
+                seed_cw=seed_cw[i], ctrl_cw=ctrl_cw[i], final_cw=final_cw,
+                add_const=const if p == 0 else 0)
+            for p in (0, 1)))
+    return pairs
 
 
-def dpf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
-    """Keys for the equality indicator at ``alpha`` (output 1 in Z2)."""
-    if not 0 <= alpha < domain_size:
-        raise DomainError(f"alpha {alpha} outside domain of size {domain_size}")
-    return _tree_gen(alpha, domain_bits_for(domain_size), rng, comparison=False)
+def _tree_plan(kind: str, operands: tuple[int, ...], domain_size: int,
+               closed: tuple[bool, bool]) -> list[tuple[int, bool, int]]:
+    """The trees of one key pair: threshold, comparison or not, and first key's constant.
 
-
-def dcf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
-    """Keys for the strict comparison indicator ``x < alpha``."""
-    if not 0 <= alpha < domain_size:
-        raise DomainError(f"alpha {alpha} outside domain of size {domain_size}")
-    return _tree_gen(alpha, domain_bits_for(domain_size), rng, comparison=True)
-
-
-def cmp_gen(kind: str, alpha: int, domain_size: int, rng: np.random.Generator):
-    """Comparison keys for any of <, <=, >, >= against ``alpha``.
-
-    All four reduce to a strict less-than tree plus, for the complement
-    variants, a public constant folded into the first key of the pair.
+    A point key is one point tree at ``alpha``. Each comparison is a strict
+    less-than tree plus, for the complement variants, a public constant
+    folded into the first key of the pair. An interval is a lower and an
+    upper comparison tree; ``closed`` picks its open or closed bounds.
     """
-    if kind not in COMPARISON_KINDS:
-        raise ValueError(f"not a comparison kind: {kind!r}")
-    if not 0 <= alpha < domain_size:
-        raise DomainError(f"alpha {alpha} outside domain of size {domain_size}")
-    bits = domain_bits_for(domain_size)
-    full = 1 << bits
+    if kind == KIND_INTERVAL:
+        low, high = operands
+        if low > high:
+            raise DomainError(f"empty interval bounds: {low} > {high}")
+        if not (0 <= low < domain_size and 0 <= high < domain_size):
+            raise DomainError("interval bounds outside domain")
+    elif kind == KIND_EQ or kind in COMPARISON_KINDS:
+        alpha = operands[0]
+        if not 0 <= alpha < domain_size:
+            raise DomainError(f"alpha {alpha} outside domain of size {domain_size}")
+    else:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    full = 1 << domain_bits_for(domain_size)
+    if kind == KIND_EQ:
+        return [(alpha, False, 0)]
     if kind == KIND_LT:
-        threshold, const = alpha, 0
-    elif kind == KIND_GE:
-        threshold, const = alpha, 1
-    elif kind == KIND_LE:
+        return [(alpha, True, 0)]
+    if kind == KIND_GE:
+        return [(alpha, True, 1)]
+    if kind == KIND_LE:
         # x <= alpha  ==  x < alpha+1; threshold full means "always true"
-        threshold, const = (0, 1) if alpha + 1 == full else (alpha + 1, 0)
-    else:  # KIND_GT: complement of x <= alpha
-        threshold, const = (0, 0) if alpha + 1 == full else (alpha + 1, 1)
-    k1, k2 = _tree_gen(threshold, bits, rng, comparison=True)
-    return replace(k1, add_const=const), k2
-
-
-def ic_gen(low: int, high: int, domain_size: int, rng: np.random.Generator,
-           closed_low: bool = True, closed_high: bool = True):
-    """Interval keys; the default variant is the closed interval [low, high]."""
-    if low > high:
-        raise DomainError(f"empty interval bounds: {low} > {high}")
-    if not (0 <= low < domain_size and 0 <= high < domain_size):
-        raise DomainError("interval bounds outside domain")
-    bits = domain_bits_for(domain_size)
-    full = 1 << bits
-    lo_t = low + (0 if closed_low else 1)
-    hi_t = high + (1 if closed_high else 0)
+        return [(0, True, 1) if alpha + 1 == full else (alpha + 1, True, 0)]
+    if kind == KIND_GT:  # complement of x <= alpha
+        return [(0, True, 0) if alpha + 1 == full else (alpha + 1, True, 1)]
+    lo_t = low + (0 if closed[0] else 1)
+    hi_t = high + (1 if closed[1] else 0)
     const = 0
     if lo_t >= hi_t:  # statically empty open interval
         lo_t = hi_t = 0
     if hi_t == full:  # upper bound covers the whole domain: complement the lower part
         hi_t = 0
         const = 1
-    low1, low2 = _tree_gen(lo_t, bits, rng, comparison=True)
-    up1, up2 = _tree_gen(hi_t, bits, rng, comparison=True)
-    return IntervalKey(low1, replace(up1, add_const=const)), IntervalKey(low2, up2)
+    return [(lo_t, True, 0), (hi_t, True, const)]
+
+
+def key_pairs_gen(preds, rng: np.random.Generator) -> list[tuple[FssKey, FssKey]]:
+    """One key pair per ``(kind, operands, domain_size, closed)`` of ``preds``.
+
+    Every tree's two root seeds are drawn first, tree by tree in ``preds``
+    order (an interval's lower tree before its upper one), the order in which
+    one :func:`key_pair_gen` call per predicate draws them. Then the trees of
+    one depth descend together, one :func:`prg_expand` per level.
+    """
+    plans = [_tree_plan(*pred) for pred in preds]
+    trees = [(domain_bits_for(pred[2]), tree) for pred, plan in zip(preds, plans) for tree in plan]
+    # Generator.bytes draws 32-bit words in sequence, so one call gives the
+    # bytes of one call per 16-byte root seed
+    roots = np.frombuffer(rng.bytes(2 * SEED_BYTES * len(trees)), dtype=np.uint64).reshape(-1, 2, 2)
+    pairs: list = [None] * len(trees)
+    for bits in sorted({bits for bits, _ in trees}):
+        group = [i for i, (b, _) in enumerate(trees) if b == bits]
+        for i, pair in zip(group, _trees_gen(bits, [trees[i][1] for i in group], roots[group])):
+            pairs[i] = pair
+    made = iter(pairs)
+    out = []
+    for kind, *_ in preds:
+        if kind == KIND_INTERVAL:
+            (low1, low2), (up1, up2) = next(made), next(made)
+            out.append((IntervalKey(low1, up1), IntervalKey(low2, up2)))
+        else:
+            out.append(next(made))
+    return out
 
 
 def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
                  rng: np.random.Generator, closed: tuple[bool, bool] = (True, True)):
     """One key pair for a predicate; ``closed`` picks an interval's open or closed bounds."""
-    if kind == KIND_EQ:
-        return dpf_gen(operands[0], domain_size, rng)
-    if kind in COMPARISON_KINDS:
-        return cmp_gen(kind, operands[0], domain_size, rng)
-    if kind == KIND_INTERVAL:
-        return ic_gen(operands[0], operands[1], domain_size, rng, *closed)
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    return key_pairs_gen([(kind, operands, domain_size, closed)], rng)[0]
+
+
+def dpf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
+    """Keys for the equality indicator at ``alpha`` (output 1 in Z2)."""
+    return key_pair_gen(KIND_EQ, (alpha,), domain_size, rng)
+
+
+def dcf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
+    """Keys for the strict comparison indicator ``x < alpha``."""
+    return key_pair_gen(KIND_LT, (alpha,), domain_size, rng)
+
+
+def cmp_gen(kind: str, alpha: int, domain_size: int, rng: np.random.Generator):
+    """Comparison keys for any of <, <=, >, >= against ``alpha``."""
+    if kind not in COMPARISON_KINDS:
+        raise ValueError(f"not a comparison kind: {kind!r}")
+    return key_pair_gen(kind, (alpha,), domain_size, rng)
+
+
+def ic_gen(low: int, high: int, domain_size: int, rng: np.random.Generator,
+           closed_low: bool = True, closed_high: bool = True):
+    """Interval keys; the default variant is the closed interval [low, high]."""
+    return key_pair_gen(KIND_INTERVAL, (low, high), domain_size, rng, (closed_low, closed_high))
 
 
 # ---------------------------------------------------------------------------

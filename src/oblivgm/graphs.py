@@ -181,8 +181,15 @@ class TypeSchema:
 
 @dataclass
 class GraphSchema:
+    """The public description of an outsourced graph.
+
+    A schema is not changed once :meth:`from_json`, :func:`build_schema` or
+    :func:`encrypt_graph` has built it, so :meth:`digest` is taken once.
+    """
+
     k: int
     types: dict[str, TypeSchema]
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> str:
         doc = {
@@ -223,7 +230,10 @@ class GraphSchema:
         return GraphSchema(k=doc["k"], types=types)
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.to_json().encode()).digest()
+        """SHA-256 of :meth:`to_json`, computed on the first call."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_json().encode()).digest()
+        return self._digest
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +326,6 @@ class GraphShare:
     party_index: int
     schema: GraphSchema
     types: dict[str, TypePartyShare]
-    schema_digest: bytes = b""  # taken once, when the share is built or loaded
-
-    def __post_init__(self):
-        self.schema_digest = self.schema_digest or self.schema.digest()
 
 
 def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,

@@ -143,17 +143,19 @@ def seeded_permutation(key: bytes, label: bytes, index: int,
     ``range(sum(n))`` whose block ``i`` is the permutation for ``index + i``,
     shifted to the block's first row. All blocks draw from one batched stream.
     """
-    sizes = _sizes(n)
-    raw = prf_stream(key, label, index, [8 * max(m - 1, 0) for m in sizes])
-    draws = np.frombuffer(raw, dtype=np.uint64).tolist()  # Python ints: no numpy scalars in the loop
-    perm = list(range(sum(sizes)))
-    d = start = 0
-    for m in sizes:
-        for i in range(start + m - 1, start, -1):
-            j = start + draws[d] % (i - start + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-            d += 1
-        start += m
+    sizes = np.array(_sizes(n), dtype=np.int64)
+    swaps = np.maximum(sizes - 1, 0)
+    raw = prf_stream(key, label, index, (8 * swaps).tolist())
+    draws = np.frombuffer(raw, dtype=np.uint64)
+    # the draws of a block of m rows at ``start`` swap row start + i with row
+    # start + draw % (i + 1), for i = m - 1 down to 1; all swaps are computed
+    # here and only the swapping itself runs in order
+    start = np.repeat(np.cumsum(sizes) - sizes, swaps)
+    i = np.repeat(np.cumsum(swaps), swaps) - np.arange(len(draws))
+    j = start + (draws % (i + 1).astype(np.uint64)).astype(np.int64)
+    perm = list(range(int(sizes.sum())))
+    for a, b in zip((start + i).tolist(), j.tolist()):
+        perm[a], perm[b] = perm[b], perm[a]
     return np.array(perm, dtype=np.int64)
 
 

@@ -290,29 +290,32 @@ def gen_token(query: QueryGraph, schema: GraphSchema, rng: np.random.Generator):
     Per predicate, three independent key pairs (k1^j, k2^j) are split as
     party 1: (k1^1, k1^2), party 2: (k2^2, k1^3), party 3: (k2^3, k2^1); the
     first key of a party applies to its first attribute share, the second to
-    its second.
+    its second. Every key comes from one :func:`oblivgm.fss.key_pairs_gen`
+    call, which descends all the query's trees of one depth together.
     """
-    structure = query_structure(query)
-    digest = schema.digest()
-    per_party: list[list[list[tuple]]] = [[], [], []]
+    preds = []
     for v in query.vertices:
         ts = schema.types[v.vtype]
-        slot_lists: list[list[tuple]] = [[], [], []]
         for pred in v.predicates:
-            attr = ts.attrs[pred.attr]
-            n = attr.domain_size
+            n = ts.attrs[pred.attr].domain_size
             for opnd in pred.operands:
                 if not 0 <= opnd < n:
                     raise QueryFormatError(
                         f"operand {opnd} outside the {pred.attr!r} dictionary domain"
                     )
-            (k11, k21), (k12, k22), (k13, k23) = (
-                fss.key_pair_gen(pred.kind, pred.operands, n, rng, pred.closed) for _ in range(3))
+            preds += [(pred.kind, pred.operands, n, pred.closed)] * 3
+    pairs = iter(fss.key_pairs_gen(preds, rng))
+    per_party: list[list[list[tuple]]] = [[], [], []]
+    for v in query.vertices:
+        slot_lists: list[list[tuple]] = [[], [], []]
+        for _ in v.predicates:
+            (k11, k21), (k12, k22), (k13, k23) = next(pairs), next(pairs), next(pairs)
             slot_lists[0].append((k11, k12))
             slot_lists[1].append((k22, k13))
             slot_lists[2].append((k23, k21))
         for p in range(3):
             per_party[p].append(slot_lists[p])
+    structure, digest = query_structure(query), schema.digest()
     return tuple(
         PartyToken(p + 1, digest, structure, per_party[p]) for p in range(3)
     )

@@ -199,7 +199,7 @@ def _graph_tables(schema: GraphSchema):
 def save_graph_share(path, gshare: GraphShare) -> None:
     with open(path, "wb") as f:
         out = _Container(f, "graph share")
-        out.write_header(GRAPH_MAGIC, gshare.party_index, gshare.schema_digest)
+        out.write_header(GRAPH_MAGIC, gshare.party_index, gshare.schema.digest())
         for vtype, kind, name, _, keep in _graph_tables(gshare.schema):
             _write_table(out, getattr(gshare.types[vtype], kind)[name], keep)
         out.seal()
@@ -208,15 +208,14 @@ def save_graph_share(path, gshare: GraphShare) -> None:
 def load_graph_share(path, schema: GraphSchema) -> GraphShare:
     with open(path, "rb") as f:
         src = _Container(f, "graph share")
-        digest = schema.digest()
-        party = src.read_header(GRAPH_MAGIC, digest)
+        party = src.read_header(GRAPH_MAGIC, schema.digest())
         tables = list(_graph_tables(schema))
         src.expect(_tables_bytes(tables))
         types = {vtype: TypePartyShare({}, {}) for vtype in sorted(schema.types)}
         for vtype, kind, name, width, keep in tables:
             getattr(types[vtype], kind)[name] = _read_table(src, party, width, keep)
         src.verify()
-    return GraphShare(party, schema, types, digest)
+    return GraphShare(party, schema, types)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,8 @@ def test_bench_kernels_prints_best_times(capsys):
     assert lines[1] == "# kernel\tshape\tbest_ms"
     rows = [line.split("\t") for line in lines[2:]]
     assert {name for name, _, _ in rows} == {"prf_stream", "seeded_permutation", "prg_expand",
-                                             "select_many", "select_one"}
+                                             "select_many", "select_one", "assemble",
+                                             "key_pairs_gen", "full_domain_eval"}
     assert all(float(ms) > 0 for _, _, ms in rows)
 
 

@@ -1,8 +1,10 @@
 """Engine components against plaintext oracles, plus end-to-end equivalence."""
 
 import copy
+from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -486,6 +488,63 @@ def test_results_consistent_across_party_pairs():
     assert set(matches) == res["matches"]
 
 
+def chainmap_assemble(slots, records):
+    """Reference subgraph assembly: a recursive walk, one ``ChainMap`` per record."""
+    first = {child: np.searchsorted(records[child].parent_record,
+                                    np.arange(records[s].rows + 1)).tolist()
+             for s, slot in enumerate(slots) for child in slot["children"]}
+
+    def expand(slot, ri):
+        parts = [[a for cri in range(first[c][ri], first[c][ri + 1]) for a in expand(c, cri)]
+                 for c in slots[slot]["children"]]
+        return [ChainMap({slot: ri}, *pick) for pick in product(*parts)]
+
+    return [tuple(a[s] for s in range(len(slots)))
+            for ri in range(records[0].rows) for a in expand(0, ri)]
+
+
+def random_record_tree(rng):
+    """A breadth-first query tree of 1-4 levels, fan-out up to 3, and its records.
+
+    Every record of a slot gets 0-2 rows in each child slot, so slots may be
+    empty and a record may have rows in one child slot but none in another.
+    """
+    levels = int(rng.integers(1, 5))
+    slots, depth, s = [{"children": []}], [0], 0
+    while s < len(slots):
+        if depth[s] + 1 < levels:
+            for _ in range(int(rng.integers(0, 4))):
+                slots[s]["children"].append(len(slots))
+                slots.append({"children": []})
+                depth.append(depth[s] + 1)
+        s += 1
+    parents = [np.full(int(rng.integers(0, 5)), -1)]
+    for s, slot in enumerate(slots):
+        for c in slot["children"]:
+            parents.append(np.repeat(np.arange(len(parents[s])),
+                                     rng.integers(0, 3, len(parents[s]))))
+    return slots, [RecordTable(None, {}, p.astype(np.int64)) for p in parents]
+
+
+def test_assemble_equals_the_recursive_reference_in_order():
+    rng = np.random.default_rng(14)
+    seen = set()
+    for _ in range(300):
+        slots, records = random_record_tree(rng)
+        got = engine.assemble(slots, records)
+        assert got == chainmap_assemble(slots, records)
+        assert all(type(sg) is tuple and all(type(r) is int for r in sg) for sg in got)
+        kept_roots = {sg[0] for sg in got}
+        seen.add("one slot" if len(slots) == 1 else "ten slots or more" if len(slots) >= 10
+                 else "other")
+        seen.add("no root rows" if not records[0].rows
+                 else "every root pruned" if not got
+                 else "some roots pruned" if len(kept_roots) < records[0].rows
+                 else "no root pruned")
+    assert seen == {"one slot", "ten slots or more", "other", "no root rows",
+                    "every root pruned", "some roots pruned", "no root pruned"}
+
+
 def test_schema_digest_mismatch_rejected():
     res = run_secure_query(CAMPUS_GRAPH, "Q a P age = 35\n")
     # same plaintext, different padding parameter -> different public schema
@@ -539,15 +598,15 @@ def test_token_that_does_not_fit_the_schema_is_refused():
 
 
 def test_schema_digest_is_taken_once_per_share(monkeypatch):
-    # sec_match compares the token's digest with the one the share took when
-    # it was built or loaded; it never serializes the schema again
+    # sec_match compares the token's digest with the one the share's schema
+    # took on its first use; no later query serializes the schema again
     res = run_secure_query(CAMPUS_GRAPH, "Q a P age = 35\n")
-    assert all(gs.schema_digest == res["schema"].digest() for gs in res["shares"])
+    assert all(gs.schema is res["schema"] for gs in res["shares"])
 
-    def no_digest(self):
+    def no_json(self):
         raise AssertionError("schema serialized during a query")
 
-    monkeypatch.setattr(GraphSchema, "digest", no_digest)
+    monkeypatch.setattr(GraphSchema, "to_json", no_json)
     runtimes = local_runtimes(make_session_configs(b"\x41" * 16))
     results = run_trio(lambda rt: sec_match(rt, res["tokens"][rt.index - 1],
                                             res["shares"][rt.index - 1]), runtimes)

@@ -1,5 +1,7 @@
 """Graph parsing, dictionaries, k-group padding, and encryption round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,18 @@ def test_schema_json_round_trip():
     again = GraphSchema.from_json(schema.to_json())
     assert again.to_json() == schema.to_json()
     assert again.digest() == schema.digest()
+
+
+def test_schema_digest_is_taken_once_per_schema(monkeypatch):
+    text = build_schema(parse_graph_text(CAMPUS_GRAPH), 2).to_json()
+    calls = []
+    to_json = GraphSchema.to_json
+    monkeypatch.setattr(GraphSchema, "to_json", lambda self: calls.append(self) or to_json(self))
+    built = build_schema(parse_graph_text(CAMPUS_GRAPH), 2)
+    loaded = GraphSchema.from_json(text)
+    encrypted, _ = encrypt_graph(parse_graph_text(CAMPUS_GRAPH), 2, np.random.default_rng(0))
+    for schema in (built, loaded, encrypted):
+        assert schema.digest() == hashlib.sha256(text.encode()).digest()
+        assert schema.digest() == schema.digest()
+    assert sorted(map(id, calls)) == sorted(map(id, (built, loaded, encrypted)))  # once each
+    assert GraphSchema.from_json(text) == built  # the cached digest takes no part in equality

@@ -63,7 +63,8 @@ def test_stream_rejects_bad_arguments():
         prf_stream(KEY, LABEL, (1 << 64) - 1, [16, 16])
 
 
-@pytest.mark.parametrize("sizes", [[0], [1], [2], [3], [500], [0, 1, 2, 3, 500], [3] * 74])
+@pytest.mark.parametrize("sizes", [[0], [1], [2], [3], [500], [0, 1, 2, 3, 500], [3] * 74,
+                                   [4000], [1, 2] * 20 + [4000, 0, 3]])
 def test_batched_permutation_is_block_diagonal_fisher_yates(sizes):
     first = 11
     perm = seeded_permutation(KEY, LABEL, first, sizes)

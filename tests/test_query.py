@@ -1,12 +1,16 @@
 """Query parsing/resolution and token generation properties."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oblivgm import fss
-from oblivgm.graphs import build_schema, parse_graph_text
-from oblivgm.query import (QueryFormatError, gen_token, load_query, resolve_query,
-                           parse_query_text)
+from oblivgm.graphs import AttributedGraph, build_schema, parse_graph_text
+from oblivgm.prf import prg_expand, seed_to_array
+from oblivgm.query import (PredicateSpec, QueryFormatError, QueryGraph, TargetVertex, gen_token,
+                           load_query, resolve_query, parse_query_text)
 from oblivgm.storage import StorageError, load_token, save_token
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY
 
@@ -164,8 +168,6 @@ def test_every_truncation_or_flipped_bit_of_a_token_is_refused(schema, tmp_path,
 
 def wide_dictionary_schema(values=4096, population_split=2):
     """Schema with a large ordinal dictionary so key bytes dominate token size."""
-    from oblivgm.graphs import AttributedGraph, build_schema
-
     g = AttributedGraph()
     for i in range(values):
         g.add_vertex("N", f"n{i}", {"age": str(i)})
@@ -195,3 +197,117 @@ def test_multi_predicate_and_combiner_parsing(schema):
     assert q.vertices[0].combiner == "ANY"
     raw = parse_query_text("Q a P age = 31\nQC a ALL\n")
     assert resolve_query(raw, schema).vertices[0].combiner == "ALL"
+
+
+def mixed_depth_schema():
+    """Ordinal attributes of domain 1, 4, 5, 16 (type A) and 8 (type B): tree depths 1-4."""
+    g = AttributedGraph()
+    for i in range(16):
+        g.add_vertex("A", f"a{i}", {"d1": "7", "d4": str(i % 4), "d5": str(i % 5), "d16": str(i)})
+    for i in range(8):
+        g.add_vertex("B", f"b{i}", {"d8": str(i)})
+    for i in range(16):
+        g.add_edge(f"a{i}", f"b{i % 8}")
+    return build_schema(g, 2)
+
+
+def mixed_kind_query():
+    """Every predicate kind, with the edge thresholds, over attributes of different depths.
+
+    Built directly, not parsed: the parser maps ``>`` to ``ge``, so ``gt``
+    only reaches the key generator this way.
+    """
+    P = PredicateSpec
+    root = [P("d5", fss.KIND_EQ, (3,)), P("d16", fss.KIND_LT, (7,)),
+            P("d4", fss.KIND_LE, (3,)), P("d4", fss.KIND_GT, (3,)),  # at the domain maximum
+            P("d5", fss.KIND_GE, (2,)), P("d5", fss.KIND_LE, (2,)), P("d16", fss.KIND_GT, (4,)),
+            P("d16", fss.KIND_INTERVAL, (5, 15)),  # upper bound covers the domain
+            P("d4", fss.KIND_INTERVAL, (1, 2), (False, False)),  # statically empty
+            P("d5", fss.KIND_INTERVAL, (0, 0), (False, False)),  # the parser's empty range
+            P("d1", fss.KIND_EQ, (0,)), P("d16", fss.KIND_INTERVAL, (2, 9), (True, False))]
+    child = [P("d8", fss.KIND_LT, (5,)), P("d8", fss.KIND_INTERVAL, (2, 5))]
+    return QueryGraph([TargetVertex("a", "A", root), TargetVertex("b", "B", child, "ANY")],
+                      [[1], []], [None, 0])
+
+
+def tree_gen_reference(alpha, bits, rng, comparison):
+    """One GGM key tree at a time: two root seeds, then one PRG call per level."""
+    root0, root1 = rng.bytes(16), rng.bytes(16)
+    seeds = np.stack([seed_to_array(root0), seed_to_array(root1)])
+    t = np.array([0, 1], dtype=np.uint8)
+    seed_cw = np.zeros((bits, 2), dtype=np.uint64)
+    ctrl_cw = np.zeros(bits, dtype=np.uint8)
+    for lvl in range(bits):
+        a = (alpha >> (bits - 1 - lvl)) & 1
+        left, right, t_left, t_right, value = prg_expand(seeds)
+        v_cw = int(value[0] ^ value[1]) ^ (a if comparison else 0)
+        keep_seed, keep_t = (left, t_left) if a == 0 else (right, t_right)
+        lose_seed = right if a == 0 else left
+        s_cw = lose_seed[0] ^ lose_seed[1]
+        tau_l = int(t_left[0] ^ t_left[1]) ^ a ^ 1
+        tau_r = int(t_right[0] ^ t_right[1]) ^ a
+        seed_cw[lvl] = s_cw
+        ctrl_cw[lvl] = tau_l | (tau_r << 1) | (v_cw << 2)
+        tau_keep = tau_l if a == 0 else tau_r
+        seeds = keep_seed ^ (s_cw[None, :] * t.astype(np.uint64)[:, None])
+        t = keep_t ^ (t & tau_keep)
+    final_cw = 0 if comparison else int((seeds[0, 0] ^ seeds[1, 0]) & np.uint64(1)) ^ 1
+    cls = fss.DcfKey if comparison else fss.DpfKey
+    return tuple(cls(bits, root, root_t, seed_cw, ctrl_cw, final_cw)
+                 for root_t, root in enumerate((root0, root1)))
+
+
+def key_pair_reference(pred, n, rng):
+    """A predicate's key pair, tree by tree: thresholds and constants as ``fss`` documents them."""
+    bits = fss.domain_bits_for(n)
+    full = 1 << bits
+    if pred.kind == fss.KIND_EQ:
+        return tree_gen_reference(pred.operands[0], bits, rng, False)
+    if pred.kind == fss.KIND_INTERVAL:
+        (low, high), (closed_low, closed_high) = pred.operands, pred.closed
+        lo_t, hi_t, const = low + (not closed_low), high + closed_high, 0
+        if lo_t >= hi_t:
+            lo_t = hi_t = 0
+        if hi_t == full:
+            hi_t, const = 0, 1
+        low1, low2 = tree_gen_reference(lo_t, bits, rng, True)
+        up1, up2 = tree_gen_reference(hi_t, bits, rng, True)
+        return fss.IntervalKey(low1, replace(up1, add_const=const)), fss.IntervalKey(low2, up2)
+    alpha = pred.operands[0]
+    threshold, const = {fss.KIND_LT: (alpha, 0), fss.KIND_GE: (alpha, 1),
+                        fss.KIND_LE: (alpha + 1, 0), fss.KIND_GT: (alpha + 1, 1)}[pred.kind]
+    if threshold == full:  # x <= max always holds, x > max never
+        threshold, const = 0, 1 - const
+    k1, k2 = tree_gen_reference(threshold, bits, rng, True)
+    return replace(k1, add_const=const), k2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gen_token_keys_equal_the_per_tree_reference(seed):
+    schema, query = mixed_depth_schema(), mixed_kind_query()
+    token_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tokens = gen_token(query, schema, token_rng)
+    for s, vertex in enumerate(query.vertices):
+        ts = schema.types[vertex.vtype]
+        for pi, pred in enumerate(vertex.predicates):
+            (k11, k21), (k12, k22), (k13, k23) = (
+                key_pair_reference(pred, ts.attrs[pred.attr].domain_size, rng) for _ in range(3))
+            want = [(k11, k12), (k22, k13), (k23, k21)]
+            for token, pair in zip(tokens, want):
+                assert ([fss.serialize_key(k) for k in token.slot_keys[s][pi]]
+                        == [fss.serialize_key(k) for k in pair])
+    assert token_rng.bytes(16) == rng.bytes(16)  # both drew the same root seeds
+
+
+# recorded while key generation still built one tree at a time
+TOKEN_PIN = "a03b2d2d42e18e508bbd63e915c4bf32727972b015e6270e067eb8c4b00d8622"
+
+
+def test_token_bytes_for_a_seed_are_pinned(schema, tmp_path):
+    """The saved tokens of a fixed query set and seed, as SHA-256 over every file in turn."""
+    sha = hashlib.sha256()
+    for query_schema, query, seed in ((mixed_depth_schema(), mixed_kind_query(), 5),
+                                      (schema, load_query(TWO_PERSON_QUERY, schema), 6)):
+        for token in gen_token(query, query_schema, np.random.default_rng(seed)):
+            sha.update(token_file(tmp_path / "t.ogmt", token))
+    assert sha.hexdigest() == TOKEN_PIN
