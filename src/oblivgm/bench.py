@@ -133,11 +133,12 @@ def _bench_kernels(seed: str) -> None:
     """Best-of-``KERNEL_REPEATS`` times of one party's hot kernels at the benchmark's shapes.
 
     The shapes are those of ``perfbench``: ``scan`` blinds a 2 MiB root table,
-    selects from a (4000, 126)-word attribute matrix, evaluates keys over a
-    100-value dictionary and a 4000-value key, and assembles about 1175
-    matched records of one slot; ``hop-wan`` draws about 74 segment streams
-    per shuffle, selects 10 posting lists from (500, 48) words and 30
-    attribute rows from (500, 2), and assembles a 4-slot tree; key generation
+    folds its unique root over the (4000, 125) words of its 4000-value
+    ``key`` attribute, evaluates keys over a 100-value dictionary and that
+    key, and its client assembles about 1175 matched records of one slot;
+    ``hop-wan`` draws about 74 segment streams per shuffle, selects 10
+    posting lists from (500, 48) words and 30 attribute rows from (500, 2),
+    and its client assembles a 4-slot tree; key generation
     builds 15 trees of depths 9 and 6, about one query's.
     """
     rng = np.random.default_rng(int(seed, 16))
@@ -151,7 +152,7 @@ def _bench_kernels(seed: str) -> None:
 
     many_posting = (bits(10, 500), bits(10, 500), words(500, 48), words(500, 48))
     many_attrs = (bits(30, 500), bits(30, 500), words(500, 2), words(500, 2))
-    one_attrs = (bits(4000), bits(4000), words(4000, 126), words(4000, 126))
+    one_attrs = (bits(4000), bits(4000), words(4000, 125), words(4000, 125))
     seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
     scan_records = ([{"children": []}], [RecordTable(None, {}, np.full(1175, -1))])
     hop_records = _hop_records()
@@ -169,7 +170,7 @@ def _bench_kernels(seed: str) -> None:
         ("prg_expand", "2048 seeds", lambda: prg_expand(seeds[2048])),
         ("select_many", "(10, 500) x (500, 48)", lambda: _select_many_additive(*many_posting)),
         ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
-        ("select_one", "(4000,) x (4000, 126)", lambda: _select_one_additive(*one_attrs)),
+        ("select_one", "(4000,) x (4000, 125)", lambda: _select_one_additive(*one_attrs)),
         ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
         ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",
          lambda: assemble(*hop_records)),

@@ -14,8 +14,8 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   computed, shuffled and opened to discard padding, and the surviving
   neighbors' attribute values are fetched by one-hot selection again.
 * the matcher walks the query tree level by level, carrying public
-  provenance (which parent record each row descends from), and finally
-  assembles complete subgraphs and prunes partial branches.
+  provenance (which parent record each row descends from); a party's
+  result is its records, and the client assembles and prunes subgraphs.
 
 A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
@@ -102,7 +102,6 @@ class MatchResultSet:
     party_index: int
     structure: dict
     records: list[RecordTable]  # one table per query slot
-    subgraphs: list[tuple[int, ...]]
 
 
 def _parity_rows(mat: np.ndarray) -> np.ndarray:
@@ -571,9 +570,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
             if slots[s]["children"] or cands[s].ids is None:
                 records[s] = replace(records[s], ids=_id_codes(records[s].ids, types[s]))
 
-    subgraphs = assemble(slots, records)
-    say(f"assembled {len(subgraphs)} complete subgraphs")
-    return MatchResultSet(rt.index, token.structure, records, subgraphs)
+    return MatchResultSet(rt.index, token.structure, records)
 
 
 def assemble(slots, records: list[RecordTable]) -> list[tuple[int, ...]]:
@@ -618,8 +615,8 @@ def decode_records(result_sets: list[MatchResultSet], schema: GraphSchema):
     Returns per slot ``(ext_ids, attrs)``: each record's ext id (``None``
     for a dummy, id code 0) and per queried attribute each record's value
     (``None`` for an all-zero row). Raises ``ValueError`` where the parties'
-    structure, subgraphs, record counts, provenance or copies of a share
-    component differ, a code passes the population or a value row is two-hot.
+    structure, record counts, provenance or copies of a share component
+    differ, a code passes the population or a value row is two-hot.
     """
     if len(result_sets) < 2:
         raise ValueError("need result shares from at least two parties")
@@ -627,8 +624,6 @@ def decode_records(result_sets: list[MatchResultSet], schema: GraphSchema):
     for other in result_sets[1:]:
         if other.structure != base.structure:
             raise ValueError("result metadata differs between parties")
-        if other.subgraphs != base.subgraphs:
-            raise ValueError("result assembly differs between parties")
         if [t.rows for t in other.records] != [t.rows for t in base.records]:
             raise ValueError("record counts differ between parties")
         if not all(np.array_equal(t.parent_record, u.parent_record)
@@ -666,12 +661,12 @@ def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
     decoded ``(ext_id, attribute values)`` per slot. Subgraphs containing a
     dummy vertex record (id code 0) collapse silently; they stem from
     unique-fetch groups without a satisfying candidate. Every check of
-    :func:`decode_records` applies.
+    :func:`decode_records` applies, and subgraphs are assembled only after.
     """
     decoded = decode_records(result_sets, schema)
     matches = []
     details = []
-    for combo in result_sets[0].subgraphs:
+    for combo in assemble(result_sets[0].structure["slots"], result_sets[0].records):
         ids = tuple(decoded[s][0][ri] for s, ri in enumerate(combo))
         if any(v is None for v in ids):
             continue

@@ -192,7 +192,7 @@ class PhaseStats:
     bytes_sent: int = 0
     frames_sent: int = 0
     logical_bits: int = 0
-    rounds: int = 0  # sends that follow a receive since the party's previous send
+    rounds: int = 0  # sends after a receive since the previous send, or first in a phase
     seconds: float = 0.0  # wall time spent inside the phase (not kept for the total)
 
     def add(self, nbytes: int, bits: int, new_round: bool) -> None:
@@ -207,7 +207,10 @@ class Meter:
 
     A send opens a new round when the party has received a frame since its
     previous send, or has not sent before: frames a party sends back to back,
-    such as the two a shuffle sends from party 2, share one round.
+    such as the two a shuffle sends from party 2, share one round. A phase's
+    first send also opens a round in that phase's stats, so a phase's rounds
+    do not depend on how the phase before it ended; ``total`` counts only
+    the former.
     """
 
     def __init__(self):
@@ -215,6 +218,7 @@ class Meter:
         self.total = PhaseStats()
         self._stack: list[str] = []
         self._received = True
+        self._phase_sent = False  # whether the innermost phase has sent yet
 
     @property
     def current(self) -> str:
@@ -223,17 +227,20 @@ class Meter:
     @contextmanager
     def phase(self, name: str):
         self._stack.append(name)
+        outer_sent, self._phase_sent = self._phase_sent, False
         started = time.perf_counter()
         try:
             yield
         finally:
             self._stack.pop()
+            self._phase_sent = outer_sent
             self.phases.setdefault(name, PhaseStats()).seconds += time.perf_counter() - started
 
     def record_send(self, nbytes: int, logical_bits: int) -> None:
         new_round, self._received = self._received, False
+        phase_round, self._phase_sent = new_round or not self._phase_sent, True
         self.total.add(nbytes, logical_bits, new_round)
-        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits, new_round)
+        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits, phase_round)
 
     def record_recv(self) -> None:
         self._received = True

@@ -27,9 +27,12 @@ Token containers ("OGMT") carry the public query structure as JSON, then
 slot by slot, predicate by predicate, the party's two keys; the predicate's
 kind and its attribute's domain fix each key's size.
 
-Result containers ("OGMR") carry the public query structure, provenance and
-assembly as JSON, then slot by slot the table of the matched records'
-``id_width``-bit id codes and their attribute tables.
+Result containers ("OGMR") carry a JSON manifest of exactly two keys: the
+public query structure and, per slot, its records' parent records (-1 at
+the root). Then come, slot by slot, the table of the matched records'
+``id_width``-bit id codes and their attribute tables. Subgraphs are not
+stored: the client assembles them from the parent records. A manifest with
+other keys, such as an earlier version 3 layout's subgraph list, is refused.
 
 Version 3 replaced version 2's one headered record per row with one record
 per table, added the graph share checksum, and dropped the tags and length
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import fss
 from .bits import mask_tail, words_for
-from .engine import MatchResultSet, RecordTable, assemble
+from .engine import MatchResultSet, RecordTable
 from .graphs import GraphSchema, GraphShare, TypePartyShare
 from .query import PartyToken, check_structure
 from .rss import PARTIES, MatchTable
@@ -237,17 +240,8 @@ def _result_tables(structure: dict, schema: GraphSchema, counts: list[int]):
 
 
 def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
-    slots = results.structure["slots"]
-    parent_slot = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
-    manifest = {
-        "structure": results.structure,
-        "records": [
-            [{"parent_slot": parent_slot.get(s), "parent_record": None if p < 0 else p}
-             for p in table.parent_record.tolist()]
-            for s, table in enumerate(results.records)
-        ],
-        "subgraphs": [list(sg) for sg in results.subgraphs],
-    }
+    manifest = {"structure": results.structure,
+                "parent_records": [t.parent_record.tolist() for t in results.records]}
     with open(path, "wb") as f:
         out = _Container(f, "result file")
         out.write_header(RESULT_MAGIC, results.party_index, schema.digest())
@@ -259,27 +253,21 @@ def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
         out.seal()
 
 
-def _provenance(slots, records) -> list[np.ndarray]:
-    """Each slot's ``parent_record`` array, from a manifest's record lists.
+def _provenance(slots, lists) -> list[np.ndarray]:
+    """Each slot's ``parent_record`` array, from a manifest's parent record lists.
 
-    The root's records have no parent record; every other slot's point into
-    its parent slot's records, in non-decreasing order.
+    The root's records have no parent record, -1; every other slot's point
+    into its parent slot's records, in non-decreasing order.
     """
-    if len(records) != len(slots):
-        raise ValueError(f"{len(records)} record lists for {len(slots)} slots")
+    if len(lists) != len(slots):
+        raise ValueError(f"{len(lists)} parent record lists for {len(slots)} slots")
     parent_slot = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
-    parents = []
-    for s, metas in enumerate(records):
-        got = [m["parent_record"] for m in metas]
-        if s == 0:
-            fits = all(p is None for p in got)
-        else:
-            n = len(records[parent_slot[s]])
-            fits = all(type(p) is int and 0 <= p < n for p in got) and got == sorted(got)
-        if not fits:
+    for s, got in enumerate(lists):
+        lo, hi = (-1, 0) if s == 0 else (0, len(lists[parent_slot[s]]))
+        if not (type(got) is list and all(type(p) is int and lo <= p < hi for p in got)
+                and got == sorted(got)):
             raise ValueError(f"slot {s}'s parent records point outside its parent slot's")
-        parents.append(np.array([-1 if p is None else p for p in got], np.int64))
-    return parents
+    return [np.array(got, np.int64) for got in lists]
 
 
 def load_results(path, schema: GraphSchema) -> MatchResultSet:
@@ -288,10 +276,11 @@ def load_results(path, schema: GraphSchema) -> MatchResultSet:
         party = src.read_header(RESULT_MAGIC, schema.digest())
         manifest = src.read_manifest()
         try:
+            if set(manifest) != {"structure", "parent_records"}:
+                raise ValueError("keys are not exactly 'structure' and 'parent_records'")
             structure = manifest["structure"]
             check_structure(structure, schema)
-            parents = _provenance(structure["slots"], manifest["records"])
-            subgraphs = [tuple(sg) for sg in manifest["subgraphs"]]
+            parents = _provenance(structure["slots"], manifest["parent_records"])
             tables = list(_result_tables(structure, schema, [len(p) for p in parents]))
         except (ValueError, KeyError, TypeError) as exc:
             raise StorageError(f"corrupt result manifest: {exc!r}") from None
@@ -300,13 +289,8 @@ def load_results(path, schema: GraphSchema) -> MatchResultSet:
         for s, attr, width, keep in tables:
             fields[s][attr] = _read_table(src, party, width, keep)
         src.verify()
-    records = [RecordTable(f.pop(None), f, p) for f, p in zip(fields, parents)]
-    # a subgraph naming records that do not descend from one another, or none
-    # of a slot, would open as a match that is none
-    assembled = assemble(structure["slots"], records)
-    if subgraphs != assembled:
-        raise StorageError("result manifest's subgraphs are not its records' assembly")
-    return MatchResultSet(party, structure, records, assembled)
+    return MatchResultSet(party, structure,
+                          [RecordTable(f.pop(None), f, p) for f, p in zip(fields, parents)])
 
 
 # ---------------------------------------------------------------------------

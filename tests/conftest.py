@@ -3,13 +3,15 @@
 import hashlib
 import json
 import struct
+from collections import ChainMap
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oblivgm import fss, rss
-from oblivgm.engine import EngineConfig, open_results, sec_match
+from oblivgm.engine import EngineConfig, RecordTable, assemble, open_results, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import _Matcher
@@ -139,11 +141,30 @@ def reference_decode(result_sets, schema):
     return decoded
 
 
+def chainmap_assemble(slots, records):
+    """Reference subgraph assembly: a recursive walk, one ``ChainMap`` per record."""
+    first = {child: np.searchsorted(records[child].parent_record,
+                                    np.arange(records[s].rows + 1)).tolist()
+             for s, slot in enumerate(slots) for child in slot["children"]}
+
+    def expand(slot, ri):
+        parts = [[a for cri in range(first[c][ri], first[c][ri + 1]) for a in expand(c, cri)]
+                 for c in slots[slot]["children"]]
+        return [ChainMap({slot: ri}, *pick) for pick in product(*parts)]
+
+    return [tuple(a[s] for s in range(len(slots)))
+            for ri in range(records[0].rows) for a in expand(0, ri)]
+
+
 def reference_open(result_sets, schema):
-    """``(matches, details)`` of :func:`reference_decode`, dummy subgraphs dropped."""
+    """``(matches, details)`` of :func:`reference_decode`, dummy subgraphs dropped.
+
+    The subgraphs are :func:`chainmap_assemble`'s, not ``engine.assemble``'s.
+    """
     decoded = reference_decode(result_sets, schema)
     matches, details = [], []
-    for combo in result_sets[0].subgraphs:
+    slots, records = result_sets[0].structure["slots"], result_sets[0].records
+    for combo in chainmap_assemble(slots, records):
         rows = [(decoded[s][0][ri], {a: v[ri] for a, v in decoded[s][1].items()})
                 for s, ri in enumerate(combo)]
         if all(ext is not None for ext, _ in rows):
@@ -165,3 +186,18 @@ def rewrite_manifest(path, edit) -> None:
     blob = json.dumps(doc).encode()
     data = data[:39] + struct.pack("<I", len(blob)) + blob + data[43 + n:]
     path.write_bytes(data + hashlib.sha256(data).digest())
+
+
+def old_result_layout(doc) -> None:
+    """Turn a result manifest into the earlier version 3 layout, in place.
+
+    That layout stored each record as ``{"parent_record", "parent_slot"}``,
+    with ``None`` at the root, and the assembled subgraph list.
+    """
+    slots = doc["structure"]["slots"]
+    parents = doc.pop("parent_records")
+    parent_slot = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+    doc["records"] = [[{"parent_record": None if p < 0 else p, "parent_slot": parent_slot.get(s)}
+                       for p in ps] for s, ps in enumerate(parents)]
+    records = [RecordTable(None, {}, np.array(ps, np.int64)) for ps in parents]
+    doc["subgraphs"] = [list(sg) for sg in assemble(slots, records)]

@@ -6,7 +6,7 @@ import pytest
 from oblivgm import rss
 from oblivgm.cli import main
 from oblivgm.storage import load_results, load_schema, save_results
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, rewrite_manifest
+from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, rewrite_manifest
 
 ENC_SEED = "00112233445566778899aabbccddeeff"
 TOK_SEED = "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
@@ -169,15 +169,23 @@ def test_damaged_token_exits_2(workspace, capsys):
 def test_result_manifest_not_matching_its_records_exits_2(workspace, capsys):
     run_pipeline(workspace)
     path = workspace / "res" / "results-1.ogmr"
+    good = path.read_bytes()
 
-    def edit(doc):
-        doc["subgraphs"][0][2] = 99
+    def root_with_parent(doc):
+        doc["parent_records"][0][0] = 0
 
-    rewrite_manifest(path, edit)
-    capsys.readouterr()
-    assert main(["open", "--results", str(path), str(workspace / "res" / "results-2.ogmr"),
-                 "--schema", str(workspace / "enc" / "schema.json")]) == 2
-    assert "subgraphs are not its records' assembly" in capsys.readouterr().err
+    def extra_key(doc):
+        doc["note"] = 1
+
+    for edit, message in ((root_with_parent, "slot 0"),
+                          (old_result_layout, "keys are not exactly"),
+                          (extra_key, "keys are not exactly")):
+        path.write_bytes(good)
+        rewrite_manifest(path, edit)
+        capsys.readouterr()
+        assert main(["open", "--results", str(path), str(workspace / "res" / "results-2.ogmr"),
+                     "--schema", str(workspace / "enc" / "schema.json")]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", ['{"k":2,"types":[]}', "[1,2]", '{"k":2}', "{", "\xff"])

@@ -1,10 +1,8 @@
 """Engine components against plaintext oracles, plus end-to-end equivalence."""
 
 import copy
-from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -21,8 +19,8 @@ from oblivgm.net import (OP_OPEN, OP_SHUFFLE, ProtocolError, local_runtimes, mak
 from oblivgm.oracle import oracle_match
 from oblivgm.query import QueryFormatError, gen_token, load_query
 from oblivgm.rss import MatchTable
-from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, expected_open_counts,
-                            opened_counts, run_secure_query)
+from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, chainmap_assemble,
+                            expected_open_counts, opened_counts, run_secure_query)
 
 
 def make_group(values, domain, rng, ids_domain=None):
@@ -488,21 +486,6 @@ def test_results_consistent_across_party_pairs():
     assert set(matches) == res["matches"]
 
 
-def chainmap_assemble(slots, records):
-    """Reference subgraph assembly: a recursive walk, one ``ChainMap`` per record."""
-    first = {child: np.searchsorted(records[child].parent_record,
-                                    np.arange(records[s].rows + 1)).tolist()
-             for s, slot in enumerate(slots) for child in slot["children"]}
-
-    def expand(slot, ri):
-        parts = [[a for cri in range(first[c][ri], first[c][ri + 1]) for a in expand(c, cri)]
-                 for c in slots[slot]["children"]]
-        return [ChainMap({slot: ri}, *pick) for pick in product(*parts)]
-
-    return [tuple(a[s] for s in range(len(slots)))
-            for ri in range(records[0].rows) for a in expand(0, ri)]
-
-
 def random_record_tree(rng):
     """A breadth-first query tree of 1-4 levels, fan-out up to 3, and its records.
 
@@ -610,7 +593,8 @@ def test_schema_digest_is_taken_once_per_share(monkeypatch):
     runtimes = local_runtimes(make_session_configs(b"\x41" * 16))
     results = run_trio(lambda rt: sec_match(rt, res["tokens"][rt.index - 1],
                                             res["shares"][rt.index - 1]), runtimes)
-    assert [r.subgraphs for r in results] == [r.subgraphs for r in res["results"]]
+    assert ([[t.parent_record.tolist() for t in r.records] for r in results]
+            == [[t.parent_record.tolist() for t in r.records] for r in res["results"]])
 
 
 def test_open_results_refuses_bad_codes_two_hot_rows_and_split_provenance():

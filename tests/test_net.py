@@ -322,3 +322,16 @@ def test_meter_counts_a_round_per_send_after_a_receive():
     assert [rt.meter.phases["b"].rounds for rt in runtimes] == [1, 2, 1]
     assert [rt.meter.total.rounds for rt in runtimes] == [3, 4, 3]
     assert [rt.meter.total.frames_sent for rt in runtimes] == [4, 5, 4]
+
+
+def test_meter_books_a_round_at_a_phases_first_send():
+    # a phase that ends on a send does not take the next phase's first round
+    meter = net.Meter()
+    with meter.phase("a"):
+        meter.record_send(10, 80)
+        meter.record_recv()
+        meter.record_send(10, 80)
+    with meter.phase("b"):
+        meter.record_send(10, 80)
+        meter.record_send(10, 80)
+    assert (meter.phases["a"].rounds, meter.phases["b"].rounds, meter.total.rounds) == (2, 1, 2)

@@ -14,15 +14,17 @@ from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
 from oblivgm.query import gen_token, load_query
 from oblivgm.storage import (StorageError, load_graph_share, load_results, load_schema,
                              load_token, save_graph_share, save_results, save_schema, save_token)
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, rewrite_manifest, run_secure_query
+from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, rewrite_manifest,
+                            run_secure_query)
 
 UNIQUE_MISSES = "Q p P age >= 30\nQ c C field = Internet\nQE p c\n"
 
 
 # SHA-256 of fixed-seed version-3 files: a codec change must leave every byte
-# as it is, or bump the version. Result files also hold the query's fresh
-# shares, so a protocol change that draws its re-share masks differently
-# moves them while the codec stays as it is
+# as it is, or bump the version, or (as the result manifest's two-key layout
+# did) make the loader refuse every file of the other layout. Result files
+# also hold the query's fresh shares, so a protocol change that draws its
+# re-share masks differently moves them while the codec stays as it is
 PINNED_GRAPH_SHARES = {
     "campus": ("21b1bf8da31ea1879aba84bc148d22d0d06ae5b0105a0b65a321a1a5e0c0f53a",
                "fd0698cada45cedfc033b399c3f8885b04a4b3076169a85b1b22ce3b1ad04923",
@@ -33,13 +35,13 @@ PINNED_GRAPH_SHARES = {
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("1e747a3f9f5cdb3071c4884bdc7e92237b45b7ad4972595ccc72085fde3fb4ac",
-                    "bf2d9c6d534267e60980fcdf7b5d659694622b8c29916c2e81c3e22be632c174",
-                    "224d584414c376064c19a02ac8b5374923a6d6af77f09e3ba4b382211123b1ae")),
+                   ("959698ea4c82522fd8dfcd2c55e3ff2d9ec4c4643d0be90ea5057b55da9c7635",
+                    "ce7ec8755b2efb5055ec74df160f3595c56bc2ced8b9df2307ee7e7a201e84df",
+                    "d4563d2f0fbf32da63b485e21b2c58208cd208c5ff26f57f8bfd14f28b4096f6")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("a5b506f3edc5649ed33556c2cf5d051198a184ac159c6e30b074455183c12ede",
-                       "25dbe8bde1a94e5a1fc9233e40c82aef1c2169619cef47615bc6c4d39326e254",
-                       "e273ead84583a7c180ba15bcd72a639679d44961a414d9751e0624f067b0b884")),
+                      ("5eb1be69e78652990ac69507530f3d169befa5511d0fff3f06b775f4097571a4",
+                       "323ab3567b2632c2abb39b78f825793843b784b60eb277bd6437e185462946e9",
+                       "0a109de93282b3b93d7966b8a5237472a5dfe04a5cf2a35ff6b1d3049250f6c8")),
 }
 
 
@@ -310,31 +312,31 @@ def test_result_manifest_not_matching_its_records_is_refused(tmp_path):
     save_results(path, res["results"][0], schema)
     good = path.read_bytes()
     rewrite_manifest(path, lambda doc: None)
-    assert load_results(path, schema).subgraphs == res["results"][0].subgraphs
+    assert ([t.parent_record.tolist() for t in load_results(path, schema).records]
+            == [t.parent_record.tolist() for t in res["results"][0].records])
 
     def set_parent(slot, record, value):
         def edit(doc):
-            doc["records"][slot][record]["parent_record"] = value
-        return edit
-
-    def set_subgraph(value):
-        def edit(doc):
-            doc["subgraphs"][0] = value
+            doc["parent_records"][slot][record] = value
         return edit
 
     def reverse_slot_3(doc):  # parent records [0, 1, 2] of slot 3 become decreasing
-        doc["records"][3].reverse()
+        doc["parent_records"][3].reverse()
 
-    for edit, message in ((set_subgraph([0, 0, 99, 0, 0]), "subgraphs"),
-                          (set_subgraph([0, 0, -1, 0, 0]), "subgraphs"),
-                          (set_subgraph([0, 1]), "subgraphs"),
-                          # slot 3's record 1 descends from slot 1's record 1, not 0
-                          (set_subgraph([0, 0, 1, 1, 0]), "subgraphs"),
-                          (set_parent(0, 0, 0), "slot 0"),
+    def drop_last_slot(doc):
+        doc["parent_records"].pop()
+
+    def extra_key(doc):
+        doc["note"] = 1
+
+    for edit, message in ((set_parent(0, 0, 0), "slot 0"),
                           (set_parent(1, 0, None), "slot 1"),
                           (set_parent(3, 2, 3), "slot 3"),  # slot 1 has 3 records
                           (set_parent(3, 2, 1.0), "slot 3"),
-                          (reverse_slot_3, "slot 3")):
+                          (reverse_slot_3, "slot 3"),
+                          (drop_last_slot, "4 parent record lists for 5 slots"),
+                          (old_result_layout, "keys are not exactly"),
+                          (extra_key, "keys are not exactly")):
         path.write_bytes(good)
         rewrite_manifest(path, edit)
         with pytest.raises(StorageError, match=message):
