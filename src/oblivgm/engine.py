@@ -9,10 +9,11 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   candidate group into a single record with pure local algebra plus one
   re-share; otherwise the flag/id/value table is obliviously
   shuffled and only the shuffled flag column is opened.
-* neighbor access: matched vertices' posting lists are pulled out of the
-  whole parent-type population by one-hot selection, validity flags are
-  computed, shuffled and opened to discard padding, and the surviving
-  neighbors' attribute values are fetched by one-hot selection again.
+* neighbor access: matched vertices' padded posting lists are pulled out
+  of the whole parent-type population by one-hot selection, and every
+  selected row's attribute values by one-hot selection again; nothing is
+  opened. A padding row is all zero, fails every predicate and so drops
+  out in the child slot's own fetch.
 * the matcher walks the query tree level by level, carrying public
   provenance (which parent record each row descends from); a party's
   result is its records, and the client assembles and prunes subgraphs.
@@ -43,14 +44,14 @@ each protocol step carries every slot of a level in one message per party:
 one re-share of every predicate's bits, one AND re-share per combining
 step, one fold re-share for the unique-route slots, one shuffle of the
 multi-route slots' tables and one open of their flags, and, for all edges
-out of the level together, one selection re-share, one shuffle, one open of
-the validity flags and one attribute re-share. Within a table, each
-candidate group is a segment permuted under its own table id. The opened
-flags and the group boundaries are exactly what per-group steps would
-reveal, so batching leaks nothing more, and the number of rounds a query
-takes grows with the depth of its tree, not with its slots or its matches.
-Every opened value is entered in the runtime's ledger (``rt.opened``), one
-entry per slot with that slot's group segments.
+out of the level together, one selection re-share and one attribute
+re-share. Within a table, each candidate group is a segment permuted under
+its own table id; a child slot's groups are ``max_padded`` rows each, a
+public size. The opened flags and the group boundaries are exactly what
+per-group steps would reveal, so batching leaks nothing more, and the
+number of rounds a query takes grows with the depth of its tree, not with
+its slots or its matches. Every opened value is entered in the runtime's
+ledger (``rt.opened``), one entry per slot with that slot's group segments.
 """
 
 from __future__ import annotations
@@ -248,37 +249,6 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
-def _shuffle_open_keep(rt, jobs, slots=None):
-    """Shuffle rows of flag || fields segment by segment, open the flags, keep the ones.
-
-    ``jobs`` holds one ``(flag_bits, fields, segments)`` per table:
-    ``flag_bits`` the party's two shares of the flag column as 0/1 arrays,
-    ``fields`` a list of tables. Every job's table rides in one shuffle and
-    its flags in one open, tagged ``slots`` in the ledger. Returns per job
-    the kept row positions in its shuffled table, sorted, and one table of
-    kept rows per field. A segment is permuted within its own rows, so a
-    kept position tells which segment the row came from.
-    """
-    tables = []
-    for flag_bits, fields, segments in jobs:
-        rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
-                             + [(getattr(f, side), f.width) for f in fields])
-                for bits, side in zip(flag_bits, ("share_a", "share_b"))]
-        tables.append(MatchTable(rt.index, 1 + sum(f.width for f in fields), *rows, segments))
-    shuffled = sec_shuffle(rt, tables[0], more=tables[1:])
-    flags = _open_flags(rt, shuffled, slots)
-    out, pos = [], 0
-    for table, (_, fields, _) in zip(shuffled, jobs):
-        keep = np.nonzero(flags[pos:pos + table.rows])[0]
-        pos += table.rows
-        kept = table.take(keep)
-        widths = [f.width for f in fields]
-        out.append((keep, [MatchTable(rt.index, w, _bit_field(kept.share_a, at, w),
-                                      _bit_field(kept.share_b, at, w))
-                           for at, w in zip(np.cumsum([1] + widths[:-1]), widths)]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # predicate evaluation
 # ---------------------------------------------------------------------------
@@ -388,12 +358,27 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
     on its level and so the shuffle's first table id: its kept rows get
     their one-hot ids from :func:`sec_unshuffle_keep` after the open.
     """
-    jobs = [(_flag_bits(flag), [f for f in [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
-                                if f is not None], cand.groups()[1])
-            for cand, flag in zip(cands, flags)]
+    tables, widths = [], []
+    for cand, flag in zip(cands, flags):
+        fields = [f for f in [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
+                  if f is not None]
+        rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
+                             + [(getattr(f, side), f.width) for f in fields])
+                for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
+        widths.append([f.width for f in fields])
+        tables.append(MatchTable(rt.index, 1 + sum(widths[-1]), *rows, cand.groups()[1]))
     tid = rt.next_table_id
-    out = []
-    for cand, (keep, fields) in zip(cands, _shuffle_open_keep(rt, jobs, slots)):
+    shuffled = sec_shuffle(rt, tables[0], more=tables[1:])
+    opened = _open_flags(rt, shuffled, slots)
+    out, pos = [], 0
+    for cand, table, ws in zip(cands, shuffled, widths):
+        # a group is permuted within its own rows, so a kept row keeps its parent record
+        keep = np.nonzero(opened[pos:pos + table.rows])[0]
+        pos += table.rows
+        kept = table.take(keep)
+        fields = [MatchTable(rt.index, w, _bit_field(kept.share_a, at, w),
+                             _bit_field(kept.share_b, at, w))
+                  for at, w in zip(np.cumsum([1] + ws[:-1]), ws)]
         ids = sec_unshuffle_keep(rt, tid, cand.rows, keep) if cand.ids is None else fields.pop(0)
         out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)),
                                cand.parent_record[keep]))
@@ -405,64 +390,56 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
 # ---------------------------------------------------------------------------
 
 
-def sec_access(rt, edges, gshare: GraphShare, slots=None) -> list[RecordTable]:
+def sec_access(rt, edges, gshare: GraphShare) -> list[RecordTable]:
     """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
     ``edges`` holds one ``(records, parent_type, child_type, needed_attrs)``
     per edge. Selection runs over the whole parent-type population, so
-    nothing about which vertex matched leaks; padding and zero-extension are
-    discarded only after the validity flags have been shuffled. All edges'
-    records travel together: one selection re-share, one shuffle with one
-    segment per record (its padded posting list), one open, tagged ``slots``
-    in the ledger, and one re-share of every needed attribute. Returns each
-    edge's child candidates, sorted by the record they descend from.
+    nothing about which vertex matched leaks. All edges' records travel
+    together: one selection re-share of every record's padded posting list,
+    and one re-share of every needed attribute of every selected row. Each
+    edge's child candidates are its records' ``max_padded`` rows each, in
+    record order, so a candidate group's size is public and nothing is
+    opened. A padding row's id is a share of zero, and so are its attribute
+    rows, which no predicate accepts: the child's own fetch drops it with
+    the non-matches.
     """
     schema = gshare.schema
     children = [schema.types[child_type] for _, _, child_type, _ in edges]
-    lists = [gshare.types[parent_type].posting[child_type]
-             for _, parent_type, child_type, _ in edges]
     l_max = [schema.types[parent_type].max_padded(child_type)
              for _, parent_type, child_type, _ in edges]
     live = [i for i, (records, *_) in enumerate(edges) if l_max[i] and records.rows]
-    kept = {}  # per live edge: kept positions and the kept rows' one-hot ids
-    if live:
-        # one-hot selection of every matched vertex's padded posting list
-        sel = []
-        for i in live:
-            ids, x_pa = edges[i][0].ids, schema.types[edges[i][1]].population
-            sel.append((_select_many_additive(
-                unpack_bits(ids.share_a, x_pa), unpack_bits(ids.share_b, x_pa),
-                lists[i].share_a.reshape(x_pa, -1), lists[i].share_b.reshape(x_pa, -1),
-            ).reshape(-1, words_for(children[i].population)), children[i].population))
-        fetched = rss.reshare_rows(rt, *sel[0], more=sel[1:])
 
-        # a fetched row is valid when it holds a one-hot id; shuffle, open, keep
-        jobs = [((_parity_rows(f.share_a), _parity_rows(f.share_b)), [f],
-                 (l_max[i],) * edges[i][0].rows) for i, f in zip(live, fetched)]
-        tags = None if slots is None else [slots[i] for i in live]
-        kept = {i: (keep, ids)
-                for i, (keep, (ids,)) in zip(live, _shuffle_open_keep(rt, jobs, tags))}
+    # one-hot selection of every matched vertex's padded posting list
+    sel = []
+    for i in live:
+        records, parent_type, child_type, _ = edges[i]
+        ids, x_pa = records.ids, schema.types[parent_type].population
+        posting = gshare.types[parent_type].posting[child_type]
+        sel.append((_select_many_additive(
+            unpack_bits(ids.share_a, x_pa), unpack_bits(ids.share_b, x_pa),
+            posting.share_a.reshape(x_pa, -1), posting.share_b.reshape(x_pa, -1),
+        ).reshape(-1, words_for(children[i].population)), children[i].population))
+    fetched = dict(zip(live, rss.reshare_rows(rt, *sel[0], more=sel[1:]) if sel else ()))
 
-    # one-hot fetch of every surviving neighbor's queried attribute values
+    # one-hot fetch of every selected row's queried attribute values
     wanted = []
-    for i, (keep, ids) in kept.items():
-        if keep.size:
-            child = children[i]
-            kept_a = unpack_bits(ids.share_a, child.population)
-            kept_b = unpack_bits(ids.share_b, child.population)
-            fields = gshare.types[edges[i][2]].attrs
-            wanted += [(_select_many_additive(kept_a, kept_b, fields[a].share_a, fields[a].share_b),
-                        child.attrs[a].domain_size) for a in edges[i][3]]
+    for i, ids in fetched.items():
+        child = children[i]
+        ids_a = unpack_bits(ids.share_a, child.population)
+        ids_b = unpack_bits(ids.share_b, child.population)
+        fields = gshare.types[edges[i][2]].attrs
+        wanted += [(_select_many_additive(ids_a, ids_b, fields[a].share_a, fields[a].share_b),
+                    child.attrs[a].domain_size) for a in edges[i][3]]
     values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
 
     out = []
-    for i, (_, _, _, needed) in enumerate(edges):
+    for i, (records, _, _, needed) in enumerate(edges):
         child = children[i]
-        keep, ids = kept.get(i, (np.zeros(0, np.int64), _no_rows(rt.index, child.population)))
-        attrs = {a: next(values) if keep.size else _no_rows(rt.index, child.attrs[a].domain_size)
+        ids = fetched.get(i, _no_rows(rt.index, child.population))
+        attrs = {a: next(values) if i in fetched else _no_rows(rt.index, child.attrs[a].domain_size)
                  for a in needed}
-        # record r's posting list is segment r, rows [r * l_max, (r + 1) * l_max)
-        out.append(RecordTable(ids, attrs, keep // max(l_max[i], 1)))
+        out.append(RecordTable(ids, attrs, np.repeat(np.arange(records.rows), l_max[i])))
     return out
 
 
@@ -562,8 +539,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         if edges:
             with rt.meter.phase("secAccess"):
                 accessed = sec_access(rt, [(records[s], slots[s]["type"], slots[c]["type"],
-                                            needed(c)) for s, c in edges],
-                                      gshare, slots=[c for _, c in edges])
+                                            needed(c)) for s, c in edges], gshare)
             for (_, c), child_cands in zip(edges, accessed):
                 cands[c] = child_cands
         for s in level:  # one-hot ids, accessed or the root's flag vector, become codes

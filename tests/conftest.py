@@ -73,9 +73,10 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
 def expected_open_counts(res, any_mode: str = "or"):
     """Plaintext count per candidate group of every ledger entry, keyed by (phase, slot).
 
-    An access entry of slot ``s`` counts, for each matched record of ``s``'s
-    parent, its true neighbours of ``s``'s type; a fetch entry counts each
-    candidate group's members that satisfy ``s``.
+    Only fetches open. A fetch entry counts each candidate group's members
+    that satisfy its slot: the root's one group, or one group per record of
+    the slot's parent, holding that record's true neighbours (none for a
+    dummy record) among its padded rows.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
     matcher = _Matcher(graph, query, schema, any_mode)
@@ -99,14 +100,8 @@ def expected_open_counts(res, any_mode: str = "or"):
         else:
             groups = [neighbours(parent, ri, slot["type"])
                       for ri in range(results[0].records[parent].rows)]
-        groups = [g for g in groups if g]
         if groups and not unique:
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
-        for child in slot["children"]:
-            n_records = results[0].records[s].rows
-            if n_records:
-                out[("secAccess", child)] = [len(neighbours(s, ri, slots[child]["type"]))
-                                             for ri in range(n_records)]
     return out
 
 

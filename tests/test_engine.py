@@ -289,7 +289,9 @@ def test_reshare_matrix_rejects_a_short_payload():
 
 def test_access_discards_dummies_and_fetches_true_attributes():
     # p-vertices with degrees 3 and 1 toward C; k-padding makes both lists
-    # length 3, so each access opens exactly its true-degree many ones.
+    # length 3, so p2's access selects 2 padding rows. Every leaf predicate
+    # below accepts the whole domain, so a padding row that passed one would
+    # be kept by the leaf's fetch, not dropped with the non-matches.
     text = """
 V P p1 a=1
 V P p2 a=2
@@ -301,18 +303,22 @@ E p1 c2
 E p1 c3
 E p2 c2
 """
-    res = run_secure_query(text, "Q root P a = 1\nQ leaf C z >= 10\nQE root leaf\n")
-    assert res["matches"] == {("p1", "c1"), ("p1", "c2"), ("p1", "c3")}
-    for rt in res["runtimes"]:
-        access_opens = [entry.bits for entry in rt.opened]
-        # one access per matched root record; p1 has 3 true neighbors of 3 slots
-        assert sorted(int(v.popcount()) for v in access_opens)[-1] == 3
-    res2 = run_secure_query(text, "Q root P a = 2\nQ leaf C z >= 10\nQE root leaf\n")
-    assert res2["matches"] == {("p2", "c2")}
-    # p2's padded list holds 1 true neighbor and 2 dummies: one 1-bit opened
-    opens2 = [int(e.bits.popcount()) for rt in res2["runtimes"] for e in rt.opened
-              if e.bits.logical_len == 3]
-    assert opens2.count(1) >= 3
+    whole = ["Q leaf C z >= 10\n", "Q leaf C z <= 30\n", "Q leaf C z in 10 30\n"]
+    leaves = [(p, "or") for p in whole]
+    leaves += [(whole[0] + whole[1] + "QC leaf ANY\n", mode) for mode in ("or", "xor")]
+    leaves += [("".join(whole) + "QC leaf ANY\n", mode) for mode in ("or", "xor")]
+    for root, want in (("1", {("p1", "c1"), ("p1", "c2"), ("p1", "c3")}), ("2", {("p2", "c2")})):
+        for leaf, mode in leaves:
+            res = run_secure_query(text, f"Q root P a = {root}\n{leaf}QE root leaf\n",
+                                   any_mode=mode)
+            # ANY in xor mode over two predicates that both hold accepts nothing
+            two_xor = mode == "xor" and leaf.count("Q leaf") == 2
+            assert res["matches"] == (set() if two_xor else want)
+            for rt in res["runtimes"]:
+                (fetch,) = [e for e in rt.opened if e.phase == "secFetch" and e.slot == 1]
+                assert fetch.segments == (3,)
+                assert opened_counts(fetch) == [len(res["matches"])]
+            assert all(r.records[1].rows == len(res["matches"]) for r in res["results"])
 
 
 def test_all_dummy_posting_list_yields_empty_branch():
@@ -377,15 +383,15 @@ E p3 p4
 
 
 def test_opened_bits_accounting():
-    # only fetch flags and access validity flags ever open, and their total
-    # length is the sum of Case-II candidate counts and fetched list lengths
+    # only fetch flags ever open, and their total length is the sum of
+    # Case-II candidate counts
     res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
     for rt in res["runtimes"]:
         assert rt.opened
         # one entry per slot an open spans, in slot order; labels count up from 1
         labels = [e.label for e in rt.opened]
         assert sorted(set(labels)) == list(range(1, labels[-1] + 1)) and labels == sorted(labels)
-        assert all(e.phase in ("secFetch", "secAccess") for e in rt.opened)
+        assert all(e.phase == "secFetch" for e in rt.opened)
         for label in set(labels):
             slots = [e.slot for e in rt.opened if e.label == label]
             assert slots == sorted(set(slots))
@@ -442,9 +448,9 @@ E s2 t2
     assert res["matches"] == want == {("s1", "t1"), ("s2", "t2")}
 
 
-def test_unique_chain_opens_only_access_flags():
-    # every slot takes the local fetch route; the only opened values are the
-    # shuffled posting-list validity flags
+def test_unique_chain_opens_nothing():
+    # every slot takes the local fetch route, and an access opens nothing:
+    # its padding rows fold away in the child's fetch
     res = run_secure_query(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\n"
@@ -452,8 +458,7 @@ def test_unique_chain_opens_only_access_flags():
     want = oracle_match(res["graph"], res["query"], res["schema"])
     assert res["matches"] == want == {("u1", "p3", "c2")}
     for rt in res["runtimes"]:
-        assert rt.opened
-        assert all(e.phase == "secAccess" for e in rt.opened)
+        assert not rt.opened
 
 
 def test_random_corpus_with_any_combiners_and_k3():
@@ -642,7 +647,9 @@ def test_frames_follow_query_shape_not_match_count():
 
 
 @pytest.mark.parametrize("query_text", [
-    TWO_PERSON_QUERY,
+    # the two-person tree with a P leaf under pb: pb's three records give qb three groups
+    "Q u U place = Harbin\nQ pa P age in 30 40\nQ pb P age in 30 40\nQ ca C field = software\n"
+    "Q qb P age in 30 60\nQE u pa\nQE u pb\nQE pa ca\nQE pb qb\n",
     # p1 and p2 are each other's only P neighbour: two one-candidate fetch groups
     "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
 ])

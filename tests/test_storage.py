@@ -35,13 +35,13 @@ PINNED_GRAPH_SHARES = {
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("959698ea4c82522fd8dfcd2c55e3ff2d9ec4c4643d0be90ea5057b55da9c7635",
-                    "ce7ec8755b2efb5055ec74df160f3595c56bc2ced8b9df2307ee7e7a201e84df",
-                    "d4563d2f0fbf32da63b485e21b2c58208cd208c5ff26f57f8bfd14f28b4096f6")),
+                   ("462e9dfcfe527fba34c13ceee4b3e8c06f9ee87eb54cf9d94cfa364ec4b8b1c0",
+                    "b9c461f7a709f0ff317f49ece2202012afe895c56e8fce43743341a2a2dc3086",
+                    "4510801809841aefb0f8ef4dfdc1dbc00b250665876f5569a221e0f941700a8f")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("5eb1be69e78652990ac69507530f3d169befa5511d0fff3f06b775f4097571a4",
-                       "323ab3567b2632c2abb39b78f825793843b784b60eb277bd6437e185462946e9",
-                       "0a109de93282b3b93d7966b8a5237472a5dfe04a5cf2a35ff6b1d3049250f6c8")),
+                      ("0cb4d3a8c04ad3c420dbd8f8f5ffe76af9979d1f1036c7bf04c91c084f593a4d",
+                       "5c6423f7a4c3d3d1adc3fdbf5102df473f9196c2e3d55afb36b6db45a6f34356",
+                       "b06d8a78b12bab7cc4700ec95b91a358e24c8b9aa0401a75f40e51207ca793b5")),
 }
 
 

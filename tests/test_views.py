@@ -13,8 +13,11 @@ has children. The graphs are forests: every ``A`` vertex owns three ``B``
 vertices and every ``B`` vertex two ``C`` vertices, and each owned block
 holds the same number of matches, so every candidate group of a slot has the
 same size and match count. The ledger lists group counts in shuffled order;
-with equal groups that order cannot show in it. A pair is run only when the
-per-group counts the oracle reports agree.
+with equal groups that order cannot show in it. One more pair roots a match
+at vertices of degree 3 or 2, both padded to 3: a child's candidate group is
+its parent record's padded list, so its size is public and the true degree
+must not show. A pair is run only when the per-group counts the oracle
+reports agree, a group's size being its public padded length.
 """
 
 import numpy as np
@@ -33,6 +36,23 @@ Z_BLOCK = (1, 0)  # per B vertex, one of its C vertices has z = 1
 
 DEEP = "Q a A x in {lo} {hi}\nQ b B y = 1\nQ c C z >= 1\nQE a b\nQE b c\n"
 SHALLOW = "Q a A x in {lo} {hi}\nQ b B y = 1\nQE a b\n"
+
+# a0 has three B neighbours and a1 two, padded to three: a root match of
+# either degree has the same public values, and one matching neighbour
+SKEWED = """V A a0 x=1
+V A a1 x=2
+V B b0 y=1
+V B b1 y=0
+V B b2 y=0
+V B b3 y=1
+V B b4 y=0
+E a0 b0
+E a0 b1
+E a0 b2
+E a1 b3
+E a1 b4
+"""
+SKEWED_QUERY = "Q a A x in {v} {v}\nQ b B y = 1\nQE a b\n"
 
 
 def forest_text(seed=None) -> str:
@@ -59,20 +79,26 @@ def forest_text(seed=None) -> str:
 
 
 def group_counts(graph_text: str, query_text: str):
-    """Per slot, the sorted (rows, matches) of its candidate groups, from the oracle."""
+    """Per slot, the sorted (rows, matches) of its candidate groups, from the oracle.
+
+    A child group holds one parent record's padded posting list, so its row
+    count is the public ``max_padded`` of the parent type, not the degree.
+    """
     graph = parse_graph_text(graph_text)
     schema = build_schema(graph, 2)
     query = load_query(query_text, schema)
     matcher = _Matcher(graph, query, schema, "or")
-    groups = {0: [list(graph.type_members[query.vertices[0].vtype])]}
+    members = list(graph.type_members[query.vertices[0].vtype])
+    groups = {0: [(len(members), members)]}
     out = []
     for s in range(query.size):  # slots are numbered breadth-first
-        kept = []
-        for g in groups[s]:
-            kept += [v for v in g if matcher.vertex_ok(s, v)]
-        out.append(sorted((len(g), sum(matcher.vertex_ok(s, v) for v in g)) for g in groups[s]))
+        kept = [v for _, g in groups[s] for v in g if matcher.vertex_ok(s, v)]
+        out.append(sorted((rows, sum(matcher.vertex_ok(s, v) for v in g))
+                          for rows, g in groups[s]))
         for c in query.children[s]:
-            groups[c] = [graph.posting_list(v, query.vertices[c].vtype) for v in kept]
+            vtype = query.vertices[c].vtype
+            rows = schema.types[query.vertices[s].vtype].max_padded(vtype)
+            groups[c] = [(rows, graph.posting_list(v, vtype)) for v in kept]
     return out
 
 
@@ -139,6 +165,8 @@ PAIRS = [
                  SHALLOW.format(lo=2, hi=4), id="shallow-permuted-other-constants"),
     pytest.param(forest_text(), SHALLOW.format(lo=4, hi=4), forest_text(7),
                  SHALLOW.format(lo=1, hi=1), id="shallow-two-roots"),
+    pytest.param(SKEWED, SKEWED_QUERY.format(v=1), SKEWED, SKEWED_QUERY.format(v=2),
+                 id="skewed-degrees"),
 ]
 
 
