@@ -1,7 +1,8 @@
 """Encrypting an attributed graph: one-hot encoding, degree padding, sharing.
 
-Attribute values and neighbor ids become one-hot vectors over public
-dictionaries and get secret-shared. Posting lists are first padded inside
+Attribute values become one-hot vectors over public dictionaries, and each
+posting entry becomes its neighbor's id code (c + 1 for vertex c, 0 for a
+dummy); both get secret-shared. Posting lists are first padded inside
 groups of k same-type vertices so group members show identical per-type
 degrees; a server sees only the padded lengths, never which entries are real.
 """
@@ -37,3 +38,12 @@ ages = schema.types["P"].attrs["age"]
 bits = unpack_bits(plain, ages.domain_size)
 for row, ext in zip(bits, schema.types["P"].ext_ids):
     print(f"  {ext}: {''.join(map(str, row))}  -> age {ages.values[int(np.argmax(row))]}")
+
+# a posting list reconstructs to id codes: neighbor c is c + 1, a padding entry 0
+ts = schema.types["U"]
+l_max = ts.max_padded("P")
+codes = rss.reconstruct_rows([gs.types["U"].posting["P"] for gs in shares[1:]])[:, 0]
+people = [None] + schema.types["P"].ext_ids  # indexed by code
+for v, ext in enumerate(ts.ext_ids):
+    row = codes[v * l_max:(v + 1) * l_max].tolist()
+    print(f"  {ext} -> P codes {row}: {[people[c] for c in row if c]}")

@@ -14,6 +14,7 @@ from .graphs import AttributedGraph, GraphFormatError, encrypt_graph
 from .net import PhaseStats, local_runtimes, make_session_configs, run_trio
 from .prf import prf_stream, prg_expand, seeded_permutation
 from .query import gen_token, load_query
+from .shuffle import translate_rows
 
 
 def _two_type_graph(rng: np.random.Generator, size: int) -> AttributedGraph:
@@ -137,9 +138,11 @@ def _bench_kernels(seed: str) -> None:
     ``key`` attribute, evaluates keys over a 100-value dictionary and that
     key, and its client assembles about 1175 matched records of one slot;
     ``hop-wan`` draws about 74 segment streams per shuffle, selects 10
-    posting lists from (500, 48) words and 30 attribute rows from (500, 2),
-    and its client assembles a 4-slot tree; key generation
-    builds 15 trees of depths 9 and 6, about one query's.
+    posting lists of 3 id codes from (500, 3) words and 30 attribute rows
+    from (500, 2), translates the 132 unit vectors of 512 bits that an
+    access expands its selected codes into, and its client assembles a
+    4-slot tree; key generation builds 15 trees of depths 9 and 6, about
+    one query's.
     """
     rng = np.random.default_rng(int(seed, 16))
     key = rng.bytes(16)
@@ -150,7 +153,8 @@ def _bench_kernels(seed: str) -> None:
     def words(*shape):
         return rng.integers(0, 1 << 32, shape, dtype=np.uint32)
 
-    many_posting = (bits(10, 500), bits(10, 500), words(500, 48), words(500, 48))
+    many_posting = (bits(10, 500), bits(10, 500), words(500, 3), words(500, 3))
+    unit_rows = (words(132, 16), 512, words(132) & np.uint32(511))
     many_attrs = (bits(30, 500), bits(30, 500), words(500, 2), words(500, 2))
     one_attrs = (bits(4000), bits(4000), words(4000, 125), words(4000, 125))
     seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
@@ -168,9 +172,10 @@ def _bench_kernels(seed: str) -> None:
         ("seeded_permutation", "74 x 3", lambda: seeded_permutation(key, b"BNCH", 0, [3] * 74)),
         ("prg_expand", "16 seeds", lambda: prg_expand(seeds[16])),
         ("prg_expand", "2048 seeds", lambda: prg_expand(seeds[2048])),
-        ("select_many", "(10, 500) x (500, 48)", lambda: _select_many_additive(*many_posting)),
+        ("select_many", "(10, 500) x (500, 3)", lambda: _select_many_additive(*many_posting)),
         ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
         ("select_one", "(4000,) x (4000, 125)", lambda: _select_one_additive(*one_attrs)),
+        ("translate_rows", "132 x 512 bits", lambda: translate_rows(*unit_rows)),
         ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
         ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",
          lambda: assemble(*hop_records)),

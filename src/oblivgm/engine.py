@@ -9,11 +9,13 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   candidate group into a single record with pure local algebra plus one
   re-share; otherwise the flag/id/value table is obliviously
   shuffled and only the shuffled flag column is opened.
-* neighbor access: matched vertices' padded posting lists are pulled out
-  of the whole parent-type population by one-hot selection, and every
-  selected row's attribute values by one-hot selection again; nothing is
-  opened. A padding row is all zero, fails every predicate and so drops
-  out in the child slot's own fetch.
+* neighbor access: matched vertices' padded posting lists of neighbor id
+  codes are pulled out of the whole parent-type population by one-hot
+  selection; the codes become one-hot rows through uniformly masked codes,
+  the only values an access opens, and every selected row's attribute
+  values are pulled out by one-hot selection again. A padding code 0 gives
+  an all-zero row, which fails every predicate and so drops out in the
+  child slot's own fetch.
 * the matcher walks the query tree level by level, carrying public
   provenance (which parent record each row descends from); a party's
   result is its records, and the client assembles and prunes subgraphs.
@@ -28,30 +30,38 @@ A vertex id takes one of two encodings. It is one-hot over the type's
 population only while a one-hot selection may still read it: in a slot
 that has children, until that slot's neighbor accesses are done. Everywhere
 else it is the ``TypeSchema.id_width``-bit code ``c + 1`` of vertex ``c``,
-with 0 marking a dummy record. One-hot ``e_c`` maps to ``c + 1`` by a public
-GF(2)-linear map, which each party applies to its own two shares
-(:func:`_id_codes`), so switching costs no message; a leaf slot's fetch
-thus shuffles or folds ``id_width`` bits per candidate, not ``population``.
-Root ids are public, row ``c`` being vertex ``c``, so the graph shares hold
-none: a leaf root shuffles the public codes. A root with children fetches
-none. In the unique route its folded one-hot id is its flag vector; in the
-multi route :func:`oblivgm.shuffle.sec_unshuffle_keep` gives the K kept
-rows their one-hot ids after the open, in two rounds and three frames of
-``population * ceil(K / 32)`` words.
+with 0 marking a dummy record; posting entries are stored as such codes.
+An access selects codes, and :class:`oblivgm.shuffle.UnitVectors` expands
+them into the one-hot rows that select attributes; a leaf child keeps the
+selected codes as its ids, and a child with children keeps the one-hot
+rows, so a leaf slot's fetch shuffles or folds ``id_width`` bits per
+candidate, not ``population``. One-hot ``e_c`` maps back to ``c + 1`` by a
+public GF(2)-linear map, which each party applies to its own two shares
+(:func:`_id_codes`), so a slot with children switches to codes without a
+message once its accesses are done. Root ids are public, row ``c`` being
+vertex ``c``, so the graph shares hold none: a leaf root shuffles the
+public codes. A root with children fetches none. In the unique route its
+folded one-hot id is its flag vector; in the multi route
+:func:`oblivgm.shuffle.sec_unshuffle_keep` gives the K kept rows their
+one-hot ids after the open, in two rounds and three frames of
+``K * ceil(population / 32)`` words.
 
 The query tree runs level by level. Slots are numbered breadth-first, and
 each protocol step carries every slot of a level in one message per party:
 one re-share of every predicate's bits, one AND re-share per combining
 step, one fold re-share for the unique-route slots, one shuffle of the
 multi-route slots' tables and one open of their flags, and, for all edges
-out of the level together, one selection re-share and one attribute
-re-share. Within a table, each candidate group is a segment permuted under
-its own table id; a child slot's groups are ``max_padded`` rows each, a
-public size. The opened flags and the group boundaries are exactly what
-per-group steps would reveal, so batching leaks nothing more, and the
-number of rounds a query takes grows with the depth of its tree, not with
-its slots or its matches. Every opened value is entered in the runtime's
-ledger (``rt.opened``), one entry per slot with that slot's group segments.
+out of the level together, one selection re-share, one open of the masked
+codes and one attribute re-share. Within a table, each candidate group is
+a segment permuted under its own table id; a child slot's groups are
+``max_padded`` rows each, a public size. The opened flags and the group
+boundaries are exactly what per-group steps would reveal, so batching
+leaks nothing more, and the number of rounds a query takes grows with the
+depth of its tree, not with its slots or its matches. Every opened value
+is entered in the runtime's ledger (``rt.opened``), one entry per slot with
+that slot's group segments: a fetch's flags (phase ``secFetch``) and an
+access's masked codes (phase ``secAccess``, under the child slot,
+``max_padded * id_width`` bits a group).
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
 from .query import PartyToken, QueryFormatError, check_structure
 from .rss import MatchTable
-from .shuffle import sec_shuffle, sec_unshuffle_keep
+from .shuffle import UnitVectors, sec_shuffle, sec_unshuffle_keep
 
 
 @dataclass
@@ -390,54 +400,70 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
 # ---------------------------------------------------------------------------
 
 
-def sec_access(rt, edges, gshare: GraphShare) -> list[RecordTable]:
+def sec_access(rt, edges, gshare: GraphShare, slots: list[int]) -> list[RecordTable]:
     """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
-    ``edges`` holds one ``(records, parent_type, child_type, needed_attrs)``
-    per edge. Selection runs over the whole parent-type population, so
-    nothing about which vertex matched leaks. All edges' records travel
-    together: one selection re-share of every record's padded posting list,
-    and one re-share of every needed attribute of every selected row. Each
-    edge's child candidates are its records' ``max_padded`` rows each, in
-    record order, so a candidate group's size is public and nothing is
-    opened. A padding row's id is a share of zero, and so are its attribute
-    rows, which no predicate accepts: the child's own fetch drops it with
-    the non-matches.
+    ``edges`` holds one ``(records, parent_type, child_type, needed_attrs,
+    hot)`` per edge. Selection runs over the whole parent-type population,
+    so nothing about which vertex matched leaks. It picks each record's
+    padded posting list, ``max_padded`` id codes, and all edges' codes are
+    re-shared in one message. :class:`oblivgm.shuffle.UnitVectors` turns
+    them into one-hot rows: its mask frames ride in that re-share's round,
+    and one open of the uniformly masked codes ``d`` (tagged with each
+    edge's child slot from ``slots``, one segment of ``max_padded *
+    id_width`` bits per record) in the next. The one-hot rows select every
+    needed attribute of every row, in one more re-share: an access level
+    takes three rounds.
+
+    Each edge's child candidates are its records' ``max_padded`` rows each,
+    in record order, so a candidate group's size is public. Their ids are
+    the re-shared codes, or the one-hot rows when ``hot`` says the child
+    has accesses of its own to come. A padding row's code is 0, so its
+    one-hot row and its attribute rows are zero, which no predicate
+    accepts: the child's own fetch drops it with the non-matches.
     """
     schema = gshare.schema
-    children = [schema.types[child_type] for _, _, child_type, _ in edges]
+    children = [schema.types[child_type] for _, _, child_type, _, _ in edges]
     l_max = [schema.types[parent_type].max_padded(child_type)
-             for _, parent_type, child_type, _ in edges]
+             for _, parent_type, child_type, _, _ in edges]
     live = [i for i, (records, *_) in enumerate(edges) if l_max[i] and records.rows]
 
-    # one-hot selection of every matched vertex's padded posting list
+    # one-hot selection of every matched vertex's padded list of id codes
     sel = []
     for i in live:
-        records, parent_type, child_type, _ = edges[i]
+        records, parent_type, child_type, _, _ = edges[i]
         ids, x_pa = records.ids, schema.types[parent_type].population
         posting = gshare.types[parent_type].posting[child_type]
         sel.append((_select_many_additive(
             unpack_bits(ids.share_a, x_pa), unpack_bits(ids.share_b, x_pa),
             posting.share_a.reshape(x_pa, -1), posting.share_b.reshape(x_pa, -1),
-        ).reshape(-1, words_for(children[i].population)), children[i].population))
-    fetched = dict(zip(live, rss.reshare_rows(rt, *sel[0], more=sel[1:]) if sel else ()))
+        ).reshape(-1, 1), children[i].id_width))
+    codes, unit = {}, {}
+    if live:
+        units = UnitVectors(rt, [(len(additive), width) for additive, width in sel])
+        codes = dict(zip(live, rss.reshare_rows(rt, *sel[0], more=sel[1:],
+                                                during=units.send_masks)))
+        tags = [(slots[i], (l_max[i] * children[i].id_width,) * edges[i][0].rows) for i in live]
+        unit = dict(zip(live, units.expand(list(codes.values()),
+                                           [children[i].population for i in live], tags)))
 
     # one-hot fetch of every selected row's queried attribute values
     wanted = []
-    for i, ids in fetched.items():
+    for i, rows in unit.items():
         child = children[i]
-        ids_a = unpack_bits(ids.share_a, child.population)
-        ids_b = unpack_bits(ids.share_b, child.population)
+        ids_a = unpack_bits(rows.share_a, child.population)
+        ids_b = unpack_bits(rows.share_b, child.population)
         fields = gshare.types[edges[i][2]].attrs
         wanted += [(_select_many_additive(ids_a, ids_b, fields[a].share_a, fields[a].share_b),
                     child.attrs[a].domain_size) for a in edges[i][3]]
     values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
 
     out = []
-    for i, (records, _, _, needed) in enumerate(edges):
+    for i, (records, _, _, needed, hot) in enumerate(edges):
         child = children[i]
-        ids = fetched.get(i, _no_rows(rt.index, child.population))
-        attrs = {a: next(values) if i in fetched else _no_rows(rt.index, child.attrs[a].domain_size)
+        ids = (unit if hot else codes).get(
+            i, _no_rows(rt.index, child.population if hot else child.id_width))
+        attrs = {a: next(values) if i in unit else _no_rows(rt.index, child.attrs[a].domain_size)
                  for a in needed}
         out.append(RecordTable(ids, attrs, np.repeat(np.arange(records.rows), l_max[i])))
     return out
@@ -507,8 +533,6 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
 
     for level in _levels(slots):
         for s in level:
-            if s and not slots[s]["children"]:  # no selection reads a leaf's ids
-                cands[s] = replace(cands[s], ids=_id_codes(cands[s].ids, types[s]))
             say(f"slot {s} ({slots[s]['name']}): {cands[s].rows} candidates "
                 f"in {len(cands[s].groups()[1])} groups")
             records[s] = cands[s]  # no candidates, no records
@@ -539,7 +563,8 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         if edges:
             with rt.meter.phase("secAccess"):
                 accessed = sec_access(rt, [(records[s], slots[s]["type"], slots[c]["type"],
-                                            needed(c)) for s, c in edges], gshare)
+                                            needed(c), bool(slots[c]["children"]))
+                                           for s, c in edges], gshare, [c for _, c in edges])
             for (_, c), child_cands in zip(edges, accessed):
                 cands[c] = child_cands
         for s in level:  # one-hot ids, accessed or the root's flag vector, become codes

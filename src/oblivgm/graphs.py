@@ -9,13 +9,15 @@ Vertices of one type must carry the same attribute names. Edges are
 undirected and typed implicitly by their endpoint types; adjacency is kept
 as posting lists (per neighbor type, in ext-id appearance order).
 
-Encryption turns every private value into a one-hot vector over a public
-dictionary and splits it with replicated secret sharing. Vertex ids are not
-private: row ``c`` of a type is the vertex ``ext_ids[c]``, so no id is
-stored, and the engine builds the ids it needs as public constants. Before
-sharing, posting lists are padded inside groups of ``k`` same-type vertices
-so that group members have identical per-type degrees; the dummy entries
-are shares of the zero vector and are indistinguishable from true entries.
+Encryption turns every private attribute value into a one-hot vector over a
+public dictionary and splits it with replicated secret sharing. Vertex ids
+are not private: row ``c`` of a type is the vertex ``ext_ids[c]``, so no id
+is stored, and the engine builds the ids it needs as public constants. A
+posting entry is its neighbor's ``id_width``-bit code ``c + 1``, shared the
+same way. Before sharing, posting lists are padded inside groups of ``k``
+same-type vertices so that group members have identical per-type degrees;
+the dummy entries are shares of the code 0 and are indistinguishable from
+true entries.
 """
 
 from __future__ import annotations
@@ -313,8 +315,9 @@ class TypePartyShare:
 
     ``attrs[a]`` has one row per vertex, its one-hot value. ``posting[t]``
     has ``max_padded(t)`` rows per vertex, its padded posting list of
-    one-hot neighbor ids; rows past a vertex's padded length are public
-    structural zeros.
+    neighbor id codes (``c + 1`` for neighbor ``c``, 0 for a dummy entry),
+    each ``id_width`` bits of type ``t``; rows past a vertex's padded length
+    are public structural zeros.
     """
 
     attrs: dict[str, MatchTable]
@@ -350,17 +353,14 @@ def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
                 part.attrs[name] = table
 
         for t_ne in ts.posting_types:
-            ne_local = {gi: li for li, gi in enumerate(graph.type_members[t_ne])}
+            code = {gi: li + 1 for li, gi in enumerate(graph.type_members[t_ne])}
             l_max = ts.max_padded(t_ne)
-            row, hot = [], []
+            plain = np.zeros((x * l_max, 1), np.uint32)
             for v, gi in enumerate(members):
                 plist = graph.posting_list(gi, t_ne)
-                row += range(v * l_max, v * l_max + len(plist))
-                hot += [ne_local[ngi] for ngi in plist]
-            width = len(ne_local)
-            plain = one_hot_rows(x * l_max, width, np.array(row, np.int64),
-                                 np.array(hot, np.int64))
+                plain[v * l_max:v * l_max + len(plist), 0] = [code[ngi] for ngi in plist]
             runs = [(v * l_max, n) for v, n in enumerate(ts.padded_len[t_ne])]
+            width = schema.types[t_ne].id_width
             for part, table in zip(parts, rss.share_rows(plain, width, rng, runs)):
                 part.posting[t_ne] = table
 

@@ -8,7 +8,7 @@ Three primitives, all keyed with 128-bit material:
 * ``prf_stream`` / ``prf_words`` — AES-CTR keyed streams, domain-separated by
   a 4-byte label and a 64-bit index. Used for zero-sharings and for the
   shuffle blinding tables.
-* ``seeded_permutation`` — Fisher-Yates driven by a PRF stream.
+* ``seeded_permutation`` — a sort of the rows by 64-bit PRF keys.
 
 Batched streams. ``prf_stream`` and ``seeded_permutation`` also take a run
 of consecutive indices ``index, index + 1, ...`` with one size per index,
@@ -137,26 +137,19 @@ def prf_words(key: bytes, label: bytes, index: int, nbits: int) -> np.ndarray:
 
 def seeded_permutation(key: bytes, label: bytes, index: int,
                        n: int | Sequence[int]) -> np.ndarray:
-    """Deterministic Fisher-Yates permutation of range(n) from a PRF stream.
+    """Deterministic permutation of range(n): the rows sorted by 64-bit PRF keys.
 
+    Row ``i`` draws the ``i``-th 64-bit word of the stream, and the
+    permutation lists the rows in the order of their words; the sort is
+    stable, so two equal words (probability about n^2 / 2^65) keep row order.
     With a sequence of sizes, returns the block-diagonal permutation of
     ``range(sum(n))`` whose block ``i`` is the permutation for ``index + i``,
-    shifted to the block's first row. All blocks draw from one batched stream.
+    shifted to the block's first row. All blocks draw from one batched stream
+    and are sorted together, by block and then by word.
     """
     sizes = np.array(_sizes(n), dtype=np.int64)
-    swaps = np.maximum(sizes - 1, 0)
-    raw = prf_stream(key, label, index, (8 * swaps).tolist())
-    draws = np.frombuffer(raw, dtype=np.uint64)
-    # the draws of a block of m rows at ``start`` swap row start + i with row
-    # start + draw % (i + 1), for i = m - 1 down to 1; all swaps are computed
-    # here and only the swapping itself runs in order
-    start = np.repeat(np.cumsum(sizes) - sizes, swaps)
-    i = np.repeat(np.cumsum(swaps), swaps) - np.arange(len(draws))
-    j = start + (draws % (i + 1).astype(np.uint64)).astype(np.int64)
-    perm = list(range(int(sizes.sum())))
-    for a, b in zip((start + i).tolist(), j.tolist()):
-        perm[a], perm[b] = perm[b], perm[a]
-    return np.array(perm, dtype=np.int64)
+    keys = np.frombuffer(prf_stream(key, label, index, (8 * sizes).tolist()), dtype=np.uint64)
+    return np.lexsort((keys, np.repeat(np.arange(len(sizes)), sizes)))
 
 
 def derive_key(master: bytes, label: str) -> bytes:

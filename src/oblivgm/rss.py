@@ -219,7 +219,7 @@ class ZeroShareContext:
 # ---------------------------------------------------------------------------
 
 
-def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None):
+def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None, during=None):
     """Turn additive shares of ``(rows, words)`` rows of ``width`` bits into a replicated table.
 
     One message of ``rows * width`` logical bits to the next party, blinded
@@ -231,6 +231,9 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None):
     laid after the previous table's with no padding to a common width, under
     one zero-sharing drawn for all of them; the list of every replicated
     table comes back, in order. Without ``more`` the one table comes back.
+
+    ``during`` is called after the send and before the receive, so that the
+    frames it sends ride in this message's round.
     """
     parts = [(additive, width)] + list(more or ())
     pad = rt.zero_share(sum(a.size for a, _ in parts) * 32).words
@@ -240,6 +243,8 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None):
         pos += a.size
     payload = b"".join(b.tobytes() for b in blinded)
     rt.send_next(OP_RESHARE, payload, logical_bits=sum(a.shape[0] * w for a, w in parts))
+    if during is not None:
+        during()
     raw = rt.recv_prev(OP_RESHARE)
     if len(raw) != len(payload):
         raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {len(payload)}")
@@ -274,24 +279,32 @@ def and_gate(rt, a: MatchTable, b: MatchTable, *, more=None):
     return reshare(rt, and_terms(a, b), more=terms)
 
 
-def open_shared(rt, x: MatchTable, *, slots=None) -> BitVector:
+def open_shared(rt, x: MatchTable, *, slots=None, during=None) -> BitVector:
     """Reveal a one-row table to every party and enter it in the runtime's ledger.
 
-    Each party forwards its first share component to the next party under the
-    runtime's next open label; labels advance in lockstep, so a mismatch means
-    the parties are opening different values. ``slots`` lists the
-    ``(slot, segments)`` of consecutive runs of ``x``, each entered in the
-    ledger on its own under this label (see :meth:`oblivgm.net.PartyRuntime.note_opened`).
+    Each party forwards its second share component to the previous party,
+    which lacks exactly that one, under the runtime's next open label;
+    labels advance in lockstep, so a mismatch means the parties are opening
+    different values. ``slots`` lists the ``(slot, segments)`` of
+    consecutive runs of ``x``, each entered in the ledger on its own under
+    this label (see :meth:`oblivgm.net.PartyRuntime.note_opened`).
+
+    An open runs against the direction of a re-share: after one, each open
+    frame goes back to the party whose re-share frame it waited for, so a
+    party that fell behind delays one party's open, not the next re-share
+    around the ring. ``during`` is called after the send and before the
+    receive, so that the frames it sends ride in this round.
     """
     label = rt.alloc_open_label()
     n = x.logical_len
-    payload = int(label).to_bytes(4, "little") + x.share_a.tobytes()
-    rt.send_next(OP_OPEN, payload, logical_bits=n)
-    raw = rt.recv_prev(OP_OPEN)
+    rt.send_prev(OP_OPEN, int(label).to_bytes(4, "little") + x.share_b.tobytes(), logical_bits=n)
+    if during is not None:
+        during()
+    raw = rt.recv_next(OP_OPEN)
     peer_label = int.from_bytes(raw[:4], "little")
     if peer_label != label:
         raise ProtocolError(f"open label mismatch: local {label}, peer {peer_label}")
-    expected = x.share_a.nbytes
+    expected = x.share_b.nbytes
     if len(raw) - 4 != expected:
         raise ProtocolError(f"open message has {len(raw) - 4} bytes, expected {expected}")
     plain = BitVector(x.share_a ^ x.share_b ^ np.frombuffer(raw[4:], dtype=np.uint32), n)

@@ -18,6 +18,13 @@ public input: the unit vectors of some shuffled positions. It gives shares
 of those rows' original positions as one-hot rows in two rounds and three
 frames, so a table whose rows are public vertices need not carry their
 one-hot ids through the shuffle.
+
+The unshuffle is one case of :func:`_pairwise_steps`: shares of a public
+matrix moved through three bit permutations, each drawn by one pair of
+parties. Translation, which moves bit ``j`` of a row to ``j ^ t`` for the
+pair's offset ``t``, is the other: :class:`UnitVectors` uses it to turn
+shared id codes into shared one-hot rows, with one open of uniformly
+masked codes (as in three-party distributed ORAM).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 from .bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
 from .net import OP_SHUFFLE, ProtocolError
 from .prf import prf_stream, seeded_permutation
+from . import rss
 from .rss import MatchTable, _held
 
 _LABEL_PERM = b"SHPI"
@@ -34,6 +42,10 @@ _LABEL_BLIND = b"SHTB"
 _LABEL_RAND = b"SHRD"
 _LABEL_UNMASK = b"SHUM"  # the unshuffle's mask R31
 _LABEL_UNSHARE = b"SHUS"  # the unshuffle's output components x1 (from s31) and x3 (from s23)
+_LABEL_OFFSET = b"UVOF"  # a pair's code offsets, one per unit vector
+# the lower half of every 2^(b+1)-bit block of a word, for b = 0..4
+_HALF_BLOCKS = tuple(np.uint32(m) for m in (0x55555555, 0x33333333, 0x0F0F0F0F, 0x00FF00FF,
+                                            0x0000FFFF))
 
 
 def sec_shuffle(rt, table: MatchTable, *, more=None):
@@ -144,6 +156,67 @@ def _check_frame(raw, tid: int, nbytes: int) -> np.ndarray:
     return np.frombuffer(raw[4:], dtype=np.uint32)
 
 
+def _pairwise_steps(rt, table_id: int, public: np.ndarray, width: int, move):
+    """Shares of ``M12(M31(M23(E)))`` for a public matrix ``E``, as a generator of three steps.
+
+    ``public`` is ``E``, packed rows of ``width`` bits. ``move(seed, words)``
+    applies ``M_s``, a permutation of the bit positions of each row that the
+    pair holding ``seed`` draws from it. Party 3 knows M23 and M31, so it
+    moves ``E`` through both alone. Two rounds and three frames the size of
+    ``E`` follow:
+
+    * party 3 sends ``V = M31(M23(E)) ^ R31`` to party 2, and party 1 sends
+      ``U = M12(R31) ^ x1`` to party 2;
+    * party 2 sets ``x2 = M12(V) ^ U ^ x3`` and sends it to party 1.
+
+    Then ``x1 ^ x2 ^ x3 = M12(M31(M23(E)))``, since ``M12`` is linear.
+    ``R31`` and ``x1`` come from s31 and ``x3`` from s23, under labels of
+    their own and ``table_id``, so they reuse no pad of a shuffle. Party 3
+    holds ``(x3, x1)`` from its seeds alone and receives nothing.
+
+    Each ``next`` runs one step, so that the frames can ride in the rounds
+    of other messages: the first sends party 1's and party 3's frames, the
+    second has party 2 receive both and send its own, and the third has
+    party 1 receive that and yields the party's table.
+    """
+    rows, nwords = public.shape
+    head = int(table_id).to_bytes(4, "little")
+
+    def draw(seed, label) -> np.ndarray:
+        raw = prf_stream(seed, label, table_id, rows * nwords * 4)
+        return mask_tail(np.frombuffer(raw, np.uint32).reshape(rows, nwords).copy(), width)
+
+    def send(send_to, mat):
+        send_to(OP_SHUFFLE, head + mat.tobytes(), logical_bits=rows * width)
+
+    def recv(raw) -> np.ndarray:
+        return _check_frame(raw, table_id, rows * nwords * 4).reshape(rows, nwords)
+
+    if rt.index == 1:
+        s12, s31 = rt.seed_with_next, rt.seed_with_prev
+        x1 = draw(s31, _LABEL_UNSHARE)
+        send(rt.send_next, move(s12, draw(s31, _LABEL_UNMASK)) ^ x1)
+        yield
+        yield
+        components = (x1, recv(rt.recv_next(OP_SHUFFLE)), None)
+    elif rt.index == 2:
+        s23, s12 = rt.seed_with_next, rt.seed_with_prev
+        yield
+        x3 = draw(s23, _LABEL_UNSHARE)
+        u = recv(rt.recv_prev(OP_SHUFFLE))
+        x2 = move(s12, recv(rt.recv_next(OP_SHUFFLE))) ^ u ^ x3
+        send(rt.send_prev, x2)
+        yield
+        components = (None, x2, x3)
+    else:
+        s31, s23 = rt.seed_with_next, rt.seed_with_prev
+        send(rt.send_prev, move(s31, move(s23, public)) ^ draw(s31, _LABEL_UNMASK))
+        yield
+        yield
+        components = (draw(s31, _LABEL_UNSHARE), None, draw(s23, _LABEL_UNSHARE))
+    yield MatchTable(rt.index, width, *_held(rt.index, components))
+
+
 def sec_unshuffle_keep(rt, table_id: int, rows: int, keep: np.ndarray) -> MatchTable:
     """Shared one-hot original positions of kept rows of a shuffled segment.
 
@@ -153,65 +226,119 @@ def sec_unshuffle_keep(rt, table_id: int, rows: int, keep: np.ndarray) -> MatchT
     shuffled positions. Returns a table of K rows of ``rows`` bits whose row
     ``k`` is the unit vector of ``sigma[keep[k]]``.
 
-    That is the transpose of ``scatter_sigma(E)``, where the public
-    ``rows`` x K matrix ``E`` has column ``k`` the unit vector of ``keep[k]``
-    and ``scatter_p(A)[p[i]] = A[i]``. Since ``E`` is public, party 3, which
-    knows pi23 and pi31, scatters it through both alone. Two rounds and three
-    frames of ``rows * ceil(K / 32)`` words follow:
-
-    * party 3 sends ``V = scatter_pi31(scatter_pi23(E)) ^ R31`` to party 2,
-      and party 1 sends ``U = scatter_pi12(R31) ^ x1`` to party 2;
-    * party 2 sets ``x2 = scatter_pi12(V) ^ U ^ x3`` and sends it to party 1.
-
-    ``R31`` and ``x1`` come from s31 and ``x3`` from s23, under labels of
-    their own and the segment's table id, so they reuse no pad of the
-    shuffle. Party 3 holds ``(x3, x1)`` from its seeds alone and receives
-    nothing; with K = 0 no frame is sent. Transposing is local.
+    Row ``k`` starts as the public unit vector of ``keep[k]``, and
+    ``scatter_p``, which moves bit ``i`` to bit ``p[i]``, takes it to
+    ``sigma[keep[k]]`` through pi23, pi31 and then pi12. That is
+    :func:`_pairwise_steps` with the scatters as its maps: two rounds and
+    three frames of ``K * ceil(rows / 32)`` words. With K = 0 no frame is
+    sent.
     """
     k = len(keep)
     if not k:
         empty = np.zeros((0, words_for(rows)), np.uint32)
         return MatchTable(rt.index, rows, empty, empty)
-    nwords = words_for(k)
-    head = int(table_id).to_bytes(4, "little")
 
-    def draw(seed, label) -> np.ndarray:
-        raw = prf_stream(seed, label, table_id, rows * nwords * 4)
-        return mask_tail(np.frombuffer(raw, np.uint32).reshape(rows, nwords).copy(), k)
+    def scatter(seed, words) -> np.ndarray:
+        bits = unpack_bits(words, rows)
+        out = np.empty_like(bits)
+        out[:, seeded_permutation(seed, _LABEL_PERM, table_id, rows)] = bits
+        return pack_bits(out)
 
-    def perm(seed) -> np.ndarray:
-        return seeded_permutation(seed, _LABEL_PERM, table_id, rows)
+    public = one_hot_rows(k, rows, np.arange(k), np.asarray(keep))
+    *_, table = _pairwise_steps(rt, table_id, public, rows, scatter)
+    return table
 
-    def scatter(seed, mat) -> np.ndarray:
-        out = np.empty_like(mat)
-        out[perm(seed)] = mat
-        return out
 
-    def send(send_to, mat):
-        send_to(OP_SHUFFLE, head + mat.tobytes(), logical_bits=rows * k)
+def translate_rows(words: np.ndarray, width: int, offsets: np.ndarray) -> np.ndarray:
+    """Packed rows with bit ``j`` of row ``k`` moved to bit ``j ^ offsets[k]``.
 
-    def recv(raw) -> np.ndarray:
-        return _check_frame(raw, table_id, rows * nwords * 4).reshape(rows, nwords)
+    ``width`` is a power of two above every offset, so each row's bits are
+    only permuted: offset bits 5 and up permute whole words, and each lower
+    bit ``b`` swaps the halves of every ``2^(b+1)``-bit block within a word
+    where it is set. Translating twice by one offset gives the rows back.
+    """
+    offsets = np.asarray(offsets, np.uint32)
+    out = words[np.arange(len(words))[:, None], np.arange(words.shape[1]) ^ (offsets >> 5)[:, None]]
+    for b, mask in enumerate(_HALF_BLOCKS):
+        shift = np.uint32(1 << b)
+        swapped = ((out & mask) << shift) | ((out >> shift) & mask)
+        out = np.where(((offsets >> b) & 1).astype(bool)[:, None], swapped, out)
+    return out
 
-    if rt.index == 1:
-        s12, s31 = rt.seed_with_next, rt.seed_with_prev
-        x1 = draw(s31, _LABEL_UNSHARE)
-        send(rt.send_next, scatter(s12, draw(s31, _LABEL_UNMASK)) ^ x1)
-        components = (x1, recv(rt.recv_next(OP_SHUFFLE)), None)
-    elif rt.index == 2:
-        s23, s12 = rt.seed_with_next, rt.seed_with_prev
-        x3 = draw(s23, _LABEL_UNSHARE)
-        u = recv(rt.recv_prev(OP_SHUFFLE))
-        x2 = scatter(s12, recv(rt.recv_next(OP_SHUFFLE))) ^ u ^ x3
-        send(rt.send_prev, x2)
-        components = (None, x2, x3)
-    else:
-        s31, s23 = rt.seed_with_next, rt.seed_with_prev
-        z = one_hot_rows(rows, k, perm(s31)[perm(s23)[keep]], np.arange(k))
-        send(rt.send_prev, z ^ draw(s31, _LABEL_UNMASK))
-        components = (draw(s31, _LABEL_UNSHARE), None, draw(s23, _LABEL_UNSHARE))
-    return MatchTable(rt.index, rows, *(pack_bits(unpack_bits(m, k).T)
-                                        for m in _held(rt.index, components)))
+
+def code_offsets(seed: bytes, table_id: int, widths: np.ndarray) -> np.ndarray:
+    """A pair's offset per row, drawn from its seed: ``widths[k]`` random bits for row ``k``."""
+    raw = prf_stream(seed, _LABEL_OFFSET, table_id, 4 * len(widths))
+    return np.frombuffer(raw, np.uint32) & ((np.uint32(1) << widths) - np.uint32(1))
+
+
+class UnitVectors:
+    """Shared unit vectors of shared id codes: row ``c`` one-hot at ``c - 1``, code 0 a zero row.
+
+    Made for code tables of ``shapes``, ``(rows, id width)`` each, before the
+    codes exist, so that the mask frames can ride in the rounds that produce
+    them. Each row ``k`` of width ``w`` takes a mask ``r = r12 ^ r23 ^ r31``,
+    one ``w``-bit offset from each pair seed (:func:`code_offsets`). The
+    three offsets are the components of a replicated sharing of ``r`` that
+    costs nothing, and translating by all three takes the public ``e_0`` to
+    ``e_r``; :func:`_pairwise_steps` shares it, a pair translating by its
+    own offset, over ``2^w`` positions (the widest table's, for all rows).
+    :meth:`expand` then opens ``d = c ^ r``, which is uniform since no party
+    knows ``r``, and each party translates its two components of ``e_r`` by
+    ``d`` without a message, which gives ``e_c``. Dropping position 0 leaves
+    a padding code's row all zero.
+
+    Call :meth:`send_masks` between sending and receiving the message that
+    yields the codes (``rss.reshare_rows``' ``during``), then :meth:`expand`
+    on the codes: the masks' second round rides with the open of ``d``, so
+    the whole expansion adds one round to the codes' own.
+    """
+
+    def __init__(self, rt, shapes: list[tuple[int, int]]):
+        self.rt, self.table_id = rt, rt.alloc_table_id()
+        self.widths = np.repeat(np.array([w for _, w in shapes], np.uint32),
+                                [n for n, _ in shapes])
+        self.positions = 1 << int(self.widths.max())
+        e_0 = one_hot_rows(len(self.widths), self.positions, np.arange(len(self.widths)),
+                           np.zeros(len(self.widths), np.int64))
+        self._steps = _pairwise_steps(rt, self.table_id, e_0, self.positions, self._translate)
+
+    def _translate(self, seed: bytes, words: np.ndarray) -> np.ndarray:
+        return translate_rows(words, self.positions, code_offsets(seed, self.table_id, self.widths))
+
+    def send_masks(self) -> None:
+        next(self._steps)
+
+    def expand(self, codes: list[MatchTable], sizes: list[int], slots=None) -> list[MatchTable]:
+        """Each code table's rows as one-hot rows of ``sizes[i]`` bits, after one open of ``d``.
+
+        ``slots`` tags the opened ``d`` of consecutive tables in the ledger,
+        as :func:`oblivgm.rss.open_shared`'s ``slots`` do, in bits.
+        """
+        rt = self.rt
+        # party i holds (x_i, x_{i+1}); x1 = r31, x2 = r12 and x3 = r23 are its pairs' offsets
+        masks = [code_offsets(seed, self.table_id, self.widths)
+                 for seed in (rt.seed_with_prev, rt.seed_with_next)]
+        bounds = np.cumsum([0] + [t.rows for t in codes])
+
+        def masked(side, mask) -> np.ndarray:
+            return pack_bits(np.concatenate([
+                unpack_bits(getattr(t, side)[:, :1] ^ mask[lo:hi, None], t.width).ravel()
+                for t, lo, hi in zip(codes, bounds[:-1], bounds[1:])]))[None]
+
+        ends = np.cumsum([0] + [t.rows * t.width for t in codes])
+        d_table = MatchTable(rt.index, int(ends[-1]), masked("share_a", masks[0]),
+                             masked("share_b", masks[1]))
+        # party 2 passes its mask frame on in the open's round
+        opened = rss.open_shared(rt, d_table, slots=slots,
+                                 during=lambda: next(self._steps)).to_bits()
+        d = np.concatenate([pack_bits(opened[lo:hi].reshape(t.rows, t.width))[:, 0]
+                            for t, lo, hi in zip(codes, ends[:-1], ends[1:])])
+        e_r = next(self._steps)
+        hot = [unpack_bits(translate_rows(m, self.positions, d), self.positions)
+               for m in (e_r.share_a, e_r.share_b)]
+        return [MatchTable(rt.index, n, *(pack_bits(h[lo:hi, 1:n + 1]) for h in hot))
+                for n, lo, hi in zip(sizes, bounds[:-1], bounds[1:])]
 
 
 def composed_permutation(s12: bytes, s23: bytes, s31: bytes, table_id: int, rows: int) -> np.ndarray:
@@ -234,3 +361,20 @@ def simulate_unshuffle(s12: bytes, s23: bytes, s31: bytes, table_id: int, rows: 
     """Plaintext reference for :func:`sec_unshuffle_keep`: each kept row's origin, one-hot."""
     perm = composed_permutation(s12, s23, s31, table_id, rows)
     return [BitVector.one_hot(rows, int(perm[i])) for i in keep]
+
+
+def simulate_unit_vectors(s12: bytes, s23: bytes, s31: bytes, table_id: int,
+                          widths, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Plaintext reference for :class:`UnitVectors` built under ``table_id``.
+
+    ``widths`` and ``codes`` give each row's code width and code. Returns
+    the opened ``d = c ^ r12 ^ r23 ^ r31`` and the rows of ``e_c`` over the
+    ``2^w - 1`` positions of codes 1 and up (the caller keeps a type's
+    population of them), as a 0/1 matrix as wide as the widest row's.
+    """
+    widths = np.asarray(widths, np.uint32)
+    codes = np.asarray(codes, np.uint32)
+    r = [code_offsets(s, table_id, widths) for s in (s12, s23, s31)]
+    hot = np.zeros((len(codes), (1 << int(widths.max(initial=0))) - 1), np.uint8)
+    hot[np.nonzero(codes)[0], codes[codes > 0].astype(np.int64) - 1] = 1
+    return codes ^ r[0] ^ r[1] ^ r[2], hot

@@ -21,7 +21,8 @@ Graph share containers ("OGMG") hold, type by type in schema order, each
 attribute table (one row per vertex, attributes in sorted order), then each
 posting table (in ``posting_types`` order) with only the rows inside each
 vertex's padded length: the rows past it are public zeros and are not
-stored. Vertex ids are public row positions and are not stored.
+stored. A posting row is one word, the neighbor type's ``id_width``-bit
+code. Vertex ids are public row positions and are not stored.
 
 Token containers ("OGMT") carry the public query structure as JSON, then
 slot by slot, predicate by predicate, the party's two keys; the predicate's
@@ -34,10 +35,13 @@ the root). Then come, slot by slot, the table of the matched records'
 stored: the client assembles them from the parent records. A manifest with
 other keys, such as an earlier version 3 layout's subgraph list, is refused.
 
-Version 3 replaced version 2's one headered record per row with one record
-per table, added the graph share checksum, and dropped the tags and length
-prefixes of token keys; version 2 had dropped the one-hot vertex ids of
-version 1. Older versions are refused.
+Each container kind has its own version, and older versions are refused.
+Graph shares are at version 4, whose posting rows are id codes instead of
+version 3's one-hot rows over the neighbor population. Tokens and result
+files are at version 3, which replaced version 2's one headered record per
+row with one record per table, added the graph share checksum, and dropped
+the tags and length prefixes of token keys; version 2 had dropped the
+one-hot vertex ids of version 1.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .rss import PARTIES, MatchTable
 GRAPH_MAGIC = b"OGMG"
 TOKEN_MAGIC = b"OGMT"
 RESULT_MAGIC = b"OGMR"
-VERSION = 3
+VERSIONS = {GRAPH_MAGIC: 4, TOKEN_MAGIC: 3, RESULT_MAGIC: 3}
 
 _CONTAINER_HEADER = struct.Struct("<4sHB32s")
 _MANIFEST_LEN = struct.Struct("<I")
@@ -100,7 +104,7 @@ class _Container:
         self.file.write(data)
 
     def write_header(self, magic: bytes, party: int, schema_digest: bytes) -> None:
-        self.write(_CONTAINER_HEADER.pack(magic, VERSION, party, schema_digest))
+        self.write(_CONTAINER_HEADER.pack(magic, VERSIONS[magic], party, schema_digest))
 
     def write_manifest(self, doc) -> None:
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -128,9 +132,9 @@ class _Container:
             self.read(_CONTAINER_HEADER.size))
         if got != magic:
             raise StorageError(f"not a {self.what}")
-        if version != VERSION:
+        if version != VERSIONS[magic]:
             raise StorageError(f"unsupported {self.what} version {version} "
-                               f"(expected {VERSION})")
+                               f"(expected {VERSIONS[magic]})")
         if party not in PARTIES:
             raise StorageError(f"{self.what} of party {party}, not one of {PARTIES}")
         if digest != schema_digest:
@@ -196,7 +200,7 @@ def _graph_tables(schema: GraphSchema):
         for t in ts.posting_types:
             padded = np.asarray(ts.padded_len[t], np.int64)
             keep = (np.arange(ts.max_padded(t)) < padded[:, None]).reshape(-1)
-            yield vtype, "posting", t, schema.types[t].population, keep
+            yield vtype, "posting", t, schema.types[t].id_width, keep
 
 
 def save_graph_share(path, gshare: GraphShare) -> None:

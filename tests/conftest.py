@@ -71,9 +71,9 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
 
 
 def expected_open_counts(res, any_mode: str = "or"):
-    """Plaintext count per candidate group of every ledger entry, keyed by (phase, slot).
+    """Plaintext count per candidate group of every fetch ledger entry, keyed by (phase, slot).
 
-    Only fetches open. A fetch entry counts each candidate group's members
+    A fetch entry counts each candidate group's members
     that satisfy its slot: the root's one group, or one group per record of
     the slot's parent, holding that record's true neighbours (none for a
     dummy record) among its padded rows.
@@ -102,6 +102,28 @@ def expected_open_counts(res, any_mode: str = "or"):
                       for ri in range(results[0].records[parent].rows)]
         if groups and not unique:
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
+    return out
+
+
+def expected_access_segments(res):
+    """Segments of every secAccess ledger entry, keyed by child slot.
+
+    An access opens every selected code masked by a one-time pad, one
+    segment per record of the parent slot: its ``max_padded`` codes of
+    ``id_width`` bits. The masked bits are not public values, so only their
+    segments are expected, never their popcounts.
+    """
+    schema, query, results = res["schema"], res["query"], res["results"]
+    slots = results[0].structure["slots"]
+    out = {}
+    for c, slot in enumerate(slots):
+        parent = query.parent[c]
+        if parent is None:
+            continue
+        l_max = schema.types[slots[parent]["type"]].max_padded(slot["type"])
+        rows = results[0].records[parent].rows
+        if l_max and rows:
+            out[c] = (l_max * schema.types[slot["type"]].id_width,) * rows
     return out
 
 

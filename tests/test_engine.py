@@ -14,13 +14,15 @@ from oblivgm.engine import (EngineConfig, RecordTable, combine_predicates,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
 from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph,
                             parse_graph_text)
-from oblivgm.net import (OP_OPEN, OP_SHUFFLE, ProtocolError, local_runtimes, make_session_configs,
-                        run_trio)
+from oblivgm.net import (OP_OPEN, OP_RESHARE, OP_SHUFFLE, ProtocolError, local_runtimes,
+                         make_session_configs, run_trio)
 from oblivgm.oracle import oracle_match
 from oblivgm.query import QueryFormatError, gen_token, load_query
 from oblivgm.rss import MatchTable
+from oblivgm.shuffle import simulate_unit_vectors
 from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, chainmap_assemble,
-                            expected_open_counts, opened_counts, run_secure_query)
+                            expected_access_segments, expected_open_counts, opened_counts,
+                            run_secure_query)
 
 
 def make_group(values, domain, rng, ids_domain=None):
@@ -272,9 +274,11 @@ def test_reshare_matrix_rejects_a_short_payload():
         runtimes = local_runtimes(make_session_configs(b"\x34" * 16), recv_timeout=5)
 
         def worker(rt):
-            if rt.index == 1:  # party 2 receives a frame one word short
-                send = rt.send_next
-                rt.send_next = lambda op, payload, logical_bits=0: send(op, payload[:-4], logical_bits)
+            if rt.index == 1:  # a re-share's party 2, or an open's party 3, receives a short frame
+                for name in ("send_next", "send_prev"):
+                    send = getattr(rt, name)
+                    setattr(rt, name, lambda op, payload, logical_bits=0, send=send:
+                            send(op, payload[:-4], logical_bits))
             return call(rt)
 
         # a protocol fault, not a validation error (the CLI exits 3, not 2)
@@ -383,15 +387,18 @@ E p3 p4
 
 
 def test_opened_bits_accounting():
-    # only fetch flags ever open, and their total length is the sum of
-    # Case-II candidate counts
+    # fetches open flags, one bit per candidate, and accesses their masked
+    # codes, id_width bits per selected row
     res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
     for rt in res["runtimes"]:
         assert rt.opened
         # one entry per slot an open spans, in slot order; labels count up from 1
         labels = [e.label for e in rt.opened]
         assert sorted(set(labels)) == list(range(1, labels[-1] + 1)) and labels == sorted(labels)
-        assert all(e.phase == "secFetch" for e in rt.opened)
+        assert {e.phase for e in rt.opened} == {"secFetch", "secAccess"}
+        assert all(e.bits.logical_len == sum(e.segments) for e in rt.opened)
+        assert {e.slot: e.segments for e in rt.opened
+                if e.phase == "secAccess"} == expected_access_segments(res)
         for label in set(labels):
             slots = [e.slot for e in rt.opened if e.label == label]
             assert slots == sorted(set(slots))
@@ -448,9 +455,9 @@ E s2 t2
     assert res["matches"] == want == {("s1", "t1"), ("s2", "t2")}
 
 
-def test_unique_chain_opens_nothing():
-    # every slot takes the local fetch route, and an access opens nothing:
-    # its padding rows fold away in the child's fetch
+def test_unique_chain_opens_only_masked_codes():
+    # every slot takes the local fetch route, and its padding rows fold away
+    # in the child's fetch; the only opens are each access's masked codes
     res = run_secure_query(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\n"
@@ -458,7 +465,59 @@ def test_unique_chain_opens_nothing():
     want = oracle_match(res["graph"], res["query"], res["schema"])
     assert res["matches"] == want == {("u1", "p3", "c2")}
     for rt in res["runtimes"]:
-        assert not rt.opened
+        assert [(e.label, e.phase, e.slot) for e in rt.opened] == [(1, "secAccess", 1),
+                                                                   (2, "secAccess", 2)]
+
+
+def test_every_opened_code_is_masked_by_the_three_pair_pads(monkeypatch):
+    # an access opens d = c ^ r12 ^ r23 ^ r31 for every selected code c, one
+    # pad from each pair seed: no party holds all three, so d is uniform to it
+    tids = []
+
+    class Recording(engine.UnitVectors):
+        def __init__(self, rt, shapes):
+            super().__init__(rt, shapes)
+            if rt.index == 1:
+                tids.append(self.table_id)
+
+    monkeypatch.setattr(engine, "UnitVectors", Recording)
+    master = b"\x21" * 16
+    s12, s23, s31 = (c.seed_with_next for c in make_session_configs(master))
+    hop_query = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 C x0 >= 1\n"
+                 "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
+    checked = 0
+    for graph_text, query_text in (
+            (CAMPUS_GRAPH, TWO_PERSON_QUERY),
+            (CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\n"
+                           "QE u p\nQE p c\n"),
+            (hop_graph_text(12), hop_query)):
+        tids.clear()
+        res = run_secure_query(graph_text, query_text, master=master)
+        graph, schema, results = res["graph"], res["schema"], res["results"]
+        slots = results[0].structure["slots"]
+        parent = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+        ledger = [e for e in res["runtimes"][0].opened if e.phase == "secAccess"]
+        labels = sorted({e.label for e in ledger})
+        assert len(labels) == len(tids)  # one open per access level
+        for label, tid in zip(labels, tids):
+            widths, codes, got = [], [], []
+            for e in (e for e in ledger if e.label == label):
+                s, child_type = parent[e.slot], slots[e.slot]["type"]
+                parent_ts, width = schema.types[slots[s]["type"]], schema.types[child_type].id_width
+                members = graph.type_members[child_type]
+                for code in rss.reconstruct_rows([r.records[s].ids for r in results])[:, 0]:
+                    ext = parent_ts.ext_ids[code - 1] if code else None  # code 0: a dummy
+                    plist = graph.posting_list(graph.index_of[ext], child_type) if ext else []
+                    padded = [members.index(n) + 1 for n in plist]
+                    codes += padded + [0] * (parent_ts.max_padded(child_type) - len(padded))
+                widths += [width] * (len(codes) - len(widths))
+                got.append(e.bits.to_bits())
+            d, _ = simulate_unit_vectors(s12, s23, s31, tid, widths, codes)
+            want = np.concatenate([unpack_bits(np.array([[v]], np.uint32), w)[0]
+                                   for v, w in zip(d.tolist(), widths)])
+            assert np.array_equal(np.concatenate(got), want)
+            checked += len(codes)
+    assert checked > 30
 
 
 def test_random_corpus_with_any_combiners_and_k3():
@@ -667,10 +726,11 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
     want = expected_open_counts(res)
     for rt in res["runtimes"]:
         # each open's entries carry the segments of one shuffle call's tables, in order
-        labels = sorted({e.label for e in rt.opened})
-        assert [[e.segments for e in rt.opened if e.label == label] for label in labels] == calls
-        assert {(e.phase, e.slot): opened_counts(e) for e in rt.opened} == want
-        assert len(rt.opened) == len(want)
+        fetches = [e for e in rt.opened if e.phase == "secFetch"]
+        labels = sorted({e.label for e in fetches})
+        assert [[e.segments for e in fetches if e.label == label] for label in labels] == calls
+        assert {(e.phase, e.slot): opened_counts(e) for e in fetches} == want
+        assert len(fetches) == len(want)
     assert any(len(segs) > 1 for call in calls for segs in call)
 
 
@@ -694,6 +754,49 @@ def test_rounds_follow_tree_depth_not_slot_count():
                for t, c in zip(tree["runtimes"], chain["runtimes"]))
 
 
+def test_an_access_level_takes_three_rounds():
+    # selection re-share, open of the masked codes, attribute re-share: the
+    # mask frames ride in the first two rounds, so no access frame sits deeper
+    graph = parse_graph_text(CAMPUS_GRAPH)
+    rng = np.random.default_rng(6)
+    schema, shares = encrypt_graph(graph, 2, rng)
+    tokens = gen_token(load_query("Q u U place = Harbin\nQ p P age >= 30\nQE u p\n", schema),
+                       schema, rng)
+    runtimes = local_runtimes(make_session_configs(b"\x45" * 16))
+    links = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
+    sent = []  # every frame's (phase, op, depth): one more than the deepest frame received
+
+    def worker(rt):
+        seen = [0]
+
+        def sender(send, peer):
+            def stamped(op, payload, logical_bits=0):
+                links[(rt.index, peer)].append(seen[0] + 1)
+                sent.append((rt.meter.current, op, seen[0] + 1))
+                return send(op, payload, logical_bits)
+            return stamped
+
+        def receiver(recv, peer):
+            def stamped(op):
+                payload = recv(op)
+                seen[0] = max(seen[0], links[(peer, rt.index)].pop(0))
+                return payload
+            return stamped
+
+        nxt, prv = rss.next_party(rt.index), rss.prev_party(rt.index)
+        rt.send_next, rt.send_prev = sender(rt.send_next, nxt), sender(rt.send_prev, prv)
+        rt.recv_next, rt.recv_prev = receiver(rt.recv_next, nxt), receiver(rt.recv_prev, prv)
+        return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
+
+    run_trio(worker, runtimes)
+    depths = [(depth, op) for phase, op, depth in sent if phase == "secAccess"]
+    start = min(depths)[0] - 1
+    access = sorted({(depth - start, op) for depth, op in depths})
+    assert access == [(1, OP_RESHARE), (1, OP_SHUFFLE), (2, OP_OPEN), (2, OP_SHUFFLE),
+                      (3, OP_RESHARE)]
+    assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 3
+
+
 def hop_graph_text(n: int) -> str:
     """Three types of ``n`` vertices, each with four ``x0`` values held ``n / 4`` times.
 
@@ -708,7 +811,7 @@ def hop_graph_text(n: int) -> str:
 
 def test_range_root_fetch_unshuffles_only_the_kept_ids():
     # the root shuffles flag || x0 (5 bits), not its 64 one-hot id bits, and
-    # the 16 kept rows get their ids from three frames of 64 * 1 words
+    # the 16 kept rows get their ids from three frames of 16 * 2 words
     n, kept = 64, 16
     query_text = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 C x0 >= 1\n"
                   "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
@@ -764,7 +867,8 @@ def test_range_root_fetch_unshuffles_only_the_kept_ids():
     # the root level's fetch: every secFetch frame before the first secAccess frame
     fetch = {p: [f for f in frames[:[f[0] for f in frames].index("secAccess")]
                  if f[0] == "secFetch"] for p, frames in sent.items()}
-    shuffle, unshuffle = (OP_SHUFFLE, 4 + 4 * n * words_for(1 + 4)), (OP_SHUFFLE, 4 + 4 * n)
+    shuffle = (OP_SHUFFLE, 4 + 4 * n * words_for(1 + 4))
+    unshuffle = (OP_SHUFFLE, 4 + 4 * kept * words_for(n))
     opened = (OP_OPEN, 4 + 4 * words_for(n))
     assert {p: [f[1:3] for f in frames] for p, frames in fetch.items()} == {
         1: [shuffle, opened, unshuffle],

@@ -123,27 +123,29 @@ def test_encrypt_reconstructs_padded_plaintext():
                 assert np.array_equal(vals[row], want)
         for t_ne in ts.posting_types:
             ne_members = g.type_members[t_ne]
-            plain = rss.reconstruct_rows([gs.types[vtype].posting[t_ne] for gs in shares])
-            plain = plain.reshape(ts.population, ts.max_padded(t_ne), -1)
+            tables = [gs.types[vtype].posting[t_ne] for gs in shares]
+            assert all(t.width == schema.types[t_ne].id_width for t in tables)
+            codes = rss.reconstruct_rows(tables).reshape(ts.population, ts.max_padded(t_ne))
             for row, gi in enumerate(g.type_members[vtype]):
                 neighbors = g.posting_list(gi, t_ne)
-                rows = unpack_bits(plain[row], len(ne_members))
                 for slot in range(ts.max_padded(t_ne)):
-                    if slot < len(neighbors):
-                        assert rows[slot].sum() == 1
-                        assert ne_members[int(np.argmax(rows[slot]))] == neighbors[slot]
+                    if slot < len(neighbors):  # neighbor c is the code c + 1
+                        assert ne_members[int(codes[row, slot]) - 1] == neighbors[slot]
                     else:
-                        assert rows[slot].sum() == 0  # dummy or structural zero
+                        assert codes[row, slot] == 0  # dummy or structural zero
 
 
 def test_true_ids_weight_one_dummies_zero():
     g = chain_graph([2, 4])
     rng = np.random.default_rng(4)
     schema, shares = encrypt_graph(g, 2, rng)
-    plain = rss.reconstruct_rows([gs.types["P"].posting["C"] for gs in shares])
-    weights = unpack_bits(plain, schema.types["C"].population).sum(axis=1).reshape(2, 4)
-    assert weights[0].tolist() == [1, 1, 0, 0]  # two true then two dummies
-    assert weights[1].tolist() == [1, 1, 1, 1]
+    codes = rss.reconstruct_rows([gs.types["P"].posting["C"] for gs in shares]).reshape(2, 4)
+    # a true entry is its neighbour's code c + 1, a dummy the code 0
+    want = [[g.type_members["C"].index(n) + 1 for n in g.posting_list(p, "C")]
+            for p in g.type_members["P"]]
+    assert codes[0].tolist() == want[0] + [0, 0]  # two true then two dummies
+    assert codes[1].tolist() == want[1]
+    assert all(c > 0 for c in want[0] + want[1])
 
 
 def test_schema_json_round_trip():

@@ -19,13 +19,10 @@ def ctr_reference(key: bytes, label: bytes, index: int, nbytes: int) -> bytes:
     return enc.update(bytes(nbytes)) + enc.finalize()
 
 
-def fisher_yates_reference(key: bytes, label: bytes, index: int, n: int) -> list[int]:
-    draws = np.frombuffer(ctr_reference(key, label, index, 8 * max(n - 1, 0)), dtype=np.uint64)
-    perm = list(range(n))
-    for step, i in enumerate(range(n - 1, 0, -1)):
-        j = int(draws[step]) % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+def sort_reference(key: bytes, label: bytes, index: int, n: int) -> list[int]:
+    """Rows in the order of their 64-bit words of the CTR stream, ties in row order."""
+    draws = np.frombuffer(ctr_reference(key, label, index, 8 * n), dtype=np.uint64)
+    return sorted(range(n), key=lambda i: int(draws[i]))
 
 
 @pytest.mark.parametrize("sizes", [
@@ -66,13 +63,14 @@ def test_stream_rejects_bad_arguments():
 @pytest.mark.parametrize("sizes", [[0], [1], [2], [3], [500], [0, 1, 2, 3, 500], [3] * 74,
                                    [4000], [1, 2] * 20 + [4000, 0, 3]])
 def test_batched_permutation_is_block_diagonal_fisher_yates(sizes):
+    # the name predates the sort: each block is now its index's sort_reference
     first = 11
     perm = seeded_permutation(KEY, LABEL, first, sizes)
     assert perm.dtype == np.int64 and perm.shape == (sum(sizes),)
     start = 0
     for i, n in enumerate(sizes):
         block = perm[start:start + n]
-        assert block.tolist() == [start + v for v in fisher_yates_reference(KEY, LABEL, first + i, n)]
+        assert block.tolist() == [start + v for v in sort_reference(KEY, LABEL, first + i, n)]
         start += n
     if len(sizes) == 1:
         assert np.array_equal(seeded_permutation(KEY, LABEL, first, sizes[0]), perm)

@@ -25,8 +25,8 @@ from oblivgm import graphs, rss
 from oblivgm.engine import decode_records, open_results
 from oblivgm.graphs import GraphFormatError, build_schema, parse_graph_text
 from oblivgm.oracle import oracle_match
-from tests.conftest import (CAMPUS_GRAPH, expected_open_counts, opened_counts, reference_decode,
-                            reference_open, run_secure_query)
+from tests.conftest import (CAMPUS_GRAPH, expected_access_segments, expected_open_counts,
+                            opened_counts, reference_decode, reference_open, run_secure_query)
 
 OPS = ("=", "=", "<", "<=", ">", ">=", "in")
 
@@ -103,10 +103,15 @@ def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
     labels = [e.label for e in ledgers[0]]
     assert labels == sorted(labels) and sorted(set(labels)) == list(range(1, len(set(labels)) + 1))
     assert all(a.slot < b.slot for a, b in zip(ledgers[0], ledgers[0][1:]) if a.label == b.label)
-    # every entry's per-group popcounts are the oracle's, for each (phase, slot)
-    got = {(e.phase, e.slot): opened_counts(e) for e in ledgers[0]}
-    assert len(got) == len(ledgers[0])
+    # every fetch entry's per-group popcounts are the oracle's, for each (phase, slot)
+    fetches = [e for e in ledgers[0] if e.phase == "secFetch"]
+    got = {(e.phase, e.slot): opened_counts(e) for e in fetches}
+    assert len(got) == len(fetches)
     assert got == expected_open_counts(res, any_mode)
+    # the rest are the accesses' masked codes, one segment per parent record
+    accesses = {e.slot: e.segments for e in ledgers[0] if e.phase == "secAccess"}
+    assert len(accesses) + len(fetches) == len(ledgers[0])
+    assert accesses == expected_access_segments(res)
     # whole-table decoding equals record-by-record decoding, dummy rows included
     for sets in (res["results"][:2], res["results"][1:], list(res["results"])):
         assert decode_records(sets, schema) == reference_decode(sets, schema)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oblivgm import rss
-from oblivgm.bits import BitVector, mask_tail, words_for
+from oblivgm.bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
-from oblivgm.shuffle import (MatchTable, composed_permutation, sec_shuffle, sec_unshuffle_keep,
-                             simulate_shuffle, simulate_unshuffle)
+from oblivgm.shuffle import (MatchTable, UnitVectors, composed_permutation, sec_shuffle,
+                             sec_unshuffle_keep, simulate_shuffle, simulate_unit_vectors,
+                             simulate_unshuffle, translate_rows)
 
 
 def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1, segments=None):
@@ -203,10 +204,10 @@ def test_unshuffle_exhaustive_sizes():
                 # a valid replicated sharing: party p's second component is p + 1's first
                 for p in range(3):
                     assert np.array_equal(tables[p].share_b, tables[(p + 1) % 3].share_a)
-            # three frames of rows * ceil(K / 32) words per K > 0, none for K = 0
+            # three frames of K * ceil(rows / 32) words per K > 0, none for K = 0
             sent = [rt.meter.total for rt in runtimes]
             assert [m.frames_sent for m in sent] == [rows] * 3
-            words = sum(rows * words_for(k) for k in range(1, rows + 1))
+            words = sum(k * words_for(rows) for k in range(1, rows + 1))
             assert sum(m.bytes_sent for m in sent) == 3 * (rows * 22 + 4 * words)
 
 
@@ -224,8 +225,8 @@ def test_unshuffle_inverts_the_shuffle_of_the_same_table_id():
 
 
 @pytest.mark.parametrize("tamper,message", [
-    (lambda payload: payload[:-4], "shuffle message has 76 bytes, expected 80"),
-    (lambda payload: payload + bytes(4), "shuffle message has 84 bytes, expected 80"),
+    (lambda payload: payload[:-4], "shuffle message has 8 bytes, expected 12"),
+    (lambda payload: payload + bytes(4), "shuffle message has 16 bytes, expected 12"),
     (lambda payload: (4).to_bytes(4, "little") + payload[4:], "table id mismatch: 4 != 3"),
 ])
 def test_unshuffle_frames_of_the_wrong_length_or_table_id_are_refused(tamper, message):
@@ -240,3 +241,75 @@ def test_unshuffle_frames_of_the_wrong_length_or_table_id_are_refused(tamper, me
 
     with pytest.raises(ProtocolError, match=message):
         run_trio(worker, runtimes)
+
+
+def sec_unit_vectors(rt, codes, sizes):
+    """:class:`UnitVectors` of codes that already exist: the masks' round, then the open's."""
+    units = UnitVectors(rt, [(t.rows, t.width) for t in codes])
+    units.send_masks()
+    return units.expand(codes, sizes)
+
+
+def test_unit_vectors_exhaustive_widths():
+    """Id widths 1..4: every code, 0 included, expands to its unit vector; 0 to a zero row.
+
+    Each population of 1..15 vertices runs alone under its own table id, and
+    then all of them together in one expansion, rows of four widths padded
+    to the widest one's 16 positions. Every opened d is the reference's.
+    """
+    for master in (b"\x71" * 16, b"\x72" * 16):
+        configs = make_session_configs(master)
+        seeds = tuple(c.seed_with_next for c in configs)
+        rng = np.random.default_rng(master[0])
+        sizes = list(range(1, 16))
+        codes = [rng.permutation(n + 1).astype(np.uint32) for n in sizes]  # every code 0..n
+        widths = [n.bit_length() for n in sizes]
+        shares = [rss.share_rows(c[:, None], w, rng) for c, w in zip(codes, widths)]
+
+        def worker(rt):
+            mine = [tables[rt.index - 1] for tables in shares]
+            alone = [sec_unit_vectors(rt, [t], [n]) for t, n in zip(mine, sizes)]
+            return alone + [sec_unit_vectors(rt, mine, sizes)], rt.opened
+
+        runtimes = local_runtimes(configs)
+        outs = run_trio(worker, runtimes)
+        # expansion k draws its masks under table id k
+        runs = [[i] for i in range(len(sizes))] + [list(range(len(sizes)))]
+        for k, which in enumerate(runs):
+            row_widths = np.concatenate([[widths[i]] * len(codes[i]) for i in which])
+            all_codes = np.concatenate([codes[i] for i in which])
+            d, hot = simulate_unit_vectors(*seeds, k, row_widths, all_codes)
+            start = 0
+            for j, i in enumerate(which):
+                tables = [out[0][k][j] for out in outs]
+                assert all((t.rows, t.width) == (len(codes[i]), sizes[i]) for t in tables)
+                got = unpack_bits(rss.reconstruct_rows(tables), sizes[i])
+                want = np.zeros((len(codes[i]), sizes[i]), np.uint8)
+                hit = codes[i] > 0
+                want[np.nonzero(hit)[0], codes[i][hit].astype(np.int64) - 1] = 1
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, hot[start:start + len(codes[i]), :sizes[i]])
+                for p in range(3):  # a valid replicated sharing
+                    assert np.array_equal(tables[p].share_b, tables[(p + 1) % 3].share_a)
+                start += len(codes[i])
+            # the open of this run's d, the same at every party
+            (entry,) = [e for e in outs[0][1] if e.label == k + 1]
+            assert all(out[1][k] == entry for out in outs)
+            opened = np.concatenate([unpack_bits(np.array([[v]], np.uint32), int(w))[0]
+                                     for v, w in zip(d.tolist(), row_widths)])
+            assert np.array_equal(entry.bits.to_bits(), opened)
+        # per expansion two rounds: three mask frames and the open's three
+        sent = [rt.meter.total for rt in runtimes]
+        assert sum(m.frames_sent for m in sent) == 6 * len(runs)
+
+
+def test_translation_is_an_involution_that_moves_each_row_by_its_offset():
+    rng = np.random.default_rng(9)
+    for width in (1, 2, 16, 64, 512):
+        bits = rng.integers(0, 2, (7, width), dtype=np.uint8)
+        offsets = rng.integers(0, width, 7).astype(np.uint32)
+        moved = translate_rows(pack_bits(bits), width, offsets)
+        j = np.arange(width)
+        assert all(np.array_equal(unpack_bits(moved, width)[k, j ^ offsets[k]], bits[k])
+                   for k in range(7))
+        assert np.array_equal(translate_rows(moved, width, offsets), pack_bits(bits))

@@ -20,28 +20,29 @@ from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, r
 UNIQUE_MISSES = "Q p P age >= 30\nQ c C field = Internet\nQE p c\n"
 
 
-# SHA-256 of fixed-seed version-3 files: a codec change must leave every byte
+# SHA-256 of fixed-seed files (graph shares at version 4, results at version
+# 3): a codec change must leave every byte
 # as it is, or bump the version, or (as the result manifest's two-key layout
 # did) make the loader refuse every file of the other layout. Result files
 # also hold the query's fresh shares, so a protocol change that draws its
 # re-share masks differently moves them while the codec stays as it is
 PINNED_GRAPH_SHARES = {
-    "campus": ("21b1bf8da31ea1879aba84bc148d22d0d06ae5b0105a0b65a321a1a5e0c0f53a",
-               "fd0698cada45cedfc033b399c3f8885b04a4b3076169a85b1b22ce3b1ad04923",
-               "0753fd68125bce5ccf46d82eb3f601e68eded7f13ae9b6af4d535614b24fa31d"),
-    "random-200": ("c42036f4f782fd5ad808d718899775ff98723fb69c80b27ae8064970f12782f7",
-                   "81f8cc7b3e9e7a63b51b82344611b547dc965bbf9c72630cfb296ebb45167b9d",
-                   "d023b99ec3dac13040d448408d940c1c777bdfe1b43f58e5cd791d93e9219b63"),
+    "campus": ("55e6e79e79a66d10f50534ccaacd9eb4a8263fd1c54f61713c268b2634963a1d",
+               "8920735fbbf3f7ad223a462aca34bceaaf8273b2fa5c78dc6030052fb280e55b",
+               "8cc45fe459353fc439b8b9a9b38dfbab7ba5416046c787a28598385db8c02dc8"),
+    "random-200": ("18ddd62d1db4080c437b0b27b72966fc42ef7f02652bf96824e3b9a07a5c4f5b",
+                   "afe2bc93f0567b5e4d5dc377737d6cd913310c25e08c8116b9fb020be2a8c906",
+                   "df643d1d14e66a883fe159886ab3f002c9fe766b383f251d4b4ab59076504784"),
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("462e9dfcfe527fba34c13ceee4b3e8c06f9ee87eb54cf9d94cfa364ec4b8b1c0",
-                    "b9c461f7a709f0ff317f49ece2202012afe895c56e8fce43743341a2a2dc3086",
-                    "4510801809841aefb0f8ef4dfdc1dbc00b250665876f5569a221e0f941700a8f")),
+                   ("45aed863e4690f45f288623bec324a54fe187485597c9c15945f2e1098e55ef3",
+                    "98728176a0ca3fe29c76e305ee3dff5c81a160d3922d5424f945b02fba4af9be",
+                    "c42a5cfda659868820253aadc21f973c8ccf93886de4498919bdc82bea46fa2f")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("0cb4d3a8c04ad3c420dbd8f8f5ffe76af9979d1f1036c7bf04c91c084f593a4d",
-                       "5c6423f7a4c3d3d1adc3fdbf5102df473f9196c2e3d55afb36b6db45a6f34356",
-                       "b06d8a78b12bab7cc4700ec95b91a358e24c8b9aa0401a75f40e51207ca793b5")),
+                      ("4ea7e621b56ea95da1928f0d2bf611e741fcca200b07d15787d5a698f9e77295",
+                       "6004d7e0ebd04fe2d11fb8c231de17668dd77082ee5609fe73b5090a19079fd5",
+                       "5cb303716735d8935977e53bd0e6414123c0079caaa91a6b3a8ff11ff511ee5f")),
 }
 
 
@@ -93,13 +94,14 @@ def _component_spans(schema) -> tuple[list[tuple[int, int]], int]:
 
     Written from the documented layout, not from the codec: after the
     39-byte header, type by type, each attribute table and then each posting
-    table (its rows inside the padded lengths), ``share_a`` then ``share_b``.
+    table (its rows inside the padded lengths, one ``id_width``-bit code
+    each), ``share_a`` then ``share_b``.
     """
     spans, pos = [], 39
     for vtype in sorted(schema.types):
         ts = schema.types[vtype]
         tables = [(ts.attrs[a].domain_size, ts.population) for a in sorted(ts.attrs)]
-        tables += [(schema.types[t].population, sum(ts.padded_len[t])) for t in ts.posting_types]
+        tables += [(schema.types[t].id_width, sum(ts.padded_len[t])) for t in ts.posting_types]
         for width, rows in tables:
             for _ in range(2):
                 spans.append((pos, 4 * words_for(width) * rows))
@@ -247,12 +249,25 @@ def test_version_1_files_are_refused(tmp_path):
     graph_path, result_path = tmp_path / "g.ogmg", tmp_path / "r.ogmr"
     save_graph_share(graph_path, res["shares"][0])
     save_results(result_path, res["results"][0], res["schema"])
-    for path, load in ((graph_path, load_graph_share), (result_path, load_results)):
+    for path, load, current in ((graph_path, load_graph_share, 4), (result_path, load_results, 3)):
         data = bytearray(path.read_bytes())
         data[4:6] = (1).to_bytes(2, "little")  # the container header's version field
         path.write_bytes(bytes(data))
-        with pytest.raises(StorageError, match=r"version 1 \(expected 3\)"):
+        with pytest.raises(StorageError, match=rf"version 1 \(expected {current}\)"):
             load(path, res["schema"])
+
+
+def test_version_3_graph_shares_are_refused(tmp_path):
+    # a version-3 share holds one-hot posting rows, which would read as other codes
+    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    path = tmp_path / "g.ogmg"
+    save_graph_share(path, res["shares"][0])
+    data = bytearray(path.read_bytes())
+    assert data[4:6] == (4).to_bytes(2, "little")
+    data[4:6] = (3).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match=r"graph share version 3 \(expected 4\)"):
+        load_graph_share(path, res["schema"])
 
 
 def test_every_flipped_byte_of_a_result_file_is_refused(tmp_path):

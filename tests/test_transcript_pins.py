@@ -11,7 +11,11 @@ widths moves the digests, but must leave every party's ledger exactly as
 pinned here; grouping the opens of one tree level into one message may only
 merge labels. A protocol change that removes an open moves the ledger: its
 entries leave, later labels count down, and the groups it used to trim may
-reach the next open with their padding rows.
+reach the next open with their padding rows. One that adds an open, such as
+an access's masked codes, moves it the other way. A new shuffle permutation
+moves the bit order inside each opened flag vector, but not its popcount
+per segment; the access entries' bits are one-time pads of the codes, so
+they move with any change of the pairwise pads or table ids.
 """
 
 import pytest
@@ -34,29 +38,29 @@ E s2 t2
 PINNED = [
     pytest.param(
         CAMPUS_GRAPH, TWO_PERSON_QUERY,
-        ("f094c84d74277d193362518ed5029d1cb33182ce4e6dcea8fe2fe655de397b4a",
-         "f9ab3903f0c5a8777b5cf6158318151a64dfb0300121a19a7191bf79e9942fb1",
-         "482ff9318d051f30a680039bbb7250f52d828602d17a6a03f67368cf67ded3b7"),
+        ("c78f93814c25096f3f7196b6b3783d09185ed4f1eb40f6f7973968bc23593fbd",
+         "f916e05e2ec46368864183618a11f14915356d108c7309f9b409a4e0d51f8db3",
+         "9327db3615e0b180b7ce93b0a2bd0d8f00a9cbd3fa7988692c7edeef248b4c89"),
         id="campus-two-person"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\nQE u p\nQE p c\n",
-        ("644047670e62fafc95f303b8544f3acc336039ff4b9c2310aa5d96132eb16e85",
-         "2e2bf1535268db591422ca1c1b714e4fa6bdf1c37c417975ec29583f139b5089",
-         "5d1067bda0a98f1e03cec5153c29ab392ae49e6bc5626b396f8e29164a2fb26a"),
+        ("aeef0360a9d12d18317c9e0aad38082b14cb755ea2d1571b0e56985c618bb007",
+         "27dcbaa6fb01b73266b74ec0091de22bac41a91d58272f9a3fefc50f3d86dda0",
+         "db8d1ae5d6a100ba505704853a0e9de4f0e8827c7612cd850e05e97b8f5a7bde"),
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
-        ("09941f4b6a5fcb92119c5eed49108e9dfe6c9008b9755fbc8e1b96accbf16584",
-         "6baadd7d0f83a4cd2bc97d741a140fcc9a3c463cfdc810bfea70017637e69414",
-         "b6db6e08ae6f82f9e2825f873adbbf4945fb048fc45bca4eec5451db18be50fc"),
+        ("60f9ba7756a099423806134ec2b2c3e305ccca56933c4a0e4ec812813c97609d",
+         "de3a6c9880d38463e74e148ac96ca2837aa0e32c86f492395734fc3cf3e8d0fd",
+         "96418a66f9db1160d3df6c8434ca7c052bba5743753705628bda5da3c51c2004"),
         id="repeated-categorical"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("85aafd73cf7038a8109acfa8ac768bc1fe340dcb55e080af59e93e69afd20d7b",
-         "3e409c8a73badccb692dd943c919747f24d605392b94263d2e125f3f4c9d068c",
-         "673b52c89ed8eaeea29bd251700b598bec3f268d4ac5f122988ff78f9f39b9f9"),
+        ("78970a505c2e954b46d7534221d07276f3c8e634ef6dbc18b089a5b685a0fdba",
+         "ea1cd6f8bf887bfe1ae4be14d608572edb7fd37d6f32e8868d67443c37b771b7",
+         "799466532872806d5ebc57a91db4b15806a2da848d56843e143c209786066412"),
         id="two-group"),
 ]
 
@@ -70,13 +74,21 @@ def test_fixed_seed_transcripts_are_pinned(graph_text, query_text, digests):
 # per query: (label, phase, slot, segments, length in bits, packed words as hex) of every
 # ledger entry; an open that spans several slots of one tree level has one entry per slot
 LEDGERS = {
-    "campus-two-person": [(1, "secFetch", 1, (3,), 3, "07000000"),
-                          (1, "secFetch", 2, (3,), 3, "07000000")],
-    "unique-chain": [],
-    "repeated-categorical": [(1, "secFetch", 0, (4,), 4, "07000000"),
-                             (2, "secFetch", 1, (1, 1, 1), 3, "07000000")],
-    "two-group": [(1, "secFetch", 1, (3,), 3, "07000000"),
-                  (2, "secFetch", 2, (1, 1, 1), 3, "03000000")],
+    "campus-two-person": [(1, "secAccess", 1, (9,), 9, "f5010000"),
+                          (1, "secAccess", 2, (9,), 9, "f2000000"),
+                          (2, "secFetch", 1, (3,), 3, "07000000"),
+                          (2, "secFetch", 2, (3,), 3, "07000000"),
+                          (3, "secAccess", 3, (2, 2, 2), 6, "1e000000"),
+                          (3, "secAccess", 4, (2, 2, 2), 6, "28000000")],
+    "unique-chain": [(1, "secAccess", 1, (9,), 9, "f5010000"),
+                     (2, "secAccess", 2, (2,), 2, "01000000")],
+    "repeated-categorical": [(1, "secFetch", 0, (4,), 4, "0b000000"),
+                             (2, "secAccess", 1, (2, 2, 2), 6, "0a000000"),
+                             (3, "secFetch", 1, (1, 1, 1), 3, "07000000")],
+    "two-group": [(1, "secAccess", 1, (9,), 9, "f5010000"),
+                  (2, "secFetch", 1, (3,), 3, "07000000"),
+                  (3, "secAccess", 2, (3, 3, 3), 9, "22000000"),
+                  (4, "secFetch", 2, (1, 1, 1), 3, "05000000")],
 }
 
 

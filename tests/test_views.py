@@ -4,9 +4,12 @@ The README lists what a query may reveal: the schema, the padded posting
 lengths, the query structure and predicate kinds, and the per-hop match
 counts. So two runs whose public values agree must give every party a view
 of the same shape: the same frames (direction, peer, op, round and payload
-length, in order), the same leakage ledger (label, phase, slot, segments and
-per-segment popcount) and the same meter counts per phase. A run whose
-root match count differs must show it.
+length, in order), the same leakage ledger (label, phase, slot, segments,
+length and, for a fetch's flags, per-segment popcount) and the same meter
+counts per phase. An access opens its selected id codes under a one-time
+pad, so the popcount of a ``secAccess`` entry is uniformly random, not a
+public value, and is left out. A run whose root match count differs must
+show it.
 
 The queries are range-rooted trees, whose root takes the shuffle route and
 has children. The graphs are forests: every ``A`` vertex owns three ``B``
@@ -142,7 +145,8 @@ def view_shapes(graph_text: str, query_text: str):
     assert res["matches"] == {tuple(m) for m in _oracle(graph_text, query_text)}
     views = []
     for rt in res["runtimes"]:
-        ledger = [(e.label, e.phase, e.slot, e.segments, tuple(conftest.opened_counts(e)))
+        ledger = [(e.label, e.phase, e.slot, e.segments, e.bits.logical_len,
+                   None if e.phase == "secAccess" else tuple(conftest.opened_counts(e)))
                   for e in rt.opened]
         meter = {name: (p.bytes_sent, p.frames_sent, p.logical_bits, p.rounds)
                  for name, p in sorted(rt.meter.phases.items())}
