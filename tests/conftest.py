@@ -73,10 +73,10 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
 def expected_open_counts(res, any_mode: str = "or"):
     """Plaintext count per candidate group of every fetch ledger entry, keyed by (phase, slot).
 
-    A fetch entry counts each candidate group's members
-    that satisfy its slot: the root's one group, or one group per record of
-    the slot's parent, holding that record's true neighbours (none for a
-    dummy record) among its padded rows.
+    A fetch entry counts each candidate group's members that satisfy its
+    slot: the root's one group, or one group per record of the slot's
+    parent, holding that record's true neighbours (none for a dummy record)
+    among its padded rows.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
     matcher = _Matcher(graph, query, schema, any_mode)
