@@ -39,12 +39,12 @@ candidate, not ``population``. One-hot ``e_c`` maps back to ``c + 1`` by a
 public GF(2)-linear map, which each party applies to its own two shares
 (:func:`_id_codes`), so a slot with children switches to codes without a
 message once its accesses are done. Root ids are public, row ``c`` being
-vertex ``c``, so the graph shares hold none: a leaf root shuffles the
-public codes. A root with children fetches none. In the unique route its
-folded one-hot id is its flag vector; in the multi route
-:func:`oblivgm.shuffle.sec_unshuffle_keep` gives the K kept rows their
-one-hot ids after the open, in two rounds and three frames of
-``K * ceil(population / 32)`` words.
+vertex ``c``, so the graph shares hold none. In the unique route a root's
+folded one-hot id is its flag vector; in the multi route it shuffles the
+public codes, and a root with children expands its K kept codes with
+:class:`oblivgm.shuffle.UnitVectors` before its accesses, in two rounds:
+three mask frames of ``K * 2^id_width / 32`` words and one open of the
+masked codes.
 
 The query tree runs level by level. Slots are numbered breadth-first, and
 each protocol step carries every slot of a level in one message per party:
@@ -61,7 +61,8 @@ depth of its tree, not with its slots or its matches. Every opened value
 is entered in the runtime's ledger (``rt.opened``), one entry per slot with
 that slot's group segments: a fetch's flags (phase ``secFetch``) and an
 access's masked codes (phase ``secAccess``, under the child slot,
-``max_padded * id_width`` bits a group).
+``max_padded * id_width`` bits a group, or under the root, ``id_width``
+bits a kept root record).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
 from .query import PartyToken, QueryFormatError, check_structure
 from .rss import MatchTable
-from .shuffle import UnitVectors, sec_shuffle, sec_unshuffle_keep
+from .shuffle import UnitVectors, sec_shuffle
 
 
 @dataclass
@@ -94,7 +95,7 @@ class RecordTable:
     record is one candidate group. ``ids`` are one-hot or id codes.
     """
 
-    ids: MatchTable | None  # None only for the root's public ids, before its fetch
+    ids: MatchTable | None  # None only for a unique-route root's public ids, before its fetch
     attrs: dict[str, MatchTable]
     parent_record: np.ndarray
 
@@ -163,7 +164,7 @@ def _id_codes(ids: MatchTable, ts: TypeSchema) -> MatchTable:
 
 
 def _root_ids(party: int, ts: TypeSchema) -> MatchTable:
-    """A leaf root slot's public ids, the codes ``c + 1``, shared by :meth:`MatchTable.public`."""
+    """A multi-route root's public ids, the codes ``c + 1``, shared by :meth:`MatchTable.public`."""
     codes = _code_tables(ts.population, ts.id_width)[0]
     return MatchTable.public(party, ts.id_width, codes, np.zeros_like(codes))
 
@@ -361,23 +362,17 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
     while every table shares the shuffle's four frames and one open of the
     flags, tagged ``slots`` in the ledger; a kept row keeps its group's
     parent record. The id field is as wide as the candidates' ids:
-    ``id_width`` bits of code in a leaf slot, the population in a slot whose
-    records are still to be accessed.
-
-    A table without ``ids`` is a root's, row ``c`` being vertex ``c``, alone
-    on its level and so the shuffle's first table id: its kept rows get
-    their one-hot ids from :func:`sec_unshuffle_keep` after the open.
+    ``id_width`` bits of code in a root or a leaf slot, the population in a
+    slot whose records are still to be accessed.
     """
     tables, widths = [], []
     for cand, flag in zip(cands, flags):
-        fields = [f for f in [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
-                  if f is not None]
+        fields = [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
         rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
                              + [(getattr(f, side), f.width) for f in fields])
                 for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
         widths.append([f.width for f in fields])
         tables.append(MatchTable(rt.index, 1 + sum(widths[-1]), *rows, cand.groups()[1]))
-    tid = rt.next_table_id
     shuffled = sec_shuffle(rt, tables[0], more=tables[1:])
     opened = _open_flags(rt, shuffled, slots)
     out, pos = [], 0
@@ -386,10 +381,9 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
         keep = np.nonzero(opened[pos:pos + table.rows])[0]
         pos += table.rows
         kept = table.take(keep)
-        fields = [MatchTable(rt.index, w, _bit_field(kept.share_a, at, w),
-                             _bit_field(kept.share_b, at, w))
-                  for at, w in zip(np.cumsum([1] + ws[:-1]), ws)]
-        ids = sec_unshuffle_keep(rt, tid, cand.rows, keep) if cand.ids is None else fields.pop(0)
+        ids, *fields = [MatchTable(rt.index, w, _bit_field(kept.share_a, at, w),
+                                   _bit_field(kept.share_b, at, w))
+                        for at, w in zip(np.cumsum([1] + ws[:-1]), ws)]
         out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)),
                                cand.parent_record[keep]))
     return out
@@ -398,6 +392,19 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
 # ---------------------------------------------------------------------------
 # neighbor access
 # ---------------------------------------------------------------------------
+
+
+def _unit_ids(rt, codes: MatchTable, ts: TypeSchema) -> MatchTable:
+    """The root's kept id codes as one-hot rows, by one :class:`UnitVectors` expansion.
+
+    Its open of the masked codes is entered under slot 0, one ``id_width``-bit
+    segment per record. With no record nothing is sent.
+    """
+    if not codes.rows:
+        return _no_rows(rt.index, ts.population)
+    units = UnitVectors(rt, [(codes.rows, ts.id_width)])
+    units.send_masks()
+    return units.expand([codes], [ts.population], [(0, (ts.id_width,) * codes.rows)])[0]
 
 
 def sec_access(rt, edges, gshare: GraphShare, slots: list[int]) -> list[RecordTable]:
@@ -524,11 +531,11 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
                 and types[s].attrs[preds[0]["attr"]].unique)
 
-    # the root's ids are public: shuffled codes at a leaf root in the multi route, else none,
-    # since the unique route's fold and the multi route's unshuffle give the kept one-hot ids
+    # the root's ids are public: shuffled codes in the multi route, and none in the unique
+    # route, whose fold gives the kept one-hot id
     root_ts, root_share = types[0], gshare.types[slots[0]["type"]]
     cands[0] = RecordTable(
-        None if unique_route(0) or slots[0]["children"] else _root_ids(rt.index, root_ts),
+        None if unique_route(0) else _root_ids(rt.index, root_ts),
         {a: root_share.attrs[a] for a in needed(0)}, np.full(root_ts.population, -1))
 
     for level in _levels(slots):
@@ -562,12 +569,14 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
         edges = [(s, c) for s in level for c in slots[s]["children"]]
         if edges:
             with rt.meter.phase("secAccess"):
+                if level == [0] and not unique_route(0):  # the kept root codes, one-hot
+                    records[0] = replace(records[0], ids=_unit_ids(rt, records[0].ids, root_ts))
                 accessed = sec_access(rt, [(records[s], slots[s]["type"], slots[c]["type"],
                                             needed(c), bool(slots[c]["children"]))
                                            for s, c in edges], gshare, [c for _, c in edges])
             for (_, c), child_cands in zip(edges, accessed):
                 cands[c] = child_cands
-        for s in level:  # one-hot ids, accessed or the root's flag vector, become codes
+        for s in level:  # one-hot ids, accessed, expanded or the root's flag vector, become codes
             if slots[s]["children"] or cands[s].ids is None:
                 records[s] = replace(records[s], ids=_id_codes(records[s].ids, types[s]))
 

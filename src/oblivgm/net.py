@@ -211,6 +211,13 @@ class Meter:
     first send also opens a round in that phase's stats, so a phase's rounds
     do not depend on how the phase before it ended; ``total`` counts only
     the former.
+
+    These are a party's send bursts, not the causal depth of its frames. In
+    a unit-vector expansion (:class:`oblivgm.shuffle.UnitVectors`) party 2
+    sends its share of the masked codes, then receives the mask frames and
+    relays one, so it books one round more per expansion than the chain is
+    deep: at each access level, and at a range-matched root with children.
+    The benchmark's ``rounds_per_query`` is the causal depth.
     """
 
     def __init__(self):
@@ -348,11 +355,6 @@ class PartyRuntime:
         tid = self._table_counter
         self._table_counter += 1
         return tid
-
-    @property
-    def next_table_id(self) -> int:
-        """The id :meth:`alloc_table_id` hands out next."""
-        return self._table_counter
 
     def alloc_open_label(self) -> int:
         """Next open label, counting from 1; lockstep across the parties."""

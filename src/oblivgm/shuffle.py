@@ -13,18 +13,12 @@ but all segments travel in the same four frames. So do further tables of
 other widths passed in the same call: their words are laid end to end, so
 no table is padded to another's width.
 
-After a shuffle, :func:`sec_unshuffle_keep` undoes the same permutation on a
-public input: the unit vectors of some shuffled positions. It gives shares
-of those rows' original positions as one-hot rows in two rounds and three
-frames, so a table whose rows are public vertices need not carry their
-one-hot ids through the shuffle.
-
-The unshuffle is one case of :func:`_pairwise_steps`: shares of a public
-matrix moved through three bit permutations, each drawn by one pair of
-parties. Translation, which moves bit ``j`` of a row to ``j ^ t`` for the
-pair's offset ``t``, is the other: :class:`UnitVectors` uses it to turn
-shared id codes into shared one-hot rows, with one open of uniformly
-masked codes (as in three-party distributed ORAM).
+Shared id codes become shared one-hot rows in :class:`UnitVectors`, as in
+three-party distributed ORAM. Each code is masked by one offset from each
+pair seed; :func:`_pairwise_steps` shares the unit vector of the mask,
+moving the public unit vector of 0 through the three pairs' translations;
+and after one open of the masked code each party moves its own shares to
+the code's unit vector.
 """
 
 from __future__ import annotations
@@ -40,8 +34,8 @@ from .rss import MatchTable, _held
 _LABEL_PERM = b"SHPI"
 _LABEL_BLIND = b"SHTB"
 _LABEL_RAND = b"SHRD"
-_LABEL_UNMASK = b"SHUM"  # the unshuffle's mask R31
-_LABEL_UNSHARE = b"SHUS"  # the unshuffle's output components x1 (from s31) and x3 (from s23)
+_LABEL_UNMASK = b"SHUM"  # _pairwise_steps' mask R31
+_LABEL_UNSHARE = b"SHUS"  # _pairwise_steps' output components x1 (from s31) and x3 (from s23)
 _LABEL_OFFSET = b"UVOF"  # a pair's code offsets, one per unit vector
 # the lower half of every 2^(b+1)-bit block of a word, for b = 0..4
 _HALF_BLOCKS = tuple(np.uint32(m) for m in (0x55555555, 0x33333333, 0x0F0F0F0F, 0x00FF00FF,
@@ -147,7 +141,7 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
 
 
 def _check_frame(raw, tid: int, nbytes: int) -> np.ndarray:
-    """The words of a shuffle or unshuffle frame, after checking its table id and length."""
+    """The words of a shuffle or unit-vector frame, after checking its table id and length."""
     got_tid = int.from_bytes(raw[:4], "little")
     if got_tid != tid:
         raise ProtocolError(f"shuffle table id mismatch: {got_tid} != {tid}")
@@ -156,20 +150,21 @@ def _check_frame(raw, tid: int, nbytes: int) -> np.ndarray:
     return np.frombuffer(raw[4:], dtype=np.uint32)
 
 
-def _pairwise_steps(rt, table_id: int, public: np.ndarray, width: int, move):
-    """Shares of ``M12(M31(M23(E)))`` for a public matrix ``E``, as a generator of three steps.
+def _pairwise_steps(rt, table_id: int, widths: np.ndarray, positions: int):
+    """Shares of ``T12(T31(T23(E)))``, ``E`` the unit vectors of 0, as a generator of three steps.
 
-    ``public`` is ``E``, packed rows of ``width`` bits. ``move(seed, words)``
-    applies ``M_s``, a permutation of the bit positions of each row that the
-    pair holding ``seed`` draws from it. Party 3 knows M23 and M31, so it
-    moves ``E`` through both alone. Two rounds and three frames the size of
-    ``E`` follow:
+    ``E`` has one row of ``positions`` bits per entry of ``widths``, and
+    ``T_s`` moves bit ``j`` of row ``k`` to ``j ^ t_k``, with ``t_k`` the
+    ``widths[k]``-bit offset that the pair holding ``seed`` draws from it
+    (:func:`code_offsets`). Party 3 knows T23 and T31, so it moves ``E``
+    through both alone. Two rounds and three frames the size of ``E``
+    follow:
 
-    * party 3 sends ``V = M31(M23(E)) ^ R31`` to party 2, and party 1 sends
-      ``U = M12(R31) ^ x1`` to party 2;
-    * party 2 sets ``x2 = M12(V) ^ U ^ x3`` and sends it to party 1.
+    * party 3 sends ``V = T31(T23(E)) ^ R31`` to party 2, and party 1 sends
+      ``U = T12(R31) ^ x1`` to party 2;
+    * party 2 sets ``x2 = T12(V) ^ U ^ x3`` and sends it to party 1.
 
-    Then ``x1 ^ x2 ^ x3 = M12(M31(M23(E)))``, since ``M12`` is linear.
+    Then ``x1 ^ x2 ^ x3 = T12(T31(T23(E)))``, since ``T12`` is linear.
     ``R31`` and ``x1`` come from s31 and ``x3`` from s23, under labels of
     their own and ``table_id``, so they reuse no pad of a shuffle. Party 3
     holds ``(x3, x1)`` from its seeds alone and receives nothing.
@@ -179,15 +174,18 @@ def _pairwise_steps(rt, table_id: int, public: np.ndarray, width: int, move):
     second has party 2 receive both and send its own, and the third has
     party 1 receive that and yields the party's table.
     """
-    rows, nwords = public.shape
+    rows, nwords = len(widths), words_for(positions)
     head = int(table_id).to_bytes(4, "little")
+
+    def move(seed, words) -> np.ndarray:
+        return translate_rows(words, positions, code_offsets(seed, table_id, widths))
 
     def draw(seed, label) -> np.ndarray:
         raw = prf_stream(seed, label, table_id, rows * nwords * 4)
-        return mask_tail(np.frombuffer(raw, np.uint32).reshape(rows, nwords).copy(), width)
+        return mask_tail(np.frombuffer(raw, np.uint32).reshape(rows, nwords).copy(), positions)
 
     def send(send_to, mat):
-        send_to(OP_SHUFFLE, head + mat.tobytes(), logical_bits=rows * width)
+        send_to(OP_SHUFFLE, head + mat.tobytes(), logical_bits=rows * positions)
 
     def recv(raw) -> np.ndarray:
         return _check_frame(raw, table_id, rows * nwords * 4).reshape(rows, nwords)
@@ -210,43 +208,12 @@ def _pairwise_steps(rt, table_id: int, public: np.ndarray, width: int, move):
         components = (None, x2, x3)
     else:
         s31, s23 = rt.seed_with_next, rt.seed_with_prev
-        send(rt.send_prev, move(s31, move(s23, public)) ^ draw(s31, _LABEL_UNMASK))
+        e_0 = one_hot_rows(rows, positions, np.arange(rows), np.zeros(rows, np.int64))
+        send(rt.send_prev, move(s31, move(s23, e_0)) ^ draw(s31, _LABEL_UNMASK))
         yield
         yield
         components = (draw(s31, _LABEL_UNSHARE), None, draw(s23, _LABEL_UNSHARE))
-    yield MatchTable(rt.index, width, *_held(rt.index, components))
-
-
-def sec_unshuffle_keep(rt, table_id: int, rows: int, keep: np.ndarray) -> MatchTable:
-    """Shared one-hot original positions of kept rows of a shuffled segment.
-
-    The segment of ``rows`` rows was shuffled under ``table_id``, so its
-    shuffled row ``i`` is its row ``sigma[i]``, with ``sigma`` the
-    :func:`composed_permutation` pi12(pi31(pi23)). ``keep`` holds K public
-    shuffled positions. Returns a table of K rows of ``rows`` bits whose row
-    ``k`` is the unit vector of ``sigma[keep[k]]``.
-
-    Row ``k`` starts as the public unit vector of ``keep[k]``, and
-    ``scatter_p``, which moves bit ``i`` to bit ``p[i]``, takes it to
-    ``sigma[keep[k]]`` through pi23, pi31 and then pi12. That is
-    :func:`_pairwise_steps` with the scatters as its maps: two rounds and
-    three frames of ``K * ceil(rows / 32)`` words. With K = 0 no frame is
-    sent.
-    """
-    k = len(keep)
-    if not k:
-        empty = np.zeros((0, words_for(rows)), np.uint32)
-        return MatchTable(rt.index, rows, empty, empty)
-
-    def scatter(seed, words) -> np.ndarray:
-        bits = unpack_bits(words, rows)
-        out = np.empty_like(bits)
-        out[:, seeded_permutation(seed, _LABEL_PERM, table_id, rows)] = bits
-        return pack_bits(out)
-
-    public = one_hot_rows(k, rows, np.arange(k), np.asarray(keep))
-    *_, table = _pairwise_steps(rt, table_id, public, rows, scatter)
-    return table
+    yield MatchTable(rt.index, positions, *_held(rt.index, components))
 
 
 def translate_rows(words: np.ndarray, width: int, offsets: np.ndarray) -> np.ndarray:
@@ -291,7 +258,8 @@ class UnitVectors:
     Call :meth:`send_masks` between sending and receiving the message that
     yields the codes (``rss.reshare_rows``' ``during``), then :meth:`expand`
     on the codes: the masks' second round rides with the open of ``d``, so
-    the whole expansion adds one round to the codes' own.
+    the whole expansion adds one round to the codes' own. Codes that
+    already exist take the two calls in a row, and two rounds.
     """
 
     def __init__(self, rt, shapes: list[tuple[int, int]]):
@@ -299,12 +267,7 @@ class UnitVectors:
         self.widths = np.repeat(np.array([w for _, w in shapes], np.uint32),
                                 [n for n, _ in shapes])
         self.positions = 1 << int(self.widths.max())
-        e_0 = one_hot_rows(len(self.widths), self.positions, np.arange(len(self.widths)),
-                           np.zeros(len(self.widths), np.int64))
-        self._steps = _pairwise_steps(rt, self.table_id, e_0, self.positions, self._translate)
-
-    def _translate(self, seed: bytes, words: np.ndarray) -> np.ndarray:
-        return translate_rows(words, self.positions, code_offsets(seed, self.table_id, self.widths))
+        self._steps = _pairwise_steps(rt, self.table_id, self.widths, self.positions)
 
     def send_masks(self) -> None:
         next(self._steps)
@@ -354,13 +317,6 @@ def simulate_shuffle(s12: bytes, s23: bytes, s31: bytes, table_id: int,
     """Plaintext reference: what the protocol's output must reconstruct to."""
     perm = composed_permutation(s12, s23, s31, table_id, len(plain_rows))
     return [plain_rows[int(i)] for i in perm]
-
-
-def simulate_unshuffle(s12: bytes, s23: bytes, s31: bytes, table_id: int, rows: int,
-                       keep) -> list[BitVector]:
-    """Plaintext reference for :func:`sec_unshuffle_keep`: each kept row's origin, one-hot."""
-    perm = composed_permutation(s12, s23, s31, table_id, rows)
-    return [BitVector.one_hot(rows, int(perm[i])) for i in keep]
 
 
 def simulate_unit_vectors(s12: bytes, s23: bytes, s31: bytes, table_id: int,

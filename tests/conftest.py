@@ -70,6 +70,13 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
     }
 
 
+def unique_route(schema, slot) -> bool:
+    """Whether a slot's fetch takes the local unique route: one equality on a unique attribute."""
+    preds = slot["preds"]
+    return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
+            and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
+
+
 def expected_open_counts(res, any_mode: str = "or"):
     """Plaintext count per candidate group of every fetch ledger entry, keyed by (phase, slot).
 
@@ -91,26 +98,25 @@ def expected_open_counts(res, any_mode: str = "or"):
 
     out = {}
     for s, slot in enumerate(slots):
-        preds = slot["preds"]
-        unique = (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
-                  and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
         parent = query.parent[s]
         if parent is None:
             groups = [graph.type_members[slot["type"]]]
         else:
             groups = [neighbours(parent, ri, slot["type"])
                       for ri in range(results[0].records[parent].rows)]
-        if groups and not unique:
+        if groups and not unique_route(schema, slot):
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
     return out
 
 
 def expected_access_segments(res):
-    """Segments of every secAccess ledger entry, keyed by child slot.
+    """Segments of every secAccess ledger entry, keyed by child slot, or by 0 for the root.
 
     An access opens every selected code masked by a one-time pad, one
     segment per record of the parent slot: its ``max_padded`` codes of
-    ``id_width`` bits. The masked bits are not public values, so only their
+    ``id_width`` bits. A root with children in the multi route first opens
+    its kept records' codes masked the same way, one segment of ``id_width``
+    bits each. The masked bits are not public values, so only their
     segments are expected, never their popcounts.
     """
     schema, query, results = res["schema"], res["query"], res["results"]
@@ -119,6 +125,9 @@ def expected_access_segments(res):
     for c, slot in enumerate(slots):
         parent = query.parent[c]
         if parent is None:
+            rows = results[0].records[0].rows
+            if slot["children"] and rows and not unique_route(schema, slot):
+                out[0] = (schema.types[slot["type"]].id_width,) * rows
             continue
         l_max = schema.types[slots[parent]["type"]].max_padded(slot["type"])
         rows = results[0].records[parent].rows

@@ -144,11 +144,17 @@ def test_combine_three_all_and_single_identity():
 
 
 def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids=False):
-    """Fetch one root group; ``public_ids`` leaves its ids to the multi route's unshuffle."""
+    """Fetch one root group.
+
+    ``public_ids`` gives it a multi-route root's public codes ``c + 1`` in
+    place of one-hot ids, and expands the kept rows' codes into one-hot ids
+    afterwards, as a root with children does before its accesses.
+    """
     rng = np.random.default_rng(8)
     groups = make_group(values, domain, rng)
+    ts = TypeSchema([f"v{i}" for i in range(len(values))], {}, [], [], {})
     if public_ids:
-        groups = [replace(g, ids=None) for g in groups]
+        groups = [replace(g, ids=engine._root_ids(g.ids.party_index, ts)) for g in groups]
     flag_shares = rss.share(BitVector.from_bits(flag_bits), rng)
     runtimes = local_runtimes(make_session_configs(master))
 
@@ -157,7 +163,10 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids
         flags = flag_shares[rt.index - 1]
         if unique:
             return sec_fetch_unique(rt, [group], [flags])[0], []
-        return sec_fetch_multi(rt, [group], [flags])[0], rt.opened
+        fetched = sec_fetch_multi(rt, [group], [flags])[0]
+        if public_ids:
+            fetched = replace(fetched, ids=engine._unit_ids(rt, fetched.ids, ts))
+        return fetched, rt.opened
 
     out = run_trio(worker, runtimes)
     return out, runtimes
@@ -201,16 +210,21 @@ def test_fetch_multi_zero_and_all_matches():
     assert sorted(decode_records(out, 16)) == [(0, 4), (1, 9), (2, 2)]
 
 
-def test_fetch_multi_unshuffles_public_root_ids():
-    # a root's rows are its vertices: with no ids shuffled, the kept rows
-    # still open to their own one-hot ids; with no kept row no unshuffle frame is sent
-    for flags, want in (([0, 1, 0, 1, 1], [(1, 9), (3, 7), (4, 9)]),
-                        ([1, 1, 1, 1, 1], [(0, 4), (1, 9), (2, 2), (3, 7), (4, 9)]),
+def test_public_root_codes_expand_to_their_one_hot_ids():
+    # a root's rows are its vertices: it shuffles their public codes c + 1,
+    # and the kept rows' codes expand to their own one-hot ids. K = N keeps
+    # every row; with K = 0 the expansion sends no frame and opens nothing
+    for flags, want in (([1, 1, 1, 1, 1], [(0, 4), (1, 9), (2, 2), (3, 7), (4, 9)]),
                         ([0, 0, 0, 0, 0], [])):
         out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, flags, unique=False, public_ids=True)
         assert sorted(decode_records(out, 16)) == want
-        # the shuffle's four frames, the open's three and, for kept rows, the unshuffle's three
-        assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7 + 3 * bool(want)
+        # the shuffle's four frames and the flag open's three; for kept rows,
+        # the three mask frames and the three of the masked codes' open
+        assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7 + 6 * bool(want)
+        # the flag open, then each kept record's masked 3-bit code under the root
+        ledger = out[0][1]
+        assert [(e.label, e.slot, e.segments) for e in ledger] == (
+            [(1, None, (5,))] + [(2, 0, (3,) * 5)] * bool(want))
 
 
 def test_fetch_multi_audit_mask_matches_plaintext_filter():
@@ -471,7 +485,8 @@ def test_unique_chain_opens_only_masked_codes():
 
 def test_every_opened_code_is_masked_by_the_three_pair_pads(monkeypatch):
     # an access opens d = c ^ r12 ^ r23 ^ r31 for every selected code c, one
-    # pad from each pair seed: no party holds all three, so d is uniform to it
+    # pad from each pair seed: no party holds all three, so d is uniform to it;
+    # so does a range root with children, for its kept records' own codes
     tids = []
 
     class Recording(engine.UnitVectors):
@@ -485,7 +500,7 @@ def test_every_opened_code_is_masked_by_the_three_pair_pads(monkeypatch):
     s12, s23, s31 = (c.seed_with_next for c in make_session_configs(master))
     hop_query = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 C x0 >= 1\n"
                  "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
-    checked = 0
+    checked, roots = 0, 0
     for graph_text, query_text in (
             (CAMPUS_GRAPH, TWO_PERSON_QUERY),
             (CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\n"
@@ -498,10 +513,17 @@ def test_every_opened_code_is_masked_by_the_three_pair_pads(monkeypatch):
         parent = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
         ledger = [e for e in res["runtimes"][0].opened if e.phase == "secAccess"]
         labels = sorted({e.label for e in ledger})
-        assert len(labels) == len(tids)  # one open per access level
+        assert len(labels) == len(tids)  # one open per access level, and the root's
         for label, tid in zip(labels, tids):
             widths, codes, got = [], [], []
             for e in (e for e in ledger if e.label == label):
+                got.append(e.bits.to_bits())
+                if e.slot == 0:  # the kept root records' own codes c + 1
+                    root = rss.reconstruct_rows([r.records[0].ids for r in results])[:, 0]
+                    codes += root.tolist()
+                    widths += [schema.types[slots[0]["type"]].id_width] * len(root)
+                    roots += 1
+                    continue
                 s, child_type = parent[e.slot], slots[e.slot]["type"]
                 parent_ts, width = schema.types[slots[s]["type"]], schema.types[child_type].id_width
                 members = graph.type_members[child_type]
@@ -511,13 +533,12 @@ def test_every_opened_code_is_masked_by_the_three_pair_pads(monkeypatch):
                     padded = [members.index(n) + 1 for n in plist]
                     codes += padded + [0] * (parent_ts.max_padded(child_type) - len(padded))
                 widths += [width] * (len(codes) - len(widths))
-                got.append(e.bits.to_bits())
             d, _ = simulate_unit_vectors(s12, s23, s31, tid, widths, codes)
             want = np.concatenate([unpack_bits(np.array([[v]], np.uint32), w)[0]
                                    for v, w in zip(d.tolist(), widths)])
             assert np.array_equal(np.concatenate(got), want)
             checked += len(codes)
-    assert checked > 30
+    assert checked > 30 and roots == 1
 
 
 def test_random_corpus_with_any_combiners_and_k3():
@@ -809,10 +830,13 @@ def hop_graph_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_range_root_fetch_unshuffles_only_the_kept_ids():
-    # the root shuffles flag || x0 (5 bits), not its 64 one-hot id bits, and
-    # the 16 kept rows get their ids from three frames of 16 * 2 words
-    n, kept = 64, 16
+def test_range_root_expands_only_the_kept_codes():
+    # the root shuffles flag || x0 || its 7-bit code (12 bits), not its 64
+    # one-hot id bits, and the 16 kept codes expand to one-hot rows over the
+    # 128 positions of 7-bit codes: three mask frames of 16 * 4 words, twice
+    # the ceil(64 / 32) words a row of the population takes, since 64 is a
+    # power of two, and three open frames of 16 * 7 masked bits
+    n, kept, width = 64, 16, 7
     query_text = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 C x0 >= 1\n"
                   "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
     graph = parse_graph_text(hop_graph_text(n))
@@ -864,19 +888,32 @@ def test_range_root_fetch_unshuffles_only_the_kept_ids():
     results = run_trio(worker, runtimes)
     assert set(open_results(results[:2], schema)[0]) == oracle_match(graph, query, schema)
     assert results[0].records[0].rows == kept
-    # the root level's fetch: every secFetch frame before the first secAccess frame
-    fetch = {p: [f for f in frames[:[f[0] for f in frames].index("secAccess")]
-                 if f[0] == "secFetch"] for p, frames in sent.items()}
-    shuffle = (OP_SHUFFLE, 4 + 4 * n * words_for(1 + 4))
-    unshuffle = (OP_SHUFFLE, 4 + 4 * kept * words_for(n))
-    opened = (OP_OPEN, 4 + 4 * words_for(n))
-    assert {p: [f[1:3] for f in frames] for p, frames in fetch.items()} == {
-        1: [shuffle, opened, unshuffle],
-        2: [shuffle, shuffle, opened, unshuffle],
-        3: [shuffle, opened, unshuffle]}
-    # party 2's unshuffle frame waits on party 1's and party 3's, both sent after the open
-    assert (max(frames[-1][3] for frames in fetch.values())
-            == max(frames[-2][3] for frames in fetch.values()) + 2)
-    # the meter agrees, with one round more per party than shuffle and open take
-    assert meter == {p: (len(frames), sum(18 + f[2] for f in frames), rounds)
-                     for (p, frames), rounds in zip(fetch.items(), (2, 3, 2))}
+    # the root level: its fetch is every secFetch frame before the first
+    # secAccess frame, and its codes' expansion every secAccess frame before
+    # the party's first selection frame
+    levels = {}
+    for p, frames in sent.items():
+        at = [f[0] for f in frames].index("secAccess")
+        select = at + [f[1] for f in frames[at:]].index(OP_RESHARE)
+        levels[p] = ([f for f in frames[:at] if f[0] == "secFetch"], frames[at:select],
+                     frames[select])
+    shuffle = (OP_SHUFFLE, 4 + 4 * n * words_for(1 + 4 + width))
+    flags = (OP_OPEN, 4 + 4 * words_for(n))
+    masks = (OP_SHUFFLE, 4 + 4 * kept * words_for(1 << width))
+    codes = (OP_OPEN, 4 + 4 * words_for(kept * width))
+    assert masks[1] == 4 + 4 * kept * 4 and codes[1] == 4 + 4 * 4
+    assert {p: ([f[1:3] for f in fetch], [f[1:3] for f in expand])
+            for p, (fetch, expand, _) in levels.items()} == {
+        1: ([shuffle, flags], [masks, codes]),
+        2: ([shuffle, shuffle, flags], [codes, masks]),
+        3: ([shuffle, flags], [masks, codes])}
+    for rt in runtimes:  # one open of every kept code under the root, 7 bits each
+        (entry,) = [e for e in rt.opened if e.phase == "secAccess" and e.slot == 0]
+        assert entry.segments == (width,) * kept
+    # party 2's mask frame waits on party 1's and party 3's, both sent with
+    # the open of the masked codes, so party 1 selects 3 rounds after the flags
+    flag_depth = max(fetch[-1][3] for fetch, _, _ in levels.values())
+    assert levels[1][2][3] == flag_depth + 3
+    # the meter agrees on the fetch
+    assert meter == {p: (len(fetch), sum(18 + f[2] for f in fetch), rounds)
+                     for (p, (fetch, _, _)), rounds in zip(levels.items(), (1, 2, 1))}

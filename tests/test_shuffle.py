@@ -7,8 +7,7 @@ from oblivgm import rss
 from oblivgm.bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
 from oblivgm.shuffle import (MatchTable, UnitVectors, composed_permutation, sec_shuffle,
-                             sec_unshuffle_keep, simulate_shuffle, simulate_unit_vectors,
-                             simulate_unshuffle, translate_rows)
+                             simulate_shuffle, simulate_unit_vectors, translate_rows)
 
 
 def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1, segments=None):
@@ -181,68 +180,6 @@ def test_tables_of_different_widths_shuffle_in_one_call():
             start, tid = start + n, tid + 1
 
 
-def test_unshuffle_exhaustive_sizes():
-    """Rows 1..32 and every kept count K: the shares open to the reference's unit vectors."""
-    for master in (b"\x61" * 16, b"\x62" * 16):
-        configs = make_session_configs(master)
-        seeds = tuple(c.seed_with_next for c in configs)
-        rng = np.random.default_rng(master[0])
-        for rows in range(1, 33):
-            # for each K one seeded subset of positions, each under its own table id
-            keeps = [np.sort(rng.choice(rows, size=k, replace=False)) for k in range(rows + 1)]
-
-            def worker(rt):
-                return [sec_unshuffle_keep(rt, 7 + k, rows, keep) for k, keep in enumerate(keeps)]
-
-            runtimes = local_runtimes(make_session_configs(master))
-            outs = run_trio(worker, runtimes)
-            for k, keep in enumerate(keeps):
-                tables = [out[k] for out in outs]
-                assert all((t.rows, t.width) == (k, rows) for t in tables)
-                got = [rss.reconstruct([t.row(i) for t in tables]) for i in range(k)]
-                assert got == simulate_unshuffle(*seeds, 7 + k, rows, keep)
-                # a valid replicated sharing: party p's second component is p + 1's first
-                for p in range(3):
-                    assert np.array_equal(tables[p].share_b, tables[(p + 1) % 3].share_a)
-            # three frames of K * ceil(rows / 32) words per K > 0, none for K = 0
-            sent = [rt.meter.total for rt in runtimes]
-            assert [m.frames_sent for m in sent] == [rows] * 3
-            words = sum(k * words_for(rows) for k in range(1, rows + 1))
-            assert sum(m.bytes_sent for m in sent) == 3 * (rows * 22 + 4 * words)
-
-
-def test_unshuffle_inverts_the_shuffle_of_the_same_table_id():
-    # shuffle rows that hold their own index, keep some shuffled positions,
-    # and unshuffle them: each unit vector marks the index its row held
-    rows = 20
-    plain = [BitVector.from_int(i, 8) for i in range(rows)]
-    rebuilt, _, configs = run_shuffle(plain, master=b"\x63" * 16)
-    keep = np.array([1, 4, 5, 11, 19])
-    runtimes = local_runtimes(configs)
-    outs = run_trio(lambda rt: sec_unshuffle_keep(rt, 0, rows, keep), runtimes)
-    got = [rss.reconstruct([out.row(i) for out in outs]).hot_index() for i in range(len(keep))]
-    assert got == [rebuilt[int(i)].to_int() for i in keep]
-
-
-@pytest.mark.parametrize("tamper,message", [
-    (lambda payload: payload[:-4], "shuffle message has 8 bytes, expected 12"),
-    (lambda payload: payload + bytes(4), "shuffle message has 16 bytes, expected 12"),
-    (lambda payload: (4).to_bytes(4, "little") + payload[4:], "table id mismatch: 4 != 3"),
-])
-def test_unshuffle_frames_of_the_wrong_length_or_table_id_are_refused(tamper, message):
-    runtimes = local_runtimes(make_session_configs(b"\x64" * 16), recv_timeout=5)
-
-    def worker(rt):
-        if rt.index == 1:  # party 2 receives party 1's frame damaged
-            send = rt.send_next
-            rt.send_next = lambda op, payload, logical_bits=0: send(op, tamper(payload),
-                                                                    logical_bits)
-        return sec_unshuffle_keep(rt, 3, 20, np.array([0, 5, 9]))
-
-    with pytest.raises(ProtocolError, match=message):
-        run_trio(worker, runtimes)
-
-
 def sec_unit_vectors(rt, codes, sizes):
     """:class:`UnitVectors` of codes that already exist: the masks' round, then the open's."""
     units = UnitVectors(rt, [(t.rows, t.width) for t in codes])
@@ -301,6 +238,29 @@ def test_unit_vectors_exhaustive_widths():
         # per expansion two rounds: three mask frames and the open's three
         sent = [rt.meter.total for rt in runtimes]
         assert sum(m.frames_sent for m in sent) == 6 * len(runs)
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda payload: payload[:-4], "shuffle message has 8 bytes, expected 12"),
+    (lambda payload: payload + bytes(4), "shuffle message has 16 bytes, expected 12"),
+    (lambda payload: (4).to_bytes(4, "little") + payload[4:], "table id mismatch: 4 != 3"),
+], ids=["short", "long", "table-id"])
+def test_unit_vector_frames_of_the_wrong_length_or_table_id_are_refused(tamper, message):
+    # three 5-bit codes take mask rows of 32 positions, one word each
+    runtimes = local_runtimes(make_session_configs(b"\x64" * 16), recv_timeout=5)
+    codes = rss.share_rows(np.array([[1], [6], [20]], np.uint32), 5, np.random.default_rng(3))
+
+    def worker(rt):
+        for _ in range(3):  # the expansion draws table id 3
+            rt.alloc_table_id()
+        if rt.index == 1:  # party 2 receives party 1's mask frame damaged
+            send = rt.send_next
+            rt.send_next = lambda op, payload, logical_bits=0: send(op, tamper(payload),
+                                                                    logical_bits)
+        return sec_unit_vectors(rt, [codes[rt.index - 1]], [20])
+
+    with pytest.raises(ProtocolError, match=message):
+        run_trio(worker, runtimes)
 
 
 def test_translation_is_an_involution_that_moves_each_row_by_its_offset():

@@ -40,9 +40,9 @@ PINNED_RESULTS = {
                     "98728176a0ca3fe29c76e305ee3dff5c81a160d3922d5424f945b02fba4af9be",
                     "c42a5cfda659868820253aadc21f973c8ccf93886de4498919bdc82bea46fa2f")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("4ea7e621b56ea95da1928f0d2bf611e741fcca200b07d15787d5a698f9e77295",
-                       "6004d7e0ebd04fe2d11fb8c231de17668dd77082ee5609fe73b5090a19079fd5",
-                       "5cb303716735d8935977e53bd0e6414123c0079caaa91a6b3a8ff11ff511ee5f")),
+                      ("69c944c0e1c3525dc69aa6c1f998c4d4e34945a0e35fb6ad007946435aed6574",
+                       "6fd6da6a5120e9e05d807c97dd340245aaba53c86018e9f3baf074a51fa8a0b7",
+                       "6df7b02152ee3e4a458cc558c75f0ca26b5d4a922fa2213dbde4a885f01f71a6")),
 }
 
 

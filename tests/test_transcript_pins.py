@@ -51,9 +51,9 @@ PINNED = [
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
-        ("60f9ba7756a099423806134ec2b2c3e305ccca56933c4a0e4ec812813c97609d",
-         "de3a6c9880d38463e74e148ac96ca2837aa0e32c86f492395734fc3cf3e8d0fd",
-         "96418a66f9db1160d3df6c8434ca7c052bba5743753705628bda5da3c51c2004"),
+        ("c931873e8a28becd42ed8f1fe13c059ff22ac4c4f0f374957b527c08748244b7",
+         "78c340b2f2182a5e58592002829383daeb33b01775414d2607f6131fa040efde",
+         "816c65bc168f9e8d26b40989d2b60be37a137c3492db65490fc9c52d50b9a2fa"),
         id="repeated-categorical"),
     pytest.param(
         CAMPUS_GRAPH,
@@ -83,8 +83,9 @@ LEDGERS = {
     "unique-chain": [(1, "secAccess", 1, (9,), 9, "f5010000"),
                      (2, "secAccess", 2, (2,), 2, "01000000")],
     "repeated-categorical": [(1, "secFetch", 0, (4,), 4, "0b000000"),
-                             (2, "secAccess", 1, (2, 2, 2), 6, "0a000000"),
-                             (3, "secFetch", 1, (1, 1, 1), 3, "07000000")],
+                             (2, "secAccess", 0, (3, 3, 3), 9, "b0010000"),
+                             (3, "secAccess", 1, (2, 2, 2), 6, "35000000"),
+                             (4, "secFetch", 1, (1, 1, 1), 3, "07000000")],
     "two-group": [(1, "secAccess", 1, (9,), 9, "f5010000"),
                   (2, "secFetch", 1, (3,), 3, "07000000"),
                   (3, "secAccess", 2, (3, 3, 3), 9, "22000000"),
