@@ -212,12 +212,14 @@ class Meter:
     do not depend on how the phase before it ended; ``total`` counts only
     the former.
 
-    These are a party's send bursts, not the causal depth of its frames. In
-    a unit-vector expansion (:class:`oblivgm.shuffle.UnitVectors`) party 2
-    sends its share of the masked codes, then receives the mask frames and
-    relays one, so it books one round more per expansion than the chain is
-    deep: at each access level, and at a range-matched root with children.
-    The benchmark's ``rounds_per_query`` is the causal depth.
+    These are a party's send bursts, not the causal depth of its frames, and
+    the two differ both ways. In a unit-vector expansion
+    (:class:`oblivgm.shuffle.UnitVectors`) party 2 sends its share of the
+    masked codes, then receives the mask frames and relays one, so it books
+    4 rounds for an access level 3 deep. A range-matched root with children
+    adds its own expansion, 2 rounds deep, before its level's access; there
+    parties 1, 2 and 3 book 4, 6 and 4 ``secAccess`` rounds for a chain 5
+    deep. The benchmark's ``rounds_per_query`` is the causal depth.
     """
 
     def __init__(self):
