@@ -155,7 +155,7 @@ def _pairwise_steps(rt, table_id: int, widths: np.ndarray, positions: int):
 
     ``E`` has one row of ``positions`` bits per entry of ``widths``, and
     ``T_s`` moves bit ``j`` of row ``k`` to ``j ^ t_k``, with ``t_k`` the
-    ``widths[k]``-bit offset that the pair holding ``seed`` draws from it
+    ``widths[k]``-bit offset that the pair holding seed ``s`` draws from it
     (:func:`code_offsets`). Party 3 knows T23 and T31, so it moves ``E``
     through both alone. Two rounds and three frames the size of ``E``
     follow:
