@@ -5,10 +5,11 @@ Subcommands::
     encrypt   split a plaintext graph into three share files + public schema
     tokenize  turn a query into three per-party token files
     serve     run one party over TCP
-    query     one-shot driver: run the trio and write result share files
+    query     one-shot driver: run the trio and write result share files; local
+              mode prints each party's bytes, frames and seconds per phase
     open      merge >=2 result share files into plaintext matches
     oracle    plaintext reference matcher on the same inputs
-    bench     sub-protocol timings and bytes-on-wire, kernel timings
+    bench     kernel timings
 
 Exit codes: 0 success, 2 validation error, 3 protocol error. All commands
 are deterministic under ``--seed``.
@@ -124,6 +125,9 @@ def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
             t = rt.meter.total
             print(f"[party-{rt.index}] sent {t.bytes_sent} bytes in {t.frames_sent} frames "
                   f"over {t.rounds} rounds", file=sys.stderr)
+            for name, st in rt.meter.phases.items():
+                print(f"[party-{rt.index}]   {name}: {st.bytes_sent} bytes in "
+                      f"{st.frames_sent} frames, {st.seconds:.4f} s", file=sys.stderr)
     print(f"wrote 3 result share files to {out_dir}")
     return 0
 
@@ -175,9 +179,19 @@ def cmd_query(args) -> int:
         if args.quiet:
             cmd.append("--quiet")
         procs.append(subprocess.Popen(cmd))
-    codes = [p.wait() for p in procs]
+    try:  # the first party to fail stops the others, before they sit out their timeouts
+        while None in (codes := [p.poll() for p in procs]) and not any(codes):
+            time.sleep(0.02)
+    finally:
+        for p in procs:
+            p.terminate()  # a no-op on a party that has exited
+        codes = [p.wait() for p in procs]
     if any(codes):
-        raise ProtocolError(f"party processes exited with {codes}")
+        message = f"party processes exited with {codes}"
+        if 2 in codes:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
+        raise ProtocolError(message)
     print(f"wrote 3 result share files to {out_dir}")
     return 0
 
@@ -213,9 +227,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import run_suite
+    from .bench import run_kernels
 
-    run_suite(args.suite, seed=args.seed, size=args.size)
+    run_kernels(args.seed)
     return 0
 
 
@@ -277,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("bench", help="sub-protocol latency, bytes-on-wire and kernel timings")
-    p.add_argument("--suite", choices=("subprotocols", "kernels"), default="subprotocols")
+    p = sub.add_parser("bench", help="best times of one party's hot kernels")
     p.add_argument("--seed", type=_seed_arg, default=None)
-    p.add_argument("--size", type=int, default=1000)
     p.set_defaults(fn=cmd_bench)
     return ap
 

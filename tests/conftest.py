@@ -70,6 +70,40 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
     }
 
 
+def depth_stamper():
+    """Per-party logs of sent frames, and a hook that stamps each frame with its chain depth.
+
+    Call the hook on each party's runtime before it sends. A frame's depth
+    is one more than the deepest frame its sender has received. Each party's
+    log holds its frames' ``(phase, op, payload bytes, depth)`` in send order.
+    """
+    depths = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
+    sent = {1: [], 2: [], 3: []}
+
+    def attach(rt):
+        seen = [0]
+
+        def sender(send, peer):
+            def stamped(op, payload, logical_bits=0):
+                depths[(rt.index, peer)].append(seen[0] + 1)
+                sent[rt.index].append((rt.meter.current, op, len(payload), seen[0] + 1))
+                return send(op, payload, logical_bits)
+            return stamped
+
+        def receiver(recv, peer):
+            def stamped(op):
+                payload = recv(op)
+                seen[0] = max(seen[0], depths[(peer, rt.index)].pop(0))
+                return payload
+            return stamped
+
+        nxt, prv = rss.next_party(rt.index), rss.prev_party(rt.index)
+        rt.send_next, rt.send_prev = sender(rt.send_next, nxt), sender(rt.send_prev, prv)
+        rt.recv_next, rt.recv_prev = receiver(rt.recv_next, nxt), receiver(rt.recv_prev, prv)
+
+    return sent, attach
+
+
 def unique_route(schema, slot) -> bool:
     """Whether a slot's fetch takes the local unique route: one equality on a unique attribute."""
     preds = slot["preds"]

@@ -20,7 +20,7 @@ from oblivgm.oracle import oracle_match
 from oblivgm.query import QueryFormatError, gen_token, load_query
 from oblivgm.rss import MatchTable
 from oblivgm.shuffle import simulate_unit_vectors
-from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, chainmap_assemble,
+from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, chainmap_assemble, depth_stamper,
                             expected_access_segments, expected_open_counts, opened_counts,
                             run_secure_query)
 
@@ -784,32 +784,14 @@ def test_an_access_level_takes_three_rounds():
     tokens = gen_token(load_query("Q u U place = Harbin\nQ p P age >= 30\nQE u p\n", schema),
                        schema, rng)
     runtimes = local_runtimes(make_session_configs(b"\x45" * 16))
-    links = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
-    sent = []  # every frame's (phase, op, depth): one more than the deepest frame received
+    frames, stamp = depth_stamper()
 
     def worker(rt):
-        seen = [0]
-
-        def sender(send, peer):
-            def stamped(op, payload, logical_bits=0):
-                links[(rt.index, peer)].append(seen[0] + 1)
-                sent.append((rt.meter.current, op, seen[0] + 1))
-                return send(op, payload, logical_bits)
-            return stamped
-
-        def receiver(recv, peer):
-            def stamped(op):
-                payload = recv(op)
-                seen[0] = max(seen[0], links[(peer, rt.index)].pop(0))
-                return payload
-            return stamped
-
-        nxt, prv = rss.next_party(rt.index), rss.prev_party(rt.index)
-        rt.send_next, rt.send_prev = sender(rt.send_next, nxt), sender(rt.send_prev, prv)
-        rt.recv_next, rt.recv_prev = receiver(rt.recv_next, nxt), receiver(rt.recv_prev, prv)
+        stamp(rt)
         return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
 
     run_trio(worker, runtimes)
+    sent = [(phase, op, depth) for log in frames.values() for phase, op, _, depth in log]
     depths = [(depth, op) for phase, op, depth in sent if phase == "secAccess"]
     start = min(depths)[0] - 1
     access = sorted({(depth - start, op) for depth, op in depths})
@@ -845,28 +827,13 @@ def test_range_root_expands_only_the_kept_codes():
     query = load_query(query_text, schema)
     tokens = gen_token(query, schema, rng)
     runtimes = local_runtimes(make_session_configs(b"\x44" * 16))
-    depths = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
-    sent = {1: [], 2: [], 3: []}  # per party, every frame's (phase, op, payload bytes, depth)
+    sent, stamp = depth_stamper()  # per party, every frame's (phase, op, payload bytes, depth)
     meter = {}  # per party, its secFetch counts when the root level's fetch ends
 
     def attach(rt):
-        """Stamp each frame with its chain depth: one more than the deepest frame received."""
-        seen = [0]
+        """Stamp each frame with its chain depth, and snapshot the meter after the root fetch."""
+        stamp(rt)
         phase = rt.meter.phase
-
-        def sender(send, peer):
-            def stamped(op, payload, logical_bits=0):
-                depths[(rt.index, peer)].append(seen[0] + 1)
-                sent[rt.index].append((rt.meter.current, op, len(payload), seen[0] + 1))
-                return send(op, payload, logical_bits)
-            return stamped
-
-        def receiver(recv, peer):
-            def stamped(op):
-                payload = recv(op)
-                seen[0] = max(seen[0], depths[(peer, rt.index)].pop(0))
-                return payload
-            return stamped
 
         @contextmanager
         def snapshot(name):
@@ -876,10 +843,7 @@ def test_range_root_expands_only_the_kept_codes():
                 stats = rt.meter.phases[name]
                 meter[rt.index] = (stats.frames_sent, stats.bytes_sent, stats.rounds)
 
-        nxt, prv = rss.next_party(rt.index), rss.prev_party(rt.index)
         rt.meter.phase = snapshot
-        rt.send_next, rt.send_prev = sender(rt.send_next, nxt), sender(rt.send_prev, prv)
-        rt.recv_next, rt.recv_prev = receiver(rt.recv_next, nxt), receiver(rt.recv_prev, prv)
 
     def worker(rt):
         attach(rt)

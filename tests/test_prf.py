@@ -62,8 +62,7 @@ def test_stream_rejects_bad_arguments():
 
 @pytest.mark.parametrize("sizes", [[0], [1], [2], [3], [500], [0, 1, 2, 3, 500], [3] * 74,
                                    [4000], [1, 2] * 20 + [4000, 0, 3]])
-def test_batched_permutation_is_block_diagonal_fisher_yates(sizes):
-    # the name predates the sort: each block is now its index's sort_reference
+def test_batched_permutation_is_block_diagonal_sort(sizes):
     first = 11
     perm = seeded_permutation(KEY, LABEL, first, sizes)
     assert perm.dtype == np.int64 and perm.shape == (sum(sizes),)
