@@ -2,16 +2,16 @@
 
 The query asks for two people aged 30-40 who graduated from a university in
 Harbin, one working at a software company and one at an Internet company.
-The three servers jointly evaluate it over the encrypted graph; merging two
-servers' result shares yields exactly the subgraphs the plaintext reference
-matcher finds.
+The three servers jointly evaluate it over the encrypted graph, each printing
+a line per query slot as it goes; merging two servers' result shares yields
+exactly the subgraphs the plaintext reference matcher finds.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from oblivgm.engine import EngineConfig, open_results, sec_match
+from oblivgm.engine import open_results, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import oracle_match
@@ -28,8 +28,7 @@ print("query slots:", [f"{v.name}:{v.vtype}" for v in query.vertices])
 
 
 def worker(rt):
-    return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1],
-                     EngineConfig(progress=print))
+    return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1], progress=print)
 
 
 runtimes = local_runtimes(make_session_configs(b"demo-05-session!"))

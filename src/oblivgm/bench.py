@@ -76,8 +76,8 @@ def run_kernels(seed: str) -> None:
     closed = (True, True)
     hop_preds = [(fss.KIND_EQ, (250,), 500, closed), (fss.KIND_INTERVAL, (20, 20), 50, closed),
                  (fss.KIND_GE, (10,), 50, closed), (fss.KIND_GE, (10,), 50, closed)] * 3
-    eq_keys = [(k, 4000) for k in fss.dpf_gen(2000, 4000, rng)]
-    iv_keys = [(k, 100) for k in fss.ic_gen(30, 39, 100, rng)]
+    eq_keys = [(k, 4000) for k in fss.key_pair_gen(fss.KIND_EQ, (2000,), 4000, rng)]
+    iv_keys = [(k, 100) for k in fss.key_pair_gen(fss.KIND_INTERVAL, (30, 39), 100, rng)]
     kernels = [
         ("prf_stream", "1 x 2 MiB", lambda: prf_stream(key, b"BNCH", 0, 2 << 20)),
         ("prf_stream", "74 x 576 B", lambda: prf_stream(key, b"BNCH", 0, [576] * 74)),

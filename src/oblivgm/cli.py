@@ -11,7 +11,8 @@ Subcommands::
     oracle    plaintext reference matcher on the same inputs
     bench     kernel timings
 
-Exit codes: 0 success, 2 validation error, 3 protocol error. All commands
+Exit codes: 0 success, 1 output cut short (stdout closed early, as by
+``| head``), 2 validation error, 3 protocol error. All commands
 are deterministic under ``--seed``.
 """
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EngineConfig, check_token, open_results, sec_match
+from .engine import check_token, open_results, sec_match
 from .graphs import GraphFormatError, build_schema, encrypt_graph, parse_graph_text
 from .net import (ProtocolError, local_runtimes, make_session_configs, parse_peers, run_trio,
                   tcp_runtime)
@@ -102,19 +103,18 @@ def _progress_printer(quiet: bool):
 
 
 def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
-                     session_seed: str, any_mode: str, quiet: bool) -> int:
+                     session_seed: str, quiet: bool) -> int:
     schema = load_schema(graph_dir / "schema.json")
     shares = {
         i: load_graph_share(graph_dir / f"graph-share-{i}.ogmg", schema)
         for i in (1, 2, 3)
     }
     tokens = {i: load_token(token_dir / f"token-{i}.ogmt", schema, i) for i in (1, 2, 3)}
-    config = EngineConfig(any_mode=any_mode, progress=_progress_printer(quiet))
     configs = make_session_configs(bytes.fromhex(session_seed))
     runtimes = local_runtimes(configs)
 
     def worker(rt):
-        return sec_match(rt, tokens[rt.index], shares[rt.index], config)
+        return sec_match(rt, tokens[rt.index], shares[rt.index], _progress_printer(quiet))
 
     results = run_trio(worker, runtimes)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,8 +144,7 @@ def cmd_serve(args) -> int:
     check_token(token, gshare)  # before connecting: a damaged token or a wrong share fails fast
     base = make_session_configs(bytes.fromhex(args.session_seed))[args.party - 1]
     rt = tcp_runtime(replace(base, bind=bind, peers=peers), connect_timeout=args.connect_timeout)
-    res = sec_match(rt, token, gshare,
-                    EngineConfig(any_mode=args.any_mode, progress=_progress_printer(args.quiet)))
+    res = sec_match(rt, token, gshare, _progress_printer(args.quiet))
     save_results(args.out, res, schema)
     print(f"[party-{args.party}] wrote {args.out}")
     return 0
@@ -154,8 +153,7 @@ def cmd_serve(args) -> int:
 def cmd_query(args) -> int:
     graph_dir, token_dir, out_dir = Path(args.graph_dir), Path(args.token_dir), Path(args.out_dir)
     if args.mode == "local":
-        return _run_local_query(graph_dir, token_dir, out_dir, args.session_seed,
-                                args.any_mode, args.quiet)
+        return _run_local_query(graph_dir, token_dir, out_dir, args.session_seed, args.quiet)
     # tcp mode: three serve subprocesses on localhost
     ports = [int(p) for p in args.ports.split(",")]
     if len(ports) != 3:
@@ -174,7 +172,6 @@ def cmd_query(args) -> int:
             "--bind", f"127.0.0.1:{ports[i - 1]}",
             "--peers", peers,
             "--session-seed", args.session_seed,
-            "--any-mode", args.any_mode,
         ]
         if args.quiet:
             cmd.append("--quiet")
@@ -219,9 +216,9 @@ def cmd_open(args) -> int:
 
 def cmd_oracle(args) -> int:
     graph = parse_graph_text(Path(args.graph).read_text())
-    schema = build_schema(graph, args.k)
+    schema = build_schema(graph, 2)  # k only sets padding, which no match depends on
     query = load_query(Path(args.query).read_text(), schema)
-    matches = oracle_match(graph, query, schema, any_mode=args.any_mode)
+    matches = oracle_match(graph, query, schema)
     _print_matches(matches)
     return 0
 
@@ -262,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peers")
     # the three parties' zero-share keys and shuffle seeds all derive from it
     p.add_argument("--session-seed", type=_seed_arg, required=True)
-    p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--connect-timeout", type=float, default=30.0)
     p.set_defaults(fn=cmd_serve)
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("local", "tcp"), default="local")
     p.add_argument("--ports", default="19751,19752,19753")
     p.add_argument("--session-seed", type=_seed_arg, default=None)
-    p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_query)
 
@@ -287,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="plaintext reference matcher")
     p.add_argument("--graph", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--any-mode", choices=("or", "xor"), default="or")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("bench", help="best times of one party's hot kernels")
@@ -304,7 +297,15 @@ def main(argv=None) -> int:
     if hasattr(args, "session_seed") and args.session_seed is None:
         args.session_seed = secrets.token_hex(16)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point it at devnull, so the final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return 3

@@ -81,12 +81,6 @@ from .shuffle import UnitVectors, sec_shuffle
 
 
 @dataclass
-class EngineConfig:
-    any_mode: str = "or"  # ANY combiner: logical "or", or the literal "xor" chain
-    progress: object | None = None
-
-
-@dataclass
 class RecordTable:
     """A query slot's rows: one table per field, with public provenance.
 
@@ -283,10 +277,10 @@ def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[MatchTable]:
     return rss.reshare(rt, additive[0], more=additive[1:])
 
 
-def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str],
-                       any_mode: str = "or") -> list[MatchTable]:
+def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -> list[MatchTable]:
     """Fold each slot's per-predicate shared bits by the slot's public Boolean combiner.
 
+    ALL is the AND of the bits, ANY their inclusive OR ``a ^ b ^ (a & b)``.
     The slots advance together: step ``j`` folds every slot's predicate
     ``j`` into its accumulator, and the AND gates of that step share one
     re-share, so a level of slots takes one round per combining step.
@@ -296,23 +290,12 @@ def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str],
     for combiner in combiners:
         if combiner not in ("ALL", "ANY"):
             raise ValueError(f"unknown combiner {combiner!r}")
-        if combiner == "ANY" and any_mode not in ("or", "xor"):
-            raise ValueError(f"unknown ANY mode {any_mode!r}")
     accs = [preds[0] for preds in bits]
     for j in range(1, max(map(len, bits))):
         step = [i for i, preds in enumerate(bits) if len(preds) > j]
-        gated = [i for i in step if combiners[i] == "ALL" or any_mode == "or"]
-        conj = {}
-        if gated:
-            pairs = [(accs[i], bits[i][j]) for i in gated]
-            conj = dict(zip(gated, rss.and_gate(rt, *pairs[0], more=pairs[1:])))
-        for i in step:
-            if combiners[i] == "ALL":
-                accs[i] = conj[i]
-            elif any_mode == "xor":
-                accs[i] = accs[i].xor(bits[i][j])
-            else:  # a OR b = a XOR b XOR (a AND b)
-                accs[i] = accs[i].xor(bits[i][j]).xor(conj[i])
+        pairs = [(accs[i], bits[i][j]) for i in step]
+        for i, conj in zip(step, rss.and_gate(rt, *pairs[0], more=pairs[1:])):
+            accs[i] = conj if combiners[i] == "ALL" else accs[i].xor(bits[i][j]).xor(conj)
     return accs
 
 
@@ -506,10 +489,8 @@ def check_token(token: PartyToken, gshare: GraphShare) -> None:
     check_structure(token.structure, gshare.schema)
 
 
-def sec_match(rt, token: PartyToken, gshare: GraphShare,
-              config: EngineConfig | None = None) -> MatchResultSet:
-    """Run the whole query against the encrypted graph at one party, level by level."""
-    config = config or EngineConfig()
+def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> MatchResultSet:
+    """Run the whole query at one party, level by level; ``progress`` gets a line per slot."""
     schema = gshare.schema
     if token.party_index != rt.index:
         raise QueryFormatError(f"token of party {token.party_index} run at party {rt.index}")
@@ -520,8 +501,8 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
     records: list[RecordTable | None] = [None] * len(slots)
 
     def say(msg: str):
-        if config.progress:
-            config.progress(f"[party-{rt.index}] {msg}")
+        if progress:
+            progress(f"[party-{rt.index}] {msg}")
 
     def needed(s: int) -> list[str]:
         return sorted({p["attr"] for p in slots[s]["preds"]})
@@ -550,7 +531,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare,
                                           for s in live for pi, p in enumerate(slots[s]["preds"])]))
                 flags = dict(zip(live, combine_predicates(
                     rt, [[next(bits) for _ in slots[s]["preds"]] for s in live],
-                    [slots[s]["combiner"] for s in live], config.any_mode)))
+                    [slots[s]["combiner"] for s in live])))
             with rt.meter.phase("secFetch"):
                 unique = [s for s in live if unique_route(s)]
                 multi = [s for s in live if not unique_route(s)]

@@ -1,7 +1,8 @@
 """Function secret sharing with output group Z2.
 
 Three primitives, all two-party key pairs whose pointwise XOR of evaluations
-equals a plaintext indicator over ``[0, 2^domain_bits)``:
+equals a plaintext indicator over ``[0, 2^domain_bits)``, and all drawn by
+:func:`key_pair_gen` from a predicate's kind, operands and domain size:
 
 * distributed point function (equality, ``x == alpha``),
 * distributed comparison function (strict ``x < alpha``, with the <=, >, >=
@@ -216,29 +217,6 @@ def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
                  rng: np.random.Generator, closed: tuple[bool, bool] = (True, True)):
     """One key pair for a predicate; ``closed`` picks an interval's open or closed bounds."""
     return key_pairs_gen([(kind, operands, domain_size, closed)], rng)[0]
-
-
-def dpf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
-    """Keys for the equality indicator at ``alpha`` (output 1 in Z2)."""
-    return key_pair_gen(KIND_EQ, (alpha,), domain_size, rng)
-
-
-def dcf_gen(alpha: int, domain_size: int, rng: np.random.Generator):
-    """Keys for the strict comparison indicator ``x < alpha``."""
-    return key_pair_gen(KIND_LT, (alpha,), domain_size, rng)
-
-
-def cmp_gen(kind: str, alpha: int, domain_size: int, rng: np.random.Generator):
-    """Comparison keys for any of <, <=, >, >= against ``alpha``."""
-    if kind not in COMPARISON_KINDS:
-        raise ValueError(f"not a comparison kind: {kind!r}")
-    return key_pair_gen(kind, (alpha,), domain_size, rng)
-
-
-def ic_gen(low: int, high: int, domain_size: int, rng: np.random.Generator,
-           closed_low: bool = True, closed_high: bool = True):
-    """Interval keys; the default variant is the closed interval [low, high]."""
-    return key_pair_gen(KIND_INTERVAL, (low, high), domain_size, rng, (closed_low, closed_high))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Enumerates every slot-to-vertex assignment that satisfies the query: root
 candidates filtered by the root predicates, children expanded along typed
 posting lists, Cartesian assembly per parent, incomplete branches pruned.
-Matches are tuples of vertex external ids in slot order. Slot semantics
-deliberately mirror the secure engine: sibling slots may map to the same
-graph vertex, and the same vertex may recur across matches.
+A vertex's predicates combine by its ``ALL`` (AND) or ``ANY`` (inclusive
+OR) combiner. Matches are tuples of vertex external ids in slot order. Slot
+semantics deliberately mirror the secure engine: sibling slots may map to
+the same graph vertex, and the same vertex may recur across matches.
 """
 
 from __future__ import annotations
@@ -37,25 +38,20 @@ def predicate_holds(pred: PredicateSpec, value_index: int) -> bool:
     raise ValueError(f"unknown predicate kind {pred.kind!r}")
 
 
-def combine(values: list[bool], combiner: str, any_mode: str = "or") -> bool:
+def combine(values: list[bool], combiner: str) -> bool:
+    """ALL is the AND of a vertex's predicates, ANY their inclusive OR."""
     if combiner == "ALL":
         return all(values)
-    if combiner != "ANY":
-        raise ValueError(f"unknown combiner {combiner!r}")
-    if any_mode == "or":
+    if combiner == "ANY":
         return any(values)
-    if any_mode == "xor":
-        return bool(sum(values) % 2)
-    raise ValueError(f"unknown ANY mode {any_mode!r}")
+    raise ValueError(f"unknown combiner {combiner!r}")
 
 
 class _Matcher:
-    def __init__(self, graph: AttributedGraph, query: QueryGraph,
-                 schema: GraphSchema, any_mode: str):
+    def __init__(self, graph: AttributedGraph, query: QueryGraph, schema: GraphSchema):
         self.graph = graph
         self.query = query
         self.schema = schema
-        self.any_mode = any_mode
 
     def vertex_ok(self, slot: int, vidx: int) -> bool:
         target = self.query.vertices[slot]
@@ -67,7 +63,7 @@ class _Matcher:
             predicate_holds(p, attrs[p.attr].index_of[vertex.attrs[p.attr]])
             for p in target.predicates
         ]
-        return combine(flags, target.combiner, self.any_mode)
+        return combine(flags, target.combiner)
 
     def subtree(self, slot: int, vidx: int) -> list[dict[int, int]]:
         """All assignments for the subtree rooted at ``slot`` mapped to ``vidx``."""
@@ -90,10 +86,10 @@ class _Matcher:
         return out
 
 
-def oracle_match(graph: AttributedGraph, query: QueryGraph, schema: GraphSchema,
-                 any_mode: str = "or") -> set[tuple[str, ...]]:
+def oracle_match(graph: AttributedGraph, query: QueryGraph,
+                 schema: GraphSchema) -> set[tuple[str, ...]]:
     """Exhaustive matching; returns slot-ordered tuples of external ids."""
-    matcher = _Matcher(graph, query, schema, any_mode)
+    matcher = _Matcher(graph, query, schema)
     results: set[tuple[str, ...]] = set()
     root_type = query.vertices[0].vtype
     if root_type not in graph.type_members:
@@ -109,9 +105,9 @@ def oracle_match(graph: AttributedGraph, query: QueryGraph, schema: GraphSchema,
 
 
 def validate_match(graph: AttributedGraph, query: QueryGraph, schema: GraphSchema,
-                   match: tuple[str, ...], any_mode: str = "or") -> bool:
+                   match: tuple[str, ...]) -> bool:
     """Independent per-slot check of one result tuple (types, predicates, edges)."""
-    matcher = _Matcher(graph, query, schema, any_mode)
+    matcher = _Matcher(graph, query, schema)
     idx = [graph.index_of[e] for e in match]
     for slot in range(query.size):
         if not matcher.vertex_ok(slot, idx[slot]):

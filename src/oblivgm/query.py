@@ -8,9 +8,10 @@ Query text format, one record per line::
     QE <parent> <child>                         # tree edge
 
 Operators are ``=``, ``<``, ``<=``, ``>``, ``>=`` and ``in <lo> <hi>`` (closed
-range). Range operators require an ordinal attribute; their operands live in
-value space here and are mapped to dictionary-index space when the query is
-resolved against a schema. A range that covers no dictionary value resolves
+range). ``QC`` sets how a vertex's predicates combine: ``ALL`` is their
+AND, ``ANY`` their inclusive OR. Range operators require an ordinal
+attribute; their operands live in value space here and are mapped to
+dictionary-index space when the query is resolved against a schema. A range that covers no dictionary value resolves
 to a well-formed predicate that can never match, so it hides exactly as much
 as a satisfiable one.
 

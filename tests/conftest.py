@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oblivgm import fss, rss
-from oblivgm.engine import EngineConfig, RecordTable, assemble, open_results, sec_match
+from oblivgm.engine import RecordTable, assemble, open_results, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import _Matcher
@@ -38,10 +38,11 @@ def campus():
 
 def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
                      seed: int = 1, master: bytes = b"\x11" * 16,
-                     any_mode: str = "or", graph=None, schema=None):
+                     graph=None, schema=None, attach=None):
     """Encrypt, tokenize and run one query in-process; returns all artifacts.
 
     ``schema``, when given, is used as built instead of deriving one at ``k``.
+    ``attach``, when given, is called on each party's runtime before it runs.
     """
     if graph is None:
         graph = parse_graph_text(graph_text)
@@ -52,8 +53,9 @@ def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
     runtimes = local_runtimes(make_session_configs(master))
 
     def worker(rt):
-        return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1],
-                         EngineConfig(any_mode=any_mode))
+        if attach:
+            attach(rt)
+        return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
 
     results = run_trio(worker, runtimes)
     matches, details = open_results(results[:2], schema)
@@ -111,7 +113,7 @@ def unique_route(schema, slot) -> bool:
             and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
 
 
-def expected_open_counts(res, any_mode: str = "or"):
+def expected_open_counts(res):
     """Plaintext count per candidate group of every fetch ledger entry, keyed by (phase, slot).
 
     A fetch entry counts each candidate group's members that satisfy its
@@ -120,7 +122,7 @@ def expected_open_counts(res, any_mode: str = "or"):
     among its padded rows.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
-    matcher = _Matcher(graph, query, schema, any_mode)
+    matcher = _Matcher(graph, query, schema)
     slots = results[0].structure["slots"]
 
     def neighbours(s, ri, vtype):

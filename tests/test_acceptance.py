@@ -13,7 +13,7 @@ from oblivgm import fss, rss
 from oblivgm.bits import BitVector
 from oblivgm.cli import main
 from oblivgm.datagen import graph_to_text, random_graph, random_query_text
-from oblivgm.engine import EngineConfig, open_results, sec_match
+from oblivgm.engine import open_results, sec_match
 from oblivgm.graphs import build_schema, encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import oracle_match, predicate_holds
@@ -99,14 +99,14 @@ def test_criterion_03_fss_exhaustive_correctness():
         n = int(rng.integers(2, 4097))
         xs = np.arange(n)
         alpha = int(rng.integers(0, n))
-        check(fss.dpf_gen(alpha, n, rng), n, xs == alpha)
+        check(fss.key_pair_gen(fss.KIND_EQ, (alpha,), n, rng), n, xs == alpha)
         for kind, op in (("lt", np.less), ("le", np.less_equal),
                          ("gt", np.greater), ("ge", np.greater_equal)):
             a = int(rng.integers(0, n))
-            check(fss.cmp_gen(kind, a, n, rng), n, op(xs, a))
+            check(fss.key_pair_gen(kind, (a,), n, rng), n, op(xs, a))
         lo = int(rng.integers(0, n))
         hi = int(rng.integers(lo, n))
-        check(fss.ic_gen(lo, hi, n, rng), n, (xs >= lo) & (xs <= hi))
+        check(fss.key_pair_gen(fss.KIND_INTERVAL, (lo, hi), n, rng), n, (xs >= lo) & (xs <= hi))
     elapsed = time.perf_counter() - started
     ok = failures == 0 and checked == 600 and elapsed < 120
     record_acceptance(3, ok, f"{checked} full-domain key checks, {failures} failures, "
@@ -281,8 +281,7 @@ def test_criterion_08_interval_eval_communication_equals_equality():
         runtimes = local_runtimes(make_session_configs(b"\x66" * 16))
 
         def worker(rt):
-            return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1],
-                             EngineConfig())
+            return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
 
         run_trio(worker, runtimes)
         per_party = {rt.index: rt.meter.phases["secEval"].bytes_sent for rt in runtimes}
@@ -324,8 +323,7 @@ def test_criterion_09_pattern_shape(tmp_path):
         runtimes = local_runtimes(make_session_configs(session))
 
         def worker(rt):
-            return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1],
-                             EngineConfig())
+            return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
 
         results = run_trio(worker, runtimes)
         opened = runtimes[0].opened
@@ -378,7 +376,7 @@ def test_criterion_10_desk_scale_latency():
     runtimes = local_runtimes(make_session_configs(b"\x77" * 16))
 
     def worker(rt):
-        return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1], EngineConfig())
+        return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
 
     started = time.perf_counter()
     results = run_trio(worker, runtimes)

@@ -1,14 +1,17 @@
 """CLI pipeline: commands compose, exit codes hold, output is deterministic."""
 
+import argparse
+import os
 import re
 import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from oblivgm import rss
-from oblivgm.cli import main
+from oblivgm.cli import build_parser, main
 from oblivgm.storage import load_results, load_schema, save_results
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, rewrite_manifest
 
@@ -291,6 +294,36 @@ def test_bench_kernels_prints_best_times(capsys):
                                              "select_many", "select_one", "translate_rows",
                                              "assemble", "key_pairs_gen", "full_domain_eval"}
     assert all(float(ms) > 0 for _, _, ms in rows)
+
+
+def test_bench_cut_short_by_a_closed_pipe_exits_1_without_a_traceback():
+    # unbuffered, each row is its own write, so the one after the reader
+    # closes the pipe fails; buffered, all rows would go out in one write at exit
+    proc = subprocess.Popen([sys.executable, "-m", "oblivgm.cli", "bench", "--seed", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    assert proc.stdout.readline().startswith(b"#")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+
+
+def test_each_subcommand_has_exactly_its_documented_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {opt for action in parser._actions for opt in action.option_strings}
+           - {"-h", "--help"} for name, parser in sub.choices.items()}
+    assert got == {
+        "encrypt": {"--graph", "--k", "--out-dir", "--seed"},
+        "tokenize": {"--query", "--schema", "--out-dir", "--seed"},
+        "serve": {"--party", "--schema", "--graph-share", "--token", "--out", "--bind", "--peers",
+                  "--session-seed", "--quiet", "--connect-timeout"},
+        "query": {"--graph-dir", "--token-dir", "--out-dir", "--mode", "--ports",
+                  "--session-seed", "--quiet"},
+        "open": {"--results", "--schema", "--verbose"},
+        "oracle": {"--graph", "--query"},
+        "bench": {"--seed"},
+    }
 
 
 def test_ciphertext_size_monotone_in_k(workspace):

@@ -9,7 +9,7 @@ import pytest
 
 from oblivgm import engine, fss, rss
 from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
-from oblivgm.engine import (EngineConfig, RecordTable, combine_predicates,
+from oblivgm.engine import (RecordTable, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
 from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph,
@@ -98,12 +98,12 @@ def test_sec_eval_dummy_candidates_never_match():
     assert bits.tolist() == [0, 1, 0]
 
 
-def combine_worker(values_by_party, combiner, any_mode):
+def combine_worker(values_by_party, combiner):
     runtimes = local_runtimes(make_session_configs(b"\x32" * 16))
 
     def worker(rt):
         bits = values_by_party[rt.index - 1]
-        return combine_predicates(rt, [bits], [combiner], any_mode)[0]
+        return combine_predicates(rt, [bits], [combiner])[0]
 
     return rss.reconstruct(run_trio(worker, runtimes))
 
@@ -118,17 +118,16 @@ def shared_bits(columns, rng):
     return per_party
 
 
-@pytest.mark.parametrize("combiner,mode,table", [
-    ("ALL", "or", lambda a, b: a & b),
-    ("ANY", "or", lambda a, b: a | b),
-    ("ANY", "xor", lambda a, b: a ^ b),
+@pytest.mark.parametrize("combiner,table", [
+    ("ALL", lambda a, b: a & b),
+    ("ANY", lambda a, b: a | b),
 ])
-def test_combine_two_predicates_truth_table(combiner, mode, table):
+def test_combine_two_predicates_truth_table(combiner, table):
     rng = np.random.default_rng(5)
     a = [0, 0, 1, 1]
     b = [0, 1, 0, 1]
     per_party = shared_bits([a, b], rng)
-    got = combine_worker(per_party, combiner, mode)
+    got = combine_worker(per_party, combiner)
     assert got.to_bits().tolist() == [table(x, y) for x, y in zip(a, b)]
 
 
@@ -136,11 +135,11 @@ def test_combine_three_all_and_single_identity():
     rng = np.random.default_rng(6)
     cols = [[1, 1, 0], [1, 0, 1], [1, 1, 1]]
     per_party = shared_bits(cols, rng)
-    assert combine_worker(per_party, "ALL", "or").to_bits().tolist() == [1, 0, 0]
+    assert combine_worker(per_party, "ALL").to_bits().tolist() == [1, 0, 0]
     single = shared_bits([[1, 0, 1]], rng)
-    assert combine_worker(single, "ALL", "or").to_bits().tolist() == [1, 0, 1]
+    assert combine_worker(single, "ALL").to_bits().tolist() == [1, 0, 1]
     with pytest.raises(ValueError):
-        combine_worker([[], [], []], "ALL", "or")
+        combine_worker([[], [], []], "ALL")
 
 
 def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids=False):
@@ -322,16 +321,11 @@ E p1 c3
 E p2 c2
 """
     whole = ["Q leaf C z >= 10\n", "Q leaf C z <= 30\n", "Q leaf C z in 10 30\n"]
-    leaves = [(p, "or") for p in whole]
-    leaves += [(whole[0] + whole[1] + "QC leaf ANY\n", mode) for mode in ("or", "xor")]
-    leaves += [("".join(whole) + "QC leaf ANY\n", mode) for mode in ("or", "xor")]
+    leaves = whole + [whole[0] + whole[1] + "QC leaf ANY\n", "".join(whole) + "QC leaf ANY\n"]
     for root, want in (("1", {("p1", "c1"), ("p1", "c2"), ("p1", "c3")}), ("2", {("p2", "c2")})):
-        for leaf, mode in leaves:
-            res = run_secure_query(text, f"Q root P a = {root}\n{leaf}QE root leaf\n",
-                                   any_mode=mode)
-            # ANY in xor mode over two predicates that both hold accepts nothing
-            two_xor = mode == "xor" and leaf.count("Q leaf") == 2
-            assert res["matches"] == (set() if two_xor else want)
+        for leaf in leaves:
+            res = run_secure_query(text, f"Q root P a = {root}\n{leaf}QE root leaf\n")
+            assert res["matches"] == want
             for rt in res["runtimes"]:
                 (fetch,) = [e for e in rt.opened if e.phase == "secFetch" and e.slot == 1]
                 assert fetch.segments == (3,)
@@ -370,15 +364,9 @@ V P p4 a=3 b=5
 E p1 p2
 E p3 p4
 """
-    q = "Q root P a = 1\nQ root P b = 1\nQC root ANY\n"
-    for mode in ("or", "xor"):
-        res = run_secure_query(text, q, any_mode=mode)
-        want = oracle_match(res["graph"], res["query"], res["schema"], any_mode=mode)
-        assert res["matches"] == want
-    res_or = run_secure_query(text, q, any_mode="or")
-    res_xor = run_secure_query(text, q, any_mode="xor")
-    assert ("p1",) in res_or["matches"]
-    assert ("p1",) not in res_xor["matches"]  # both predicates true: parity 0
+    res = run_secure_query(text, "Q root P a = 1\nQ root P b = 1\nQC root ANY\n")
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"])
+    assert res["matches"] == {("p1",), ("p2",), ("p3",)}  # p1 holds both predicates
 
 
 def test_fetch_route_dispatch_follows_schema_unique_flag():
@@ -555,10 +543,9 @@ def test_random_corpus_with_any_combiners_and_k3():
         qtext = random_query_text(rng, schema, n_targets=3,
                                   kinds=("eq", "lt", "iv"), multi_pred_prob=0.8)
         query = load_query(qtext, schema)
-        mode = ("or", "xor")[trial % 2]
         res = run_secure_query(None, qtext, graph=graph, k=k, seed=trial,
-                               master=bytes([60 + trial]) * 16, any_mode=mode)
-        assert res["matches"] == oracle_match(graph, query, schema, any_mode=mode)
+                               master=bytes([60 + trial]) * 16)
+        assert res["matches"] == oracle_match(graph, query, schema)
 
 
 def test_results_consistent_across_party_pairs():
@@ -622,8 +609,7 @@ def test_schema_digest_mismatch_rejected():
     runtimes = local_runtimes(make_session_configs(b"\x40" * 16))
 
     def worker(rt):
-        return sec_match(rt, res["tokens"][rt.index - 1],
-                         other["shares"][rt.index - 1], EngineConfig())
+        return sec_match(rt, res["tokens"][rt.index - 1], other["shares"][rt.index - 1])
 
     with pytest.raises(ValueError, match="different schemas"):
         run_trio(worker, runtimes)
@@ -757,17 +743,20 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
 
 def test_rounds_follow_tree_depth_not_slot_count():
     # the two-person tree (depth 2, two branches) and one of its branches as a
-    # chain run the same steps per level, so every party counts the same
-    # rounds; one more level costs more
-    tree = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
-    chain = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ pa P age in 30 40\n"
-                                           "Q ca C field = software\nQE u pa\nQE pa ca\n")
-    deeper = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age in 30 40\n"
-                                            "Q q P age in 30 60\nQ c C field = software\n"
-                                            "QE u p\nQE p q\nQE q c\n")
-    rounds = [[rt.meter.total.rounds for rt in res["runtimes"]] for res in (tree, chain, deeper)]
-    assert rounds[0] == rounds[1] and min(rounds[0]) > 0
-    assert all(d > t for d, t in zip(rounds[2], rounds[0]))
+    # chain run the same steps per level, so their deepest frames sit at the
+    # same chain depth; one more level sits deeper
+    runs = []
+    for query in (TWO_PERSON_QUERY,
+                  "Q u U place = Harbin\nQ pa P age in 30 40\n"
+                  "Q ca C field = software\nQE u pa\nQE pa ca\n",
+                  "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\n"
+                  "Q c C field = software\nQE u p\nQE p q\nQE q c\n"):
+        sent, stamp = depth_stamper()
+        res = run_secure_query(CAMPUS_GRAPH, query, attach=stamp)
+        runs.append((res, max(depth for log in sent.values() for *_, depth in log)))
+    (tree, tree_depth), (chain, chain_depth), (_, deeper_depth) = runs
+    assert tree_depth == chain_depth > 0
+    assert deeper_depth > tree_depth
     # the tree sends more bytes for its extra slots, in as many frames
     frames = [[rt.meter.total.frames_sent for rt in res["runtimes"]] for res in (tree, chain)]
     assert frames[0] == frames[1]

@@ -30,13 +30,13 @@ def brute_force(kind, operands, n):
 
 def test_dpf_smallest_domain():
     rng = np.random.default_rng(0)
-    k1, k2 = fss.dpf_gen(0, 2, rng)
+    k1, k2 = fss.key_pair_gen("eq", (0,), 2, rng)
     assert indicator((k1, k2), 2).tolist() == [1, 0]
 
 
 def test_dpf_128_point_37():
     rng = np.random.default_rng(1)
-    pair = fss.dpf_gen(37, 128, rng)
+    pair = fss.key_pair_gen("eq", (37,), 128, rng)
     got = indicator(pair, 128)
     assert got.tolist() == brute_force("eq", (37,), 128).tolist()
     assert int(got.sum()) == 1
@@ -45,14 +45,14 @@ def test_dpf_128_point_37():
 def test_dpf_alpha_out_of_domain():
     rng = np.random.default_rng(2)
     with pytest.raises(fss.DomainError):
-        fss.dpf_gen(16, 16, rng)
+        fss.key_pair_gen("eq", (16,), 16, rng)
     with pytest.raises(fss.DomainError):
-        fss.dcf_gen(-1, 16, rng)
+        fss.key_pair_gen("lt", (-1,), 16, rng)
 
 
 def test_eval_point_deterministic_and_matches_full_domain():
     rng = np.random.default_rng(3)
-    k1, k2 = fss.dpf_gen(100, 256, rng)
+    k1, k2 = fss.key_pair_gen("eq", (100,), 256, rng)
     assert fss.dpf_eval(k1, 5) == fss.dpf_eval(k1, 5)
     full1 = fss.full_domain_eval(k1, 256).to_bits()
     full2 = fss.full_domain_eval(k2, 256).to_bits()
@@ -65,10 +65,10 @@ def test_eval_point_deterministic_and_matches_full_domain():
 
 def test_dcf_edges():
     rng = np.random.default_rng(4)
-    assert indicator(fss.dcf_gen(0, 16, rng), 16).sum() == 0
-    got = indicator(fss.dcf_gen(10, 64, rng), 64)
+    assert indicator(fss.key_pair_gen("lt", (0,), 16, rng), 16).sum() == 0
+    got = indicator(fss.key_pair_gen("lt", (10,), 64, rng), 64)
     assert got.tolist() == [1] * 10 + [0] * 54
-    got = indicator(fss.dcf_gen(63, 64, rng), 64)
+    got = indicator(fss.key_pair_gen("lt", (63,), 64, rng), 64)
     assert got.tolist() == [1] * 63 + [0]
 
 
@@ -78,7 +78,7 @@ def test_comparison_variants_random(n, data):
     alpha = data.draw(st.integers(0, n - 1))
     kind = data.draw(st.sampled_from(["lt", "le", "gt", "ge"]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pair = fss.cmp_gen(kind, alpha, n, rng)
+    pair = fss.key_pair_gen(kind, (alpha,), n, rng)
     assert indicator(pair, n).tolist() == brute_force(kind, (alpha,), n).tolist()
 
 
@@ -88,25 +88,25 @@ def test_interval_random(n, data):
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pair = fss.ic_gen(lo, hi, n, rng)
+    pair = fss.key_pair_gen("iv", (lo, hi), n, rng)
     assert indicator(pair, n).tolist() == brute_force("iv", (lo, hi), n).tolist()
 
 
 def test_interval_spec_cases():
     rng = np.random.default_rng(5)
-    got = indicator(fss.ic_gen(30, 40, 128, rng), 128)
+    got = indicator(fss.key_pair_gen("iv", (30, 40), 128, rng), 128)
     assert got.tolist() == brute_force("iv", (30, 40), 128).tolist()
-    assert indicator(fss.ic_gen(0, 127, 128, rng), 128).tolist() == [1] * 128
+    assert indicator(fss.key_pair_gen("iv", (0, 127), 128, rng), 128).tolist() == [1] * 128
     # degenerate closed interval equals the point function
-    assert (indicator(fss.ic_gen(5, 5, 64, rng), 64).tolist()
-            == indicator(fss.dpf_gen(5, 64, rng), 64).tolist())
+    assert (indicator(fss.key_pair_gen("iv", (5, 5), 64, rng), 64).tolist()
+            == indicator(fss.key_pair_gen("eq", (5,), 64, rng), 64).tolist())
 
 
 def test_interval_open_variants():
     rng = np.random.default_rng(6)
     n = 32
     for cl, ch in ((True, True), (True, False), (False, True), (False, False)):
-        pair = fss.ic_gen(7, 13, n, rng, closed_low=cl, closed_high=ch)
+        pair = fss.key_pair_gen("iv", (7, 13), n, rng, (cl, ch))
         xs = np.arange(n)
         lo_ok = xs >= 7 if cl else xs > 7
         hi_ok = xs <= 13 if ch else xs < 13
@@ -116,20 +116,20 @@ def test_interval_open_variants():
 def test_interval_composed_of_two_prefix_indicators():
     rng = np.random.default_rng(7)
     n, lo, hi = 200, 41, 77
-    iv = indicator(fss.ic_gen(lo, hi, n, rng), n)
-    below_lo = indicator(fss.dcf_gen(lo, n, rng), n)
-    below_hi1 = indicator(fss.dcf_gen(hi + 1, n, rng), n)
+    iv = indicator(fss.key_pair_gen("iv", (lo, hi), n, rng), n)
+    below_lo = indicator(fss.key_pair_gen("lt", (lo,), n, rng), n)
+    below_hi1 = indicator(fss.key_pair_gen("lt", (hi + 1,), n, rng), n)
     assert np.array_equal(iv, below_lo ^ below_hi1)
 
 
 def test_interval_rejects_crossed_bounds():
     with pytest.raises(fss.DomainError):
-        fss.ic_gen(9, 3, 16, np.random.default_rng(0))
+        fss.key_pair_gen("iv", (9, 3), 16, np.random.default_rng(0))
 
 
 def test_full_domain_limits():
     rng = np.random.default_rng(8)
-    k1, _ = fss.dpf_gen(0, 6, rng)
+    k1, _ = fss.key_pair_gen("eq", (0,), 6, rng)
     assert fss.full_domain_eval(k1, 1).logical_len == 1
     with pytest.raises(fss.DomainError):
         fss.full_domain_eval(k1, 9)  # domain_bits for 6 is 3 -> max 8
@@ -138,9 +138,9 @@ def test_full_domain_limits():
 def test_key_serialization_round_trip_and_errors():
     rng = np.random.default_rng(9)
     n = 100
-    for kind, pair in (("eq", fss.dpf_gen(9, n, rng)), ("ge", fss.cmp_gen("ge", 3, n, rng)),
-                       ("iv", fss.ic_gen(5, 9, n, rng, closed_high=False))):
-        k1, k2 = pair
+    for kind, operands, closed in (("eq", (9,), (True, True)), ("ge", (3,), (True, True)),
+                                   ("iv", (5, 9), (True, False))):
+        k1, k2 = fss.key_pair_gen(kind, operands, n, rng, closed)
         blob = fss.serialize_key(k1)
         assert len(blob) == fss.key_bytes(kind, 7)  # no tag, depth or length stored
         back = fss.parse_key(kind, 7, blob)
@@ -160,9 +160,9 @@ def test_point_and_comparison_keys_serialize_to_equal_sizes():
     rng = np.random.default_rng(10)
     for n in (2, 64, 1000):
         sizes = {
-            len(fss.serialize_key(fss.dpf_gen(0, n, rng)[0])),
-            len(fss.serialize_key(fss.cmp_gen("lt", 0, n, rng)[0])),
-            len(fss.serialize_key(fss.cmp_gen("ge", n - 1, n, rng)[1])),
+            len(fss.serialize_key(fss.key_pair_gen("eq", (0,), n, rng)[0])),
+            len(fss.serialize_key(fss.key_pair_gen("lt", (0,), n, rng)[0])),
+            len(fss.serialize_key(fss.key_pair_gen("ge", (n - 1,), n, rng)[1])),
         }
         assert len(sizes) == 1
 
@@ -172,7 +172,7 @@ def test_key_size_affine_in_domain_bits():
     rng = np.random.default_rng(11)
     sizes = {}
     for bits in (8, 12, 16):
-        k1, _ = fss.dpf_gen(1, 1 << bits, rng)
+        k1, _ = fss.key_pair_gen("eq", (1,), 1 << bits, rng)
         sizes[bits] = len(fss.serialize_key(k1))
     slope = (sizes[16] - sizes[8]) / 8
     intercept = sizes[8] - slope * 8
@@ -206,7 +206,7 @@ def test_interval_key_in_one_pass_equals_its_two_halves_exhaustively():
         for lo in range(n):
             for hi in range(lo, n):
                 for cl, ch in ((True, True), (True, False), (False, True), (False, False)):
-                    pair = fss.ic_gen(lo, hi, n, rng, closed_low=cl, closed_high=ch)
+                    pair = fss.key_pair_gen("iv", (lo, hi), n, rng, (cl, ch))
                     for key in pair:
                         halves = (fss.full_domain_eval(key.lower, n)
                                   ^ fss.full_domain_eval(key.upper, n))
@@ -217,9 +217,12 @@ def test_interval_key_in_one_pass_equals_its_two_halves_exhaustively():
 
 def test_full_domain_eval_of_many_keys_in_one_traversal():
     rng = np.random.default_rng(10)
-    keys = [(fss.dpf_gen(37, 128, rng)[0], 128), (fss.ic_gen(3, 9, 12, rng)[1], 12),
-            (fss.cmp_gen("ge", 20, 50, rng)[0], 50), (fss.dcf_gen(5, 6, rng)[1], 6),
-            (fss.ic_gen(0, 99, 100, rng)[0], 100), (fss.dpf_gen(2, 50, rng)[1], 37)]
+    keys = [(fss.key_pair_gen("eq", (37,), 128, rng)[0], 128),
+            (fss.key_pair_gen("iv", (3, 9), 12, rng)[1], 12),
+            (fss.key_pair_gen("ge", (20,), 50, rng)[0], 50),
+            (fss.key_pair_gen("lt", (5,), 6, rng)[1], 6),
+            (fss.key_pair_gen("iv", (0, 99), 100, rng)[0], 100),
+            (fss.key_pair_gen("eq", (2,), 50, rng)[1], 37)]
     batched = fss.full_domain_eval(*keys[0], more=keys[1:])
     assert batched == [fss.full_domain_eval(key, n) for key, n in keys]
     assert fss.full_domain_eval(*keys[0], more=[]) == batched[:1]

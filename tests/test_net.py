@@ -270,7 +270,7 @@ def test_tcp_trio_matches_in_process_transcript():
 
 
 def test_full_query_transcript_identical_across_transports():
-    from oblivgm.engine import EngineConfig, sec_match
+    from oblivgm.engine import sec_match
     from oblivgm.graphs import encrypt_graph, parse_graph_text
     from oblivgm.query import gen_token, load_query
     from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY
@@ -282,7 +282,7 @@ def test_full_query_transcript_identical_across_transports():
     master = b"\x0a" * 16
 
     def worker(rt):
-        sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1], EngineConfig())
+        sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1])
         return rt.transcript_digest()
 
     local = run_trio(worker, local_runtimes(make_session_configs(master)))

@@ -60,8 +60,7 @@ def test_widening_a_range_never_removes_matches(campus_setup):
 
 def test_combiner_semantics():
     assert combine([True, True, False], "ALL") is False
-    assert combine([True, True], "ANY", "or") is True
-    assert combine([True, True], "ANY", "xor") is False  # parity, not disjunction
-    assert combine([True, False], "ANY", "xor") is True
+    assert combine([True, True], "ANY") is True  # inclusive OR
+    assert combine([False, False], "ANY") is False
     with pytest.raises(ValueError):
         combine([True], "SOME")

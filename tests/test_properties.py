@@ -94,9 +94,9 @@ def draw_query(data, schema) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
-    res = run_secure_query(None, query_text, graph=graph, schema=schema, k=k, any_mode=any_mode)
-    assert res["matches"] == oracle_match(graph, res["query"], schema, any_mode=any_mode)
+def check_secure_equals_oracle(graph, schema, query_text, k):
+    res = run_secure_query(None, query_text, graph=graph, schema=schema, k=k)
+    assert res["matches"] == oracle_match(graph, res["query"], schema)
     ledgers = [list(rt.opened) for rt in res["runtimes"]]
     assert ledgers[0] == ledgers[1] == ledgers[2]
     # labels count up from 1; an open spanning several slots has one entry per slot, in order
@@ -107,7 +107,7 @@ def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
     fetches = [e for e in ledgers[0] if e.phase == "secFetch"]
     got = {(e.phase, e.slot): opened_counts(e) for e in fetches}
     assert len(got) == len(fetches)
-    assert got == expected_open_counts(res, any_mode)
+    assert got == expected_open_counts(res)
     # the rest are the accesses' masked codes, one segment per parent record
     accesses = {e.slot: e.segments for e in ledgers[0] if e.phase == "secAccess"}
     assert len(accesses) + len(fetches) == len(ledgers[0])
@@ -120,16 +120,15 @@ def check_secure_equals_oracle(graph, schema, query_text, k, any_mode="or"):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(graph_text=graph_texts(), k=st.sampled_from((1, 2, 3)),
-       any_mode=st.sampled_from(("or", "xor")), data=st.data())
-def test_secure_equals_oracle_on_generated_inputs(graph_text, k, any_mode, data):
+@given(graph_text=graph_texts(), k=st.sampled_from((1, 2, 3)), data=st.data())
+def test_secure_equals_oracle_on_generated_inputs(graph_text, k, data):
     graph = parse_graph_text(graph_text)
     if k > min(len(m) for m in graph.type_members.values()):
         with pytest.raises(GraphFormatError, match="fewer than k"):
             build_schema(graph, k)
         return
     schema = schema_for(graph, k)
-    check_secure_equals_oracle(graph, schema, draw_query(data, schema), k, any_mode)
+    check_secure_equals_oracle(graph, schema, draw_query(data, schema), k)
 
 
 SINGLE = """

@@ -90,7 +90,7 @@ def group_counts(graph_text: str, query_text: str):
     graph = parse_graph_text(graph_text)
     schema = build_schema(graph, 2)
     query = load_query(query_text, schema)
-    matcher = _Matcher(graph, query, schema, "or")
+    matcher = _Matcher(graph, query, schema)
     members = list(graph.type_members[query.vertices[0].vtype])
     groups = {0: [(len(members), members)]}
     out = []
