@@ -7,6 +7,7 @@ a line per query slot as it goes; merging two servers' result shares yields
 exactly the subgraphs the plaintext reference matcher finds.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,12 @@ tokens = gen_token(query, schema, rng)
 print("query slots:", [f"{v.name}:{v.vtype}" for v in query.vertices])
 
 
+def say(line):
+    sys.stdout.write(line + "\n")  # one write per line: three party threads print at once
+
+
 def worker(rt):
-    return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1], progress=print)
+    return sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1], progress=say)
 
 
 runtimes = local_runtimes(make_session_configs(b"demo-05-session!"))

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from . import fss
-from .engine import RecordTable, _select_many_additive, _select_one_additive, assemble
+from .engine import RecordTable, _select_groups_additive, _select_many_additive, assemble
 from .prf import prf_stream, prg_expand, seeded_permutation
 from .shuffle import translate_rows
 
@@ -46,15 +46,15 @@ def run_kernels(seed: str) -> None:
     """Best-of-``KERNEL_REPEATS`` times of one party's hot kernels at the benchmark's shapes.
 
     The shapes are those of ``perfbench``: ``scan`` blinds a 2 MiB root table,
-    folds its unique root over the (4000, 125) words of its 4000-value
-    ``key`` attribute, evaluates keys over a 100-value dictionary and that
-    key, and its client assembles about 1175 matched records of one slot;
-    ``hop-wan`` draws about 74 segment streams per shuffle, selects 10
-    posting lists of 3 id codes from (500, 3) words and 30 attribute rows
-    from (500, 2), translates the 132 unit vectors of 512 bits that an
-    access expands its selected codes into, and its client assembles a
-    4-slot tree; key generation builds 15 trees of depths 9 and 6, about
-    one query's.
+    folds its unique root (one group, with ``sec_fetch_unique``'s kernel)
+    over the (4000, 125) words of its 4000-value ``key`` attribute,
+    evaluates keys over a 100-value dictionary and that key, and its client
+    assembles about 1175 matched records of one slot; ``hop-wan`` draws
+    about 74 segment streams per shuffle, selects 10 posting lists of 3 id
+    codes from (500, 3) words and 30 attribute rows from (500, 2),
+    translates the 132 unit vectors of 512 bits that an access expands its
+    selected codes into, and its client assembles a 4-slot tree; key
+    generation builds 15 trees of depths 9 and 6, about one query's.
     """
     print(f"# kernels seed={seed}")
     rng = np.random.default_rng(int(seed, 16))
@@ -87,7 +87,7 @@ def run_kernels(seed: str) -> None:
         ("prg_expand", "2048 seeds", lambda: prg_expand(seeds[2048])),
         ("select_many", "(10, 500) x (500, 3)", lambda: _select_many_additive(*many_posting)),
         ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
-        ("select_one", "(4000,) x (4000, 125)", lambda: _select_one_additive(*one_attrs)),
+        ("select_one", "(4000,) x (4000, 125)", lambda: _select_groups_additive(*one_attrs, 1)),
         ("translate_rows", "132 x 512 bits", lambda: translate_rows(*unit_rows)),
         ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
         ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",

@@ -96,10 +96,13 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
+def _say(msg: str) -> None:
+    """Write one stderr line in one call, so the party threads' lines do not run together."""
+    sys.stderr.write(f"{msg}\n")
+
+
 def _progress_printer(quiet: bool):
-    if quiet:
-        return None
-    return lambda msg: print(msg, file=sys.stderr)
+    return None if quiet else _say
 
 
 def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
@@ -123,11 +126,10 @@ def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
     if not quiet:
         for rt in runtimes:
             t = rt.meter.total
-            print(f"[party-{rt.index}] sent {t.bytes_sent} bytes in {t.frames_sent} frames "
-                  f"over {t.rounds} rounds", file=sys.stderr)
+            _say(f"[party-{rt.index}] sent {t.bytes_sent} bytes in {t.frames_sent} frames")
             for name, st in rt.meter.phases.items():
-                print(f"[party-{rt.index}]   {name}: {st.bytes_sent} bytes in "
-                      f"{st.frames_sent} frames, {st.seconds:.4f} s", file=sys.stderr)
+                _say(f"[party-{rt.index}]   {name}: {st.bytes_sent} bytes in "
+                     f"{st.frames_sent} frames, {st.seconds:.4f} s")
     print(f"wrote 3 result share files to {out_dir}")
     return 0
 

@@ -163,11 +163,11 @@ def _root_ids(party: int, ts: TypeSchema) -> MatchTable:
     return MatchTable.public(party, ts.id_width, codes, np.zeros_like(codes))
 
 
-def _select_one_additive(bits_a, bits_b, mat_a, mat_b) -> np.ndarray:
-    """Additive share of XOR_c bit[c] AND row[c], folded over the first axis.
+def _select_groups_additive(bits_a, bits_b, mat_a, mat_b, groups: int) -> np.ndarray:
+    """Additive shares of XOR_c bit[c] AND row[c], one per each of ``groups`` equal row runs.
 
     With ``p``, ``q`` the party's two shares of the bits and ``A``, ``B`` of
-    the rows, the share is ``(p XOR q)·A XOR p·B`` over GF(2). Both bit
+    the rows, a run's share is ``(p XOR q)·A XOR p·B`` over GF(2). Both bit
     vectors become 0/0xFFFFFFFF word masks ANDed with every row, so the
     kernel does the same work whatever the bits are. Reading only the rows
     ``p XOR q`` and ``p`` pick would not: ``p XOR q`` is the shared bits
@@ -176,18 +176,21 @@ def _select_one_additive(bits_a, bits_b, mat_a, mat_b) -> np.ndarray:
     """
     mask_a = np.negative((bits_a ^ bits_b).astype(np.uint32))[:, None]  # 1 -> 0xFFFFFFFF
     mask_b = np.negative(bits_a.astype(np.uint32))[:, None]
-    return (np.bitwise_xor.reduce(mat_a & mask_a, axis=0)
-            ^ np.bitwise_xor.reduce(mat_b & mask_b, axis=0))
+    runs = (groups, mat_a.shape[0] // groups, mat_a.shape[1])
+    # each share folds on its own: XORing the two masked matrices first
+    # costs more than the second reduction saves
+    return (np.bitwise_xor.reduce((mat_a & mask_a).reshape(runs), axis=1)
+            ^ np.bitwise_xor.reduce((mat_b & mask_b).reshape(runs), axis=1))
 
 
 def _select_many_additive(sel_a, sel_b, mat_a, mat_b) -> np.ndarray:
     """Row-batched one-hot selection: (K, X) selector bits against (X, W) rows.
 
-    Row ``k`` is :func:`_select_one_additive` of selector row ``k``. Its bits
-    ``[p XOR q | p]`` become 0/0xFFFFFFFF word masks, ANDed with the
-    transposed ``(W, 2X)`` matrix ``[A; B]^T`` and XOR-reduced along its
-    contiguous last axis; as in the one-row case, the work does not depend
-    on the bits.
+    Row ``k`` is :func:`_select_groups_additive` of selector row ``k`` as one
+    run. Its bits ``[p XOR q | p]`` become 0/0xFFFFFFFF word masks, ANDed
+    with the transposed ``(W, 2X)`` matrix ``[A; B]^T`` and XOR-reduced
+    along its contiguous last axis; as there, the work does not depend on
+    the bits.
     """
     k = sel_a.shape[0]
     rows_t = np.ascontiguousarray(np.concatenate([mat_a, mat_b]).T)
@@ -312,6 +315,8 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
     a single re-share carries every field of every table's folded records;
     communication does not grow with the candidate count. A zero-match group
     folds to the all-zero (dummy) record. Returns one record per group.
+    A table's groups share one public size, the population at the root and
+    ``max_padded`` below it, so each field folds in one call.
 
     A table without ``ids`` is the root slot's, whose row ``c`` is vertex
     ``c``: its one record's one-hot id, ``sum_c flag_c * e_c``, is the flag
@@ -320,14 +325,13 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
     folds, groups = [], []
     for cand, flag in zip(cands, flags):
         parents, counts = cand.groups()
+        if len(set(counts)) != 1:
+            raise ValueError(f"unique-route groups of unequal sizes {sorted(set(counts))}")
         groups.append(parents)
         fa, fb = _flag_bits(flag)
-        bounds = np.cumsum((0,) + counts)
-        spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         fields = [cand.attrs[a] for a in sorted(cand.attrs)]
         for t in fields if cand.ids is None else [cand.ids] + fields:
-            folds.append((np.stack([_select_one_additive(fa[sp], fb[sp], t.share_a[sp],
-                                                         t.share_b[sp]) for sp in spans]),
+            folds.append((_select_groups_additive(fa, fb, t.share_a, t.share_b, len(counts)),
                           t.width))
     tables = iter(rss.reshare_rows(rt, *folds[0], more=folds[1:]))
     out = []

@@ -224,7 +224,8 @@ def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
 # ---------------------------------------------------------------------------
 
 
-def _walk_eval(key: DpfKey, x: int) -> int:
+def eval_point(key: DpfKey, x: int) -> int:
+    """One point's evaluation of a point or comparison key, by one walk down its tree."""
     bits = key.domain_bits
     if not 0 <= x < (1 << bits):
         raise DomainError(f"point {x} outside 2^{bits} domain")
@@ -249,10 +250,6 @@ def _walk_eval(key: DpfKey, x: int) -> int:
     else:
         out = int(seeds[0, 0] & np.uint64(1)) ^ (t & key.final_cw)
     return (out ^ key.add_const) & 1
-
-
-def dpf_eval(key: DpfKey, x: int) -> int:
-    return _walk_eval(key, x)
 
 
 def _full_domain_trees(keys: list[DpfKey], n: int) -> np.ndarray:

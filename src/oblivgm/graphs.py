@@ -331,15 +331,13 @@ class GraphShare:
     types: dict[str, TypePartyShare]
 
 
-def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator,
-                  schema: GraphSchema | None = None):
+def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator):
     """Produce the public schema and the three per-party share sets.
 
     Every attribute field is split in one draw, then every vertex's padded
     posting list in one draw per vertex, type by type in schema order.
     """
-    if schema is None:
-        schema = build_schema(graph, k)
+    schema = build_schema(graph, k)
     per_party: list[dict[str, TypePartyShare]] = [{}, {}, {}]
     for vtype, ts in schema.types.items():
         members = graph.type_members[vtype]

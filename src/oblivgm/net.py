@@ -192,67 +192,41 @@ class PhaseStats:
     bytes_sent: int = 0
     frames_sent: int = 0
     logical_bits: int = 0
-    rounds: int = 0  # sends after a receive since the previous send, or first in a phase
     seconds: float = 0.0  # wall time spent inside the phase (not kept for the total)
 
-    def add(self, nbytes: int, bits: int, new_round: bool) -> None:
+    def add(self, nbytes: int, bits: int) -> None:
         self.bytes_sent += nbytes
         self.frames_sent += 1
         self.logical_bits += bits
-        self.rounds += new_round
 
 
 class Meter:
-    """Per-party traffic accounting, grouped by a caller-managed phase stack.
+    """Per-party traffic accounting, per phase and in total.
 
-    A send opens a new round when the party has received a frame since its
-    previous send, or has not sent before: frames a party sends back to back,
-    such as the two a shuffle sends from party 2, share one round. A phase's
-    first send also opens a round in that phase's stats, so a phase's rounds
-    do not depend on how the phase before it ended; ``total`` counts only
-    the former.
-
-    These are a party's send bursts, not the causal depth of its frames, and
-    the two differ both ways. In a unit-vector expansion
-    (:class:`oblivgm.shuffle.UnitVectors`) party 2 sends its share of the
-    masked codes, then receives the mask frames and relays one, so it books
-    4 rounds for an access level 3 deep. A range-matched root with children
-    adds its own expansion, 2 rounds deep, before its level's access; there
-    parties 1, 2 and 3 book 4, 6 and 4 ``secAccess`` rounds for a chain 5
-    deep. The benchmark's ``rounds_per_query`` is the causal depth.
+    :meth:`phase` names the phase that sends are booked to, and restores the
+    previous name on exit. The meter sees one party's sends only, so it
+    counts no rounds: a query's rounds are the causal depth of its frames
+    over all three parties.
     """
 
     def __init__(self):
         self.phases: dict[str, PhaseStats] = {}
         self.total = PhaseStats()
-        self._stack: list[str] = []
-        self._received = True
-        self._phase_sent = False  # whether the innermost phase has sent yet
-
-    @property
-    def current(self) -> str:
-        return self._stack[-1] if self._stack else "(none)"
+        self.current = "(none)"
 
     @contextmanager
     def phase(self, name: str):
-        self._stack.append(name)
-        outer_sent, self._phase_sent = self._phase_sent, False
+        outer, self.current = self.current, name
         started = time.perf_counter()
         try:
             yield
         finally:
-            self._stack.pop()
-            self._phase_sent = outer_sent
+            self.current = outer
             self.phases.setdefault(name, PhaseStats()).seconds += time.perf_counter() - started
 
     def record_send(self, nbytes: int, logical_bits: int) -> None:
-        new_round, self._received = self._received, False
-        phase_round, self._phase_sent = new_round or not self._phase_sent, True
-        self.total.add(nbytes, logical_bits, new_round)
-        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits, phase_round)
-
-    def record_recv(self) -> None:
-        self._received = True
+        self.total.add(nbytes, logical_bits)
+        self.phases.setdefault(self.current, PhaseStats()).add(nbytes, logical_bits)
 
 
 class Opened(NamedTuple):
@@ -339,14 +313,10 @@ class PartyRuntime:
         self._send(self._prev, op, payload, logical_bits)
 
     def recv_next(self, op: int) -> bytes:
-        payload = self.links[self._next].recv(op, self.recv_timeout)
-        self.meter.record_recv()
-        return payload
+        return self.links[self._next].recv(op, self.recv_timeout)
 
     def recv_prev(self, op: int) -> bytes:
-        payload = self.links[self._prev].recv(op, self.recv_timeout)
-        self.meter.record_recv()
-        return payload
+        return self.links[self._prev].recv(op, self.recv_timeout)
 
     # -- session state -----------------------------------------------------
 
@@ -454,10 +424,10 @@ def run_trio(worker, runtimes: list[PartyRuntime], close_channels=None):
 
 
 def run_local_trio(worker, configs: list[PartyConfig] | None = None,
-                   master: bytes = b"\x00" * 16, recv_timeout: float = 120.0):
+                   recv_timeout: float = 120.0):
     """Convenience wrapper: set up an in-process session and run a worker triple."""
     if configs is None:
-        configs = make_session_configs(master)
+        configs = make_session_configs(b"\x00" * 16)
     return run_trio(worker, local_runtimes(configs, recv_timeout))
 
 

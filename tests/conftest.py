@@ -38,16 +38,15 @@ def campus():
 
 def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
                      seed: int = 1, master: bytes = b"\x11" * 16,
-                     graph=None, schema=None, attach=None):
+                     graph=None, attach=None):
     """Encrypt, tokenize and run one query in-process; returns all artifacts.
 
-    ``schema``, when given, is used as built instead of deriving one at ``k``.
     ``attach``, when given, is called on each party's runtime before it runs.
     """
     if graph is None:
         graph = parse_graph_text(graph_text)
     rng = np.random.default_rng(seed)
-    schema, shares = encrypt_graph(graph, k, rng, schema)
+    schema, shares = encrypt_graph(graph, k, rng)
     query = load_query(query_text, schema)
     tokens = gen_token(query, schema, rng)
     runtimes = local_runtimes(make_session_configs(master))

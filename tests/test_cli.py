@@ -125,13 +125,36 @@ def test_query_prints_each_partys_phase_split(workspace, capsys):
     err = capsys.readouterr().err
     for i in (1, 2, 3):
         tag = f"[party-{i}] "
-        (total,) = re.findall(re.escape(tag) + r"sent (\d+) bytes in (\d+) frames over \d+ rounds",
-                              err)
+        (total,) = re.findall(re.escape(tag) + r"sent (\d+) bytes in (\d+) frames$", err,
+                              re.MULTILINE)
         phases = re.findall(re.escape(tag) + r"  (\w+): (\d+) bytes in (\d+) frames, ([\d.]+) s",
                             err)
         assert [name for name, *_ in phases] == ["secEval", "secFetch", "secAccess"]
         assert [sum(int(ph[k]) for ph in phases) for k in (1, 2)] == [int(n) for n in total]
         assert all(float(sec) > 0 for *_, sec in phases)
+
+
+def test_query_writes_each_stderr_line_in_one_call(workspace, monkeypatch):
+    # the three party threads print progress at once: a line written as its
+    # text and then its newline can run into another party's line
+    run_pipeline(workspace)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stderr", Recorder())
+    assert main(["query", "--graph-dir", str(workspace / "enc"),
+                 "--token-dir", str(workspace / "tok"), "--out-dir", str(workspace / "res"),
+                 "--session-seed", SES_SEED]) == 0
+    monkeypatch.undo()
+    assert {w[:9] for w in writes if " slot " in w} == {"[party-1]", "[party-2]", "[party-3]"}
+    assert all(w.startswith("[party-") and w.index("\n") == len(w) - 1 for w in writes)
 
 
 def test_open_verbose_includes_attributes(workspace, capsys):

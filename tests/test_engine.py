@@ -789,6 +789,12 @@ def test_an_access_level_takes_three_rounds():
     assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 3
 
 
+def test_unique_fetch_refuses_groups_of_unequal_sizes():
+    cand = RecordTable(None, {}, np.array([0, 0, 1]))
+    with pytest.raises(ValueError, match="unequal sizes"):
+        sec_fetch_unique(None, [cand], [None])
+
+
 def hop_graph_text(n: int) -> str:
     """Three types of ``n`` vertices, each with four ``x0`` values held ``n / 4`` times.
 
@@ -830,7 +836,7 @@ def test_range_root_expands_only_the_kept_codes():
                 yield
             if name == "secFetch" and rt.index not in meter:
                 stats = rt.meter.phases[name]
-                meter[rt.index] = (stats.frames_sent, stats.bytes_sent, stats.rounds)
+                meter[rt.index] = (stats.frames_sent, stats.bytes_sent)
 
         rt.meter.phase = snapshot
 
@@ -867,6 +873,12 @@ def test_range_root_expands_only_the_kept_codes():
     # the open of the masked codes, so party 1 selects 3 rounds after the flags
     flag_depth = max(fetch[-1][3] for fetch, _, _ in levels.values())
     assert levels[1][2][3] == flag_depth + 3
+    # the fetch is four rounds deep, right after the root's one evaluation
+    # round: party 1 sends its shuffle frame and its flags at depth 2, party 2
+    # its two shuffle frames at 3, party 3 its frame and flags at 4, and
+    # party 2 its flags once party 3's frame has come
+    assert {p: [f[3] for f in fetch] for p, (fetch, _, _) in levels.items()} == {
+        1: [2, 2], 2: [3, 3, 5], 3: [4, 4]}
     # the meter agrees on the fetch
-    assert meter == {p: (len(fetch), sum(18 + f[2] for f in fetch), rounds)
-                     for (p, (fetch, _, _)), rounds in zip(levels.items(), (1, 2, 1))}
+    assert meter == {p: (len(fetch), sum(18 + f[2] for f in fetch))
+                     for p, (fetch, _, _) in levels.items()}

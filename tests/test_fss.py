@@ -52,15 +52,17 @@ def test_dpf_alpha_out_of_domain():
 
 def test_eval_point_deterministic_and_matches_full_domain():
     rng = np.random.default_rng(3)
-    k1, k2 = fss.key_pair_gen("eq", (100,), 256, rng)
-    assert fss.dpf_eval(k1, 5) == fss.dpf_eval(k1, 5)
-    full1 = fss.full_domain_eval(k1, 256).to_bits()
-    full2 = fss.full_domain_eval(k2, 256).to_bits()
-    for x in range(256):
-        assert fss.dpf_eval(k1, x) == full1[x]
-        assert fss.dpf_eval(k1, x) ^ fss.dpf_eval(k2, x) == (x == 100)
-    with pytest.raises(fss.DomainError):
-        fss.dpf_eval(k1, 256)
+    for kind in ("eq", "lt", "ge"):  # a point key, and comparison keys without and with add_const
+        k1, k2 = fss.key_pair_gen(kind, (100,), 256, rng)
+        assert fss.eval_point(k1, 5) == fss.eval_point(k1, 5)
+        full1 = fss.full_domain_eval(k1, 256).to_bits()
+        full2 = fss.full_domain_eval(k2, 256).to_bits()
+        want = brute_force(kind, (100,), 256)
+        for x in range(256):
+            assert (fss.eval_point(k1, x), fss.eval_point(k2, x)) == (full1[x], full2[x])
+            assert fss.eval_point(k1, x) ^ fss.eval_point(k2, x) == want[x]
+        with pytest.raises(fss.DomainError):
+            fss.eval_point(k1, 256)
 
 
 def test_dcf_edges():

@@ -299,39 +299,41 @@ def test_tcp_unreachable_peer():
         tcp_runtime(cfg, connect_timeout=0.3)
 
 
-def test_meter_counts_a_round_per_send_after_a_receive():
+def test_meter_counts_each_partys_frames_and_bytes_per_phase():
     rng = np.random.default_rng(21)
     x = rss.share(BitVector.random(9, rng), rng)
     rows = [rss.share(BitVector.random(7, rng), rng) for _ in range(4)]
 
     def worker(rt):
         with rt.meter.phase("a"):
-            rss.reshare(rt, BitVector.zeros(9))  # everyone sends, then receives
+            rss.reshare(rt, BitVector.zeros(9))  # one frame from every party, twice
             rss.reshare(rt, BitVector.zeros(9))
+        assert rt.meter.current == "(none)"
         with rt.meter.phase("b"):
             sec_shuffle(rt, MatchTable.from_rows([r[rt.index - 1] for r in rows]))
             rss.open_shared(rt, x[rt.index - 1])
 
     runtimes = local_runtimes(make_session_configs(b"\x23" * 16))
     run_trio(worker, runtimes)
-    # the shuffle: party 1 sends before it receives anything, party 2 receives
-    # once and sends two frames back to back, party 3 receives twice and sends
-    # once; then the open's send is a new round only for party 2, the one party
-    # that received during the shuffle after its last send
-    assert [rt.meter.phases["a"].rounds for rt in runtimes] == [2, 2, 2]
-    assert [rt.meter.phases["b"].rounds for rt in runtimes] == [1, 2, 1]
-    assert [rt.meter.total.rounds for rt in runtimes] == [3, 4, 3]
+    # the shuffle sends one frame from parties 1 and 3 and two from party 2,
+    # then the open one from each
+    assert [rt.meter.phases["a"].frames_sent for rt in runtimes] == [2, 2, 2]
+    assert [rt.meter.phases["b"].frames_sent for rt in runtimes] == [2, 3, 2]
     assert [rt.meter.total.frames_sent for rt in runtimes] == [4, 5, 4]
+    for rt in runtimes:
+        a, b = rt.meter.phases["a"], rt.meter.phases["b"]
+        assert (a.bytes_sent, a.logical_bits) == (2 * (18 + 4), 18)
+        assert rt.meter.total.bytes_sent == a.bytes_sent + b.bytes_sent
+        assert a.seconds > 0 and b.seconds > 0
 
 
-def test_meter_books_a_round_at_a_phases_first_send():
-    # a phase that ends on a send does not take the next phase's first round
+def test_meter_books_sends_outside_a_phase_to_none():
     meter = net.Meter()
+    meter.record_send(10, 80)
     with meter.phase("a"):
-        meter.record_send(10, 80)
-        meter.record_recv()
-        meter.record_send(10, 80)
-    with meter.phase("b"):
-        meter.record_send(10, 80)
-        meter.record_send(10, 80)
-    assert (meter.phases["a"].rounds, meter.phases["b"].rounds, meter.total.rounds) == (2, 1, 2)
+        meter.record_send(12, 96)
+        meter.record_send(12, 96)
+    assert {name: (p.bytes_sent, p.frames_sent, p.logical_bits)
+            for name, p in meter.phases.items()} == {"(none)": (10, 1, 80), "a": (24, 2, 192)}
+    assert (meter.total.bytes_sent, meter.total.frames_sent, meter.total.logical_bits) == \
+        (34, 3, 272)

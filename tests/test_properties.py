@@ -14,6 +14,7 @@ with one group per vertex. It is the only way a single-vertex type (1-bit id
 codes) gets encrypted.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -40,11 +41,16 @@ def _one_group_per_vertex(graph, k):
     return groups, padded
 
 
-def schema_for(graph, k):
+def padding(k):
+    """The padding ``build_schema`` uses at ``k``: one group per vertex at k = 1."""
     if k > 1:
+        return nullcontext()
+    return mock.patch.object(graphs, "pad_k_groups", _one_group_per_vertex)
+
+
+def schema_for(graph, k):
+    with padding(k):
         return build_schema(graph, k)
-    with mock.patch.object(graphs, "pad_k_groups", _one_group_per_vertex):
-        return build_schema(graph, 1)
 
 
 @st.composite
@@ -95,7 +101,9 @@ def draw_query(data, schema) -> str:
 
 
 def check_secure_equals_oracle(graph, schema, query_text, k):
-    res = run_secure_query(None, query_text, graph=graph, schema=schema, k=k)
+    with padding(k):  # encrypt_graph builds its schema under the same padding
+        res = run_secure_query(None, query_text, graph=graph, k=k)
+    assert res["schema"].digest() == schema.digest()
     assert res["matches"] == oracle_match(graph, res["query"], schema)
     ledgers = [list(rt.opened) for rt in res["runtimes"]]
     assert ledgers[0] == ledgers[1] == ledgers[2]

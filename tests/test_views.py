@@ -148,7 +148,7 @@ def view_shapes(graph_text: str, query_text: str):
         ledger = [(e.label, e.phase, e.slot, e.segments, e.bits.logical_len,
                    None if e.phase == "secAccess" else tuple(conftest.opened_counts(e)))
                   for e in rt.opened]
-        meter = {name: (p.bytes_sent, p.frames_sent, p.logical_bits, p.rounds)
+        meter = {name: (p.bytes_sent, p.frames_sent, p.logical_bits)
                  for name, p in sorted(rt.meter.phases.items())}
         views.append((frames[rt.index], ledger, meter))
     return views, [rt.transcript_digest() for rt in res["runtimes"]]
