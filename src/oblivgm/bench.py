@@ -7,7 +7,8 @@ import time
 import numpy as np
 
 from . import fss
-from .engine import RecordTable, _select_groups_additive, _select_many_additive, assemble
+from .engine import (RecordTable, _code_words, _select_groups_additive, _select_many_additive,
+                     assemble)
 from .prf import prf_stream, prg_expand, seeded_permutation
 from .shuffle import translate_rows
 
@@ -47,7 +48,8 @@ def run_kernels(seed: str) -> None:
 
     The shapes are those of ``perfbench``: ``scan`` blinds a 2 MiB root table,
     folds its unique root (one group, with ``sec_fetch_unique``'s kernel)
-    over the (4000, 125) words of its 4000-value ``key`` attribute,
+    over the (4000, 125) words of its 4000-value ``key`` attribute, maps
+    one share of its 100-value ``x0`` attribute, 4000 rows, to value codes,
     evaluates keys over a 100-value dictionary and that key, and its client
     assembles about 1175 matched records of one slot; ``hop-wan`` draws
     about 74 segment streams per shuffle, selects 10 posting lists of 3 id
@@ -70,6 +72,7 @@ def run_kernels(seed: str) -> None:
     unit_rows = (words(132, 16), 512, words(132) & np.uint32(511))
     many_attrs = (bits(30, 500), bits(30, 500), words(500, 2), words(500, 2))
     one_attrs = (bits(4000), bits(4000), words(4000, 125), words(4000, 125))
+    attr_share = words(4000, 4)
     seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
     scan_records = ([{"children": []}], [RecordTable(None, {}, np.full(1175, -1))])
     hop_records = _hop_records()
@@ -88,6 +91,7 @@ def run_kernels(seed: str) -> None:
         ("select_many", "(10, 500) x (500, 3)", lambda: _select_many_additive(*many_posting)),
         ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
         ("select_one", "(4000,) x (4000, 125)", lambda: _select_groups_additive(*one_attrs, 1)),
+        ("code_map", "4000 x 100 bits", lambda: _code_words(attr_share, 100)),
         ("translate_rows", "132 x 512 bits", lambda: translate_rows(*unit_rows)),
         ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
         ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",

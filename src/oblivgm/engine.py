@@ -7,8 +7,9 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   six additive terms per candidate; one bit per candidate is re-shared.
 * matched-vertex fetch: a unique-valued attribute lets the parties fold each
   candidate group into a single record with pure local algebra plus one
-  re-share; otherwise the flag/id/value table is obliviously
-  shuffled and only the shuffled flag column is opened.
+  re-share; otherwise rows of flag, id and attribute codes are obliviously
+  shuffled and only the shuffled flag column is opened. Either way a
+  record's attribute values leave the fetch as codes.
 * neighbor access: matched vertices' padded posting lists of neighbor id
   codes are pulled out of the whole parent-type population by one-hot
   selection; the codes become one-hot rows through uniformly masked codes,
@@ -26,19 +27,25 @@ vertex ids and each queried attribute) and a public ``parent_record`` array.
 A candidate group is a run of rows with one parent record. Every re-share
 goes through :func:`oblivgm.rss.reshare_rows`.
 
-A vertex id takes one of two encodings. It is one-hot over the type's
-population only while a one-hot selection may still read it: in a slot
-that has children, until that slot's neighbor accesses are done. Everywhere
-else it is the ``TypeSchema.id_width``-bit code ``c + 1`` of vertex ``c``,
-with 0 marking a dummy record; posting entries are stored as such codes.
+A vertex id and an attribute value each take one of two encodings: a row
+is one-hot only while a one-hot selection or a predicate may still read it,
+and a code ``c + 1`` everywhere else, 0 marking a dummy record or an
+all-zero value. An id is one-hot over the type's population in a slot that
+has children, until that slot's neighbor accesses are done, and otherwise
+the ``TypeSchema.id_width``-bit code of vertex ``c``; posting entries are
+stored as such codes. An attribute value is one-hot over its dictionary of
+D values in the graph shares and in a slot's candidates, where
+:func:`sec_eval` reads it and an access selects it, and a
+``D.bit_length()``-bit code in the fetch, the records and the result.
 An access selects codes, and :class:`oblivgm.shuffle.UnitVectors` expands
 them into the one-hot rows that select attributes; a leaf child keeps the
 selected codes as its ids, and a child with children keeps the one-hot
 rows, so a leaf slot's fetch shuffles or folds ``id_width`` bits per
-candidate, not ``population``. One-hot ``e_c`` maps back to ``c + 1`` by a
+candidate, not ``population``. One-hot ``e_c`` maps to ``c + 1`` by a
 public GF(2)-linear map, which each party applies to its own two shares
-(:func:`_id_codes`), so a slot with children switches to codes without a
-message once its accesses are done. Root ids are public, row ``c`` being
+(:func:`_codes`), so a slot with children switches to codes without a
+message once its accesses are done, and a fetch maps attribute values
+before it shuffles or re-shares them. Root ids are public, row ``c`` being
 vertex ``c``, so the graph shares hold none. In the unique route a root's
 folded one-hot id is its flag vector; in the multi route it shuffles the
 public codes, and a root with children expands its K kept codes with
@@ -86,7 +93,8 @@ class RecordTable:
 
     Row ``r`` descends from record ``parent_record[r]`` of the parent slot
     (-1 at the root). Rows are sorted by parent record; a run of one parent
-    record is one candidate group. ``ids`` are one-hot or id codes.
+    record is one candidate group. ``ids`` are one-hot or id codes;
+    ``attrs`` are one-hot in candidates and value codes in records.
     """
 
     ids: MatchTable | None  # None only for a unique-route root's public ids, before its fetch
@@ -117,49 +125,59 @@ def _parity_rows(mat: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(acc) & 1).astype(np.uint8)
 
 
-@lru_cache(maxsize=32)
-def _code_tables(population: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex ``c``'s id code ``c + 1``, packed two ways; both arrays are read-only.
+@lru_cache(maxsize=64)
+def _byte_codes(width: int) -> np.ndarray:
+    """The code map of rows of ``width`` bits as a read-only byte table.
 
-    Returns ``(codes, masks)``. ``codes`` has one word per row, row ``c``
-    holding ``c + 1`` (``width`` is at most 32). Row ``j`` of the
-    ``(width, words)`` matrix ``masks`` has bit ``c`` set when bit ``j`` of
-    code ``c + 1`` is.
+    Entry ``256 * b + v`` is the XOR of the codes ``i + 1`` of the set bits
+    ``i = 8b + j`` of byte value ``v`` at byte ``b`` of a row, for ``i`` below
+    the width, so a row's code is the XOR of one entry per byte.
     """
-    codes = np.arange(1, population + 1, dtype=np.uint32)
-    masks = pack_bits((codes >> np.arange(width, dtype=np.uint32)[:, None]) & 1)
-    codes = codes[:, None]
-    codes.flags.writeable = masks.flags.writeable = False
-    return codes, masks
+    values = np.arange(256, dtype=np.uint32)
+    pos = np.arange((width + 7) // 8 * 8, dtype=np.uint32).reshape(-1, 8)
+    codes = np.where(pos < width, pos + 1, 0)
+    table = np.zeros((len(pos), 256), np.uint32)
+    for j in range(8):  # one bit of the byte at a time keeps the intermediate at the table's size
+        table ^= ((values >> np.uint32(j)) & np.uint32(1)) * codes[:, j:j + 1]
+    table = table.reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
-def _id_codes(ids: MatchTable, ts: TypeSchema) -> MatchTable:
-    """Shared one-hot ids as shared id codes, computed locally; segments are kept.
+def _code_words(mat: np.ndarray, width: int) -> np.ndarray:
+    """The ``(rows, 1)`` codes of packed rows of ``width`` bits; bits past the width are ignored.
 
-    Code bit ``j`` of a row is the parity of the row AND ``M_j``, the public
-    mask of the positions whose code has bit ``j`` set. The map is linear
-    over GF(2), so each share component is mapped on its own and no message
-    is sent. Every row is ANDed with every mask, so the work does not depend
-    on the shared bits.
+    A row's code is the XOR of ``i + 1`` over its set bits ``i``: ``e_i``
+    maps to ``i + 1`` and the zero row to 0. Every row takes one table
+    lookup per byte of the width, whatever its bits.
     """
-    _, masks = _code_tables(ts.population, ts.id_width)
-    weights = np.uint32(1) << np.arange(ts.id_width, dtype=np.uint32)
-    step = max(1, (1 << 16) // masks.size)  # bound the (step, width, words) intermediate
+    table, nbytes = _byte_codes(width), (width + 7) // 8
+    offsets = np.arange(0, 256 * nbytes, 256)
+    as_bytes = np.ascontiguousarray(mat).view(np.uint8)[:, :nbytes]
+    out = np.empty((mat.shape[0], 1), np.uint32)
+    step = max(1, (1 << 16) // nbytes)  # bound the (step, nbytes) index intermediate
+    for lo in range(0, mat.shape[0], step):
+        out[lo:lo + step, 0] = np.bitwise_xor.reduce(
+            np.take(table, as_bytes[lo:lo + step] + offsets), axis=1)
+    return out
 
-    def encode(share):
-        out = np.empty((share.shape[0], 1), np.uint32)
-        for lo in range(0, share.shape[0], step):
-            acc = np.bitwise_xor.reduce(share[lo:lo + step, None, :] & masks, axis=-1)
-            out[lo:lo + step, 0] = ((np.bitwise_count(acc) & 1) * weights).sum(axis=1)
-        return out
 
-    return MatchTable(ids.party_index, ts.id_width, encode(ids.share_a), encode(ids.share_b),
-                      ids.segments)
+def _codes(rows: MatchTable) -> MatchTable:
+    """Shared one-hot rows as shared codes ``c + 1``, computed locally; segments are kept.
+
+    A one-hot id over a population of N maps to its ``id_width``-bit code,
+    and a one-hot attribute value over a dictionary of D values to its
+    ``D.bit_length()``-bit code. The map is linear over GF(2), so each share
+    component is mapped on its own and no message is sent.
+    """
+    return MatchTable(rows.party_index, rows.width.bit_length(),
+                      _code_words(rows.share_a, rows.width),
+                      _code_words(rows.share_b, rows.width), rows.segments)
 
 
 def _root_ids(party: int, ts: TypeSchema) -> MatchTable:
     """A multi-route root's public ids, the codes ``c + 1``, shared by :meth:`MatchTable.public`."""
-    codes = _code_tables(ts.population, ts.id_width)[0]
+    codes = np.arange(1, ts.population + 1, dtype=np.uint32)[:, None]
     return MatchTable.public(party, ts.id_width, codes, np.zeros_like(codes))
 
 
@@ -320,7 +338,10 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
 
     A table without ``ids`` is the root slot's, whose row ``c`` is vertex
     ``c``: its one record's one-hot id, ``sum_c flag_c * e_c``, is the flag
-    vector itself, so only its attributes are folded and re-shared.
+    vector itself, so only its attributes are folded and re-shared. A folded
+    attribute row is an additive share of a one-hot row, which the code map
+    turns into an additive share of its code, so only code bits are
+    re-shared.
     """
     folds, groups = [], []
     for cand, flag in zip(cands, flags):
@@ -331,8 +352,10 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
         fa, fb = _flag_bits(flag)
         fields = [cand.attrs[a] for a in sorted(cand.attrs)]
         for t in fields if cand.ids is None else [cand.ids] + fields:
-            folds.append((_select_groups_additive(fa, fb, t.share_a, t.share_b, len(counts)),
-                          t.width))
+            fold = _select_groups_additive(fa, fb, t.share_a, t.share_b, len(counts))
+            # ids keep their encoding: one-hot where an access will select by them
+            folds.append((fold, t.width) if t is cand.ids
+                         else (_code_words(fold, t.width), t.width.bit_length()))
     tables = iter(rss.reshare_rows(rt, *folds[0], more=folds[1:]))
     out = []
     for cand, flag, parents in zip(cands, flags, groups):
@@ -350,11 +373,12 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
     flags, tagged ``slots`` in the ledger; a kept row keeps its group's
     parent record. The id field is as wide as the candidates' ids:
     ``id_width`` bits of code in a root or a leaf slot, the population in a
-    slot whose records are still to be accessed.
+    slot whose records are still to be accessed. Each attribute is mapped
+    to its code before the shuffle, with no message.
     """
     tables, widths = [], []
     for cand, flag in zip(cands, flags):
-        fields = [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
+        fields = [cand.ids, *(_codes(cand.attrs[a]) for a in sorted(cand.attrs))]
         rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
                              + [(getattr(f, side), f.width) for f in fields])
                 for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
@@ -527,7 +551,9 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         for s in level:
             say(f"slot {s} ({slots[s]['name']}): {cands[s].rows} candidates "
                 f"in {len(cands[s].groups()[1])} groups")
-            records[s] = cands[s]  # no candidates, no records
+            if not cands[s].rows:  # no candidates, no records
+                records[s] = replace(cands[s],
+                                     attrs={a: _codes(t) for a, t in cands[s].attrs.items()})
         live = [s for s in level if cands[s].rows]
         if live:
             with rt.meter.phase("secEval"):
@@ -563,7 +589,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                 cands[c] = child_cands
         for s in level:  # one-hot ids, accessed, expanded or the root's flag vector, become codes
             if slots[s]["children"] or cands[s].ids is None:
-                records[s] = replace(records[s], ids=_id_codes(records[s].ids, types[s]))
+                records[s] = replace(records[s], ids=_codes(records[s].ids))
 
     return MatchResultSet(rt.index, token.structure, records)
 
@@ -604,14 +630,30 @@ def assemble(slots, records: list[RecordTable]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _open_codes(tables: list[MatchTable], names: list, slot: int, field: str, of: str) -> list:
+    """Open a slot's column of codes, reading code ``c`` as ``names[c - 1]`` and 0 as ``None``.
+
+    A code past ``len(names)`` raises ``ValueError``, naming the slot, the
+    record, the ``field`` and what ``names`` holds (``of``).
+    """
+    codes = rss.reconstruct_rows(tables)[:, 0]  # a code is at most 32 bits
+    if (codes > len(names)).any():
+        ri = int(np.argmax(codes > len(names)))
+        raise ValueError(f"slot {slot} record {ri}: {field} code {codes[ri]} exceeds the "
+                         f"{len(names)} {of}")
+    lookup = [None, *names]
+    return [lookup[c] for c in codes.tolist()]
+
+
 def decode_records(result_sets: list[MatchResultSet], schema: GraphSchema):
     """Open every slot's records from two or three party result sets, field by field.
 
     Returns per slot ``(ext_ids, attrs)``: each record's ext id (``None``
     for a dummy, id code 0) and per queried attribute each record's value
-    (``None`` for an all-zero row). Raises ``ValueError`` where the parties'
-    structure, record counts, provenance or copies of a share component
-    differ, a code passes the population or a value row is two-hot.
+    (``None`` for code 0, an all-zero row). Raises ``ValueError`` where the
+    parties' structure, record counts, provenance or copies of a share
+    component differ, or an id or value code passes its type's population or
+    its attribute's dictionary.
     """
     if len(result_sets) < 2:
         raise ValueError("need result shares from at least two parties")
@@ -628,24 +670,12 @@ def decode_records(result_sets: list[MatchResultSet], schema: GraphSchema):
     for s, slot in enumerate(base.structure["slots"]):
         ts = schema.types[slot["type"]]
         tables = [r.records[s] for r in result_sets]
-        codes = rss.reconstruct_rows([t.ids for t in tables])[:, 0]  # id_width <= 32
-        if (codes > ts.population).any():
-            ri = int(np.argmax(codes > ts.population))
-            raise ValueError(f"slot {s} record {ri}: id code {codes[ri]} exceeds the "
-                             f"{ts.population} vertices of type {slot['type']!r}")
-        ext_of = [None] + ts.ext_ids  # indexed by code
-        attrs = {}
-        for a in sorted({p["attr"] for p in slot["preds"]}):
-            plain = rss.reconstruct_rows([t.attrs[a] for t in tables])
-            weight = np.bitwise_count(plain).sum(axis=1)
-            if (weight > 1).any():
-                ri = int(np.argmax(weight > 1))
-                raise ValueError(f"slot {s} record {ri}: attribute {a!r} expected Hamming "
-                                 f"weight <= 1, got {weight[ri]}")
-            hot = unpack_bits(plain, ts.attrs[a].domain_size).argmax(axis=1) + 1
-            value_of = [None] + ts.attrs[a].values  # indexed by hot bit + 1
-            attrs[a] = [value_of[i] for i in np.where(weight == 1, hot, 0).tolist()]
-        decoded.append(([ext_of[c] for c in codes.tolist()], attrs))
+        ext_ids = _open_codes([t.ids for t in tables], ts.ext_ids, s, "id",
+                              f"vertices of type {slot['type']!r}")
+        attrs = {a: _open_codes([t.attrs[a] for t in tables], ts.attrs[a].values, s,
+                                f"attribute {a!r}", "values of its dictionary")
+                 for a in sorted({p["attr"] for p in slot["preds"]})}
+        decoded.append((ext_ids, attrs))
     return decoded
 
 

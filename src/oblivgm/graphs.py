@@ -158,6 +158,11 @@ class AttrSchema:
     def domain_size(self) -> int:
         return len(self.values)
 
+    @property
+    def code_width(self) -> int:
+        """Bits of a value code: value ``c`` is the code ``c + 1``, and 0 marks an all-zero row."""
+        return self.domain_size.bit_length()
+
 
 @dataclass
 class TypeSchema:
@@ -334,8 +339,9 @@ class GraphShare:
 def encrypt_graph(graph: AttributedGraph, k: int, rng: np.random.Generator):
     """Produce the public schema and the three per-party share sets.
 
-    Every attribute field is split in one draw, then every vertex's padded
-    posting list in one draw per vertex, type by type in schema order.
+    Every attribute field is split in one draw, then every posting field,
+    its vertices' padded lists one after another, type by type in schema
+    order.
     """
     schema = build_schema(graph, k)
     per_party: list[dict[str, TypePartyShare]] = [{}, {}, {}]

@@ -135,12 +135,20 @@ def share_rows(plain: np.ndarray, width: int, rng: np.random.Generator, runs=Non
     component arrays. ``runs`` lists the ``(start, rows)`` blocks drawn one
     after another, x1's rows then x2's, by default the whole matrix in one
     block; rows outside every run are public zeros in all three components,
-    and must be zero in ``plain``.
+    and must be zero in ``plain``. Every run is drawn in one call: full-range
+    ``uint32`` draws concatenate exactly, so this equals one call per run
+    and component.
     """
-    x1, x2 = np.zeros_like(plain), np.zeros_like(plain)
-    for lo, n in [(0, plain.shape[0])] if runs is None else runs:
-        for comp in (x1, x2):
-            comp[lo:lo + n] = rng.integers(0, 1 << 32, size=(n, plain.shape[1]), dtype=np.uint32)
+    if runs is None:
+        x1, x2 = rng.integers(0, 1 << 32, size=(2, *plain.shape), dtype=np.uint32)
+    else:
+        starts, counts = np.array(runs, np.int64).reshape(-1, 2).T
+        first = np.cumsum(counts) - counts  # each run's first row among all runs' rows
+        within = np.arange(counts.sum()) - np.repeat(first, counts)
+        dest, src = np.repeat(starts, counts) + within, np.repeat(2 * first, counts) + within
+        draw = rng.integers(0, 1 << 32, size=(2 * len(within), plain.shape[1]), dtype=np.uint32)
+        x1, x2 = np.zeros_like(plain), np.zeros_like(plain)
+        x1[dest], x2[dest] = draw[src], draw[src + np.repeat(counts, counts)]
     components = (mask_tail(x1, width), mask_tail(x2, width), plain ^ x1 ^ x2)
     return tuple(MatchTable(i, width, *_held(i, components)) for i in PARTIES)
 

@@ -31,17 +31,20 @@ kind and its attribute's domain fix each key's size.
 Result containers ("OGMR") carry a JSON manifest of exactly two keys: the
 public query structure and, per slot, its records' parent records (-1 at
 the root). Then come, slot by slot, the table of the matched records'
-``id_width``-bit id codes and their attribute tables. Subgraphs are not
-stored: the client assembles them from the parent records. A manifest with
-other keys, such as an earlier version 3 layout's subgraph list, is refused.
+``id_width``-bit id codes and their attribute tables, one ``code_width``-bit
+value code a row. Subgraphs are not stored: the client assembles them from
+the parent records. A manifest with other keys, such as an earlier version 3
+layout's subgraph list, is refused.
 
 Each container kind has its own version, and older versions are refused.
 Graph shares are at version 4, whose posting rows are id codes instead of
-version 3's one-hot rows over the neighbor population. Tokens and result
-files are at version 3, which replaced version 2's one headered record per
-row with one record per table, added the graph share checksum, and dropped
-the tags and length prefixes of token keys; version 2 had dropped the
-one-hot vertex ids of version 1.
+version 3's one-hot rows over the neighbor population. Result files are at
+version 4, whose attribute rows are value codes instead of version 3's
+one-hot rows over the dictionary. Tokens are at version 3. Version 3 of
+tokens and result files replaced version 2's one headered record per row
+with one record per table, added the graph share checksum, and dropped the
+tags and length prefixes of token keys; version 2 had dropped the one-hot
+vertex ids of version 1.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .rss import PARTIES, MatchTable
 GRAPH_MAGIC = b"OGMG"
 TOKEN_MAGIC = b"OGMT"
 RESULT_MAGIC = b"OGMR"
-VERSIONS = {GRAPH_MAGIC: 4, TOKEN_MAGIC: 3, RESULT_MAGIC: 3}
+VERSIONS = {GRAPH_MAGIC: 4, TOKEN_MAGIC: 3, RESULT_MAGIC: 4}
 
 _CONTAINER_HEADER = struct.Struct("<4sHB32s")
 _MANIFEST_LEN = struct.Struct("<I")
@@ -233,14 +236,14 @@ def load_graph_share(path, schema: GraphSchema) -> GraphShare:
 def _result_tables(structure: dict, schema: GraphSchema, counts: list[int]):
     """Every table of a result file in file order: ``(slot, attr, width, keep)``.
 
-    A slot's id codes come first, as attr ``None``, then its attributes.
+    A slot's id codes come first, as attr ``None``, then its attributes' value codes.
     """
     for s, slot in enumerate(structure["slots"]):
         ts = schema.types[slot["type"]]
         keep = np.ones(counts[s], bool)
         yield s, None, ts.id_width, keep
         for a in sorted({p["attr"] for p in slot["preds"]}):
-            yield s, a, ts.attrs[a].domain_size, keep
+            yield s, a, ts.attrs[a].code_width, keep
 
 
 def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:

@@ -196,8 +196,11 @@ def reference_decode(result_sets, schema):
                 raise ValueError(f"slot {s} record {ri}: id code {code} exceeds the population")
             exts.append(ts.ext_ids[code - 1] if code else None)
             for a, values in attrs.items():
-                idx = rss.reconstruct([t.attrs[a].row(ri) for t in tables]).hot_index()
-                values.append(None if idx is None else ts.attrs[a].values[idx])
+                code = rss.reconstruct([t.attrs[a].row(ri) for t in tables]).to_int()
+                if code > ts.attrs[a].domain_size:
+                    raise ValueError(f"slot {s} record {ri}: attribute {a!r} code {code} "
+                                     f"exceeds its dictionary")
+                values.append(ts.attrs[a].values[code - 1] if code else None)
         decoded.append((exts, attrs))
     return decoded
 

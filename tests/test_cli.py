@@ -314,8 +314,9 @@ def test_bench_kernels_prints_best_times(capsys):
     assert lines[1] == "# kernel\tshape\tbest_ms"
     rows = [line.split("\t") for line in lines[2:]]
     assert {name for name, _, _ in rows} == {"prf_stream", "seeded_permutation", "prg_expand",
-                                             "select_many", "select_one", "translate_rows",
-                                             "assemble", "key_pairs_gen", "full_domain_eval"}
+                                             "select_many", "select_one", "code_map",
+                                             "translate_rows", "assemble", "key_pairs_gen",
+                                             "full_domain_eval"}
     assert all(float(ms) > 0 for _, _, ms in rows)
 
 
@@ -379,16 +380,15 @@ def test_old_files_and_bad_codes_exit_2(workspace, capsys):
     assert main(["open", "--results", str(workspace / "bad.ogmr"), str(res / "results-2.ogmr"),
                  "--schema", schema_path]) == 2
     assert "id code 7 exceeds" in capsys.readouterr().err
-    # older result and graph share files: results are at version 3, graph shares at 4
+    # older result and graph share files: both are at version 4
     for version in (1, 2, 3):
         for path in (res / "results-1.ogmr", enc / "graph-share-1.ogmg"):
             data = bytearray(path.read_bytes())
             data[4:6] = version.to_bytes(2, "little")
             path.write_bytes(bytes(data))
-        if version < 3:
-            assert main(["open", "--results", str(res / "results-1.ogmr"),
-                         str(res / "results-2.ogmr"), "--schema", schema_path]) == 2
-            assert f"result file version {version} (expected 3)" in capsys.readouterr().err
+        assert main(["open", "--results", str(res / "results-1.ogmr"),
+                     str(res / "results-2.ogmr"), "--schema", schema_path]) == 2
+        assert f"result file version {version} (expected 4)" in capsys.readouterr().err
         assert main(["query", "--graph-dir", str(enc), "--token-dir", str(workspace / "tok"),
                      "--out-dir", str(workspace / "res-old"), "--session-seed", SES_SEED,
                      "--quiet"]) == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oblivgm import engine, fss, rss
-from oblivgm.bits import BitVector, pack_bits, unpack_bits, words_for
+from oblivgm.bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from oblivgm.engine import (RecordTable, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
@@ -174,11 +174,12 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids
 def decode_records(per_party_records, domain):
     tables = [per_party_records[p][0] for p in range(3)]
     assert all(t.parent_record.tolist() == [-1] * t.rows for t in tables)
+    assert all(t.attrs["a"].width == domain.bit_length() for t in tables)  # values as codes
     decoded = []
     for i in range(tables[0].rows):
         vid = rss.reconstruct([t.ids.row(i) for t in tables])
-        val = rss.reconstruct([t.attrs["a"].row(i) for t in tables])
-        decoded.append((vid.hot_index(), val.hot_index()))
+        val = rss.reconstruct([t.attrs["a"].row(i) for t in tables]).to_int()  # value code
+        decoded.append((vid.hot_index(), val - 1 if val else None))
     return decoded
 
 
@@ -263,9 +264,12 @@ def test_id_codes_map_one_hot_ids_locally():
                  for _ in range(2)]
         comps.append(pack_bits(plain) ^ comps[0] ^ comps[1])
         segments = (3, len(plain) - 3)
-        codes = [engine._id_codes(MatchTable(p + 1, n, comps[p], comps[(p + 1) % 3], segments), ts)
+        codes = [engine._codes(MatchTable(p + 1, n, comps[p], comps[(p + 1) % 3], segments))
                  for p in range(3)]
         assert all(t.width == ts.id_width and t.segments == segments for t in codes)
+        # a component's bits past the width do not enter its code
+        assert np.array_equal(engine._code_words(comps[0], n),
+                              engine._code_words(mask_tail(comps[0].copy(), n), n))
         assert [rss.reconstruct([t.row(i) for t in codes]).to_int()
                 for i in range(len(plain))] == want
         # a leaf root slot's public ids: the codes 1..n
@@ -668,7 +672,7 @@ def test_schema_digest_is_taken_once_per_share(monkeypatch):
             == [[t.parent_record.tolist() for t in r.records] for r in res["results"]])
 
 
-def test_open_results_refuses_bad_codes_two_hot_rows_and_split_provenance():
+def test_open_results_refuses_bad_id_and_value_codes_and_split_provenance():
     res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
     schema = res["schema"]
 
@@ -681,13 +685,16 @@ def test_open_results_refuses_bad_codes_two_hot_rows_and_split_provenance():
     r1.records[1].ids.share_a[0, 0] ^= np.uint32(7 ^ code)
     with pytest.raises(ValueError, match="slot 1 record 0: id code 7 exceeds the 4 vertices"):
         open_results([r1, r2], schema)
-    # a second bit in record 2's age row
+    # record 2's age code past the dictionary: the all-ones code of its width
     r1, r2 = fresh()
     ages = r1.records[1].attrs["age"]
-    hot = rss.reconstruct([ages.row(2), r2.records[1].attrs["age"].row(2)]).hot_index()
-    ages.share_a[2, 0] ^= np.uint32(1 << (hot == 0))
-    with pytest.raises(ValueError, match="slot 1 record 2: attribute 'age' expected Hamming "
-                                         "weight <= 1, got 2"):
+    size = schema.types["P"].attrs["age"].domain_size
+    top = (1 << ages.width) - 1
+    assert ages.width == size.bit_length() and top > size
+    code = rss.reconstruct([ages.row(2), r2.records[1].attrs["age"].row(2)]).to_int()
+    ages.share_a[2, 0] ^= np.uint32(top ^ code)
+    with pytest.raises(ValueError, match=f"slot 1 record 2: attribute 'age' code {top} exceeds "
+                                         f"the {size} values"):
         open_results([r1, r2], schema)
     # the parties disagree on which root record slot 1's last record descends from
     r1, r2 = fresh()

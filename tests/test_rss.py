@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivgm import rss
-from oblivgm.bits import BitVector, pack_bits, words_for
+from oblivgm.bits import BitVector, mask_tail, pack_bits, words_for
 from oblivgm.net import ProtocolError, run_local_trio
 from oblivgm.rss import MatchTable, ZeroShareContext
 
@@ -255,3 +255,33 @@ def test_reshare_rows_carries_tables_of_mixed_widths_in_one_message():
     # a lone table comes back bare, as before
     lone = run_local_trio(lambda rt: rss.reshare_rows(rt, additive[0][rt.index - 1], 5))
     assert np.array_equal(rss.reconstruct_rows(lone), plain[0])
+
+
+def test_share_rows_draws_every_run_as_one_call_per_run_and_component_would():
+    # runs of irregular lengths, one empty, rows of three words (70 bits), and
+    # rows 0, 9 and 15-16 outside every run
+    runs = [(1, 3), (4, 0), (5, 4), (10, 1), (12, 3)]
+    rows, width = 17, 70
+    rng = np.random.default_rng(21)
+    plain = pack_bits(rng.integers(0, 2, (rows, width), dtype=np.uint8))
+    outside = np.ones(rows, bool)
+    for lo, n in runs:
+        outside[lo:lo + n] = False
+    plain[outside] = 0
+    drawn = np.random.default_rng(5)
+    tables = rss.share_rows(plain, width, drawn, runs)
+    # the reference: x1's rows then x2's, one call per run
+    ref = np.random.default_rng(5)
+    x1, x2 = np.zeros_like(plain), np.zeros_like(plain)
+    for lo, n in runs:
+        for comp in (x1, x2):
+            comp[lo:lo + n] = ref.integers(0, 1 << 32, size=(n, plain.shape[1]), dtype=np.uint32)
+    held = {1: (x1, x2), 2: (x2, plain ^ x1 ^ x2), 3: (plain ^ x1 ^ x2, x1)}
+    for t in tables:
+        want_a, want_b = (mask_tail(c.copy(), width) for c in held[t.party_index])
+        assert np.array_equal(t.share_a, want_a) and np.array_equal(t.share_b, want_b)
+        assert not t.share_a[outside].any() and not t.share_b[outside].any()
+    assert np.array_equal(rss.reconstruct_rows(tables), plain)
+    # and leaves the generator where the reference does
+    assert np.array_equal(drawn.integers(0, 1 << 32, 4, dtype=np.uint32),
+                          ref.integers(0, 1 << 32, 4, dtype=np.uint32))

@@ -20,12 +20,12 @@ from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, r
 UNIQUE_MISSES = "Q p P age >= 30\nQ c C field = Internet\nQE p c\n"
 
 
-# SHA-256 of fixed-seed files (graph shares at version 4, results at version
-# 3): a codec change must leave every byte
-# as it is, or bump the version, or (as the result manifest's two-key layout
-# did) make the loader refuse every file of the other layout. Result files
-# also hold the query's fresh shares, so a protocol change that draws its
-# re-share masks differently moves them while the codec stays as it is
+# SHA-256 of fixed-seed files (graph shares and results at version 4): a
+# codec change must leave every byte as it is, or bump the version, or (as
+# the result manifest's two-key layout did) make the loader refuse every
+# file of the other layout. Result files also hold the query's fresh shares,
+# so a protocol change that draws its re-share masks differently moves them
+# while the codec stays as it is
 PINNED_GRAPH_SHARES = {
     "campus": ("55e6e79e79a66d10f50534ccaacd9eb4a8263fd1c54f61713c268b2634963a1d",
                "8920735fbbf3f7ad223a462aca34bceaaf8273b2fa5c78dc6030052fb280e55b",
@@ -36,13 +36,13 @@ PINNED_GRAPH_SHARES = {
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("45aed863e4690f45f288623bec324a54fe187485597c9c15945f2e1098e55ef3",
-                    "98728176a0ca3fe29c76e305ee3dff5c81a160d3922d5424f945b02fba4af9be",
-                    "c42a5cfda659868820253aadc21f973c8ccf93886de4498919bdc82bea46fa2f")),
+                   ("a6d87580b2e28ebfc18856ab47905aa88d7d7c7b29eab3e9ce5e58ac15c794c6",
+                    "87f79451ee26008e3ad74829dcae6f794f24dbae14dba59347c00aaa9fe870f0",
+                    "b6d02a8b19cd001f12d8a676d17c0f089bf5d3cc4eccb8c7ae1f28c840eec777")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("69c944c0e1c3525dc69aa6c1f998c4d4e34945a0e35fb6ad007946435aed6574",
-                       "6fd6da6a5120e9e05d807c97dd340245aaba53c86018e9f3baf074a51fa8a0b7",
-                       "6df7b02152ee3e4a458cc558c75f0ca26b5d4a922fa2213dbde4a885f01f71a6")),
+                      ("d0089511c339a1800437302c423dc62b9baf463b82e73c90d3f3270195267f99",
+                       "8fc9876a67258dc84f3bcd14fc3a4e1f57f9fb966b446f69f21432dc039a16a8",
+                       "c2fdc4f072f2fe7e2852f71920f5d83a4aff28a114cb1c40a7c1376490bc842f")),
 }
 
 
@@ -249,7 +249,7 @@ def test_version_1_files_are_refused(tmp_path):
     graph_path, result_path = tmp_path / "g.ogmg", tmp_path / "r.ogmr"
     save_graph_share(graph_path, res["shares"][0])
     save_results(result_path, res["results"][0], res["schema"])
-    for path, load, current in ((graph_path, load_graph_share, 4), (result_path, load_results, 3)):
+    for path, load, current in ((graph_path, load_graph_share, 4), (result_path, load_results, 4)):
         data = bytearray(path.read_bytes())
         data[4:6] = (1).to_bytes(2, "little")  # the container header's version field
         path.write_bytes(bytes(data))

@@ -38,16 +38,16 @@ E s2 t2
 PINNED = [
     pytest.param(
         CAMPUS_GRAPH, TWO_PERSON_QUERY,
-        ("c78f93814c25096f3f7196b6b3783d09185ed4f1eb40f6f7973968bc23593fbd",
-         "f916e05e2ec46368864183618a11f14915356d108c7309f9b409a4e0d51f8db3",
-         "9327db3615e0b180b7ce93b0a2bd0d8f00a9cbd3fa7988692c7edeef248b4c89"),
+        ("0a37cf71bbd31f7fa08d772727c53fbdde33df9a4a6c6fecb5383b1129db280d",
+         "edc777cb44a19703d7892d5cb3f8f01aab5947569b810a8c01ae31c55c9dc2ce",
+         "1eec054251e9be14c57c15a95cc8a4ca4c8dd5005aaeb164be4200693493d43e"),
         id="campus-two-person"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\nQE u p\nQE p c\n",
-        ("aeef0360a9d12d18317c9e0aad38082b14cb755ea2d1571b0e56985c618bb007",
-         "27dcbaa6fb01b73266b74ec0091de22bac41a91d58272f9a3fefc50f3d86dda0",
-         "db8d1ae5d6a100ba505704853a0e9de4f0e8827c7612cd850e05e97b8f5a7bde"),
+        ("d6780b5b8503da55107bdaa695726782741bbb04d2fdcc2f12f29cbf8017bcf6",
+         "63b71eb02731c15f240e295abbda333e3f86b4b334d3ef669c0aad4e4867e237",
+         "82ef81c929ac262c6df84da6cdc8c146b5067ced4f719c5a6b15b90293043af1"),
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
@@ -58,9 +58,9 @@ PINNED = [
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("78970a505c2e954b46d7534221d07276f3c8e634ef6dbc18b089a5b685a0fdba",
-         "ea1cd6f8bf887bfe1ae4be14d608572edb7fd37d6f32e8868d67443c37b771b7",
-         "799466532872806d5ebc57a91db4b15806a2da848d56843e143c209786066412"),
+        ("9f7e5a88d75a034888b065989d0ed14cce9d3b322486da42bb39ea0f942056d5",
+         "b58fa20826a389feb2baba35032d09e7485585fb97b4ce205d5ec8314b513974",
+         "d9ea9c3925c4a2a96b5b32bd00cf2af0cfd04011bce8a05170e7a29188d25997"),
         id="two-group"),
 ]
 
