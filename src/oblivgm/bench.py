@@ -76,9 +76,8 @@ def run_kernels(seed: str) -> None:
     seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
     scan_records = ([{"children": []}], [RecordTable(None, {}, np.full(1175, -1))])
     hop_records = _hop_records()
-    closed = (True, True)
-    hop_preds = [(fss.KIND_EQ, (250,), 500, closed), (fss.KIND_INTERVAL, (20, 20), 50, closed),
-                 (fss.KIND_GE, (10,), 50, closed), (fss.KIND_GE, (10,), 50, closed)] * 3
+    hop_preds = [(fss.KIND_EQ, (250,), 500), (fss.KIND_INTERVAL, (20, 20), 50),
+                 (fss.KIND_GE, (10,), 50), (fss.KIND_GE, (10,), 50)] * 3
     eq_keys = [(k, 4000) for k in fss.key_pair_gen(fss.KIND_EQ, (2000,), 4000, rng)]
     iv_keys = [(k, 100) for k in fss.key_pair_gen(fss.KIND_INTERVAL, (30, 39), 100, rng)]
     kernels = [

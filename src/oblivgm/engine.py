@@ -82,7 +82,7 @@ import numpy as np
 from . import fss, rss
 from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypeSchema
-from .query import PartyToken, QueryFormatError, check_structure
+from .query import PartyToken, QueryFormatError, check_structure, slot_attrs
 from .rss import MatchTable
 from .shuffle import UnitVectors, sec_shuffle
 
@@ -285,10 +285,10 @@ def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[MatchTable]:
 
     ``preds`` holds one ``(values, key_pair)`` per predicate: the candidates'
     one-hot attribute rows over a domain of ``values.width`` values, and the
-    party's two FSS keys. Every key takes one pass, interval keys included
-    (:func:`oblivgm.fss.full_domain_eval` XORs their two comparison halves);
-    all keys are evaluated in one call, and one message re-shares the bits
-    of every predicate.
+    party's two FSS keys. Every key takes one pass, an interval's two trees
+    included (:func:`oblivgm.fss.full_domain_eval` XORs a key's trees); all
+    keys are evaluated in one call, and one message re-shares the bits of
+    every predicate.
     """
     keys = [(key, values.width) for values, pair in preds for key in pair]
     ind = fss.full_domain_eval(*keys[0], more=keys[1:])
@@ -532,9 +532,6 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         if progress:
             progress(f"[party-{rt.index}] {msg}")
 
-    def needed(s: int) -> list[str]:
-        return sorted({p["attr"] for p in slots[s]["preds"]})
-
     def unique_route(s: int) -> bool:
         preds = slots[s]["preds"]
         return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
@@ -545,7 +542,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
     root_ts, root_share = types[0], gshare.types[slots[0]["type"]]
     cands[0] = RecordTable(
         None if unique_route(0) else _root_ids(rt.index, root_ts),
-        {a: root_share.attrs[a] for a in needed(0)}, np.full(root_ts.population, -1))
+        {a: root_share.attrs[a] for a in slot_attrs(slots[0])}, np.full(root_ts.population, -1))
 
     for level in _levels(slots):
         for s in level:
@@ -583,7 +580,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                 if level == [0] and not unique_route(0):  # the kept root codes, one-hot
                     records[0] = replace(records[0], ids=_unit_ids(rt, records[0].ids, root_ts))
                 accessed = sec_access(rt, [(records[s], slots[s]["type"], slots[c]["type"],
-                                            needed(c), bool(slots[c]["children"]))
+                                            slot_attrs(slots[c]), bool(slots[c]["children"]))
                                            for s, c in edges], gshare, [c for _, c in edges])
             for (_, c), child_cands in zip(edges, accessed):
                 cands[c] = child_cands
@@ -674,7 +671,7 @@ def decode_records(result_sets: list[MatchResultSet], schema: GraphSchema):
                               f"vertices of type {slot['type']!r}")
         attrs = {a: _open_codes([t.attrs[a] for t in tables], ts.attrs[a].values, s,
                                 f"attribute {a!r}", "values of its dictionary")
-                 for a in sorted({p["attr"] for p in slot["preds"]})}
+                 for a in slot_attrs(slot)}
         decoded.append((ext_ids, attrs))
     return decoded
 

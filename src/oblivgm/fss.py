@@ -1,25 +1,27 @@
 """Function secret sharing with output group Z2.
 
-Three primitives, all two-party key pairs whose pointwise XOR of evaluations
-equals a plaintext indicator over ``[0, 2^domain_bits)``, and all drawn by
-:func:`key_pair_gen` from a predicate's kind, operands and domain size:
+A key pair's two keys XOR, point by point, to a plaintext indicator over
+``[0, 2^domain_bits)``; :func:`key_pair_gen` draws one from a predicate's
+kind, operands and domain size. A key is the tuple of its GGM trees and
+evaluates to their XOR: equality is one point tree (``x == alpha``), a
+comparison one comparison tree (``x < threshold``, with the <=, >, >=
+variants obtained by shifting the threshold and XORing a public constant
+into exactly one key of the pair), and an interval ``[low, high]`` the
+comparison trees ``x < low`` and ``x < high + 1``, which cancel when
+``low == high + 1``, the empty interval. A threshold of ``2^depth`` is drawn
+as the complement of ``x < 0``.
 
-* distributed point function (equality, ``x == alpha``),
-* distributed comparison function (strict ``x < alpha``, with the <=, >, >=
-  variants obtained by shifting the threshold and XORing a public constant
-  into exactly one key of the pair),
-* interval containment, built from two comparison keys.
+A tree is a 16-byte root seed expanded level by level with the fixed-key
+AES PRG from :mod:`oblivgm.prf`, plus one correction word (seed, two control
+bits, one value bit) per level. The value bit carries the comparison tree's
+per-level contribution and stays zero in point trees, so both serialize to
+identical sizes.
 
-Keys are GGM trees: a 16-byte root seed expanded level by level with the
-fixed-key AES PRG from :mod:`oblivgm.prf`, plus one correction word (seed,
-two control bits, one value bit) per level. The value bit carries the
-comparison function's per-level contribution and stays zero in point keys,
-so point and comparison keys serialize to identical sizes.
-
-A key's record holds its fields only: ``root_t``, ``add_const`` and the
-root seed, then ``(seed_cw, ctrl_cw)`` per level, then ``final_cw``; an
-interval key is its two halves. The public predicate kind and domain fix
-the key's class and depth, so the record stores neither, nor its length.
+A tree's record holds its fields only: ``root_t``, ``add_const`` and the
+root seed, then ``(seed_cw, ctrl_cw)`` per level, then ``final_cw``; a key's
+record is its trees' records in order. The public predicate kind and domain
+fix the number, type and depth of a key's trees, so the record stores none
+of them, nor its length.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ KIND_INTERVAL = "iv"
 COMPARISON_KINDS = (KIND_LT, KIND_LE, KIND_GT, KIND_GE)
 PREDICATE_KINDS = (KIND_EQ,) + COMPARISON_KINDS + (KIND_INTERVAL,)
 
+# per single-operand kind, the threshold's offset from alpha and the first key's
+# constant: x <= a is x < a + 1, and > and >= are the complements of <= and <
+_THRESHOLD = {KIND_EQ: (0, 0), KIND_LT: (0, 0), KIND_GE: (0, 1), KIND_LE: (1, 0), KIND_GT: (1, 1)}
+
 
 class DomainError(ValueError):
     """Evaluation point or threshold outside the key's domain."""
@@ -54,10 +60,10 @@ def domain_bits_for(domain_size: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class DpfKey:
-    """One party's point-function key."""
+class Tree:
+    """One party's GGM tree; a comparison tree's value bits are live."""
 
-    domain_bits: int
+    comparison: bool
     root_seed: bytes
     root_t: int
     seed_cw: np.ndarray  # (levels, 2) uint64
@@ -65,25 +71,12 @@ class DpfKey:
     final_cw: int
     add_const: int = 0
 
-
-@dataclass(frozen=True, eq=False)
-class DcfKey(DpfKey):
-    """One party's comparison key (x < threshold); value bits are live."""
-
-
-@dataclass(frozen=True, eq=False)
-class IntervalKey:
-    """Containment key: XOR of two comparison keys covers [lo, hi]."""
-
-    lower: DcfKey
-    upper: DcfKey
-
     @property
     def domain_bits(self) -> int:
-        return self.lower.domain_bits
+        return len(self.ctrl_cw)
 
 
-FssKey = DpfKey | DcfKey | IntervalKey
+FssKey = tuple[Tree, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +85,7 @@ FssKey = DpfKey | DcfKey | IntervalKey
 
 
 def _trees_gen(bits: int, trees: list[tuple[int, bool, int]], roots: np.ndarray):
-    """Key pairs of trees of depth ``bits``, all descending together.
+    """Pairs of trees of depth ``bits``, all descending together.
 
     ``trees`` holds per tree its threshold, whether it is a comparison tree,
     and the public constant of its first key; ``roots`` is the ``(trees,
@@ -128,64 +121,37 @@ def _trees_gen(bits: int, trees: list[tuple[int, bool, int]], roots: np.ndarray)
         t = keep_t ^ (t & tau_keep[:, None])
 
     point_cw = ((seeds[:, 0, 0] ^ seeds[:, 1, 0]) & np.uint64(1)) ^ np.uint64(1)  # beta = 1
-    pairs = []
-    for i, (_, is_comparison, const) in enumerate(trees):
-        cls = DcfKey if is_comparison else DpfKey
-        final_cw = 0 if is_comparison else int(point_cw[i])
-        pairs.append(tuple(
-            cls(domain_bits=bits, root_seed=roots[i, p].tobytes(), root_t=p,
-                seed_cw=seed_cw[i], ctrl_cw=ctrl_cw[i], final_cw=final_cw,
-                add_const=const if p == 0 else 0)
-            for p in (0, 1)))
-    return pairs
+    return [tuple(Tree(comparison=is_comparison, root_seed=roots[i, p].tobytes(), root_t=p,
+                       seed_cw=seed_cw[i], ctrl_cw=ctrl_cw[i],
+                       final_cw=0 if is_comparison else int(point_cw[i]),
+                       add_const=const if p == 0 else 0)
+                  for p in (0, 1))
+            for i, (_, is_comparison, const) in enumerate(trees)]
 
 
-def _tree_plan(kind: str, operands: tuple[int, ...], domain_size: int,
-               closed: tuple[bool, bool]) -> list[tuple[int, bool, int]]:
-    """The trees of one key pair: threshold, comparison or not, and first key's constant.
-
-    A point key is one point tree at ``alpha``. Each comparison is a strict
-    less-than tree plus, for the complement variants, a public constant
-    folded into the first key of the pair. An interval is a lower and an
-    upper comparison tree; ``closed`` picks its open or closed bounds.
-    """
+def _tree_plan(kind: str, operands: tuple[int, ...], domain_size: int) -> list[tuple[int, int]]:
+    """The trees of one key pair: each one's threshold and its first key's constant."""
     if kind == KIND_INTERVAL:
         low, high = operands
-        if low > high:
-            raise DomainError(f"empty interval bounds: {low} > {high}")
-        if not (0 <= low < domain_size and 0 <= high < domain_size):
-            raise DomainError("interval bounds outside domain")
-    elif kind == KIND_EQ or kind in COMPARISON_KINDS:
-        alpha = operands[0]
+        if not 0 <= low <= high + 1 <= domain_size:
+            raise DomainError(f"interval [{low}, {high}] is crossed or outside "
+                              f"the domain of size {domain_size}")
+        plan = [(low, 0), (high + 1, 0)]
+    elif kind in _THRESHOLD:
+        (alpha,) = operands
         if not 0 <= alpha < domain_size:
             raise DomainError(f"alpha {alpha} outside domain of size {domain_size}")
+        offset, const = _THRESHOLD[kind]
+        plan = [(alpha + offset, const)]
     else:
         raise ValueError(f"unknown predicate kind {kind!r}")
     full = 1 << domain_bits_for(domain_size)
-    if kind == KIND_EQ:
-        return [(alpha, False, 0)]
-    if kind == KIND_LT:
-        return [(alpha, True, 0)]
-    if kind == KIND_GE:
-        return [(alpha, True, 1)]
-    if kind == KIND_LE:
-        # x <= alpha  ==  x < alpha+1; threshold full means "always true"
-        return [(0, True, 1) if alpha + 1 == full else (alpha + 1, True, 0)]
-    if kind == KIND_GT:  # complement of x <= alpha
-        return [(0, True, 0) if alpha + 1 == full else (alpha + 1, True, 1)]
-    lo_t = low + (0 if closed[0] else 1)
-    hi_t = high + (1 if closed[1] else 0)
-    const = 0
-    if lo_t >= hi_t:  # statically empty open interval
-        lo_t = hi_t = 0
-    if hi_t == full:  # upper bound covers the whole domain: complement the lower part
-        hi_t = 0
-        const = 1
-    return [(lo_t, True, 0), (hi_t, True, const)]
+    return [(0, const ^ 1) if threshold == full else (threshold, const)
+            for threshold, const in plan]
 
 
 def key_pairs_gen(preds, rng: np.random.Generator) -> list[tuple[FssKey, FssKey]]:
-    """One key pair per ``(kind, operands, domain_size, closed)`` of ``preds``.
+    """One key pair per ``(kind, operands, domain_size)`` of ``preds``.
 
     Every tree's two root seeds are drawn first, tree by tree in ``preds``
     order (an interval's lower tree before its upper one), the order in which
@@ -193,7 +159,8 @@ def key_pairs_gen(preds, rng: np.random.Generator) -> list[tuple[FssKey, FssKey]
     one depth descend together, one :func:`prg_expand` per level.
     """
     plans = [_tree_plan(*pred) for pred in preds]
-    trees = [(domain_bits_for(pred[2]), tree) for pred, plan in zip(preds, plans) for tree in plan]
+    trees = [(domain_bits_for(n), (threshold, kind != KIND_EQ, const))
+             for (kind, _, n), plan in zip(preds, plans) for threshold, const in plan]
     # Generator.bytes draws 32-bit words in sequence, so one call gives the
     # bytes of one call per 16-byte root seed
     roots = np.frombuffer(rng.bytes(2 * SEED_BYTES * len(trees)), dtype=np.uint64).reshape(-1, 2, 2)
@@ -203,20 +170,13 @@ def key_pairs_gen(preds, rng: np.random.Generator) -> list[tuple[FssKey, FssKey]
         for i, pair in zip(group, _trees_gen(bits, [trees[i][1] for i in group], roots[group])):
             pairs[i] = pair
     made = iter(pairs)
-    out = []
-    for kind, *_ in preds:
-        if kind == KIND_INTERVAL:
-            (low1, low2), (up1, up2) = next(made), next(made)
-            out.append((IntervalKey(low1, up1), IntervalKey(low2, up2)))
-        else:
-            out.append(next(made))
-    return out
+    return [tuple(zip(*(next(made) for _ in plan))) for plan in plans]
 
 
 def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
-                 rng: np.random.Generator, closed: tuple[bool, bool] = (True, True)):
-    """One key pair for a predicate; ``closed`` picks an interval's open or closed bounds."""
-    return key_pairs_gen([(kind, operands, domain_size, closed)], rng)[0]
+                 rng: np.random.Generator) -> tuple[FssKey, FssKey]:
+    """One key pair for a predicate."""
+    return key_pairs_gen([(kind, operands, domain_size)], rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,49 +184,21 @@ def key_pair_gen(kind: str, operands: tuple[int, ...], domain_size: int,
 # ---------------------------------------------------------------------------
 
 
-def eval_point(key: DpfKey, x: int) -> int:
-    """One point's evaluation of a point or comparison key, by one walk down its tree."""
-    bits = key.domain_bits
-    if not 0 <= x < (1 << bits):
-        raise DomainError(f"point {x} outside 2^{bits} domain")
-    comparison = isinstance(key, DcfKey)
-    seeds = seed_to_array(key.root_seed)[None, :]
-    t = int(key.root_t)
-    acc = 0
-    for lvl in range(bits):
-        left, right, t_left, t_right, value = prg_expand(seeds)
-        xb = (x >> (bits - 1 - lvl)) & 1
-        if comparison and xb == 0:
-            acc ^= int(value[0]) ^ (t & ((key.ctrl_cw[lvl] >> 2) & 1))
-        branch_seed = left if xb == 0 else right
-        branch_t = int(t_left[0] if xb == 0 else t_right[0])
-        if t:
-            branch_seed = branch_seed ^ key.seed_cw[lvl][None, :]
-            branch_t ^= (key.ctrl_cw[lvl] >> xb) & 1
-        seeds = branch_seed
-        t = int(branch_t) & 1
-    if comparison:
-        out = acc
-    else:
-        out = int(seeds[0, 0] & np.uint64(1)) ^ (t & key.final_cw)
-    return (out ^ key.add_const) & 1
-
-
-def _full_domain_trees(keys: list[DpfKey], n: int) -> np.ndarray:
-    """Evaluate tree keys of one depth at every point of ``[0, n)``, all in step.
+def _full_domain_trees(trees: list[Tree], n: int) -> np.ndarray:
+    """Evaluate trees of one depth at every point of ``[0, n)``, all in step.
 
     The trees descend together, one :func:`prg_expand` per level for all of
     their nodes; a tree's nodes stay consecutive. Row ``i`` of the returned
-    ``(len(keys), n)`` uint8 array is key ``i``'s evaluation.
+    ``(len(trees), n)`` uint8 array is tree ``i``'s evaluation.
     """
-    bits = keys[0].domain_bits
+    bits = trees[0].domain_bits
     if n > (1 << bits):
         raise DomainError(f"requested {n} points from a 2^{bits} domain")
-    seeds = np.stack([seed_to_array(k.root_seed) for k in keys])
-    t = np.array([k.root_t for k in keys], dtype=np.uint8)
-    seed_cw = np.stack([k.seed_cw for k in keys])  # (trees, levels, 2)
-    ctrl_cw = np.stack([k.ctrl_cw for k in keys])  # (trees, levels)
-    acc = np.zeros(len(keys), dtype=np.uint8)  # comparison keys' running value bit
+    seeds = np.stack([seed_to_array(k.root_seed) for k in trees])
+    t = np.array([k.root_t for k in trees], dtype=np.uint8)
+    seed_cw = np.stack([k.seed_cw for k in trees])  # (trees, levels, 2)
+    ctrl_cw = np.stack([k.ctrl_cw for k in trees])  # (trees, levels)
+    acc = np.zeros(len(trees), dtype=np.uint8)  # comparison trees' running value bit
     for lvl in range(bits):
         left, right, t_left, t_right, value = prg_expand(seeds)
         nodes = 1 << lvl  # per tree
@@ -277,11 +209,11 @@ def _full_domain_trees(keys: list[DpfKey], n: int) -> np.ndarray:
         t = np.stack([t_left ^ (ctrl & 1), t_right ^ ((ctrl >> 1) & 1)], axis=1).ravel()
         acc = np.stack([acc ^ value ^ ((ctrl >> 2) & 1), acc], axis=1).ravel()
     leaves = 1 << bits
-    comparison = np.repeat([isinstance(k, DcfKey) for k in keys], leaves)
-    final_cw = np.repeat(np.array([k.final_cw for k in keys], dtype=np.uint8), leaves)
+    comparison = np.repeat([k.comparison for k in trees], leaves)
+    final_cw = np.repeat(np.array([k.final_cw for k in trees], dtype=np.uint8), leaves)
     point = (seeds[:, 0] & np.uint64(1)).astype(np.uint8) ^ (t & final_cw)
-    out = np.where(comparison, acc, point).reshape(len(keys), leaves)[:, :n]
-    return out ^ np.array([k.add_const for k in keys], dtype=np.uint8)[:, None]
+    out = np.where(comparison, acc, point).reshape(len(trees), leaves)[:, :n]
+    return out ^ np.array([k.add_const for k in trees], dtype=np.uint8)[:, None]
 
 
 def full_domain_eval(key: FssKey, n: int, *, more=None):
@@ -289,18 +221,17 @@ def full_domain_eval(key: FssKey, n: int, *, more=None):
 
     ``more`` lists further ``(key, n)`` pairs to evaluate in the same
     traversal, and the list of every evaluation comes back; without it the
-    one evaluation comes back. Trees of one depth, the two comparison halves
-    of an interval key among them, descend together, one PRG call per level.
+    one evaluation comes back. The trees of one depth, of every key, descend
+    together, one PRG call per level.
     """
     jobs = [(key, n)] + list(more or ())
-    trees = [(j, tree, m) for j, (k, m) in enumerate(jobs)
-             for tree in ((k.lower, k.upper) if isinstance(k, IntervalKey) else (k,))]
+    trees = [(j, tree, m) for j, (k, m) in enumerate(jobs) for tree in k]
     out = [np.zeros(m, dtype=np.uint8) for _, m in jobs]
     for depth in sorted({tree.domain_bits for _, tree, _ in trees}):
         group = [(j, tree, m) for j, tree, m in trees if tree.domain_bits == depth]
         evals = _full_domain_trees([tree for _, tree, _ in group], max(m for *_, m in group))
         for (j, _, m), row in zip(group, evals):
-            out[j] ^= row[:m]  # an interval key: the XOR of its two halves
+            out[j] ^= row[:m]  # a key is the XOR of its trees
     vectors = [BitVector.from_bits(bits) for bits in out]
     return vectors if more is not None else vectors[0]
 
@@ -314,17 +245,18 @@ _LEVEL = np.dtype([("seed_cw", "<u8", 2), ("ctrl_cw", "u1")])  # one level's 17 
 
 def key_bytes(kind: str, domain_bits: int) -> int:
     """Size of the record of a ``kind`` key of depth ``domain_bits``."""
-    tree = 3 + SEED_BYTES + domain_bits * _LEVEL.itemsize
-    return 2 * tree if kind == KIND_INTERVAL else tree
+    trees = 2 if kind == KIND_INTERVAL else 1
+    return trees * (3 + SEED_BYTES + domain_bits * _LEVEL.itemsize)
 
 
 def serialize_key(key: FssKey) -> bytes:
-    if isinstance(key, IntervalKey):
-        return serialize_key(key.lower) + serialize_key(key.upper)
-    levels = np.empty(key.domain_bits, _LEVEL)
-    levels["seed_cw"], levels["ctrl_cw"] = key.seed_cw, key.ctrl_cw
-    return (bytes([key.root_t, key.add_const]) + key.root_seed + levels.tobytes()
-            + bytes([key.final_cw]))
+    records = []
+    for tree in key:
+        levels = np.empty(tree.domain_bits, _LEVEL)
+        levels["seed_cw"], levels["ctrl_cw"] = tree.seed_cw, tree.ctrl_cw
+        records += [bytes([tree.root_t, tree.add_const]), tree.root_seed, levels.tobytes(),
+                    bytes([tree.final_cw])]
+    return b"".join(records)
 
 
 def parse_key(kind: str, domain_bits: int, blob: bytes) -> FssKey:
@@ -332,17 +264,17 @@ def parse_key(kind: str, domain_bits: int, blob: bytes) -> FssKey:
     if len(blob) != key_bytes(kind, domain_bits):
         raise ValueError(f"{len(blob)} bytes for a {kind} key of depth {domain_bits}, "
                          f"not {key_bytes(kind, domain_bits)}")
-    if kind == KIND_INTERVAL:
-        half = len(blob) // 2
-        return IntervalKey(parse_key(KIND_LT, domain_bits, blob[:half]),
-                           parse_key(KIND_LT, domain_bits, blob[half:]))
-    levels = np.frombuffer(blob, _LEVEL, domain_bits, offset=2 + SEED_BYTES)
-    return (DpfKey if kind == KIND_EQ else DcfKey)(
-        domain_bits=domain_bits,
-        root_seed=bytes(blob[2:2 + SEED_BYTES]),
-        root_t=blob[0],
-        seed_cw=levels["seed_cw"].astype(np.uint64),
-        ctrl_cw=levels["ctrl_cw"].copy(),
-        final_cw=blob[-1],
-        add_const=blob[1],
-    )
+    tree_bytes = key_bytes(KIND_EQ, domain_bits)  # a point key is one tree
+    trees = []
+    for at in range(0, len(blob), tree_bytes):
+        levels = np.frombuffer(blob, _LEVEL, domain_bits, offset=at + 2 + SEED_BYTES)
+        trees.append(Tree(
+            comparison=kind != KIND_EQ,
+            root_seed=bytes(blob[at + 2:at + 2 + SEED_BYTES]),
+            root_t=blob[at],
+            seed_cw=levels["seed_cw"].astype(np.uint64),
+            ctrl_cw=levels["ctrl_cw"].copy(),
+            final_cw=blob[at + tree_bytes - 1],
+            add_const=blob[at + 1],
+        ))
+    return tuple(trees)

@@ -32,9 +32,7 @@ def predicate_holds(pred: PredicateSpec, value_index: int) -> bool:
         return value_index >= pred.operands[0]
     if pred.kind == fss.KIND_INTERVAL:
         lo, hi = pred.operands
-        above = value_index >= lo if pred.closed[0] else value_index > lo
-        below = value_index <= hi if pred.closed[1] else value_index < hi
-        return above and below
+        return lo <= value_index <= hi
     raise ValueError(f"unknown predicate kind {pred.kind!r}")
 
 

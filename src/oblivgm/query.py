@@ -7,13 +7,16 @@ Query text format, one record per line::
     QS <name>                                   # start vertex (default: first Q line)
     QE <parent> <child>                         # tree edge
 
-Operators are ``=``, ``<``, ``<=``, ``>``, ``>=`` and ``in <lo> <hi>`` (closed
-range). ``QC`` sets how a vertex's predicates combine: ``ALL`` is their
+Operators are ``=``, ``<``, ``<=``, ``>``, ``>=`` and ``in <lo> <hi>`` (``lo <=
+v <= hi``). ``QC`` sets how a vertex's predicates combine: ``ALL`` is their
 AND, ``ANY`` their inclusive OR. Range operators require an ordinal
-attribute; their operands live in value space here and are mapped to
-dictionary-index space when the query is resolved against a schema. A range that covers no dictionary value resolves
-to a well-formed predicate that can never match, so it hides exactly as much
-as a satisfiable one.
+attribute and numeric operands (``inf`` is one, ``nan`` is not); the
+operands live in value space here and are mapped to dictionary-index space
+when the query is resolved against a schema. A range ``in <lo> <hi>``
+becomes the index interval ``[i, j]`` of the dictionary values inside it; an
+empty or reversed range, which holds no value, becomes the empty interval
+``[i, i - 1]``. It is a well-formed predicate that can never match, so it
+hides exactly as much as a satisfiable one.
 
 A token splits each predicate's three FSS key pairs across the parties so
 that every share of an attribute vector gets evaluated under both keys of
@@ -25,6 +28,7 @@ is how :mod:`oblivgm.storage` sizes a token file's key records.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -50,7 +54,6 @@ class PredicateSpec:
     attr: str
     kind: str
     operands: tuple[int, ...]
-    closed: tuple[bool, bool] = (True, True)  # interval variants only
 
 
 @dataclass
@@ -139,12 +142,20 @@ def parse_query_text(text: str):
     return verts, order, edges, start
 
 
-def _map_comparison(op: str, operand: str, attr: AttrSchema):
-    """Translate a value-space comparison to an index-space predicate kind."""
+def _range_bound(operand: str) -> float:
+    """A range operator's operand as a number; NaN is refused, as no value is above or below it."""
     try:
         bound = float(operand)
     except ValueError:
-        raise QueryFormatError(f"range operand {operand!r} is not numeric") from None
+        bound = math.nan
+    if math.isnan(bound):
+        raise QueryFormatError(f"range operand {operand!r} is not numeric")
+    return bound
+
+
+def _map_comparison(op: str, operand: str, attr: AttrSchema):
+    """Translate a value-space comparison to an index-space predicate kind."""
+    bound = _range_bound(operand)
     nums = [float(v) for v in attr.values]
     n = len(nums)
     if op == "<":
@@ -190,15 +201,11 @@ def resolve_query(raw, schema: GraphSchema) -> QueryGraph:
                     f"attribute {attr_name!r} is not ordinal; only '=' applies"
                 )
             if kind == fss.KIND_INTERVAL:
-                lo_b, hi_b = (float(x) for x in operands)
+                lo_b, hi_b = (_range_bound(x) for x in operands)
                 nums = [float(v) for v in attr.values]
                 lo = bisect_left(nums, lo_b)
                 hi = bisect_right(nums, hi_b) - 1
-                if lo > hi:
-                    # no dictionary value inside the range: an empty open interval
-                    preds.append(PredicateSpec(attr_name, kind, (0, 0), (False, False)))
-                else:
-                    preds.append(PredicateSpec(attr_name, kind, (lo, hi)))
+                preds.append(PredicateSpec(attr_name, kind, (lo, max(hi, lo - 1))))
                 continue
             mapped_kind, operand = _map_comparison(op, operands[0], attr)
             preds.append(PredicateSpec(attr_name, mapped_kind, (operand,)))
@@ -270,6 +277,11 @@ class PartyToken:
         return len(self.structure["slots"])
 
 
+def slot_attrs(slot: dict) -> list[str]:
+    """The attributes a slot's predicates read, in the order of a record's attribute tables."""
+    return sorted({p["attr"] for p in slot["preds"]})
+
+
 def query_structure(query: QueryGraph) -> dict:
     return {
         "slots": [
@@ -298,13 +310,7 @@ def gen_token(query: QueryGraph, schema: GraphSchema, rng: np.random.Generator):
     for v in query.vertices:
         ts = schema.types[v.vtype]
         for pred in v.predicates:
-            n = ts.attrs[pred.attr].domain_size
-            for opnd in pred.operands:
-                if not 0 <= opnd < n:
-                    raise QueryFormatError(
-                        f"operand {opnd} outside the {pred.attr!r} dictionary domain"
-                    )
-            preds += [(pred.kind, pred.operands, n, pred.closed)] * 3
+            preds += [(pred.kind, pred.operands, ts.attrs[pred.attr].domain_size)] * 3
     pairs = iter(fss.key_pairs_gen(preds, rng))
     per_party: list[list[list[tuple]]] = [[], [], []]
     for v in query.vertices:

@@ -25,8 +25,9 @@ stored. A posting row is one word, the neighbor type's ``id_width``-bit
 code. Vertex ids are public row positions and are not stored.
 
 Token containers ("OGMT") carry the public query structure as JSON, then
-slot by slot, predicate by predicate, the party's two keys; the predicate's
-kind and its attribute's domain fix each key's size.
+slot by slot, predicate by predicate, the party's two keys, each its trees'
+records in order; the predicate's kind fixes a key's number of trees, and
+its attribute's domain their depth, so together they fix each key's size.
 
 Result containers ("OGMR") carry a JSON manifest of exactly two keys: the
 public query structure and, per slot, its records' parent records (-1 at
@@ -61,7 +62,7 @@ from . import fss
 from .bits import mask_tail, words_for
 from .engine import MatchResultSet, RecordTable
 from .graphs import GraphSchema, GraphShare, TypePartyShare
-from .query import PartyToken, check_structure
+from .query import PartyToken, check_structure, slot_attrs
 from .rss import PARTIES, MatchTable
 
 GRAPH_MAGIC = b"OGMG"
@@ -242,7 +243,7 @@ def _result_tables(structure: dict, schema: GraphSchema, counts: list[int]):
         ts = schema.types[slot["type"]]
         keep = np.ones(counts[s], bool)
         yield s, None, ts.id_width, keep
-        for a in sorted({p["attr"] for p in slot["preds"]}):
+        for a in slot_attrs(slot):
             yield s, a, ts.attrs[a].code_width, keep
 
 

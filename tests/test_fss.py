@@ -6,6 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivgm import fss
+from oblivgm.prf import prg_expand, seed_to_array
+
+
+def eval_point(key, x):
+    """One point's evaluation of a key: one walk down each of its trees, XORed.
+
+    The reference for :func:`fss.full_domain_eval`, which evaluates every
+    point of every tree in one traversal.
+    """
+    out = 0
+    for tree in key:
+        bits = tree.domain_bits
+        if not 0 <= x < (1 << bits):
+            raise fss.DomainError(f"point {x} outside 2^{bits} domain")
+        seeds = seed_to_array(tree.root_seed)[None, :]
+        t = int(tree.root_t)
+        acc = 0
+        for lvl in range(bits):
+            left, right, t_left, t_right, value = prg_expand(seeds)
+            xb = (x >> (bits - 1 - lvl)) & 1
+            if tree.comparison and xb == 0:
+                acc ^= int(value[0]) ^ (t & ((tree.ctrl_cw[lvl] >> 2) & 1))
+            branch_seed = left if xb == 0 else right
+            branch_t = int(t_left[0] if xb == 0 else t_right[0])
+            if t:
+                branch_seed = branch_seed ^ tree.seed_cw[lvl][None, :]
+                branch_t ^= (tree.ctrl_cw[lvl] >> xb) & 1
+            seeds = branch_seed
+            t = int(branch_t) & 1
+        if not tree.comparison:
+            acc = int(seeds[0, 0] & np.uint64(1)) ^ (t & tree.final_cw)
+        out ^= (acc ^ tree.add_const) & 1
+    return out
 
 
 def indicator(pair, n):
@@ -52,17 +85,18 @@ def test_dpf_alpha_out_of_domain():
 
 def test_eval_point_deterministic_and_matches_full_domain():
     rng = np.random.default_rng(3)
-    for kind in ("eq", "lt", "ge"):  # a point key, and comparison keys without and with add_const
-        k1, k2 = fss.key_pair_gen(kind, (100,), 256, rng)
-        assert fss.eval_point(k1, 5) == fss.eval_point(k1, 5)
+    # a point key, comparison keys without and with add_const, and a two-tree key
+    for kind, operands in (("eq", (100,)), ("lt", (100,)), ("ge", (100,)), ("iv", (40, 100))):
+        k1, k2 = fss.key_pair_gen(kind, operands, 256, rng)
+        assert eval_point(k1, 5) == eval_point(k1, 5)
         full1 = fss.full_domain_eval(k1, 256).to_bits()
         full2 = fss.full_domain_eval(k2, 256).to_bits()
-        want = brute_force(kind, (100,), 256)
+        want = brute_force(kind, operands, 256)
         for x in range(256):
-            assert (fss.eval_point(k1, x), fss.eval_point(k2, x)) == (full1[x], full2[x])
-            assert fss.eval_point(k1, x) ^ fss.eval_point(k2, x) == want[x]
+            assert (eval_point(k1, x), eval_point(k2, x)) == (full1[x], full2[x])
+            assert eval_point(k1, x) ^ eval_point(k2, x) == want[x]
         with pytest.raises(fss.DomainError):
-            fss.eval_point(k1, 256)
+            eval_point(k1, 256)
 
 
 def test_dcf_edges():
@@ -104,17 +138,6 @@ def test_interval_spec_cases():
             == indicator(fss.key_pair_gen("eq", (5,), 64, rng), 64).tolist())
 
 
-def test_interval_open_variants():
-    rng = np.random.default_rng(6)
-    n = 32
-    for cl, ch in ((True, True), (True, False), (False, True), (False, False)):
-        pair = fss.key_pair_gen("iv", (7, 13), n, rng, (cl, ch))
-        xs = np.arange(n)
-        lo_ok = xs >= 7 if cl else xs > 7
-        hi_ok = xs <= 13 if ch else xs < 13
-        assert indicator(pair, n).tolist() == (lo_ok & hi_ok).astype(int).tolist()
-
-
 def test_interval_composed_of_two_prefix_indicators():
     rng = np.random.default_rng(7)
     n, lo, hi = 200, 41, 77
@@ -139,14 +162,15 @@ def test_full_domain_limits():
 
 def test_key_serialization_round_trip_and_errors():
     rng = np.random.default_rng(9)
-    n = 100
-    for kind, operands, closed in (("eq", (9,), (True, True)), ("ge", (3,), (True, True)),
-                                   ("iv", (5, 9), (True, False))):
-        k1, k2 = fss.key_pair_gen(kind, operands, n, rng, closed)
+    # depth 7 for both domains; the empty interval's two trees wrap at 2^7
+    for kind, operands, n in (("eq", (9,), 100), ("ge", (3,), 100), ("iv", (5, 8), 100),
+                              ("iv", (128, 127), 128)):
+        k1, k2 = fss.key_pair_gen(kind, operands, n, rng)
         blob = fss.serialize_key(k1)
         assert len(blob) == fss.key_bytes(kind, 7)  # no tag, depth or length stored
         back = fss.parse_key(kind, 7, blob)
-        assert type(back) is type(k1)
+        assert [tree.comparison for tree in back] == [tree.comparison for tree in k1]
+        assert len(back) == len(k1) == (2 if kind == "iv" else 1)
         assert fss.serialize_key(back) == blob
         assert np.array_equal(
             indicator((back, k2), n), indicator((k1, k2), n))
@@ -190,10 +214,7 @@ def test_bundle_independence_and_agreement():
     assert indicators[0] == brute_force("iv", (30, 40), 128).tolist()
     blobs = {tuple(fss.serialize_key(k) for k in pair) for pair in pairs}
     assert len(blobs) == 3  # independent randomness
-    assert {k.domain_bits for pair in pairs for k in pair} == {7}
-    # the closed flags pick the interval variant: (30, 40) open at both ends
-    open_pair = fss.key_pair_gen("iv", (30, 40), 128, rng, (False, False))
-    assert indicator(open_pair, 128).tolist() == brute_force("iv", (31, 39), 128).tolist()
+    assert {tree.domain_bits for pair in pairs for key in pair for tree in key} == {7}
     with pytest.raises(ValueError, match="unknown predicate kind"):
         fss.key_pair_gen("nope", (0,), 4, rng)
 
@@ -205,16 +226,15 @@ def test_interval_key_in_one_pass_equals_its_two_halves_exhaustively():
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 4, 5, 7, 8, 9):  # both sides of the powers of two
         xs = np.arange(n)
-        for lo in range(n):
-            for hi in range(lo, n):
-                for cl, ch in ((True, True), (True, False), (False, True), (False, False)):
-                    pair = fss.key_pair_gen("iv", (lo, hi), n, rng, (cl, ch))
-                    for key in pair:
-                        halves = (fss.full_domain_eval(key.lower, n)
-                                  ^ fss.full_domain_eval(key.upper, n))
-                        assert fss.full_domain_eval(key, n) == halves
-                    want = (xs >= lo if cl else xs > lo) & (xs <= hi if ch else xs < hi)
-                    assert indicator(pair, n).tolist() == want.astype(int).tolist()
+        for lo in range(n + 1):
+            for hi in range(lo - 1, n):  # hi == lo - 1: every empty interval
+                pair = fss.key_pair_gen("iv", (lo, hi), n, rng)
+                for lower, upper in pair:
+                    halves = (fss.full_domain_eval((lower,), n)
+                              ^ fss.full_domain_eval((upper,), n))
+                    assert fss.full_domain_eval((lower, upper), n) == halves
+                want = (xs >= lo) & (xs <= hi)
+                assert indicator(pair, n).tolist() == want.astype(int).tolist()
 
 
 def test_full_domain_eval_of_many_keys_in_one_traversal():

@@ -166,6 +166,11 @@ E y1 y2
                  "software\nQ c C field = Internet\nQC c ANY\nQE p c\n", "", id="any-combiners"),
     pytest.param(CAMPUS_GRAPH, 2, "Q p P age >= 31\nQ p P age <= 40\nQ q P age > 0\n"
                  "Q q P age < 45\nQ u U place = Harbin\nQE p q\nQE q u\n", "", id="all-combiners"),
+    # empty, reversed and above-every-value ranges (the last wraps both trees of the
+    # 4-value, power-of-two age domain) never match; the fourth predicate keeps matches
+    pytest.param(CAMPUS_GRAPH, 2, "Q p P age in 41 49\nQ p P age in 60 30\nQ p P age in 60 70\n"
+                 "Q p P age <= 35\nQC p ANY\nQ c C field = software\nQE p c\n", "",
+                 id="empty-ranges"),
 ])
 def test_secure_equals_oracle_on_corner_cases(graph_text, k, query_text, needs):
     graph = parse_graph_text(graph_text)

@@ -50,10 +50,8 @@ def test_value_to_index_mapping(schema):
     assert kinds("Q a P age < 100\n") == (fss.KIND_LE, (3,))   # always true
     assert kinds("Q a P age > 100\n") == (fss.KIND_LT, (0,))   # always false
     assert kinds("Q a P age in 33 41\n") == (fss.KIND_INTERVAL, (1, 2))
-    kind, ops = kinds("Q a P age in 41 49\n")  # no dictionary value inside
-    assert kind == fss.KIND_INTERVAL and ops == (0, 0)
-    p = load_query("Q a P age in 41 49\n", schema).vertices[0].predicates[0]
-    assert p.closed == (False, False)
+    # no dictionary value inside: the empty interval [lo, lo - 1]
+    assert kinds("Q a P age in 41 49\n") == (fss.KIND_INTERVAL, (3, 2))
 
 
 def test_validation_errors(schema):
@@ -69,6 +67,9 @@ def test_validation_errors(schema):
         ("", "no target"),
         ("Q a P age ? 31\n", "unknown operator"),
         ("Q a P age in 31\n", "two operands"),
+        ("Q a P age in x 40\n", "range operand 'x' is not numeric"),
+        ("Q a P age in nan 40\n", "range operand 'nan' is not numeric"),
+        ("Q a P age < nan\n", "range operand 'nan' is not numeric"),
     ]
     for text, pattern in cases:
         with pytest.raises(QueryFormatError, match=pattern):
@@ -222,9 +223,9 @@ def mixed_kind_query():
             P("d4", fss.KIND_LE, (3,)), P("d4", fss.KIND_GT, (3,)),  # at the domain maximum
             P("d5", fss.KIND_GE, (2,)), P("d5", fss.KIND_LE, (2,)), P("d16", fss.KIND_GT, (4,)),
             P("d16", fss.KIND_INTERVAL, (5, 15)),  # upper bound covers the domain
-            P("d4", fss.KIND_INTERVAL, (1, 2), (False, False)),  # statically empty
-            P("d5", fss.KIND_INTERVAL, (0, 0), (False, False)),  # the parser's empty range
-            P("d1", fss.KIND_EQ, (0,)), P("d16", fss.KIND_INTERVAL, (2, 9), (True, False))]
+            P("d4", fss.KIND_INTERVAL, (0, -1)),  # empty
+            P("d5", fss.KIND_INTERVAL, (0, -1)),  # empty
+            P("d1", fss.KIND_EQ, (0,)), P("d16", fss.KIND_INTERVAL, (2, 8))]
     child = [P("d8", fss.KIND_LT, (5,)), P("d8", fss.KIND_INTERVAL, (2, 5))]
     return QueryGraph([TargetVertex("a", "A", root), TargetVertex("b", "B", child, "ANY")],
                       [[1], []], [None, 0])
@@ -252,8 +253,7 @@ def tree_gen_reference(alpha, bits, rng, comparison):
         seeds = keep_seed ^ (s_cw[None, :] * t.astype(np.uint64)[:, None])
         t = keep_t ^ (t & tau_keep)
     final_cw = 0 if comparison else int((seeds[0, 0] ^ seeds[1, 0]) & np.uint64(1)) ^ 1
-    cls = fss.DcfKey if comparison else fss.DpfKey
-    return tuple(cls(bits, root, root_t, seed_cw, ctrl_cw, final_cw)
+    return tuple(fss.Tree(comparison, root, root_t, seed_cw, ctrl_cw, final_cw)
                  for root_t, root in enumerate((root0, root1)))
 
 
@@ -262,24 +262,23 @@ def key_pair_reference(pred, n, rng):
     bits = fss.domain_bits_for(n)
     full = 1 << bits
     if pred.kind == fss.KIND_EQ:
-        return tree_gen_reference(pred.operands[0], bits, rng, False)
+        k1, k2 = tree_gen_reference(pred.operands[0], bits, rng, False)
+        return (k1,), (k2,)
     if pred.kind == fss.KIND_INTERVAL:
-        (low, high), (closed_low, closed_high) = pred.operands, pred.closed
-        lo_t, hi_t, const = low + (not closed_low), high + closed_high, 0
-        if lo_t >= hi_t:
-            lo_t = hi_t = 0
+        low, high = pred.operands
+        lo_t, hi_t, const = low, high + 1, 0
         if hi_t == full:
             hi_t, const = 0, 1
         low1, low2 = tree_gen_reference(lo_t, bits, rng, True)
         up1, up2 = tree_gen_reference(hi_t, bits, rng, True)
-        return fss.IntervalKey(low1, replace(up1, add_const=const)), fss.IntervalKey(low2, up2)
+        return (low1, replace(up1, add_const=const)), (low2, up2)
     alpha = pred.operands[0]
     threshold, const = {fss.KIND_LT: (alpha, 0), fss.KIND_GE: (alpha, 1),
                         fss.KIND_LE: (alpha + 1, 0), fss.KIND_GT: (alpha + 1, 1)}[pred.kind]
     if threshold == full:  # x <= max always holds, x > max never
         threshold, const = 0, 1 - const
     k1, k2 = tree_gen_reference(threshold, bits, rng, True)
-    return replace(k1, add_const=const), k2
+    return (replace(k1, add_const=const),), (k2,)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

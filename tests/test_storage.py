@@ -295,7 +295,7 @@ def test_token_naming_a_wider_attribute_is_refused_by_its_size(tmp_path):
     save_token(path, gen_token(load_query("Q a U place = Harbin\n", schema), schema,
                                np.random.default_rng(0))[0])
     rewrite_manifest(path, lambda doc: None)
-    assert load_token(path, schema, 1).slot_keys[0][0][0].domain_bits == 1
+    assert load_token(path, schema, 1).slot_keys[0][0][0][0].domain_bits == 1
 
     def widen(doc):  # age has 4 values, two levels; place has 2, one level
         doc["slots"][0]["type"] = "P"
