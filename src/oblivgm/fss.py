@@ -9,7 +9,8 @@ variants obtained by shifting the threshold and XORing a public constant
 into exactly one key of the pair), and an interval ``[low, high]`` the
 comparison trees ``x < low`` and ``x < high + 1``, which cancel when
 ``low == high + 1``, the empty interval. A threshold of ``2^depth`` is drawn
-as the complement of ``x < 0``.
+as the complement of ``x < 0``, and a key's whole constant sits on its last
+tree.
 
 A tree is a 16-byte root seed expanded level by level with the fixed-key
 AES PRG from :mod:`oblivgm.prf`, plus one correction word (seed, two control
@@ -145,9 +146,12 @@ def _tree_plan(kind: str, operands: tuple[int, ...], domain_size: int) -> list[t
         plan = [(alpha + offset, const)]
     else:
         raise ValueError(f"unknown predicate kind {kind!r}")
+    # x < 2^depth is the complement of x < 0. Only the XOR of a key's constants
+    # counts, so all of it goes on the last tree: a record's constant bytes then
+    # never tell an empty interval at the top of the domain from another one.
     full = 1 << domain_bits_for(domain_size)
-    return [(0, const ^ 1) if threshold == full else (threshold, const)
-            for threshold, const in plan]
+    constant = sum(const + (threshold == full) for threshold, const in plan) % 2
+    return [(threshold % full, 0) for threshold, _ in plan[:-1]] + [(plan[-1][0] % full, constant)]
 
 
 def key_pairs_gen(preds, rng: np.random.Generator) -> list[tuple[FssKey, FssKey]]:

@@ -182,6 +182,21 @@ def test_key_serialization_round_trip_and_errors():
     assert fss.key_bytes("iv", 7) == 2 * fss.key_bytes("lt", 7)
 
 
+def test_empty_interval_constants_do_not_tell_where_it_lies():
+    # a tree's add_const is written in the clear: an empty interval at the top
+    # of a power-of-two domain, whose two trees wrap, must show the bytes of
+    # one at the bottom, whose two trees do not
+    rng = np.random.default_rng(12)
+    for n in (2, 4, 128):
+        tree_bytes = fss.key_bytes("eq", fss.domain_bits_for(n))
+        consts = set()
+        for operands in ((n, n - 1), (0, -1)):
+            k1, k2 = fss.key_pair_gen("iv", operands, n, rng)
+            consts.add(tuple(fss.serialize_key(k1)[1::tree_bytes]))
+            assert not indicator((k1, k2), n).any()
+        assert consts == {(0, 0)}
+
+
 def test_point_and_comparison_keys_serialize_to_equal_sizes():
     rng = np.random.default_rng(10)
     for n in (2, 64, 1000):
