@@ -7,8 +7,8 @@ import time
 import numpy as np
 
 from . import fss
-from .engine import (RecordTable, _code_words, _select_groups_additive, _select_many_additive,
-                     assemble)
+from .engine import (RecordTable, _code_words, _gate_additive, _select_groups_additive,
+                     _select_many_additive, assemble)
 from .prf import prf_stream, prg_expand, seeded_permutation
 from .shuffle import translate_rows
 
@@ -55,8 +55,11 @@ def run_kernels(seed: str) -> None:
     about 74 segment streams per shuffle, selects 10 posting lists of 3 id
     codes from (500, 3) words and 30 attribute rows from (500, 2),
     translates the 132 unit vectors of 512 bits that an access expands its
-    selected codes into, and its client assembles a 4-slot tree; key
-    generation builds 15 trees of depths 9 and 6, about one query's.
+    selected codes into, gates about 72 one-word rows of a leaf slot by
+    their flags (and 4000 rows, for scale), evaluates a range-rooted query's
+    10 trees of depth 6, one party's keys, in one call, and its client
+    assembles a 4-slot tree; key generation builds 15 trees of depths 9 and
+    6, about one query's.
     """
     print(f"# kernels seed={seed}")
     rng = np.random.default_rng(int(seed, 16))
@@ -80,6 +83,9 @@ def run_kernels(seed: str) -> None:
                  (fss.KIND_GE, (10,), 50), (fss.KIND_GE, (10,), 50)] * 3
     eq_keys = [(k, 4000) for k in fss.key_pair_gen(fss.KIND_EQ, (2000,), 4000, rng)]
     iv_keys = [(k, 100) for k in fss.key_pair_gen(fss.KIND_INTERVAL, (30, 39), 100, rng)]
+    query_keys = [(k, 50) for pred in hop_preds[1:2] + hop_preds[2:3] * 3  # iv root, 3 x ge
+                  for k in fss.key_pair_gen(*pred, rng)]
+    gate_rows = {n: (bits(n), bits(n), words(n, 1), words(n, 1)) for n in (72, 4000)}
     kernels = [
         ("prf_stream", "1 x 2 MiB", lambda: prf_stream(key, b"BNCH", 0, 2 << 20)),
         ("prf_stream", "74 x 576 B", lambda: prf_stream(key, b"BNCH", 0, [576] * 74)),
@@ -92,6 +98,8 @@ def run_kernels(seed: str) -> None:
         ("select_one", "(4000,) x (4000, 125)", lambda: _select_groups_additive(*one_attrs, 1)),
         ("code_map", "4000 x 100 bits", lambda: _code_words(attr_share, 100)),
         ("translate_rows", "132 x 512 bits", lambda: translate_rows(*unit_rows)),
+        ("gate", "72 x 1 word", lambda: _gate_additive(*gate_rows[72])),
+        ("gate", "4000 x 1 word", lambda: _gate_additive(*gate_rows[4000])),
         ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
         ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",
          lambda: assemble(*hop_records)),
@@ -100,6 +108,8 @@ def run_kernels(seed: str) -> None:
             *eq_keys[0], more=eq_keys[1:])),
         ("full_domain_eval", "2 iv keys over 100", lambda: fss.full_domain_eval(
             *iv_keys[0], more=iv_keys[1:])),
+        ("full_domain_eval", "10 trees of depth 6, one call", lambda: fss.full_domain_eval(
+            *query_keys[0], more=query_keys[1:])),
     ]
     _row("# kernel", "shape", "best_ms")
     for name, shape, fn in kernels:

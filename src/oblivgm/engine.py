@@ -7,19 +7,24 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   six additive terms per candidate; one bit per candidate is re-shared.
 * matched-vertex fetch: a unique-valued attribute lets the parties fold each
   candidate group into a single record with pure local algebra plus one
-  re-share; otherwise rows of flag, id and attribute codes are obliviously
-  shuffled and only the shuffled flag column is opened. Either way a
-  record's attribute values leave the fetch as codes.
+  re-share. A leaf below the root, whose candidates are its parent records'
+  padded lists, a public count, is gated: every row of id and attribute
+  codes is ANDed with its flag and re-shared, a non-match becoming a dummy,
+  and nothing is opened. Otherwise, at the root and at a slot with
+  children, rows of flag, id and attribute codes are obliviously shuffled
+  and only the shuffled flag column is opened. Either way a record's
+  attribute values leave the fetch as codes.
 * neighbor access: matched vertices' padded posting lists of neighbor id
   codes are pulled out of the whole parent-type population by one-hot
   selection; the codes become one-hot rows through uniformly masked codes,
   the only values an access opens, and every selected row's attribute
   values are pulled out by one-hot selection again. A padding code 0 gives
-  an all-zero row, which fails every predicate and so drops out in the
-  child slot's own fetch.
+  an all-zero row, which fails every predicate and so drops out, or
+  becomes a dummy, in the child slot's own fetch.
 * the matcher walks the query tree level by level, carrying public
   provenance (which parent record each row descends from); a party's
-  result is its records, and the client assembles and prunes subgraphs.
+  result is its records, and the client drops the dummies, then assembles
+  and prunes subgraphs.
 
 A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
@@ -40,7 +45,7 @@ D values in the graph shares and in a slot's candidates, where
 An access selects codes, and :class:`oblivgm.shuffle.UnitVectors` expands
 them into the one-hot rows that select attributes; a leaf child keeps the
 selected codes as its ids, and a child with children keeps the one-hot
-rows, so a leaf slot's fetch shuffles or folds ``id_width`` bits per
+rows, so a leaf slot's fetch gates or folds ``id_width`` bits per
 candidate, not ``population``. One-hot ``e_c`` maps to ``c + 1`` by a
 public GF(2)-linear map, which each party applies to its own two shares
 (:func:`_codes`), so a slot with children switches to codes without a
@@ -57,19 +62,23 @@ The query tree runs level by level. Slots are numbered breadth-first, and
 each protocol step carries every slot of a level in one message per party:
 one re-share of every predicate's bits, one AND re-share per combining
 step, one fold re-share for the unique-route slots, one shuffle of the
-multi-route slots' tables and one open of their flags, and, for all edges
-out of the level together, one selection re-share, one open of the masked
-codes and one attribute re-share. Within a table, each candidate group is
-a segment permuted under its own table id; a child slot's groups are
-``max_padded`` rows each, a public size. The opened flags and the group
-boundaries are exactly what per-group steps would reveal, so batching
-leaks nothing more, and the number of rounds a query takes grows with the
-depth of its tree, not with its slots or its matches. Every opened value
-is entered in the runtime's ledger (``rt.opened``), one entry per slot with
-that slot's group segments: a fetch's flags (phase ``secFetch``) and an
-access's masked codes (phase ``secAccess``, under the child slot,
-``max_padded * id_width`` bits a group, or under the root, ``id_width``
-bits a kept root record).
+other root and inner slots' tables and one open of their flags, one gate
+re-share for the leaves below the root (in the open's round when the level
+shuffles, and then the level's only fetch message otherwise), and, for
+all edges out of the level together, one selection re-share, one open of
+the masked codes and one attribute re-share. Within a table, each
+candidate group is a segment permuted under its own table id; a child
+slot's groups are ``max_padded`` rows each, a public size. The opened flags
+and the group boundaries are exactly what per-group steps would reveal, so
+batching leaks nothing more, and the number of rounds a query takes grows
+with the depth of its tree, not with its slots or its matches. Every opened
+value is entered in the runtime's ledger (``rt.opened``), one entry per
+slot with that slot's group segments: a fetch's flags (phase ``secFetch``,
+root and inner slots only) and an access's masked codes (phase
+``secAccess``, under the child slot, ``max_padded * id_width`` bits a
+group, or under the root, ``id_width`` bits a kept root record). Every
+FSS key of the token is evaluated once, before the first level
+(:func:`eval_keys`).
 """
 
 from __future__ import annotations
@@ -236,10 +245,11 @@ def _flag_bits(flag: MatchTable) -> tuple[np.ndarray, np.ndarray]:
     return unpack_bits(flag.share_a, flag.width)[0], unpack_bits(flag.share_b, flag.width)[0]
 
 
-def _open_flags(rt, shuffled: list[MatchTable], slots=None) -> np.ndarray:
+def _open_flags(rt, shuffled: list[MatchTable], slots=None, during=None) -> np.ndarray:
     """Open the flag columns (bit 0 of every row) of shuffled tables in one message.
 
-    ``slots`` tags each table's flags in the ledger, split by its segments.
+    ``slots`` tags each table's flags in the ledger, split by its segments;
+    ``during`` runs in the open's round (:func:`oblivgm.rss.open_shared`).
     """
     def column(side):
         return pack_bits(np.concatenate([getattr(t, side)[:, 0] & 1 for t in shuffled]))[None]
@@ -247,7 +257,7 @@ def _open_flags(rt, shuffled: list[MatchTable], slots=None) -> np.ndarray:
     parts = None if slots is None else [(s, t.segments) for s, t in zip(slots, shuffled)]
     flags = MatchTable(rt.index, sum(t.rows for t in shuffled), column("share_a"),
                        column("share_b"))
-    return rss.open_shared(rt, flags, slots=parts).to_bits()
+    return rss.open_shared(rt, flags, slots=parts, during=during).to_bits()
 
 
 def _pack_fields(fields: list[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -275,26 +285,52 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
+def _fetch_fields(cand: RecordTable) -> list[MatchTable]:
+    """The fields a fetch carries: the ids, then each attribute mapped to codes, by name."""
+    return [cand.ids, *(_codes(cand.attrs[a]) for a in sorted(cand.attrs))]
+
+
+def _unpack_fields(table: MatchTable, widths: list[int], pos: int = 0) -> list[MatchTable]:
+    """The fields of ``widths`` bits laid end to end from bit ``pos`` of a table's rows."""
+    return [MatchTable(table.party_index, w, _bit_field(table.share_a, at, w),
+                       _bit_field(table.share_b, at, w))
+            for at, w in zip(pos + np.cumsum([0] + widths[:-1]), widths)]
+
+
 # ---------------------------------------------------------------------------
 # predicate evaluation
 # ---------------------------------------------------------------------------
 
 
-def sec_eval(rt, preds: list[tuple[MatchTable, tuple]]) -> list[MatchTable]:
+def eval_keys(token: PartyToken, types: list[TypeSchema]) -> list[list[tuple]]:
+    """The party's two keys of every predicate of the token, evaluated over their domains.
+
+    Returns per slot, per predicate, the two keys' indicator vectors over the
+    predicate attribute's dictionary. All keys are evaluated in one
+    :func:`oblivgm.fss.full_domain_eval` call, so the trees of one depth, of
+    every slot, descend together; an interval's two trees are XORed there.
+    """
+    slots = token.structure["slots"]
+    keys = [(key, types[s].attrs[p["attr"]].domain_size)
+            for s, slot in enumerate(slots) for pi, p in enumerate(slot["preds"])
+            for key in token.slot_keys[s][pi]]
+    ind = iter(fss.full_domain_eval(*keys[0], more=keys[1:]))
+    return [[(next(ind), next(ind)) for _ in slot["preds"]] for slot in slots]
+
+
+def sec_eval(rt, preds: list[tuple[MatchTable, tuple[BitVector, BitVector]]]) -> list[MatchTable]:
     """Evaluate predicates over candidate attribute tables; one shared bit per candidate each.
 
-    ``preds`` holds one ``(values, key_pair)`` per predicate: the candidates'
-    one-hot attribute rows over a domain of ``values.width`` values, and the
-    party's two FSS keys. Every key takes one pass, an interval's two trees
-    included (:func:`oblivgm.fss.full_domain_eval` XORs a key's trees); all
-    keys are evaluated in one call, and one message re-shares the bits of
-    every predicate.
+    ``preds`` holds one ``(values, indicators)`` per predicate: the
+    candidates' one-hot attribute rows over a domain of ``values.width``
+    values, and the indicator vectors of the party's two FSS keys over that
+    domain (:func:`eval_keys`). A candidate's additive bit is the parity of
+    each share of its row ANDed with one key's indicator, and one message
+    re-shares the bits of every predicate.
     """
-    keys = [(key, values.width) for values, pair in preds for key in pair]
-    ind = fss.full_domain_eval(*keys[0], more=keys[1:])
     additive = [BitVector.from_bits(_parity_rows(values.share_a & ind_a.words[None, :])
                                     ^ _parity_rows(values.share_b & ind_b.words[None, :]))
-                for (values, _), ind_a, ind_b in zip(preds, ind[0::2], ind[1::2])]
+                for values, (ind_a, ind_b) in preds]
     return rss.reshare(rt, additive[0], more=additive[1:])
 
 
@@ -365,38 +401,76 @@ def sec_fetch_unique(rt, cands: list[RecordTable],
 
 
 def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
-                    slots=None) -> list[RecordTable]:
+                    slots=None, during=None) -> list[RecordTable]:
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
     A table's groups are its segments, so each group is permuted on its own,
     while every table shares the shuffle's four frames and one open of the
     flags, tagged ``slots`` in the ledger; a kept row keeps its group's
     parent record. The id field is as wide as the candidates' ids:
-    ``id_width`` bits of code in a root or a leaf slot, the population in a
-    slot whose records are still to be accessed. Each attribute is mapped
-    to its code before the shuffle, with no message.
+    ``id_width`` bits of code in a root slot, the population in a slot
+    whose records are still to be accessed. Each attribute is mapped to its
+    code before the shuffle, with no message. ``during`` runs in the open's
+    round, after its frame is sent.
     """
     tables, widths = [], []
     for cand, flag in zip(cands, flags):
-        fields = [cand.ids, *(_codes(cand.attrs[a]) for a in sorted(cand.attrs))]
+        fields = _fetch_fields(cand)
         rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
                              + [(getattr(f, side), f.width) for f in fields])
                 for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
         widths.append([f.width for f in fields])
         tables.append(MatchTable(rt.index, 1 + sum(widths[-1]), *rows, cand.groups()[1]))
     shuffled = sec_shuffle(rt, tables[0], more=tables[1:])
-    opened = _open_flags(rt, shuffled, slots)
+    opened = _open_flags(rt, shuffled, slots, during)
     out, pos = [], 0
     for cand, table, ws in zip(cands, shuffled, widths):
         # a group is permuted within its own rows, so a kept row keeps its parent record
         keep = np.nonzero(opened[pos:pos + table.rows])[0]
         pos += table.rows
-        kept = table.take(keep)
-        ids, *fields = [MatchTable(rt.index, w, _bit_field(kept.share_a, at, w),
-                                   _bit_field(kept.share_b, at, w))
-                        for at, w in zip(np.cumsum([1] + ws[:-1]), ws)]
+        ids, *fields = _unpack_fields(table.take(keep), ws, 1)
         out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)),
                                cand.parent_record[keep]))
+    return out
+
+
+def _gate_additive(fa, fb, rows_a, rows_b) -> np.ndarray:
+    """Additive shares of every packed row ANDed with its shared flag bit.
+
+    With ``fa``, ``fb`` the party's two shares of the flags and ``rows_a``,
+    ``rows_b`` of the rows, the terms are ``(fa&xa) ^ (fa&xb) ^ (fb&xa)``,
+    the AND of two replicated sharings (:func:`oblivgm.rss.and_terms`). The
+    flag shares become 0/0xFFFFFFFF word masks, so the work does not depend
+    on them.
+    """
+    mask_a = np.negative(fa.astype(np.uint32))[:, None]  # 1 -> 0xFFFFFFFF
+    mask_b = np.negative(fb.astype(np.uint32))[:, None]
+    return (mask_a & (rows_a ^ rows_b)) ^ (mask_b & rows_a)
+
+
+def sec_fetch_gated(rt, cands: list[RecordTable], flags: list[MatchTable]) -> list[RecordTable]:
+    """Leaf fetch below the root: gate every candidate row by its flag and keep them all.
+
+    A slot that is not the root and has no children holds its parent
+    records' ``max_padded`` candidates each, a public count. Each row, ``[id
+    code || attribute codes]``, is ANDed with its shared flag bit, so a
+    non-match becomes the all-zero row: id code 0, a dummy that the client
+    drops. One message re-shares every table's rows and nothing is opened,
+    so no server learns the slot's match counts; every row keeps its parent
+    record.
+    """
+    parts, widths = [], []
+    for cand, flag in zip(cands, flags):
+        fields = _fetch_fields(cand)
+        rows = [_pack_fields([(getattr(f, side), f.width) for f in fields])
+                for side in ("share_a", "share_b")]
+        widths.append([f.width for f in fields])
+        parts.append((_gate_additive(*_flag_bits(flag), *rows), sum(widths[-1])))
+    tables = rss.reshare_rows(rt, *parts[0], more=parts[1:])
+    out = []
+    for cand, table, ws in zip(cands, tables, widths):
+        ids, *fields = _unpack_fields(table, ws)
+        out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)), cand.parent_record))
     return out
 
 
@@ -438,7 +512,8 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int]) -> list[RecordTa
     the re-shared codes, or the one-hot rows when ``hot`` says the child
     has accesses of its own to come. A padding row's code is 0, so its
     one-hot row and its attribute rows are zero, which no predicate
-    accepts: the child's own fetch drops it with the non-matches.
+    accepts: the child's own fetch drops it with the non-matches, or gates
+    it to a dummy.
     """
     schema = gshare.schema
     children = [schema.types[child_type] for _, _, child_type, _, _ in edges]
@@ -537,12 +612,16 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
                 and types[s].attrs[preds[0]["attr"]].unique)
 
+    def gated(s: int) -> bool:  # a leaf below the root, whose candidate count is public
+        return s != 0 and not slots[s]["children"] and not unique_route(s)
+
     # the root's ids are public: shuffled codes in the multi route, and none in the unique
     # route, whose fold gives the kept one-hot id
     root_ts, root_share = types[0], gshare.types[slots[0]["type"]]
     cands[0] = RecordTable(
         None if unique_route(0) else _root_ids(rt.index, root_ts),
         {a: root_share.attrs[a] for a in slot_attrs(slots[0])}, np.full(root_ts.population, -1))
+    indicators = eval_keys(token, types)
 
     for level in _levels(slots):
         for s in level:
@@ -554,26 +633,33 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         live = [s for s in level if cands[s].rows]
         if live:
             with rt.meter.phase("secEval"):
-                bits = iter(sec_eval(rt, [(cands[s].attrs[p["attr"]], token.slot_keys[s][pi])
+                bits = iter(sec_eval(rt, [(cands[s].attrs[p["attr"]], indicators[s][pi])
                                           for s in live for pi, p in enumerate(slots[s]["preds"])]))
                 flags = dict(zip(live, combine_predicates(
                     rt, [[next(bits) for _ in slots[s]["preds"]] for s in live],
                     [slots[s]["combiner"] for s in live])))
             with rt.meter.phase("secFetch"):
                 unique = [s for s in live if unique_route(s)]
-                multi = [s for s in live if not unique_route(s)]
+                gate = [s for s in live if gated(s)]
+                multi = [s for s in live if s not in unique and s not in gate]
+
+                def fetch(route, fetch_route, **kwargs):
+                    fetched = fetch_route(rt, [cands[s] for s in route], [flags[s] for s in route],
+                                          **kwargs)
+                    for s, matched in zip(route, fetched):
+                        records[s] = matched
+
                 if unique:
-                    fetched = sec_fetch_unique(rt, [cands[s] for s in unique],
-                                               [flags[s] for s in unique])
-                    for s, matched in zip(unique, fetched):
-                        records[s] = matched
+                    fetch(unique, sec_fetch_unique)
+                # the gate's re-share rides in the open's round of a level that also shuffles
+                gate_fetch = (lambda: fetch(gate, sec_fetch_gated)) if gate else None
                 if multi:
-                    fetched = sec_fetch_multi(rt, [cands[s] for s in multi],
-                                              [flags[s] for s in multi], slots=multi)
-                    for s, matched in zip(multi, fetched):
-                        records[s] = matched
+                    fetch(multi, sec_fetch_multi, slots=multi, during=gate_fetch)
+                elif gate_fetch:
+                    gate_fetch()
         for s in level:
-            say(f"slot {s} ({slots[s]['name']}): {records[s].rows} matched records")
+            say(f"slot {s} ({slots[s]['name']}): {records[s].rows} "
+                + ("gated rows" if gated(s) else "matched records"))
         edges = [(s, c) for s in level for c in slots[s]["children"]]
         if edges:
             with rt.meter.phase("secAccess"):
@@ -680,19 +766,33 @@ def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
     """Merge two or three party result sets into plaintext subgraphs.
 
     Returns ``(matches, details)``: slot-ordered ext-id tuples, and per-match
-    decoded ``(ext_id, attribute values)`` per slot. Subgraphs containing a
-    dummy vertex record (id code 0) collapse silently; they stem from
-    unique-fetch groups without a satisfying candidate. Every check of
+    decoded ``(ext_id, attribute values)`` per slot. Dummy records (id code
+    0), a gated leaf's non-matches and the folds of unique-route groups
+    without a satisfying candidate, are dropped from each slot before
+    assembly, with every row that descends from one, so the products grow
+    with the matches, not with the padding. Every check of
     :func:`decode_records` applies, and subgraphs are assembled only after.
     """
     decoded = decode_records(result_sets, schema)
+    slots = result_sets[0].structure["slots"]
+    parent = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+    kept, tables = [], []  # per slot: the indices of its live records, and their provenance
+    for s, (ext_ids, _) in enumerate(decoded):
+        live = np.array([ext is not None for ext in ext_ids], dtype=bool)
+        parent_record = result_sets[0].records[s].parent_record
+        if s in parent:  # a live parent record's new index, -1 for a dropped one
+            renumber = np.full(len(decoded[parent[s]][0]), -1)
+            renumber[kept[parent[s]]] = np.arange(len(kept[parent[s]]))
+            parent_record = renumber[parent_record]
+            live &= parent_record >= 0
+        kept.append(np.nonzero(live)[0])
+        tables.append(RecordTable(None, {}, parent_record[live]))
     matches = []
     details = []
-    for combo in assemble(result_sets[0].structure["slots"], result_sets[0].records):
-        ids = tuple(decoded[s][0][ri] for s, ri in enumerate(combo))
-        if any(v is None for v in ids):
-            continue
+    for combo in assemble(slots, tables):
+        rows = [int(kept[s][ri]) for s, ri in enumerate(combo)]
+        ids = tuple(decoded[s][0][ri] for s, ri in enumerate(rows))
         matches.append(ids)
         details.append([(ext, {a: vals[ri] for a, vals in decoded[s][1].items()})
-                        for s, (ri, ext) in enumerate(zip(combo, ids))])
+                        for s, (ri, ext) in enumerate(zip(rows, ids))])
     return matches, details

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,10 +138,12 @@ def parse_graph_text(text: str) -> AttributedGraph:
 
 
 def _numeric(value: str) -> float | None:
+    """A value as a number, or None; NaN is none, as no value is above or below it."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         return None
+    return None if math.isnan(number) else number
 
 
 @dataclass

@@ -118,7 +118,8 @@ def expected_open_counts(res):
     A fetch entry counts each candidate group's members that satisfy its
     slot: the root's one group, or one group per record of the slot's
     parent, holding that record's true neighbours (none for a dummy record)
-    among its padded rows.
+    among its padded rows. Unique-route slots fold and leaves below the root
+    are gated, so neither opens anything.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
     matcher = _Matcher(graph, query, schema)
@@ -139,7 +140,7 @@ def expected_open_counts(res):
         else:
             groups = [neighbours(parent, ri, slot["type"])
                       for ri in range(results[0].records[parent].rows)]
-        if groups and not unique_route(schema, slot):
+        if groups and not unique_route(schema, slot) and (parent is None or slot["children"]):
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
     return out
 

@@ -50,6 +50,15 @@ def test_full_pipeline_matches_oracle(workspace, capsys):
     assert opened == reference == ["u1 p1 p3 c1 c2", "u1 p2 p3 c1 c2"]
 
 
+def test_range_query_on_an_attribute_holding_nan_exits_2(tmp_path, capsys):
+    (tmp_path / "n.graph").write_text("".join(f"V N n{i} age={v}\n"
+                                              for i, v in enumerate(("50", "nan", "10"))))
+    (tmp_path / "q.query").write_text("Q a N age >= 30\n")
+    assert main(["oracle", "--graph", str(tmp_path / "n.graph"),
+                 "--query", str(tmp_path / "q.query")]) == 2
+    assert "not ordinal" in capsys.readouterr().err
+
+
 def test_pipeline_deterministic_under_seeds(workspace):
     run_pipeline(workspace, out="res-a")
     run_pipeline(workspace, out="res-b")
@@ -315,8 +324,8 @@ def test_bench_kernels_prints_best_times(capsys):
     rows = [line.split("\t") for line in lines[2:]]
     assert {name for name, _, _ in rows} == {"prf_stream", "seeded_permutation", "prg_expand",
                                              "select_many", "select_one", "code_map",
-                                             "translate_rows", "assemble", "key_pairs_gen",
-                                             "full_domain_eval"}
+                                             "translate_rows", "gate", "assemble",
+                                             "key_pairs_gen", "full_domain_eval"}
     assert all(float(ms) > 0 for _, _, ms in rows)
 
 

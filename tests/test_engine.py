@@ -16,7 +16,7 @@ from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph
                             parse_graph_text)
 from oblivgm.net import (OP_OPEN, OP_RESHARE, OP_SHUFFLE, ProtocolError, local_runtimes,
                          make_session_configs, run_trio)
-from oblivgm.oracle import oracle_match
+from oblivgm.oracle import _Matcher, oracle_match
 from oblivgm.query import QueryFormatError, gen_token, load_query
 from oblivgm.rss import MatchTable
 from oblivgm.shuffle import simulate_unit_vectors
@@ -68,7 +68,9 @@ def run_eval(values, domain, kind, operands, master=b"\x31" * 16):
     runtimes = local_runtimes(make_session_configs(master))
 
     def worker(rt):
-        return sec_eval(rt, [(groups[rt.index - 1].attrs["a"], keys[rt.index - 1])])[0]
+        key_a, key_b = keys[rt.index - 1]
+        indicators = fss.full_domain_eval(key_a, domain, more=[(key_b, domain)])
+        return sec_eval(rt, [(groups[rt.index - 1].attrs["a"], tuple(indicators))])[0]
 
     shares = run_trio(worker, runtimes)
     return rss.reconstruct(shares).to_bits(), runtimes
@@ -312,7 +314,7 @@ def test_access_discards_dummies_and_fetches_true_attributes():
     # p-vertices with degrees 3 and 1 toward C; k-padding makes both lists
     # length 3, so p2's access selects 2 padding rows. Every leaf predicate
     # below accepts the whole domain, so a padding row that passed one would
-    # be kept by the leaf's fetch, not dropped with the non-matches.
+    # keep a non-zero id code through the leaf's gate, not become a dummy.
     text = """
 V P p1 a=1
 V P p2 a=2
@@ -330,11 +332,12 @@ E p2 c2
         for leaf in leaves:
             res = run_secure_query(text, f"Q root P a = {root}\n{leaf}QE root leaf\n")
             assert res["matches"] == want
-            for rt in res["runtimes"]:
-                (fetch,) = [e for e in rt.opened if e.phase == "secFetch" and e.slot == 1]
-                assert fetch.segments == (3,)
-                assert opened_counts(fetch) == [len(res["matches"])]
-            assert all(r.records[1].rows == len(res["matches"]) for r in res["results"])
+            # the leaf is gated: it opens nothing and returns all 3 rows, the
+            # non-matches as id code 0
+            assert not [e for rt in res["runtimes"] for e in rt.opened if e.phase == "secFetch"]
+            assert all(r.records[1].rows == 3 for r in res["results"])
+            codes = rss.reconstruct_rows([r.records[1].ids for r in res["results"]])[:, 0]
+            assert np.count_nonzero(codes) == len(res["matches"])
 
 
 def test_all_dummy_posting_list_yields_empty_branch():
@@ -720,11 +723,15 @@ def test_frames_follow_query_shape_not_match_count():
 
 
 @pytest.mark.parametrize("query_text", [
-    # the two-person tree with a P leaf under pb: pb's three records give qb three groups
+    # the two-person tree with a P slot under pb: pb's three records give qb
+    # three groups; qb's C child keeps it shuffled, and the gated leaf rb opens nothing
     "Q u U place = Harbin\nQ pa P age in 30 40\nQ pb P age in 30 40\nQ ca C field = software\n"
-    "Q qb P age in 30 60\nQE u pa\nQE u pb\nQE pa ca\nQE pb qb\n",
-    # p1 and p2 are each other's only P neighbour: two one-candidate fetch groups
-    "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
+    "Q qb P age in 30 60\nQ cb C field = Internet\nQ rb P age >= 30\n"
+    "QE u pa\nQE u pb\nQE pa ca\nQE pb qb\nQE qb cb\nQE qb rb\n",
+    # p1 and p2 are each other's only P neighbour: two one-candidate fetch
+    # groups in q, which its child r keeps shuffled; r is gated
+    "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQ r P age >= 30\n"
+    "QE u p\nQE p q\nQE q r\n",
 ])
 def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
     calls = []
@@ -746,6 +753,13 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
         assert {(e.phase, e.slot): opened_counts(e) for e in fetches} == want
         assert len(fetches) == len(want)
     assert any(len(segs) > 1 for call in calls for segs in call)
+    # the P leaf is gated: no shuffle, no open, and every padded row returned
+    leaf = len(res["query"].parent) - 1
+    assert ("secFetch", leaf) not in want and sum(map(len, calls)) == len(want)
+    padded = res["schema"].types["P"].max_padded("P")
+    assert all(r.records[leaf].rows == r.records[res["query"].parent[leaf]].rows * padded
+               for r in res["results"])
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"])
 
 
 def test_rounds_follow_tree_depth_not_slot_count():
@@ -889,3 +903,48 @@ def test_range_root_expands_only_the_kept_codes():
     # the meter agrees on the fetch
     assert meter == {p: (len(fetch), sum(18 + f[2] for f in fetch))
                      for p, (fetch, _, _) in levels.items()}
+
+
+HOP_QUERY = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= {c}\nQ s3 C x0 >= {c}\n"
+             "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
+
+
+def test_gated_leaf_returns_every_padded_row_and_opens_nothing():
+    # s2 and s3 are leaves below the root: each returns its parent records'
+    # max_padded rows in posting order, a match as its id code and a
+    # non-match or padding row as code 0, and neither opens its flags
+    res = run_secure_query(hop_graph_text(12), HOP_QUERY.format(c=2))
+    graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
+    slots = results[0].structure["slots"]
+    matcher = _Matcher(graph, query, schema)
+    for leaf in (2, 3):
+        parent, leaf_type = query.parent[leaf], slots[leaf]["type"]
+        parent_ts = schema.types[slots[parent]["type"]]
+        padded = parent_ts.max_padded(leaf_type)
+        members = graph.type_members[leaf_type]
+        want = []
+        for code in rss.reconstruct_rows([r.records[parent].ids for r in results])[:, 0]:
+            plist = graph.posting_list(graph.index_of[parent_ts.ext_ids[code - 1]], leaf_type)
+            want += [members.index(w) + 1 if matcher.vertex_ok(leaf, w) else 0 for w in plist]
+            want += [0] * (padded - len(plist))
+        assert all(r.records[leaf].rows == r.records[parent].rows * padded for r in results)
+        got = rss.reconstruct_rows([r.records[leaf].ids for r in results])[:, 0]
+        assert got.tolist() == want and 0 < np.count_nonzero(got) < len(got)
+    for rt in res["runtimes"]:  # only the root and the inner slot open their flags
+        assert sorted(e.slot for e in rt.opened if e.phase == "secFetch") == [0, 1]
+    assert res["matches"] == oracle_match(graph, query, schema) != set()
+
+
+def test_a_leaf_that_matches_nothing_equals_the_oracle():
+    # x0 takes the values 0..3, so no C vertex passes x0 >= 3.5: both gated
+    # leaves return only dummies, and every subgraph is dropped
+    res = run_secure_query(hop_graph_text(12), HOP_QUERY.format(c=3.5))
+    results = res["results"]
+    for leaf in (2, 3):
+        assert not rss.reconstruct_rows([r.records[leaf].ids for r in results]).any()
+        assert results[0].records[leaf].rows > 0
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) == set()
+    # a gated leaf under an inner slot with matches: no P vertex is older than 60
+    res = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age in 30 40\n"
+                                         "Q q P age > 60\nQE u p\nQE p q\n")
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) == set()

@@ -9,6 +9,8 @@ from oblivgm import rss
 from oblivgm.bits import unpack_bits
 from oblivgm.graphs import (AttributedGraph, GraphFormatError, GraphSchema,
                             build_schema, encrypt_graph, pad_k_groups, parse_graph_text)
+from oblivgm.oracle import oracle_match
+from oblivgm.query import QueryFormatError, load_query
 from tests.conftest import CAMPUS_GRAPH
 
 
@@ -168,3 +170,20 @@ def test_schema_digest_is_taken_once_per_schema(monkeypatch):
         assert schema.digest() == schema.digest()
     assert sorted(map(id, calls)) == sorted(map(id, (built, loaded, encrypted)))  # once each
     assert GraphSchema.from_json(text) == built  # the cached digest takes no part in equality
+
+
+def test_an_attribute_holding_nan_is_categorical():
+    # NaN is neither above nor below any value, so it cannot be ordered: the
+    # attribute is categorical, its range queries are refused, and '=' still
+    # finds the vertex whose value is the text 'nan'
+    text = "".join(f"V N n{i} age={v}\n" for i, v in enumerate(("50", "nan", "10", "40", "20")))
+    graph = parse_graph_text(text)
+    schema = build_schema(graph, 2)
+    age = schema.types["N"].attrs["age"]
+    assert not age.ordinal and sorted(age.values) == ["10", "20", "40", "50", "nan"]
+    with pytest.raises(QueryFormatError, match="not ordinal"):
+        load_query("Q a N age >= 30\n", schema)
+    assert oracle_match(graph, load_query("Q a N age = nan\n", schema), schema) == {("n1",)}
+    # 'inf' is still a number
+    age = build_schema(parse_graph_text("V N n0 age=inf\nV N n1 age=30\n"), 2).types["N"].attrs["age"]
+    assert age.ordinal and age.values == ["30", "inf"]

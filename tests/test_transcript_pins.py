@@ -11,7 +11,8 @@ widths moves the digests, but must leave every party's ledger exactly as
 pinned here; grouping the opens of one tree level into one message may only
 merge labels. A protocol change that removes an open moves the ledger: its
 entries leave, later labels count down, and the groups it used to trim may
-reach the next open with their padding rows. One that adds an open, such as
+reach the next open with their padding rows; gating a leaf below the root in
+place of its shuffle removed its flags' entry. One that adds an open, such as
 an access's masked codes, moves it the other way. A new shuffle permutation
 moves the bit order inside each opened flag vector, but not its popcount
 per segment; the access entries' bits are one-time pads of the codes, so
@@ -51,16 +52,16 @@ PINNED = [
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
-        ("c931873e8a28becd42ed8f1fe13c059ff22ac4c4f0f374957b527c08748244b7",
-         "78c340b2f2182a5e58592002829383daeb33b01775414d2607f6131fa040efde",
-         "816c65bc168f9e8d26b40989d2b60be37a137c3492db65490fc9c52d50b9a2fa"),
+        ("9c432266b5bc4255a6957f99cf2cbb0bd9f8cdbed8b6880a3f67885f7944b9f8",
+         "476a11881d2c2c44a9c6afbdd393222d0090de3689e62d7c8886b480d1c3f7f1",
+         "2a58c24167a6958595c9728c4460962b3abaf55df76e7d901cb2f9745bfa76a2"),
         id="repeated-categorical"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("9f7e5a88d75a034888b065989d0ed14cce9d3b322486da42bb39ea0f942056d5",
-         "b58fa20826a389feb2baba35032d09e7485585fb97b4ce205d5ec8314b513974",
-         "d9ea9c3925c4a2a96b5b32bd00cf2af0cfd04011bce8a05170e7a29188d25997"),
+        ("51c783cd2aec1b0142af58d0f41bd6b970d61cbc0add8c3217d072c4ebf7e736",
+         "d68617358b21d883a9441ded2204fad9025616f90b7c23f37cca70a786ea3d37",
+         "2960bd66358fec3b8f0ed07530f18ab6615a2448bd1a64d911cc6faa0cbe1fe1"),
         id="two-group"),
 ]
 
@@ -84,12 +85,10 @@ LEDGERS = {
                      (2, "secAccess", 2, (2,), 2, "01000000")],
     "repeated-categorical": [(1, "secFetch", 0, (4,), 4, "0b000000"),
                              (2, "secAccess", 0, (3, 3, 3), 9, "b0010000"),
-                             (3, "secAccess", 1, (2, 2, 2), 6, "35000000"),
-                             (4, "secFetch", 1, (1, 1, 1), 3, "07000000")],
+                             (3, "secAccess", 1, (2, 2, 2), 6, "35000000")],
     "two-group": [(1, "secAccess", 1, (9,), 9, "f5010000"),
                   (2, "secFetch", 1, (3,), 3, "07000000"),
-                  (3, "secAccess", 2, (3, 3, 3), 9, "22000000"),
-                  (4, "secFetch", 2, (1, 1, 1), 3, "05000000")],
+                  (3, "secAccess", 2, (3, 3, 3), 9, "22000000")],
 }
 
 

@@ -2,7 +2,7 @@
 
 The README lists what a query may reveal: the schema, the padded posting
 lengths, the query structure and predicate kinds, and the per-hop match
-counts. So two runs whose public values agree must give every party a view
+counts of the root and of every slot with children. So two runs whose public values agree must give every party a view
 of the same shape: the same frames (direction, peer, op, round and payload
 length, in order), the same leakage ledger (label, phase, slot, segments,
 length and, for a fetch's flags, per-segment popcount) and the same meter
@@ -20,7 +20,9 @@ with equal groups that order cannot show in it. One more pair roots a match
 at vertices of degree 3 or 2, both padded to 3: a child's candidate group is
 its parent record's padded list, so its size is public and the true degree
 must not show. A pair is run only when the per-group counts the oracle
-reports agree, a group's size being its public padded length.
+reports agree, a group's size being its public padded length. A leaf below
+the root is gated, not shuffled, so its counts are not public: two runs
+whose counts differ only there must still have views of one shape.
 """
 
 import numpy as np
@@ -196,3 +198,26 @@ def test_views_differ_when_the_root_match_count_differs():
     views_2, _ = view_shapes(graph, query_2)
     for one, two in zip(views_1, views_2):
         assert all(a != b for a, b in zip(one, two))  # frames, ledger and meter all show it
+
+
+LEAF_PAIRS = [
+    # c is a leaf under the inner slot b: one or both C vertices of each B match
+    pytest.param(DEEP.format(lo=1, hi=2), DEEP.format(lo=1, hi=2).replace("z >= 1", "z >= 0"),
+                 id="deep-leaf"),
+    # b is a leaf under the root: two or one of each A vertex's B vertices match
+    pytest.param(SHALLOW.format(lo=2, hi=3), SHALLOW.format(lo=2, hi=3).replace("y = 1", "y = 0"),
+                 id="shallow-leaf"),
+]
+
+
+@pytest.mark.parametrize("query_1,query_2", LEAF_PAIRS)
+def test_views_hide_the_match_counts_of_a_leaf_below_the_root(query_1, query_2):
+    # a leaf below the root is gated, not shuffled: its rows stay padded and
+    # nothing of it is opened, so its per-group match counts do not show
+    graph = forest_text()
+    counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
+    assert counts_1[:-1] == counts_2[:-1] and counts_1[-1] != counts_2[-1]
+    (views_1, _), (views_2, _) = view_shapes(graph, query_1), view_shapes(graph, query_2)
+    for party, (one, two) in enumerate(zip(views_1, views_2), start=1):
+        for name, a, b in zip(("frames", "ledger", "meter"), one, two):
+            assert a == b, f"party {party}: {name} shapes differ"
