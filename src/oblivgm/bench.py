@@ -83,7 +83,7 @@ def run_kernels(seed: str) -> None:
                  (fss.KIND_GE, (10,), 50), (fss.KIND_GE, (10,), 50)] * 3
     eq_keys = [(k, 4000) for k in fss.key_pair_gen(fss.KIND_EQ, (2000,), 4000, rng)]
     iv_keys = [(k, 100) for k in fss.key_pair_gen(fss.KIND_INTERVAL, (30, 39), 100, rng)]
-    query_keys = [(k, 50) for pred in hop_preds[1:2] + hop_preds[2:3] * 3  # iv root, 3 x ge
+    query_keys = [(k, 50) for pred in [hop_preds[1]] + [hop_preds[2]] * 3  # iv root, 3 x ge
                   for k in fss.key_pair_gen(*pred, rng)]
     gate_rows = {n: (bits(n), bits(n), words(n, 1), words(n, 1)) for n in (72, 4000)}
     kernels = [
