@@ -53,10 +53,11 @@ def run_kernels(seed: str) -> None:
     evaluates keys over a 100-value dictionary and that key, and its client
     assembles about 1175 matched records of one slot; ``hop-wan`` draws
     about 74 segment streams per shuffle, selects 10 posting lists of 3 id
-    codes from (500, 3) words and 30 attribute rows from (500, 2),
-    translates the 132 unit vectors of 512 bits that an access expands its
-    selected codes into, gates about 72 one-word rows of a leaf slot by
-    their flags (and 4000 rows, for scale), evaluates a range-rooted query's
+    codes from (500, 3) words and 30 rows of a population table from
+    (500, 1), translates the 132 unit vectors of 512 bits that an access
+    expands its selected codes into, gates the 500 one-word rows of a leaf
+    slot's population table by their flags (and 4000 rows, for scale),
+    evaluates a range-rooted query's
     10 trees of depth 6, one party's keys, in one call, and its client
     assembles a 4-slot tree; key generation builds 15 trees of depths 9 and
     6, about one query's.
@@ -73,7 +74,7 @@ def run_kernels(seed: str) -> None:
 
     many_posting = (bits(10, 500), bits(10, 500), words(500, 3), words(500, 3))
     unit_rows = (words(132, 16), 512, words(132) & np.uint32(511))
-    many_attrs = (bits(30, 500), bits(30, 500), words(500, 2), words(500, 2))
+    many_rows = (bits(30, 500), bits(30, 500), words(500, 1), words(500, 1))
     one_attrs = (bits(4000), bits(4000), words(4000, 125), words(4000, 125))
     attr_share = words(4000, 4)
     seeds = {n: words(n, 4).view(np.uint64) for n in (16, 2048)}
@@ -85,7 +86,7 @@ def run_kernels(seed: str) -> None:
     iv_keys = [(k, 100) for k in fss.key_pair_gen(fss.KIND_INTERVAL, (30, 39), 100, rng)]
     query_keys = [(k, 50) for pred in [hop_preds[1]] + [hop_preds[2]] * 3  # iv root, 3 x ge
                   for k in fss.key_pair_gen(*pred, rng)]
-    gate_rows = {n: (bits(n), bits(n), words(n, 1), words(n, 1)) for n in (72, 4000)}
+    gate_rows = {n: (bits(n), bits(n), words(n, 1), words(n, 1)) for n in (500, 4000)}
     kernels = [
         ("prf_stream", "1 x 2 MiB", lambda: prf_stream(key, b"BNCH", 0, 2 << 20)),
         ("prf_stream", "74 x 576 B", lambda: prf_stream(key, b"BNCH", 0, [576] * 74)),
@@ -94,11 +95,11 @@ def run_kernels(seed: str) -> None:
         ("prg_expand", "16 seeds", lambda: prg_expand(seeds[16])),
         ("prg_expand", "2048 seeds", lambda: prg_expand(seeds[2048])),
         ("select_many", "(10, 500) x (500, 3)", lambda: _select_many_additive(*many_posting)),
-        ("select_many", "(30, 500) x (500, 2)", lambda: _select_many_additive(*many_attrs)),
+        ("select_many", "(30, 500) x (500, 1)", lambda: _select_many_additive(*many_rows)),
         ("select_one", "(4000,) x (4000, 125)", lambda: _select_groups_additive(*one_attrs, 1)),
         ("code_map", "4000 x 100 bits", lambda: _code_words(attr_share, 100)),
         ("translate_rows", "132 x 512 bits", lambda: translate_rows(*unit_rows)),
-        ("gate", "72 x 1 word", lambda: _gate_additive(*gate_rows[72])),
+        ("gate", "500 x 1 word", lambda: _gate_additive(*gate_rows[500])),
         ("gate", "4000 x 1 word", lambda: _gate_additive(*gate_rows[4000])),
         ("assemble", "1 slot, 1175 records", lambda: assemble(*scan_records)),
         ("assemble", f"4 slots, {len(assemble(*hop_records))} subgraphs",

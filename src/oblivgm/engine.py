@@ -3,28 +3,39 @@
 Four cooperating pieces, each executed in lockstep by the three parties:
 
 * predicate evaluation: every party evaluates its two FSS keys over the
-  public positions of a candidate's attribute shares, producing two of the
-  six additive terms per candidate; one bit per candidate is re-shared.
-* matched-vertex fetch: a unique-valued attribute lets the parties fold each
-  candidate group into a single record with pure local algebra plus one
-  re-share. A leaf below the root, whose candidates are its parent records'
-  padded lists, a public count, is gated: every row of id and attribute
-  codes is ANDed with its flag and re-shared, a non-match becoming a dummy,
-  and nothing is opened. Otherwise, at the root and at a slot with
-  children, rows of flag, id and attribute codes are obliviously shuffled
-  and only the shuffled flag column is opened. Either way a record's
-  attribute values leave the fetch as codes.
+  public positions of its attribute shares, producing two of the six
+  additive terms per vertex. A predicate bit belongs to the vertex, so
+  every predicate of the query is evaluated once, over its type's whole
+  population, and one message re-shares the bits of them all.
+* matched-vertex fetch, at the root and at a slot below it that has
+  children and no unique route: rows of flag, id and attribute codes are
+  obliviously shuffled and only the shuffled flag column is opened. A
+  unique-valued attribute lets the root fold its rows into a single record
+  instead, with pure local algebra plus one re-share.
 * neighbor access: matched vertices' padded posting lists of neighbor id
   codes are pulled out of the whole parent-type population by one-hot
   selection; the codes become one-hot rows through uniformly masked codes,
-  the only values an access opens, and every selected row's attribute
-  values are pulled out by one-hot selection again. A padding code 0 gives
-  an all-zero row, which fails every predicate and so drops out, or
-  becomes a dummy, in the child slot's own fetch.
+  the only values an access opens, and the one-hot rows select rows of the
+  child slot's population table. A padding code 0 gives an all-zero row,
+  which selects the zero row.
 * the matcher walks the query tree level by level, carrying public
   provenance (which parent record each row descends from); a party's
   result is its records, and the client drops the dummies, then assembles
   and prunes subgraphs.
+
+Below the root, each slot gets one population table per query, row ``v``
+for vertex ``v`` of its type. A slot that is fetched gets ``[flag ||
+attribute codes]``, and the access gives its candidates their flags and
+codes. A leaf and a unique-route slot are gated: their table is ``[flag *
+code(v) || flag * attribute codes]``, so a non-match is the all-zero row,
+code 0, a dummy that the client drops, and the access gives their records
+with nothing opened: a leaf's are its selected rows, ``max_padded`` per
+parent record, and a unique-route slot's are each group's rows XORed into
+one. A unique-route slot with children also needs one-hot ids: its one-hot
+rows ANDed with its population flags, folded the same way. The id part of
+a gated table is local, as ``code(v) = v + 1`` is public; the attribute
+part is one AND re-share, sent in the root's fetch whatever the root
+matches, so its size follows from public populations and code widths.
 
 A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
@@ -39,46 +50,36 @@ all-zero value. An id is one-hot over the type's population in a slot that
 has children, until that slot's neighbor accesses are done, and otherwise
 the ``TypeSchema.id_width``-bit code of vertex ``c``; posting entries are
 stored as such codes. An attribute value is one-hot over its dictionary of
-D values in the graph shares and in a slot's candidates, where
-:func:`sec_eval` reads it and an access selects it, and a
-``D.bit_length()``-bit code in the fetch, the records and the result.
-An access selects codes, and :class:`oblivgm.shuffle.UnitVectors` expands
-them into the one-hot rows that select attributes; a leaf child keeps the
-selected codes as its ids, and a child with children keeps the one-hot
-rows, so a leaf slot's fetch gates or folds ``id_width`` bits per
-candidate, not ``population``. One-hot ``e_c`` maps to ``c + 1`` by a
-public GF(2)-linear map, which each party applies to its own two shares
-(:func:`_codes`), so a slot with children switches to codes without a
-message once its accesses are done, and a fetch maps attribute values
-before it shuffles or re-shares them. Root ids are public, row ``c`` being
-vertex ``c``, so the graph shares hold none. In the unique route a root's
-folded one-hot id is its flag vector; in the multi route it shuffles the
-public codes, and a root with children expands its K kept codes with
-:class:`oblivgm.shuffle.UnitVectors` before its accesses, in two rounds:
-three mask frames of ``K * 2^id_width / 32`` words and one open of the
-masked codes.
+D values in the graph shares, where :func:`sec_eval` reads it and a unique
+root folds it, and a ``D.bit_length()``-bit code everywhere else. One-hot
+``e_c`` maps to ``c + 1`` by a public GF(2)-linear map, which each party
+applies to its own two shares (:func:`_codes`), so a slot with children
+switches to codes without a message once its accesses are done. Root ids
+are public, row ``c`` being vertex ``c``, so the graph shares hold none. In
+the unique route a root's folded one-hot id is its flag vector; in the
+multi route it shuffles the public codes, and a root with children expands
+its K kept codes with :class:`oblivgm.shuffle.UnitVectors` before its
+accesses, in two rounds: three mask frames of ``K * 2^id_width / 32``
+words and one open of the masked codes.
 
 The query tree runs level by level. Slots are numbered breadth-first, and
 each protocol step carries every slot of a level in one message per party:
-one re-share of every predicate's bits, one AND re-share per combining
-step, one fold re-share for the unique-route slots, one shuffle of the
-other root and inner slots' tables and one open of their flags, one gate
-re-share for the leaves below the root (in the open's round when the level
-shuffles, and then the level's only fetch message otherwise), and, for
-all edges out of the level together, one selection re-share, one open of
-the masked codes and one attribute re-share. Within a table, each
-candidate group is a segment permuted under its own table id; a child
-slot's groups are ``max_padded`` rows each, a public size. The opened flags
-and the group boundaries are exactly what per-group steps would reveal, so
-batching leaks nothing more, and the number of rounds a query takes grows
-with the depth of its tree, not with its slots or its matches. Every opened
-value is entered in the runtime's ledger (``rt.opened``), one entry per
-slot with that slot's group segments: a fetch's flags (phase ``secFetch``,
-root and inner slots only) and an access's masked codes (phase
-``secAccess``, under the child slot, ``max_padded * id_width`` bits a
-group, or under the root, ``id_width`` bits a kept root record). Every
-FSS key of the token is evaluated once, before the first level
-(:func:`eval_keys`).
+one shuffle of the level's fetched tables and one open of their flags, and,
+for all edges out of the level together, one selection re-share, one open
+of the masked codes and one re-share of the rows selected from the
+children's population tables. Before the first level come the evaluation's
+one re-share and its combining steps, ``ceil(log2(j))`` AND re-shares for a
+slot of ``j`` predicates. Within a table, each candidate group is a segment
+permuted under its own table id; a child slot's groups are ``max_padded``
+rows each, a public size. The opened flags and the group boundaries are
+exactly what per-group steps would reveal, so batching leaks nothing more,
+and the number of rounds a query takes grows with the depth of its tree,
+not with its slots or its matches. Every opened value is entered in the
+runtime's ledger (``rt.opened``), one entry per slot with that slot's group
+segments: a fetch's flags (phase ``secFetch``, root and fetched slots only)
+and an access's masked codes (phase ``secAccess``, under the child slot,
+``max_padded * id_width`` bits a group, or under the root, ``id_width``
+bits a kept root record).
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class RecordTable:
     Row ``r`` descends from record ``parent_record[r]`` of the parent slot
     (-1 at the root). Rows are sorted by parent record; a run of one parent
     record is one candidate group. ``ids`` are one-hot or id codes;
-    ``attrs`` are one-hot in candidates and value codes in records.
+    ``attrs`` are value codes, but in a unique-route root's candidates,
+    which are the graph share's one-hot rows.
     """
 
     ids: MatchTable | None  # None only for a unique-route root's public ids, before its fetch
@@ -285,11 +287,6 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
-def _fetch_fields(cand: RecordTable) -> list[MatchTable]:
-    """The fields a fetch carries: the ids, then each attribute mapped to codes, by name."""
-    return [cand.ids, *(_codes(cand.attrs[a]) for a in sorted(cand.attrs))]
-
-
 def _unpack_fields(table: MatchTable, widths: list[int], pos: int = 0) -> list[MatchTable]:
     """The fields of ``widths`` bits laid end to end from bit ``pos`` of a table's rows."""
     return [MatchTable(table.party_index, w, _bit_field(table.share_a, at, w),
@@ -319,14 +316,14 @@ def eval_keys(token: PartyToken, types: list[TypeSchema]) -> list[list[tuple]]:
 
 
 def sec_eval(rt, preds: list[tuple[MatchTable, tuple[BitVector, BitVector]]]) -> list[MatchTable]:
-    """Evaluate predicates over candidate attribute tables; one shared bit per candidate each.
+    """Evaluate predicates over attribute tables; one shared bit per row each.
 
-    ``preds`` holds one ``(values, indicators)`` per predicate: the
-    candidates' one-hot attribute rows over a domain of ``values.width``
-    values, and the indicator vectors of the party's two FSS keys over that
-    domain (:func:`eval_keys`). A candidate's additive bit is the parity of
-    each share of its row ANDed with one key's indicator, and one message
-    re-shares the bits of every predicate.
+    ``preds`` holds one ``(values, indicators)`` per predicate: one-hot
+    attribute rows over a domain of ``values.width`` values, a type's whole
+    population in :func:`sec_match`, and the indicator vectors of the
+    party's two FSS keys over that domain (:func:`eval_keys`). A row's
+    additive bit is the parity of each share of the row ANDed with one
+    key's indicator, and one message re-shares the bits of every predicate.
     """
     additive = [BitVector.from_bits(_parity_rows(values.share_a & ind_a.words[None, :])
                                     ^ _parity_rows(values.share_b & ind_b.words[None, :]))
@@ -338,22 +335,26 @@ def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -
     """Fold each slot's per-predicate shared bits by the slot's public Boolean combiner.
 
     ALL is the AND of the bits, ANY their inclusive OR ``a ^ b ^ (a & b)``.
-    The slots advance together: step ``j`` folds every slot's predicate
-    ``j`` into its accumulator, and the AND gates of that step share one
-    re-share, so a level of slots takes one round per combining step.
+    The fold is balanced: each step combines a slot's terms in pairs, an odd
+    one waiting for the next step, so a slot of ``j`` predicates takes
+    ``ceil(log2(j))`` steps. The slots advance together, and the AND gates
+    of a step share one re-share, so the query takes one round per step of
+    its slot with the most predicates.
     """
     if not bits or not all(bits):
         raise ValueError("no predicate bits to combine")
     for combiner in combiners:
         if combiner not in ("ALL", "ANY"):
             raise ValueError(f"unknown combiner {combiner!r}")
-    accs = [preds[0] for preds in bits]
-    for j in range(1, max(map(len, bits))):
-        step = [i for i, preds in enumerate(bits) if len(preds) > j]
-        pairs = [(accs[i], bits[i][j]) for i in step]
-        for i, conj in zip(step, rss.and_gate(rt, *pairs[0], more=pairs[1:])):
-            accs[i] = conj if combiners[i] == "ALL" else accs[i].xor(bits[i][j]).xor(conj)
-    return accs
+    terms = [list(preds) for preds in bits]
+    while pairs := [(i, j) for i, t in enumerate(terms) for j in range(1, len(t), 2)]:
+        operands = [(terms[i][j - 1], terms[i][j]) for i, j in pairs]
+        for (i, j), (a, b), conj in zip(pairs, operands,
+                                        rss.and_gate(rt, *operands[0], more=operands[1:])):
+            terms[i][j - 1], terms[i][j] = (conj if combiners[i] == "ALL"
+                                            else a.xor(b).xor(conj)), None
+        terms = [[t for t in ts if t is not None] for ts in terms]
+    return [ts[0] for ts in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -361,43 +362,25 @@ def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -
 # ---------------------------------------------------------------------------
 
 
-def sec_fetch_unique(rt, cands: list[RecordTable],
-                     flags: list[MatchTable]) -> list[RecordTable]:
-    """Case with at most one satisfying candidate per group: fold by flag bits locally.
+def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=()):
+    """The root's fetch when at most one of its vertices can match: fold its rows by its flags.
 
-    Local AND terms accumulate additively over each group's candidates, then
-    a single re-share carries every field of every table's folded records;
-    communication does not grow with the candidate count. A zero-match group
-    folds to the all-zero (dummy) record. Returns one record per group.
-    A table's groups share one public size, the population at the root and
-    ``max_padded`` below it, so each field folds in one call.
-
-    A table without ``ids`` is the root slot's, whose row ``c`` is vertex
-    ``c``: its one record's one-hot id, ``sum_c flag_c * e_c``, is the flag
-    vector itself, so only its attributes are folded and re-shared. A folded
-    attribute row is an additive share of a one-hot row, which the code map
-    turns into an additive share of its code, so only code bits are
-    re-shared.
+    The root's row ``c`` is vertex ``c``, so its one record's one-hot id,
+    ``sum_c flag_c * e_c``, is the flag vector itself. Each attribute's
+    one-hot rows fold into an additive share of the record's row with local
+    algebra, which the code map turns into an additive share of its code,
+    and one re-share carries every attribute's code bits; a root without a
+    match folds to the all-zero (dummy) record. ``more`` holds further
+    ``(additive, width)`` tables that ride in the same message. Returns the
+    record and the tables of ``more``.
     """
-    folds, groups = [], []
-    for cand, flag in zip(cands, flags):
-        parents, counts = cand.groups()
-        if len(set(counts)) != 1:
-            raise ValueError(f"unique-route groups of unequal sizes {sorted(set(counts))}")
-        groups.append(parents)
-        fa, fb = _flag_bits(flag)
-        fields = [cand.attrs[a] for a in sorted(cand.attrs)]
-        for t in fields if cand.ids is None else [cand.ids] + fields:
-            fold = _select_groups_additive(fa, fb, t.share_a, t.share_b, len(counts))
-            # ids keep their encoding: one-hot where an access will select by them
-            folds.append((fold, t.width) if t is cand.ids
-                         else (_code_words(fold, t.width), t.width.bit_length()))
-    tables = iter(rss.reshare_rows(rt, *folds[0], more=folds[1:]))
-    out = []
-    for cand, flag, parents in zip(cands, flags, groups):
-        ids = flag if cand.ids is None else next(tables)
-        out.append(RecordTable(ids, {a: next(tables) for a in sorted(cand.attrs)}, parents))
-    return out
+    fa, fb = _flag_bits(flag)
+    names = sorted(cand.attrs)
+    folds = [(_code_words(_select_groups_additive(fa, fb, t.share_a, t.share_b, 1), t.width),
+              t.width.bit_length()) for t in (cand.attrs[a] for a in names)]
+    parts = folds + list(more)
+    tables = rss.reshare_rows(rt, *parts[0], more=parts[1:])
+    return RecordTable(flag, dict(zip(names, tables)), np.full(1, -1)), tables[len(names):]
 
 
 def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
@@ -409,13 +392,12 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
     flags, tagged ``slots`` in the ledger; a kept row keeps its group's
     parent record. The id field is as wide as the candidates' ids:
     ``id_width`` bits of code in a root slot, the population in a slot
-    whose records are still to be accessed. Each attribute is mapped to its
-    code before the shuffle, with no message. ``during`` runs in the open's
-    round, after its frame is sent.
+    whose records are still to be accessed. The attributes are codes.
+    ``during`` runs in the open's round, after its frame is sent.
     """
     tables, widths = [], []
     for cand, flag in zip(cands, flags):
-        fields = _fetch_fields(cand)
+        fields = [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
         rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
                              + [(getattr(f, side), f.width) for f in fields])
                 for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
@@ -448,32 +430,6 @@ def _gate_additive(fa, fb, rows_a, rows_b) -> np.ndarray:
     return (mask_a & (rows_a ^ rows_b)) ^ (mask_b & rows_a)
 
 
-def sec_fetch_gated(rt, cands: list[RecordTable], flags: list[MatchTable]) -> list[RecordTable]:
-    """Leaf fetch below the root: gate every candidate row by its flag and keep them all.
-
-    A slot that is not the root and has no children holds its parent
-    records' ``max_padded`` candidates each, a public count. Each row, ``[id
-    code || attribute codes]``, is ANDed with its shared flag bit, so a
-    non-match becomes the all-zero row: id code 0, a dummy that the client
-    drops. One message re-shares every table's rows and nothing is opened,
-    so no server learns the slot's match counts; every row keeps its parent
-    record.
-    """
-    parts, widths = [], []
-    for cand, flag in zip(cands, flags):
-        fields = _fetch_fields(cand)
-        rows = [_pack_fields([(getattr(f, side), f.width) for f in fields])
-                for side in ("share_a", "share_b")]
-        widths.append([f.width for f in fields])
-        parts.append((_gate_additive(*_flag_bits(flag), *rows), sum(widths[-1])))
-    tables = rss.reshare_rows(rt, *parts[0], more=parts[1:])
-    out = []
-    for cand, table, ws in zip(cands, tables, widths):
-        ids, *fields = _unpack_fields(table, ws)
-        out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)), cand.parent_record))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # neighbor access
 # ---------------------------------------------------------------------------
@@ -492,73 +448,81 @@ def _unit_ids(rt, codes: MatchTable, ts: TypeSchema) -> MatchTable:
     return units.expand([codes], [ts.population], [(0, (ts.id_width,) * codes.rows)])[0]
 
 
-def sec_access(rt, edges, gshare: GraphShare, slots: list[int]) -> list[RecordTable]:
+def sec_access(rt, edges, gshare: GraphShare, slots: list[int]):
     """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
-    ``edges`` holds one ``(records, parent_type, child_type, needed_attrs,
-    hot)`` per edge. Selection runs over the whole parent-type population,
+    ``edges`` holds one ``(records, parent_type, child_type, table, fold,
+    flags)`` per edge. Selection runs over the whole parent-type population,
     so nothing about which vertex matched leaks. It picks each record's
     padded posting list, ``max_padded`` id codes, and all edges' codes are
     re-shared in one message. :class:`oblivgm.shuffle.UnitVectors` turns
     them into one-hot rows: its mask frames ride in that re-share's round,
     and one open of the uniformly masked codes ``d`` (tagged with each
     edge's child slot from ``slots``, one segment of ``max_padded *
-    id_width`` bits per record) in the next. The one-hot rows select every
-    needed attribute of every row, in one more re-share: an access level
-    takes three rounds.
+    id_width`` bits per record) in the next. The one-hot rows select rows of
+    ``table``, the child slot's population table (:func:`sec_match`), in
+    one more re-share: an access level takes three rounds.
 
-    Each edge's child candidates are its records' ``max_padded`` rows each,
-    in record order, so a candidate group's size is public. Their ids are
-    the re-shared codes, or the one-hot rows when ``hot`` says the child
-    has accesses of its own to come. A padding row's code is 0, so its
-    one-hot row and its attribute rows are zero, which no predicate
-    accepts: the child's own fetch drops it with the non-matches, or gates
-    it to a dummy.
+    With ``fold``, the unique route, each record's selected rows are XORed
+    into one before the re-share. ``flags``, a unique-route child's
+    population flag vector when it has children, is ANDed with each one-hot
+    row, and the products fold likewise into the record's gated one-hot id,
+    in the same re-share. A padding row's code is 0, so its one-hot row,
+    and the row it selects, are zero.
+
+    Returns per edge the selected rows, the child's one-hot ids (the
+    rows that selected, or their gated folds) and each row's parent record:
+    ``max_padded`` rows per record, in record order, or one with ``fold``.
     """
     schema = gshare.schema
-    children = [schema.types[child_type] for _, _, child_type, _, _ in edges]
+    children = [schema.types[child_type] for _, _, child_type, *_ in edges]
     l_max = [schema.types[parent_type].max_padded(child_type)
-             for _, parent_type, child_type, _, _ in edges]
+             for _, parent_type, child_type, *_ in edges]
     live = [i for i, (records, *_) in enumerate(edges) if l_max[i] and records.rows]
 
     # one-hot selection of every matched vertex's padded list of id codes
     sel = []
     for i in live:
-        records, parent_type, child_type, _, _ = edges[i]
+        records, parent_type, child_type, *_ = edges[i]
         ids, x_pa = records.ids, schema.types[parent_type].population
         posting = gshare.types[parent_type].posting[child_type]
         sel.append((_select_many_additive(
             unpack_bits(ids.share_a, x_pa), unpack_bits(ids.share_b, x_pa),
             posting.share_a.reshape(x_pa, -1), posting.share_b.reshape(x_pa, -1),
         ).reshape(-1, 1), children[i].id_width))
-    codes, unit = {}, {}
+    unit = {}
     if live:
         units = UnitVectors(rt, [(len(additive), width) for additive, width in sel])
-        codes = dict(zip(live, rss.reshare_rows(rt, *sel[0], more=sel[1:],
-                                                during=units.send_masks)))
+        codes = rss.reshare_rows(rt, *sel[0], more=sel[1:], during=units.send_masks)
         tags = [(slots[i], (l_max[i] * children[i].id_width,) * edges[i][0].rows) for i in live]
-        unit = dict(zip(live, units.expand(list(codes.values()),
-                                           [children[i].population for i in live], tags)))
+        unit = dict(zip(live, units.expand(codes, [children[i].population for i in live], tags)))
 
-    # one-hot fetch of every selected row's queried attribute values
+    # one selection of every row out of its child's population table
     wanted = []
     for i, rows in unit.items():
-        child = children[i]
-        ids_a = unpack_bits(rows.share_a, child.population)
-        ids_b = unpack_bits(rows.share_b, child.population)
-        fields = gshare.types[edges[i][2]].attrs
-        wanted += [(_select_many_additive(ids_a, ids_b, fields[a].share_a, fields[a].share_b),
-                    child.attrs[a].domain_size) for a in edges[i][3]]
+        records, _, _, table, fold, flags = edges[i]
+
+        def folded(additive):  # a record's rows XORed into one
+            return np.bitwise_xor.reduce(additive.reshape(records.rows, l_max[i], -1), axis=1)
+
+        n = children[i].population
+        picked = _select_many_additive(unpack_bits(rows.share_a, n), unpack_bits(rows.share_b, n),
+                                       table.share_a, table.share_b)
+        wanted.append((folded(picked) if fold else picked, table.width))
+        if flags is not None:  # the AND of the rows with the flags, as rss.and_terms
+            wanted.append((folded((rows.share_a & (flags.share_a ^ flags.share_b))
+                                  ^ (rows.share_b & flags.share_a)), n))
     values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
 
     out = []
-    for i, (records, _, _, needed, hot) in enumerate(edges):
-        child = children[i]
-        ids = (unit if hot else codes).get(
-            i, _no_rows(rt.index, child.population if hot else child.id_width))
-        attrs = {a: next(values) if i in unit else _no_rows(rt.index, child.attrs[a].domain_size)
-                 for a in needed}
-        out.append(RecordTable(ids, attrs, np.repeat(np.arange(records.rows), l_max[i])))
+    for i, (records, _, _, table, fold, flags) in enumerate(edges):
+        if i not in unit:
+            out.append((_no_rows(rt.index, table.width),
+                        _no_rows(rt.index, children[i].population), np.zeros(0, np.int64)))
+            continue
+        picked = next(values)
+        out.append((picked, next(values) if flags is not None else unit[i],
+                    np.repeat(np.arange(records.rows), 1 if fold else l_max[i])))
     return out
 
 
@@ -600,7 +564,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
     check_token(token, gshare)
     slots = token.structure["slots"]
     types = [schema.types[slot["type"]] for slot in slots]
-    cands: list[RecordTable | None] = [None] * len(slots)
+    shares = [gshare.types[slot["type"]] for slot in slots]
     records: list[RecordTable | None] = [None] * len(slots)
 
     def say(msg: str):
@@ -612,66 +576,104 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
                 and types[s].attrs[preds[0]["attr"]].unique)
 
-    def gated(s: int) -> bool:  # a leaf below the root, whose candidate count is public
-        return s != 0 and not slots[s]["children"] and not unique_route(s)
+    def gated(s: int) -> bool:  # below the root, a slot whose records come out of its access
+        return s != 0 and (unique_route(s) or not slots[s]["children"])
 
-    # the root's ids are public: shuffled codes in the multi route, and none in the unique
-    # route, whose fold gives the kept one-hot id
-    root_ts, root_share = types[0], gshare.types[slots[0]["type"]]
-    cands[0] = RecordTable(
-        None if unique_route(0) else _root_ids(rt.index, root_ts),
-        {a: root_share.attrs[a] for a in slot_attrs(slots[0])}, np.full(root_ts.population, -1))
+    def widths(s: int) -> list[int]:  # the fields of a population table: its head, then codes
+        return ([types[s].id_width if gated(s) else 1]
+                + [types[s].attrs[a].code_width for a in slot_attrs(slots[s])])
+
+    # every predicate over its type's whole population, in one message
     indicators = eval_keys(token, types)
+    with rt.meter.phase("secEval"):
+        bits = iter(sec_eval(rt, [(shares[s].attrs[p["attr"]], indicators[s][pi])
+                                  for s, slot in enumerate(slots)
+                                  for pi, p in enumerate(slot["preds"])]))
+        flags = combine_predicates(rt, [[next(bits) for _ in slot["preds"]] for slot in slots],
+                                   [slot["combiner"] for slot in slots])
 
+    # below the root, each slot's table over its type's population, row v for vertex v:
+    # [flag || attribute codes] if it is fetched, [flag * code(v) || flag * attribute codes]
+    # if it is gated. code(v) = v + 1 is public, so all is local but the gated attribute
+    # codes: one AND re-share of a bit row per slot, in a message of the root's fetch
+    heads, rows, gate = {}, {}, []
+    for s in range(1, len(slots)):
+        fa, fb = _flag_bits(flags[s])
+        codes = [_codes(shares[s].attrs[a]) for a in slot_attrs(slots[s])]
+        rows[s] = [_pack_fields([(getattr(t, side), t.width) for t in codes])
+                   for side in ("share_a", "share_b")]
+        heads[s] = [f.astype(np.uint32)[:, None] for f in (fa, fb)]
+        if gated(s):
+            ids = np.arange(1, types[s].population + 1, dtype=np.uint32)[:, None]
+            heads[s] = [np.negative(f) & ids for f in heads[s]]
+            width = sum(widths(s)[1:])
+            gate.append((pack_bits(unpack_bits(_gate_additive(fa, fb, *rows[s]), width)
+                                   .reshape(1, -1)), types[s].population * width))
+
+    # the root's rows are its population, and its ids public: the unique route folds them,
+    # the multi route shuffles their codes
+    root = RecordTable(None, {a: shares[0].attrs[a] for a in slot_attrs(slots[0])},
+                       np.full(types[0].population, -1))
+    say(f"slot 0 ({slots[0]['name']}): {root.rows} candidates in 1 groups")
+    with rt.meter.phase("secFetch"):
+        if unique_route(0):
+            records[0], gated_attrs = sec_fetch_unique(rt, root, flags[0], more=gate)
+        else:
+            gated_attrs = []
+
+            def send_gate():  # in the round of the open of the flags
+                gated_attrs.extend(rss.reshare_rows(rt, *gate[0], more=gate[1:]))
+
+            root = replace(root, ids=_root_ids(rt.index, types[0]),
+                           attrs={a: _codes(t) for a, t in root.attrs.items()})
+            (records[0],) = sec_fetch_multi(rt, [root], [flags[0]], slots=[0],
+                                            during=send_gate if gate else None)
+    gated_attrs, pops = iter(gated_attrs), {}
+    for s in rows:
+        w = widths(s)
+        if gated(s):
+            t = next(gated_attrs)
+            rows[s] = [pack_bits(unpack_bits(m, t.width).reshape(-1, sum(w[1:])))
+                       for m in (t.share_a, t.share_b)]
+        pops[s] = MatchTable(rt.index, sum(w), *(_pack_fields([(h, w[0]), (r, sum(w[1:]))])
+                                                 for h, r in zip(heads[s], rows[s])))
+
+    cands, fetch_flags = {}, {}  # a fetched slot's candidates, and their flags
     for level in _levels(slots):
-        for s in level:
+        fetched = [s for s in level if s in cands]
+        for s in fetched:
             say(f"slot {s} ({slots[s]['name']}): {cands[s].rows} candidates "
                 f"in {len(cands[s].groups()[1])} groups")
-            if not cands[s].rows:  # no candidates, no records
-                records[s] = replace(cands[s],
-                                     attrs={a: _codes(t) for a, t in cands[s].attrs.items()})
-        live = [s for s in level if cands[s].rows]
-        if live:
-            with rt.meter.phase("secEval"):
-                bits = iter(sec_eval(rt, [(cands[s].attrs[p["attr"]], indicators[s][pi])
-                                          for s in live for pi, p in enumerate(slots[s]["preds"])]))
-                flags = dict(zip(live, combine_predicates(
-                    rt, [[next(bits) for _ in slots[s]["preds"]] for s in live],
-                    [slots[s]["combiner"] for s in live])))
+            records[s] = cands[s]  # the fetch's records, unless it has no candidates
+        if live := [s for s in fetched if cands[s].rows]:
             with rt.meter.phase("secFetch"):
-                unique = [s for s in live if unique_route(s)]
-                gate = [s for s in live if gated(s)]
-                multi = [s for s in live if s not in unique and s not in gate]
-
-                def fetch(route, fetch_route, **kwargs):
-                    fetched = fetch_route(rt, [cands[s] for s in route], [flags[s] for s in route],
-                                          **kwargs)
-                    for s, matched in zip(route, fetched):
-                        records[s] = matched
-
-                if unique:
-                    fetch(unique, sec_fetch_unique)
-                # the gate's re-share rides in the open's round of a level that also shuffles
-                gate_fetch = (lambda: fetch(gate, sec_fetch_gated)) if gate else None
-                if multi:
-                    fetch(multi, sec_fetch_multi, slots=multi, during=gate_fetch)
-                elif gate_fetch:
-                    gate_fetch()
+                for s, matched in zip(live, sec_fetch_multi(rt, [cands[s] for s in live],
+                                                            [fetch_flags[s] for s in live],
+                                                            slots=live)):
+                    records[s] = matched
         for s in level:
             say(f"slot {s} ({slots[s]['name']}): {records[s].rows} "
-                + ("gated rows" if gated(s) else "matched records"))
+                + ("gated rows" if gated(s) and not unique_route(s) else "matched records"))
         edges = [(s, c) for s in level for c in slots[s]["children"]]
         if edges:
             with rt.meter.phase("secAccess"):
                 if level == [0] and not unique_route(0):  # the kept root codes, one-hot
-                    records[0] = replace(records[0], ids=_unit_ids(rt, records[0].ids, root_ts))
-                accessed = sec_access(rt, [(records[s], slots[s]["type"], slots[c]["type"],
-                                            slot_attrs(slots[c]), bool(slots[c]["children"]))
-                                           for s, c in edges], gshare, [c for _, c in edges])
-            for (_, c), child_cands in zip(edges, accessed):
-                cands[c] = child_cands
+                    records[0] = replace(records[0], ids=_unit_ids(rt, records[0].ids, types[0]))
+                accessed = sec_access(rt, [
+                    (records[s], slots[s]["type"], slots[c]["type"], pops[c], unique_route(c),
+                     flags[c] if unique_route(c) and slots[c]["children"] else None)
+                    for s, c in edges], gshare, [c for _, c in edges])
+            for (_, c), (picked, hot, parents) in zip(edges, accessed):
+                head, *fields = _unpack_fields(picked, widths(c))
+                attrs = dict(zip(slot_attrs(slots[c]), fields))
+                if gated(c):  # a leaf's ids are its gated codes
+                    records[c] = RecordTable(hot if slots[c]["children"] else head, attrs, parents)
+                else:
+                    cands[c] = RecordTable(hot, attrs, parents)
+                    column = [(m.T & 1).astype(np.uint8) for m in (head.share_a, head.share_b)]
+                    fetch_flags[c] = MatchTable(rt.index, head.rows, *map(pack_bits, column))
         for s in level:  # one-hot ids, accessed, expanded or the root's flag vector, become codes
-            if slots[s]["children"] or cands[s].ids is None:
+            if slots[s]["children"] or (s == 0 and unique_route(0)):
                 records[s] = replace(records[s], ids=_codes(records[s].ids))
 
     return MatchResultSet(rt.index, token.structure, records)

@@ -1,6 +1,8 @@
 """Engine components against plaintext oracles, plus end-to-end equivalence."""
 
 import copy
+import math
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -144,6 +146,38 @@ def test_combine_three_all_and_single_identity():
         combine_worker([[], [], []], "ALL")
 
 
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 8])
+def test_combining_is_a_balanced_fold(count):
+    # j predicates take ceil(log2 j) AND re-shares, whatever the combiner; a
+    # slot with fewer predicates rides along in the same messages
+    rng = np.random.default_rng(count)
+    cols = rng.integers(0, 2, (count, 16)).tolist()
+    slots = [(cols, "ALL"), (cols, "ANY"), (cols[:2], "ANY")]
+    per_slot = [shared_bits(c, rng) for c, _ in slots]
+    runtimes = local_runtimes(make_session_configs(b"\x35" * 16))
+    out = run_trio(lambda rt: combine_predicates(rt, [bits[rt.index - 1] for bits in per_slot],
+                                                 [combiner for _, combiner in slots]), runtimes)
+    got = [rss.reconstruct([o[k] for o in out]).to_bits().tolist() for k in range(len(slots))]
+    want = [(np.all if combiner == "ALL" else np.any)(c, axis=0) for c, combiner in slots]
+    assert got == [w.astype(int).tolist() for w in want]
+    assert all(rt.meter.total.frames_sent == math.ceil(math.log2(count)) for rt in runtimes)
+
+
+@pytest.mark.parametrize("combiner,preds", [
+    ("ALL", ("age >= 31", "age <= 52", "age > 30", "age in 30 45")),
+    ("ANY", ("age = 35", "age = 52", "age < 31", "age in 39 41")),
+])
+def test_a_four_predicate_slot_takes_two_and_rounds(combiner, preds):
+    query = ("".join(f"Q p P {pred}\n" for pred in preds)
+             + f"QC p {combiner}\nQ c C field = Internet\nQE p c\n")
+    sent, stamp = depth_stamper()
+    res = run_secure_query(CAMPUS_GRAPH, query, attach=stamp)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+    # the evaluation's re-share, then two AND re-shares, one frame each per party
+    depths = [depth for log in sent.values() for phase, _, _, depth in log if phase == "secEval"]
+    assert sorted(depths) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
 def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids=False):
     """Fetch one root group.
 
@@ -162,9 +196,10 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids
     def worker(rt):
         group = groups[rt.index - 1]
         flags = flag_shares[rt.index - 1]
-        if unique:
-            return sec_fetch_unique(rt, [group], [flags])[0], []
-        fetched = sec_fetch_multi(rt, [group], [flags])[0]
+        if unique:  # a root's row c is vertex c, so its ids are left out
+            return sec_fetch_unique(rt, replace(group, ids=None), flags)[0], []
+        codes = {a: engine._codes(t) for a, t in group.attrs.items()}
+        fetched = sec_fetch_multi(rt, [replace(group, attrs=codes)], [flags])[0]
         if public_ids:
             fetched = replace(fetched, ids=engine._unit_ids(rt, fetched.ids, ts))
         return fetched, rt.opened
@@ -810,12 +845,6 @@ def test_an_access_level_takes_three_rounds():
     assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 3
 
 
-def test_unique_fetch_refuses_groups_of_unequal_sizes():
-    cand = RecordTable(None, {}, np.array([0, 0, 1]))
-    with pytest.raises(ValueError, match="unequal sizes"):
-        sec_fetch_unique(None, [cand], [None])
-
-
 def hop_graph_text(n: int) -> str:
     """Three types of ``n`` vertices, each with four ``x0`` values held ``n / 4`` times.
 
@@ -881,12 +910,15 @@ def test_range_root_expands_only_the_kept_codes():
     flags = (OP_OPEN, 4 + 4 * words_for(n))
     masks = (OP_SHUFFLE, 4 + 4 * kept * words_for(1 << width))
     codes = (OP_OPEN, 4 + 4 * words_for(kept * width))
+    # the leaves s2 and s3 gate their population's 3-bit x0 codes, a bit row
+    # each, in a re-share sent in the open's round
+    gate = (OP_RESHARE, 2 * 4 * words_for(n * 3))
     assert masks[1] == 4 + 4 * kept * 4 and codes[1] == 4 + 4 * 4
     assert {p: ([f[1:3] for f in fetch], [f[1:3] for f in expand])
             for p, (fetch, expand, _) in levels.items()} == {
-        1: ([shuffle, flags], [masks, codes]),
-        2: ([shuffle, shuffle, flags], [codes, masks]),
-        3: ([shuffle, flags], [masks, codes])}
+        1: ([shuffle, flags, gate], [masks, codes]),
+        2: ([shuffle, shuffle, flags, gate], [codes, masks]),
+        3: ([shuffle, flags, gate], [masks, codes])}
     for rt in runtimes:  # one open of every kept code under the root, 7 bits each
         (entry,) = [e for e in rt.opened if e.phase == "secAccess" and e.slot == 0]
         assert entry.segments == (width,) * kept
@@ -897,9 +929,10 @@ def test_range_root_expands_only_the_kept_codes():
     # the fetch is four rounds deep, right after the root's one evaluation
     # round: party 1 sends its shuffle frame and its flags at depth 2, party 2
     # its two shuffle frames at 3, party 3 its frame and flags at 4, and
-    # party 2 its flags once party 3's frame has come
+    # party 2 its flags once party 3's frame has come; each gate frame goes
+    # with its party's flags
     assert {p: [f[3] for f in fetch] for p, (fetch, _, _) in levels.items()} == {
-        1: [2, 2], 2: [3, 3, 5], 3: [4, 4]}
+        1: [2, 2, 2], 2: [3, 3, 5, 5], 3: [4, 4, 4]}
     # the meter agrees on the fetch
     assert meter == {p: (len(fetch), sum(18 + f[2] for f in fetch))
                      for p, (fetch, _, _) in levels.items()}
@@ -948,3 +981,51 @@ def test_a_leaf_that_matches_nothing_equals_the_oracle():
     res = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age in 30 40\n"
                                          "Q q P age > 60\nQE u p\nQE p q\n")
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) == set()
+
+
+def test_a_hop_tree_takes_16_rounds_range_rooted_and_12_point_rooted():
+    # s0 A -> s1 B, s2 C; s1 B -> s3 C. Range-rooted: the evaluation (1
+    # round), the root's shuffle and open (4), its codes' expansion (2) and
+    # access (3), then s1's shuffle and open (4) and access (3). Point-rooted,
+    # the root folds in one round and has no codes to expand. The leaves s2
+    # and s3 take their records from the accesses
+    text = re.sub(r"^(V A a(\d+) .*)$", r"\1 key=\2", hop_graph_text(12), flags=re.M)
+    query = HOP_QUERY.format(c=1).replace("x0 in 2 2", "{root}")
+    for root, rounds in (("x0 in 2 2", 16), ("key = 5", 12)):
+        sent, stamp = depth_stamper()
+        res = run_secure_query(text, query.format(root=root), attach=stamp)
+        assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+        assert max(depth for log in sent.values() for *_, depth in log) == rounds
+
+
+def test_no_fetch_frame_below_a_unique_root():
+    # p takes the unique route and q is a leaf: both take their records from
+    # the root's access, so the root's fold, in round 2, is the only fetch
+    # message, and only the access opens anything
+    sent, stamp = depth_stamper()
+    res = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age = 35\n"
+                                         "Q q P age in 30 40\nQE u p\nQE u q\n", attach=stamp)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+    fetch = [(op, depth) for log in sent.values() for phase, op, _, depth in log
+             if phase == "secFetch"]
+    assert fetch == [(OP_RESHARE, 2)] * 3
+    assert {e.phase for rt in res["runtimes"] for e in rt.opened} == {"secAccess"}
+
+
+def test_a_root_without_matches_still_sends_the_population_gate():
+    # the leaf c's gate re-share rides in the root's flag open whatever the
+    # root keeps, so a root that keeps no record sends the fetch frames of
+    # one that keeps three
+    runs = []
+    for op in ("> 60", "> 32"):
+        sent, stamp = depth_stamper()
+        res = run_secure_query(CAMPUS_GRAPH, f"Q p P age {op}\nQ c C field = software\nQE p c\n",
+                               attach=stamp)
+        assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"])
+        runs.append((res, {p: [(op, n) for phase, op, n, _ in log if phase == "secFetch"]
+                           for p, log in sent.items()}))
+    (none, none_fetch), (some, some_fetch) = runs
+    assert none["matches"] == set() != some["matches"]
+    assert [r.records[0].rows for r in none["results"]] == [0, 0, 0]
+    assert none_fetch == some_fetch
+    assert all(OP_RESHARE in [op for op, _ in frames] for frames in none_fetch.values())

@@ -171,15 +171,30 @@ E y1 y2
     pytest.param(CAMPUS_GRAPH, 2, "Q p P age in 41 49\nQ p P age in 60 30\nQ p P age in 60 70\n"
                  "Q p P age <= 35\nQC p ANY\nQ c C field = software\nQE p c\n", "",
                  id="empty-ranges"),
+    # a unique-route slot with children: p4's group of u folds to a dummy,
+    # and the leaf p below u takes its rows from u's gated one-hot ids
+    pytest.param(CAMPUS_GRAPH, 2, "Q r P age >= 30\nQ u U place = Harbin\nQ p P age in 30 40\n"
+                 "QE r u\nQE u p\n", "dummy", id="unique-route-parent"),
+    # a unique-route leaf under a unique-route parent: the dummy parent
+    # record's group folds to a dummy too
+    pytest.param(CAMPUS_GRAPH, 2, "Q r P age >= 30\nQ u U place = Harbin\nQ p P age = 40\n"
+                 "QE r u\nQE u p\n", "dummy", id="unique-route-chain-misses"),
+    # a root that keeps no record: the leaf's population gate is still sent
+    pytest.param(CAMPUS_GRAPH, 2, "Q p P age > 60\nQ c C field = software\nQE p c\n",
+                 "no root record", id="no-root-record"),
 ])
 def test_secure_equals_oracle_on_corner_cases(graph_text, k, query_text, needs):
     graph = parse_graph_text(graph_text)
     schema = schema_for(graph, k)
     res = check_secure_equals_oracle(graph, schema, query_text, k)
+    results = res["results"]
+    if needs == "no root record":
+        assert not res["matches"] and results[0].records[0].rows == 0
+        return
     assert res["matches"]
-    if needs == "dummy":  # some record of the leaf slot opens to id code 0
-        results = res["results"]
-        assert 0 in [rss.reconstruct([r.records[1].ids.row(ri) for r in results]).to_int()
-                     for ri in range(results[0].records[1].rows)]
+    if needs == "dummy":  # some record of slot 1, and of the last slot, opens to id code 0
+        for s in {1, len(results[0].records) - 1}:
+            assert 0 in [rss.reconstruct([r.records[s].ids.row(ri) for r in results]).to_int()
+                         for ri in range(results[0].records[s].rows)]
     if needs == "one-vertex root":
         assert schema.types["A"].id_width == 1

@@ -36,13 +36,13 @@ PINNED_GRAPH_SHARES = {
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("a6d87580b2e28ebfc18856ab47905aa88d7d7c7b29eab3e9ce5e58ac15c794c6",
-                    "87f79451ee26008e3ad74829dcae6f794f24dbae14dba59347c00aaa9fe870f0",
-                    "b6d02a8b19cd001f12d8a676d17c0f089bf5d3cc4eccb8c7ae1f28c840eec777")),
+                   ("39e5cba2562446002b57cea127fb8c0a85887150fc83a43baafbaa7385921f4e",
+                    "9e6ca95bea552c73040fabb4d30e4baba7a4a0bc023b8c8b226dbb83057ea71a",
+                    "aaaa71fe7c38fbfe2bc56c44efc4bc86415234942e6475942b9b87b7de8deffc")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("d0089511c339a1800437302c423dc62b9baf463b82e73c90d3f3270195267f99",
-                       "8fc9876a67258dc84f3bcd14fc3a4e1f57f9fb966b446f69f21432dc039a16a8",
-                       "c2fdc4f072f2fe7e2852f71920f5d83a4aff28a114cb1c40a7c1376490bc842f")),
+                      ("1bb591910a93aee6a2f41ef4d52d5b9037c1ad3f85536608844d8ffc184c2acd",
+                       "932e17c747a4dabce96072ff611697d1999b55fe8e7ecda71679470fcf24a08b",
+                       "66996b5aacf6fe3cf93453487edb884d81ad5e27ee6ab3725d7a7389983cdb75")),
 }
 
 

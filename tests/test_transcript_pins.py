@@ -39,29 +39,29 @@ E s2 t2
 PINNED = [
     pytest.param(
         CAMPUS_GRAPH, TWO_PERSON_QUERY,
-        ("0a37cf71bbd31f7fa08d772727c53fbdde33df9a4a6c6fecb5383b1129db280d",
-         "edc777cb44a19703d7892d5cb3f8f01aab5947569b810a8c01ae31c55c9dc2ce",
-         "1eec054251e9be14c57c15a95cc8a4ca4c8dd5005aaeb164be4200693493d43e"),
+        ("ff99ef3a04faf68bc51a6a55734eb0de337e413d7ba62e143e714c14138661cd",
+         "6a9a03eca075228a072876e611de82ed9b4d4b6239405ed311a8fe1f84094b63",
+         "b29164b5a01139630f4f0ab080be4e5586823e65d04681ede3e88bfe91e54838"),
         id="campus-two-person"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\nQE u p\nQE p c\n",
-        ("d6780b5b8503da55107bdaa695726782741bbb04d2fdcc2f12f29cbf8017bcf6",
-         "63b71eb02731c15f240e295abbda333e3f86b4b334d3ef669c0aad4e4867e237",
-         "82ef81c929ac262c6df84da6cdc8c146b5067ced4f719c5a6b15b90293043af1"),
+        ("b068244ff643c7ef5a87e924a1c10a8f27080eefe82a5aca9dc8f8eac19a7ae9",
+         "12a3ccbaa859886900ff6681b19f8960886b2923357cc2a5f3c65800a3452324",
+         "0da6b67a7ddb59d96d16439b8a9eb6798d87ceb74505d57b771fee04713cd3ab"),
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
-        ("9c432266b5bc4255a6957f99cf2cbb0bd9f8cdbed8b6880a3f67885f7944b9f8",
-         "476a11881d2c2c44a9c6afbdd393222d0090de3689e62d7c8886b480d1c3f7f1",
-         "2a58c24167a6958595c9728c4460962b3abaf55df76e7d901cb2f9745bfa76a2"),
+        ("8199d2a525cadb46113f3fad87e784952293ee9c5ae8109852033396e9267b3e",
+         "95e7540024b1ab99dc65325e4d65612f66ac3f2ffedd06ac80b8428ecfc74548",
+         "96b4c9f887c1fe1a21606e7a23679330c7905481a79fea359b9c9131b8471d01"),
         id="repeated-categorical"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("51c783cd2aec1b0142af58d0f41bd6b970d61cbc0add8c3217d072c4ebf7e736",
-         "d68617358b21d883a9441ded2204fad9025616f90b7c23f37cca70a786ea3d37",
-         "2960bd66358fec3b8f0ed07530f18ab6615a2448bd1a64d911cc6faa0cbe1fe1"),
+        ("c34138e8d9af6d8392a7382a86b07e5f91bbb4bfe7367e6832e7c3ea23e07323",
+         "34cd9406596a7ac048a74e88173ed1b89bd569fcd0029933b731c936813b7158",
+         "d97c81a3e27c2abe7508071e1fb0fd4db5d73222886f205c08e90c4cc993fddc"),
         id="two-group"),
 ]
 
