@@ -8,7 +8,8 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   every predicate of the query is evaluated once, over its type's whole
   population, and one message re-shares the bits of them all.
 * matched-vertex fetch, at the root and at a slot below it that has
-  children and no unique route: rows of flag, id and attribute codes are
+  children, no unique route and uneven padding above it
+  (:func:`gates_inner_slot`): rows of flag, id and attribute codes are
   obliviously shuffled and only the shuffled flag column is opened. A
   unique-valued attribute lets the root fold its rows into a single record
   instead, with pure local algebra plus one re-share.
@@ -26,16 +27,21 @@ Four cooperating pieces, each executed in lockstep by the three parties:
 Below the root, each slot gets one population table per query, row ``v``
 for vertex ``v`` of its type. A slot that is fetched gets ``[flag ||
 attribute codes]``, and the access gives its candidates their flags and
-codes. A leaf and a unique-route slot are gated: their table is ``[flag *
-code(v) || flag * attribute codes]``, so a non-match is the all-zero row,
-code 0, a dummy that the client drops, and the access gives their records
-with nothing opened: a leaf's are its selected rows, ``max_padded`` per
-parent record, and a unique-route slot's are each group's rows XORed into
-one. A unique-route slot with children also needs one-hot ids: its one-hot
-rows ANDed with its population flags, folded the same way. The id part of
-a gated table is local, as ``code(v) = v + 1`` is public; the attribute
-part is one AND re-share, sent in the root's fetch whatever the root
-matches, so its size follows from public populations and code widths.
+codes. A leaf, a unique-route slot and an inner slot that
+:func:`gates_inner_slot` allows are gated: their table is ``[flag * code(v)
+|| flag * attribute codes]``, so a non-match is the all-zero row, code 0, a
+dummy that the client drops, and the access gives their records with
+nothing opened: a leaf's and a gated inner slot's are its selected rows,
+``max_padded`` per parent record, and a unique-route slot's are each
+group's rows XORed into one. A gated slot with children also needs one-hot
+ids: its one-hot rows ANDed with its population flags, folded the same way
+in the unique route. A non-match's one-hot id is then the zero row, which
+selects only padding, so its subtree falls out as dummies. The id part of a
+gated table is local, as ``code(v) = v + 1`` is public; the attribute part
+is one AND re-share, sent in the root's fetch whatever the root matches, so
+its size follows from public populations and code widths. The gate rule
+reads only the schema's padded lengths, so which slots open their flags is
+public too.
 
 A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
@@ -91,7 +97,7 @@ import numpy as np
 
 from . import fss, rss
 from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
-from .graphs import GraphSchema, GraphShare, TypeSchema
+from .graphs import GraphSchema, GraphShare, TypePartyShare, TypeSchema
 from .query import PartyToken, QueryFormatError, check_structure, slot_attrs
 from .rss import MatchTable
 from .shuffle import UnitVectors, sec_shuffle
@@ -184,6 +190,13 @@ def _codes(rows: MatchTable) -> MatchTable:
     return MatchTable(rows.party_index, rows.width.bit_length(),
                       _code_words(rows.share_a, rows.width),
                       _code_words(rows.share_b, rows.width), rows.segments)
+
+
+def _attr_codes(share: TypePartyShare, attr: str) -> MatchTable:
+    """A graph share's one-hot attribute table as value codes, mapped once per loaded share."""
+    if attr not in share.codes:
+        share.codes[attr] = _codes(share.attrs[attr])
+    return share.codes[attr]
 
 
 def _root_ids(party: int, ts: TypeSchema) -> MatchTable:
@@ -464,14 +477,15 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int]):
     one more re-share: an access level takes three rounds.
 
     With ``fold``, the unique route, each record's selected rows are XORed
-    into one before the re-share. ``flags``, a unique-route child's
-    population flag vector when it has children, is ANDed with each one-hot
-    row, and the products fold likewise into the record's gated one-hot id,
-    in the same re-share. A padding row's code is 0, so its one-hot row,
-    and the row it selects, are zero.
+    into one before the re-share. ``flags``, a gated child's population
+    flag vector when it has children, is ANDed with each one-hot row, in the
+    same re-share: the products are the child's gated one-hot ids, folded
+    likewise with ``fold``. A padding row's code is 0, so its one-hot row,
+    and the row it selects, are zero; so is a non-match's gated one-hot id.
 
-    Returns per edge the selected rows, the child's one-hot ids (the
-    rows that selected, or their gated folds) and each row's parent record:
+    Returns per edge the selected rows, the child's one-hot ids (the rows
+    that selected, or with ``flags`` their gated products) and each row's
+    parent record:
     ``max_padded`` rows per record, in record order, or one with ``fold``.
     """
     schema = gshare.schema
@@ -510,8 +524,9 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int]):
                                        table.share_a, table.share_b)
         wanted.append((folded(picked) if fold else picked, table.width))
         if flags is not None:  # the AND of the rows with the flags, as rss.and_terms
-            wanted.append((folded((rows.share_a & (flags.share_a ^ flags.share_b))
-                                  ^ (rows.share_b & flags.share_a)), n))
+            gated = ((rows.share_a & (flags.share_a ^ flags.share_b))
+                     ^ (rows.share_b & flags.share_a))
+            wanted.append((folded(gated) if fold else gated, n))
     values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
 
     out = []
@@ -537,6 +552,22 @@ def _levels(slots) -> list[list[int]]:
     while nxt := [c for s in levels[-1] for c in slots[s]["children"]]:
         levels.append(nxt)
     return levels
+
+
+def gates_inner_slot(parent: TypeSchema, child_type: str) -> bool:
+    """Whether an inner multi-route slot below the root is gated instead of fetched.
+
+    ``parent`` is the type of the slot's parent slot. A gated inner slot's
+    records are all of its parent records' ``max_padded`` rows, and its own
+    accesses select from every one of them, so it pays ``max_padded`` rows
+    per record where a fetch pays the records that match. The slot is gated
+    when the parent type's padded posting lengths toward ``child_type`` are
+    even: their maximum at most twice their mean. The rule reads only the
+    public schema, so which slots open their flags follows from the schema
+    and the query's structure.
+    """
+    lens = parent.padded_len.get(child_type, [])
+    return parent.max_padded(child_type) * len(lens) <= 2 * sum(lens)
 
 
 def check_token(token: PartyToken, gshare: GraphShare) -> None:
@@ -576,8 +607,11 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
                 and types[s].attrs[preds[0]["attr"]].unique)
 
+    parent = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+
     def gated(s: int) -> bool:  # below the root, a slot whose records come out of its access
-        return s != 0 and (unique_route(s) or not slots[s]["children"])
+        return s != 0 and (unique_route(s) or not slots[s]["children"]
+                           or gates_inner_slot(types[parent[s]], slots[s]["type"]))
 
     def widths(s: int) -> list[int]:  # the fields of a population table: its head, then codes
         return ([types[s].id_width if gated(s) else 1]
@@ -599,7 +633,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
     heads, rows, gate = {}, {}, []
     for s in range(1, len(slots)):
         fa, fb = _flag_bits(flags[s])
-        codes = [_codes(shares[s].attrs[a]) for a in slot_attrs(slots[s])]
+        codes = [_attr_codes(shares[s], a) for a in slot_attrs(slots[s])]
         rows[s] = [_pack_fields([(getattr(t, side), t.width) for t in codes])
                    for side in ("share_a", "share_b")]
         heads[s] = [f.astype(np.uint32)[:, None] for f in (fa, fb)]
@@ -625,7 +659,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                 gated_attrs.extend(rss.reshare_rows(rt, *gate[0], more=gate[1:]))
 
             root = replace(root, ids=_root_ids(rt.index, types[0]),
-                           attrs={a: _codes(t) for a, t in root.attrs.items()})
+                           attrs={a: _attr_codes(shares[0], a) for a in root.attrs})
             (records[0],) = sec_fetch_multi(rt, [root], [flags[0]], slots=[0],
                                             during=send_gate if gate else None)
     gated_attrs, pops = iter(gated_attrs), {}
@@ -661,7 +695,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                     records[0] = replace(records[0], ids=_unit_ids(rt, records[0].ids, types[0]))
                 accessed = sec_access(rt, [
                     (records[s], slots[s]["type"], slots[c]["type"], pops[c], unique_route(c),
-                     flags[c] if unique_route(c) and slots[c]["children"] else None)
+                     flags[c] if gated(c) and slots[c]["children"] else None)
                     for s, c in edges], gshare, [c for _, c in edges])
             for (_, c), (picked, hot, parents) in zip(edges, accessed):
                 head, *fields = _unpack_fields(picked, widths(c))

@@ -325,11 +325,13 @@ class TypePartyShare:
     has ``max_padded(t)`` rows per vertex, its padded posting list of
     neighbor id codes (``c + 1`` for neighbor ``c``, 0 for a dummy entry),
     each ``id_width`` bits of type ``t``; rows past a vertex's padded length
-    are public structural zeros.
+    are public structural zeros. ``codes`` holds ``attrs`` tables mapped to
+    value codes, filled by the engine the first time a query reads them.
     """
 
     attrs: dict[str, MatchTable]
     posting: dict[str, MatchTable]
+    codes: dict[str, MatchTable] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass

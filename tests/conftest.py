@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oblivgm import fss, rss
-from oblivgm.engine import RecordTable, assemble, open_results, sec_match
+from oblivgm.engine import RecordTable, assemble, gates_inner_slot, open_results, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import _Matcher
@@ -118,8 +118,9 @@ def expected_open_counts(res):
     A fetch entry counts each candidate group's members that satisfy its
     slot: the root's one group, or one group per record of the slot's
     parent, holding that record's true neighbours (none for a dummy record)
-    among its padded rows. Unique-route slots fold and leaves below the root
-    are gated, so neither opens anything.
+    among its padded rows. Below the root, unique-route slots fold, and
+    leaves and the inner slots that :func:`oblivgm.engine.gates_inner_slot`
+    allows are gated, so none of them opens anything.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
     matcher = _Matcher(graph, query, schema)
@@ -140,7 +141,9 @@ def expected_open_counts(res):
         else:
             groups = [neighbours(parent, ri, slot["type"])
                       for ri in range(results[0].records[parent].rows)]
-        if groups and not unique_route(schema, slot) and (parent is None or slot["children"]):
+        fetched = parent is None or (slot["children"] and not gates_inner_slot(
+            schema.types[slots[parent]["type"]], slot["type"]))
+        if groups and fetched and not unique_route(schema, slot):
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
     return out
 
@@ -221,20 +224,22 @@ def chainmap_assemble(slots, records):
             for ri in range(records[0].rows) for a in expand(0, ri)]
 
 
-def reference_open(result_sets, schema):
+def reference_open(result_sets, schema, decoded=None):
     """``(matches, details)`` of :func:`reference_decode`, dummy subgraphs dropped.
 
     The subgraphs are :func:`chainmap_assemble`'s, not ``engine.assemble``'s.
+    ``decoded`` is :func:`reference_decode`'s output, when it is already taken.
     """
-    decoded = reference_decode(result_sets, schema)
+    if decoded is None:
+        decoded = reference_decode(result_sets, schema)
     matches, details = [], []
     slots, records = result_sets[0].structure["slots"], result_sets[0].records
     for combo in chainmap_assemble(slots, records):
-        rows = [(decoded[s][0][ri], {a: v[ri] for a, v in decoded[s][1].items()})
-                for s, ri in enumerate(combo)]
-        if all(ext is not None for ext, _ in rows):
-            matches.append(tuple(ext for ext, _ in rows))
-            details.append(rows)
+        ids = tuple(decoded[s][0][ri] for s, ri in enumerate(combo))
+        if all(ext is not None for ext in ids):
+            matches.append(ids)
+            details.append([(ext, {a: v[ri] for a, v in decoded[s][1].items()})
+                            for s, (ri, ext) in enumerate(zip(combo, ids))])
     return matches, details
 
 

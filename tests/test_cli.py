@@ -125,6 +125,21 @@ def test_query_streams_per_hop_progress(workspace, capsys):
     assert "matched records" in err
 
 
+def test_query_progress_names_a_gated_inner_slots_rows(workspace, capsys):
+    # U's padded lengths toward P are even, so the inner slots pa and pb are
+    # gated: each keeps all of its root record's padded rows, with no fetch
+    run_pipeline(workspace)
+    capsys.readouterr()
+    assert main(["query", "--graph-dir", str(workspace / "enc"),
+                 "--token-dir", str(workspace / "tok"), "--out-dir", str(workspace / "res"),
+                 "--session-seed", SES_SEED]) == 0
+    err = capsys.readouterr().err
+    for i in (1, 2, 3):
+        for slot, name in ((1, "pa"), (2, "pb")):
+            assert re.search(rf"^\[party-{i}\] slot {slot} \({name}\): 3 gated rows$", err, re.M)
+            assert f"[party-{i}] slot {slot} ({name}): 3 candidates" not in err
+
+
 def test_query_prints_each_partys_phase_split(workspace, capsys):
     run_pipeline(workspace)
     capsys.readouterr()

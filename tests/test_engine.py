@@ -78,6 +78,46 @@ def run_eval(values, domain, kind, operands, master=b"\x31" * 16):
     return rss.reconstruct(shares).to_bits(), runtimes
 
 
+def hop_graph_text(n: int) -> str:
+    """Three types of ``n`` vertices, each with four ``x0`` values held ``n / 4`` times.
+
+    Every ``A`` vertex has two ``B`` and two ``C`` neighbours, and every
+    ``B`` vertex two ``C`` neighbours, as in the benchmark's hop workload.
+    """
+    lines = [f"V {t} {t.lower()}{i} x0={i % 4}" for t in "ABC" for i in range(n)]
+    lines += [f"E {a.lower()}{i} {b.lower()}{(i + off) % n}"
+              for a, b in ("AB", "AC", "BC") for i in range(n) for off in (0, 7)]
+    return "\n".join(lines) + "\n"
+
+
+def skew_graph_text(n: int, seed: int = 0) -> str:
+    """The vertices of :func:`hop_graph_text`, with Zipf-skewed edges.
+
+    Each type pair (A-B, A-C, B-C) draws ``3 * n`` edges: the first end with
+    weight ``1 / (i + 1) ** 0.9`` for vertex ``i``, the second uniformly, a
+    repeated edge counting once. A few first ends get most of the edges, so
+    their type's padded lengths toward the second type are far from even.
+    """
+    rng = np.random.default_rng(seed)
+    lines = [f"V {t} {t.lower()}{i} x0={i % 4}" for t in "ABC" for i in range(n)]
+    weights = 1.0 / np.arange(1, n + 1) ** 0.9
+    edges = {}
+    for a, b in ("AB", "AC", "BC"):
+        for x, y in zip(rng.choice(n, 3 * n, p=weights / weights.sum()),
+                        rng.integers(0, n, 3 * n)):
+            edges.setdefault(f"E {a.lower()}{x} {b.lower()}{y}")
+    return "\n".join(lines + list(edges)) + "\n"
+
+
+HOP_QUERY = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= {c}\nQ s3 C x0 >= {c}\n"
+             "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
+
+
+# on skew_graph_text(24), A's padded lengths toward B and B's toward C are
+# far from even, so the inner slots s1 and s2 are fetched
+SKEW_CHAIN = "Q s0 A x0 in 1 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQE s0 s1\nQE s1 s2\n"
+
+
 def test_sec_eval_equality_hits_and_misses():
     bits, _ = run_eval([5, 7, 5, 0], 16, "eq", (5,))
     assert bits.tolist() == [1, 0, 1, 0]
@@ -432,10 +472,12 @@ E p3 p4
 
 def test_opened_bits_accounting():
     # fetches open flags, one bit per candidate, and accesses their masked
-    # codes, id_width bits per selected row
-    res = run_secure_query(CAMPUS_GRAPH, TWO_PERSON_QUERY)
+    # codes, id_width bits per selected row; on the skewed graph the inner
+    # slot s1 is fetched, so it opens its flags too
+    res = run_secure_query(skew_graph_text(24), SKEW_CHAIN)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
     for rt in res["runtimes"]:
-        assert rt.opened
+        assert {e.slot for e in rt.opened if e.phase == "secFetch"} == {0, 1}
         # one entry per slot an open spans, in slot order; labels count up from 1
         labels = [e.label for e in rt.opened]
         assert sorted(set(labels)) == list(range(1, labels[-1] + 1)) and labels == sorted(labels)
@@ -758,15 +800,13 @@ def test_frames_follow_query_shape_not_match_count():
 
 
 @pytest.mark.parametrize("query_text", [
-    # the two-person tree with a P slot under pb: pb's three records give qb
-    # three groups; qb's C child keeps it shuffled, and the gated leaf rb opens nothing
-    "Q u U place = Harbin\nQ pa P age in 30 40\nQ pb P age in 30 40\nQ ca C field = software\n"
-    "Q qb P age in 30 60\nQ cb C field = Internet\nQ rb P age >= 30\n"
-    "QE u pa\nQE u pb\nQE pa ca\nQE pb qb\nQE qb cb\nQE qb rb\n",
-    # p1 and p2 are each other's only P neighbour: two one-candidate fetch
-    # groups in q, which its child r keeps shuffled; r is gated
-    "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQ r P age >= 30\n"
-    "QE u p\nQE p q\nQE q r\n",
+    # a chain: A's and B's skewed padding keeps s1 and s2 shuffled, each
+    # root record giving s1 a group and each s1 record s2 one; the leaf s3
+    # is gated and opens nothing
+    pytest.param(SKEW_CHAIN.replace("QE", "Q s3 A x0 >= 1\nQE", 1) + "QE s2 s3\n",
+                 id="skew-chain"),
+    # a tree: s1 is shuffled, and the leaves s2 and s3 are gated
+    pytest.param(HOP_QUERY.format(c=1).replace("x0 in 2 2", "x0 in 1 2"), id="skew-tree"),
 ])
 def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
     calls = []
@@ -778,8 +818,9 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
         return shuffle(rt, table, **kwargs)
 
     monkeypatch.setattr(engine, "sec_shuffle", recording)
-    res = run_secure_query(CAMPUS_GRAPH, query_text)
+    res = run_secure_query(skew_graph_text(24), query_text)
     want = expected_open_counts(res)
+    assert ("secFetch", 1) in want
     for rt in res["runtimes"]:
         # each open's entries carry the segments of one shuffle call's tables, in order
         fetches = [e for e in rt.opened if e.phase == "secFetch"]
@@ -788,10 +829,12 @@ def test_opened_flag_segments_count_each_group(monkeypatch, query_text):
         assert {(e.phase, e.slot): opened_counts(e) for e in fetches} == want
         assert len(fetches) == len(want)
     assert any(len(segs) > 1 for call in calls for segs in call)
-    # the P leaf is gated: no shuffle, no open, and every padded row returned
+    # the last leaf is gated: no shuffle, no open, and every padded row returned
     leaf = len(res["query"].parent) - 1
     assert ("secFetch", leaf) not in want and sum(map(len, calls)) == len(want)
-    padded = res["schema"].types["P"].max_padded("P")
+    slots = res["results"][0].structure["slots"]
+    padded = res["schema"].types[slots[res["query"].parent[leaf]]["type"]].max_padded(
+        slots[leaf]["type"])
     assert all(r.records[leaf].rows == r.records[res["query"].parent[leaf]].rows * padded
                for r in res["results"])
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"])
@@ -845,28 +888,16 @@ def test_an_access_level_takes_three_rounds():
     assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 3
 
 
-def hop_graph_text(n: int) -> str:
-    """Three types of ``n`` vertices, each with four ``x0`` values held ``n / 4`` times.
-
-    Every ``A`` vertex has two ``B`` and two ``C`` neighbours, and every
-    ``B`` vertex two ``C`` neighbours, as in the benchmark's hop workload.
-    """
-    lines = [f"V {t} {t.lower()}{i} x0={i % 4}" for t in "ABC" for i in range(n)]
-    lines += [f"E {a.lower()}{i} {b.lower()}{(i + off) % n}"
-              for a, b in ("AB", "AC", "BC") for i in range(n) for off in (0, 7)]
-    return "\n".join(lines) + "\n"
-
-
 def test_range_root_expands_only_the_kept_codes():
     # the root shuffles flag || x0 || its 7-bit code (12 bits), not its 64
     # one-hot id bits, and the 16 kept codes expand to one-hot rows over the
     # 128 positions of 7-bit codes: three mask frames of 16 * 4 words, twice
     # the ceil(64 / 32) words a row of the population takes, since 64 is a
-    # power of two, and three open frames of 16 * 7 masked bits
+    # power of two, and three open frames of 16 * 7 masked bits. A's skewed
+    # padding toward B keeps the inner slot s1 on the shuffle
     n, kept, width = 64, 16, 7
-    query_text = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 C x0 >= 1\n"
-                  "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
-    graph = parse_graph_text(hop_graph_text(n))
+    query_text = HOP_QUERY.format(c=1)
+    graph = parse_graph_text(skew_graph_text(n))
     rng = np.random.default_rng(4)
     schema, shares = encrypt_graph(graph, 2, rng)
     query = load_query(query_text, schema)
@@ -922,6 +953,7 @@ def test_range_root_expands_only_the_kept_codes():
     for rt in runtimes:  # one open of every kept code under the root, 7 bits each
         (entry,) = [e for e in rt.opened if e.phase == "secAccess" and e.slot == 0]
         assert entry.segments == (width,) * kept
+        assert {e.slot for e in rt.opened if e.phase == "secFetch"} == {0, 1}
     # party 2's mask frame waits on party 1's and party 3's, both sent with
     # the open of the masked codes, so party 1 selects 3 rounds after the flags
     flag_depth = max(fetch[-1][3] for fetch, _, _ in levels.values())
@@ -938,8 +970,26 @@ def test_range_root_expands_only_the_kept_codes():
                      for p, (fetch, _, _) in levels.items()}
 
 
-HOP_QUERY = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= {c}\nQ s3 C x0 >= {c}\n"
-             "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
+def gated_codes(res, slot: int) -> list[int]:
+    """The id codes a gated slot's records must open to, from the plaintext graph.
+
+    Each parent record gives ``max_padded`` rows in posting order: a member
+    that satisfies the slot as its code, a non-member or a padding row as 0.
+    A dummy parent record (code 0) gives only zeros.
+    """
+    graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
+    slots = results[0].structure["slots"]
+    matcher = _Matcher(graph, query, schema)
+    parent, vtype = query.parent[slot], slots[slot]["type"]
+    parent_ts = schema.types[slots[parent]["type"]]
+    members = graph.type_members[vtype]
+    want = []
+    for code in rss.reconstruct_rows([r.records[parent].ids for r in results])[:, 0]:
+        plist = (graph.posting_list(graph.index_of[parent_ts.ext_ids[code - 1]], vtype)
+                 if code else [])
+        want += [members.index(w) + 1 if matcher.vertex_ok(slot, w) else 0 for w in plist]
+        want += [0] * (parent_ts.max_padded(vtype) - len(plist))
+    return want
 
 
 def test_gated_leaf_returns_every_padded_row_and_opens_nothing():
@@ -947,25 +997,63 @@ def test_gated_leaf_returns_every_padded_row_and_opens_nothing():
     # max_padded rows in posting order, a match as its id code and a
     # non-match or padding row as code 0, and neither opens its flags
     res = run_secure_query(hop_graph_text(12), HOP_QUERY.format(c=2))
-    graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
-    slots = results[0].structure["slots"]
-    matcher = _Matcher(graph, query, schema)
     for leaf in (2, 3):
-        parent, leaf_type = query.parent[leaf], slots[leaf]["type"]
-        parent_ts = schema.types[slots[parent]["type"]]
-        padded = parent_ts.max_padded(leaf_type)
-        members = graph.type_members[leaf_type]
-        want = []
-        for code in rss.reconstruct_rows([r.records[parent].ids for r in results])[:, 0]:
-            plist = graph.posting_list(graph.index_of[parent_ts.ext_ids[code - 1]], leaf_type)
-            want += [members.index(w) + 1 if matcher.vertex_ok(leaf, w) else 0 for w in plist]
-            want += [0] * (padded - len(plist))
-        assert all(r.records[leaf].rows == r.records[parent].rows * padded for r in results)
-        got = rss.reconstruct_rows([r.records[leaf].ids for r in results])[:, 0]
-        assert got.tolist() == want and 0 < np.count_nonzero(got) < len(got)
-    for rt in res["runtimes"]:  # only the root and the inner slot open their flags
-        assert sorted(e.slot for e in rt.opened if e.phase == "secFetch") == [0, 1]
-    assert res["matches"] == oracle_match(graph, query, schema) != set()
+        got = rss.reconstruct_rows([r.records[leaf].ids for r in res["results"]])[:, 0]
+        assert got.tolist() == gated_codes(res, leaf) and 0 < np.count_nonzero(got) < len(got)
+    for rt in res["runtimes"]:  # the inner slot s1 is gated too: only the root opens its flags
+        assert sorted(e.slot for e in rt.opened if e.phase == "secFetch") == [0]
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+
+
+def test_gated_inner_slot_drops_its_misses_subtrees_as_dummies():
+    # every A vertex has two B neighbours, so the inner slot s1 is gated: it
+    # keeps all of its root records' padded rows, a B vertex with x0 < 2 as
+    # code 0, and the leaf s3 under such a row gets only zero rows. Nothing
+    # below the root is opened but the accesses' masked codes
+    res = run_secure_query(hop_graph_text(12),
+                           HOP_QUERY.format(c=1).replace("B x0 >= 1", "B x0 >= 2"))
+    schema, results = res["schema"], res["results"]
+    assert engine.gates_inner_slot(schema.types["A"], "B")
+    for slot in (1, 3):
+        got = rss.reconstruct_rows([r.records[slot].ids for r in results])[:, 0]
+        assert got.tolist() == gated_codes(res, slot) and 0 < np.count_nonzero(got) < len(got)
+    assert results[0].records[1].rows == results[0].records[0].rows * 2
+    assert results[0].records[3].rows == results[0].records[1].rows * 2
+    for rt in res["runtimes"]:
+        assert [e.slot for e in rt.opened if e.phase == "secFetch"] == [0]
+    assert res["matches"] == oracle_match(res["graph"], res["query"], schema) != set()
+
+
+def test_the_gate_rule_holds_at_twice_the_mean_padded_length():
+    # the rule reads only the padded lengths toward the slot's type: a
+    # longest list of exactly twice the mean gates, one just above does not,
+    # and a type without lists toward the slot gates
+    def parent(lens):
+        return TypeSchema(["v"] * len(lens), {}, ["B"], [], {"B": lens})
+
+    assert engine.gates_inner_slot(parent([4, 1, 1, 2]), "B")  # 4 = 2 * 2
+    assert not engine.gates_inner_slot(parent([5, 1, 1, 2]), "B")  # 5 > 2 * 2.25
+    assert engine.gates_inner_slot(parent([3, 1, 1, 1]), "B")  # 3 = 2 * 1.5
+    assert not engine.gates_inner_slot(parent([3, 1, 1, 0]), "B")  # 3 > 2 * 1.25
+    assert engine.gates_inner_slot(parent([3, 3, 3]), "B")
+    assert engine.gates_inner_slot(parent([0, 0]), "B")
+    assert engine.gates_inner_slot(parent([1]), "C")
+
+
+def test_skewed_padding_keeps_an_inner_slot_on_the_shuffle():
+    # the same chain on the even hop graph and on the Zipf-skewed one: there
+    # the longest A list toward B is more than twice the mean, so s1 is
+    # fetched and opens each group's match count, as expected_open_counts
+    # predicts; on the even graph it is gated and opens nothing
+    for text, fetched in ((hop_graph_text(24), False), (skew_graph_text(24), True)):
+        res = run_secure_query(text, SKEW_CHAIN)
+        assert engine.gates_inner_slot(res["schema"].types["A"], "B") is not fetched
+        assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+        want = expected_open_counts(res)
+        assert (("secFetch", 1) in want) is fetched
+        for rt in res["runtimes"]:
+            fetches = [e for e in rt.opened if e.phase == "secFetch"]
+            assert {(e.phase, e.slot): opened_counts(e) for e in fetches} == want
 
 
 def test_a_leaf_that_matches_nothing_equals_the_oracle():
@@ -983,15 +1071,17 @@ def test_a_leaf_that_matches_nothing_equals_the_oracle():
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) == set()
 
 
-def test_a_hop_tree_takes_16_rounds_range_rooted_and_12_point_rooted():
+def test_a_hop_tree_takes_13_rounds_range_rooted_and_8_point_rooted():
     # s0 A -> s1 B, s2 C; s1 B -> s3 C. Range-rooted: the evaluation (1
     # round), the root's shuffle and open (4), its codes' expansion (2) and
-    # access (3), then s1's shuffle and open (4) and access (3). Point-rooted,
-    # the root folds in one round and has no codes to expand. The leaves s2
-    # and s3 take their records from the accesses
+    # access (3), then s1's access (3). Point-rooted, the root folds in one
+    # round and has no codes to expand. Every A vertex has two B neighbours,
+    # so the inner slot s1 is gated like the leaves s2 and s3: all three
+    # take their records from the accesses, and nothing below the root is
+    # shuffled
     text = re.sub(r"^(V A a(\d+) .*)$", r"\1 key=\2", hop_graph_text(12), flags=re.M)
     query = HOP_QUERY.format(c=1).replace("x0 in 2 2", "{root}")
-    for root, rounds in (("x0 in 2 2", 16), ("key = 5", 12)):
+    for root, rounds in (("x0 in 2 2", 13), ("key = 5", 8)):
         sent, stamp = depth_stamper()
         res = run_secure_query(text, query.format(root=root), attach=stamp)
         assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()

@@ -36,9 +36,9 @@ PINNED_GRAPH_SHARES = {
 }
 PINNED_RESULTS = {
     "two-person": (TWO_PERSON_QUERY,
-                   ("39e5cba2562446002b57cea127fb8c0a85887150fc83a43baafbaa7385921f4e",
-                    "9e6ca95bea552c73040fabb4d30e4baba7a4a0bc023b8c8b226dbb83057ea71a",
-                    "aaaa71fe7c38fbfe2bc56c44efc4bc86415234942e6475942b9b87b7de8deffc")),
+                   ("1c345fd6e3e0df3df9e37fe7202e1338f99ed5d775663f540861a3e5a7632a73",
+                    "edc71ac2e4c4fa8d930a026cb8d7ab14f358e39f35496ed4dd0ad48b14c734c7",
+                    "ec918ef1746bda2a719464af481a9b3301ebf747bd8e7aa603c7f905ceda8eff")),
     "unique-misses": (UNIQUE_MISSES,
                       ("1bb591910a93aee6a2f41ef4d52d5b9037c1ad3f85536608844d8ffc184c2acd",
                        "932e17c747a4dabce96072ff611697d1999b55fe8e7ecda71679470fcf24a08b",

@@ -12,7 +12,8 @@ pinned here; grouping the opens of one tree level into one message may only
 merge labels. A protocol change that removes an open moves the ledger: its
 entries leave, later labels count down, and the groups it used to trim may
 reach the next open with their padding rows; gating a leaf below the root in
-place of its shuffle removed its flags' entry. One that adds an open, such as
+place of its shuffle removed its flags' entry, and so did gating an inner
+slot whose parent type's padding is even. One that adds an open, such as
 an access's masked codes, moves it the other way. A new shuffle permutation
 moves the bit order inside each opened flag vector, but not its popcount
 per segment; the access entries' bits are one-time pads of the codes, so
@@ -39,9 +40,9 @@ E s2 t2
 PINNED = [
     pytest.param(
         CAMPUS_GRAPH, TWO_PERSON_QUERY,
-        ("ff99ef3a04faf68bc51a6a55734eb0de337e413d7ba62e143e714c14138661cd",
-         "6a9a03eca075228a072876e611de82ed9b4d4b6239405ed311a8fe1f84094b63",
-         "b29164b5a01139630f4f0ab080be4e5586823e65d04681ede3e88bfe91e54838"),
+        ("c38d9855ef31fd90c1f709db2add089a5216ae6380fea63ce645c1bdd857a992",
+         "160989504eb6d528702268e06cc0b76751c51c3aac32cfc167c80091e2a96e82",
+         "f0e3a6fff4d06a0870d9a35a7f4c7c4a01204bb7158067fa89ef879f772edd77"),
         id="campus-two-person"),
     pytest.param(
         CAMPUS_GRAPH,
@@ -59,9 +60,9 @@ PINNED = [
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("c34138e8d9af6d8392a7382a86b07e5f91bbb4bfe7367e6832e7c3ea23e07323",
-         "34cd9406596a7ac048a74e88173ed1b89bd569fcd0029933b731c936813b7158",
-         "d97c81a3e27c2abe7508071e1fb0fd4db5d73222886f205c08e90c4cc993fddc"),
+        ("8eb40c444fbf1271e14be0938d27afc5e3c45be88988924e282d79c498602f05",
+         "2a43f16cf08c7f20c61bb6987c5712918b13a410a69d082fba22235ebcbaef28",
+         "afbaf1fcd69aab4a995b5a49bc1f8e9384e742a9b1e7829be20296f611abfd99"),
         id="two-group"),
 ]
 
@@ -77,18 +78,15 @@ def test_fixed_seed_transcripts_are_pinned(graph_text, query_text, digests):
 LEDGERS = {
     "campus-two-person": [(1, "secAccess", 1, (9,), 9, "f5010000"),
                           (1, "secAccess", 2, (9,), 9, "f2000000"),
-                          (2, "secFetch", 1, (3,), 3, "07000000"),
-                          (2, "secFetch", 2, (3,), 3, "07000000"),
-                          (3, "secAccess", 3, (2, 2, 2), 6, "1e000000"),
-                          (3, "secAccess", 4, (2, 2, 2), 6, "28000000")],
+                          (2, "secAccess", 3, (2, 2, 2), 6, "0a000000"),
+                          (2, "secAccess", 4, (2, 2, 2), 6, "15000000")],
     "unique-chain": [(1, "secAccess", 1, (9,), 9, "f5010000"),
                      (2, "secAccess", 2, (2,), 2, "01000000")],
     "repeated-categorical": [(1, "secFetch", 0, (4,), 4, "0b000000"),
                              (2, "secAccess", 0, (3, 3, 3), 9, "b0010000"),
                              (3, "secAccess", 1, (2, 2, 2), 6, "35000000")],
     "two-group": [(1, "secAccess", 1, (9,), 9, "f5010000"),
-                  (2, "secFetch", 1, (3,), 3, "07000000"),
-                  (3, "secAccess", 2, (3, 3, 3), 9, "22000000")],
+                  (2, "secAccess", 2, (3, 3, 3), 9, "b1000000")],
 }
 
 

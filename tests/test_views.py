@@ -1,8 +1,10 @@
 """Each party's view has a shape fixed by public values alone.
 
 The README lists what a query may reveal: the schema, the padded posting
-lengths, the query structure and predicate kinds, and the per-hop match
-counts of the root and of every slot with children. So two runs whose public values agree must give every party a view
+lengths, the query structure and predicate kinds, and the per-group match
+counts of the root and of every inner slot whose parent type's padding keeps
+it on the shuffle (``engine.gates_inner_slot``). So two runs whose public
+values agree must give every party a view
 of the same shape: the same frames (direction, peer, op, round and payload
 length, in order), the same leakage ledger (label, phase, slot, segments,
 length and, for a fetch's flags, per-segment popcount) and the same meter
@@ -21,14 +23,17 @@ at vertices of degree 3 or 2, both padded to 3: a child's candidate group is
 its parent record's padded list, so its size is public and the true degree
 must not show. A pair is run only when the per-group counts the oracle
 reports agree, a group's size being its public padded length. A leaf below
-the root is gated, not shuffled, so its counts are not public: two runs
-whose counts differ only there must still have views of one shape.
+the root is gated, not shuffled, and so is an inner slot whose parent type's
+padding is even, as every slot below the forests' roots is; their counts are
+not public: two runs whose counts differ only there must still have views of
+one shape.
 """
 
 import numpy as np
 import pytest
 
 from oblivgm import net
+from oblivgm.engine import gates_inner_slot
 from oblivgm.graphs import build_schema, parse_graph_text
 from oblivgm.oracle import _Matcher, oracle_match
 from oblivgm.query import load_query
@@ -208,6 +213,24 @@ LEAF_PAIRS = [
     pytest.param(SHALLOW.format(lo=2, hi=3), SHALLOW.format(lo=2, hi=3).replace("y = 1", "y = 0"),
                  id="shallow-leaf"),
 ]
+
+
+def test_views_hide_the_match_counts_of_a_gated_inner_slot():
+    # every A vertex has three B vertices, so A's padded lengths toward B are
+    # even and the inner slot b is gated like a leaf: two or one of each A
+    # vertex's B vertices match, with one schema and one root count, and no
+    # view shows which
+    graph = forest_text()
+    query_1, query_2 = DEEP.format(lo=1, hi=2), DEEP.format(lo=1, hi=2).replace("y = 1", "y = 0")
+    schema = build_schema(parse_graph_text(graph), 2)
+    assert gates_inner_slot(schema.types["A"], "B")
+    counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
+    assert counts_1[0] == counts_2[0] and counts_1[1] != counts_2[1]
+    (views_1, _), (views_2, _) = view_shapes(graph, query_1), view_shapes(graph, query_2)
+    for party, (one, two) in enumerate(zip(views_1, views_2), start=1):
+        for name, a, b in zip(("frames", "ledger", "meter"), one, two):
+            assert a == b, f"party {party}: {name} shapes differ"
+        assert all(slot != 1 for _, phase, slot, *_ in one[1] if phase == "secFetch")
 
 
 @pytest.mark.parametrize("query_1,query_2", LEAF_PAIRS)
