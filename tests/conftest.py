@@ -224,14 +224,11 @@ def chainmap_assemble(slots, records):
             for ri in range(records[0].rows) for a in expand(0, ri)]
 
 
-def reference_open(result_sets, schema, decoded=None):
-    """``(matches, details)`` of :func:`reference_decode`, dummy subgraphs dropped.
+def reference_open(result_sets, decoded):
+    """``(matches, details)`` of :func:`reference_decode`'s output, dummy subgraphs dropped.
 
     The subgraphs are :func:`chainmap_assemble`'s, not ``engine.assemble``'s.
-    ``decoded`` is :func:`reference_decode`'s output, when it is already taken.
     """
-    if decoded is None:
-        decoded = reference_decode(result_sets, schema)
     matches, details = [], []
     slots, records = result_sets[0].structure["slots"], result_sets[0].records
     for combo in chainmap_assemble(slots, records):

@@ -1119,3 +1119,28 @@ def test_a_root_without_matches_still_sends_the_population_gate():
     assert [r.records[0].rows for r in none["results"]] == [0, 0, 0]
     assert none_fetch == some_fetch
     assert all(OP_RESHARE in [op for op, _ in frames] for frames in none_fetch.values())
+
+
+def test_attribute_codes_are_mapped_once_per_loaded_share(monkeypatch):
+    # a multi-route root and a population table read their attributes as
+    # codes; a share maps each table on the first query that reads it, and
+    # later queries on the same share reuse the mapping
+    graph = parse_graph_text(CAMPUS_GRAPH)
+    rng = np.random.default_rng(8)
+    schema, shares = encrypt_graph(graph, 2, rng)
+    query = load_query("Q p P age in 30 40\nQ c C field = software\nQE p c\n", schema)
+    tokens = gen_token(query, schema, rng)
+    tables = {id(t): (s.party_index, vtype, a) for s in shares
+              for vtype, part in s.types.items() for a, t in part.attrs.items()}
+    mapped = []
+    codes = engine._codes
+    monkeypatch.setattr(engine, "_codes", lambda rows: mapped.append(tables.get(id(rows)))
+                        or codes(rows))
+    for want in ({(p, "P", "age") for p in (1, 2, 3)} | {(p, "C", "field") for p in (1, 2, 3)},
+                 set()):
+        mapped.clear()
+        results = run_trio(lambda rt: sec_match(rt, tokens[rt.index - 1], shares[rt.index - 1]),
+                           local_runtimes(make_session_configs(b"\x47" * 16)))
+        assert set(open_results(results[:2], schema)[0]) == oracle_match(graph, query, schema)
+        got = [m for m in mapped if m is not None]
+        assert sorted(got) == sorted(want)

@@ -124,7 +124,7 @@ def check_secure_equals_oracle(graph, schema, query_text, k):
     for sets in (res["results"][:2], res["results"][1:], list(res["results"])):
         decoded = reference_decode(sets, schema)
         assert decode_records(sets, schema) == decoded
-        assert open_results(sets, schema) == reference_open(sets, schema, decoded)
+        assert open_results(sets, schema) == reference_open(sets, decoded)
     return res
 
 
