@@ -8,9 +8,9 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   every predicate of the query is evaluated once, over its type's whole
   population, and one message re-shares the bits of them all.
 * matched-vertex fetch, at the root and at a slot below it that has
-  children, no unique route and uneven padding above it
-  (:func:`gates_inner_slot`): rows of flag, id and attribute codes are
-  obliviously shuffled and only the shuffled flag column is opened. A
+  children, no unique route and no gate (:func:`gates_inner_slot`): rows
+  of flag, id and attribute codes are obliviously shuffled and only the
+  shuffled flag column is opened. A
   unique-valued attribute lets the root fold its rows into a single record
   instead, with pure local algebra plus one re-share.
 * neighbor access: matched vertices' padded posting lists of neighbor id
@@ -40,8 +40,11 @@ selects only padding, so its subtree falls out as dummies. The id part of a
 gated table is local, as ``code(v) = v + 1`` is public; the attribute part
 is one AND re-share, sent in the root's fetch whatever the root matches, so
 its size follows from public populations and code widths. The gate rule
-reads only the schema's padded lengths, so which slots open their flags is
-public too.
+reads only the schema's padded lengths and the query's structure, so which
+slots open their flags is public too. A gated inner slot's children are all
+leaves, so nothing below it opens anything; a unique-route slot's subtree
+may hold a fetched slot, whose opened per-group counts show which of the
+gated records above it match.
 
 A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
@@ -554,20 +557,30 @@ def _levels(slots) -> list[list[int]]:
     return levels
 
 
-def gates_inner_slot(parent: TypeSchema, child_type: str) -> bool:
-    """Whether an inner multi-route slot below the root is gated instead of fetched.
+def gates_inner_slot(parent: TypeSchema, slots, s: int) -> bool:
+    """Whether inner multi-route slot ``s`` below the root is gated instead of fetched.
 
-    ``parent`` is the type of the slot's parent slot. A gated inner slot's
-    records are all of its parent records' ``max_padded`` rows, and its own
-    accesses select from every one of them, so it pays ``max_padded`` rows
-    per record where a fetch pays the records that match. The slot is gated
-    when the parent type's padded posting lengths toward ``child_type`` are
-    even: their maximum at most twice their mean. The rule reads only the
-    public schema, so which slots open their flags follows from the schema
-    and the query's structure.
+    ``parent`` is the type of ``s``'s parent slot and ``slots`` the query's
+    structure. A gated inner slot's records are all of its parent records'
+    ``max_padded`` rows, and its accesses select from every one of them,
+    so its children pay ``max_padded`` rows per parent record where a fetch
+    pays the records that match. The slot is gated when both hold:
+
+    * every child of ``s`` is a leaf. Gated rows then never multiply over
+      two levels, as a child with children of its own would select from
+      them again, and no slot below a gated inner slot opens its flags,
+      whose per-group counts would show which of its rows match.
+    * the parent type's padded posting lengths toward ``s``'s type are
+      even: their maximum at most twice their mean. The factor is
+      provisional, as no benchmark workload lies near it yet.
+
+    The rule reads only the public schema and the query's structure, so
+    which slots open their flags is public too.
     """
-    lens = parent.padded_len.get(child_type, [])
-    return parent.max_padded(child_type) * len(lens) <= 2 * sum(lens)
+    if any(slots[c]["children"] for c in slots[s]["children"]):
+        return False
+    lens = parent.padded_len.get(slots[s]["type"], [])
+    return parent.max_padded(slots[s]["type"]) * len(lens) <= 2 * sum(lens)
 
 
 def check_token(token: PartyToken, gshare: GraphShare) -> None:
@@ -611,7 +624,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
 
     def gated(s: int) -> bool:  # below the root, a slot whose records come out of its access
         return s != 0 and (unique_route(s) or not slots[s]["children"]
-                           or gates_inner_slot(types[parent[s]], slots[s]["type"]))
+                           or gates_inner_slot(types[parent[s]], slots, s))
 
     def widths(s: int) -> list[int]:  # the fields of a population table: its head, then codes
         return ([types[s].id_width if gated(s) else 1]

@@ -142,7 +142,7 @@ def expected_open_counts(res):
             groups = [neighbours(parent, ri, slot["type"])
                       for ri in range(results[0].records[parent].rows)]
         fetched = parent is None or (slot["children"] and not gates_inner_slot(
-            schema.types[slots[parent]["type"]], slot["type"]))
+            schema.types[slots[parent]["type"]], slots, s))
         if groups and fetched and not unique_route(schema, slot):
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
     return out

@@ -126,8 +126,9 @@ def test_query_streams_per_hop_progress(workspace, capsys):
 
 
 def test_query_progress_names_a_gated_inner_slots_rows(workspace, capsys):
-    # U's padded lengths toward P are even, so the inner slots pa and pb are
-    # gated: each keeps all of its root record's padded rows, with no fetch
+    # U's padded lengths toward P are even and the inner slots pa and pb
+    # have only leaves below them, so they are gated: each keeps all of its
+    # root record's padded rows, with no fetch
     run_pipeline(workspace)
     capsys.readouterr()
     assert main(["query", "--graph-dir", str(workspace / "enc"),

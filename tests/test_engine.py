@@ -113,8 +113,8 @@ HOP_QUERY = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= {c}\nQ s3 C x0 >= {
              "QE s0 s1\nQE s0 s2\nQE s1 s3\n")
 
 
-# on skew_graph_text(24), A's padded lengths toward B and B's toward C are
-# far from even, so the inner slots s1 and s2 are fetched
+# on skew_graph_text(24), A's padded lengths toward B are far from even, so
+# the inner slot s1 is fetched though its one child is a leaf
 SKEW_CHAIN = "Q s0 A x0 in 1 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQE s0 s1\nQE s1 s2\n"
 
 
@@ -1013,7 +1013,7 @@ def test_gated_inner_slot_drops_its_misses_subtrees_as_dummies():
     res = run_secure_query(hop_graph_text(12),
                            HOP_QUERY.format(c=1).replace("B x0 >= 1", "B x0 >= 2"))
     schema, results = res["schema"], res["results"]
-    assert engine.gates_inner_slot(schema.types["A"], "B")
+    assert engine.gates_inner_slot(schema.types["A"], results[0].structure["slots"], 1)
     for slot in (1, 3):
         got = rss.reconstruct_rows([r.records[slot].ids for r in results])[:, 0]
         assert got.tolist() == gated_codes(res, slot) and 0 < np.count_nonzero(got) < len(got)
@@ -1028,16 +1028,55 @@ def test_the_gate_rule_holds_at_twice_the_mean_padded_length():
     # the rule reads only the padded lengths toward the slot's type: a
     # longest list of exactly twice the mean gates, one just above does not,
     # and a type without lists toward the slot gates
-    def parent(lens):
-        return TypeSchema(["v"] * len(lens), {}, ["B"], [], {"B": lens})
+    slots = [{"type": "A", "children": [1]}, {"type": "B", "children": [2]},
+             {"type": "C", "children": []}]
 
-    assert engine.gates_inner_slot(parent([4, 1, 1, 2]), "B")  # 4 = 2 * 2
-    assert not engine.gates_inner_slot(parent([5, 1, 1, 2]), "B")  # 5 > 2 * 2.25
-    assert engine.gates_inner_slot(parent([3, 1, 1, 1]), "B")  # 3 = 2 * 1.5
-    assert not engine.gates_inner_slot(parent([3, 1, 1, 0]), "B")  # 3 > 2 * 1.25
-    assert engine.gates_inner_slot(parent([3, 3, 3]), "B")
-    assert engine.gates_inner_slot(parent([0, 0]), "B")
-    assert engine.gates_inner_slot(parent([1]), "C")
+    def gates(lens, child_type="B"):
+        parent = TypeSchema(["v"] * len(lens), {}, ["B"], [], {"B": lens})
+        return engine.gates_inner_slot(parent, [*slots[:1], {**slots[1], "type": child_type},
+                                                *slots[2:]], 1)
+
+    assert gates([4, 1, 1, 2])  # 4 = 2 * 2
+    assert not gates([5, 1, 1, 2])  # 5 > 2 * 2.25
+    assert gates([3, 1, 1, 1])  # 3 = 2 * 1.5
+    assert not gates([3, 1, 1, 0])  # 3 > 2 * 1.25
+    assert gates([3, 3, 3])
+    assert gates([0, 0])
+    assert gates([1], "C")
+
+
+def test_the_gate_rule_refuses_a_slot_with_an_inner_child():
+    # gated rows would multiply over two levels, and the child's opened
+    # counts would show which gated rows match: the slot is fetched, however
+    # even the padding, and its child, whose children are leaves, is gated
+    ts = TypeSchema(["v"] * 3, {}, ["A"], [], {"A": [2, 2, 2]})
+    chain = [{"type": "A", "children": [c + 1] if c < 3 else []} for c in range(4)]
+    assert [engine.gates_inner_slot(ts, chain, s) for s in (1, 2)] == [False, True]
+    tree = [{"type": "A", "children": [1, 2]}, {"type": "A", "children": [3, 4]},
+            {"type": "A", "children": [5]}, *({"type": "A", "children": []} for _ in range(3))]
+    assert [engine.gates_inner_slot(ts, tree, s) for s in (1, 2)] == [True, True]
+    tree[3]["children"] = [5]
+    assert [engine.gates_inner_slot(ts, tree, s) for s in (1, 2)] == [False, True]
+
+
+def test_gated_levels_do_not_compound_on_a_chain():
+    # every vertex of the even hop graph has two neighbours of each other
+    # type. On the chain s0 A -> s1 B -> s2 C -> s3 A only s2, whose one
+    # child is a leaf, is gated: s1 is fetched and opens its group counts,
+    # so s3 selects from s1's matched records' rows, not from every padded
+    # row of every root record
+    query = ("Q s0 A x0 in 1 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQ s3 A x0 >= 0\n"
+             "QE s0 s1\nQE s1 s2\nQE s2 s3\n")
+    res = run_secure_query(hop_graph_text(24), query)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+    want = expected_open_counts(res)
+    assert sorted(want) == [("secFetch", 0), ("secFetch", 1)]
+    for rt in res["runtimes"]:
+        fetches = [e for e in rt.opened if e.phase == "secFetch"]
+        assert {(e.phase, e.slot): opened_counts(e) for e in fetches} == want
+    rows = [res["results"][0].records[s].rows for s in range(4)]
+    assert rows[2] == 2 * rows[1] and rows[3] == 2 * rows[2]
+    assert rows[1] == sum(want[("secFetch", 1)]) < 2 * rows[0]
 
 
 def test_skewed_padding_keeps_an_inner_slot_on_the_shuffle():
@@ -1047,7 +1086,8 @@ def test_skewed_padding_keeps_an_inner_slot_on_the_shuffle():
     # predicts; on the even graph it is gated and opens nothing
     for text, fetched in ((hop_graph_text(24), False), (skew_graph_text(24), True)):
         res = run_secure_query(text, SKEW_CHAIN)
-        assert engine.gates_inner_slot(res["schema"].types["A"], "B") is not fetched
+        slots = res["results"][0].structure["slots"]
+        assert engine.gates_inner_slot(res["schema"].types["A"], slots, 1) is not fetched
         assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
         want = expected_open_counts(res)
         assert (("secFetch", 1) in want) is fetched

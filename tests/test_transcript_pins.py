@@ -13,11 +13,12 @@ merge labels. A protocol change that removes an open moves the ledger: its
 entries leave, later labels count down, and the groups it used to trim may
 reach the next open with their padding rows; gating a leaf below the root in
 place of its shuffle removed its flags' entry, and so did gating an inner
-slot whose parent type's padding is even. One that adds an open, such as
-an access's masked codes, moves it the other way. A new shuffle permutation
-moves the bit order inside each opened flag vector, but not its popcount
-per segment; the access entries' bits are one-time pads of the codes, so
-they move with any change of the pairwise pads or table ids.
+slot whose children are leaves and whose parent type's padding is even.
+One that adds an open, such as an access's masked codes, moves it the other
+way. A new shuffle permutation moves the bit order inside each opened flag
+vector, but not its popcount per segment; the access entries' bits are
+one-time pads of the codes, so they move with any change of the pairwise
+pads or table ids.
 """
 
 import pytest

@@ -2,13 +2,12 @@
 
 The README lists what a query may reveal: the schema, the padded posting
 lengths, the query structure and predicate kinds, and the per-group match
-counts of the root and of every inner slot whose parent type's padding keeps
-it on the shuffle (``engine.gates_inner_slot``). So two runs whose public
-values agree must give every party a view
-of the same shape: the same frames (direction, peer, op, round and payload
-length, in order), the same leakage ledger (label, phase, slot, segments,
-length and, for a fetch's flags, per-segment popcount) and the same meter
-counts per phase. An access opens its selected id codes under a one-time
+counts of the root and of every inner slot that the gate rule keeps on the
+shuffle (``engine.gates_inner_slot``). So two runs whose public values agree
+must give every party a view of the same shape: the same frames (direction,
+peer, op, round and payload length, in order), the same leakage ledger
+(label, phase, slot, segments, length and, for a fetch's flags, the
+multiset of per-segment popcounts) and the same meter counts per phase. An access opens its selected id codes under a one-time
 pad, so the popcount of a ``secAccess`` entry is uniformly random, not a
 public value, and is left out. A run whose root match count differs must
 show it.
@@ -17,16 +16,18 @@ The queries are range-rooted trees, whose root takes the shuffle route and
 has children. The graphs are forests: every ``A`` vertex owns three ``B``
 vertices and every ``B`` vertex two ``C`` vertices, and each owned block
 holds the same number of matches, so every candidate group of a slot has the
-same size and match count. The ledger lists group counts in shuffled order;
-with equal groups that order cannot show in it. One more pair roots a match
+same size and match count. One more forest, :func:`hub_forest_text`, pads
+unevenly, so its inner slot keeps the shuffle: its groups' counts differ
+within a run, and the ledger lists them in the order of the shuffled root
+records, so they are compared as multisets. One more pair roots a match
 at vertices of degree 3 or 2, both padded to 3: a child's candidate group is
 its parent record's padded list, so its size is public and the true degree
 must not show. A pair is run only when the per-group counts the oracle
 reports agree, a group's size being its public padded length. A leaf below
-the root is gated, not shuffled, and so is an inner slot whose parent type's
-padding is even, as every slot below the forests' roots is; their counts are
-not public: two runs whose counts differ only there must still have views of
-one shape.
+the root is gated, not shuffled, and so is an inner slot whose children are
+leaves and whose parent type's padding is even, as every slot below the
+even forests' roots is; their counts are not public: two runs whose counts
+differ only there must still have views of one shape.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ from oblivgm import net
 from oblivgm.engine import gates_inner_slot
 from oblivgm.graphs import build_schema, parse_graph_text
 from oblivgm.oracle import _Matcher, oracle_match
-from oblivgm.query import load_query
+from oblivgm.query import load_query, query_structure
 from tests import conftest
 from tests.conftest import run_secure_query
 
@@ -63,6 +64,44 @@ E a1 b3
 E a1 b4
 """
 SKEWED_QUERY = "Q a A x in {v} {v}\nQ b B y = 1\nQE a b\n"
+
+
+def hub_forest_text() -> str:
+    """A forest whose ``A`` vertices own six ``B`` vertices or one, as hubs or leaves.
+
+    ``A``'s padded lengths toward ``B`` are 6 for the four hubs and 1 for
+    the eight others, the longest more than twice the mean, so an inner slot
+    of type ``B`` below the root keeps the shuffle and opens its per-group
+    counts. Hub ``h{x}`` and leaves ``l{x}_0``, ``l{x}_1`` have ``x``; a
+    root of one ``x`` value has groups of 0, 1 and 2 matching ``B``
+    vertices for ``x`` = 1 or 2, and of 1, 1 and 1 for ``x`` = 3.
+    """
+    hubs = {1: (1, 1, 0, 0, 0, 0), 2: (0, 0, 0, 1, 0, 1), 3: (0, 0, 1, 0, 0, 0),
+            4: (0, 1, 0, 0, 0, 0)}
+    leaves = {1: (1, 0), 2: (0, 1), 3: (1, 1), 4: (0, 0)}
+    lines, edges = [], []
+
+    def own(a, ys):
+        for j, y in enumerate(ys):
+            lines.append(f"V B {a}_{j} y={y}")
+            edges.append(f"E {a} {a}_{j}")
+            for k, z in enumerate(Z_BLOCK):
+                lines.append(f"V C {a}_{j}_{k} z={z}")
+                edges.append(f"E {a}_{j} {a}_{j}_{k}")
+
+    for x in hubs:
+        lines.append(f"V A h{x} x={x}")
+        own(f"h{x}", hubs[x])
+        for i, y in enumerate(leaves[x]):
+            lines.append(f"V A l{x}_{i} x={x}")
+            own(f"l{x}_{i}", (y,))
+    return "\n".join(lines + edges) + "\n"
+
+
+def _gates_b(graph_text: str, query_text: str) -> bool:
+    schema = build_schema(parse_graph_text(graph_text), 2)
+    slots = query_structure(load_query(query_text, schema))["slots"]
+    return gates_inner_slot(schema.types["A"], slots, 1)
 
 
 def forest_text(seed=None) -> str:
@@ -153,7 +192,7 @@ def view_shapes(graph_text: str, query_text: str):
     views = []
     for rt in res["runtimes"]:
         ledger = [(e.label, e.phase, e.slot, e.segments, e.bits.logical_len,
-                   None if e.phase == "secAccess" else tuple(conftest.opened_counts(e)))
+                   None if e.phase == "secAccess" else tuple(sorted(conftest.opened_counts(e))))
                   for e in rt.opened]
         meter = {name: (p.bytes_sent, p.frames_sent, p.logical_bits)
                  for name, p in sorted(rt.meter.phases.items())}
@@ -178,6 +217,8 @@ PAIRS = [
                  SHALLOW.format(lo=1, hi=1), id="shallow-two-roots"),
     pytest.param(SKEWED, SKEWED_QUERY.format(v=1), SKEWED, SKEWED_QUERY.format(v=2),
                  id="skewed-degrees"),
+    pytest.param(hub_forest_text(), DEEP.format(lo=1, hi=1), hub_forest_text(),
+                 DEEP.format(lo=2, hi=2), id="deep-shuffled-inner"),
 ]
 
 
@@ -193,6 +234,24 @@ def test_views_with_equal_public_values_have_equal_shapes(graph_1, query_1, grap
             assert a == b, f"party {party}: {name} shapes differ"
     # a weak check that the payloads are not a function of the public values
     assert all(a != b for a, b in zip(digests_1, digests_2))
+
+
+def test_a_shuffled_inner_slot_opens_its_group_counts():
+    # hub_forest_text's padding is uneven, so b keeps the shuffle: its
+    # per-group counts are public, in a secFetch ledger entry under slot 1.
+    # Two roots of three records with three matching B vertices in all, as
+    # 0, 1 and 2 or as 1, 1 and 1 per group: the ledger shows which
+    graph, query_1, query_2 = hub_forest_text(), DEEP.format(lo=1, hi=1), DEEP.format(lo=3, hi=3)
+    assert not _gates_b(graph, query_1)
+    counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
+    assert counts_1[0] == counts_2[0] and counts_1[1] != counts_2[1]
+    (views_1, _), (views_2, _) = view_shapes(graph, query_1), view_shapes(graph, query_2)
+    for views, counts in ((views_1, counts_1), (views_2, counts_2)):
+        for _, ledger, _ in views:
+            (b_counts,) = [c for _, phase, slot, *_, c in ledger if (phase, slot) == ("secFetch", 1)]
+            assert b_counts == tuple(sorted(m for _, m in counts[1]))
+    for one, two in zip(views_1, views_2):
+        assert one[1] != two[1]
 
 
 def test_views_differ_when_the_root_match_count_differs():
@@ -217,13 +276,12 @@ LEAF_PAIRS = [
 
 def test_views_hide_the_match_counts_of_a_gated_inner_slot():
     # every A vertex has three B vertices, so A's padded lengths toward B are
-    # even and the inner slot b is gated like a leaf: two or one of each A
-    # vertex's B vertices match, with one schema and one root count, and no
-    # view shows which
+    # even, and b's one child c is a leaf: the inner slot b is gated like a
+    # leaf. Two or one of each A vertex's B vertices match, with one schema
+    # and one root count, and no view shows which
     graph = forest_text()
     query_1, query_2 = DEEP.format(lo=1, hi=2), DEEP.format(lo=1, hi=2).replace("y = 1", "y = 0")
-    schema = build_schema(parse_graph_text(graph), 2)
-    assert gates_inner_slot(schema.types["A"], "B")
+    assert _gates_b(graph, query_1)
     counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
     assert counts_1[0] == counts_2[0] and counts_1[1] != counts_2[1]
     (views_1, _), (views_2, _) = view_shapes(graph, query_1), view_shapes(graph, query_2)
