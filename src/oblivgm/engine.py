@@ -10,7 +10,7 @@ Four cooperating pieces, each executed in lockstep by the three parties:
 * matched-vertex fetch, at the root and at a slot below it that has
   children, no unique route and no gate (:func:`gates_inner_slot`): rows
   of flag, id and attribute codes are obliviously shuffled and only the
-  shuffled flag column is opened. A
+  shuffled flag column is opened, in the shuffle's last round. A
   unique-valued attribute lets the root fold its rows into a single record
   instead, with pure local algebra plus one re-share.
 * neighbor access: matched vertices' padded posting lists of neighbor id
@@ -69,14 +69,23 @@ the unique route a root's folded one-hot id is its flag vector; in the
 multi route it shuffles the public codes, and a root with children expands
 its K kept codes with :class:`oblivgm.shuffle.UnitVectors` before its
 accesses, in two rounds: three mask frames of ``K * 2^id_width / 32``
-words and one open of the masked codes.
+words, the first two in a round of their own, as K comes with the flag
+open, and one open of the masked codes, each code's first share component
+being its additive share.
 
 The query tree runs level by level. Slots are numbered breadth-first, and
 each protocol step carries every slot of a level in one message per party:
-one shuffle of the level's fetched tables and one open of their flags, and,
-for all edges out of the level together, one selection re-share, one open
-of the masked codes and one re-share of the rows selected from the
-children's population tables. Before the first level come the evaluation's
+one shuffle of the level's fetched tables, whose last round opens their
+flags, and, for all edges out of the level together, one open of the masked
+codes, straight from the selection's additive shares, and one re-share of
+the rows selected from the children's population tables: two rounds. The
+first mask frames of a level's accesses ride in the message before that
+open, once the level's record counts are public: the unique root's fold,
+the open of a range root's codes, or, below the root, the level above's
+final re-share when every slot of the level is gated. A level with a
+fetched slot learns its counts at its flag open, so its masks take a round
+of their own, and its accesses three. Mask frames that ride in the fold
+are metered as ``secFetch``. Before the first level come the evaluation's
 one re-share and its combining steps, ``ceil(log2(j))`` AND re-shares for a
 slot of ``j`` predicates. Within a table, each candidate group is a segment
 permuted under its own table id; a child slot's groups are ``max_padded``
@@ -263,21 +272,6 @@ def _flag_bits(flag: MatchTable) -> tuple[np.ndarray, np.ndarray]:
     return unpack_bits(flag.share_a, flag.width)[0], unpack_bits(flag.share_b, flag.width)[0]
 
 
-def _open_flags(rt, shuffled: list[MatchTable], slots=None, during=None) -> np.ndarray:
-    """Open the flag columns (bit 0 of every row) of shuffled tables in one message.
-
-    ``slots`` tags each table's flags in the ledger, split by its segments;
-    ``during`` runs in the open's round (:func:`oblivgm.rss.open_shared`).
-    """
-    def column(side):
-        return pack_bits(np.concatenate([getattr(t, side)[:, 0] & 1 for t in shuffled]))[None]
-
-    parts = None if slots is None else [(s, t.segments) for s, t in zip(slots, shuffled)]
-    flags = MatchTable(rt.index, sum(t.rows for t in shuffled), column("share_a"),
-                       column("share_b"))
-    return rss.open_shared(rt, flags, slots=parts, during=during).to_bits()
-
-
 def _pack_fields(fields: list[tuple[np.ndarray, int]]) -> np.ndarray:
     """Rows of packed ``(matrix, width)`` fields laid end to end; inverse of :func:`_bit_field`."""
     out = np.zeros((fields[0][0].shape[0], words_for(sum(w for _, w in fields))), np.uint32)
@@ -378,7 +372,7 @@ def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -
 # ---------------------------------------------------------------------------
 
 
-def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=()):
+def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=(), during=None):
     """The root's fetch when at most one of its vertices can match: fold its rows by its flags.
 
     The root's row ``c`` is vertex ``c``, so its one record's one-hot id,
@@ -387,15 +381,16 @@ def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=()):
     algebra, which the code map turns into an additive share of its code,
     and one re-share carries every attribute's code bits; a root without a
     match folds to the all-zero (dummy) record. ``more`` holds further
-    ``(additive, width)`` tables that ride in the same message. Returns the
-    record and the tables of ``more``.
+    ``(additive, width)`` tables that ride in the same message, and
+    ``during`` runs in its round (:func:`oblivgm.rss.reshare_rows`). Returns
+    the record and the tables of ``more``.
     """
     fa, fb = _flag_bits(flag)
     names = sorted(cand.attrs)
     folds = [(_code_words(_select_groups_additive(fa, fb, t.share_a, t.share_b, 1), t.width),
               t.width.bit_length()) for t in (cand.attrs[a] for a in names)]
     parts = folds + list(more)
-    tables = rss.reshare_rows(rt, *parts[0], more=parts[1:])
+    tables = rss.reshare_rows(rt, *parts[0], more=parts[1:], during=during)
     return RecordTable(flag, dict(zip(names, tables)), np.full(1, -1)), tables[len(names):]
 
 
@@ -405,11 +400,12 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
 
     A table's groups are its segments, so each group is permuted on its own,
     while every table shares the shuffle's four frames and one open of the
-    flags, tagged ``slots`` in the ledger; a kept row keeps its group's
-    parent record. The id field is as wide as the candidates' ids:
-    ``id_width`` bits of code in a root slot, the population in a slot
-    whose records are still to be accessed. The attributes are codes.
-    ``during`` runs in the open's round, after its frame is sent.
+    flags inside them (:func:`oblivgm.shuffle.sec_shuffle`), tagged
+    ``slots`` in the ledger; a kept row keeps its group's parent record. The
+    id field is as wide as the candidates' ids: ``id_width`` bits of code in
+    a root slot, the population in a slot whose records are still to be
+    accessed. The attributes are codes. ``during`` runs in the shuffle's
+    rounds, after the party's last frame of it is sent.
     """
     tables, widths = [], []
     for cand, flag in zip(cands, flags):
@@ -419,8 +415,9 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
                 for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
         widths.append([f.width for f in fields])
         tables.append(MatchTable(rt.index, 1 + sum(widths[-1]), *rows, cand.groups()[1]))
-    shuffled = sec_shuffle(rt, tables[0], more=tables[1:])
-    opened = _open_flags(rt, shuffled, slots, during)
+    shuffled, flags = sec_shuffle(rt, tables[0], more=tables[1:], open_flags=True, slots=slots,
+                                  during=during)
+    opened = flags.to_bits()
     out, pos = [], 0
     for cand, table, ws in zip(cands, shuffled, widths):
         # a group is permuted within its own rows, so a kept row keeps its parent record
@@ -451,33 +448,40 @@ def _gate_additive(fa, fb, rows_a, rows_b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unit_ids(rt, codes: MatchTable, ts: TypeSchema) -> MatchTable:
+def _unit_ids(rt, codes: MatchTable, ts: TypeSchema, during=None) -> MatchTable:
     """The root's kept id codes as one-hot rows, by one :class:`UnitVectors` expansion.
 
-    Its open of the masked codes is entered under slot 0, one ``id_width``-bit
-    segment per record. With no record nothing is sent.
+    The count of codes comes with the flag open, so the masks take a round
+    of their own; the open of the masked codes, of each code's first
+    component as its additive share, is entered under slot 0, one
+    ``id_width``-bit segment per record, and ``during`` runs in its round.
+    With no record nothing is sent.
     """
     if not codes.rows:
         return _no_rows(rt.index, ts.population)
     units = UnitVectors(rt, [(codes.rows, ts.id_width)])
     units.send_masks()
-    return units.expand([codes], [ts.population], [(0, (ts.id_width,) * codes.rows)])[0]
+    return units.expand([(codes.share_a, codes.width)], [ts.population],
+                        [(0, (ts.id_width,) * codes.rows)], during=during)[0]
 
 
-def sec_access(rt, edges, gshare: GraphShare, slots: list[int]):
+def sec_access(rt, edges, gshare: GraphShare, slots: list[int], units, during=None):
     """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
     ``edges`` holds one ``(records, parent_type, child_type, table, fold,
     flags)`` per edge. Selection runs over the whole parent-type population,
     so nothing about which vertex matched leaks. It picks each record's
-    padded posting list, ``max_padded`` id codes, and all edges' codes are
-    re-shared in one message. :class:`oblivgm.shuffle.UnitVectors` turns
-    them into one-hot rows: its mask frames ride in that re-share's round,
-    and one open of the uniformly masked codes ``d`` (tagged with each
-    edge's child slot from ``slots``, one segment of ``max_padded *
-    id_width`` bits per record) in the next. The one-hot rows select rows of
-    ``table``, the child slot's population table (:func:`sec_match`), in
-    one more re-share: an access level takes three rounds.
+    padded posting list, ``max_padded`` id codes, as additive shares.
+    ``units``, a :class:`oblivgm.shuffle.UnitVectors` made for the selected
+    codes of every edge whose records have a posting list to select, one
+    ``(records * max_padded, id_width)`` shape each in edge order, turns
+    them into one-hot rows: their masks' first step must already have been
+    sent, and one open of the uniformly masked codes ``d``, straight from
+    the additive shares (tagged with each edge's child slot from ``slots``,
+    one segment of ``max_padded * id_width`` bits per record), carries the
+    second. The one-hot rows select rows of ``table``, the child slot's
+    population table (:func:`sec_match`), in one re-share, in whose round
+    ``during`` runs: an access level takes two rounds.
 
     With ``fold``, the unique route, each record's selected rows are XORed
     into one before the re-share. ``flags``, a gated child's population
@@ -509,10 +513,8 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int]):
         ).reshape(-1, 1), children[i].id_width))
     unit = {}
     if live:
-        units = UnitVectors(rt, [(len(additive), width) for additive, width in sel])
-        codes = rss.reshare_rows(rt, *sel[0], more=sel[1:], during=units.send_masks)
         tags = [(slots[i], (l_max[i] * children[i].id_width,) * edges[i][0].rows) for i in live]
-        unit = dict(zip(live, units.expand(codes, [children[i].population for i in live], tags)))
+        unit = dict(zip(live, units.expand(sel, [children[i].population for i in live], tags)))
 
     # one selection of every row out of its child's population table
     wanted = []
@@ -530,7 +532,10 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int]):
             gated = ((rows.share_a & (flags.share_a ^ flags.share_b))
                      ^ (rows.share_b & flags.share_a))
             wanted.append((folded(gated) if fold else gated, n))
-    values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:]) if wanted else ())
+    if wanted:
+        values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:], during=during))
+    elif during is not None:  # nothing to re-share: its frames go on their own
+        during()
 
     out = []
     for i, (records, _, _, table, fold, flags) in enumerate(edges):
@@ -657,18 +662,45 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
             gate.append((pack_bits(unpack_bits(_gate_additive(fa, fb, *rows[s]), width)
                                    .reshape(1, -1)), types[s].population * width))
 
+    def count(s: int) -> int:  # slot s's records; a gated slot's are public before its access
+        if s == 0 and unique_route(0):
+            return 1
+        if not gated(s):
+            return records[s].rows
+        p = parent[s]
+        n = count(p) * types[p].max_padded(slots[s]["type"])
+        return min(n, count(p)) if unique_route(s) else n  # a fold is one row, if any
+
+    levels, units = _levels(slots), {}  # per level, its accesses' UnitVectors or None
+
+    def send_masks(li: int) -> None:
+        """Make level ``li``'s access unit vectors and send their masks' first step."""
+        shapes = [(count(s) * types[s].max_padded(slots[c]["type"]), types[c].id_width)
+                  for s in levels[li] for c in slots[s]["children"]]
+        shapes = [shape for shape in shapes if shape[0]]
+        units[li] = UnitVectors(rt, shapes) if shapes else None
+        if units[li]:
+            units[li].send_masks()
+
+    def masks_ahead(li: int):
+        """Level ``li``'s masks, sent in the level above's final re-share if its slots are gated."""
+        if li < len(levels) and all(map(gated, levels[li])):
+            return lambda: send_masks(li)
+        return None
+
     # the root's rows are its population, and its ids public: the unique route folds them,
     # the multi route shuffles their codes
     root = RecordTable(None, {a: shares[0].attrs[a] for a in slot_attrs(slots[0])},
                        np.full(types[0].population, -1))
     say(f"slot 0 ({slots[0]['name']}): {root.rows} candidates in 1 groups")
     with rt.meter.phase("secFetch"):
-        if unique_route(0):
-            records[0], gated_attrs = sec_fetch_unique(rt, root, flags[0], more=gate)
+        if unique_route(0):  # the fold carries the root level's masks
+            records[0], gated_attrs = sec_fetch_unique(rt, root, flags[0], more=gate,
+                                                       during=lambda: send_masks(0))
         else:
             gated_attrs = []
 
-            def send_gate():  # in the round of the open of the flags
+            def send_gate():  # in the shuffle's rounds
                 gated_attrs.extend(rss.reshare_rows(rt, *gate[0], more=gate[1:]))
 
             root = replace(root, ids=_root_ids(rt.index, types[0]),
@@ -686,7 +718,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                                                  for h, r in zip(heads[s], rows[s])))
 
     cands, fetch_flags = {}, {}  # a fetched slot's candidates, and their flags
-    for level in _levels(slots):
+    for li, level in enumerate(levels):
         fetched = [s for s in level if s in cands]
         for s in fetched:
             say(f"slot {s} ({slots[s]['name']}): {cands[s].rows} candidates "
@@ -705,11 +737,15 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         if edges:
             with rt.meter.phase("secAccess"):
                 if level == [0] and not unique_route(0):  # the kept root codes, one-hot
-                    records[0] = replace(records[0], ids=_unit_ids(rt, records[0].ids, types[0]))
+                    records[0] = replace(records[0], ids=_unit_ids(
+                        rt, records[0].ids, types[0], during=lambda: send_masks(0)))
+                if li not in units:  # a fetched slot's count came with its flag open
+                    send_masks(li)
                 accessed = sec_access(rt, [
                     (records[s], slots[s]["type"], slots[c]["type"], pops[c], unique_route(c),
                      flags[c] if gated(c) and slots[c]["children"] else None)
-                    for s, c in edges], gshare, [c for _, c in edges])
+                    for s, c in edges], gshare, [c for _, c in edges], units[li],
+                    during=masks_ahead(li + 1))
             for (_, c), (picked, hot, parents) in zip(edges, accessed):
                 head, *fields = _unpack_fields(picked, widths(c))
                 attrs = dict(zip(slot_attrs(slots[c]), fields))

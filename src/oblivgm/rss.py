@@ -18,10 +18,12 @@ end to end.
 
 Local share algebra lives here as pure functions. The operations that
 communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
-:func:`and_gate`, :func:`open_shared`) take a party runtime (see
-:mod:`oblivgm.net`) providing ordered channels, the zero-share context, open
-labels, the leakage ledger and traffic metering. :func:`reshare_rows` is the
-only code that sends and receives re-share frames.
+:func:`and_gate`, :func:`open_shared`, :func:`open_additive`) take a party
+runtime (see :mod:`oblivgm.net`) providing ordered channels, the zero-share
+context, open labels, the leakage ledger and traffic metering.
+:func:`reshare_rows` is the only code that sends and receives re-share
+frames; :func:`send_open` and :func:`read_open` write and check every open
+frame, the shuffle's fused flag open included.
 """
 
 from __future__ import annotations
@@ -287,6 +289,21 @@ def and_gate(rt, a: MatchTable, b: MatchTable, *, more=None):
     return reshare(rt, and_terms(a, b), more=terms)
 
 
+def send_open(send, label: int, words: np.ndarray, nbits: int) -> None:
+    """Send one open frame: the open's label, then the words of ``nbits`` shared bits."""
+    send(OP_OPEN, int(label).to_bytes(4, "little") + words.tobytes(), logical_bits=nbits)
+
+
+def read_open(raw: bytes, label: int, nbytes: int) -> np.ndarray:
+    """The words of a received open frame, after checking its label and its length."""
+    peer_label = int.from_bytes(raw[:4], "little")
+    if peer_label != label:
+        raise ProtocolError(f"open label mismatch: local {label}, peer {peer_label}")
+    if len(raw) - 4 != nbytes:
+        raise ProtocolError(f"open message has {len(raw) - 4} bytes, expected {nbytes}")
+    return np.frombuffer(raw[4:], dtype=np.uint32)
+
+
 def open_shared(rt, x: MatchTable, *, slots=None, during=None) -> BitVector:
     """Reveal a one-row table to every party and enter it in the runtime's ledger.
 
@@ -296,25 +313,48 @@ def open_shared(rt, x: MatchTable, *, slots=None, during=None) -> BitVector:
     different values. ``slots`` lists the ``(slot, segments)`` of
     consecutive runs of ``x``, each entered in the ledger on its own under
     this label (see :meth:`oblivgm.net.PartyRuntime.note_opened`).
+    ``during`` is called after the send and before the receive, so that the
+    frames it sends ride in this round.
 
-    An open runs against the direction of a re-share: after one, each open
-    frame goes back to the party whose re-share frame it waited for, so a
-    party that fell behind delays one party's open, not the next re-share
-    around the ring. ``during`` is called after the send and before the
-    receive, so that the frames it sends ride in this round.
+    The engine opens no table this way: a shuffle opens its flags in its
+    own last round (:func:`oblivgm.shuffle.sec_shuffle`), and a unit-vector
+    expansion opens its masked codes from additive shares
+    (:func:`open_additive`).
     """
     label = rt.alloc_open_label()
-    n = x.logical_len
-    rt.send_prev(OP_OPEN, int(label).to_bytes(4, "little") + x.share_b.tobytes(), logical_bits=n)
+    send_open(rt.send_prev, label, x.share_b, x.logical_len)
     if during is not None:
         during()
-    raw = rt.recv_next(OP_OPEN)
-    peer_label = int.from_bytes(raw[:4], "little")
-    if peer_label != label:
-        raise ProtocolError(f"open label mismatch: local {label}, peer {peer_label}")
-    expected = x.share_b.nbytes
-    if len(raw) - 4 != expected:
-        raise ProtocolError(f"open message has {len(raw) - 4} bytes, expected {expected}")
-    plain = BitVector(x.share_a ^ x.share_b ^ np.frombuffer(raw[4:], dtype=np.uint32), n)
+    missing = read_open(rt.recv_next(OP_OPEN), label, x.share_b.nbytes)
+    plain = BitVector(x.share_a ^ x.share_b ^ missing, x.logical_len)
+    rt.note_opened(label, plain, slots)
+    return plain
+
+
+def open_additive(rt, additive: BitVector, *, slots=None, during=None) -> BitVector:
+    """Reveal the XOR of the parties' additive shares in one round, and enter it in the ledger.
+
+    Each party XORs its share with a fresh zero-sharing and sends the result
+    to both peers under the runtime's next open label; the XOR of its own
+    and the two received frames is the value. The zero-sharing makes the two
+    frames a party receives uniform given the value, so they show nothing of
+    the peers' shares. ``slots`` and ``during`` are as in
+    :func:`open_shared`; ``during`` runs after both sends.
+
+    One zero-sharing is drawn per call, as one :func:`reshare_rows` draws,
+    so an open that replaces a re-share leaves later re-shares' pads as
+    they were.
+    """
+    label = rt.alloc_open_label()
+    n = additive.logical_len
+    blinded = (additive ^ rt.zero_share(n)).words
+    send_open(rt.send_next, label, blinded, n)
+    send_open(rt.send_prev, label, blinded, n)
+    if during is not None:
+        during()
+    plain = blinded.copy()
+    for recv in (rt.recv_prev, rt.recv_next):
+        plain ^= read_open(recv(OP_OPEN), label, blinded.nbytes)
+    plain = BitVector(plain, n)
     rt.note_opened(label, plain, slots)
     return plain

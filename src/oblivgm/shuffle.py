@@ -17,8 +17,8 @@ Shared id codes become shared one-hot rows in :class:`UnitVectors`, as in
 three-party distributed ORAM. Each code is masked by one offset from each
 pair seed; :func:`_pairwise_steps` shares the unit vector of the mask,
 moving the public unit vector of 0 through the three pairs' translations;
-and after one open of the masked code each party moves its own shares to
-the code's unit vector.
+and after one open of the masked code, made straight from additive shares
+of the code, each party moves its own shares to the code's unit vector.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
-from .net import OP_SHUFFLE, ProtocolError
+from .net import OP_OPEN, OP_SHUFFLE, ProtocolError
 from .prf import prf_stream, seeded_permutation
 from . import rss
 from .rss import MatchTable, _held
@@ -42,7 +42,7 @@ _HALF_BLOCKS = tuple(np.uint32(m) for m in (0x55555555, 0x33333333, 0x0F0F0F0F, 
                                             0x0000FFFF))
 
 
-def sec_shuffle(rt, table: MatchTable, *, more=None):
+def sec_shuffle(rt, table: MatchTable, *, more=None, open_flags=False, slots=None, during=None):
     """Obliviously permute the rows of each segment; returns fresh replicated shares.
 
     Each segment takes the next table id, and its permutations and blinding
@@ -57,6 +57,24 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
     consecutive table ids, each frame holds every table's words laid end to
     end with no padding to a common width, and the list of all shuffled
     tables comes back. Without ``more`` the one table comes back.
+
+    With ``open_flags`` the flag column, bit 0 of every shuffled row of
+    every table, is opened inside the shuffle, and ``(shuffled, flags)``
+    comes back. Party 1 draws its output components ``(r1, r2)`` from its
+    seeds, so it sends its ``r2`` column to party 3 with its shuffle frame;
+    party 3, once it has ``r3``, sends its ``r3`` column to party 1 and its
+    ``r1`` column to party 2 with its own. Every party receives the one
+    component it lacks, as in :func:`oblivgm.rss.open_shared`, and the open
+    adds no round. The open takes the runtime's next open label, and
+    ``slots``, one per table, tags each table's flags in the ledger, split
+    by its segments.
+
+    ``during`` runs once the party's shuffle frame is sent, party 1's flag
+    column too, and before the open's frames are received, so that the
+    frames it sends ride in the shuffle's rounds. A link carries its frames
+    in order, so it may do what a re-share does, send to the next party and
+    receive from the previous one, but no more: party 3 sends its flag
+    columns after ``during``, and party 1 receives its column after it.
     """
     tables = [table] + list(more or ())
     if any(t.party_index != rt.index for t in tables):
@@ -64,6 +82,7 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
     segments = [n for t in tables for n in t.segments]
     # segment i takes table id tid + i: the ids are consecutive, so the first identifies the batch
     tid = [rt.alloc_table_id() for _ in segments][0]
+    open_label = rt.alloc_open_label() if open_flags else None
     # every operation below acts on the tables' words laid end to end in one flat array
     nwords = [words_for(t.width) for t in tables]
     word_starts = np.cumsum([0] + [t.rows * w for t, w in zip(tables, nwords)])
@@ -72,6 +91,9 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
                             for t, w in zip(tables, nwords)])
     bits = sum(t.rows * t.width for t in tables)
     head = int(tid).to_bytes(4, "little")
+    # the flat word that holds bit 0 of each row
+    firsts = np.concatenate([start + np.arange(t.rows) * w
+                             for t, w, start in zip(tables, nwords, word_starts)])
 
     def send_next(flat):
         rt.send_next(OP_SHUFFLE, head + flat.tobytes(), logical_bits=bits)
@@ -81,6 +103,18 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
 
     def parse(raw) -> np.ndarray:
         return _check_frame(raw, tid, tails.nbytes)
+
+    def column(flat) -> np.ndarray:
+        return pack_bits((flat[firsts] & 1).astype(np.uint8))
+
+    def send_column(send, flat):
+        if open_flags:
+            rss.send_open(send, open_label, column(flat), len(firsts))
+
+    def recv_column(recv) -> np.ndarray | None:
+        if open_flags:
+            return rss.read_open(recv(OP_OPEN), open_label, 4 * words_for(len(firsts)))
+        return None
 
     def perm(seed):
         """Word gather for the block-diagonal row permutation: segment i under tid + i."""
@@ -106,7 +140,11 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
         r1 = blind(s31, _LABEL_RAND)
         x1 = ((share_a ^ share_b ^ t12)[pi12] ^ t31)[pi31]
         send_next(x1)
+        send_column(rt.send_prev, r2)
+        if during is not None:
+            during()
         out_a, out_b = r1, r2
+        missing = recv_column(rt.recv_prev)
     elif rt.index == 2:
         s23, s12 = rt.seed_with_next, rt.seed_with_prev
         pi12 = perm(s12)
@@ -119,8 +157,11 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
         c1 = (x1 ^ t23)[pi23] ^ r2
         send_next(y1)
         send_next(c1)
+        if during is not None:
+            during()
         r3 = parse(rt.recv_next(OP_SHUFFLE))
         out_a, out_b = r2, r3
+        missing = recv_column(rt.recv_next)
     else:
         s31, s23 = rt.seed_with_next, rt.seed_with_prev
         pi23 = perm(s23)
@@ -133,11 +174,22 @@ def sec_shuffle(rt, table: MatchTable, *, more=None):
         c2 = ((y1 ^ t31)[pi31] ^ t23)[pi23] ^ r1
         r3 = c1 ^ c2
         send_prev(r3)
+        if during is not None:  # before the flag columns: party 1 takes its frame first
+            during()
+        send_column(rt.send_next, r3)
+        send_column(rt.send_prev, r1)
         out_a, out_b = r3, r1
+        missing = recv_column(rt.recv_next)
     shuffled = [MatchTable(rt.index, t.width, out_a[lo:hi].reshape(t.rows, w),
                            out_b[lo:hi].reshape(t.rows, w), t.segments)
                 for t, w, lo, hi in zip(tables, nwords, word_starts[:-1], word_starts[1:])]
-    return shuffled if more is not None else shuffled[0]
+    out = shuffled if more is not None else shuffled[0]
+    if not open_flags:
+        return out
+    flags = BitVector(column(out_a) ^ column(out_b) ^ missing, len(firsts))
+    rt.note_opened(open_label, flags, None if slots is None else
+                   [(s, t.segments) for s, t in zip(slots, tables)])
+    return out, flags
 
 
 def _check_frame(raw, tid: int, nbytes: int) -> np.ndarray:
@@ -243,11 +295,11 @@ class UnitVectors:
     """Shared unit vectors of shared id codes: row ``c`` one-hot at ``c - 1``, code 0 a zero row.
 
     Made for code tables of ``shapes``, ``(rows, id width)`` each, before the
-    codes exist, so that the mask frames can ride in the rounds that produce
-    them. Each row ``k`` of width ``w`` takes a mask ``r = r12 ^ r23 ^ r31``,
-    one ``w``-bit offset from each pair seed (:func:`code_offsets`). The
-    three offsets are the components of a replicated sharing of ``r`` that
-    costs nothing, and translating by all three takes the public ``e_0`` to
+    codes exist, so that the mask frames can ride in the rounds before them.
+    Each row ``k`` of width ``w`` takes a mask ``r = r12 ^ r23 ^ r31``, one
+    ``w``-bit offset from each pair seed (:func:`code_offsets`). The three
+    offsets are the components of a replicated sharing of ``r`` that costs
+    nothing, and translating by all three takes the public ``e_0`` to
     ``e_r``; :func:`_pairwise_steps` shares it, a pair translating by its
     own offset, over ``2^w`` positions (the widest table's, for all rows).
     :meth:`expand` then opens ``d = c ^ r``, which is uniform since no party
@@ -255,48 +307,62 @@ class UnitVectors:
     ``d`` without a message, which gives ``e_c``. Dropping position 0 leaves
     a padding code's row all zero.
 
-    Call :meth:`send_masks` between sending and receiving the message that
-    yields the codes (``rss.reshare_rows``' ``during``), then :meth:`expand`
-    on the codes: the masks' second round rides with the open of ``d``, so
-    the whole expansion adds one round to the codes' own. Codes that
-    already exist take the two calls in a row, and two rounds.
+    The codes come to :meth:`expand` as additive shares ``a_i``, whose XOR
+    over the parties is ``c``: a selection's own output, or a replicated
+    table's first component. Party ``i`` opens ``a_i ^ x_i``, ``x_i`` the
+    first of its two components of ``r`` (x1 = r31, x2 = r12, x3 = r23), by
+    :func:`oblivgm.rss.open_additive`, whose fresh zero-sharing keeps the
+    frames uniform given ``d``. Blinding with ``x_i`` alone would not do:
+    the party before ``i`` holds ``x_i`` too, and would read ``a_i``, its
+    next peer's additive share, off the frame.
+
+    Call :meth:`send_masks` in the message before the open, once the row
+    counts are public (``rss.reshare_rows``' or the open's ``during``), then
+    :meth:`expand`: the masks' second step rides with the open of ``d``,
+    so the expansion takes the open's one round. Where nothing is sent in
+    the round before, as when the count comes with a shuffle's flag open,
+    the masks take a round of their own.
     """
 
     def __init__(self, rt, shapes: list[tuple[int, int]]):
         self.rt, self.table_id = rt, rt.alloc_table_id()
-        self.widths = np.repeat(np.array([w for _, w in shapes], np.uint32),
-                                [n for n, _ in shapes])
+        self.rows = [n for n, _ in shapes]
+        self.widths = np.repeat(np.array([w for _, w in shapes], np.uint32), self.rows)
         self.positions = 1 << int(self.widths.max())
         self._steps = _pairwise_steps(rt, self.table_id, self.widths, self.positions)
 
     def send_masks(self) -> None:
         next(self._steps)
 
-    def expand(self, codes: list[MatchTable], sizes: list[int], slots=None) -> list[MatchTable]:
+    def expand(self, codes: list[tuple[np.ndarray, int]], sizes: list[int], slots=None,
+               during=None) -> list[MatchTable]:
         """Each code table's rows as one-hot rows of ``sizes[i]`` bits, after one open of ``d``.
 
-        ``slots`` tags the opened ``d`` of consecutive tables in the ledger,
-        as :func:`oblivgm.rss.open_shared`'s ``slots`` do, in bits.
+        ``codes`` holds one ``(additive, width)`` per shape: the party's
+        ``(rows, words)`` additive shares of ``width``-bit codes. ``slots``
+        tags the opened ``d`` of consecutive tables in the ledger, as
+        :func:`oblivgm.rss.open_shared`'s ``slots`` do, in bits. ``during``
+        runs in the open's round, after its frames are sent.
         """
         rt = self.rt
-        # party i holds (x_i, x_{i+1}); x1 = r31, x2 = r12 and x3 = r23 are its pairs' offsets
-        masks = [code_offsets(seed, self.table_id, self.widths)
-                 for seed in (rt.seed_with_prev, rt.seed_with_next)]
-        bounds = np.cumsum([0] + [t.rows for t in codes])
+        if [len(a) for a, _ in codes] != self.rows:
+            raise ValueError(f"code tables of {[len(a) for a, _ in codes]} rows for unit vectors "
+                             f"made for {self.rows}")
+        mask = code_offsets(rt.seed_with_prev, self.table_id, self.widths)  # x_i
+        bounds = np.cumsum([0] + self.rows)
+        blinded = np.concatenate([unpack_bits(a[:, :1] ^ mask[lo:hi, None], w).ravel()
+                                  for (a, w), lo, hi in zip(codes, bounds[:-1], bounds[1:])])
 
-        def masked(side, mask) -> np.ndarray:
-            return pack_bits(np.concatenate([
-                unpack_bits(getattr(t, side)[:, :1] ^ mask[lo:hi, None], t.width).ravel()
-                for t, lo, hi in zip(codes, bounds[:-1], bounds[1:])]))[None]
+        def in_round():  # party 2 passes its mask frame on in the open's round
+            next(self._steps)
+            if during is not None:
+                during()
 
-        ends = np.cumsum([0] + [t.rows * t.width for t in codes])
-        d_table = MatchTable(rt.index, int(ends[-1]), masked("share_a", masks[0]),
-                             masked("share_b", masks[1]))
-        # party 2 passes its mask frame on in the open's round
-        opened = rss.open_shared(rt, d_table, slots=slots,
-                                 during=lambda: next(self._steps)).to_bits()
-        d = np.concatenate([pack_bits(opened[lo:hi].reshape(t.rows, t.width))[:, 0]
-                            for t, lo, hi in zip(codes, ends[:-1], ends[1:])])
+        opened = rss.open_additive(rt, BitVector.from_bits(blinded), slots=slots,
+                                   during=in_round).to_bits()
+        ends = np.cumsum([0] + [len(a) * w for a, w in codes])
+        d = np.concatenate([pack_bits(opened[lo:hi].reshape(len(a), w))[:, 0]
+                            for (a, w), lo, hi in zip(codes, ends[:-1], ends[1:])])
         e_r = next(self._steps)
         hot = [unpack_bits(translate_rows(m, self.positions, d), self.positions)
                for m in (e_r.share_a, e_r.share_b)]

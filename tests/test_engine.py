@@ -296,8 +296,9 @@ def test_public_root_codes_expand_to_their_one_hot_ids():
         out, runtimes = run_fetch([4, 9, 2, 7, 9], 16, flags, unique=False, public_ids=True)
         assert sorted(decode_records(out, 16)) == want
         # the shuffle's four frames and the flag open's three; for kept rows,
-        # the three mask frames and the three of the masked codes' open
-        assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7 + 6 * bool(want)
+        # the three mask frames and the six of the masked codes' open, each
+        # party's blinded share to both peers
+        assert sum(rt.meter.total.frames_sent for rt in runtimes) == 7 + 9 * bool(want)
         # the flag open, then each kept record's masked 3-bit code under the root
         ledger = out[0][1]
         assert [(e.label, e.slot, e.segments) for e in ledger] == (
@@ -863,9 +864,10 @@ def test_rounds_follow_tree_depth_not_slot_count():
                for t, c in zip(tree["runtimes"], chain["runtimes"]))
 
 
-def test_an_access_level_takes_three_rounds():
-    # selection re-share, open of the masked codes, attribute re-share: the
-    # mask frames ride in the first two rounds, so no access frame sits deeper
+def test_an_access_level_takes_two_rounds():
+    # the open of the masked codes, straight from the selection, and the
+    # attribute re-share: the masks' first step rides in the unique root's
+    # fold, a fetch message, and their second in the open
     graph = parse_graph_text(CAMPUS_GRAPH)
     rng = np.random.default_rng(6)
     schema, shares = encrypt_graph(graph, 2, rng)
@@ -883,9 +885,46 @@ def test_an_access_level_takes_three_rounds():
     depths = [(depth, op) for phase, op, depth in sent if phase == "secAccess"]
     start = min(depths)[0] - 1
     access = sorted({(depth - start, op) for depth, op in depths})
-    assert access == [(1, OP_RESHARE), (1, OP_SHUFFLE), (2, OP_OPEN), (2, OP_SHUFFLE),
-                      (3, OP_RESHARE)]
-    assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 3
+    assert access == [(1, OP_OPEN), (1, OP_SHUFFLE), (2, OP_RESHARE)]
+    assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 1
+    assert sorted((op, depth) for phase, op, depth in sent if phase == "secFetch") == (
+        [(OP_RESHARE, 2)] * 3 + [(OP_SHUFFLE, 2)] * 2)
+
+
+def test_a_fetched_inner_slot_sends_its_masks_in_a_round_of_their_own():
+    # on the skewed graph the inner slot s1 is fetched: its record count
+    # comes with its flag open, so its access's masks go out after that
+    # open, and the mask frame party 2 sends in the round of the masked
+    # codes' open reaches party 1 a round later. s1's access then takes
+    # three rounds after its flags, where a gated slot's takes two, and the
+    # tree 14: evaluation 1, the root's shuffle 3, its masks 1, its codes'
+    # open 1, its access 2, s1's shuffle 3 and its access 3
+    sent, stamp = depth_stamper()
+    res = run_secure_query(skew_graph_text(64), HOP_QUERY.format(c=1), attach=stamp)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+    assert {e.slot for e in res["runtimes"][0].opened if e.phase == "secFetch"} == {0, 1}
+    frames = [(phase, op, depth) for log in sent.values() for phase, op, _, depth in log]
+    assert max(depth for *_, depth in frames) == 14
+    flags = max(depth for phase, op, depth in frames if phase == "secFetch" and op == OP_OPEN)
+    assert sorted({(depth - flags, op) for phase, op, depth in frames
+                   if phase == "secAccess" and depth > flags}) == [
+        (1, OP_OPEN), (1, OP_SHUFFLE), (2, OP_RESHARE), (2, OP_SHUFFLE), (3, OP_RESHARE)]
+
+
+def test_a_one_slot_range_query_takes_four_rounds():
+    # the evaluation's re-share, then the shuffle's three rounds, whose last
+    # carries the flag open: party 1 sends its flag column with its shuffle
+    # frame, party 3 both of its columns with its own, and party 2 none
+    sent, stamp = depth_stamper()
+    res = run_secure_query(CAMPUS_GRAPH, "Q p P age in 30 40\n", attach=stamp)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+    assert max(depth for log in sent.values() for *_, depth in log) == 4
+    assert {p: [(op, depth) for phase, op, _, depth in log if phase == "secFetch"]
+            for p, log in sent.items()} == {
+        1: [(OP_SHUFFLE, 2), (OP_OPEN, 2)],
+        2: [(OP_SHUFFLE, 3), (OP_SHUFFLE, 3)],
+        3: [(OP_SHUFFLE, 4), (OP_OPEN, 4), (OP_OPEN, 4)]}
+    assert all([e.label for e in rt.opened] == [1] for rt in res["runtimes"])
 
 
 def test_range_root_expands_only_the_kept_codes():
@@ -893,7 +932,7 @@ def test_range_root_expands_only_the_kept_codes():
     # one-hot id bits, and the 16 kept codes expand to one-hot rows over the
     # 128 positions of 7-bit codes: three mask frames of 16 * 4 words, twice
     # the ceil(64 / 32) words a row of the population takes, since 64 is a
-    # power of two, and three open frames of 16 * 7 masked bits. A's skewed
+    # power of two, and six open frames of 16 * 7 masked bits. A's skewed
     # padding toward B keeps the inner slot s1 on the shuffle
     n, kept, width = 64, 16, 7
     query_text = HOP_QUERY.format(c=1)
@@ -929,8 +968,8 @@ def test_range_root_expands_only_the_kept_codes():
     assert set(open_results(results[:2], schema)[0]) == oracle_match(graph, query, schema)
     assert results[0].records[0].rows == kept
     # the root level: its fetch is every secFetch frame before the first
-    # secAccess frame, and its codes' expansion every secAccess frame before
-    # the party's first selection frame
+    # secAccess frame, and its codes' expansion and its access's open every
+    # secAccess frame before the party's attribute re-share
     levels = {}
     for p, frames in sent.items():
         at = [f[0] for f in frames].index("secAccess")
@@ -941,30 +980,41 @@ def test_range_root_expands_only_the_kept_codes():
     flags = (OP_OPEN, 4 + 4 * words_for(n))
     masks = (OP_SHUFFLE, 4 + 4 * kept * words_for(1 << width))
     codes = (OP_OPEN, 4 + 4 * words_for(kept * width))
+    # the access selects max_padded codes toward B and C per kept record,
+    # 7 bits each too: its masks ride in the open of the root's codes
+    selected = kept * sum(schema.types["A"].max_padded(t) for t in "BC")
+    access_masks = (OP_SHUFFLE, 4 + 4 * selected * words_for(1 << width))
+    access_codes = (OP_OPEN, 4 + 4 * words_for(selected * width))
     # the leaves s2 and s3 gate their population's 3-bit x0 codes, a bit row
-    # each, in a re-share sent in the open's round
+    # each, in a re-share sent in the shuffle's rounds
     gate = (OP_RESHARE, 2 * 4 * words_for(n * 3))
     assert masks[1] == 4 + 4 * kept * 4 and codes[1] == 4 + 4 * 4
     assert {p: ([f[1:3] for f in fetch], [f[1:3] for f in expand])
             for p, (fetch, expand, _) in levels.items()} == {
-        1: ([shuffle, flags, gate], [masks, codes]),
-        2: ([shuffle, shuffle, flags, gate], [codes, masks]),
-        3: ([shuffle, flags, gate], [masks, codes])}
+        1: ([shuffle, flags, gate],
+            [masks, codes, codes, access_masks, access_codes, access_codes]),
+        2: ([shuffle, shuffle, gate],
+            [codes, codes, masks, access_codes, access_codes, access_masks]),
+        3: ([shuffle, gate, flags, flags],
+            [masks, codes, codes, access_masks, access_codes, access_codes])}
     for rt in runtimes:  # one open of every kept code under the root, 7 bits each
         (entry,) = [e for e in rt.opened if e.phase == "secAccess" and e.slot == 0]
         assert entry.segments == (width,) * kept
         assert {e.slot for e in rt.opened if e.phase == "secFetch"} == {0, 1}
-    # party 2's mask frame waits on party 1's and party 3's, both sent with
-    # the open of the masked codes, so party 1 selects 3 rounds after the flags
+    # party 1 sends its masks the round after the flags, and the open of
+    # its masked codes with them; party 2's mask frame, sent in that open's
+    # round, gives party 1 its one-hot root ids a round later, so party 1
+    # opens its access's codes 3 rounds after the flags, and the parties
+    # that wait for that open re-share the selected attributes in the fourth
     flag_depth = max(fetch[-1][3] for fetch, _, _ in levels.values())
-    assert levels[1][2][3] == flag_depth + 3
-    # the fetch is four rounds deep, right after the root's one evaluation
+    assert [f[3] for f in levels[1][1] if f[1:3] == access_codes] == [flag_depth + 3] * 2
+    assert max(select[3] for _, _, select in levels.values()) == flag_depth + 4
+    # the fetch is three rounds deep, right after the root's one evaluation
     # round: party 1 sends its shuffle frame and its flags at depth 2, party 2
-    # its two shuffle frames at 3, party 3 its frame and flags at 4, and
-    # party 2 its flags once party 3's frame has come; each gate frame goes
-    # with its party's flags
+    # its two shuffle frames at 3, and party 3 its frame and both of its flag
+    # columns at 4; each gate frame goes with its party's shuffle frames
     assert {p: [f[3] for f in fetch] for p, (fetch, _, _) in levels.items()} == {
-        1: [2, 2, 2], 2: [3, 3, 5, 5], 3: [4, 4, 4]}
+        1: [2, 2, 2], 2: [3, 3, 3], 3: [4, 4, 4, 4]}
     # the meter agrees on the fetch
     assert meter == {p: (len(fetch), sum(18 + f[2] for f in fetch))
                      for p, (fetch, _, _) in levels.items()}
@@ -1111,17 +1161,18 @@ def test_a_leaf_that_matches_nothing_equals_the_oracle():
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) == set()
 
 
-def test_a_hop_tree_takes_13_rounds_range_rooted_and_8_point_rooted():
+def test_a_hop_tree_takes_10_rounds_range_rooted_and_6_point_rooted():
     # s0 A -> s1 B, s2 C; s1 B -> s3 C. Range-rooted: the evaluation (1
-    # round), the root's shuffle and open (4), its codes' expansion (2) and
-    # access (3), then s1's access (3). Point-rooted, the root folds in one
-    # round and has no codes to expand. Every A vertex has two B neighbours,
-    # so the inner slot s1 is gated like the leaves s2 and s3: all three
-    # take their records from the accesses, and nothing below the root is
-    # shuffled
+    # round), the root's shuffle with its flag open (3), its codes' masks
+    # and open (2), its access (2), then s1's access (2), whose masks ride
+    # in the root's access. Point-rooted, the root folds in one round, which
+    # carries the masks of its access, and has no codes to expand. Every A
+    # vertex has two B neighbours, so the inner slot s1 is gated like the
+    # leaves s2 and s3: all three take their records from the accesses, and
+    # nothing below the root is shuffled
     text = re.sub(r"^(V A a(\d+) .*)$", r"\1 key=\2", hop_graph_text(12), flags=re.M)
     query = HOP_QUERY.format(c=1).replace("x0 in 2 2", "{root}")
-    for root, rounds in (("x0 in 2 2", 13), ("key = 5", 8)):
+    for root, rounds in (("x0 in 2 2", 10), ("key = 5", 6)):
         sent, stamp = depth_stamper()
         res = run_secure_query(text, query.format(root=root), attach=stamp)
         assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
@@ -1131,19 +1182,20 @@ def test_a_hop_tree_takes_13_rounds_range_rooted_and_8_point_rooted():
 def test_no_fetch_frame_below_a_unique_root():
     # p takes the unique route and q is a leaf: both take their records from
     # the root's access, so the root's fold, in round 2, is the only fetch
-    # message, and only the access opens anything
+    # message, with the access's first mask frames riding in it, and only
+    # the access opens anything
     sent, stamp = depth_stamper()
     res = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age = 35\n"
                                          "Q q P age in 30 40\nQE u p\nQE u q\n", attach=stamp)
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
     fetch = [(op, depth) for log in sent.values() for phase, op, _, depth in log
              if phase == "secFetch"]
-    assert fetch == [(OP_RESHARE, 2)] * 3
+    assert sorted(fetch) == [(OP_RESHARE, 2)] * 3 + [(OP_SHUFFLE, 2)] * 2
     assert {e.phase for rt in res["runtimes"] for e in rt.opened} == {"secAccess"}
 
 
 def test_a_root_without_matches_still_sends_the_population_gate():
-    # the leaf c's gate re-share rides in the root's flag open whatever the
+    # the leaf c's gate re-share rides in the root's shuffle whatever the
     # root keeps, so a root that keeps no record sends the fetch frames of
     # one that keeps three
     runs = []

@@ -143,6 +143,71 @@ def test_open_everywhere_and_label_guard():
         run_local_trio(skewed)
 
 
+def test_open_additive_reveals_the_xor_of_the_three_shares():
+    rng = np.random.default_rng(17)
+    for n in (1, 31, 32, 33, 1000):
+        parts = [BitVector.random(n, rng) for _ in range(3)]
+        want = parts[0] ^ parts[1] ^ parts[2]
+
+        def worker(rt):
+            opened = rss.open_additive(rt, parts[rt.index - 1], slots=[(5, (n,))])
+            return opened, rt.opened, rt.meter.total
+
+        for opened, ledger, sent in run_local_trio(worker):
+            assert opened == want
+            assert [(e.label, e.slot, e.segments, e.bits) for e in ledger] == [(1, 5, (n,), want)]
+            # one blinded share to each peer, in one round
+            assert (sent.frames_sent, sent.logical_bits) == (2, 2 * n)
+
+
+def test_open_additive_frames_move_with_the_zero_sharing_but_not_the_value():
+    rng = np.random.default_rng(18)
+    parts = [BitVector.random(70, rng) for _ in range(3)]
+
+    def run(counter):
+        """Open at the given zero-share counter; returns the values and every sent payload."""
+        sent = {}
+
+        def worker(rt):
+            rt.zs.counter = counter  # the parties' counters stay aligned
+            for name in ("send_next", "send_prev"):
+                def logged(op, payload, logical_bits=0, send=getattr(rt, name), name=name):
+                    sent[(rt.index, name)] = payload
+                    return send(op, payload, logical_bits)
+                setattr(rt, name, logged)
+            return rss.open_additive(rt, parts[rt.index - 1])
+
+        return run_local_trio(worker), sent
+
+    (first, frames), (second, other) = run(0), run(7)
+    assert first == second == [parts[0] ^ parts[1] ^ parts[2]] * 3
+    assert len(frames) == 6 and all(frames[k] != other[k] for k in frames)
+    for p in (1, 2, 3):  # one frame to both peers, and never the share itself
+        assert frames[(p, "send_next")] == frames[(p, "send_prev")]
+        assert frames[(p, "send_next")][4:] != parts[p - 1].words.tobytes()
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda payload: payload[:-4], "open message has 8 bytes, expected 12"),
+    (lambda payload: payload + bytes(4), "open message has 16 bytes, expected 12"),
+    (lambda payload: (9).to_bytes(4, "little") + payload[4:],
+     "open label mismatch: local 1, peer 9"),
+], ids=["short", "long", "label"])
+def test_open_additive_refuses_a_wrong_label_or_length(tamper, message):
+    share = BitVector.random(70, np.random.default_rng(19))  # three words
+
+    def worker(rt):
+        if rt.index == 1:  # party 2 receives party 1's frame damaged
+            send = rt.send_next
+            rt.send_next = lambda op, payload, logical_bits=0: send(op, tamper(payload),
+                                                                    logical_bits)
+        return rss.open_additive(rt, share)
+
+    # a protocol fault, which the CLI reports with exit code 3
+    with pytest.raises(ProtocolError, match=message):
+        run_local_trio(worker, recv_timeout=5)
+
+
 def shared_table(rows, rng, segments=None):
     """The three parties' tables of plaintext rows, each row shared on its own."""
     per_row = [rss.share(r, rng) for r in rows]

@@ -181,10 +181,13 @@ def test_tables_of_different_widths_shuffle_in_one_call():
 
 
 def sec_unit_vectors(rt, codes, sizes):
-    """:class:`UnitVectors` of codes that already exist: the masks' round, then the open's."""
+    """:class:`UnitVectors` of replicated codes: the masks' round, then the open's.
+
+    A replicated table's first component is the party's additive share.
+    """
     units = UnitVectors(rt, [(t.rows, t.width) for t in codes])
     units.send_masks()
-    return units.expand(codes, sizes)
+    return units.expand([(t.share_a, t.width) for t in codes], sizes)
 
 
 def test_unit_vectors_exhaustive_widths():
@@ -235,9 +238,10 @@ def test_unit_vectors_exhaustive_widths():
             opened = np.concatenate([unpack_bits(np.array([[v]], np.uint32), int(w))[0]
                                      for v, w in zip(d.tolist(), row_widths)])
             assert np.array_equal(entry.bits.to_bits(), opened)
-        # per expansion two rounds: three mask frames and the open's three
+        # per expansion two rounds: three mask frames, and the open's six,
+        # each party's blinded share to both peers
         sent = [rt.meter.total for rt in runtimes]
-        assert sum(m.frames_sent for m in sent) == 6 * len(runs)
+        assert sum(m.frames_sent for m in sent) == 9 * len(runs)
 
 
 @pytest.mark.parametrize("tamper,message", [

@@ -40,9 +40,9 @@ PINNED_RESULTS = {
                     "edc71ac2e4c4fa8d930a026cb8d7ab14f358e39f35496ed4dd0ad48b14c734c7",
                     "ec918ef1746bda2a719464af481a9b3301ebf747bd8e7aa603c7f905ceda8eff")),
     "unique-misses": (UNIQUE_MISSES,
-                      ("1bb591910a93aee6a2f41ef4d52d5b9037c1ad3f85536608844d8ffc184c2acd",
-                       "932e17c747a4dabce96072ff611697d1999b55fe8e7ecda71679470fcf24a08b",
-                       "66996b5aacf6fe3cf93453487edb884d81ad5e27ee6ab3725d7a7389983cdb75")),
+                      ("d7f4c9314698b942b9e8e98fcf1412f74e404c885b746767cd57aec4289ad7cb",
+                       "ce1dd5077fd4ee3dc0069663ae6fc09f835880bf9aea260c81566cb9ffa2c3b3",
+                       "a79c246b1521a370bc72ceb59fe9d7f841b55549e51205274e8d30021a303e55")),
 }
 
 
