@@ -11,8 +11,8 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   children, no unique route and no gate (:func:`gates_inner_slot`): rows
   of flag, id and attribute codes are obliviously shuffled and only the
   shuffled flag column is opened, in the shuffle's last round. A
-  unique-valued attribute lets the root fold its rows into a single record
-  instead, with pure local algebra plus one re-share.
+  unique-valued attribute lets the root fold its value codes into a single
+  record instead, with pure local algebra plus one re-share.
 * neighbor access: matched vertices' padded posting lists of neighbor id
   codes are pulled out of the whole parent-type population by one-hot
   selection; the codes become one-hot rows through uniformly masked codes,
@@ -50,7 +50,10 @@ A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
 vertex ids and each queried attribute) and a public ``parent_record`` array.
 A candidate group is a run of rows with one parent record. Every re-share
-goes through :func:`oblivgm.rss.reshare_rows`.
+goes through :func:`oblivgm.rss.reshare_rows`, and every AND of two shared
+values takes its additive terms from :func:`oblivgm.rss.and_terms`: the
+gate of a population table by its flags, a unique root's fold, a gated
+slot's one-hot ids and the predicate combiners.
 
 A vertex id and an attribute value each take one of two encodings: a row
 is one-hot only while a one-hot selection or a predicate may still read it,
@@ -59,11 +62,12 @@ all-zero value. An id is one-hot over the type's population in a slot that
 has children, until that slot's neighbor accesses are done, and otherwise
 the ``TypeSchema.id_width``-bit code of vertex ``c``; posting entries are
 stored as such codes. An attribute value is one-hot over its dictionary of
-D values in the graph shares, where :func:`sec_eval` reads it and a unique
-root folds it, and a ``D.bit_length()``-bit code everywhere else. One-hot
-``e_c`` maps to ``c + 1`` by a public GF(2)-linear map, which each party
-applies to its own two shares (:func:`_codes`), so a slot with children
-switches to codes without a message once its accesses are done. Root ids
+D values in the graph shares, where only :func:`sec_eval` reads it, and a
+``D.bit_length()``-bit code everywhere else, a unique root's fold
+included. One-hot ``e_c`` maps to ``c + 1`` by a public GF(2)-linear map,
+which each party applies to its own two shares (:func:`_codes`), so a slot
+with children switches to codes without a message once its accesses are
+done, and a share's attribute tables are mapped once. Root ids
 are public, row ``c`` being vertex ``c``, so the graph shares hold none. In
 the unique route a root's folded one-hot id is its flag vector; in the
 multi route it shuffles the public codes, and a root with children expands
@@ -121,12 +125,11 @@ class RecordTable:
 
     Row ``r`` descends from record ``parent_record[r]`` of the parent slot
     (-1 at the root). Rows are sorted by parent record; a run of one parent
-    record is one candidate group. ``ids`` are one-hot or id codes;
-    ``attrs`` are value codes, but in a unique-route root's candidates,
-    which are the graph share's one-hot rows.
+    record is one candidate group. ``ids`` are one-hot or id codes, and
+    ``attrs`` value codes.
     """
 
-    ids: MatchTable | None  # None only for a unique-route root's public ids, before its fetch
+    ids: MatchTable | None  # None only in a table of provenance alone (open_results)
     attrs: dict[str, MatchTable]
     parent_record: np.ndarray
 
@@ -217,34 +220,14 @@ def _root_ids(party: int, ts: TypeSchema) -> MatchTable:
     return MatchTable.public(party, ts.id_width, codes, np.zeros_like(codes))
 
 
-def _select_groups_additive(bits_a, bits_b, mat_a, mat_b, groups: int) -> np.ndarray:
-    """Additive shares of XOR_c bit[c] AND row[c], one per each of ``groups`` equal row runs.
-
-    With ``p``, ``q`` the party's two shares of the bits and ``A``, ``B`` of
-    the rows, a run's share is ``(p XOR q)·A XOR p·B`` over GF(2). Both bit
-    vectors become 0/0xFFFFFFFF word masks ANDed with every row, so the
-    kernel does the same work whatever the bits are. Reading only the rows
-    ``p XOR q`` and ``p`` pick would not: ``p XOR q`` is the shared bits
-    XOR the third share, so its run time would show the peer holding that
-    share the popcount of the bits XOR a vector it knows.
-    """
-    mask_a = np.negative((bits_a ^ bits_b).astype(np.uint32))[:, None]  # 1 -> 0xFFFFFFFF
-    mask_b = np.negative(bits_a.astype(np.uint32))[:, None]
-    runs = (groups, mat_a.shape[0] // groups, mat_a.shape[1])
-    # each share folds on its own: XORing the two masked matrices first
-    # costs more than the second reduction saves
-    return (np.bitwise_xor.reduce((mat_a & mask_a).reshape(runs), axis=1)
-            ^ np.bitwise_xor.reduce((mat_b & mask_b).reshape(runs), axis=1))
-
-
 def _select_many_additive(sel_a, sel_b, mat_a, mat_b) -> np.ndarray:
     """Row-batched one-hot selection: (K, X) selector bits against (X, W) rows.
 
-    Row ``k`` is :func:`_select_groups_additive` of selector row ``k`` as one
-    run. Its bits ``[p XOR q | p]`` become 0/0xFFFFFFFF word masks, ANDed
-    with the transposed ``(W, 2X)`` matrix ``[A; B]^T`` and XOR-reduced
-    along its contiguous last axis; as there, the work does not depend on
-    the bits.
+    Row ``k`` is :func:`oblivgm.rss.and_terms` of selector row ``k``'s bits
+    ``p``, ``q``, as word masks, with the rows ``A``, ``B``, XORed over the
+    rows: ``(p XOR q)·A XOR p·B``. The masks ``[p XOR q | p]`` are ANDed with
+    the transposed ``(W, 2X)`` matrix ``[A; B]^T`` and XOR-reduced along its
+    contiguous last axis; as there, the work does not depend on the bits.
     """
     k = sel_a.shape[0]
     rows_t = np.ascontiguousarray(np.concatenate([mat_a, mat_b]).T)
@@ -267,9 +250,16 @@ def _no_rows(party: int, width: int) -> MatchTable:
     return MatchTable(party, width, empty, empty)
 
 
-def _flag_bits(flag: MatchTable) -> tuple[np.ndarray, np.ndarray]:
-    """The party's two shares of a one-row flag table as 0/1 arrays."""
-    return unpack_bits(flag.share_a, flag.width)[0], unpack_bits(flag.share_b, flag.width)[0]
+def _flag_column(flag: MatchTable) -> MatchTable:
+    """A one-row flag vector as a table of 1-bit rows, row ``c`` holding bit ``c``."""
+    return MatchTable(flag.party_index, 1, *(unpack_bits(m, flag.width).reshape(-1, 1)
+                                             .astype(np.uint32)
+                                             for m in (flag.share_a, flag.share_b)))
+
+
+def _masks(column: MatchTable) -> list[np.ndarray]:
+    """The party's two shares of a table of 1-bit rows as 0/0xFFFFFFFF word masks."""
+    return [np.negative(m) for m in (column.share_a, column.share_b)]
 
 
 def _pack_fields(fields: list[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -297,11 +287,11 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
-def _unpack_fields(table: MatchTable, widths: list[int], pos: int = 0) -> list[MatchTable]:
-    """The fields of ``widths`` bits laid end to end from bit ``pos`` of a table's rows."""
+def _unpack_fields(table: MatchTable, widths: list[int]) -> list[MatchTable]:
+    """The fields of ``widths`` bits laid end to end in a table's rows."""
     return [MatchTable(table.party_index, w, _bit_field(table.share_a, at, w),
                        _bit_field(table.share_b, at, w))
-            for at, w in zip(pos + np.cumsum([0] + widths[:-1]), widths)]
+            for at, w in zip(np.cumsum([0] + widths[:-1]), widths)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +366,21 @@ def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=(), during
     """The root's fetch when at most one of its vertices can match: fold its rows by its flags.
 
     The root's row ``c`` is vertex ``c``, so its one record's one-hot id,
-    ``sum_c flag_c * e_c``, is the flag vector itself. Each attribute's
-    one-hot rows fold into an additive share of the record's row with local
-    algebra, which the code map turns into an additive share of its code,
-    and one re-share carries every attribute's code bits; a root without a
-    match folds to the all-zero (dummy) record. ``more`` holds further
-    ``(additive, width)`` tables that ride in the same message, and
-    ``during`` runs in its round (:func:`oblivgm.rss.reshare_rows`). Returns
-    the record and the tables of ``more``.
+    ``sum_c flag_c * e_c``, is the one-row flag vector itself. Each
+    attribute's value codes, ANDed with the flags
+    (:func:`oblivgm.rss.and_terms`) and XORed over the rows, fold into an
+    additive share of the record's code, and one re-share carries every
+    attribute's; a root without a match folds to the all-zero (dummy)
+    record. ``more`` holds further ``(additive, width)`` tables that ride in
+    the same message, and ``during`` runs in its round
+    (:func:`oblivgm.rss.reshare_rows`). Returns the record and the tables of
+    ``more``.
     """
-    fa, fb = _flag_bits(flag)
+    masks = _masks(_flag_column(flag))
     names = sorted(cand.attrs)
-    folds = [(_code_words(_select_groups_additive(fa, fb, t.share_a, t.share_b, 1), t.width),
-              t.width.bit_length()) for t in (cand.attrs[a] for a in names)]
+    folds = [(np.bitwise_xor.reduce(rss.and_terms(*masks, t.share_a, t.share_b), axis=0,
+                                    keepdims=True), t.width)
+             for t in (cand.attrs[a] for a in names)]
     parts = folds + list(more)
     tables = rss.reshare_rows(rt, *parts[0], more=parts[1:], during=during)
     return RecordTable(flag, dict(zip(names, tables)), np.full(1, -1)), tables[len(names):]
@@ -398,6 +390,7 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
                     slots=None, during=None) -> list[RecordTable]:
     """General fetch: shuffle flag/id/value rows, open the flags, keep the ones.
 
+    ``flags`` holds each table's flags as 1-bit rows, its rows' first field.
     A table's groups are its segments, so each group is permuted on its own,
     while every table shares the shuffle's four frames and one open of the
     flags inside them (:func:`oblivgm.shuffle.sec_shuffle`), tagged
@@ -409,12 +402,11 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
     """
     tables, widths = [], []
     for cand, flag in zip(cands, flags):
-        fields = [cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
-        rows = [_pack_fields([(bits.astype(np.uint32)[:, None], 1)]
-                             + [(getattr(f, side), f.width) for f in fields])
-                for bits, side in zip(_flag_bits(flag), ("share_a", "share_b"))]
+        fields = [flag, cand.ids, *(cand.attrs[a] for a in sorted(cand.attrs))]
+        rows = [_pack_fields([(getattr(f, side), f.width) for f in fields])
+                for side in ("share_a", "share_b")]
         widths.append([f.width for f in fields])
-        tables.append(MatchTable(rt.index, 1 + sum(widths[-1]), *rows, cand.groups()[1]))
+        tables.append(MatchTable(rt.index, sum(widths[-1]), *rows, cand.groups()[1]))
     shuffled, flags = sec_shuffle(rt, tables[0], more=tables[1:], open_flags=True, slots=slots,
                                   during=during)
     opened = flags.to_bits()
@@ -423,24 +415,10 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
         # a group is permuted within its own rows, so a kept row keeps its parent record
         keep = np.nonzero(opened[pos:pos + table.rows])[0]
         pos += table.rows
-        ids, *fields = _unpack_fields(table.take(keep), ws, 1)
+        _, ids, *fields = _unpack_fields(table.take(keep), ws)
         out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)),
                                cand.parent_record[keep]))
     return out
-
-
-def _gate_additive(fa, fb, rows_a, rows_b) -> np.ndarray:
-    """Additive shares of every packed row ANDed with its shared flag bit.
-
-    With ``fa``, ``fb`` the party's two shares of the flags and ``rows_a``,
-    ``rows_b`` of the rows, the terms are ``(fa&xa) ^ (fa&xb) ^ (fb&xa)``,
-    the AND of two replicated sharings (:func:`oblivgm.rss.and_terms`). The
-    flag shares become 0/0xFFFFFFFF word masks, so the work does not depend
-    on them.
-    """
-    mask_a = np.negative(fa.astype(np.uint32))[:, None]  # 1 -> 0xFFFFFFFF
-    mask_b = np.negative(fb.astype(np.uint32))[:, None]
-    return (mask_a & (rows_a ^ rows_b)) ^ (mask_b & rows_a)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +506,8 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int], units, during=No
         picked = _select_many_additive(unpack_bits(rows.share_a, n), unpack_bits(rows.share_b, n),
                                        table.share_a, table.share_b)
         wanted.append((folded(picked) if fold else picked, table.width))
-        if flags is not None:  # the AND of the rows with the flags, as rss.and_terms
-            gated = ((rows.share_a & (flags.share_a ^ flags.share_b))
-                     ^ (rows.share_b & flags.share_a))
+        if flags is not None:
+            gated = rss.and_terms(rows.share_a, rows.share_b, flags.share_a, flags.share_b)
             wanted.append((folded(gated) if fold else gated, n))
     if wanted:
         values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:], during=during))
@@ -650,16 +627,17 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
     # codes: one AND re-share of a bit row per slot, in a message of the root's fetch
     heads, rows, gate = {}, {}, []
     for s in range(1, len(slots)):
-        fa, fb = _flag_bits(flags[s])
+        column = _flag_column(flags[s])
         codes = [_attr_codes(shares[s], a) for a in slot_attrs(slots[s])]
         rows[s] = [_pack_fields([(getattr(t, side), t.width) for t in codes])
                    for side in ("share_a", "share_b")]
-        heads[s] = [f.astype(np.uint32)[:, None] for f in (fa, fb)]
+        heads[s] = [column.share_a, column.share_b]
         if gated(s):
             ids = np.arange(1, types[s].population + 1, dtype=np.uint32)[:, None]
-            heads[s] = [np.negative(f) & ids for f in heads[s]]
+            masks = _masks(column)
+            heads[s] = [m & ids for m in masks]
             width = sum(widths(s)[1:])
-            gate.append((pack_bits(unpack_bits(_gate_additive(fa, fb, *rows[s]), width)
+            gate.append((pack_bits(unpack_bits(rss.and_terms(*masks, *rows[s]), width)
                                    .reshape(1, -1)), types[s].population * width))
 
     def count(s: int) -> int:  # slot s's records; a gated slot's are public before its access
@@ -688,9 +666,10 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
             return lambda: send_masks(li)
         return None
 
-    # the root's rows are its population, and its ids public: the unique route folds them,
-    # the multi route shuffles their codes
-    root = RecordTable(None, {a: shares[0].attrs[a] for a in slot_attrs(slots[0])},
+    # the root's rows are its population, its ids public codes: the unique route folds its
+    # value codes, the multi route shuffles its rows
+    root = RecordTable(_root_ids(rt.index, types[0]),
+                       {a: _attr_codes(shares[0], a) for a in slot_attrs(slots[0])},
                        np.full(types[0].population, -1))
     say(f"slot 0 ({slots[0]['name']}): {root.rows} candidates in 1 groups")
     with rt.meter.phase("secFetch"):
@@ -703,9 +682,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
             def send_gate():  # in the shuffle's rounds
                 gated_attrs.extend(rss.reshare_rows(rt, *gate[0], more=gate[1:]))
 
-            root = replace(root, ids=_root_ids(rt.index, types[0]),
-                           attrs={a: _attr_codes(shares[0], a) for a in root.attrs})
-            (records[0],) = sec_fetch_multi(rt, [root], [flags[0]], slots=[0],
+            (records[0],) = sec_fetch_multi(rt, [root], [_flag_column(flags[0])], slots=[0],
                                             during=send_gate if gate else None)
     gated_attrs, pops = iter(gated_attrs), {}
     for s in rows:
@@ -752,9 +729,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                 if gated(c):  # a leaf's ids are its gated codes
                     records[c] = RecordTable(hot if slots[c]["children"] else head, attrs, parents)
                 else:
-                    cands[c] = RecordTable(hot, attrs, parents)
-                    column = [(m.T & 1).astype(np.uint8) for m in (head.share_a, head.share_b)]
-                    fetch_flags[c] = MatchTable(rt.index, head.rows, *map(pack_bits, column))
+                    cands[c], fetch_flags[c] = RecordTable(hot, attrs, parents), head
         for s in level:  # one-hot ids, accessed, expanded or the root's flag vector, become codes
             if slots[s]["children"] or (s == 0 and unique_route(0)):
                 records[s] = replace(records[s], ids=_codes(records[s].ids))

@@ -461,12 +461,17 @@ def tcp_runtime(config: PartyConfig, recv_timeout: float = 120.0,
     and accepts connections from peers with a larger one. A setup frame
     carrying the dialer's party index identifies each inbound connection,
     and the reply carries the acceptor's. Every channel checks the session of
-    each header it reads, the setup frames' included, on both sides.
+    each header it reads, the setup frames' included, on both sides. A bind
+    address it cannot listen on, such as one in use, and a peer it cannot
+    reach raise :class:`ProtocolError`.
     """
     if not config.bind:
         raise ValueError("TCP transport requires a bind address")
     i = config.party_index
-    listener = socket.create_server(_parse_addr(config.bind), backlog=2)
+    try:
+        listener = socket.create_server(_parse_addr(config.bind), backlog=2)
+    except OSError as exc:
+        raise ProtocolError(f"cannot listen on {config.bind}: {exc.strerror or exc}") from None
     listener.settimeout(connect_timeout)
     channels: dict[int, TcpChannel] = {}
     opened: list[TcpChannel] = []  # every channel made, so a failed setup closes them all

@@ -195,11 +195,17 @@ def reconstruct_rows(tables) -> np.ndarray:
     return components[1] ^ components[2] ^ components[3]
 
 
-def and_terms(a: MatchTable, b: MatchTable) -> BitVector:
-    """Local additive share of a AND b for one-row tables: a_i&b_i ^ a_i&b_{i+1} ^ a_{i+1}&b_i."""
-    a._check_operand(b)
-    words = (a.share_a & b.share_a) ^ (a.share_a & b.share_b) ^ (a.share_b & b.share_a)
-    return BitVector(words, a.logical_len)
+def and_terms(a_a: np.ndarray, a_b: np.ndarray, b_a: np.ndarray, b_b: np.ndarray) -> np.ndarray:
+    """Local additive share ``a_i&b_i ^ a_i&b_{i+1} ^ a_{i+1}&b_i`` of a AND b, on word arrays.
+
+    The arrays broadcast: one row of ``a`` against many of ``b``, or per-row
+    0/0xFFFFFFFF flag masks, shape ``(rows, 1)``, against rows of words.
+    Flags are masks ANDed with every row, so the work does not depend on
+    them. Reading only the rows they pick would: ``a_i ^ a_{i+1}`` is the
+    shared bits XOR the third component, so the run time would show the peer
+    holding that component the popcount of the bits XOR a vector it knows.
+    """
+    return (a_a & (b_a ^ b_b)) ^ (a_b & b_a)
 
 
 @dataclass
@@ -285,8 +291,11 @@ def and_gate(rt, a: MatchTable, b: MatchTable, *, more=None):
     ``more`` is a list of further ``(a, b)`` pairs ANDed in the same
     message; the list of every product comes back, in order.
     """
-    terms = None if more is None else [and_terms(x, y) for x, y in more]
-    return reshare(rt, and_terms(a, b), more=terms)
+    def terms(x: MatchTable, y: MatchTable) -> BitVector:
+        x._check_operand(y)
+        return BitVector(and_terms(x.share_a, x.share_b, y.share_a, y.share_b), x.logical_len)
+
+    return reshare(rt, terms(a, b), more=None if more is None else [terms(x, y) for x, y in more])
 
 
 def send_open(send, label: int, words: np.ndarray, nbits: int) -> None:

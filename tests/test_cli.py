@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import socket
 import subprocess
 import sys
 import time
@@ -331,6 +332,24 @@ def test_serve_reads_addresses_from_environment(workspace, capsys, monkeypatch):
                  "--session-seed", SES_SEED])
     assert code == 2  # no bind address anywhere is a validation error
     assert "no bind address" in capsys.readouterr().err
+
+
+def test_serve_on_a_bound_address_is_a_protocol_error(workspace, capsys):
+    # another socket holds the address: one "protocol error:" line naming it, exit 3
+    run_pipeline(workspace)
+    capsys.readouterr()
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        addr = "127.0.0.1:%d" % held.getsockname()[1]
+        code = main(["serve", "--party", "1",
+                     "--schema", str(workspace / "enc" / "schema.json"),
+                     "--graph-share", str(workspace / "enc" / "graph-share-1.ogmg"),
+                     "--token", str(workspace / "tok" / "token-1.ogmt"),
+                     "--out", str(workspace / "never.ogmr"),
+                     "--bind", addr, "--peers", "2=127.0.0.1:9,3=127.0.0.1:9",
+                     "--session-seed", SES_SEED, "--connect-timeout", "0.3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("protocol error:") and addr in err and err.count("\n") == 1
 
 
 def test_bench_kernels_prints_best_times(capsys):

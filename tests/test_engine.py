@@ -235,11 +235,11 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids
 
     def worker(rt):
         group = groups[rt.index - 1]
+        group = replace(group, attrs={a: engine._codes(t) for a, t in group.attrs.items()})
         flags = flag_shares[rt.index - 1]
-        if unique:  # a root's row c is vertex c, so its ids are left out
-            return sec_fetch_unique(rt, replace(group, ids=None), flags)[0], []
-        codes = {a: engine._codes(t) for a, t in group.attrs.items()}
-        fetched = sec_fetch_multi(rt, [replace(group, attrs=codes)], [flags])[0]
+        if unique:  # a root's row c is vertex c: its one-hot id is the flag vector
+            return sec_fetch_unique(rt, group, flags)[0], []
+        fetched = sec_fetch_multi(rt, [group], [engine._flag_column(flags)])[0]
         if public_ids:
             fetched = replace(fetched, ids=engine._unit_ids(rt, fetched.ids, ts))
         return fetched, rt.opened

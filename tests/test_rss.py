@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivgm import rss
-from oblivgm.bits import BitVector, mask_tail, pack_bits, words_for
+from oblivgm.bits import BitVector, mask_tail, one_hot_rows, pack_bits, words_for
 from oblivgm.net import ProtocolError, run_local_trio
 from oblivgm.rss import MatchTable, ZeroShareContext
 
@@ -121,6 +121,57 @@ def test_and_gate_random_and_comm_accounting():
     out = run_local_trio(worker)
     assert rss.reconstruct([o[0] for o in out]) == (x & y)
     assert all(o[1] == 64 for o in out)  # exactly n bits per party per AND
+
+
+def additive_and(a_plain, a_width, b_plain, b_width, rng, a_masks=False):
+    """The XOR of the three parties' :func:`rss.and_terms` of fresh sharings of a and b.
+
+    With ``a_masks``, ``a`` is a column of 1-bit rows that each party turns
+    into 0/0xFFFFFFFF word masks, as the population gate and a unique root's
+    fold do.
+    """
+    total = 0
+    for ta, tb in zip(rss.share_rows(a_plain, a_width, rng), rss.share_rows(b_plain, b_width, rng)):
+        a = [np.negative(m) if a_masks else m for m in (ta.share_a, ta.share_b)]
+        total = total ^ rss.and_terms(*a, tb.share_a, tb.share_b)
+    return mask_tail(total, b_width)
+
+
+def random_rows(rng, rows, width):
+    return mask_tail(rng.integers(0, 1 << 32, (rows, words_for(width)), dtype=np.uint32), width)
+
+
+@pytest.mark.parametrize("width", [1, 31, 32, 33])
+def test_and_terms_of_one_row_by_one_row_xor_to_the_and(width):
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        a, b = random_rows(rng, 1, width), random_rows(rng, 1, width)
+        assert np.array_equal(additive_and(a, width, b, width, rng), a & b)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("width", [1, 31, 32, 33])
+def test_and_terms_of_row_flag_masks_by_rows_xor_to_the_gated_rows(width, rows):
+    rng = np.random.default_rng(rows * 40 + width)
+    flags = rng.integers(0, 2, (rows, 1), dtype=np.uint32)
+    plain = random_rows(rng, rows, width)
+    got = additive_and(flags, 1, plain, width, rng, a_masks=True)
+    assert got.shape == plain.shape
+    assert np.array_equal(got, np.where(flags == 1, plain, 0))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("width", [1, 31, 32, 33])
+def test_and_terms_of_many_one_hot_rows_by_one_flag_row_xor_to_the_gated_ids(width, rows):
+    # sec_access's gated ids: each one-hot row, or the zero row, ANDed with the flags
+    rng = np.random.default_rng(rows * 40 + width + 1000)
+    hot = rng.integers(0, width, rows)
+    one_hot = one_hot_rows(rows, width, np.arange(rows), hot)
+    one_hot[rng.random(rows) < 0.3] = 0  # padding selects the zero row
+    flags = random_rows(rng, 1, width)
+    got = additive_and(one_hot, width, flags, width, rng)
+    assert got.shape == one_hot.shape
+    assert np.array_equal(got, one_hot & flags)
 
 
 def test_open_everywhere_and_label_guard():

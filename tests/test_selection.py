@@ -1,4 +1,4 @@
-"""One-hot selection kernels against a plaintext GF(2) reference."""
+"""One-hot selection and the unique root's fold against a plaintext GF(2) reference."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivgm.bits import pack_bits, unpack_bits
-from oblivgm.engine import _select_groups_additive, _select_many_additive
+from oblivgm.engine import _select_many_additive
+from oblivgm.rss import and_terms
 
 
 def gf2_select(sel: np.ndarray, mat: np.ndarray, width: int) -> np.ndarray:
@@ -38,21 +39,12 @@ def check_many(rng, k, x, w):
 
 
 def check_one(rng, x, w):
+    """The unique root's fold: the AND kernel of its (x, 1) flag masks and its rows, XORed."""
     sel_a, sel_b, mat_a, mat_b = shares(rng, 1, x, w)
-    got = _select_groups_additive(sel_a[0], sel_b[0], mat_a, mat_b, 1)
+    masks = [np.negative(bits.astype(np.uint32)).reshape(-1, 1) for bits in (sel_a, sel_b)]
+    got = np.bitwise_xor.reduce(and_terms(*masks, mat_a, mat_b), axis=0, keepdims=True)
     assert got.dtype == np.uint32 and got.shape == (1, w)
     assert np.array_equal(got, many_reference(sel_a, sel_b, mat_a, mat_b))
-
-
-def check_groups(rng, groups, size, w):
-    """The grouped fold equals a one-row ``_select_many_additive`` over each group's rows."""
-    sel_a, sel_b, mat_a, mat_b = shares(rng, 1, groups * size, w)
-    got = _select_groups_additive(sel_a[0], sel_b[0], mat_a, mat_b, groups)
-    assert got.dtype == np.uint32 and got.shape == (groups, w)
-    for g in range(groups):
-        rows = slice(g * size, (g + 1) * size)
-        assert np.array_equal(got[g], _select_many_additive(sel_a[:, rows], sel_b[:, rows],
-                                                            mat_a[rows], mat_b[rows])[0])
 
 
 @pytest.mark.parametrize("k,x,w", [(10, 500, 48), (30, 500, 2), (66, 500, 2), (1, 500, 48)])
@@ -61,7 +53,8 @@ def test_select_many_benchmark_shapes(k, x, w):
 
 
 def test_select_one_benchmark_shape():
-    check_one(np.random.default_rng(4000), 4000, 126)
+    # scan's unique root: 4000 flags against the one-word codes of its 4000-value key
+    check_one(np.random.default_rng(4000), 4000, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,12 +71,6 @@ def test_select_one_matches_gf2_reference(x, w, seed):
     check_one(np.random.default_rng(seed), x, w)
 
 
-@pytest.mark.parametrize("groups,size,w", [(1, 4000, 125), (1, 7, 3), (1000, 3, 1),
-                                            (25, 6, 4)])
-def test_select_groups_equals_select_many_per_group(groups, size, w):
-    check_groups(np.random.default_rng(groups * size + w), groups, size, w)
-
-
 def test_select_many_chunks_agree_with_one_row_at_a_time():
     # k x (w, 2x) far above one chunk of the intermediate, so several chunks run
     rng = np.random.default_rng(9)
@@ -91,6 +78,6 @@ def test_select_many_chunks_agree_with_one_row_at_a_time():
     got = _select_many_additive(*args)
     sel_a, sel_b, mat_a, mat_b = args
     for i in range(len(sel_a)):
-        assert np.array_equal(got[i],
-                              _select_groups_additive(sel_a[i], sel_b[i], mat_a, mat_b, 1)[0])
+        assert np.array_equal(got[i:i + 1],
+                              many_reference(sel_a[i:i + 1], sel_b[i:i + 1], mat_a, mat_b))
 
