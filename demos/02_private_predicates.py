@@ -16,7 +16,7 @@ domain = 64
 
 
 def indicator(k1, k2):
-    return (fss.full_domain_eval(k1, domain) ^ fss.full_domain_eval(k2, domain)).to_bits()
+    return fss.full_domain_eval(k1, domain) ^ fss.full_domain_eval(k2, domain)
 
 
 def render(bits):
@@ -25,7 +25,7 @@ def render(bits):
 
 k1, k2 = fss.key_pair_gen("eq", (37,), domain, rng)
 print("x == 37      ", render(indicator(k1, k2)))
-print("  key 1 alone", render(fss.full_domain_eval(k1, domain).to_bits()), "(noise)")
+print("  key 1 alone", render(fss.full_domain_eval(k1, domain)), "(noise)")
 
 k1, k2 = fss.key_pair_gen("lt", (20,), domain, rng)
 print("x <  20      ", render(indicator(k1, k2)))

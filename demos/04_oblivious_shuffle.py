@@ -7,14 +7,13 @@ party knows more than two of the three component permutations.
 
 import numpy as np
 
-from oblivgm.bits import BitVector
 from oblivgm import rss
 from oblivgm.net import make_session_configs, local_runtimes, run_trio
 from oblivgm.shuffle import MatchTable, sec_shuffle, simulate_shuffle
 
 rng = np.random.default_rng(99)
-rows = [BitVector.from_int(value, 16) for value in (11, 22, 33, 44, 55, 66)]
-row_shares = [rss.share(r, rng) for r in rows]
+rows = np.array([[11], [22], [33], [44], [55], [66]], np.uint32)  # one 16-bit row each
+row_shares = [rss.share_rows(r[None], 16, rng) for r in rows]
 
 master = b"shuffle-demo-042"
 configs = make_session_configs(master)
@@ -26,19 +25,12 @@ def worker(rt):
 
 
 outputs = run_trio(worker, local_runtimes(configs))
-shuffled = [
-    rss.reconstruct([outputs[0].row(i), outputs[1].row(i), outputs[2].row(i)]).to_int()
-    for i in range(len(rows))
-]
-print("input order:   ", [r.to_int() for r in rows])
-print("shuffled order:", shuffled)
+print("input order:   ", rows[:, 0].tolist())
+print("shuffled order:", rss.reconstruct_rows(outputs)[:, 0].tolist())
 
 expected = simulate_shuffle(configs[0].seed_with_next, configs[1].seed_with_next,
                             configs[2].seed_with_next, 0, rows)
-print("simulator says:", [r.to_int() for r in expected], "(needs all three seeds)")
+print("simulator says:", expected[:, 0].tolist(), "(needs all three seeds)")
 
 other = run_trio(worker, local_runtimes(make_session_configs(b"different-seeds!")))
-print("fresh seeds:   ", [
-    rss.reconstruct([other[0].row(i), other[1].row(i), other[2].row(i)]).to_int()
-    for i in range(len(rows))
-])
+print("fresh seeds:   ", rss.reconstruct_rows(other)[:, 0].tolist())

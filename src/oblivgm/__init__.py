@@ -1,13 +1,10 @@
 """Oblivious attributed subgraph matching over three-party replicated secret sharing."""
 
-from .bits import BitVector
-from .rss import MatchTable, ZeroShareContext, reconstruct, share
+from .rss import MatchTable, ZeroShareContext, share
 
 __all__ = [
-    "BitVector",
     "MatchTable",
     "ZeroShareContext",
-    "reconstruct",
     "share",
 ]
 

@@ -112,7 +112,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fss, rss
-from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
+from .bits import mask_tail, pack_bits, unpack_bits, words_for
 from .graphs import GraphSchema, GraphShare, TypePartyShare, TypeSchema
 from .query import PartyToken, QueryFormatError, check_structure, slot_attrs
 from .rss import MatchTable
@@ -303,32 +303,34 @@ def eval_keys(token: PartyToken, types: list[TypeSchema]) -> list[list[tuple]]:
     """The party's two keys of every predicate of the token, evaluated over their domains.
 
     Returns per slot, per predicate, the two keys' indicator vectors over the
-    predicate attribute's dictionary. All keys are evaluated in one
-    :func:`oblivgm.fss.full_domain_eval` call, so the trees of one depth, of
-    every slot, descend together; an interval's two trees are XORed there.
+    predicate attribute's dictionary, each packed into one row of words. All
+    keys are evaluated in one :func:`oblivgm.fss.full_domain_eval` call, so
+    the trees of one depth, of every slot, descend together; an interval's
+    two trees are XORed there.
     """
     slots = token.structure["slots"]
     keys = [(key, types[s].attrs[p["attr"]].domain_size)
             for s, slot in enumerate(slots) for pi, p in enumerate(slot["preds"])
             for key in token.slot_keys[s][pi]]
-    ind = iter(fss.full_domain_eval(*keys[0], more=keys[1:]))
+    ind = iter(pack_bits(bits)[None] for bits in fss.full_domain_eval(*keys[0], more=keys[1:]))
     return [[(next(ind), next(ind)) for _ in slot["preds"]] for slot in slots]
 
 
-def sec_eval(rt, preds: list[tuple[MatchTable, tuple[BitVector, BitVector]]]) -> list[MatchTable]:
+def sec_eval(rt, preds: list[tuple[MatchTable, tuple[np.ndarray, np.ndarray]]]
+             ) -> list[MatchTable]:
     """Evaluate predicates over attribute tables; one shared bit per row each.
 
     ``preds`` holds one ``(values, indicators)`` per predicate: one-hot
     attribute rows over a domain of ``values.width`` values, a type's whole
-    population in :func:`sec_match`, and the indicator vectors of the
+    population in :func:`sec_match`, and the packed indicator rows of the
     party's two FSS keys over that domain (:func:`eval_keys`). A row's
     additive bit is the parity of each share of the row ANDed with one
     key's indicator, and one message re-shares the bits of every predicate.
     """
-    additive = [BitVector.from_bits(_parity_rows(values.share_a & ind_a.words[None, :])
-                                    ^ _parity_rows(values.share_b & ind_b.words[None, :]))
+    additive = [(pack_bits(_parity_rows(values.share_a & ind_a)
+                           ^ _parity_rows(values.share_b & ind_b))[None], values.rows)
                 for values, (ind_a, ind_b) in preds]
-    return rss.reshare(rt, additive[0], more=additive[1:])
+    return rss.reshare_rows(rt, *additive[0], more=additive[1:])
 
 
 def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -> list[MatchTable]:
@@ -409,11 +411,10 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
         tables.append(MatchTable(rt.index, sum(widths[-1]), *rows, cand.groups()[1]))
     shuffled, flags = sec_shuffle(rt, tables[0], more=tables[1:], open_flags=True, slots=slots,
                                   during=during)
-    opened = flags.to_bits()
     out, pos = [], 0
     for cand, table, ws in zip(cands, shuffled, widths):
         # a group is permuted within its own rows, so a kept row keeps its parent record
-        keep = np.nonzero(opened[pos:pos + table.rows])[0]
+        keep = np.nonzero(flags[pos:pos + table.rows])[0]
         pos += table.rows
         _, ids, *fields = _unpack_fields(table.take(keep), ws)
         out.append(RecordTable(ids, dict(zip(sorted(cand.attrs), fields)),

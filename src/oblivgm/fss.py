@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitVector
 from .prf import SEED_BYTES, prg_expand, seed_to_array
 
 KIND_EQ = "eq"
@@ -221,7 +220,7 @@ def _full_domain_trees(trees: list[Tree], n: int) -> np.ndarray:
 
 
 def full_domain_eval(key: FssKey, n: int, *, more=None):
-    """Evaluate at every point of ``[0, n)`` in one tree traversal.
+    """Evaluate at every point of ``[0, n)`` in one tree traversal, as a ``uint8`` 0/1 array.
 
     ``more`` lists further ``(key, n)`` pairs to evaluate in the same
     traversal, and the list of every evaluation comes back; without it the
@@ -236,8 +235,7 @@ def full_domain_eval(key: FssKey, n: int, *, more=None):
         evals = _full_domain_trees([tree for _, tree, _ in group], max(m for *_, m in group))
         for (j, _, m), row in zip(group, evals):
             out[j] ^= row[:m]  # a key is the XOR of its trees
-    vectors = [BitVector.from_bits(bits) for bits in out]
-    return vectors if more is not None else vectors[0]
+    return out if more is not None else out[0]
 
 
 # ---------------------------------------------------------------------------

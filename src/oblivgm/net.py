@@ -23,7 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bits import BitVector
+import numpy as np
+
 from .prf import derive_key
 
 FRAME_MAGIC = b"OGMF"
@@ -232,14 +233,15 @@ class Meter:
 class Opened(NamedTuple):
     """One entry of the leakage ledger: a value revealed to every party.
 
-    ``slot`` is the query slot the bits belong to (None when the caller gave
-    none) and ``segments`` the public row counts of its groups, which split
-    ``bits``. An open that spans several slots makes one entry per slot.
+    ``bits`` is the value as a ``uint8`` 0/1 array. ``slot`` is the query
+    slot the bits belong to (None when the caller gave none) and
+    ``segments`` the public row counts of its groups, which split ``bits``.
+    An open that spans several slots makes one entry per slot.
     """
 
     label: int
     phase: str
-    bits: BitVector
+    bits: np.ndarray
     slot: int | None
     segments: tuple[int, ...]
 
@@ -337,21 +339,19 @@ class PartyRuntime:
         for link in self.links.values():
             link.close()
 
-    def note_opened(self, label: int, plaintext: BitVector, slots=None) -> None:
-        """Enter an opened value in the ledger, one entry per ``(slot, segments)`` run.
+    def note_opened(self, label: int, bits: np.ndarray, slots=None) -> None:
+        """Enter an opened 0/1 array in the ledger, one entry per ``(slot, segments)`` run.
 
-        The runs split ``plaintext`` in order; without ``slots`` the whole
-        value is one untagged entry.
+        The runs split ``bits`` in order; without ``slots`` the whole value
+        is one untagged entry.
         """
-        phase, n = self.meter.current, plaintext.logical_len
+        phase, n, pos = self.meter.current, len(bits), 0
         if slots is None:
-            self.opened.append(Opened(label, phase, plaintext, None, (n,)))
+            self.opened.append(Opened(label, phase, bits, None, (n,)))
             return
-        bits, pos = plaintext.to_bits(), 0
         for slot, segments in slots:
             end = pos + sum(segments)
-            self.opened.append(Opened(label, phase, BitVector.from_bits(bits[pos:end]), slot,
-                                      tuple(segments)))
+            self.opened.append(Opened(label, phase, bits[pos:end], slot, tuple(segments)))
             pos = end
         if pos != n:
             raise ValueError(f"ledger runs cover {pos} of {n} opened bits")
@@ -437,7 +437,10 @@ def run_local_trio(worker, configs: list[PartyConfig] | None = None,
 
 
 def _parse_addr(addr: str) -> tuple[str, int]:
+    """A ``host:port`` address as a socket address; the host defaults to 127.0.0.1."""
     host, _, port = addr.rpartition(":")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"bad address {addr!r}: the port must be a number from 0 to 65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -449,6 +452,9 @@ def parse_peers(spec: str) -> dict[int, str]:
         if not part:
             continue
         idx, _, addr = part.partition("=")
+        if idx.strip() not in ("1", "2", "3"):
+            raise ValueError(f"bad peer {part!r}: the party must be 1, 2 or 3")
+        _parse_addr(addr)
         peers[int(idx)] = addr
     return peers
 
@@ -463,21 +469,27 @@ def tcp_runtime(config: PartyConfig, recv_timeout: float = 120.0,
     and the reply carries the acceptor's. Every channel checks the session of
     each header it reads, the setup frames' included, on both sides. A bind
     address it cannot listen on, such as one in use, and a peer it cannot
-    reach raise :class:`ProtocolError`.
+    reach raise :class:`ProtocolError`. A malformed address, or a peer to
+    dial that has none, raises ``ValueError`` before any socket is opened.
     """
     if not config.bind:
         raise ValueError("TCP transport requires a bind address")
     i = config.party_index
+    bind = _parse_addr(config.bind)
+    dial = {}
+    for j in (p for p in (1, 2, 3) if p < i):
+        if j not in config.peers:
+            raise ValueError(f"the peers list has no address for party {j}, which party {i} dials")
+        dial[j] = _parse_addr(config.peers[j])
     try:
-        listener = socket.create_server(_parse_addr(config.bind), backlog=2)
+        listener = socket.create_server(bind, backlog=2)
     except OSError as exc:
         raise ProtocolError(f"cannot listen on {config.bind}: {exc.strerror or exc}") from None
     listener.settimeout(connect_timeout)
     channels: dict[int, TcpChannel] = {}
     opened: list[TcpChannel] = []  # every channel made, so a failed setup closes them all
     try:
-        for j in sorted(p for p in (1, 2, 3) if p < i):
-            addr = _parse_addr(config.peers[j])
+        for j, addr in dial.items():
             deadline = time.monotonic() + connect_timeout
             while True:
                 try:

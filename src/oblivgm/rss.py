@@ -1,4 +1,4 @@
-"""Three-party replicated secret sharing over packed bit vectors.
+"""Three-party replicated secret sharing over packed bit rows.
 
 A secret ``x`` is split into ``x1 ^ x2 ^ x3``; party ``i`` holds the pair
 ``(x_i, x_{i+1})`` with wrap-around. XOR is local. AND produces a 3-out-of-3
@@ -6,7 +6,7 @@ additive sharing locally and becomes replicated again through a one-round
 re-share: each party blinds its additive share with a fresh zero-sharing and
 forwards it to the next party.
 
-One container holds one party's shares: :class:`MatchTable`, a batch of
+One type holds one party's shares: :class:`MatchTable`, a batch of
 uniform-width rows as two word matrices, with public segment row counts. A
 shared vector, such as a column of predicate bits or the flags to open, is
 a table of one row. Tables are what an encrypted graph is made of, what
@@ -14,7 +14,8 @@ every protocol step of the engine moves, what a query's matched records
 are, and what graph share and result files store. :func:`share_rows` is the
 one place plaintext rows are split into the three parties' tables.
 One re-share message can carry several tables of different widths, laid
-end to end.
+end to end. Additive shares are ``(rows, words)`` word matrices, and an
+opened value comes back as a ``uint8`` 0/1 array.
 
 Local share algebra lives here as pure functions. The operations that
 communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitVector, mask_tail, words_for
+from .bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from .net import OP_OPEN, OP_RESHARE, ProtocolError
 from .prf import prf_words
 
@@ -98,9 +99,6 @@ class MatchTable:
         """The rows picked by a slice or an index array, as a one-segment table."""
         return MatchTable(self.party_index, self.width, self.share_a[rows], self.share_b[rows])
 
-    def row(self, i: int) -> "MatchTable":
-        return self.take(slice(i, i + 1))
-
     def _check_operand(self, other: "MatchTable"):
         if self.party_index != other.party_index:
             raise ValueError("cannot combine shares of different parties")
@@ -162,13 +160,6 @@ def share(plaintext: BitVector, rng: np.random.Generator):
     return share_rows(plaintext.words[None], plaintext.logical_len, rng)
 
 
-def reconstruct(shares) -> BitVector:
-    """Recover one vector from the one-row tables of any two or three parties."""
-    shares = list(shares)
-    (row,) = reconstruct_rows(shares)
-    return BitVector(row, shares[0].width)
-
-
 def reconstruct_rows(tables) -> np.ndarray:
     """Recover a table's plaintext rows from the shares of any two or three parties.
 
@@ -222,12 +213,13 @@ class ZeroShareContext:
 
     LABEL = b"ZSHR"
 
-    def next_share(self, nbits: int) -> BitVector:
+    def next_share(self, nbits: int) -> np.ndarray:
+        """The words of this party's share of ``nbits`` zero bits, the bits past them zero."""
         j = self.counter
         self.counter += 1
         words = prf_words(self.prf_key_own, self.LABEL, j, nbits)
         words ^= prf_words(self.prf_key_prev, self.LABEL, j, nbits)
-        return BitVector(mask_tail(words, nbits), nbits)
+        return mask_tail(words, nbits)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +244,7 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None, during=None
     frames it sends ride in this message's round.
     """
     parts = [(additive, width)] + list(more or ())
-    pad = rt.zero_share(sum(a.size for a, _ in parts) * 32).words
+    pad = rt.zero_share(sum(a.size for a, _ in parts) * 32)
     blinded, pos = [], 0
     for a, w in parts:
         blinded.append(mask_tail(a ^ pad[pos:pos + a.size].reshape(a.shape), w))
@@ -286,16 +278,17 @@ def reshare(rt, additive: BitVector, *, more=None):
 
 
 def and_gate(rt, a: MatchTable, b: MatchTable, *, more=None):
-    """Bitwise AND of two one-row tables; one round, n bits per party.
+    """Bitwise AND of two tables of one shape; one round, a bit per party per shared bit.
 
     ``more`` is a list of further ``(a, b)`` pairs ANDed in the same
     message; the list of every product comes back, in order.
     """
-    def terms(x: MatchTable, y: MatchTable) -> BitVector:
+    def terms(x: MatchTable, y: MatchTable):
         x._check_operand(y)
-        return BitVector(and_terms(x.share_a, x.share_b, y.share_a, y.share_b), x.logical_len)
+        return and_terms(x.share_a, x.share_b, y.share_a, y.share_b), x.width
 
-    return reshare(rt, terms(a, b), more=None if more is None else [terms(x, y) for x, y in more])
+    parts = [terms(x, y) for x, y in [(a, b)] + list(more or ())]
+    return reshare_rows(rt, *parts[0], more=None if more is None else parts[1:])
 
 
 def send_open(send, label: int, words: np.ndarray, nbits: int) -> None:
@@ -313,8 +306,8 @@ def read_open(raw: bytes, label: int, nbytes: int) -> np.ndarray:
     return np.frombuffer(raw[4:], dtype=np.uint32)
 
 
-def open_shared(rt, x: MatchTable, *, slots=None, during=None) -> BitVector:
-    """Reveal a one-row table to every party and enter it in the runtime's ledger.
+def open_shared(rt, x: MatchTable, *, slots=None, during=None) -> np.ndarray:
+    """Reveal a one-row table to every party as a 0/1 array, and enter it in the ledger.
 
     Each party forwards its second share component to the previous party,
     which lacks exactly that one, under the runtime's next open label;
@@ -335,13 +328,13 @@ def open_shared(rt, x: MatchTable, *, slots=None, during=None) -> BitVector:
     if during is not None:
         during()
     missing = read_open(rt.recv_next(OP_OPEN), label, x.share_b.nbytes)
-    plain = BitVector(x.share_a ^ x.share_b ^ missing, x.logical_len)
+    plain = unpack_bits(x.share_a ^ x.share_b ^ missing, x.width)[0]
     rt.note_opened(label, plain, slots)
     return plain
 
 
-def open_additive(rt, additive: BitVector, *, slots=None, during=None) -> BitVector:
-    """Reveal the XOR of the parties' additive shares in one round, and enter it in the ledger.
+def open_additive(rt, additive: np.ndarray, *, slots=None, during=None) -> np.ndarray:
+    """Reveal the XOR of the parties' additive 0/1 arrays in one round; enter it in the ledger.
 
     Each party XORs its share with a fresh zero-sharing and sends the result
     to both peers under the runtime's next open label; the XOR of its own
@@ -355,8 +348,8 @@ def open_additive(rt, additive: BitVector, *, slots=None, during=None) -> BitVec
     they were.
     """
     label = rt.alloc_open_label()
-    n = additive.logical_len
-    blinded = (additive ^ rt.zero_share(n)).words
+    n = len(additive)
+    blinded = pack_bits(additive) ^ rt.zero_share(n)
     send_open(rt.send_next, label, blinded, n)
     send_open(rt.send_prev, label, blinded, n)
     if during is not None:
@@ -364,6 +357,6 @@ def open_additive(rt, additive: BitVector, *, slots=None, during=None) -> BitVec
     plain = blinded.copy()
     for recv in (rt.recv_prev, rt.recv_next):
         plain ^= read_open(recv(OP_OPEN), label, blinded.nbytes)
-    plain = BitVector(plain, n)
+    plain = unpack_bits(plain, n)
     rt.note_opened(label, plain, slots)
     return plain

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
+from .bits import mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
 from .net import OP_OPEN, OP_SHUFFLE, ProtocolError
 from .prf import prf_stream, seeded_permutation
 from . import rss
@@ -60,14 +60,14 @@ def sec_shuffle(rt, table: MatchTable, *, more=None, open_flags=False, slots=Non
 
     With ``open_flags`` the flag column, bit 0 of every shuffled row of
     every table, is opened inside the shuffle, and ``(shuffled, flags)``
-    comes back. Party 1 draws its output components ``(r1, r2)`` from its
-    seeds, so it sends its ``r2`` column to party 3 with its shuffle frame;
-    party 3, once it has ``r3``, sends its ``r3`` column to party 1 and its
-    ``r1`` column to party 2 with its own. Every party receives the one
-    component it lacks, as in :func:`oblivgm.rss.open_shared`, and the open
-    adds no round. The open takes the runtime's next open label, and
-    ``slots``, one per table, tags each table's flags in the ledger, split
-    by its segments.
+    comes back, ``flags`` a 0/1 array of one bit per row. Party 1 draws its
+    output components ``(r1, r2)`` from its seeds, so it sends its ``r2``
+    column to party 3 with its shuffle frame; party 3, once it has ``r3``,
+    sends its ``r3`` column to party 1 and its ``r1`` column to party 2 with
+    its own. Every party receives the one component it lacks, as in
+    :func:`oblivgm.rss.open_shared`, and the open adds no round. The open
+    takes the runtime's next open label, and ``slots``, one per table, tags
+    each table's flags in the ledger, split by its segments.
 
     ``during`` runs once the party's shuffle frame is sent, party 1's flag
     column too, and before the open's frames are received, so that the
@@ -186,7 +186,7 @@ def sec_shuffle(rt, table: MatchTable, *, more=None, open_flags=False, slots=Non
     out = shuffled if more is not None else shuffled[0]
     if not open_flags:
         return out
-    flags = BitVector(column(out_a) ^ column(out_b) ^ missing, len(firsts))
+    flags = unpack_bits(column(out_a) ^ column(out_b) ^ missing, len(firsts))
     rt.note_opened(open_label, flags, None if slots is None else
                    [(s, t.segments) for s, t in zip(slots, tables)])
     return out, flags
@@ -358,8 +358,7 @@ class UnitVectors:
             if during is not None:
                 during()
 
-        opened = rss.open_additive(rt, BitVector.from_bits(blinded), slots=slots,
-                                   during=in_round).to_bits()
+        opened = rss.open_additive(rt, blinded, slots=slots, during=in_round)
         ends = np.cumsum([0] + [len(a) * w for a, w in codes])
         d = np.concatenate([pack_bits(opened[lo:hi].reshape(len(a), w))[:, 0]
                             for (a, w), lo, hi in zip(codes, ends[:-1], ends[1:])])
@@ -379,10 +378,9 @@ def composed_permutation(s12: bytes, s23: bytes, s31: bytes, table_id: int, rows
 
 
 def simulate_shuffle(s12: bytes, s23: bytes, s31: bytes, table_id: int,
-                     plain_rows: list[BitVector]) -> list[BitVector]:
-    """Plaintext reference: what the protocol's output must reconstruct to."""
-    perm = composed_permutation(s12, s23, s31, table_id, len(plain_rows))
-    return [plain_rows[int(i)] for i in perm]
+                     plain_rows: np.ndarray) -> np.ndarray:
+    """Plaintext reference: the rows the protocol's output must reconstruct to."""
+    return plain_rows[composed_permutation(s12, s23, s31, table_id, len(plain_rows))]
 
 
 def simulate_unit_vectors(s12: bytes, s23: bytes, s31: bytes, table_id: int,

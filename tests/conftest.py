@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oblivgm import fss, rss
+from oblivgm.bits import pack_bits, unpack_bits
 from oblivgm.engine import RecordTable, assemble, gates_inner_slot, open_results, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
@@ -34,6 +35,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def campus():
     return parse_graph_text(CAMPUS_GRAPH)
+
+
+def share_bits(bits, rng):
+    """The three parties' one-row tables of a plaintext 0/1 array."""
+    bits = np.asarray(bits, np.uint8)
+    return rss.share_rows(pack_bits(bits)[None], bits.size, rng)
+
+
+def plain_bits(tables) -> np.ndarray:
+    """The parties' shares of a table, reconstructed to its rows' bits laid end to end."""
+    tables = list(tables)
+    return unpack_bits(rss.reconstruct_rows(tables), tables[0].width).ravel()
+
+
+def row_code(tables, ri: int) -> int:
+    """Row ``ri`` of the parties' shares of a table, reconstructed on its own, as an integer."""
+    (row,) = rss.reconstruct_rows([t.take(slice(ri, ri + 1)) for t in tables])
+    return sum(int(w) << 32 * i for i, w in enumerate(row))
+
+
+def listed(ledger) -> list:
+    """Ledger entries with their bits as lists, so that whole entries compare with ``==``."""
+    return [e._replace(bits=e.bits.tolist()) for e in ledger]
 
 
 def run_secure_query(graph_text: str, query_text: str, *, k: int = 2,
@@ -127,7 +151,7 @@ def expected_open_counts(res):
     slots = results[0].structure["slots"]
 
     def neighbours(s, ri, vtype):
-        code = rss.reconstruct([r.records[s].ids.row(ri) for r in results]).to_int()
+        code = row_code([r.records[s].ids for r in results], ri)
         if not code:  # a dummy record
             return []
         ext = schema.types[slots[s]["type"]].ext_ids[code - 1]
@@ -177,9 +201,8 @@ def expected_access_segments(res):
 
 def opened_counts(entry) -> list[int]:
     """Popcount of each segment (candidate group) of one ledger entry."""
-    bits = entry.bits.to_bits()
     bounds = np.cumsum((0,) + entry.segments)
-    return [int(bits[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [int(entry.bits[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def reference_decode(result_sets, schema):
@@ -195,12 +218,12 @@ def reference_decode(result_sets, schema):
         exts = []
         attrs = {a: [] for a in sorted({p["attr"] for p in slot["preds"]})}
         for ri in range(tables[0].rows):
-            code = rss.reconstruct([t.ids.row(ri) for t in tables]).to_int()
+            code = row_code([t.ids for t in tables], ri)
             if code > ts.population:
                 raise ValueError(f"slot {s} record {ri}: id code {code} exceeds the population")
             exts.append(ts.ext_ids[code - 1] if code else None)
             for a, values in attrs.items():
-                code = rss.reconstruct([t.attrs[a].row(ri) for t in tables]).to_int()
+                code = row_code([t.attrs[a] for t in tables], ri)
                 if code > ts.attrs[a].domain_size:
                     raise ValueError(f"slot {s} record {ri}: attribute {a!r} code {code} "
                                      f"exceeds its dictionary")

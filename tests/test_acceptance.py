@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oblivgm import fss, rss
-from oblivgm.bits import BitVector
+from oblivgm.bits import unpack_bits
 from oblivgm.cli import main
 from oblivgm.datagen import graph_to_text, random_graph, random_query_text
 from oblivgm.engine import open_results, sec_match
@@ -21,7 +21,7 @@ from oblivgm.query import gen_token, load_query
 from oblivgm.shuffle import MatchTable, composed_permutation, sec_shuffle
 from oblivgm.storage import save_token
 from tests._acceptance_log import record as record_acceptance
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
+from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, plain_bits, run_secure_query, share_bits
 
 
 def test_criterion_01_oracle_equivalence_on_random_corpus():
@@ -90,7 +90,7 @@ def test_criterion_03_fss_exhaustive_correctness():
 
     def check(pair, n, want):
         nonlocal failures, checked
-        got = (fss.full_domain_eval(pair[0], n) ^ fss.full_domain_eval(pair[1], n)).to_bits()
+        got = fss.full_domain_eval(pair[0], n) ^ fss.full_domain_eval(pair[1], n)
         checked += 1
         if not np.array_equal(got, want.astype(np.uint8)):
             failures += 1
@@ -118,10 +118,10 @@ def test_criterion_04_rss_gates_at_scale():
     """10^4 AND vectors reconstruct to plaintext AND; 10^4 zero-sharings cancel."""
     rng = np.random.default_rng(11)
     batch, width, rounds = 100, 64, 100  # 10^4 vectors in 100 batched invocations
-    xs = [BitVector.random(batch * width, rng) for _ in range(rounds)]
-    ys = [BitVector.random(batch * width, rng) for _ in range(rounds)]
-    sx = [rss.share(x, rng) for x in xs]
-    sy = [rss.share(y, rng) for y in ys]
+    xs = rng.integers(0, 2, (rounds, batch * width), dtype=np.uint8)
+    ys = rng.integers(0, 2, (rounds, batch * width), dtype=np.uint8)
+    sx = [share_bits(x, rng) for x in xs]
+    sy = [share_bits(y, rng) for y in ys]
 
     def worker(rt):
         return [rss.and_gate(rt, sx[r][rt.index - 1], sy[r][rt.index - 1])
@@ -130,8 +130,8 @@ def test_criterion_04_rss_gates_at_scale():
     outs = run_trio(worker, local_runtimes(make_session_configs(b"\x44" * 16)))
     bad = 0
     for r in range(rounds):
-        got = rss.reconstruct([outs[p][r] for p in range(3)]).to_bits()
-        want = (xs[r] & ys[r]).to_bits()
+        got = plain_bits([outs[p][r] for p in range(3)])
+        want = xs[r] & ys[r]
         got_v = got.reshape(batch, width)
         want_v = want.reshape(batch, width)
         bad += int((got_v != want_v).any(axis=1).sum())
@@ -143,7 +143,7 @@ def test_criterion_04_rss_gates_at_scale():
     zero_bad = 0
     for _ in range(10_000):
         a, b, c = (ctx.next_share(64) for ctx in ctxs)
-        if not (a ^ b ^ c).is_zero():
+        if (a ^ b ^ c).any():
             zero_bad += 1
     ok = bad == 0 and zero_bad == 0
     record_acceptance(4, ok, f"10^4 AND vectors ({bad} bad) and 10^4 zero-sharings "
@@ -160,35 +160,30 @@ def test_criterion_05_shuffle_exhaustive_sizes():
                      configs[2].seed_with_next)
     bad = 0
     for size in range(1, 65):
-        rows = [BitVector.random(40, rng) for _ in range(size)]
-        shares = [rss.share(r, rng) for r in rows]
+        rows = rng.integers(0, 2, (size, 40), dtype=np.uint8)
+        shares = [share_bits(r, rng) for r in rows]
 
         def worker(rt):
             return sec_shuffle(rt, MatchTable.from_rows(
                 [shares[i][rt.index - 1] for i in range(size)]))
 
         outs = run_trio(worker, local_runtimes(make_session_configs(master)))
-        got = [rss.reconstruct([outs[0].row(i), outs[1].row(i), outs[2].row(i)])
-               for i in range(size)]
-        perm = composed_permutation(s12, s23, s31, 0, size)
-        want = [rows[int(i)] for i in perm]
-        if got != want or sorted(r.words.tobytes() for r in got) != sorted(
-                r.words.tobytes() for r in rows):
+        got = unpack_bits(rss.reconstruct_rows(outs), 40)
+        want = rows[composed_permutation(s12, s23, s31, 0, size)]
+        if not np.array_equal(got, want) or sorted(got.tolist()) != sorted(rows.tolist()):
             bad += 1
     # distinct seeds produce a different order (8 distinct rows)
-    rows = [BitVector.from_int(i + 1, 16) for i in range(8)]
+    rows = ((np.arange(1, 9)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
     orders = []
     for master2 in (b"\x56" * 16, b"\x57" * 16):
-        shares = [rss.share(r, np.random.default_rng(1)) for r in rows]
+        shares = [share_bits(r, np.random.default_rng(1)) for r in rows]
 
         def worker(rt):
             return sec_shuffle(rt, MatchTable.from_rows(
                 [shares[i][rt.index - 1] for i in range(8)]))
 
         outs = run_trio(worker, local_runtimes(make_session_configs(master2)))
-        orders.append(tuple(
-            rss.reconstruct([outs[0].row(i), outs[1].row(i), outs[2].row(i)]).to_int()
-            for i in range(8)))
+        orders.append(tuple(rss.reconstruct_rows(outs)[:, 0].tolist()))
     diverged = orders[0] != orders[1]
     ok = bad == 0 and diverged
     record_acceptance(5, ok, f"table sizes 1..64 exhaustive ({bad} bad), "
@@ -328,7 +323,7 @@ def test_criterion_09_pattern_shape(tmp_path):
         results = run_trio(worker, runtimes)
         opened = runtimes[0].opened
         assert len(opened) == 1  # single fetch for the single slot
-        opened_runs.append(opened[0].bits.to_bits())
+        opened_runs.append(opened[0].bits)
         matches, _ = open_results(results[:2], schema)
         match_runs.append(set(matches))
 

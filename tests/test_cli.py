@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from oblivgm import rss
 from oblivgm.cli import build_parser, main
 from oblivgm.storage import load_results, load_schema, save_results
-from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, rewrite_manifest
+from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, old_result_layout, rewrite_manifest,
+                            row_code)
 
 ENC_SEED = "00112233445566778899aabbccddeeff"
 TOK_SEED = "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
@@ -352,6 +352,36 @@ def test_serve_on_a_bound_address_is_a_protocol_error(workspace, capsys):
     assert err.startswith("protocol error:") and addr in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("party,bind,peers,named", [
+    (1, "127.0.0.1:99999", "2=127.0.0.1:9,3=127.0.0.1:9", "'127.0.0.1:99999'"),
+    (2, "127.0.0.1:0", "1=127.0.0.1:70000,3=127.0.0.1:9", "'127.0.0.1:70000'"),
+    (3, "127.0.0.1:0", "2=127.0.0.1:9", "party 1"),
+], ids=["bind-port", "peer-port", "missing-peer"])
+def test_serve_with_a_bad_address_exits_2_before_opening_a_socket(workspace, capsys, monkeypatch,
+                                                                  party, bind, peers, named):
+    # a port past 65535, or no address for a party to dial: one "error:" line naming it
+    run_pipeline(workspace)
+    capsys.readouterr()
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    started = time.monotonic()
+    code = main(["serve", "--party", str(party),
+                 "--schema", str(workspace / "enc" / "schema.json"),
+                 "--graph-share", str(workspace / "enc" / f"graph-share-{party}.ogmg"),
+                 "--token", str(workspace / "tok" / f"token-{party}.ogmt"),
+                 "--out", str(workspace / "never.ogmr"), "--bind", bind, "--peers", peers,
+                 "--session-seed", SES_SEED, "--connect-timeout", "30"])
+    err = capsys.readouterr().err
+    assert code == 2 and time.monotonic() - started < 5
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (workspace / "never.ogmr").exists()
+
+
 def test_bench_kernels_prints_best_times(capsys):
     assert main(["bench", "--seed", "1234567890abcdef1234567890abcdef"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -367,13 +397,13 @@ def test_bench_kernels_prints_best_times(capsys):
 def test_bench_cut_short_by_a_closed_pipe_exits_1_without_a_traceback():
     # unbuffered, each row is its own write, so the one after the reader
     # closes the pipe fails; buffered, all rows would go out in one write at exit
-    proc = subprocess.Popen([sys.executable, "-m", "oblivgm.cli", "bench", "--seed", "12"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
-    assert proc.stdout.readline().startswith(b"#")
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen([sys.executable, "-m", "oblivgm.cli", "bench", "--seed", "12"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONUNBUFFERED": "1"}) as proc:
+        assert proc.stdout.readline().startswith(b"#")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
 
 
@@ -417,7 +447,7 @@ def test_old_files_and_bad_codes_exit_2(workspace, capsys):
     # a code past the population, in a file whose checksum holds
     r1, r2 = (load_results(res / f"results-{i}.ogmr", schema) for i in (1, 2))
     ids = r1.records[1].ids  # slot pa: type P, 4 vertices, 3-bit codes
-    code = rss.reconstruct([ids.row(0), r2.records[1].ids.row(0)]).to_int()
+    code = row_code([ids, r2.records[1].ids], 0)
     ids.share_a[0, 0] ^= np.uint32(7 ^ code)
     save_results(workspace / "bad.ogmr", r1, schema)
     capsys.readouterr()

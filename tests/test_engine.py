@@ -24,7 +24,7 @@ from oblivgm.rss import MatchTable
 from oblivgm.shuffle import simulate_unit_vectors
 from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, chainmap_assemble, depth_stamper,
                             expected_access_segments, expected_open_counts, opened_counts,
-                            run_secure_query)
+                            plain_bits, row_code, run_secure_query, share_bits)
 
 
 def make_group(values, domain, rng, ids_domain=None):
@@ -72,10 +72,11 @@ def run_eval(values, domain, kind, operands, master=b"\x31" * 16):
     def worker(rt):
         key_a, key_b = keys[rt.index - 1]
         indicators = fss.full_domain_eval(key_a, domain, more=[(key_b, domain)])
-        return sec_eval(rt, [(groups[rt.index - 1].attrs["a"], tuple(indicators))])[0]
+        return sec_eval(rt, [(groups[rt.index - 1].attrs["a"],
+                              tuple(pack_bits(i)[None] for i in indicators))])[0]
 
     shares = run_trio(worker, runtimes)
-    return rss.reconstruct(shares).to_bits(), runtimes
+    return plain_bits(shares), runtimes
 
 
 def hop_graph_text(n: int) -> str:
@@ -149,14 +150,14 @@ def combine_worker(values_by_party, combiner):
         bits = values_by_party[rt.index - 1]
         return combine_predicates(rt, [bits], [combiner])[0]
 
-    return rss.reconstruct(run_trio(worker, runtimes))
+    return plain_bits(run_trio(worker, runtimes))
 
 
 def shared_bits(columns, rng):
     """Share p predicate columns (each a list of bits) into per-party lists."""
     per_party = [[], [], []]
     for col in columns:
-        shares = rss.share(BitVector.from_bits(col), rng)
+        shares = share_bits(col, rng)
         for p in range(3):
             per_party[p].append(shares[p])
     return per_party
@@ -172,16 +173,16 @@ def test_combine_two_predicates_truth_table(combiner, table):
     b = [0, 1, 0, 1]
     per_party = shared_bits([a, b], rng)
     got = combine_worker(per_party, combiner)
-    assert got.to_bits().tolist() == [table(x, y) for x, y in zip(a, b)]
+    assert got.tolist() == [table(x, y) for x, y in zip(a, b)]
 
 
 def test_combine_three_all_and_single_identity():
     rng = np.random.default_rng(6)
     cols = [[1, 1, 0], [1, 0, 1], [1, 1, 1]]
     per_party = shared_bits(cols, rng)
-    assert combine_worker(per_party, "ALL").to_bits().tolist() == [1, 0, 0]
+    assert combine_worker(per_party, "ALL").tolist() == [1, 0, 0]
     single = shared_bits([[1, 0, 1]], rng)
-    assert combine_worker(single, "ALL").to_bits().tolist() == [1, 0, 1]
+    assert combine_worker(single, "ALL").tolist() == [1, 0, 1]
     with pytest.raises(ValueError):
         combine_worker([[], [], []], "ALL")
 
@@ -197,7 +198,7 @@ def test_combining_is_a_balanced_fold(count):
     runtimes = local_runtimes(make_session_configs(b"\x35" * 16))
     out = run_trio(lambda rt: combine_predicates(rt, [bits[rt.index - 1] for bits in per_slot],
                                                  [combiner for _, combiner in slots]), runtimes)
-    got = [rss.reconstruct([o[k] for o in out]).to_bits().tolist() for k in range(len(slots))]
+    got = [plain_bits([o[k] for o in out]).tolist() for k in range(len(slots))]
     want = [(np.all if combiner == "ALL" else np.any)(c, axis=0) for c, combiner in slots]
     assert got == [w.astype(int).tolist() for w in want]
     assert all(rt.meter.total.frames_sent == math.ceil(math.log2(count)) for rt in runtimes)
@@ -230,7 +231,7 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids
     ts = TypeSchema([f"v{i}" for i in range(len(values))], {}, [], [], {})
     if public_ids:
         groups = [replace(g, ids=engine._root_ids(g.ids.party_index, ts)) for g in groups]
-    flag_shares = rss.share(BitVector.from_bits(flag_bits), rng)
+    flag_shares = share_bits(flag_bits, rng)
     runtimes = local_runtimes(make_session_configs(master))
 
     def worker(rt):
@@ -252,11 +253,13 @@ def decode_records(per_party_records, domain):
     tables = [per_party_records[p][0] for p in range(3)]
     assert all(t.parent_record.tolist() == [-1] * t.rows for t in tables)
     assert all(t.attrs["a"].width == domain.bit_length() for t in tables)  # values as codes
+    ids = unpack_bits(rss.reconstruct_rows([t.ids for t in tables]), tables[0].ids.width)
     decoded = []
     for i in range(tables[0].rows):
-        vid = rss.reconstruct([t.ids.row(i) for t in tables])
-        val = rss.reconstruct([t.attrs["a"].row(i) for t in tables]).to_int()  # value code
-        decoded.append((vid.hot_index(), val - 1 if val else None))
+        (hot,) = np.nonzero(ids[i])
+        assert len(hot) <= 1  # a one-hot id, or the zero row of a dummy record
+        val = row_code([t.attrs["a"] for t in tables], i)  # value code
+        decoded.append((int(hot[0]) if len(hot) else None, val - 1 if val else None))
     return decoded
 
 
@@ -277,7 +280,7 @@ def test_fetch_multi_keeps_exactly_the_matches():
     # every party opened the same shuffled mask with three ones
     for rt in runtimes:
         assert len(rt.opened) == 1
-        assert int(rt.opened[0].bits.popcount()) == 3
+        assert int(rt.opened[0].bits.sum()) == 3
 
 
 def test_fetch_multi_zero_and_all_matches():
@@ -310,7 +313,7 @@ def test_fetch_multi_audit_mask_matches_plaintext_filter():
     out, _ = run_fetch(list(range(7)), 8, flags, unique=False)
     records, ledger = out[0]
     assert len(ledger) == 1
-    assert sorted(ledger[0].bits.to_bits().tolist()) == sorted(flags)
+    assert sorted(ledger[0].bits.tolist()) == sorted(flags)
 
 
 def test_word_level_fields_match_bit_level_packing():
@@ -348,21 +351,20 @@ def test_id_codes_map_one_hot_ids_locally():
         # a component's bits past the width do not enter its code
         assert np.array_equal(engine._code_words(comps[0], n),
                               engine._code_words(mask_tail(comps[0].copy(), n), n))
-        assert [rss.reconstruct([t.row(i) for t in codes]).to_int()
-                for i in range(len(plain))] == want
+        assert [row_code(codes, i) for i in range(len(plain))] == want
         # a leaf root slot's public ids: the codes 1..n
-        coded = [rss.reconstruct([engine._root_ids(p, ts).row(c) for p in (1, 2, 3)])
-                 for c in range(n)]
-        assert [v.to_int() for v in coded] == list(range(1, n + 1))
+        coded = [row_code([engine._root_ids(p, ts) for p in (1, 2, 3)], c) for c in range(n)]
+        assert coded == list(range(1, n + 1))
 
 
 def test_reshare_matrix_rejects_a_short_payload():
     rng = np.random.default_rng(2)
-    shared = rss.share(BitVector.random(40, rng), rng)
+    shared = share_bits(rng.integers(0, 2, 40), rng)
+    zeros = BitVector.from_bits(np.zeros(40))
     cases = [
         (lambda rt: rss.reshare_rows(rt, np.zeros((3, 2), np.uint32), 40),
          "re-share message has 20 bytes, expected 24"),
-        (lambda rt: rss.reshare(rt, BitVector.zeros(40)), "re-share message has 4 bytes, expected 8"),
+        (lambda rt: rss.reshare(rt, zeros), "re-share message has 4 bytes, expected 8"),
         (lambda rt: rss.open_shared(rt, shared[rt.index - 1]), "open message has 4 bytes, expected 8"),
     ]
     for call, message in cases:
@@ -483,14 +485,14 @@ def test_opened_bits_accounting():
         labels = [e.label for e in rt.opened]
         assert sorted(set(labels)) == list(range(1, labels[-1] + 1)) and labels == sorted(labels)
         assert {e.phase for e in rt.opened} == {"secFetch", "secAccess"}
-        assert all(e.bits.logical_len == sum(e.segments) for e in rt.opened)
+        assert all(len(e.bits) == sum(e.segments) for e in rt.opened)
         assert {e.slot: e.segments for e in rt.opened
                 if e.phase == "secAccess"} == expected_access_segments(res)
         for label in set(labels):
             slots = [e.slot for e in rt.opened if e.label == label]
             assert slots == sorted(set(slots))
     # all parties opened identical values in identical order
-    seq = [[e.bits.to_bits().tolist() for e in rt.opened] for rt in res["runtimes"]]
+    seq = [[e.bits.tolist() for e in rt.opened] for rt in res["runtimes"]]
     assert seq[0] == seq[1] == seq[2]
 
 
@@ -590,7 +592,7 @@ def test_every_opened_code_is_masked_by_the_three_pair_pads(monkeypatch):
         for label, tid in zip(labels, tids):
             widths, codes, got = [], [], []
             for e in (e for e in ledger if e.label == label):
-                got.append(e.bits.to_bits())
+                got.append(e.bits)
                 if e.slot == 0:  # the kept root records' own codes c + 1
                     root = rss.reconstruct_rows([r.records[0].ids for r in results])[:, 0]
                     codes += root.tolist()
@@ -762,7 +764,7 @@ def test_open_results_refuses_bad_id_and_value_codes_and_split_provenance():
 
     # slot 1 (pa) is type P: 4 vertices, 3-bit codes; party 1 alone holds share 1
     r1, r2 = fresh()
-    code = rss.reconstruct([r1.records[1].ids.row(0), r2.records[1].ids.row(0)]).to_int()
+    code = row_code([r1.records[1].ids, r2.records[1].ids], 0)
     r1.records[1].ids.share_a[0, 0] ^= np.uint32(7 ^ code)
     with pytest.raises(ValueError, match="slot 1 record 0: id code 7 exceeds the 4 vertices"):
         open_results([r1, r2], schema)
@@ -772,7 +774,7 @@ def test_open_results_refuses_bad_id_and_value_codes_and_split_provenance():
     size = schema.types["P"].attrs["age"].domain_size
     top = (1 << ages.width) - 1
     assert ages.width == size.bit_length() and top > size
-    code = rss.reconstruct([ages.row(2), r2.records[1].attrs["age"].row(2)]).to_int()
+    code = row_code([ages, r2.records[1].attrs["age"]], 2)
     ages.share_a[2, 0] ^= np.uint32(top ^ code)
     with pytest.raises(ValueError, match=f"slot 1 record 2: attribute 'age' code {top} exceeds "
                                          f"the {size} values"):

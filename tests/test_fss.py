@@ -42,7 +42,7 @@ def eval_point(key, x):
 
 
 def indicator(pair, n):
-    return (fss.full_domain_eval(pair[0], n) ^ fss.full_domain_eval(pair[1], n)).to_bits()
+    return fss.full_domain_eval(pair[0], n) ^ fss.full_domain_eval(pair[1], n)
 
 
 def brute_force(kind, operands, n):
@@ -89,8 +89,8 @@ def test_eval_point_deterministic_and_matches_full_domain():
     for kind, operands in (("eq", (100,)), ("lt", (100,)), ("ge", (100,)), ("iv", (40, 100))):
         k1, k2 = fss.key_pair_gen(kind, operands, 256, rng)
         assert eval_point(k1, 5) == eval_point(k1, 5)
-        full1 = fss.full_domain_eval(k1, 256).to_bits()
-        full2 = fss.full_domain_eval(k2, 256).to_bits()
+        full1 = fss.full_domain_eval(k1, 256)
+        full2 = fss.full_domain_eval(k2, 256)
         want = brute_force(kind, operands, 256)
         for x in range(256):
             assert (eval_point(k1, x), eval_point(k2, x)) == (full1[x], full2[x])
@@ -155,7 +155,8 @@ def test_interval_rejects_crossed_bounds():
 def test_full_domain_limits():
     rng = np.random.default_rng(8)
     k1, _ = fss.key_pair_gen("eq", (0,), 6, rng)
-    assert fss.full_domain_eval(k1, 1).logical_len == 1
+    one = fss.full_domain_eval(k1, 1)
+    assert one.dtype == np.uint8 and one.shape == (1,)
     with pytest.raises(fss.DomainError):
         fss.full_domain_eval(k1, 9)  # domain_bits for 6 is 3 -> max 8
 
@@ -247,7 +248,7 @@ def test_interval_key_in_one_pass_equals_its_two_halves_exhaustively():
                 for lower, upper in pair:
                     halves = (fss.full_domain_eval((lower,), n)
                               ^ fss.full_domain_eval((upper,), n))
-                    assert fss.full_domain_eval((lower, upper), n) == halves
+                    assert np.array_equal(fss.full_domain_eval((lower, upper), n), halves)
                 want = (xs >= lo) & (xs <= hi)
                 assert indicator(pair, n).tolist() == want.astype(int).tolist()
 
@@ -261,5 +262,9 @@ def test_full_domain_eval_of_many_keys_in_one_traversal():
             (fss.key_pair_gen("iv", (0, 99), 100, rng)[0], 100),
             (fss.key_pair_gen("eq", (2,), 50, rng)[1], 37)]
     batched = fss.full_domain_eval(*keys[0], more=keys[1:])
-    assert batched == [fss.full_domain_eval(key, n) for key, n in keys]
-    assert fss.full_domain_eval(*keys[0], more=[]) == batched[:1]
+    alone = [fss.full_domain_eval(key, n) for key, n in keys]
+    assert len(batched) == len(alone)
+    for got, want in zip(batched, alone):
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+    (first,) = fss.full_domain_eval(*keys[0], more=[])
+    assert np.array_equal(first, batched[0])

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from oblivgm import net, rss
-from oblivgm.bits import BitVector
 from oblivgm.net import (OP_OPEN, OP_RESHARE, ChannelClosed, Frame, PartyConfig, ProtocolError,
                          QueueChannel, TcpChannel, local_runtimes, make_session_configs,
                          parse_peers, run_trio, tcp_runtime)
 from oblivgm.shuffle import MatchTable, sec_shuffle
+from tests.conftest import share_bits
 
 
 def test_frame_round_trip():
@@ -39,7 +39,7 @@ def test_setup_validation():
 def test_fresh_session_zero_shares_cancel_immediately():
     runtimes = local_runtimes(make_session_configs(b"\x07" * 16))
     outs = run_trio(lambda rt: rt.zero_share(96), runtimes)
-    assert (outs[0] ^ outs[1] ^ outs[2]).is_zero()
+    assert not (outs[0] ^ outs[1] ^ outs[2]).any()
 
 
 def test_round_skew_detected():
@@ -205,6 +205,11 @@ def test_large_payload_echo_and_order():
 def test_parse_peers():
     assert parse_peers("1=127.0.0.1:9001, 2=host:9002") == {
         1: "127.0.0.1:9001", 2: "host:9002"}
+    for spec, named in (("4=host:9002", "'4=host:9002'"), ("x=host:9002", "'x=host:9002'"),
+                        ("1=host:65536", "'host:65536'"), ("1=host", "'host'"),
+                        ("1=host:-1", "'host:-1'")):
+        with pytest.raises(ValueError, match=named):
+            parse_peers(spec)
 
 
 def _free_ports(n):
@@ -254,8 +259,8 @@ def _tcp_trio(master: bytes, worker):
 def test_tcp_trio_matches_in_process_transcript():
     master = b"\x05" * 16
     rng = np.random.default_rng(0)
-    x, y = BitVector.random(128, rng), BitVector.random(128, rng)
-    sx, sy = rss.share(x, rng), rss.share(y, rng)
+    x, y = rng.integers(0, 2, (2, 128), dtype=np.uint8)
+    sx, sy = share_bits(x, rng), share_bits(y, rng)
 
     def worker(rt):
         z = rss.and_gate(rt, sx[rt.index - 1], sy[rt.index - 1])
@@ -264,8 +269,8 @@ def test_tcp_trio_matches_in_process_transcript():
 
     local = run_trio(worker, local_runtimes(make_session_configs(master)))
     remote = _tcp_trio(master, worker)
-    assert all(l[0] == (x & y) for l in local)
-    assert [l[0] for l in local] == [r[0] for r in remote]
+    assert all(np.array_equal(l[0], x & y) for l in local)
+    assert [l[0].tolist() for l in local] == [r[0].tolist() for r in remote]
     assert [l[1] for l in local] == [r[1] for r in remote]  # byte-identical transcripts
 
 
@@ -301,13 +306,14 @@ def test_tcp_unreachable_peer():
 
 def test_meter_counts_each_partys_frames_and_bytes_per_phase():
     rng = np.random.default_rng(21)
-    x = rss.share(BitVector.random(9, rng), rng)
-    rows = [rss.share(BitVector.random(7, rng), rng) for _ in range(4)]
+    x = share_bits(rng.integers(0, 2, 9), rng)
+    rows = [share_bits(rng.integers(0, 2, 7), rng) for _ in range(4)]
+    zeros = np.zeros((1, 1), np.uint32)
 
     def worker(rt):
         with rt.meter.phase("a"):
-            rss.reshare(rt, BitVector.zeros(9))  # one frame from every party, twice
-            rss.reshare(rt, BitVector.zeros(9))
+            rss.reshare_rows(rt, zeros, 9)  # one frame from every party, twice
+            rss.reshare_rows(rt, zeros, 9)
         assert rt.meter.current == "(none)"
         with rt.meter.phase("b"):
             sec_shuffle(rt, MatchTable.from_rows([r[rt.index - 1] for r in rows]))

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivgm import rss
-from oblivgm.bits import BitVector, mask_tail, one_hot_rows, pack_bits, words_for
+from oblivgm.bits import BitVector, mask_tail, one_hot_rows, pack_bits, unpack_bits, words_for
 from oblivgm.net import ProtocolError, run_local_trio
 from oblivgm.rss import MatchTable, ZeroShareContext
+from oblivgm.shuffle import sec_shuffle
+from tests.conftest import plain_bits, share_bits
 
 
-def bv(bits):
-    return BitVector.from_bits(bits)
+def random_bits(n, rng):
+    return rng.integers(0, 2, n, dtype=np.uint8)
 
 
 def test_share_reconstruct_exhaustive_up_to_16_bits():
@@ -23,79 +25,78 @@ def test_share_reconstruct_exhaustive_up_to_16_bits():
     rng = np.random.default_rng(0)
     for n in range(1, 11):
         for value in range(1 << n):
-            x = BitVector.from_int(value, n)
-            assert rss.reconstruct(rss.share(x, rng)) == x
+            x = (value >> np.arange(n)) & 1
+            assert np.array_equal(plain_bits(rss.share(BitVector.from_bits(x), rng)), x)
     all16 = np.arange(1 << 16, dtype=np.uint64)
     shifts = np.arange(16, dtype=np.uint64)
-    bulk = BitVector.from_bits(
-        ((all16[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1))
-    assert rss.reconstruct(rss.share(bulk, rng)) == bulk
+    bulk = ((all16[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    assert np.array_equal(plain_bits(rss.share(BitVector.from_bits(bulk), rng)), bulk)
 
 
 def test_share_reconstruct_randomized_long():
     rng = np.random.default_rng(7)
     for n in (64, 257, 1000):
-        x = BitVector.random(n, rng)
-        shares = rss.share(x, rng)
-        assert rss.reconstruct(shares) == x
+        x = random_bits(n, rng)
+        shares = share_bits(x, rng)
+        assert np.array_equal(plain_bits(shares), x)
         for pair in ((0, 1), (1, 2), (0, 2)):
-            assert rss.reconstruct([shares[pair[0]], shares[pair[1]]]) == x
+            assert np.array_equal(plain_bits([shares[pair[0]], shares[pair[1]]]), x)
 
 
 def test_share_zero_and_single_bit():
     rng = np.random.default_rng(0)
-    assert rss.reconstruct(rss.share(BitVector.zeros(8), rng)).is_zero()
-    one = bv([1])
-    assert rss.reconstruct(rss.share(one, rng)) == one
+    assert not plain_bits(share_bits(np.zeros(8), rng)).any()
+    assert plain_bits(rss.share(BitVector.from_bits([1]), rng)).tolist() == [1]
 
 
 def test_share_rejects_empty():
     with pytest.raises(ValueError):
-        rss.share(BitVector.zeros(0), np.random.default_rng(0))
+        rss.share(BitVector.from_bits([]), np.random.default_rng(0))
 
 
 def test_reconstruct_needs_all_indices():
     rng = np.random.default_rng(1)
-    shares = rss.share(bv([1, 0, 1]), rng)
+    shares = share_bits([1, 0, 1], rng)
     with pytest.raises(ValueError, match="cover"):
-        rss.reconstruct([shares[0]])
+        rss.reconstruct_rows([shares[0]])
 
 
 def test_reconstruct_rejects_length_mismatch():
     rng = np.random.default_rng(1)
-    a = rss.share(bv([1, 0, 1]), rng)
-    b = rss.share(bv([1, 0]), rng)
+    a = share_bits([1, 0, 1], rng)
+    b = share_bits([1, 0], rng)
     with pytest.raises(ValueError, match="length"):
-        rss.reconstruct([a[0], b[1]])
+        rss.reconstruct_rows([a[0], b[1]])
 
 
 def test_reconstruct_rejects_inconsistent_copies():
     rng = np.random.default_rng(1)
-    s1, s2, s3 = rss.share(bv([1, 0, 1, 1]), rng)
-    corrupt = rss.MatchTable(2, 4, s2.share_a ^ bv([1, 0, 0, 0]).words, s2.share_b)
+    s1, s2, s3 = share_bits([1, 0, 1, 1], rng)
+    corrupt = rss.MatchTable(2, 4, s2.share_a ^ pack_bits(np.array([1, 0, 0, 0], np.uint8)),
+                             s2.share_b)
     with pytest.raises(ValueError, match="inconsistent"):
-        rss.reconstruct([s1, corrupt, s3])
+        rss.reconstruct_rows([s1, corrupt, s3])
 
 
 def test_xor_local_identities():
     rng = np.random.default_rng(3)
-    x = BitVector.random(96, rng)
-    sx = rss.share(x, rng)
-    zeros = rss.share(BitVector.zeros(96), rng)
-    assert rss.reconstruct([s.xor(s) for s in sx]).is_zero()
-    assert rss.reconstruct([a.xor(z) for a, z in zip(sx, zeros)]) == x
+    x = random_bits(96, rng)
+    sx = share_bits(x, rng)
+    zeros = share_bits(np.zeros(96), rng)
+    assert not plain_bits([s.xor(s) for s in sx]).any()
+    assert np.array_equal(plain_bits([a.xor(z) for a, z in zip(sx, zeros)]), x)
 
 
 def test_xor_local_random_pairs():
     rng = np.random.default_rng(4)
-    x, y = BitVector.random(130, rng), BitVector.random(130, rng)
-    sx, sy = rss.share(x, rng), rss.share(y, rng)
-    assert rss.reconstruct([a.xor(b) for a, b in zip(sx, sy)]) == (x ^ y)
+    x, y = random_bits(130, rng), random_bits(130, rng)
+    sx, sy = share_bits(x, rng), share_bits(y, rng)
+    assert np.array_equal(plain_bits([a.xor(b) for a, b in zip(sx, sy)]), x ^ y)
 
 
 def test_xor_local_party_mismatch():
     rng = np.random.default_rng(5)
-    sx = rss.share(bv([1, 1]), rng)
+    sx = share_bits([1, 1], rng)
     with pytest.raises(ValueError, match="different parties"):
         sx[0].xor(sx[1])
 
@@ -104,22 +105,22 @@ def test_and_gate_absorbing_and_identity_bits():
     rng = np.random.default_rng(6)
     cases = [([0], [1], [0]), ([1], [1], [1]), ([1, 0, 1, 1], [1, 1, 0, 1], [1, 0, 0, 1])]
     for xb, yb, want in cases:
-        sx, sy = rss.share(bv(xb), rng), rss.share(bv(yb), rng)
+        sx, sy = share_bits(xb, rng), share_bits(yb, rng)
         out = run_local_trio(lambda rt: rss.and_gate(rt, sx[rt.index - 1], sy[rt.index - 1]))
-        assert rss.reconstruct(out) == bv(want)
+        assert plain_bits(out).tolist() == want
 
 
 def test_and_gate_random_and_comm_accounting():
     rng = np.random.default_rng(8)
-    x, y = BitVector.random(64, rng), BitVector.random(64, rng)
-    sx, sy = rss.share(x, rng), rss.share(y, rng)
+    x, y = random_bits(64, rng), random_bits(64, rng)
+    sx, sy = share_bits(x, rng), share_bits(y, rng)
 
     def worker(rt):
         z = rss.and_gate(rt, sx[rt.index - 1], sy[rt.index - 1])
         return z, rt.meter.total.logical_bits
 
     out = run_local_trio(worker)
-    assert rss.reconstruct([o[0] for o in out]) == (x & y)
+    assert np.array_equal(plain_bits([o[0] for o in out]), x & y)
     assert all(o[1] == 64 for o in out)  # exactly n bits per party per AND
 
 
@@ -176,13 +177,13 @@ def test_and_terms_of_many_one_hot_rows_by_one_flag_row_xor_to_the_gated_ids(wid
 
 def test_open_everywhere_and_label_guard():
     rng = np.random.default_rng(9)
-    x = bv([0, 1, 1, 0])
-    sx = rss.share(x, rng)
+    x = [0, 1, 1, 0]
+    sx = share_bits(x, rng)
 
     def worker(rt):
         return rss.open_shared(rt, sx[rt.index - 1])
 
-    assert all(o == x for o in run_local_trio(worker))
+    assert all(o.tolist() == x for o in run_local_trio(worker))
 
     def skewed(rt):
         # parties disagree on what they are opening: their labels are out of step
@@ -197,7 +198,7 @@ def test_open_everywhere_and_label_guard():
 def test_open_additive_reveals_the_xor_of_the_three_shares():
     rng = np.random.default_rng(17)
     for n in (1, 31, 32, 33, 1000):
-        parts = [BitVector.random(n, rng) for _ in range(3)]
+        parts = [random_bits(n, rng) for _ in range(3)]
         want = parts[0] ^ parts[1] ^ parts[2]
 
         def worker(rt):
@@ -205,15 +206,16 @@ def test_open_additive_reveals_the_xor_of_the_three_shares():
             return opened, rt.opened, rt.meter.total
 
         for opened, ledger, sent in run_local_trio(worker):
-            assert opened == want
-            assert [(e.label, e.slot, e.segments, e.bits) for e in ledger] == [(1, 5, (n,), want)]
+            assert np.array_equal(opened, want)
+            assert [(e.label, e.slot, e.segments, e.bits.tolist()) for e in ledger] == [
+                (1, 5, (n,), want.tolist())]
             # one blinded share to each peer, in one round
             assert (sent.frames_sent, sent.logical_bits) == (2, 2 * n)
 
 
 def test_open_additive_frames_move_with_the_zero_sharing_but_not_the_value():
     rng = np.random.default_rng(18)
-    parts = [BitVector.random(70, rng) for _ in range(3)]
+    parts = [random_bits(70, rng) for _ in range(3)]
 
     def run(counter):
         """Open at the given zero-share counter; returns the values and every sent payload."""
@@ -231,11 +233,12 @@ def test_open_additive_frames_move_with_the_zero_sharing_but_not_the_value():
         return run_local_trio(worker), sent
 
     (first, frames), (second, other) = run(0), run(7)
-    assert first == second == [parts[0] ^ parts[1] ^ parts[2]] * 3
+    want = (parts[0] ^ parts[1] ^ parts[2]).tolist()
+    assert [o.tolist() for o in first] == [o.tolist() for o in second] == [want] * 3
     assert len(frames) == 6 and all(frames[k] != other[k] for k in frames)
     for p in (1, 2, 3):  # one frame to both peers, and never the share itself
         assert frames[(p, "send_next")] == frames[(p, "send_prev")]
-        assert frames[(p, "send_next")][4:] != parts[p - 1].words.tobytes()
+        assert frames[(p, "send_next")][4:] != pack_bits(parts[p - 1]).tobytes()
 
 
 @pytest.mark.parametrize("tamper,message", [
@@ -245,7 +248,7 @@ def test_open_additive_frames_move_with_the_zero_sharing_but_not_the_value():
      "open label mismatch: local 1, peer 9"),
 ], ids=["short", "long", "label"])
 def test_open_additive_refuses_a_wrong_label_or_length(tamper, message):
-    share = BitVector.random(70, np.random.default_rng(19))  # three words
+    share = random_bits(70, np.random.default_rng(19))  # three words
 
     def worker(rt):
         if rt.index == 1:  # party 2 receives party 1's frame damaged
@@ -259,45 +262,88 @@ def test_open_additive_refuses_a_wrong_label_or_length(tamper, message):
         run_local_trio(worker, recv_timeout=5)
 
 
+# (slot, segments) runs of one 14-bit open, an empty group among them
+RUNS = [(4, (3, 2)), (9, (1,)), (2, (4, 0, 4))]
+
+
+@pytest.mark.parametrize("opener", ["open_shared", "open_additive", "sec_shuffle"])
+def test_every_open_returns_a_0_1_array_and_enters_its_runs_in_the_ledger(opener):
+    rng = np.random.default_rng(23)
+    plain = random_bits(14, rng)
+    shares = share_bits(plain, rng)
+    additive = [random_bits(14, rng), random_bits(14, rng)]
+    additive.append(plain ^ additive[0] ^ additive[1])
+    # for the shuffle: one table per slot, the plain bits as bit 0 of its rows of 3 bits
+    bounds = np.cumsum([0] + [sum(segments) for _, segments in RUNS])
+    rows = np.concatenate([plain[:, None], random_bits((14, 2), rng)], axis=1)
+    tables = [shared_table(rows[lo:hi], rng, segments)
+              for (_, segments), lo, hi in zip(RUNS, bounds[:-1], bounds[1:])]
+
+    def worker(rt):
+        i = rt.index - 1
+        if opener == "open_shared":
+            return rss.open_shared(rt, shares[i], slots=RUNS), None, rt.opened
+        if opener == "open_additive":
+            return rss.open_additive(rt, additive[i], slots=RUNS), None, rt.opened
+        shuffled, flags = sec_shuffle(rt, tables[0][i], more=[t[i] for t in tables[1:]],
+                                      open_flags=True, slots=[slot for slot, _ in RUNS])
+        return flags, shuffled, rt.opened
+
+    out = run_local_trio(worker)
+    want = plain
+    if opener == "sec_shuffle":  # each group's flags come back in its shuffled order
+        want = np.concatenate([unpack_bits(rss.reconstruct_rows([o[1][k] for o in out]), 3)[:, 0]
+                               for k in range(len(RUNS))])
+        ends = np.cumsum([0] + [n for _, segments in RUNS for n in segments])
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            assert sorted(want[lo:hi]) == sorted(plain[lo:hi])
+    for opened, _, ledger in out:
+        assert isinstance(opened, np.ndarray) and opened.dtype == np.uint8
+        assert opened.tolist() == want.tolist()
+        assert all(isinstance(e.bits, np.ndarray) and e.bits.dtype == np.uint8 for e in ledger)
+        assert [(e.label, e.slot, e.segments, e.bits.tolist()) for e in ledger] == [
+            (1, slot, segments, want[lo:hi].tolist())
+            for (slot, segments), lo, hi in zip(RUNS, bounds[:-1], bounds[1:])]
+
+
 def shared_table(rows, rng, segments=None):
-    """The three parties' tables of plaintext rows, each row shared on its own."""
-    per_row = [rss.share(r, rng) for r in rows]
+    """The three parties' tables of a 0/1 matrix's rows, each row shared on its own."""
+    per_row = [share_bits(r, rng) for r in rows]
     return [replace(MatchTable.from_rows([shares[p] for shares in per_row]), segments=segments)
             for p in range(3)]
 
 
 def test_table_xor_acts_on_every_row_and_keeps_segments():
     rng = np.random.default_rng(14)
-    xs = [BitVector.random(37, rng) for _ in range(5)]
-    ys = [BitVector.random(37, rng) for _ in range(5)]
+    xs, ys = random_bits((5, 37), rng), random_bits((5, 37), rng)
     tx, ty = shared_table(xs, rng, (2, 3)), shared_table(ys, rng, (2, 3))
     assert tx[0].logical_len == 5 * 37
     summed = [a.xor(b) for a, b in zip(tx, ty)]
-    assert [BitVector(r, 37) for r in rss.reconstruct_rows(summed)] == [
-        x ^ y for x, y in zip(xs, ys)]
+    assert np.array_equal(unpack_bits(rss.reconstruct_rows(summed), 37), xs ^ ys)
     assert all(t.segments == (2, 3) for t in summed)
 
 
 def test_table_xor_refuses_other_party_or_shape():
     rng = np.random.default_rng(15)
-    tx = shared_table([BitVector.random(37, rng) for _ in range(5)], rng)
+    tx = shared_table(random_bits((5, 37), rng), rng)
     with pytest.raises(ValueError, match="different parties"):
         tx[0].xor(tx[1])
     with pytest.raises(ValueError, match="length"):
         tx[0].xor(tx[0].take(slice(0, 4)))
     with pytest.raises(ValueError, match="length"):
-        tx[0].xor(shared_table([BitVector.random(36, rng) for _ in range(5)], rng)[0])
+        tx[0].xor(shared_table(random_bits((5, 36), rng), rng)[0])
     with pytest.raises(ValueError, match="party_index"):
         MatchTable(4, 37, tx[0].share_a, tx[0].share_b)
 
 
 def test_from_rows_of_shared_rows_reconstructs_each_row():
     rng = np.random.default_rng(16)
-    rows = [BitVector.random(70, rng) for _ in range(6)]
+    rows = random_bits((6, 70), rng)
     tables = shared_table(rows, rng)
-    assert [rss.reconstruct([t.row(i) for t in tables]) for i in range(6)] == rows
+    for i in range(6):
+        assert np.array_equal(plain_bits([t.take(slice(i, i + 1)) for t in tables]), rows[i])
     with pytest.raises(ValueError, match="width and party"):
-        MatchTable.from_rows([tables[0].row(0), tables[1].row(0)])
+        MatchTable.from_rows([tables[0].take(slice(0, 1)), tables[1].take(slice(0, 1))])
 
 
 def make_zero_contexts():
@@ -313,7 +359,8 @@ def test_zero_share_cancels_and_counts():
     ctxs = make_zero_contexts()
     for j in range(50):
         outs = [c.next_share(77) for c in ctxs]
-        assert (outs[0] ^ outs[1] ^ outs[2]).is_zero()
+        assert outs[0].shape == (words_for(77),) and not (outs[0] >> 13)[-1]  # tail bits zero
+        assert not (outs[0] ^ outs[1] ^ outs[2]).any()
     assert all(c.counter == 50 for c in ctxs)
 
 
@@ -323,9 +370,9 @@ def test_zero_share_deterministic_and_counter_sensitive():
     a = ctxs[0].next_share(256)
     again = make_zero_contexts()[0]
     again.counter = 7
-    assert again.next_share(256) == a
+    assert np.array_equal(again.next_share(256), a)
     b = ctxs[0].next_share(256)  # counter 8
-    assert a != b  # 256 bits differ with overwhelming probability
+    assert not np.array_equal(a, b)  # 256 bits differ with overwhelming probability
 
 
 def test_single_party_pair_distribution_is_independent_of_secret():

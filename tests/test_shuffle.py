@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from oblivgm import rss
-from oblivgm.bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
+from oblivgm.bits import mask_tail, pack_bits, unpack_bits, words_for
 from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
 from oblivgm.shuffle import (MatchTable, UnitVectors, composed_permutation, sec_shuffle,
                              simulate_shuffle, simulate_unit_vectors, translate_rows)
+from tests.conftest import listed, share_bits
+
+
+def code_rows(codes, width):
+    """The 0/1 rows of ``width``-bit codes."""
+    return ((np.asarray(codes)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
 
 
 def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1, segments=None):
+    """Shuffle the rows of a 0/1 matrix, each row shared on its own; returns the rebuilt matrix."""
     rng = np.random.default_rng(1234)
-    shares = [rss.share(r, rng) for r in plain_rows]
+    shares = [share_bits(r, rng) for r in plain_rows]
     configs = make_session_configs(master)
     runtimes = local_runtimes(configs)
 
@@ -30,47 +37,44 @@ def run_shuffle(plain_rows, master=b"\x07" * 16, table_rounds=1, segments=None):
     if segments:
         # one shuffle's three messages, however many segments ride in them
         assert [rt.meter.total.frames_sent for rt in runtimes] == [1, 2, 1]
-    rebuilt = [
-        rss.reconstruct([outs[0].row(i), outs[1].row(i), outs[2].row(i)])
-        for i in range(len(plain_rows))
-    ]
+    rebuilt = unpack_bits(rss.reconstruct_rows(outs), plain_rows.shape[1])
     return rebuilt, outs, configs
 
 
 def test_single_row_table():
-    row = BitVector.from_bits([1, 0, 1, 1, 0])
-    rebuilt, _, _ = run_shuffle([row])
-    assert rebuilt == [row]
+    row = np.array([[1, 0, 1, 1, 0]], np.uint8)
+    rebuilt, _, _ = run_shuffle(row)
+    assert np.array_equal(rebuilt, row)
 
 
 def test_multiset_preserved_and_simulator_agrees_small_sizes():
     rng = np.random.default_rng(5)
     for n in (2, 3, 8, 17, 32):
-        rows = [BitVector.random(45, rng) for _ in range(n)]
+        rows = rng.integers(0, 2, (n, 45), dtype=np.uint8)
         rebuilt, _, cfg = run_shuffle(rows)
         want = simulate_shuffle(cfg[0].seed_with_next, cfg[1].seed_with_next,
                                 cfg[2].seed_with_next, 0, rows)
-        assert rebuilt == want
-        assert sorted(r.words.tobytes() for r in rebuilt) == sorted(
-            r.words.tobytes() for r in rows)
+        assert np.array_equal(rebuilt, want)
+        assert sorted(rebuilt.tolist()) == sorted(rows.tolist())
 
 
 def test_segments_shuffle_as_consecutive_tables_in_one_batch():
     rng = np.random.default_rng(8)
     segments = (3, 1, 6, 2)
-    rows = [BitVector.random(37, rng) for _ in range(sum(segments))]
+    rows = rng.integers(0, 2, (sum(segments), 37), dtype=np.uint8)
     rebuilt, outs, cfg = run_shuffle(rows, segments=segments)
     seeds = (cfg[0].seed_with_next, cfg[1].seed_with_next, cfg[2].seed_with_next)
     start = 0
     for tid, n in enumerate(segments):
-        assert rebuilt[start:start + n] == simulate_shuffle(*seeds, tid, rows[start:start + n])
+        assert np.array_equal(rebuilt[start:start + n],
+                              simulate_shuffle(*seeds, tid, rows[start:start + n]))
         start += n
     assert all(out.segments == segments for out in outs)
 
 
 def test_output_is_valid_replicated_sharing():
     rng = np.random.default_rng(6)
-    rows = [BitVector.random(70, rng) for _ in range(9)]
+    rows = rng.integers(0, 2, (9, 70), dtype=np.uint8)
     _, outs, _ = run_shuffle(rows)
     for i in range(9):
         # pairwise replication: party p's second component equals next party's first
@@ -83,24 +87,24 @@ def test_output_is_valid_replicated_sharing():
 
 
 def test_distinct_seeds_give_distinct_orders():
-    rng = np.random.default_rng(7)
-    rows = [BitVector.from_int(i + 1, 32) for i in range(8)]
+    rows = code_rows(np.arange(1, 9), 32)
     first, _, _ = run_shuffle(rows, master=b"\x01" * 16)
     second, _, _ = run_shuffle(rows, master=b"\x02" * 16)
-    assert sorted(r.to_int() for r in first) == sorted(r.to_int() for r in second)
-    assert [r.to_int() for r in first] != [r.to_int() for r in second]
+    first, second = pack_bits(first)[:, 0].tolist(), pack_bits(second)[:, 0].tolist()
+    assert sorted(first) == sorted(second)
+    assert first != second
 
 
 def test_table_id_advances_permutation():
-    rows = [BitVector.from_int(i + 1, 16) for i in range(8)]
+    rows = code_rows(np.arange(1, 9), 16)
     once, _, cfg = run_shuffle(rows, table_rounds=1)
     twice, _, _ = run_shuffle(rows, table_rounds=2)
     p0 = composed_permutation(cfg[0].seed_with_next, cfg[1].seed_with_next,
                               cfg[2].seed_with_next, 0, 8)
     p1 = composed_permutation(cfg[0].seed_with_next, cfg[1].seed_with_next,
                               cfg[2].seed_with_next, 1, 8)
-    assert [r.to_int() for r in once] == [rows[i].to_int() for i in p0]
-    assert [r.to_int() for r in twice] == [rows[i].to_int() for i in p1]
+    assert np.array_equal(once, rows[p0])
+    assert np.array_equal(twice, rows[p1])
 
 
 def test_single_party_obliviousness_structure():
@@ -114,12 +118,12 @@ def test_single_party_obliviousness_structure():
 
     def transcripts(configs):
         rng = np.random.default_rng(99)
-        rows = [BitVector.random(33, rng) for _ in range(12)]
+        rows = rng.integers(0, 2, (12, 33), dtype=np.uint8)
         runtimes = local_runtimes(configs)
 
         def worker(rt):
             table = MatchTable.from_rows(
-                [rss.share(r, np.random.default_rng(50 + i))[rt.index - 1]
+                [share_bits(r, np.random.default_rng(50 + i))[rt.index - 1]
                  for i, r in enumerate(rows)])
             sec_shuffle(rt, table)
             return rt.transcript_digest()
@@ -140,8 +144,8 @@ def test_single_party_obliviousness_structure():
 
 def test_dimension_mismatch_rejected():
     rng = np.random.default_rng(3)
-    rows = [rss.share(BitVector.random(16, rng), rng)[0],
-            rss.share(BitVector.random(24, rng), rng)[0]]
+    rows = [share_bits(rng.integers(0, 2, 16), rng)[0],
+            share_bits(rng.integers(0, 2, 24), rng)[0]]
     with pytest.raises(ValueError, match="width"):
         MatchTable.from_rows(rows)
     table = MatchTable.from_rows(rows[:1])
@@ -152,8 +156,8 @@ def test_dimension_mismatch_rejected():
 def test_tables_of_different_widths_shuffle_in_one_call():
     rng = np.random.default_rng(11)
     specs = [(37, (3, 1)), (5, (4,)), (70, (2, 2, 1)), (1, (1,))]  # (width, segments)
-    plain = [[BitVector.random(w, rng) for _ in range(sum(segs))] for w, segs in specs]
-    shares = [[rss.share(r, rng) for r in rows] for rows in plain]
+    plain = [rng.integers(0, 2, (sum(segs), w), dtype=np.uint8) for w, segs in specs]
+    shares = [[share_bits(r, rng) for r in rows] for rows in plain]
     configs = make_session_configs(b"\x09" * 16)
     runtimes = local_runtimes(configs)
 
@@ -173,10 +177,11 @@ def test_tables_of_different_widths_shuffle_in_one_call():
     tid = 0
     for k, ((w, segs), rows) in enumerate(zip(specs, plain)):
         assert all((out[k].width, out[k].segments) == (w, segs) for out in outs)
-        rebuilt = [rss.reconstruct([out[k].row(i) for out in outs]) for i in range(len(rows))]
+        rebuilt = unpack_bits(rss.reconstruct_rows([out[k] for out in outs]), w)
         start = 0
         for n in segs:  # every segment of every table under the next table id
-            assert rebuilt[start:start + n] == simulate_shuffle(*seeds, tid, rows[start:start + n])
+            assert np.array_equal(rebuilt[start:start + n],
+                                  simulate_shuffle(*seeds, tid, rows[start:start + n]))
             start, tid = start + n, tid + 1
 
 
@@ -234,10 +239,10 @@ def test_unit_vectors_exhaustive_widths():
                 start += len(codes[i])
             # the open of this run's d, the same at every party
             (entry,) = [e for e in outs[0][1] if e.label == k + 1]
-            assert all(out[1][k] == entry for out in outs)
+            assert all(listed([out[1][k]]) == listed([entry]) for out in outs)
             opened = np.concatenate([unpack_bits(np.array([[v]], np.uint32), int(w))[0]
                                      for v, w in zip(d.tolist(), row_widths)])
-            assert np.array_equal(entry.bits.to_bits(), opened)
+            assert np.array_equal(entry.bits, opened)
         # per expansion two rounds: three mask frames, and the open's six,
         # each party's blinded share to both peers
         sent = [rt.meter.total for rt in runtimes]

@@ -25,6 +25,8 @@ pads or table ids.
 
 import pytest
 
+from oblivgm.bits import pack_bits
+
 from tests.conftest import CAMPUS_GRAPH, TWO_PERSON_QUERY, run_secure_query
 
 REPEATED_CATEGORICAL = """
@@ -98,6 +100,6 @@ LEDGERS = {
 def test_fixed_seed_ledgers_are_pinned(graph_text, query_text, ledger):
     res = run_secure_query(graph_text, query_text, seed=5, master=b"\x5a" * 16)
     for rt in res["runtimes"]:
-        got = [(e.label, e.phase, e.slot, e.segments, e.bits.logical_len,
-                e.bits.words.tobytes().hex()) for e in rt.opened]
+        got = [(e.label, e.phase, e.slot, e.segments, len(e.bits),
+                pack_bits(e.bits).tobytes().hex()) for e in rt.opened]
         assert got == ledger

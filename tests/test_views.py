@@ -191,7 +191,7 @@ def view_shapes(graph_text: str, query_text: str):
     assert res["matches"] == {tuple(m) for m in _oracle(graph_text, query_text)}
     views = []
     for rt in res["runtimes"]:
-        ledger = [(e.label, e.phase, e.slot, e.segments, e.bits.logical_len,
+        ledger = [(e.label, e.phase, e.slot, e.segments, len(e.bits),
                    None if e.phase == "secAccess" else tuple(sorted(conftest.opened_counts(e))))
                   for e in rt.opened]
         meter = {name: (p.bytes_sent, p.frames_sent, p.logical_bits)
