@@ -7,12 +7,12 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   additive terms per vertex. A predicate bit belongs to the vertex, so
   every predicate of the query is evaluated once, over its type's whole
   population, and one message re-shares the bits of them all.
-* matched-vertex fetch, at the root and at a slot below it that has
-  children, no unique route and no gate (:func:`gates_inner_slot`): rows
-  of flag, id and attribute codes are obliviously shuffled and only the
-  shuffled flag column is opened, in the shuffle's last round. A
-  unique-valued attribute lets the root fold its value codes into a single
-  record instead, with pure local algebra plus one re-share.
+* matched-vertex fetch, at the root and at every slot that the query's
+  plan routes ``fetched`` (:class:`QueryPlan`): rows of flag, id and
+  attribute codes are obliviously shuffled and only the shuffled flag
+  column is opened, in the shuffle's last round. A unique-valued attribute
+  lets the root fold its value codes into a single record instead, with
+  pure local algebra plus one re-share.
 * neighbor access: matched vertices' padded posting lists of neighbor id
   codes are pulled out of the whole parent-type population by one-hot
   selection; the codes become one-hot rows through uniformly masked codes,
@@ -25,35 +25,22 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   and prunes subgraphs.
 
 Below the root, each slot gets one population table per query, row ``v``
-for vertex ``v`` of its type. A slot that is fetched gets ``[flag ||
-attribute codes]``, and the access gives its candidates their flags and
-codes. A leaf, a unique-route slot and an inner slot that
-:func:`gates_inner_slot` allows are gated: their table is ``[flag * code(v)
-|| flag * attribute codes]``, so a non-match is the all-zero row, code 0, a
-dummy that the client drops, and the access gives their records with
-nothing opened: a leaf's and a gated inner slot's are its selected rows,
-``max_padded`` per parent record, and a unique-route slot's are each
-group's rows XORed into one. A gated slot with children also needs one-hot
-ids: its one-hot rows ANDed with its population flags, folded the same way
-in the unique route. A non-match's one-hot id is then the zero row, which
-selects only padding, so its subtree falls out as dummies. The id part of a
-gated table is local, as ``code(v) = v + 1`` is public; the attribute part
-is one AND re-share, sent in the root's fetch whatever the root matches, so
-its size follows from public populations and code widths. The gate rule
-reads only the schema's padded lengths and the query's structure, so which
-slots open their flags is public too. A gated inner slot's children are all
-leaves, so nothing below it opens anything; a unique-route slot's subtree
-may hold a fetched slot, whose opened per-group counts show which of the
-gated records above it match.
+for vertex ``v`` of its type: ``[flag || attribute codes]`` in a fetched
+slot, whose access gives its candidates their flags and codes, and
+``[flag * code(v) || flag * attribute codes]`` in a gated or unique one,
+whose access gives its records with nothing opened, a non-match as the
+all-zero row, code 0, a dummy that the client drops. The id part of a gated
+table is local, as ``code(v) = v + 1`` is public; the attribute part is one
+AND re-share, sent in the root's fetch whatever the root matches, so its
+size follows from public populations and code widths. :class:`QueryPlan`
+says which route each slot takes, and what that reveals.
 
 A query slot's candidates, and then its matched records, are one
-:class:`RecordTable`: a :class:`oblivgm.rss.MatchTable` per field (the
-vertex ids and each queried attribute) and a public ``parent_record`` array.
-A candidate group is a run of rows with one parent record. Every re-share
-goes through :func:`oblivgm.rss.reshare_rows`, and every AND of two shared
-values takes its additive terms from :func:`oblivgm.rss.and_terms`: the
-gate of a population table by its flags, a unique root's fold, a gated
-slot's one-hot ids and the predicate combiners.
+:class:`RecordTable`. Every re-share goes through
+:func:`oblivgm.rss.reshare_rows`, and every AND of two shared values takes
+its additive terms from :func:`oblivgm.rss.and_terms`: the gate of a
+population table by its flags, a unique root's fold, a gated slot's one-hot
+ids and the predicate combiners.
 
 A vertex id and an attribute value each take one of two encodings: a row
 is one-hot only while a one-hot selection or a predicate may still read it,
@@ -71,37 +58,27 @@ done, and a share's attribute tables are mapped once. Root ids
 are public, row ``c`` being vertex ``c``, so the graph shares hold none. In
 the unique route a root's folded one-hot id is its flag vector; in the
 multi route it shuffles the public codes, and a root with children expands
-its K kept codes with :class:`oblivgm.shuffle.UnitVectors` before its
-accesses, in two rounds: three mask frames of ``K * 2^id_width / 32``
-words, the first two in a round of their own, as K comes with the flag
-open, and one open of the masked codes, each code's first share component
-being its additive share.
+its kept codes to one-hot rows before its accesses (:func:`_unit_ids`).
 
-The query tree runs level by level. Slots are numbered breadth-first, and
-each protocol step carries every slot of a level in one message per party:
-one shuffle of the level's fetched tables, whose last round opens their
-flags, and, for all edges out of the level together, one open of the masked
-codes, straight from the selection's additive shares, and one re-share of
-the rows selected from the children's population tables: two rounds. The
-first mask frames of a level's accesses ride in the message before that
-open, once the level's record counts are public: the unique root's fold,
-the open of a range root's codes, or, below the root, the level above's
-final re-share when every slot of the level is gated. A level with a
-fetched slot learns its counts at its flag open, so its masks take a round
-of their own, and its accesses three. Mask frames that ride in the fold
-are metered as ``secFetch``. Before the first level come the evaluation's
-one re-share and its combining steps, ``ceil(log2(j))`` AND re-shares for a
-slot of ``j`` predicates. Within a table, each candidate group is a segment
-permuted under its own table id; a child slot's groups are ``max_padded``
-rows each, a public size. The opened flags and the group boundaries are
-exactly what per-group steps would reveal, so batching leaks nothing more,
-and the number of rounds a query takes grows with the depth of its tree,
-not with its slots or its matches. Every opened value is entered in the
-runtime's ledger (``rt.opened``), one entry per slot with that slot's group
-segments: a fetch's flags (phase ``secFetch``, root and fetched slots only)
-and an access's masked codes (phase ``secAccess``, under the child slot,
-``max_padded * id_width`` bits a group, or under the root, ``id_width``
-bits a kept root record).
+The query tree runs level by level (:attr:`QueryPlan.levels`), and each
+protocol step carries every slot of a level in one message per party: one
+shuffle of the level's fetched tables, whose last round opens their flags,
+and, for all edges out of the level together, one open of the masked codes,
+straight from the selection's additive shares, and one re-share of the rows
+selected from the children's population tables: two rounds, after the
+level's first mask frames (:attr:`QueryPlan.masks`). Before the first level
+come the evaluation's one re-share and its combining steps,
+``ceil(log2(j))`` AND re-shares for a slot of ``j`` predicates. Within a
+table, each candidate group is a segment permuted under its own table id; a
+child slot's groups are ``max_padded`` rows each, a public size. The opened
+flags and the group boundaries are exactly what per-group steps would
+reveal, so batching leaks nothing more, and the number of rounds a query
+takes grows with the depth of its tree, not with its slots or its matches.
+Every opened value is entered in the runtime's ledger (``rt.opened``), one
+entry per slot with that slot's group segments: a fetch's flags (phase
+``secFetch``, root and fetched slots only) and an access's masked codes
+(phase ``secAccess``, under the child slot, ``max_padded * id_width`` bits a
+group, or under the root, ``id_width`` bits a kept root record).
 """
 
 from __future__ import annotations
@@ -287,11 +264,11 @@ def _bit_field(mat: np.ndarray, pos: int, width: int) -> np.ndarray:
     return mask_tail(out, width)
 
 
-def _unpack_fields(table: MatchTable, widths: list[int]) -> list[MatchTable]:
+def _unpack_fields(table: MatchTable, widths) -> list[MatchTable]:
     """The fields of ``widths`` bits laid end to end in a table's rows."""
     return [MatchTable(table.party_index, w, _bit_field(table.share_a, at, w),
                        _bit_field(table.share_b, at, w))
-            for at, w in zip(np.cumsum([0] + widths[:-1]), widths)]
+            for at, w in zip(np.cumsum([0, *widths[:-1]]), widths)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +405,13 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
 
 
 def _unit_ids(rt, codes: MatchTable, ts: TypeSchema, during=None) -> MatchTable:
-    """The root's kept id codes as one-hot rows, by one :class:`UnitVectors` expansion.
+    """The root's K kept id codes as one-hot rows, by one :class:`UnitVectors` expansion.
 
-    The count of codes comes with the flag open, so the masks take a round
-    of their own; the open of the masked codes, of each code's first
-    component as its additive share, is entered under slot 0, one
-    ``id_width``-bit segment per record, and ``during`` runs in its round.
-    With no record nothing is sent.
+    K comes with the flag open, so the first two of the three mask frames,
+    of ``K * 2^id_width / 32`` words, take a round of their own; the open of
+    the masked codes, of each code's first component as its additive share,
+    is entered under slot 0, one ``id_width``-bit segment per record, and
+    ``during`` runs in its round. With no record nothing is sent.
     """
     if not codes.rows:
         return _no_rows(rt.index, ts.population)
@@ -444,46 +421,45 @@ def _unit_ids(rt, codes: MatchTable, ts: TypeSchema, during=None) -> MatchTable:
                         [(0, (ts.id_width,) * codes.rows)], during=during)[0]
 
 
-def sec_access(rt, edges, gshare: GraphShare, slots: list[int], units, during=None):
+def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, during=None):
     """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
-    ``edges`` holds one ``(records, parent_type, child_type, table, fold,
-    flags)`` per edge. Selection runs over the whole parent-type population,
-    so nothing about which vertex matched leaks. It picks each record's
-    padded posting list, ``max_padded`` id codes, as additive shares.
-    ``units``, a :class:`oblivgm.shuffle.UnitVectors` made for the selected
-    codes of every edge whose records have a posting list to select, one
-    ``(records * max_padded, id_width)`` shape each in edge order, turns
-    them into one-hot rows: their masks' first step must already have been
-    sent, and one open of the uniformly masked codes ``d``, straight from
-    the additive shares (tagged with each edge's child slot from ``slots``,
-    one segment of ``max_padded * id_width`` bits per record), carries the
-    second. The one-hot rows select rows of ``table``, the child slot's
-    population table (:func:`sec_match`), in one re-share, in whose round
-    ``during`` runs: an access level takes two rounds.
+    ``edges`` holds one ``(slot, records, parent_type, child_type, table,
+    flags)`` per edge, ``slot`` being its child slot in ``qp``, the query's
+    plan. Selection runs over the whole parent-type population, so nothing
+    about which vertex matched leaks, and picks each record's ``padded`` id
+    codes as additive shares. ``units``, a :class:`oblivgm.shuffle.UnitVectors` of
+    one ``(records * padded, id_width)`` shape per edge with codes to
+    select, in edge order, whose masks' first step is sent
+    (:attr:`QueryPlan.masks`), turns them into one-hot rows: one open of the
+    uniformly masked codes ``d``, straight from the additive shares and
+    tagged with the child slot, one segment of ``padded * id_width`` bits a
+    record, carries the second step. The one-hot rows select rows of
+    ``table``, the child slot's population table, in one re-share, in whose
+    round ``during`` runs: an access level takes two rounds.
 
-    With ``fold``, the unique route, each record's selected rows are XORed
-    into one before the re-share. ``flags``, a gated child's population
-    flag vector when it has children, is ANDed with each one-hot row, in the
-    same re-share: the products are the child's gated one-hot ids, folded
-    likewise with ``fold``. A padding row's code is 0, so its one-hot row,
-    and the row it selects, are zero; so is a non-match's gated one-hot id.
+    A ``unique`` child's selected rows are XORed into one per record.
+    ``flags``, a gated child's population flags when it has children, is
+    ANDed with each one-hot row in the same re-share, giving the child's
+    gated one-hot ids, folded likewise. A padding row's code is 0, so its
+    one-hot row, and the row it selects, are zero; so is a non-match's
+    gated one-hot id.
 
     Returns per edge the selected rows, the child's one-hot ids (the rows
     that selected, or with ``flags`` their gated products) and each row's
-    parent record:
-    ``max_padded`` rows per record, in record order, or one with ``fold``.
+    parent record: ``padded`` rows per record, in record order, or one if
+    folded.
     """
     schema = gshare.schema
-    children = [schema.types[child_type] for _, _, child_type, *_ in edges]
-    l_max = [schema.types[parent_type].max_padded(child_type)
-             for _, parent_type, child_type, *_ in edges]
-    live = [i for i, (records, *_) in enumerate(edges) if l_max[i] and records.rows]
+    children = [schema.types[child_type] for _, _, _, child_type, *_ in edges]
+    l_max = [qp.padded[c] for c, *_ in edges]
+    fold = [qp.route[c] == "unique" for c, *_ in edges]
+    live = [i for i, (_, records, *_) in enumerate(edges) if l_max[i] and records.rows]
 
     # one-hot selection of every matched vertex's padded list of id codes
     sel = []
     for i in live:
-        records, parent_type, child_type, *_ = edges[i]
+        _, records, parent_type, child_type, *_ = edges[i]
         ids, x_pa = records.ids, schema.types[parent_type].population
         posting = gshare.types[parent_type].posting[child_type]
         sel.append((_select_many_additive(
@@ -492,13 +468,13 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int], units, during=No
         ).reshape(-1, 1), children[i].id_width))
     unit = {}
     if live:
-        tags = [(slots[i], (l_max[i] * children[i].id_width,) * edges[i][0].rows) for i in live]
+        tags = [(edges[i][0], (l_max[i] * children[i].id_width,) * edges[i][1].rows) for i in live]
         unit = dict(zip(live, units.expand(sel, [children[i].population for i in live], tags)))
 
     # one selection of every row out of its child's population table
     wanted = []
     for i, rows in unit.items():
-        records, _, _, table, fold, flags = edges[i]
+        _, records, _, _, table, flags = edges[i]
 
         def folded(additive):  # a record's rows XORed into one
             return np.bitwise_xor.reduce(additive.reshape(records.rows, l_max[i], -1), axis=1)
@@ -506,24 +482,24 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int], units, during=No
         n = children[i].population
         picked = _select_many_additive(unpack_bits(rows.share_a, n), unpack_bits(rows.share_b, n),
                                        table.share_a, table.share_b)
-        wanted.append((folded(picked) if fold else picked, table.width))
+        wanted.append((folded(picked) if fold[i] else picked, table.width))
         if flags is not None:
             gated = rss.and_terms(rows.share_a, rows.share_b, flags.share_a, flags.share_b)
-            wanted.append((folded(gated) if fold else gated, n))
+            wanted.append((folded(gated) if fold[i] else gated, n))
     if wanted:
         values = iter(rss.reshare_rows(rt, *wanted[0], more=wanted[1:], during=during))
     elif during is not None:  # nothing to re-share: its frames go on their own
         during()
 
     out = []
-    for i, (records, _, _, table, fold, flags) in enumerate(edges):
+    for i, (_, records, _, _, table, flags) in enumerate(edges):
         if i not in unit:
             out.append((_no_rows(rt.index, table.width),
                         _no_rows(rt.index, children[i].population), np.zeros(0, np.int64)))
             continue
         picked = next(values)
         out.append((picked, next(values) if flags is not None else unit[i],
-                    np.repeat(np.arange(records.rows), 1 if fold else l_max[i])))
+                    np.repeat(np.arange(records.rows), 1 if fold[i] else l_max[i])))
     return out
 
 
@@ -532,38 +508,93 @@ def sec_access(rt, edges, gshare: GraphShare, slots: list[int], units, during=No
 # ---------------------------------------------------------------------------
 
 
-def _levels(slots) -> list[list[int]]:
-    """The query tree's slots by depth, in slot order within each level."""
-    levels = [[0]]
-    while nxt := [c for s in levels[-1] for c in slots[s]["children"]]:
-        levels.append(nxt)
-    return levels
+@dataclass(frozen=True)
+class QueryPlan:
+    """What each slot and level of a query does, from the schema and its structure alone.
 
+    Slots are numbered breadth-first. Each one's ``route`` is one of:
 
-def gates_inner_slot(parent: TypeSchema, slots, s: int) -> bool:
-    """Whether inner multi-route slot ``s`` below the root is gated instead of fetched.
+    * ``unique root``: a root matched by one equality on a unique
+      attribute, which folds its rows into one record;
+    * ``shuffled root``: any other root, which shuffles its rows, opens
+      their flags and, with children, expands its kept codes to one-hot;
+    * ``unique``: a slot below the root matched so, whose access XORs each
+      group's rows into one record;
+    * ``gated leaf``: any other leaf, whose records are its access's rows;
+    * ``gated inner``: a slot with children that the gate rule allows,
+      whose records are so too, with one-hot ids gated by its flags;
+    * ``fetched``: any other slot, whose access gives candidates that it
+      shuffles, opening their flags, as the root does.
 
-    ``parent`` is the type of ``s``'s parent slot and ``slots`` the query's
-    structure. A gated inner slot's records are all of its parent records'
-    ``max_padded`` rows, and its accesses select from every one of them,
-    so its children pay ``max_padded`` rows per parent record where a fetch
-    pays the records that match. The slot is gated when both hold:
+    The gate rule: a gated inner slot's children select from all of its
+    ``padded`` rows per parent record, not from its matches. So a slot is
+    gated only if its children are all leaves, so that gated rows never
+    multiply over two levels and no open below them shows which rows match,
+    and if the parent type's padded lengths toward it are even: their
+    maximum at most twice their mean, a provisional factor. A plan reads
+    only public values, so which slots open their flags is public too; but a
+    unique slot's subtree may hold a fetched slot, whose opened counts show
+    which of the unique slot's records match.
 
-    * every child of ``s`` is a leaf. Gated rows then never multiply over
-      two levels, as a child with children of its own would select from
-      them again, and no slot below a gated inner slot opens its flags,
-      whose per-group counts would show which of its rows match.
-    * the parent type's padded posting lengths toward ``s``'s type are
-      even: their maximum at most twice their mean. The factor is
-      provisional, as no benchmark workload lies near it yet.
-
-    The rule reads only the public schema and the query's structure, so
-    which slots open their flags is public too.
+    Below the root, ``padded`` is the rows each parent record gives a slot,
+    the parent type's ``max_padded`` toward its type, and ``widths`` its
+    population table's fields: a 1-bit flag if fetched, else an
+    ``id_width``-bit gated code, then the attributes' codes. Per level,
+    ``levels`` holds its slots and ``masks`` the message that first carries
+    its accesses' mask frames, once its counts are public: ``fold``, the
+    unique root's fold; ``expansion``, the open of a shuffled root's codes;
+    ``above``, the level above's final re-share, when every slot of the
+    level is gated; ``own``, a round of their own after a fetched slot's
+    flag open, so that its accesses take three rounds; ``None`` at a level
+    without children.
     """
-    if any(slots[c]["children"] for c in slots[s]["children"]):
-        return False
-    lens = parent.padded_len.get(slots[s]["type"], [])
-    return parent.max_padded(slots[s]["type"]) * len(lens) <= 2 * sum(lens)
+
+    route: tuple[str, ...]
+    parent: tuple[int, ...]  # -1 at the root
+    padded: tuple[int, ...]  # 0 at the root
+    widths: tuple[tuple[int, ...], ...]  # () at the root
+    levels: tuple[tuple[int, ...], ...]
+    masks: tuple[str | None, ...]
+
+    def count(self, s: int, opened) -> int:
+        """Slot ``s``'s record count; ``opened(t)`` is a shuffled or fetched slot ``t``'s."""
+        if self.route[s] == "unique root":
+            return 1
+        if self.route[s] in ("shuffled root", "fetched"):
+            return opened(s)
+        n = self.count(self.parent[s], opened)
+        return min(n, n * self.padded[s]) if self.route[s] == "unique" else n * self.padded[s]
+
+
+def plan(schema: GraphSchema, structure: dict) -> QueryPlan:
+    """The plan of a query whose structure fits the schema (:func:`query.check_structure`)."""
+    slots = structure["slots"]  # breadth-first: the child lists in slot order count 1, 2, ...
+    parent = (-1, *(s for s, slot in enumerate(slots) for _ in slot["children"]))
+    route, padded, widths = [], [], []
+    for s, slot in enumerate(slots):
+        ts, (pred, *more) = schema.types[slot["type"]], slot["preds"]
+        unique = not more and pred["kind"] == fss.KIND_EQ and ts.attrs[pred["attr"]].unique
+        lens = schema.types[slots[parent[s]]["type"]].padded_len.get(slot["type"], []) if s else []
+        padded.append(max(lens, default=0))
+        if s == 0:
+            route.append("unique root" if unique else "shuffled root")
+        elif unique or not slot["children"]:
+            route.append("unique" if unique else "gated leaf")
+        else:  # the gate rule
+            even = padded[s] * len(lens) <= 2 * sum(lens)
+            leaves = not any(slots[c]["children"] for c in slot["children"])
+            route.append("gated inner" if even and leaves else "fetched")
+        widths.append(() if s == 0 else (ts.id_width if route[s] != "fetched" else 1,
+                                         *(ts.attrs[a].code_width for a in slot_attrs(slot))))
+    levels = [(0,)]
+    while nxt := tuple(c for s in levels[-1] for c in slots[s]["children"]):
+        levels.append(nxt)
+    masks = ["fold" if route[0] == "unique root" else "expansion"] + [
+        "own" if any(route[s] == "fetched" for s in level) else "above" for level in levels[1:]]
+    masks = [m if any(slots[s]["children"] for s in level) else None
+             for m, level in zip(masks, levels)]
+    return QueryPlan(tuple(route), parent, tuple(padded), tuple(widths),
+                     tuple(levels), tuple(masks))
 
 
 def check_token(token: PartyToken, gshare: GraphShare) -> None:
@@ -584,12 +615,12 @@ def check_token(token: PartyToken, gshare: GraphShare) -> None:
 
 
 def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> MatchResultSet:
-    """Run the whole query at one party, level by level; ``progress`` gets a line per slot."""
+    """Run the query's :class:`QueryPlan` at one party; ``progress`` gets a line per slot."""
     schema = gshare.schema
     if token.party_index != rt.index:
         raise QueryFormatError(f"token of party {token.party_index} run at party {rt.index}")
     check_token(token, gshare)
-    slots = token.structure["slots"]
+    qp, slots = plan(schema, token.structure), token.structure["slots"]
     types = [schema.types[slot["type"]] for slot in slots]
     shares = [gshare.types[slot["type"]] for slot in slots]
     records: list[RecordTable | None] = [None] * len(slots)
@@ -597,21 +628,6 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
     def say(msg: str):
         if progress:
             progress(f"[party-{rt.index}] {msg}")
-
-    def unique_route(s: int) -> bool:
-        preds = slots[s]["preds"]
-        return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
-                and types[s].attrs[preds[0]["attr"]].unique)
-
-    parent = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
-
-    def gated(s: int) -> bool:  # below the root, a slot whose records come out of its access
-        return s != 0 and (unique_route(s) or not slots[s]["children"]
-                           or gates_inner_slot(types[parent[s]], slots, s))
-
-    def widths(s: int) -> list[int]:  # the fields of a population table: its head, then codes
-        return ([types[s].id_width if gated(s) else 1]
-                + [types[s].attrs[a].code_width for a in slot_attrs(slots[s])])
 
     # every predicate over its type's whole population, in one message
     indicators = eval_keys(token, types)
@@ -622,10 +638,8 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         flags = combine_predicates(rt, [[next(bits) for _ in slot["preds"]] for slot in slots],
                                    [slot["combiner"] for slot in slots])
 
-    # below the root, each slot's table over its type's population, row v for vertex v:
-    # [flag || attribute codes] if it is fetched, [flag * code(v) || flag * attribute codes]
-    # if it is gated. code(v) = v + 1 is public, so all is local but the gated attribute
-    # codes: one AND re-share of a bit row per slot, in a message of the root's fetch
+    # below the root, each slot's population table: all is local but the gated attribute
+    # codes, one AND re-share of a bit row per slot, in a message of the root's fetch
     heads, rows, gate = {}, {}, []
     for s in range(1, len(slots)):
         column = _flag_column(flags[s])
@@ -633,39 +647,24 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         rows[s] = [_pack_fields([(getattr(t, side), t.width) for t in codes])
                    for side in ("share_a", "share_b")]
         heads[s] = [column.share_a, column.share_b]
-        if gated(s):
+        if qp.route[s] != "fetched":
             ids = np.arange(1, types[s].population + 1, dtype=np.uint32)[:, None]
             masks = _masks(column)
             heads[s] = [m & ids for m in masks]
-            width = sum(widths(s)[1:])
+            width = sum(qp.widths[s][1:])
             gate.append((pack_bits(unpack_bits(rss.and_terms(*masks, *rows[s]), width)
                                    .reshape(1, -1)), types[s].population * width))
 
-    def count(s: int) -> int:  # slot s's records; a gated slot's are public before its access
-        if s == 0 and unique_route(0):
-            return 1
-        if not gated(s):
-            return records[s].rows
-        p = parent[s]
-        n = count(p) * types[p].max_padded(slots[s]["type"])
-        return min(n, count(p)) if unique_route(s) else n  # a fold is one row, if any
-
-    levels, units = _levels(slots), {}  # per level, its accesses' UnitVectors or None
+    units = {}  # per level, its accesses' UnitVectors or None
 
     def send_masks(li: int) -> None:
         """Make level ``li``'s access unit vectors and send their masks' first step."""
-        shapes = [(count(s) * types[s].max_padded(slots[c]["type"]), types[c].id_width)
-                  for s in levels[li] for c in slots[s]["children"]]
+        shapes = [(qp.count(s, lambda t: records[t].rows) * qp.padded[c], types[c].id_width)
+                  for s in qp.levels[li] for c in slots[s]["children"]]
         shapes = [shape for shape in shapes if shape[0]]
         units[li] = UnitVectors(rt, shapes) if shapes else None
         if units[li]:
             units[li].send_masks()
-
-    def masks_ahead(li: int):
-        """Level ``li``'s masks, sent in the level above's final re-share if its slots are gated."""
-        if li < len(levels) and all(map(gated, levels[li])):
-            return lambda: send_masks(li)
-        return None
 
     # the root's rows are its population, its ids public codes: the unique route folds its
     # value codes, the multi route shuffles its rows
@@ -674,9 +673,10 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                        np.full(types[0].population, -1))
     say(f"slot 0 ({slots[0]['name']}): {root.rows} candidates in 1 groups")
     with rt.meter.phase("secFetch"):
-        if unique_route(0):  # the fold carries the root level's masks
-            records[0], gated_attrs = sec_fetch_unique(rt, root, flags[0], more=gate,
-                                                       during=lambda: send_masks(0))
+        if qp.route[0] == "unique root":
+            records[0], gated_attrs = sec_fetch_unique(
+                rt, root, flags[0], more=gate,
+                during=(lambda: send_masks(0)) if qp.masks[0] == "fold" else None)
         else:
             gated_attrs = []
 
@@ -687,8 +687,8 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                                             during=send_gate if gate else None)
     gated_attrs, pops = iter(gated_attrs), {}
     for s in rows:
-        w = widths(s)
-        if gated(s):
+        w = qp.widths[s]
+        if qp.route[s] != "fetched":
             t = next(gated_attrs)
             rows[s] = [pack_bits(unpack_bits(m, t.width).reshape(-1, sum(w[1:])))
                        for m in (t.share_a, t.share_b)]
@@ -696,8 +696,8 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                                                  for h, r in zip(heads[s], rows[s])))
 
     cands, fetch_flags = {}, {}  # a fetched slot's candidates, and their flags
-    for li, level in enumerate(levels):
-        fetched = [s for s in level if s in cands]
+    for li, level in enumerate(qp.levels):
+        fetched = [s for s in level if qp.route[s] == "fetched"]
         for s in fetched:
             say(f"slot {s} ({slots[s]['name']}): {cands[s].rows} candidates "
                 f"in {len(cands[s].groups()[1])} groups")
@@ -710,29 +710,30 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                     records[s] = matched
         for s in level:
             say(f"slot {s} ({slots[s]['name']}): {records[s].rows} "
-                + ("gated rows" if gated(s) and not unique_route(s) else "matched records"))
-        edges = [(s, c) for s in level for c in slots[s]["children"]]
-        if edges:
+                + ("gated rows" if qp.route[s].startswith("gated") else "matched records"))
+        if qp.masks[li] is not None:
+            edges = [(s, c) for s in level for c in slots[s]["children"]]
             with rt.meter.phase("secAccess"):
-                if level == [0] and not unique_route(0):  # the kept root codes, one-hot
+                if qp.masks[li] == "expansion":  # the kept root codes, one-hot
                     records[0] = replace(records[0], ids=_unit_ids(
                         rt, records[0].ids, types[0], during=lambda: send_masks(0)))
-                if li not in units:  # a fetched slot's count came with its flag open
+                elif qp.masks[li] == "own":  # a fetched slot's count came with its flag open
                     send_masks(li)
-                accessed = sec_access(rt, [
-                    (records[s], slots[s]["type"], slots[c]["type"], pops[c], unique_route(c),
-                     flags[c] if gated(c) and slots[c]["children"] else None)
-                    for s, c in edges], gshare, [c for _, c in edges], units[li],
-                    during=masks_ahead(li + 1))
+                accessed = sec_access(rt, qp, [
+                    (c, records[s], slots[s]["type"], slots[c]["type"], pops[c],
+                     flags[c] if qp.route[c] != "fetched" and slots[c]["children"] else None)
+                    for s, c in edges], gshare, units.get(li),
+                    during=(lambda: send_masks(li + 1)) if "above" in qp.masks[li + 1:li + 2]
+                    else None)
             for (_, c), (picked, hot, parents) in zip(edges, accessed):
-                head, *fields = _unpack_fields(picked, widths(c))
+                head, *fields = _unpack_fields(picked, qp.widths[c])
                 attrs = dict(zip(slot_attrs(slots[c]), fields))
-                if gated(c):  # a leaf's ids are its gated codes
-                    records[c] = RecordTable(hot if slots[c]["children"] else head, attrs, parents)
-                else:
+                if qp.route[c] == "fetched":
                     cands[c], fetch_flags[c] = RecordTable(hot, attrs, parents), head
+                else:  # a leaf's ids are its gated codes
+                    records[c] = RecordTable(hot if slots[c]["children"] else head, attrs, parents)
         for s in level:  # one-hot ids, accessed, expanded or the root's flag vector, become codes
-            if slots[s]["children"] or (s == 0 and unique_route(0)):
+            if slots[s]["children"] or qp.route[s] == "unique root":
                 records[s] = replace(records[s], ids=_codes(records[s].ids))
 
     return MatchResultSet(rt.index, token.structure, records)
@@ -836,12 +837,12 @@ def open_results(result_sets: list[MatchResultSet], schema: GraphSchema):
     """
     decoded = decode_records(result_sets, schema)
     slots = result_sets[0].structure["slots"]
-    parent = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+    parent = plan(schema, result_sets[0].structure).parent
     kept, tables = [], []  # per slot: the indices of its live records, and their provenance
     for s, (ext_ids, _) in enumerate(decoded):
         live = np.array([ext is not None for ext in ext_ids], dtype=bool)
         parent_record = result_sets[0].records[s].parent_record
-        if s in parent:  # a live parent record's new index, -1 for a dropped one
+        if s:  # a live parent record's new index, -1 for a dropped one
             renumber = np.full(len(decoded[parent[s]][0]), -1)
             renumber[kept[parent[s]]] = np.arange(len(kept[parent[s]]))
             parent_record = renumber[parent_record]

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import fss
 from .bits import mask_tail, words_for
-from .engine import MatchResultSet, RecordTable
+from .engine import MatchResultSet, RecordTable, plan
 from .graphs import GraphSchema, GraphShare, TypePartyShare
 from .query import PartyToken, check_structure, slot_attrs
 from .rss import PARTIES, MatchTable
@@ -261,17 +261,16 @@ def save_results(path, results: MatchResultSet, schema: GraphSchema) -> None:
         out.seal()
 
 
-def _provenance(slots, lists) -> list[np.ndarray]:
-    """Each slot's ``parent_record`` array, from a manifest's parent record lists.
+def _provenance(parent: tuple[int, ...], lists) -> list[np.ndarray]:
+    """Each slot's ``parent_record`` array, from a manifest's lists and the plan's ``parent``.
 
     The root's records have no parent record, -1; every other slot's point
     into its parent slot's records, in non-decreasing order.
     """
-    if len(lists) != len(slots):
-        raise ValueError(f"{len(lists)} parent record lists for {len(slots)} slots")
-    parent_slot = {c: s for s, slot in enumerate(slots) for c in slot["children"]}
+    if len(lists) != len(parent):
+        raise ValueError(f"{len(lists)} parent record lists for {len(parent)} slots")
     for s, got in enumerate(lists):
-        lo, hi = (-1, 0) if s == 0 else (0, len(lists[parent_slot[s]]))
+        lo, hi = (-1, 0) if s == 0 else (0, len(lists[parent[s]]))
         if not (type(got) is list and all(type(p) is int and lo <= p < hi for p in got)
                 and got == sorted(got)):
             raise ValueError(f"slot {s}'s parent records point outside its parent slot's")
@@ -288,7 +287,7 @@ def load_results(path, schema: GraphSchema) -> MatchResultSet:
                 raise ValueError("keys are not exactly 'structure' and 'parent_records'")
             structure = manifest["structure"]
             check_structure(structure, schema)
-            parents = _provenance(structure["slots"], manifest["parent_records"])
+            parents = _provenance(plan(schema, structure).parent, manifest["parent_records"])
             tables = list(_result_tables(structure, schema, [len(p) for p in parents]))
         except (ValueError, KeyError, TypeError) as exc:
             raise StorageError(f"corrupt result manifest: {exc!r}") from None

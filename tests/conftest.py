@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oblivgm import fss, rss
+from oblivgm import rss
 from oblivgm.bits import pack_bits, unpack_bits
-from oblivgm.engine import RecordTable, assemble, gates_inner_slot, open_results, sec_match
+from oblivgm.engine import RecordTable, assemble, open_results, plan, sec_match
 from oblivgm.graphs import encrypt_graph, parse_graph_text
 from oblivgm.net import local_runtimes, make_session_configs, run_trio
 from oblivgm.oracle import _Matcher
@@ -129,26 +129,19 @@ def depth_stamper():
     return sent, attach
 
 
-def unique_route(schema, slot) -> bool:
-    """Whether a slot's fetch takes the local unique route: one equality on a unique attribute."""
-    preds = slot["preds"]
-    return (len(preds) == 1 and preds[0]["kind"] == fss.KIND_EQ
-            and schema.types[slot["type"]].attrs[preds[0]["attr"]].unique)
-
-
 def expected_open_counts(res):
     """Plaintext count per candidate group of every fetch ledger entry, keyed by (phase, slot).
 
     A fetch entry counts each candidate group's members that satisfy its
     slot: the root's one group, or one group per record of the slot's
     parent, holding that record's true neighbours (none for a dummy record)
-    among its padded rows. Below the root, unique-route slots fold, and
-    leaves and the inner slots that :func:`oblivgm.engine.gates_inner_slot`
-    allows are gated, so none of them opens anything.
+    among its padded rows. Only the slots whose plan route is ``shuffled
+    root`` or ``fetched`` open anything.
     """
     graph, schema, query, results = res["graph"], res["schema"], res["query"], res["results"]
     matcher = _Matcher(graph, query, schema)
     slots = results[0].structure["slots"]
+    route = plan(schema, results[0].structure).route
 
     def neighbours(s, ri, vtype):
         code = row_code([r.records[s].ids for r in results], ri)
@@ -165,9 +158,7 @@ def expected_open_counts(res):
         else:
             groups = [neighbours(parent, ri, slot["type"])
                       for ri in range(results[0].records[parent].rows)]
-        fetched = parent is None or (slot["children"] and not gates_inner_slot(
-            schema.types[slots[parent]["type"]], slots, s))
-        if groups and fetched and not unique_route(schema, slot):
+        if groups and route[s] in ("shuffled root", "fetched"):
             out[("secFetch", s)] = [sum(matcher.vertex_ok(s, w) for w in g) for g in groups]
     return out
 
@@ -176,26 +167,26 @@ def expected_access_segments(res):
     """Segments of every secAccess ledger entry, keyed by child slot, or by 0 for the root.
 
     An access opens every selected code masked by a one-time pad, one
-    segment per record of the parent slot: its ``max_padded`` codes of
-    ``id_width`` bits. A root with children in the multi route first opens
-    its kept records' codes masked the same way, one segment of ``id_width``
-    bits each. The masked bits are not public values, so only their
-    segments are expected, never their popcounts.
+    segment per record of the parent slot: its ``padded`` codes of
+    ``id_width`` bits. A shuffled root with children first opens its kept
+    records' codes masked the same way, one segment of ``id_width`` bits
+    each. The masked bits are not public values, so only their segments are
+    expected, never their popcounts.
     """
     schema, query, results = res["schema"], res["query"], res["results"]
     slots = results[0].structure["slots"]
+    qp = plan(schema, results[0].structure)
     out = {}
     for c, slot in enumerate(slots):
         parent = query.parent[c]
         if parent is None:
             rows = results[0].records[0].rows
-            if slot["children"] and rows and not unique_route(schema, slot):
+            if qp.route[0] == "shuffled root" and slot["children"] and rows:
                 out[0] = (schema.types[slot["type"]].id_width,) * rows
             continue
-        l_max = schema.types[slots[parent]["type"]].max_padded(slot["type"])
         rows = results[0].records[parent].rows
-        if l_max and rows:
-            out[c] = (l_max * schema.types[slot["type"]].id_width,) * rows
+        if qp.padded[c] and rows:
+            out[c] = (qp.padded[c] * schema.types[slot["type"]].id_width,) * rows
     return out
 
 

@@ -14,17 +14,18 @@ from oblivgm.bits import BitVector, mask_tail, pack_bits, unpack_bits, words_for
 from oblivgm.engine import (RecordTable, combine_predicates,
                             open_results, sec_eval, sec_fetch_multi,
                             sec_fetch_unique, sec_match, _bit_field, _pack_fields)
-from oblivgm.graphs import (GraphSchema, TypeSchema, build_schema, encrypt_graph,
+from oblivgm.graphs import (AttrSchema, GraphSchema, TypeSchema, build_schema, encrypt_graph,
                             parse_graph_text)
 from oblivgm.net import (OP_OPEN, OP_RESHARE, OP_SHUFFLE, ProtocolError, local_runtimes,
                          make_session_configs, run_trio)
 from oblivgm.oracle import _Matcher, oracle_match
-from oblivgm.query import QueryFormatError, gen_token, load_query
+from oblivgm.query import QueryFormatError, gen_token, load_query, query_structure
 from oblivgm.rss import MatchTable
 from oblivgm.shuffle import simulate_unit_vectors
 from tests.conftest import (CAMPUS_GRAPH, TWO_PERSON_QUERY, chainmap_assemble, depth_stamper,
                             expected_access_segments, expected_open_counts, opened_counts,
                             plain_bits, row_code, run_secure_query, share_bits)
+from tests.test_transcript_pins import PINNED
 
 
 def make_group(values, domain, rng, ids_domain=None):
@@ -117,6 +118,14 @@ HOP_QUERY = ("Q s0 A x0 in 2 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= {c}\nQ s3 C x0 >= {
 # on skew_graph_text(24), A's padded lengths toward B are far from even, so
 # the inner slot s1 is fetched though its one child is a leaf
 SKEW_CHAIN = "Q s0 A x0 in 1 2\nQ s1 B x0 >= 1\nQ s2 C x0 >= 1\nQE s0 s1\nQE s1 s2\n"
+
+# HOP_QUERY's tree under a range root or, on keyed_hop_graph_text, a point root
+HOP_TREE = HOP_QUERY.format(c=1).replace("x0 in 2 2", "{root}")
+
+
+def keyed_hop_graph_text(n: int) -> str:
+    """:func:`hop_graph_text` with a unique ``key`` on every ``A`` vertex, ``a{i}`` holding ``i``."""
+    return re.sub(r"^(V A a(\d+) .*)$", r"\1 key=\2", hop_graph_text(n), flags=re.M)
 
 
 def test_sec_eval_equality_hits_and_misses():
@@ -1065,7 +1074,7 @@ def test_gated_inner_slot_drops_its_misses_subtrees_as_dummies():
     res = run_secure_query(hop_graph_text(12),
                            HOP_QUERY.format(c=1).replace("B x0 >= 1", "B x0 >= 2"))
     schema, results = res["schema"], res["results"]
-    assert engine.gates_inner_slot(schema.types["A"], results[0].structure["slots"], 1)
+    assert engine.plan(schema, results[0].structure).route[1] == "gated inner"
     for slot in (1, 3):
         got = rss.reconstruct_rows([r.records[slot].ids for r in results])[:, 0]
         assert got.tolist() == gated_codes(res, slot) and 0 < np.count_nonzero(got) < len(got)
@@ -1076,17 +1085,30 @@ def test_gated_inner_slot_drops_its_misses_subtrees_as_dummies():
     assert res["matches"] == oracle_match(res["graph"], res["query"], schema) != set()
 
 
+def range_plan(types: str, children: list[list[int]], padded: dict) -> engine.QueryPlan:
+    """The plan of a tree query of one range predicate per slot, over a schema of padded lengths.
+
+    Slot ``s`` has type ``types[s]`` and children ``children[s]``, and
+    ``padded[t]`` maps each type that ``t`` has posting lists toward to
+    their padded lengths.
+    """
+    attrs = {"x": AttrSchema(["0", "1"], True, False)}
+    schema = GraphSchema(2, {t: TypeSchema(["v"], attrs, sorted(lens), [], lens)
+                             for t, lens in padded.items()})
+    return engine.plan(schema, {"slots": [
+        {"name": f"s{s}", "type": t, "preds": [{"attr": "x", "kind": fss.KIND_LT}],
+         "combiner": "ALL", "children": kids} for s, (t, kids) in enumerate(zip(types, children))]})
+
+
 def test_the_gate_rule_holds_at_twice_the_mean_padded_length():
     # the rule reads only the padded lengths toward the slot's type: a
     # longest list of exactly twice the mean gates, one just above does not,
     # and a type without lists toward the slot gates
-    slots = [{"type": "A", "children": [1]}, {"type": "B", "children": [2]},
-             {"type": "C", "children": []}]
-
     def gates(lens, child_type="B"):
-        parent = TypeSchema(["v"] * len(lens), {}, ["B"], [], {"B": lens})
-        return engine.gates_inner_slot(parent, [*slots[:1], {**slots[1], "type": child_type},
-                                                *slots[2:]], 1)
+        qp = range_plan("A" + child_type + "C", [[1], [2], []],
+                        {"A": {"B": lens}, "B": {"C": [1]}, "C": {}})
+        assert qp.route[1] in ("gated inner", "fetched")
+        return qp.route[1] == "gated inner"
 
     assert gates([4, 1, 1, 2])  # 4 = 2 * 2
     assert not gates([5, 1, 1, 2])  # 5 > 2 * 2.25
@@ -1101,14 +1123,14 @@ def test_the_gate_rule_refuses_a_slot_with_an_inner_child():
     # gated rows would multiply over two levels, and the child's opened
     # counts would show which gated rows match: the slot is fetched, however
     # even the padding, and its child, whose children are leaves, is gated
-    ts = TypeSchema(["v"] * 3, {}, ["A"], [], {"A": [2, 2, 2]})
-    chain = [{"type": "A", "children": [c + 1] if c < 3 else []} for c in range(4)]
-    assert [engine.gates_inner_slot(ts, chain, s) for s in (1, 2)] == [False, True]
-    tree = [{"type": "A", "children": [1, 2]}, {"type": "A", "children": [3, 4]},
-            {"type": "A", "children": [5]}, *({"type": "A", "children": []} for _ in range(3))]
-    assert [engine.gates_inner_slot(ts, tree, s) for s in (1, 2)] == [True, True]
-    tree[3]["children"] = [5]
-    assert [engine.gates_inner_slot(ts, tree, s) for s in (1, 2)] == [False, True]
+    even = {"A": {"A": [2, 2, 2]}}
+    assert range_plan("AAAA", [[1], [2], [3], []], even).route == (
+        "shuffled root", "fetched", "gated inner", "gated leaf")
+    assert range_plan("A" * 6, [[1, 2], [3, 4], [5], [], [], []], even).route == (
+        "shuffled root", "gated inner", "gated inner", "gated leaf", "gated leaf", "gated leaf")
+    assert range_plan("A" * 7, [[1, 2], [3, 4], [5], [6], [], [], []], even).route == (
+        "shuffled root", "fetched", "gated inner", "gated inner", "gated leaf", "gated leaf",
+        "gated leaf")
 
 
 def test_gated_levels_do_not_compound_on_a_chain():
@@ -1138,14 +1160,47 @@ def test_skewed_padding_keeps_an_inner_slot_on_the_shuffle():
     # predicts; on the even graph it is gated and opens nothing
     for text, fetched in ((hop_graph_text(24), False), (skew_graph_text(24), True)):
         res = run_secure_query(text, SKEW_CHAIN)
-        slots = res["results"][0].structure["slots"]
-        assert engine.gates_inner_slot(res["schema"].types["A"], slots, 1) is not fetched
+        route = engine.plan(res["schema"], res["results"][0].structure).route
+        assert route[1] == ("fetched" if fetched else "gated inner")
         assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
         want = expected_open_counts(res)
         assert (("secFetch", 1) in want) is fetched
         for rt in res["runtimes"]:
             fetches = [e for e in rt.opened if e.phase == "secFetch"]
             assert {(e.phase, e.slot): opened_counts(e) for e in fetches} == want
+
+
+PINNED_QUERIES = {p.id: p.values[:2] for p in PINNED}
+
+
+@pytest.mark.parametrize("graph_text,query_text,route,masks", [
+    pytest.param(*PINNED_QUERIES["campus-two-person"],
+                 ("unique root", "gated inner", "gated inner", "unique", "unique"),
+                 ("fold", "above", None), id="campus-two-person"),
+    pytest.param(*PINNED_QUERIES["unique-chain"], ("unique root", "unique", "unique"),
+                 ("fold", "above", None), id="unique-chain"),
+    pytest.param(*PINNED_QUERIES["repeated-categorical"], ("shuffled root", "gated leaf"),
+                 ("expansion", None), id="repeated-categorical"),
+    pytest.param(*PINNED_QUERIES["two-group"], ("unique root", "gated inner", "gated leaf"),
+                 ("fold", "above", None), id="two-group"),
+    pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="x0 in 2 2"),
+                 ("shuffled root", "gated inner", "gated leaf", "gated leaf"),
+                 ("expansion", "above", None), id="range-rooted-hop"),
+    pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="key = 5"),
+                 ("unique root", "gated inner", "gated leaf", "gated leaf"),
+                 ("fold", "above", None), id="point-rooted-hop"),
+    # s1 is gated on the even graph, so its level's masks ride in the root's
+    # access; on the skewed graph it is fetched, and they wait for its flags
+    pytest.param(hop_graph_text(24), SKEW_CHAIN, ("shuffled root", "gated inner", "gated leaf"),
+                 ("expansion", "above", None), id="even-chain"),
+    pytest.param(skew_graph_text(24), SKEW_CHAIN, ("shuffled root", "fetched", "gated leaf"),
+                 ("expansion", "own", None), id="skewed-chain"),
+])
+def test_the_plan_pins_each_slots_route_and_each_levels_mask_carrier(graph_text, query_text,
+                                                                     route, masks):
+    schema = build_schema(parse_graph_text(graph_text), 2)
+    qp = engine.plan(schema, query_structure(load_query(query_text, schema)))
+    assert (qp.route, qp.masks) == (route, masks)
 
 
 def test_a_leaf_that_matches_nothing_equals_the_oracle():
@@ -1172,11 +1227,9 @@ def test_a_hop_tree_takes_10_rounds_range_rooted_and_6_point_rooted():
     # vertex has two B neighbours, so the inner slot s1 is gated like the
     # leaves s2 and s3: all three take their records from the accesses, and
     # nothing below the root is shuffled
-    text = re.sub(r"^(V A a(\d+) .*)$", r"\1 key=\2", hop_graph_text(12), flags=re.M)
-    query = HOP_QUERY.format(c=1).replace("x0 in 2 2", "{root}")
     for root, rounds in (("x0 in 2 2", 10), ("key = 5", 6)):
         sent, stamp = depth_stamper()
-        res = run_secure_query(text, query.format(root=root), attach=stamp)
+        res = run_secure_query(keyed_hop_graph_text(12), HOP_TREE.format(root=root), attach=stamp)
         assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
         assert max(depth for log in sent.values() for *_, depth in log) == rounds
 

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oblivgm import graphs
-from oblivgm.engine import decode_records, open_results
+from oblivgm.engine import decode_records, open_results, plan
 from oblivgm.graphs import GraphFormatError, build_schema, parse_graph_text
 from oblivgm.oracle import oracle_match
 from tests.conftest import (CAMPUS_GRAPH, expected_access_segments, expected_open_counts, listed,
@@ -117,6 +117,17 @@ def check_secure_equals_oracle(graph, schema, query_text, k):
     got = {(e.phase, e.slot): opened_counts(e) for e in fetches}
     assert len(got) == len(fetches)
     assert got == expected_open_counts(res)
+    # the plan gives every slot's record count from the fetches' opened counts, and the
+    # fetch entries are exactly its shuffled root's and fetched slots', each over all of
+    # the slot's candidates: the root's population, or padded rows per parent record
+    qp, slots = plan(schema, res["results"][0].structure), res["results"][0].structure["slots"]
+    opened = {e.slot: int(e.bits.sum()) for e in fetches}
+    count = [qp.count(s, lambda t: opened.get(t, 0)) for s in range(len(slots))]
+    assert count == [t.rows for t in res["results"][0].records]
+    candidates = {s: count[qp.parent[s]] * qp.padded[s] if s
+                  else schema.types[slots[0]["type"]].population
+                  for s, route in enumerate(qp.route) if route in ("shuffled root", "fetched")}
+    assert {e.slot: sum(e.segments) for e in fetches} == {s: n for s, n in candidates.items() if n}
     # the rest are the accesses' masked codes, one segment per parent record
     accesses = {e.slot: e.segments for e in ledgers[0] if e.phase == "secAccess"}
     assert len(accesses) + len(fetches) == len(ledgers[0])

@@ -3,7 +3,7 @@
 The README lists what a query may reveal: the schema, the padded posting
 lengths, the query structure and predicate kinds, and the per-group match
 counts of the root and of every inner slot that the gate rule keeps on the
-shuffle (``engine.gates_inner_slot``). So two runs whose public values agree
+shuffle (``engine.QueryPlan``). So two runs whose public values agree
 must give every party a view of the same shape: the same frames (direction,
 peer, op, round and payload length, in order), the same leakage ledger
 (label, phase, slot, segments, length and, for a fetch's flags, the
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from oblivgm import net
-from oblivgm.engine import gates_inner_slot
+from oblivgm.engine import plan
 from oblivgm.graphs import build_schema, parse_graph_text
 from oblivgm.oracle import _Matcher, oracle_match
 from oblivgm.query import load_query, query_structure
@@ -96,12 +96,6 @@ def hub_forest_text() -> str:
             lines.append(f"V A l{x}_{i} x={x}")
             own(f"l{x}_{i}", (y,))
     return "\n".join(lines + edges) + "\n"
-
-
-def _gates_b(graph_text: str, query_text: str) -> bool:
-    schema = build_schema(parse_graph_text(graph_text), 2)
-    slots = query_structure(load_query(query_text, schema))["slots"]
-    return gates_inner_slot(schema.types["A"], slots, 1)
 
 
 def forest_text(seed=None) -> str:
@@ -242,7 +236,8 @@ def test_a_shuffled_inner_slot_opens_its_group_counts():
     # Two roots of three records with three matching B vertices in all, as
     # 0, 1 and 2 or as 1, 1 and 1 per group: the ledger shows which
     graph, query_1, query_2 = hub_forest_text(), DEEP.format(lo=1, hi=1), DEEP.format(lo=3, hi=3)
-    assert not _gates_b(graph, query_1)
+    schema = build_schema(parse_graph_text(graph), 2)
+    assert plan(schema, query_structure(load_query(query_1, schema))).route[1] == "fetched"
     counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
     assert counts_1[0] == counts_2[0] and counts_1[1] != counts_2[1]
     (views_1, _), (views_2, _) = view_shapes(graph, query_1), view_shapes(graph, query_2)
@@ -281,7 +276,8 @@ def test_views_hide_the_match_counts_of_a_gated_inner_slot():
     # and one root count, and no view shows which
     graph = forest_text()
     query_1, query_2 = DEEP.format(lo=1, hi=2), DEEP.format(lo=1, hi=2).replace("y = 1", "y = 0")
-    assert _gates_b(graph, query_1)
+    schema = build_schema(parse_graph_text(graph), 2)
+    assert plan(schema, query_structure(load_query(query_1, schema))).route[1] == "gated inner"
     counts_1, counts_2 = group_counts(graph, query_1), group_counts(graph, query_2)
     assert counts_1[0] == counts_2[0] and counts_1[1] != counts_2[1]
     (views_1, _), (views_2, _) = view_shapes(graph, query_1), view_shapes(graph, query_2)
