@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import check_token, open_results, sec_match
+from .engine import PHASES, check_token, open_results, sec_match
 from .graphs import GraphFormatError, build_schema, encrypt_graph, parse_graph_text
 from .net import (ProtocolError, local_runtimes, make_session_configs, parse_peers, run_trio,
                   tcp_runtime)
@@ -127,7 +127,11 @@ def _run_local_query(graph_dir: Path, token_dir: Path, out_dir: Path,
         for rt in runtimes:
             t = rt.meter.total
             _say(f"[party-{rt.index}] sent {t.bytes_sent} bytes in {t.frames_sent} frames")
-            for name, st in rt.meter.phases.items():
+            # in protocol order, not first use: a unique root's first mask frame,
+            # metered as secAccess, goes out in the evaluation's round
+            for name in sorted(rt.meter.phases,
+                               key=lambda n: PHASES.index(n) if n in PHASES else len(PHASES)):
+                st = rt.meter.phases[name]
                 _say(f"[party-{rt.index}]   {name}: {st.bytes_sent} bytes in "
                      f"{st.frames_sent} frames, {st.seconds:.4f} s")
     print(f"wrote 3 result share files to {out_dir}")

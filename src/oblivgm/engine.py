@@ -12,7 +12,8 @@ Four cooperating pieces, each executed in lockstep by the three parties:
   attribute codes are obliviously shuffled and only the shuffled flag
   column is opened, in the shuffle's last round. A unique-valued attribute
   lets the root fold its value codes into a single record instead, with
-  pure local algebra plus one re-share.
+  pure local algebra plus one re-share, sent in the round of its access's
+  open.
 * neighbor access: matched vertices' padded posting lists of neighbor id
   codes are pulled out of the whole parent-type population by one-hot
   selection; the codes become one-hot rows through uniformly masked codes,
@@ -37,10 +38,10 @@ says which route each slot takes, and what that reveals.
 
 A query slot's candidates, and then its matched records, are one
 :class:`RecordTable`. Every re-share goes through
-:func:`oblivgm.rss.reshare_rows`, and every AND of two shared values takes
-its additive terms from :func:`oblivgm.rss.and_terms`: the gate of a
-population table by its flags, a unique root's fold, a gated slot's one-hot
-ids and the predicate combiners.
+:func:`oblivgm.rss.reshare_rows`, whole or in steps, and every AND of two
+shared values takes its additive terms from :func:`oblivgm.rss.and_terms`:
+the gate of a population table by its flags, a unique root's fold, a gated
+slot's one-hot ids and the predicate combiners.
 
 A vertex id and an attribute value each take one of two encodings: a row
 is one-hot only while a one-hot selection or a predicate may still read it,
@@ -65,12 +66,13 @@ protocol step carries every slot of a level in one message per party: one
 shuffle of the level's fetched tables, whose last round opens their flags,
 and, for all edges out of the level together, one open of the masked codes,
 straight from the selection's additive shares, and one re-share of the rows
-selected from the children's population tables: two rounds, after the
-level's first mask frames (:attr:`QueryPlan.masks`). Before the first level
-come the evaluation's one re-share and its combining steps,
-``ceil(log2(j))`` AND re-shares for a slot of ``j`` predicates. Within a
-table, each candidate group is a segment permuted under its own table id; a
-child slot's groups are ``max_padded`` rows each, a public size. The opened
+selected from the children's population tables: two rounds, after party 3's
+first mask frame, which goes out as soon as party 3 knows the level's counts
+(:attr:`QueryPlan.masks`). Before the first level come the evaluation's one
+re-share and its combining steps, ``ceil(log2(j))`` AND re-shares for a
+slot of ``j`` predicates. Within a table, each candidate group is a segment
+permuted under its own table id; a child slot's groups are ``max_padded``
+rows each, a public size. The opened
 flags and the group boundaries are exactly what per-group steps would
 reveal, so batching leaks nothing more, and the number of rounds a query
 takes grows with the depth of its tree, not with its slots or its matches.
@@ -94,6 +96,8 @@ from .graphs import GraphSchema, GraphShare, TypePartyShare, TypeSchema
 from .query import PartyToken, QueryFormatError, check_structure, slot_attrs
 from .rss import MatchTable
 from .shuffle import UnitVectors, sec_shuffle
+
+PHASES = ("secEval", "secFetch", "secAccess")  # a query's meter phases, in protocol order
 
 
 @dataclass
@@ -293,7 +297,7 @@ def eval_keys(token: PartyToken, types: list[TypeSchema]) -> list[list[tuple]]:
     return [[(next(ind), next(ind)) for _ in slot["preds"]] for slot in slots]
 
 
-def sec_eval(rt, preds: list[tuple[MatchTable, tuple[np.ndarray, np.ndarray]]]
+def sec_eval(rt, preds: list[tuple[MatchTable, tuple[np.ndarray, np.ndarray]]], during=None
              ) -> list[MatchTable]:
     """Evaluate predicates over attribute tables; one shared bit per row each.
 
@@ -302,12 +306,13 @@ def sec_eval(rt, preds: list[tuple[MatchTable, tuple[np.ndarray, np.ndarray]]]
     population in :func:`sec_match`, and the packed indicator rows of the
     party's two FSS keys over that domain (:func:`eval_keys`). A row's
     additive bit is the parity of each share of the row ANDed with one
-    key's indicator, and one message re-shares the bits of every predicate.
+    key's indicator, and one message re-shares the bits of every predicate;
+    ``during`` runs in its round (:func:`oblivgm.rss.reshare_rows`).
     """
     additive = [(pack_bits(_parity_rows(values.share_a & ind_a)
                            ^ _parity_rows(values.share_b & ind_b))[None], values.rows)
                 for values, (ind_a, ind_b) in preds]
-    return rss.reshare_rows(rt, *additive[0], more=additive[1:])
+    return rss.reshare_rows(rt, *additive[0], more=additive[1:], during=during)
 
 
 def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -> list[MatchTable]:
@@ -341,7 +346,7 @@ def combine_predicates(rt, bits: list[list[MatchTable]], combiners: list[str]) -
 # ---------------------------------------------------------------------------
 
 
-def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=(), during=None):
+def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=()):
     """The root's fetch when at most one of its vertices can match: fold its rows by its flags.
 
     The root's row ``c`` is vertex ``c``, so its one record's one-hot id,
@@ -351,9 +356,10 @@ def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=(), during
     additive share of the record's code, and one re-share carries every
     attribute's; a root without a match folds to the all-zero (dummy)
     record. ``more`` holds further ``(additive, width)`` tables that ride in
-    the same message, and ``during`` runs in its round
-    (:func:`oblivgm.rss.reshare_rows`). Returns the record and the tables of
-    ``more``.
+    the same message. The folds are made, and the re-share's zero-sharing
+    drawn, at the call, which returns the rest in two steps, as
+    :func:`oblivgm.rss.reshare_steps` runs it: the first ``next`` sends, and
+    the second receives and yields the record and the tables of ``more``.
     """
     masks = _masks(_flag_column(flag))
     names = sorted(cand.attrs)
@@ -361,8 +367,16 @@ def sec_fetch_unique(rt, cand: RecordTable, flag: MatchTable, *, more=(), during
                                     keepdims=True), t.width)
              for t in (cand.attrs[a] for a in names)]
     parts = folds + list(more)
-    tables = rss.reshare_rows(rt, *parts[0], more=parts[1:], during=during)
-    return RecordTable(flag, dict(zip(names, tables)), np.full(1, -1)), tables[len(names):]
+    steps = rss.reshare_steps(rt, *parts[0], more=parts[1:])
+    next(steps)
+
+    def rest():
+        next(steps)
+        yield
+        tables = next(steps)
+        yield RecordTable(flag, dict(zip(names, tables)), np.full(1, -1)), tables[len(names):]
+
+    return rest()
 
 
 def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
@@ -407,11 +421,12 @@ def sec_fetch_multi(rt, cands: list[RecordTable], flags: list[MatchTable],
 def _unit_ids(rt, codes: MatchTable, ts: TypeSchema, during=None) -> MatchTable:
     """The root's K kept id codes as one-hot rows, by one :class:`UnitVectors` expansion.
 
-    K comes with the flag open, so the first two of the three mask frames,
-    of ``K * 2^id_width / 32`` words, take a round of their own; the open of
-    the masked codes, of each code's first component as its additive share,
-    is entered under slot 0, one ``id_width``-bit segment per record, and
-    ``during`` runs in its round. With no record nothing is sent.
+    K comes with the flag open, whose round carries party 3's mask frame of
+    ``K * 2^id_width / 32`` words, as party 3 sends its flag columns last.
+    The other two ride in the open of the masked codes, of each code's
+    first component as its additive share, entered under slot 0, one
+    ``id_width``-bit segment per record; ``during`` runs in its round. With
+    no record nothing is sent.
     """
     if not codes.rows:
         return _no_rows(rt.index, ts.population)
@@ -421,22 +436,26 @@ def _unit_ids(rt, codes: MatchTable, ts: TypeSchema, during=None) -> MatchTable:
                         [(0, (ts.id_width,) * codes.rows)], during=during)[0]
 
 
-def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, during=None):
+def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, tables, opening=None,
+               during=None):
     """Pull every matched vertex's neighbors out of the graph, for several query edges.
 
-    ``edges`` holds one ``(slot, records, parent_type, child_type, table,
-    flags)`` per edge, ``slot`` being its child slot in ``qp``, the query's
-    plan. Selection runs over the whole parent-type population, so nothing
-    about which vertex matched leaks, and picks each record's ``padded`` id
-    codes as additive shares. ``units``, a :class:`oblivgm.shuffle.UnitVectors` of
+    ``edges`` holds one ``(slot, records, parent_type, child_type, flags)``
+    per edge, ``slot`` being its child slot in ``qp``, the query's plan.
+    Selection runs over the whole parent-type population, so nothing about
+    which vertex matched leaks, and picks each record's ``padded`` id codes
+    as additive shares. ``units``, a :class:`oblivgm.shuffle.UnitVectors` of
     one ``(records * padded, id_width)`` shape per edge with codes to
     select, in edge order, whose masks' first step is sent
     (:attr:`QueryPlan.masks`), turns them into one-hot rows: one open of the
     uniformly masked codes ``d``, straight from the additive shares and
     tagged with the child slot, one segment of ``padded * id_width`` bits a
-    record, carries the second step. The one-hot rows select rows of
-    ``table``, the child slot's population table, in one re-share, in whose
-    round ``during`` runs: an access level takes two rounds.
+    record, carries the second step. ``opening`` runs in that open's round.
+    The one-hot rows select rows of the child slots' population tables,
+    which ``tables()`` gives, one per edge, once the open is done, so that a
+    message sent by ``opening`` may make them: the unique root's fold, which
+    carries the population gate. One re-share carries the selected rows,
+    and ``during`` runs in its round: an access level takes two rounds.
 
     A ``unique`` child's selected rows are XORed into one per record.
     ``flags``, a gated child's population flags when it has children, is
@@ -451,7 +470,7 @@ def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, during=None)
     folded.
     """
     schema = gshare.schema
-    children = [schema.types[child_type] for _, _, _, child_type, *_ in edges]
+    children = [schema.types[child_type] for _, _, _, child_type, _ in edges]
     l_max = [qp.padded[c] for c, *_ in edges]
     fold = [qp.route[c] == "unique" for c, *_ in edges]
     live = [i for i, (_, records, *_) in enumerate(edges) if l_max[i] and records.rows]
@@ -459,7 +478,7 @@ def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, during=None)
     # one-hot selection of every matched vertex's padded list of id codes
     sel = []
     for i in live:
-        _, records, parent_type, child_type, *_ = edges[i]
+        _, records, parent_type, child_type, _ = edges[i]
         ids, x_pa = records.ids, schema.types[parent_type].population
         posting = gshare.types[parent_type].posting[child_type]
         sel.append((_select_many_additive(
@@ -469,12 +488,17 @@ def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, during=None)
     unit = {}
     if live:
         tags = [(edges[i][0], (l_max[i] * children[i].id_width,) * edges[i][1].rows) for i in live]
-        unit = dict(zip(live, units.expand(sel, [children[i].population for i in live], tags)))
+        unit = dict(zip(live, units.expand(sel, [children[i].population for i in live], tags,
+                                           during=opening)))
+    elif opening is not None:  # nothing to open: its frames go on their own
+        opening()
+    pops = tables()
 
     # one selection of every row out of its child's population table
     wanted = []
     for i, rows in unit.items():
-        _, records, _, _, table, flags = edges[i]
+        _, records, _, _, flags = edges[i]
+        table = pops[i]
 
         def folded(additive):  # a record's rows XORed into one
             return np.bitwise_xor.reduce(additive.reshape(records.rows, l_max[i], -1), axis=1)
@@ -492,9 +516,9 @@ def sec_access(rt, qp: QueryPlan, edges, gshare: GraphShare, units, during=None)
         during()
 
     out = []
-    for i, (_, records, _, _, table, flags) in enumerate(edges):
+    for i, (_, records, _, _, flags) in enumerate(edges):
         if i not in unit:
-            out.append((_no_rows(rt.index, table.width),
+            out.append((_no_rows(rt.index, pops[i].width),
                         _no_rows(rt.index, children[i].population), np.zeros(0, np.int64)))
             continue
         picked = next(values)
@@ -540,13 +564,14 @@ class QueryPlan:
     the parent type's ``max_padded`` toward its type, and ``widths`` its
     population table's fields: a 1-bit flag if fetched, else an
     ``id_width``-bit gated code, then the attributes' codes. Per level,
-    ``levels`` holds its slots and ``masks`` the message that first carries
-    its accesses' mask frames, once its counts are public: ``fold``, the
-    unique root's fold; ``expansion``, the open of a shuffled root's codes;
-    ``above``, the level above's final re-share, when every slot of the
-    level is gated; ``own``, a round of their own after a fetched slot's
-    flag open, so that its accesses take three rounds; ``None`` at a level
-    without children.
+    ``levels`` holds its slots and ``masks`` the round of party 3's mask
+    frame for its accesses, one in which party 3 already knows the level's
+    counts: ``evaluation``, the evaluation's re-share, at a unique
+    root, whose count 1 is public; ``expansion``, the open of a shuffled
+    root's codes; ``above``, the level above's final re-share, when every
+    slot of the level is gated; ``flags``, the flag open of the level's
+    fetched slots; ``None`` at a level without children. The other two mask
+    frames ride in the access's open, so every access takes two rounds.
     """
 
     route: tuple[str, ...]
@@ -589,8 +614,8 @@ def plan(schema: GraphSchema, structure: dict) -> QueryPlan:
     levels = [(0,)]
     while nxt := tuple(c for s in levels[-1] for c in slots[s]["children"]):
         levels.append(nxt)
-    masks = ["fold" if route[0] == "unique root" else "expansion"] + [
-        "own" if any(route[s] == "fetched" for s in level) else "above" for level in levels[1:]]
+    masks = ["evaluation" if route[0] == "unique root" else "expansion"] + [
+        "flags" if any(route[s] == "fetched" for s in level) else "above" for level in levels[1:]]
     masks = [m if any(slots[s]["children"] for s in level) else None
              for m, level in zip(masks, levels)]
     return QueryPlan(tuple(route), parent, tuple(padded), tuple(widths),
@@ -629,12 +654,28 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
         if progress:
             progress(f"[party-{rt.index}] {msg}")
 
+    units = {}  # per level, its accesses' UnitVectors or None
+
+    def send_masks(li: int) -> None:
+        """Make level ``li``'s access unit vectors and send their masks' first step."""
+        shapes = [(qp.count(s, lambda t: records[t].rows) * qp.padded[c], types[c].id_width)
+                  for s in qp.levels[li] for c in slots[s]["children"]]
+        shapes = [shape for shape in shapes if shape[0]]
+        units[li] = UnitVectors(rt, shapes) if shapes else None
+        if units[li]:
+            units[li].send_masks()
+
+    def send_root_masks():  # a unique root's count, 1, is public from the start
+        with rt.meter.phase("secAccess"):
+            send_masks(0)
+
     # every predicate over its type's whole population, in one message
     indicators = eval_keys(token, types)
     with rt.meter.phase("secEval"):
         bits = iter(sec_eval(rt, [(shares[s].attrs[p["attr"]], indicators[s][pi])
                                   for s, slot in enumerate(slots)
-                                  for pi, p in enumerate(slot["preds"])]))
+                                  for pi, p in enumerate(slot["preds"])],
+                             during=send_root_masks if qp.masks[0] == "evaluation" else None))
         flags = combine_predicates(rt, [[next(bits) for _ in slot["preds"]] for slot in slots],
                                    [slot["combiner"] for slot in slots])
 
@@ -654,17 +695,27 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
             width = sum(qp.widths[s][1:])
             gate.append((pack_bits(unpack_bits(rss.and_terms(*masks, *rows[s]), width)
                                    .reshape(1, -1)), types[s].population * width))
+    pops = {}
 
-    units = {}  # per level, its accesses' UnitVectors or None
+    def populations(gated_attrs) -> None:
+        """Each population table below the root, once the gate's re-share is received."""
+        gated_attrs = iter(gated_attrs)
+        for s in rows:
+            w = qp.widths[s]
+            if qp.route[s] != "fetched":
+                t = next(gated_attrs)
+                rows[s] = [pack_bits(unpack_bits(m, t.width).reshape(-1, sum(w[1:])))
+                           for m in (t.share_a, t.share_b)]
+            pops[s] = MatchTable(rt.index, sum(w), *(_pack_fields([(h, w[0]), (r, sum(w[1:]))])
+                                                     for h, r in zip(heads[s], rows[s])))
 
-    def send_masks(li: int) -> None:
-        """Make level ``li``'s access unit vectors and send their masks' first step."""
-        shapes = [(qp.count(s, lambda t: records[t].rows) * qp.padded[c], types[c].id_width)
-                  for s in qp.levels[li] for c in slots[s]["children"]]
-        shapes = [shape for shape in shapes if shape[0]]
-        units[li] = UnitVectors(rt, shapes) if shapes else None
-        if units[li]:
-            units[li].send_masks()
+    def send_fold():  # the unique root's fold, in the round of its access's open
+        with rt.meter.phase("secFetch"):
+            next(fold)
+
+    def receive_fold():
+        records[0], gated_attrs = next(fold)
+        populations(gated_attrs)
 
     # the root's rows are its population, its ids public codes: the unique route folds its
     # value codes, the multi route shuffles its rows
@@ -674,9 +725,12 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
     say(f"slot 0 ({slots[0]['name']}): {root.rows} candidates in 1 groups")
     with rt.meter.phase("secFetch"):
         if qp.route[0] == "unique root":
-            records[0], gated_attrs = sec_fetch_unique(
-                rt, root, flags[0], more=gate,
-                during=(lambda: send_masks(0)) if qp.masks[0] == "fold" else None)
+            fold = sec_fetch_unique(rt, root, flags[0], more=gate)
+            # its one record's one-hot id is its flag vector; the fold brings its attributes
+            records[0] = RecordTable(flags[0], {}, np.full(1, -1))
+            if qp.masks[0] is None:  # no access for the fold to ride with
+                next(fold)
+                receive_fold()
         else:
             gated_attrs = []
 
@@ -685,15 +739,7 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
 
             (records[0],) = sec_fetch_multi(rt, [root], [_flag_column(flags[0])], slots=[0],
                                             during=send_gate if gate else None)
-    gated_attrs, pops = iter(gated_attrs), {}
-    for s in rows:
-        w = qp.widths[s]
-        if qp.route[s] != "fetched":
-            t = next(gated_attrs)
-            rows[s] = [pack_bits(unpack_bits(m, t.width).reshape(-1, sum(w[1:])))
-                       for m in (t.share_a, t.share_b)]
-        pops[s] = MatchTable(rt.index, sum(w), *(_pack_fields([(h, w[0]), (r, sum(w[1:]))])
-                                                 for h, r in zip(heads[s], rows[s])))
+            populations(gated_attrs)
 
     cands, fetch_flags = {}, {}  # a fetched slot's candidates, and their flags
     for li, level in enumerate(qp.levels):
@@ -713,16 +759,24 @@ def sec_match(rt, token: PartyToken, gshare: GraphShare, progress=None) -> Match
                 + ("gated rows" if qp.route[s].startswith("gated") else "matched records"))
         if qp.masks[li] is not None:
             edges = [(s, c) for s in level for c in slots[s]["children"]]
+            folding = qp.masks[li] == "evaluation"  # the fold rides in the access's open
+
+            def tables():
+                if folding:
+                    receive_fold()
+                return [pops[c] for _, c in edges]
+
             with rt.meter.phase("secAccess"):
                 if qp.masks[li] == "expansion":  # the kept root codes, one-hot
                     records[0] = replace(records[0], ids=_unit_ids(
                         rt, records[0].ids, types[0], during=lambda: send_masks(0)))
-                elif qp.masks[li] == "own":  # a fetched slot's count came with its flag open
+                elif qp.masks[li] == "flags":  # party 3 learned the counts in the flag open
                     send_masks(li)
                 accessed = sec_access(rt, qp, [
-                    (c, records[s], slots[s]["type"], slots[c]["type"], pops[c],
+                    (c, records[s], slots[s]["type"], slots[c]["type"],
                      flags[c] if qp.route[c] != "fetched" and slots[c]["children"] else None)
-                    for s, c in edges], gshare, units.get(li),
+                    for s, c in edges], gshare, units.get(li), tables,
+                    opening=send_fold if folding else None,
                     during=(lambda: send_masks(li + 1)) if "above" in qp.masks[li + 1:li + 2]
                     else None)
             for (_, c), (picked, hot, parents) in zip(edges, accessed):

@@ -22,9 +22,10 @@ communicate (:func:`reshare_rows`, with :func:`reshare` its one-row case,
 :func:`and_gate`, :func:`open_shared`, :func:`open_additive`) take a party
 runtime (see :mod:`oblivgm.net`) providing ordered channels, the zero-share
 context, open labels, the leakage ledger and traffic metering.
-:func:`reshare_rows` is the only code that sends and receives re-share
-frames; :func:`send_open` and :func:`read_open` write and check every open
-frame, the shuffle's fused flag open included.
+:func:`reshare_rows`, run whole or in steps (:func:`reshare_steps`), is the
+only code that sends and receives re-share frames; :func:`send_open` and
+:func:`read_open` write and check every open frame, the shuffle's fused
+flag open included.
 """
 
 from __future__ import annotations
@@ -241,7 +242,24 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None, during=None
     table comes back, in order. Without ``more`` the one table comes back.
 
     ``during`` is called after the send and before the receive, so that the
-    frames it sends ride in this message's round.
+    frames it sends ride in this message's round. :func:`reshare_steps` runs
+    the same re-share in steps.
+    """
+    steps = reshare_steps(rt, additive, width, more=more)
+    next(steps)
+    next(steps)
+    if during is not None:
+        during()
+    return next(steps)
+
+
+def reshare_steps(rt, additive: np.ndarray, width: int, *, more=None):
+    """:func:`reshare_rows` as a generator of three steps, so that other frames can go between them.
+
+    The first ``next`` draws the zero-sharing, the second sends the message,
+    and the third receives the previous party's and yields what
+    :func:`reshare_rows` returns. So a message can draw its pad before
+    another message's and still follow that message on its link.
     """
     parts = [(additive, width)] + list(more or ())
     pad = rt.zero_share(sum(a.size for a, _ in parts) * 32)
@@ -249,10 +267,10 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None, during=None
     for a, w in parts:
         blinded.append(mask_tail(a ^ pad[pos:pos + a.size].reshape(a.shape), w))
         pos += a.size
+    yield
     payload = b"".join(b.tobytes() for b in blinded)
     rt.send_next(OP_RESHARE, payload, logical_bits=sum(a.shape[0] * w for a, w in parts))
-    if during is not None:
-        during()
+    yield
     raw = rt.recv_prev(OP_RESHARE)
     if len(raw) != len(payload):
         raise ProtocolError(f"re-share message has {len(raw)} bytes, expected {len(payload)}")
@@ -261,7 +279,7 @@ def reshare_rows(rt, additive: np.ndarray, width: int, *, more=None, during=None
     for b, (_, w) in zip(blinded, parts):
         tables.append(MatchTable(rt.index, w, received[pos:pos + b.size].reshape(b.shape), b))
         pos += b.size
-    return tables if more is not None else tables[0]
+    yield tables if more is not None else tables[0]
 
 
 def reshare(rt, additive: BitVector, *, more=None):

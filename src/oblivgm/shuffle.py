@@ -209,22 +209,28 @@ def _pairwise_steps(rt, table_id: int, widths: np.ndarray, positions: int):
     ``T_s`` moves bit ``j`` of row ``k`` to ``j ^ t_k``, with ``t_k`` the
     ``widths[k]``-bit offset that the pair holding seed ``s`` draws from it
     (:func:`code_offsets`). Party 3 knows T23 and T31, so it moves ``E``
-    through both alone. Two rounds and three frames the size of ``E``
-    follow:
+    through both alone. Three frames the size of ``E`` follow:
 
-    * party 3 sends ``V = T31(T23(E)) ^ R31`` to party 2, and party 1 sends
-      ``U = T12(R31) ^ x1`` to party 2;
-    * party 2 sets ``x2 = T12(V) ^ U ^ x3`` and sends it to party 1.
+    * party 3 sends ``V = T31(T23(E)) ^ R31`` to party 2;
+    * party 1 sends ``U = T12(R31) ^ x1`` to party 2, and party 2 sends
+      ``x2' = T12(V) ^ x3`` to party 1;
+    * both set ``x2 = x2' ^ U``.
 
     Then ``x1 ^ x2 ^ x3 = T12(T31(T23(E)))``, since ``T12`` is linear.
     ``R31`` and ``x1`` come from s31 and ``x3`` from s23, under labels of
     their own and ``table_id``, so they reuse no pad of a shuffle. Party 3
-    holds ``(x3, x1)`` from its seeds alone and receives nothing.
+    holds ``(x3, x1)`` from its seeds alone and receives nothing. Party 1
+    receives ``x2'`` where it would receive ``x2``; it sent ``U``, so each
+    gives the other, and its view is the same.
 
     Each ``next`` runs one step, so that the frames can ride in the rounds
-    of other messages: the first sends party 1's and party 3's frames, the
-    second has party 2 receive both and send its own, and the third has
-    party 1 receive that and yields the party's table.
+    of other messages: the first sends party 3's frame, so only party 3
+    needs the row count; the second sends party 1's and party 2's, party 2
+    receiving party 3's first; and the third has parties 1 and 2 receive
+    each other's and yields the party's table. A link carries its frames in
+    order, so party 2 receives what party 1 sends it before the second
+    step, such as an open frame, before ``U``, and what party 1 sends it
+    after the second step only after the third.
     """
     rows, nwords = len(widths), words_for(positions)
     head = int(table_id).to_bytes(4, "little")
@@ -244,20 +250,20 @@ def _pairwise_steps(rt, table_id: int, widths: np.ndarray, positions: int):
 
     if rt.index == 1:
         s12, s31 = rt.seed_with_next, rt.seed_with_prev
+        yield
         x1 = draw(s31, _LABEL_UNSHARE)
-        send(rt.send_next, move(s12, draw(s31, _LABEL_UNMASK)) ^ x1)
+        u = move(s12, draw(s31, _LABEL_UNMASK)) ^ x1
+        send(rt.send_next, u)
         yield
-        yield
-        components = (x1, recv(rt.recv_next(OP_SHUFFLE)), None)
+        components = (x1, recv(rt.recv_next(OP_SHUFFLE)) ^ u, None)
     elif rt.index == 2:
         s23, s12 = rt.seed_with_next, rt.seed_with_prev
         yield
         x3 = draw(s23, _LABEL_UNSHARE)
-        u = recv(rt.recv_prev(OP_SHUFFLE))
-        x2 = move(s12, recv(rt.recv_next(OP_SHUFFLE))) ^ u ^ x3
-        send(rt.send_prev, x2)
+        x2_prime = move(s12, recv(rt.recv_next(OP_SHUFFLE))) ^ x3
+        send(rt.send_prev, x2_prime)
         yield
-        components = (None, x2, x3)
+        components = (None, x2_prime ^ recv(rt.recv_prev(OP_SHUFFLE)), x3)
     else:
         s31, s23 = rt.seed_with_next, rt.seed_with_prev
         e_0 = one_hot_rows(rows, positions, np.arange(rows), np.zeros(rows, np.int64))
@@ -295,7 +301,7 @@ class UnitVectors:
     """Shared unit vectors of shared id codes: row ``c`` one-hot at ``c - 1``, code 0 a zero row.
 
     Made for code tables of ``shapes``, ``(rows, id width)`` each, before the
-    codes exist, so that the mask frames can ride in the rounds before them.
+    codes exist, so that party 3's mask frame can ride in a round before them.
     Each row ``k`` of width ``w`` takes a mask ``r = r12 ^ r23 ^ r31``, one
     ``w``-bit offset from each pair seed (:func:`code_offsets`). The three
     offsets are the components of a replicated sharing of ``r`` that costs
@@ -316,12 +322,12 @@ class UnitVectors:
     the party before ``i`` holds ``x_i`` too, and would read ``a_i``, its
     next peer's additive share, off the frame.
 
-    Call :meth:`send_masks` in the message before the open, once the row
-    counts are public (``rss.reshare_rows``' or the open's ``during``), then
-    :meth:`expand`: the masks' second step rides with the open of ``d``,
-    so the expansion takes the open's one round. Where nothing is sent in
-    the round before, as when the count comes with a shuffle's flag open,
-    the masks take a round of their own.
+    Call :meth:`send_masks` in a round before the open, once party 3 knows
+    the row counts, as only party 3 sends in that step: a count that comes
+    with a shuffle's flag open is known to party 3 in that open's round,
+    where it sends its flag columns. Then call :meth:`expand`: the masks'
+    second step rides with the open of ``d`` and their third follows it,
+    so the expansion takes the open's one round.
     """
 
     def __init__(self, rt, shapes: list[tuple[int, int]]):
@@ -342,7 +348,8 @@ class UnitVectors:
         ``(rows, words)`` additive shares of ``width``-bit codes. ``slots``
         tags the opened ``d`` of consecutive tables in the ledger, as
         :func:`oblivgm.rss.open_shared`'s ``slots`` do, in bits. ``during``
-        runs in the open's round, after its frames are sent.
+        runs in the open's round, after its frames and the masks' second
+        step are sent, so its frames are received after this returns.
         """
         rt = self.rt
         if [len(a) for a, _ in codes] != self.rows:
@@ -353,7 +360,7 @@ class UnitVectors:
         blinded = np.concatenate([unpack_bits(a[:, :1] ^ mask[lo:hi, None], w).ravel()
                                   for (a, w), lo, hi in zip(codes, bounds[:-1], bounds[1:])])
 
-        def in_round():  # party 2 passes its mask frame on in the open's round
+        def in_round():  # parties 1 and 2 send their mask frames in the open's round
             next(self._steps)
             if during is not None:
                 during()

@@ -248,7 +248,9 @@ def run_fetch(values, domain, flag_bits, unique, master=b"\x33" * 16, public_ids
         group = replace(group, attrs={a: engine._codes(t) for a, t in group.attrs.items()})
         flags = flag_shares[rt.index - 1]
         if unique:  # a root's row c is vertex c: its one-hot id is the flag vector
-            return sec_fetch_unique(rt, group, flags)[0], []
+            fold = sec_fetch_unique(rt, group, flags)
+            next(fold)  # the fold's re-share is sent, then received
+            return next(fold)[0], []
         fetched = sec_fetch_multi(rt, [group], [engine._flag_column(flags)])[0]
         if public_ids:
             fetched = replace(fetched, ids=engine._unit_ids(rt, fetched.ids, ts))
@@ -877,8 +879,10 @@ def test_rounds_follow_tree_depth_not_slot_count():
 
 def test_an_access_level_takes_two_rounds():
     # the open of the masked codes, straight from the selection, and the
-    # attribute re-share: the masks' first step rides in the unique root's
-    # fold, a fetch message, and their second in the open
+    # attribute re-share. The unique root's count, 1, is public, so party
+    # 3's mask frame goes out in the evaluation's round, metered as
+    # secAccess; the other two ride in the open, and the open rides in the
+    # root's fold, the one fetch message
     graph = parse_graph_text(CAMPUS_GRAPH)
     rng = np.random.default_rng(6)
     schema, shares = encrypt_graph(graph, 2, rng)
@@ -896,30 +900,34 @@ def test_an_access_level_takes_two_rounds():
     depths = [(depth, op) for phase, op, depth in sent if phase == "secAccess"]
     start = min(depths)[0] - 1
     access = sorted({(depth - start, op) for depth, op in depths})
-    assert access == [(1, OP_OPEN), (1, OP_SHUFFLE), (2, OP_RESHARE)]
-    assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 1
+    assert start == 0
+    assert access == [(1, OP_SHUFFLE), (2, OP_OPEN), (2, OP_SHUFFLE), (3, OP_RESHARE)]
+    assert sum(op == OP_SHUFFLE for phase, op, _ in sent if phase == "secAccess") == 3
     assert sorted((op, depth) for phase, op, depth in sent if phase == "secFetch") == (
-        [(OP_RESHARE, 2)] * 3 + [(OP_SHUFFLE, 2)] * 2)
+        [(OP_RESHARE, 2)] * 3)
 
 
-def test_a_fetched_inner_slot_sends_its_masks_in_a_round_of_their_own():
+def test_a_fetched_inner_slots_access_follows_its_flags_in_two_rounds():
     # on the skewed graph the inner slot s1 is fetched: its record count
-    # comes with its flag open, so its access's masks go out after that
-    # open, and the mask frame party 2 sends in the round of the masked
-    # codes' open reaches party 1 a round later. s1's access then takes
-    # three rounds after its flags, where a gated slot's takes two, and the
-    # tree 14: evaluation 1, the root's shuffle 3, its masks 1, its codes'
-    # open 1, its access 2, s1's shuffle 3 and its access 3
+    # comes with its flag open, in whose round party 3, which sends its
+    # flag columns last, already knows it. So party 3 sends its access's
+    # mask frame there, the other two ride in the open of the masked codes,
+    # and s1's access takes two rounds after its flags, as a gated slot's
+    # does after the level above. The tree takes 12: evaluation 1, the
+    # root's shuffle 3, its codes' open 1, its access 2, s1's shuffle 3 and
+    # its access 2
     sent, stamp = depth_stamper()
     res = run_secure_query(skew_graph_text(64), HOP_QUERY.format(c=1), attach=stamp)
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
     assert {e.slot for e in res["runtimes"][0].opened if e.phase == "secFetch"} == {0, 1}
     frames = [(phase, op, depth) for log in sent.values() for phase, op, _, depth in log]
-    assert max(depth for *_, depth in frames) == 14
+    assert max(depth for *_, depth in frames) == 12
     flags = max(depth for phase, op, depth in frames if phase == "secFetch" and op == OP_OPEN)
     assert sorted({(depth - flags, op) for phase, op, depth in frames
                    if phase == "secAccess" and depth > flags}) == [
-        (1, OP_OPEN), (1, OP_SHUFFLE), (2, OP_RESHARE), (2, OP_SHUFFLE), (3, OP_RESHARE)]
+        (1, OP_OPEN), (1, OP_SHUFFLE), (2, OP_RESHARE)]
+    assert (OP_SHUFFLE, flags) in [(op, depth) for phase, op, _, depth in sent[3]
+                                   if phase == "secAccess"]
 
 
 def test_a_one_slot_range_query_takes_four_rounds():
@@ -992,7 +1000,8 @@ def test_range_root_expands_only_the_kept_codes():
     masks = (OP_SHUFFLE, 4 + 4 * kept * words_for(1 << width))
     codes = (OP_OPEN, 4 + 4 * words_for(kept * width))
     # the access selects max_padded codes toward B and C per kept record,
-    # 7 bits each too: its masks ride in the open of the root's codes
+    # 7 bits each too: party 3's mask frame for them rides in the open of
+    # the root's codes
     selected = kept * sum(schema.types["A"].max_padded(t) for t in "BC")
     access_masks = (OP_SHUFFLE, 4 + 4 * selected * words_for(1 << width))
     access_codes = (OP_OPEN, 4 + 4 * words_for(selected * width))
@@ -1003,7 +1012,7 @@ def test_range_root_expands_only_the_kept_codes():
     assert {p: ([f[1:3] for f in fetch], [f[1:3] for f in expand])
             for p, (fetch, expand, _) in levels.items()} == {
         1: ([shuffle, flags, gate],
-            [masks, codes, codes, access_masks, access_codes, access_codes]),
+            [codes, codes, masks, access_codes, access_codes, access_masks]),
         2: ([shuffle, shuffle, gate],
             [codes, codes, masks, access_codes, access_codes, access_masks]),
         3: ([shuffle, gate, flags, flags],
@@ -1012,14 +1021,16 @@ def test_range_root_expands_only_the_kept_codes():
         (entry,) = [e for e in rt.opened if e.phase == "secAccess" and e.slot == 0]
         assert entry.segments == (width,) * kept
         assert {e.slot for e in rt.opened if e.phase == "secFetch"} == {0, 1}
-    # party 1 sends its masks the round after the flags, and the open of
-    # its masked codes with them; party 2's mask frame, sent in that open's
-    # round, gives party 1 its one-hot root ids a round later, so party 1
-    # opens its access's codes 3 rounds after the flags, and the parties
-    # that wait for that open re-share the selected attributes in the fourth
+    # party 3 sends its mask frame with its flag columns, and parties 1
+    # and 2 theirs with the open of the masked codes, the round after the
+    # flags: that open's round gives every party its one-hot root ids, so
+    # party 1 opens its access's codes 2 rounds after the flags, and the
+    # parties that wait for that open re-share the selected attributes in
+    # the third
     flag_depth = max(fetch[-1][3] for fetch, _, _ in levels.values())
-    assert [f[3] for f in levels[1][1] if f[1:3] == access_codes] == [flag_depth + 3] * 2
-    assert max(select[3] for _, _, select in levels.values()) == flag_depth + 4
+    assert [f[3] for f in levels[3][1] if f[1:3] == masks] == [flag_depth]
+    assert [f[3] for f in levels[1][1] if f[1:3] == access_codes] == [flag_depth + 2] * 2
+    assert max(select[3] for _, _, select in levels.values()) == flag_depth + 3
     # the fetch is three rounds deep, right after the root's one evaluation
     # round: party 1 sends its shuffle frame and its flags at depth 2, party 2
     # its two shuffle frames at 3, and party 3 its frame and both of its flag
@@ -1176,25 +1187,26 @@ PINNED_QUERIES = {p.id: p.values[:2] for p in PINNED}
 @pytest.mark.parametrize("graph_text,query_text,route,masks", [
     pytest.param(*PINNED_QUERIES["campus-two-person"],
                  ("unique root", "gated inner", "gated inner", "unique", "unique"),
-                 ("fold", "above", None), id="campus-two-person"),
+                 ("evaluation", "above", None), id="campus-two-person"),
     pytest.param(*PINNED_QUERIES["unique-chain"], ("unique root", "unique", "unique"),
-                 ("fold", "above", None), id="unique-chain"),
+                 ("evaluation", "above", None), id="unique-chain"),
     pytest.param(*PINNED_QUERIES["repeated-categorical"], ("shuffled root", "gated leaf"),
                  ("expansion", None), id="repeated-categorical"),
     pytest.param(*PINNED_QUERIES["two-group"], ("unique root", "gated inner", "gated leaf"),
-                 ("fold", "above", None), id="two-group"),
+                 ("evaluation", "above", None), id="two-group"),
     pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="x0 in 2 2"),
                  ("shuffled root", "gated inner", "gated leaf", "gated leaf"),
                  ("expansion", "above", None), id="range-rooted-hop"),
     pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="key = 5"),
                  ("unique root", "gated inner", "gated leaf", "gated leaf"),
-                 ("fold", "above", None), id="point-rooted-hop"),
-    # s1 is gated on the even graph, so its level's masks ride in the root's
-    # access; on the skewed graph it is fetched, and they wait for its flags
+                 ("evaluation", "above", None), id="point-rooted-hop"),
+    # s1 is gated on the even graph, so party 3 sends its level's mask frame
+    # in the root's access; on the skewed graph it is fetched, and party 3
+    # sends it in the round of s1's flag open
     pytest.param(hop_graph_text(24), SKEW_CHAIN, ("shuffled root", "gated inner", "gated leaf"),
                  ("expansion", "above", None), id="even-chain"),
     pytest.param(skew_graph_text(24), SKEW_CHAIN, ("shuffled root", "fetched", "gated leaf"),
-                 ("expansion", "own", None), id="skewed-chain"),
+                 ("expansion", "flags", None), id="skewed-chain"),
 ])
 def test_the_plan_pins_each_slots_route_and_each_levels_mask_carrier(graph_text, query_text,
                                                                      route, masks):
@@ -1218,34 +1230,61 @@ def test_a_leaf_that_matches_nothing_equals_the_oracle():
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) == set()
 
 
-def test_a_hop_tree_takes_10_rounds_range_rooted_and_6_point_rooted():
+def test_a_hop_tree_takes_9_rounds_range_rooted_and_5_point_rooted():
     # s0 A -> s1 B, s2 C; s1 B -> s3 C. Range-rooted: the evaluation (1
-    # round), the root's shuffle with its flag open (3), its codes' masks
-    # and open (2), its access (2), then s1's access (2), whose masks ride
-    # in the root's access. Point-rooted, the root folds in one round, which
-    # carries the masks of its access, and has no codes to expand. Every A
-    # vertex has two B neighbours, so the inner slot s1 is gated like the
+    # round), the root's shuffle with its flag open (3), its codes' open
+    # (1), its access (2), then s1's access (2), whose first mask frame
+    # rides in the root's access. Point-rooted, the root's count is public,
+    # so its access's first mask frame rides in the evaluation, its open in
+    # the root's fold, and its re-share in the round after: the
+    # evaluation, two rounds for the root's access and two for s1's. Every
+    # A vertex has two B neighbours, so the inner slot s1 is gated like the
     # leaves s2 and s3: all three take their records from the accesses, and
     # nothing below the root is shuffled
-    for root, rounds in (("x0 in 2 2", 10), ("key = 5", 6)):
+    for root, rounds in (("x0 in 2 2", 9), ("key = 5", 5)):
         sent, stamp = depth_stamper()
         res = run_secure_query(keyed_hop_graph_text(12), HOP_TREE.format(root=root), attach=stamp)
         assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
         assert max(depth for log in sent.values() for *_, depth in log) == rounds
 
 
+@pytest.mark.parametrize("graph_text,query_text,payload", [
+    pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="x0 in 2 2"),
+                 {1: (160, 72, 172), 2: (160, 64, 224), 3: (160, 80, 172)},
+                 id="range-rooted-hop"),
+    pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="key = 5"),
+                 {1: (84, 32, 40), 2: (84, 32, 40), 3: (84, 32, 40)}, id="point-rooted-hop"),
+    pytest.param(skew_graph_text(24), SKEW_CHAIN,
+                 {1: (1452, 528, 2120), 2: (1452, 496, 2752), 3: (1452, 560, 2120)},
+                 id="skewed-chain"),
+])
+def test_each_partys_payload_bytes_per_op_are_pinned(graph_text, query_text, payload):
+    # the payload bytes each party sends as re-share, open and shuffle
+    # frames, summed over the query. Moving a frame to an earlier round must
+    # not change what is sent, so these sums stay fixed across such moves,
+    # as they did when party 3 came to deal each mask's first frame alone
+    sent, stamp = depth_stamper()
+    res = run_secure_query(graph_text, query_text, attach=stamp)
+    assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
+    assert {p: tuple(sum(n for _, op, n, _ in log if op == want)
+                     for want in (OP_RESHARE, OP_OPEN, OP_SHUFFLE))
+            for p, log in sent.items()} == payload
+
+
 def test_no_fetch_frame_below_a_unique_root():
     # p takes the unique route and q is a leaf: both take their records from
     # the root's access, so the root's fold, in round 2, is the only fetch
-    # message, with the access's first mask frames riding in it, and only
-    # the access opens anything
+    # message, with the access's open riding in it, and only the access
+    # opens anything
     sent, stamp = depth_stamper()
     res = run_secure_query(CAMPUS_GRAPH, "Q u U place = Harbin\nQ p P age = 35\n"
                                          "Q q P age in 30 40\nQE u p\nQE u q\n", attach=stamp)
     assert res["matches"] == oracle_match(res["graph"], res["query"], res["schema"]) != set()
     fetch = [(op, depth) for log in sent.values() for phase, op, _, depth in log
              if phase == "secFetch"]
-    assert sorted(fetch) == [(OP_RESHARE, 2)] * 3 + [(OP_SHUFFLE, 2)] * 2
+    assert sorted(fetch) == [(OP_RESHARE, 2)] * 3
+    assert sorted((op, depth) for log in sent.values() for phase, op, _, depth in log
+                  if phase == "secAccess" and op == OP_OPEN) == [(OP_OPEN, 2)] * 6
     assert {e.phase for rt in res["runtimes"] for e in rt.opened} == {"secAccess"}
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from oblivgm import rss
 from oblivgm.bits import mask_tail, pack_bits, unpack_bits, words_for
-from oblivgm.net import ProtocolError, local_runtimes, make_session_configs, run_trio
+from oblivgm.net import OP_SHUFFLE, ProtocolError, local_runtimes, make_session_configs, run_trio
 from oblivgm.shuffle import (MatchTable, UnitVectors, composed_permutation, sec_shuffle,
                              simulate_shuffle, simulate_unit_vectors, translate_rows)
 from tests.conftest import listed, share_bits
@@ -249,23 +249,27 @@ def test_unit_vectors_exhaustive_widths():
         assert sum(m.frames_sent for m in sent) == 9 * len(runs)
 
 
-@pytest.mark.parametrize("tamper,message", [
-    (lambda payload: payload[:-4], "shuffle message has 8 bytes, expected 12"),
-    (lambda payload: payload + bytes(4), "shuffle message has 16 bytes, expected 12"),
-    (lambda payload: (4).to_bytes(4, "little") + payload[4:], "table id mismatch: 4 != 3"),
-], ids=["short", "long", "table-id"])
-def test_unit_vector_frames_of_the_wrong_length_or_table_id_are_refused(tamper, message):
-    # three 5-bit codes take mask rows of 32 positions, one word each
+@pytest.mark.parametrize("sender,tamper,message", [
+    (1, lambda payload: payload[:-4], "shuffle message has 8 bytes, expected 12"),
+    (1, lambda payload: payload + bytes(4), "shuffle message has 16 bytes, expected 12"),
+    (1, lambda payload: (4).to_bytes(4, "little") + payload[4:], "table id mismatch: 4 != 3"),
+    (3, lambda payload: payload[:-4], "shuffle message has 8 bytes, expected 12"),
+], ids=["short", "long", "table-id", "party-3-short"])
+def test_unit_vector_frames_of_the_wrong_length_or_table_id_are_refused(sender, tamper, message):
+    # three 5-bit codes take mask rows of 32 positions, one word each. Party 2
+    # receives a mask frame damaged: party 1's, sent with its open frames, or
+    # party 3's, sent alone in the step before the open
     runtimes = local_runtimes(make_session_configs(b"\x64" * 16), recv_timeout=5)
     codes = rss.share_rows(np.array([[1], [6], [20]], np.uint32), 5, np.random.default_rng(3))
 
     def worker(rt):
         for _ in range(3):  # the expansion draws table id 3
             rt.alloc_table_id()
-        if rt.index == 1:  # party 2 receives party 1's mask frame damaged
-            send = rt.send_next
-            rt.send_next = lambda op, payload, logical_bits=0: send(op, tamper(payload),
-                                                                    logical_bits)
+        if rt.index == sender:  # only the mask frame to party 2 is damaged
+            name = "send_next" if sender == 1 else "send_prev"
+            send = getattr(rt, name)
+            setattr(rt, name, lambda op, payload, logical_bits=0: send(
+                op, tamper(payload) if op == OP_SHUFFLE else payload, logical_bits))
         return sec_unit_vectors(rt, [codes[rt.index - 1]], [20])
 
     with pytest.raises(ProtocolError, match=message):

@@ -17,10 +17,12 @@ slot whose children are leaves and whose parent type's padding is even.
 One that adds an open, such as an access's masked codes, moves it the other
 way. Sending an open in the round that makes its value, as the shuffle's
 flag open and the additive open of an access's masked codes do, moves the
-digests and leaves the ledger as it is. A new shuffle permutation moves the bit order inside each opened flag
-vector, but not its popcount per segment; the access entries' bits are
-one-time pads of the codes, so they move with any change of the pairwise
-pads or table ids.
+digests and leaves the ledger as it is; so does moving a frame to an earlier
+round, as party 3's lone first unit-vector frame and a unique root's access
+open, which rides in its fold's round, do. A new shuffle permutation moves
+the bit order inside each opened flag vector, but not its popcount per
+segment; the access entries' bits are one-time pads of the codes, so they
+move with any change of the pairwise pads or table ids.
 """
 
 import pytest
@@ -45,29 +47,29 @@ E s2 t2
 PINNED = [
     pytest.param(
         CAMPUS_GRAPH, TWO_PERSON_QUERY,
-        ("592bf865e1ef28f4fd818842a20961080732c5fbbb4377c2dbe2082e5a0ffd79",
-         "e1a2b8fb2c8c57b1ab73a5f4279d57703b166a6e5f9aa76a47b1444707999382",
-         "941e6e39e0adff7fbcbc8f5f9508decb363e22797155ebff4de07a9d7084b0a7"),
+        ("a0fe42b3e0101bf93a287cd5dd9e569b2395f4f1812c6aebb216fca2e263cb03",
+         "a8248375471500ae50e410c33fe81ce9c37a634a7d563bf66c6ac6ebfd59038c",
+         "c93247bc8d09e3e3b9ae63c4edb99b1923fd3f8dc88b0c0b2e04c4020bfebefb"),
         id="campus-two-person"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age = 40\nQ c C field = Internet\nQE u p\nQE p c\n",
-        ("28afb80bea9d0a469b04718c1ec02155772d36705d82f4ee14f869804416383b",
-         "a014e58ca1540dd9507f425cf2e78db643216a0da228f59634c869d2cbf81bd6",
-         "da15e63e000e79a0db1786a4523f7be6ed095755b74ce3651ea1a88c160c0b72"),
+        ("9c4bc233ac404ecf953debb8ed96dcbb49e8084789a773b706cd45ff7a6c8daa",
+         "df830e448e3bd3ae391eac5bf2309b9118be3d7a20daafbd9c27255d2ca5a950",
+         "cd7a98a34e28bf1b3b63521fad5cce86e877bbdb723900846edd90ab7c8cbb4e"),
         id="unique-chain"),
     pytest.param(
         REPEATED_CATEGORICAL, "Q a S city = harbin\nQ b T tier = gold\nQE a b\n",
-        ("ab3b62eb55a9c12a751ed26e228248ee16dd38a4263c725af7addc5d237cdc7f",
-         "b422694c3b4d1fc801f1df8127ab926b86cb0c80a1753ecd307d87ba2a022e0b",
+        ("52195b95dbe5af5ba7db14f65aeb3ffac103787c1ffcf331949e5d3cfc91fda5",
+         "0eb804ed8efe4afeb26d6abd11118a2d05d2b54a1debe954d8d057fd252c1634",
          "648b0778b6774f3d3cb9238979a002a7015fd6a03ea032e365498492c7deb273"),
         id="repeated-categorical"),
     pytest.param(
         CAMPUS_GRAPH,
         "Q u U place = Harbin\nQ p P age in 30 40\nQ q P age in 30 60\nQE u p\nQE p q\n",
-        ("913ceff43386418912d8e1a356323143d506230664d4c262174e2554dd6a6893",
-         "9cc0c9ffa3aa0195e85c4d3308d33d0938bb0503daa7ffb600efb13486959726",
-         "1749e126ce6ebcceeb8d4df05cc8b6044ea794a96c49628b3dfe4f572f8412a5"),
+        ("7a78dc9de4f55b94a06e207c5cfb662e21a23e7a192f9bac3d25c8d259d4b650",
+         "22c9fde26f17fb80e8157feb7627dd936d22195e42e0eb383eb1f62d9fe240d3",
+         "3fc876ba33ad2f6a94d06353708a7001f364cd7c392348c56b9b6a57ae168a06"),
         id="two-group"),
 ]
 

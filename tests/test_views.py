@@ -28,6 +28,11 @@ the root is gated, not shuffled, and so is an inner slot whose children are
 leaves and whose parent type's padding is even, as every slot below the
 even forests' roots is; their counts are not public: two runs whose counts
 differ only there must still have views of one shape.
+
+One pair is point-rooted: a hop tree rooted at one vertex by its unique
+key, two keys whose neighbourhoods share no vertex but hold the same
+counts. Its root's access opens its masked codes in the round of the
+root's fold, so that round's frames, too, must follow from public values.
 """
 
 import numpy as np
@@ -40,6 +45,7 @@ from oblivgm.oracle import _Matcher, oracle_match
 from oblivgm.query import load_query, query_structure
 from tests import conftest
 from tests.conftest import run_secure_query
+from tests.test_engine import HOP_TREE, keyed_hop_graph_text
 
 X_VALUES = (1, 1, 2, 2, 3, 3, 4, 4)  # two A vertices per value
 Y_BLOCK = (1, 1, 0)  # per A vertex, two of its B vertices have y = 1
@@ -213,6 +219,9 @@ PAIRS = [
                  id="skewed-degrees"),
     pytest.param(hub_forest_text(), DEEP.format(lo=1, hi=1), hub_forest_text(),
                  DEEP.format(lo=2, hi=2), id="deep-shuffled-inner"),
+    pytest.param(keyed_hop_graph_text(12), HOP_TREE.format(root="key = 5"),
+                 keyed_hop_graph_text(12), HOP_TREE.format(root="key = 9"),
+                 id="point-rooted-hop-tree"),
 ]
 
 
